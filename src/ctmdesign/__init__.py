@@ -4,15 +4,11 @@ from .network import (
     Route,
     TrafficNetwork,
     TurningFractions,
-    DensityState,
     FlowRecord,
     NetworkError,
-    update_density,
-    aggregate_inflows,
-    total_mass,
 )
-from .cells import CellSpec, MultiPopRoundabout, sending, receiving
-from .signals import SignalSchedule, SignalState, advance_signal
+from .cells import CellSpec
+from .signals import SignalSchedule
 from .solvers import (
     LocalProblem,
     InteractionRule,
@@ -28,7 +24,6 @@ from .evaluation import (
     BenchmarkSpec,
     calibrate_threshold,
     sequential_mc,
-    bayesian_sequential_mc,
 )
 from .gpr import Kernel, GprDataset, GprPosterior, posterior, fit_hyperparameters
 from .learning import (

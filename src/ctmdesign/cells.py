@@ -37,16 +37,12 @@ Node types and their parameters:
     fractions are tabulated in OVERLAP_TABLES and assembled into an
     OverlapMatrix at construction time.
 
-``multipop_roundabout``
-    Vehicles move as in the unidirectional roundabout but are blocked
-    (indicator factors) by pedestrians crossing the relevant entrance or
-    exit; pedestrians move to adjacent exits only, independently of the
-    vehicles.
+``CellTable`` compiles the cells of a whole network into arrays and
+evaluates every route's S and R in one vectorized pass.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,12 +52,9 @@ from .network import Route
 
 __all__ = [
     "CellSpec",
-    "MultiPopRoundabout",
+    "CellTable",
     "OverlapMatrix",
     "CellError",
-    "sending",
-    "receiving",
-    "multipop_sending_receiving",
     "overlap_matrix",
 ]
 
@@ -74,9 +67,6 @@ KINDS = (
     "uni_roundabout",
     "bi_roundabout",
 )
-
-VEHICLE = "vehicle"
-PEDESTRIAN = "pedestrian"
 
 
 class CellError(ValueError):
@@ -140,29 +130,6 @@ class CellSpec:
     def hops(self, route):
         """Counterclockwise distance from entry arm to exit arm."""
         return (self.position(route.dst) - self.position(route.src)) % 4
-
-
-@dataclass(frozen=True)
-class MultiPopRoundabout:
-    """Unidirectional vehicle roundabout shared with crossing pedestrians."""
-
-    vehicle: CellSpec
-    pedestrian_s_max: float
-    pedestrian_rho_max: float
-    pedestrian_a: float
-    pedestrian_b: float
-    pedestrian_c: float
-    pedestrian_d: float
-
-    def __post_init__(self):
-        if self.vehicle.kind != "uni_roundabout":
-            raise CellError("vehicle layer must be a uni_roundabout cell")
-        if not (self.pedestrian_s_max > 0 and self.pedestrian_rho_max > 0):
-            raise CellError("pedestrian capacities must be positive")
-        if not (0 < self.pedestrian_a <= 1 and 0 < self.pedestrian_b <= 1):
-            raise CellError("pedestrian speed factors must be in (0, 1]")
-        if not (self.pedestrian_c > 0 and self.pedestrian_d > 0):
-            raise CellError("pedestrian interaction parameters must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -242,118 +209,6 @@ def overlap_matrix(kind, ccw, via):
 
 
 # ---------------------------------------------------------------------------
-# Scalar sending / receiving
-# ---------------------------------------------------------------------------
-
-def _density(densities, route):
-    try:
-        return densities[route]
-    except KeyError:
-        raise CellError(f"density map is missing route {route}") from None
-
-
-def _node_total(densities, via):
-    return sum(rho for r, rho in densities.items() if r.via == via)
-
-
-def sending(cell, route, densities, signal=None):
-    """Demand bound S of ``route`` given the densities through its node.
-
-    ``signal`` must be a SignalState when the cell is a signalized
-    intersection and must be omitted otherwise.  The result satisfies
-    0 <= S <= min(s_max, rho_route).
-    """
-    rho = _density(densities, route)
-    if cell.kind == "signalized_intersection":
-        if signal is None:
-            raise CellError("signalized intersection requires a signal state")
-        la = signal.la[route]
-        if cell.hops(route) == 3:
-            opp = cell.arm(cell.position(route.src) + 2)
-            blocking = (_density(densities, Route(opp, route.via, route.src))
-                        + _density(densities, Route(opp, route.via, route.dst)))
-            return min(cell.s_max,
-                       la * cell.a * rho * math.exp(-cell.zeta * blocking))
-        return min(cell.s_max, la * cell.a * rho)
-    if signal is not None:
-        raise CellError(f"cell kind {cell.kind} does not take a signal state")
-    if cell.kind == "simplified_intersection":
-        total = _node_total(densities, route.via)
-        return min(cell.s_max, cell.a * rho * math.exp(-cell.zeta * total))
-    # highway, bidirectional_interface, pedestrian_square, roundabouts
-    return min(cell.s_max, cell.a * rho)
-
-
-def receiving(cell, route, densities):
-    """Supply bound R of ``route`` given the densities through its node."""
-    rho = _density(densities, route)
-    if cell.kind == "highway":
-        return max(cell.b * (cell.rho_max / 2 - cell.c * rho), 0.0)
-    if cell.kind == "bidirectional_interface":
-        counter = _density(densities, Route(route.dst, route.via, route.src))
-        return max(cell.b * (cell.rho_max - cell.c * rho - cell.d * counter), 0.0)
-    if cell.kind == "pedestrian_square":
-        cross = sum(r_ for r, r_ in densities.items()
-                    if r.via == route.via and r.src != route.src and r.dst != route.dst
-                    and r != route)
-        return max(cell.b * (cell.rho_max - cell.c * rho - cell.d * cross), 0.0)
-    if cell.kind == "simplified_intersection":
-        total = _node_total(densities, route.via)
-        return max(cell.b * (cell.rho_max - cell.c * total), 0.0)
-    if cell.kind == "signalized_intersection":
-        approach = sum(r_ for r, r_ in densities.items()
-                       if r.via == route.via and r.src == route.src)
-        cap = cell.approach_capacity_fraction * cell.rho_max
-        return max(cell.b * (cap - approach), 0.0)
-    if cell.kind in ("uni_roundabout", "bi_roundabout"):
-        om = overlap_matrix(cell.kind, tuple(cell.ccw), route.via)
-        cross = sum(w * _density(densities, other)
-                    for (own, other), w in om.weights.items() if own == route)
-        cap = om.capacity[route] * cell.rho_max
-        return max(cell.b * (cap - cell.c * rho - cell.d * cross), 0.0)
-    raise CellError(f"no receiving rule for kind {cell.kind!r}")
-
-
-def multipop_sending_receiving(cell, route, population, vehicle_densities,
-                               pedestrian_densities):
-    """(S, R) of one route for one population of a shared roundabout.
-
-    Pedestrians have priority: vehicle bounds are the unidirectional
-    roundabout values multiplied by the indicator that the pedestrian
-    crossing densities at the exit (for S) or the entrance (for R)
-    vanish.  Pedestrian bounds ignore the vehicle layer entirely.
-    """
-    if vehicle_densities is None or pedestrian_densities is None:
-        raise CellError("both population density maps are required")
-    spec = cell.vehicle
-    if population == VEHICLE:
-        w_pos = spec.position(route.dst)
-        exit_cross = (
-            _density(pedestrian_densities, Route(spec.arm(w_pos - 1), route.via, route.dst))
-            + _density(pedestrian_densities, Route(route.dst, route.via, spec.arm(w_pos - 1)))
-        )
-        u_pos = spec.position(route.src)
-        entry_cross = (
-            _density(pedestrian_densities, Route(route.src, route.via, spec.arm(u_pos + 1)))
-            + _density(pedestrian_densities, Route(spec.arm(u_pos + 1), route.via, route.src))
-        )
-        s = sending(spec, route, vehicle_densities) * (1.0 if exit_cross == 0 else 0.0)
-        r = receiving(spec, route, vehicle_densities) * (1.0 if entry_cross == 0 else 0.0)
-        return s, r
-    if population == PEDESTRIAN:
-        if spec.hops(route) not in (1, 3):
-            raise CellError("pedestrians only move to adjacent exits")
-        rho = _density(pedestrian_densities, route)
-        counter = _density(pedestrian_densities, Route(route.dst, route.via, route.src))
-        s = min(cell.pedestrian_s_max, cell.pedestrian_a * rho)
-        r = max(cell.pedestrian_b * (cell.pedestrian_rho_max / 4
-                                     - cell.pedestrian_c * rho
-                                     - cell.pedestrian_d * counter), 0.0)
-        return s, r
-    raise CellError(f"unknown population {population!r}")
-
-
-# ---------------------------------------------------------------------------
 # Compiled vectorized evaluation (used by the simulation engine)
 # ---------------------------------------------------------------------------
 
@@ -395,11 +250,6 @@ class CellTable:
             if len(idx) == 0:
                 continue
             cell = node_cells[v]
-            if isinstance(cell, MultiPopRoundabout):
-                raise CellError(
-                    "multi-population cells are not supported by the single-"
-                    "population engine; evaluate them via multipop_sending_receiving"
-                )
             routes = [network.routes[i] for i in idx]
             local = {r: int(i) for r, i in zip(routes, idx)}
             self.s_max[idx] = cell.s_max

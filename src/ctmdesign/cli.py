@@ -35,9 +35,10 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, Scenario, load_scenario
 from .env import replicate_rng
-from .evaluation import Utility, calibrate_threshold
+from .evaluation import calibrate_threshold
 from .gpr import GprDataset, Kernel, posterior
 from .learning import run_active_learning
+from .network import NetworkError
 from .solvers import InteractionRule
 
 _WORKER_SCENARIO = None
@@ -48,22 +49,20 @@ def _init_worker(raw):
     _WORKER_SCENARIO = Scenario(raw)
 
 
-def _worker_replicate(args):
-    k, seed, index, rule = args
-    rng = replicate_rng(seed, 0, index)
+def _replicate(scenario, k, seed, index, rule):
     rule_obj = InteractionRule(rule) if rule else None
-    return _WORKER_SCENARIO.run_replicate(k, rng, rule=rule_obj)
+    return scenario.run_replicate(k, replicate_rng(seed, 0, index), rule=rule_obj)
+
+
+def _worker_replicate(args):
+    return _replicate(_WORKER_SCENARIO, *args)
 
 
 def replicate_values(scenario, k, reps, seed, rule=None, workers=1):
     """Per-replicate performance statistics, in replicate order."""
     if workers <= 1:
-        out = []
-        for i in range(reps):
-            rng = replicate_rng(seed, 0, i)
-            rule_obj = InteractionRule(rule) if rule else None
-            out.append(scenario.run_replicate(k, rng, rule=rule_obj))
-        return np.array(out)
+        return np.array([_replicate(scenario, k, seed, i, rule)
+                         for i in range(reps)])
     from concurrent.futures import ProcessPoolExecutor
 
     jobs = [(tuple(k), seed, i, rule) for i in range(reps)]
@@ -137,21 +136,6 @@ def cmd_simulate(args):
     return 0
 
 
-def _calibration_utilities(scenario):
-    """Utilities to calibrate: the config's own plus any listed extras."""
-    extra = scenario.raw.get("evaluation", {}).get("utilities", [])
-    utilities = [("configured", scenario.utility())]
-    for u_cfg in extra:
-        label = u_cfg.get("label", u_cfg["kind"])
-        kind = u_cfg["kind"]
-        if kind in ("identity", "sqrt"):
-            utilities.append((label, Utility(kind)))
-        else:
-            utilities.append((label, Utility(kind, c=float(u_cfg["c"]),
-                                             alpha=float(u_cfg["alpha"]))))
-    return utilities
-
-
 def cmd_calibrate(args):
     scenario = load_scenario(args.config)
     benches = scenario.benchmarks()
@@ -161,7 +145,7 @@ def cmd_calibrate(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     rows = []
-    for u_label, u in _calibration_utilities(scenario):
+    for u_label, u in scenario.calibration_utilities():
         for label, bench in sorted(benches.items()):
             gamma = calibrate_threshold(bench, u)
             rows.append((u_label, label, _fmt(bench.e), _fmt(bench.sigma_target),
@@ -398,7 +382,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+    except (np.linalg.LinAlgError, ArithmeticError, NetworkError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -156,15 +156,15 @@ def _resolve(value, params, context):
     return value
 
 
-@dataclass
-class ResolvedRun:
-    """Everything a single replicate needs besides its RNG."""
-
-    programs: dict
-    env_factory: object  # callable(rng) -> environment or None
-    measure_factory: object
-    steps: int
-    rule: InteractionRule
+@contextmanager
+def _rejected_as_config_error(context):
+    """Re-raise a constructor's ValueError as a ConfigError naming ``context``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{context}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: {exc}") from None
 
 
 class Scenario:
@@ -190,7 +190,8 @@ class Scenario:
         bounds = self.raw.get("design", {}).get("bounds")
         if bounds is None:
             raise ConfigError(f"{self.origin}: scenario has no design block")
-        return DesignSpace(tuple((float(lo), float(hi)) for lo, hi in bounds))
+        with _rejected_as_config_error(f"{self.origin}: design"):
+            return DesignSpace(tuple((float(lo), float(hi)) for lo, hi in bounds))
 
     def design_params(self, k):
         names = self.design_names
@@ -248,7 +249,9 @@ class Scenario:
                 raise ConfigError(f"{self.origin}: no length for group {g}")
             lengths[self._node_id(n)] = float(lengths_cfg[g])
         uturn = {self._node_id(n) for n in net_cfg.get("allow_uturn", [])}
-        self.network = TrafficNetwork(len(nodes), edges, lengths, allow_uturn=uturn)
+        with _rejected_as_config_error(f"{self.origin}: network"):
+            self.network = TrafficNetwork(len(nodes), edges, lengths,
+                                          allow_uturn=uturn)
 
         cells_cfg = net_cfg["cells"]
         signals_cfg = net_cfg.get("signals", {})
@@ -294,8 +297,8 @@ class Scenario:
             base = {}
             for v, tpl in self._signal_templates.items():
                 base[v] = SignalSchedule(
-                    ccw=tpl["ccw"], green=max(1, int(round(_const_or_one(tpl["green"])))),
-                    shift=max(0, int(round(_const_or_zero(tpl["shift"])))),
+                    ccw=tpl["ccw"], green=max(1, int(round(_const_or(tpl["green"], 1)))),
+                    shift=max(0, int(round(_const_or(tpl["shift"], 0)))),
                     t_real=tpl["t_real"], a_real=tpl["a_real"],
                     v_real=tpl["v_real"], t_safe=tpl["t_safe"])
             self._engine = SimulationEngine(self.network, self.node_cells,
@@ -418,8 +421,9 @@ class Scenario:
             return self._analytic_draw(k, rng)
         params = self._integerize_params(self.design_params(k), rng)
         programs = self._signal_programs(params)
-        env = self._environment(params, rng)
-        measure = self._measure()()
+        with _rejected_as_config_error(f"{self.origin}: environment or measure"):
+            env = self._environment(params, rng)
+            measure = self._measure()()
         engine = self.engine()
         engine.run(self.initial_densities(), self.raw["run"]["steps"],
                    rule or self.interaction_rule(), env=env, programs=programs,
@@ -438,26 +442,30 @@ class Scenario:
 
     # -- evaluation / learning blocks -------------------------------------
 
+    def _utility(self, u_cfg):
+        with _rejected_as_config_error(f"{self.origin}: utility {u_cfg}"):
+            if u_cfg["kind"] in ("polynomial", "expectile"):
+                return Utility(u_cfg["kind"], c=float(u_cfg["c"]),
+                               alpha=float(u_cfg["alpha"]))
+            return Utility(u_cfg["kind"])
+
     def utility(self):
-        u_cfg = self.raw.get("evaluation", {}).get("utility", {"kind": "identity"})
-        kind = u_cfg["kind"]
-        if kind == "identity":
-            return Utility("identity")
-        if kind == "polynomial":
-            return Utility("polynomial", c=float(u_cfg["c"]),
-                           alpha=float(u_cfg["alpha"]))
-        if kind == "expectile":
-            return Utility("expectile", c=float(u_cfg["c"]),
-                           alpha=float(u_cfg["alpha"]))
-        if kind == "sqrt":
-            return Utility("sqrt")
-        raise ConfigError(f"{self.origin}: unknown utility {kind!r}")
+        return self._utility(self.raw.get("evaluation", {})
+                             .get("utility", {"kind": "identity"}))
+
+    def calibration_utilities(self):
+        """(label, Utility) pairs: the configured utility plus listed extras."""
+        extra = self.raw.get("evaluation", {}).get("utilities", [])
+        return [("configured", self.utility())] + [
+            (u_cfg.get("label", u_cfg["kind"]), self._utility(u_cfg))
+            for u_cfg in extra]
 
     def benchmarks(self):
         bench_cfg = self.raw.get("evaluation", {}).get("benchmarks", {})
-        return {label: BenchmarkSpec(e=float(b["e"]),
-                                     sigma_target=float(b["sigma"]))
-                for label, b in bench_cfg.items()}
+        with _rejected_as_config_error(f"{self.origin}: benchmarks"):
+            return {label: BenchmarkSpec(e=float(b["e"]),
+                                         sigma_target=float(b["sigma"]))
+                    for label, b in bench_cfg.items()}
 
     def threshold(self):
         """The acceptance level gamma, explicit or benchmark-calibrated."""
@@ -493,32 +501,30 @@ class Scenario:
         n_max = l_cfg.get("n_max", [3000])
         if isinstance(n_max, int):
             n_max = [n_max]
-        return LoopConfig(
-            n_initial=int(l_cfg["n_initial"]),
-            n_loop=int(l_cfg["n_loop"]),
-            iterations=int(l_cfg["iterations"]),
-            tau_schedule=tuple(float(t) for t in taus),
-            n_min=int(l_cfg.get("n_min", 20)),
-            n_max=tuple(int(n) for n in n_max),
-            c1=float(l_cfg.get("c1", 5.0)),
-            c2_0=(None if c2_0 is None else float(c2_0)),
-            c2=(None if c2 is None else tuple(float(x) for x in c2)),
-            c3=float(l_cfg.get("c3", 2.0)),
-            max_trials=int(l_cfg.get("max_trials", 10000)),
-            acquisition_variant=l_cfg.get("acquisition", "absolute"),
-            delta=float(l_cfg.get("delta", 0.05)),
-            n_eval=int(l_cfg.get("n_eval", 100000)),
-            error_stop=l_cfg.get("error_stop"),
-            kernel_variant=l_cfg.get("kernel", {}).get("variant", "matern32"),
-        )
+        with _rejected_as_config_error(f"{self.origin}: learning"):
+            return LoopConfig(
+                n_initial=int(l_cfg["n_initial"]),
+                n_loop=int(l_cfg["n_loop"]),
+                iterations=int(l_cfg["iterations"]),
+                tau_schedule=tuple(float(t) for t in taus),
+                n_min=int(l_cfg.get("n_min", 20)),
+                n_max=tuple(int(n) for n in n_max),
+                c1=float(l_cfg.get("c1", 5.0)),
+                c2_0=(None if c2_0 is None else float(c2_0)),
+                c2=(None if c2 is None else tuple(float(x) for x in c2)),
+                c3=float(l_cfg.get("c3", 2.0)),
+                max_trials=int(l_cfg.get("max_trials", 10000)),
+                acquisition_variant=l_cfg.get("acquisition", "absolute"),
+                delta=float(l_cfg.get("delta", 0.05)),
+                n_eval=int(l_cfg.get("n_eval", 100000)),
+                error_stop=l_cfg.get("error_stop"),
+                kernel_variant=l_cfg.get("kernel", {}).get("variant", "matern32"),
+            )
 
     def grid_block(self):
         return self.raw.get("learning", {}).get("grid", {})
 
 
-def _const_or_one(value):
-    return value if isinstance(value, (int, float)) else 1
-
-
-def _const_or_zero(value):
-    return value if isinstance(value, (int, float)) else 0
+def _const_or(value, placeholder):
+    """A literal schedule value, or ``placeholder`` for a design reference."""
+    return value if isinstance(value, (int, float)) else placeholder

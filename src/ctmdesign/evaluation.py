@@ -25,10 +25,6 @@ from scipy.stats import beta as beta_dist
 
 __all__ = [
     "Utility",
-    "identity_utility",
-    "polynomial_utility",
-    "expectile_utility",
-    "sqrt_utility",
     "AvgNetworkFlow",
     "Throughput",
     "AvgVelocity",
@@ -36,7 +32,6 @@ __all__ = [
     "calibrate_threshold",
     "SequentialEstimate",
     "sequential_mc",
-    "bayesian_sequential_mc",
 ]
 
 
@@ -74,22 +69,6 @@ class Utility:
                 raise ValueError("square-root utility requires x >= 0")
             out = np.sqrt(x)
         return out if out.ndim else float(out)
-
-
-def identity_utility():
-    return Utility("identity")
-
-
-def polynomial_utility(c_p, alpha):
-    return Utility("polynomial", c=c_p, alpha=alpha)
-
-
-def expectile_utility(c_e, alpha):
-    return Utility("expectile", c=c_e, alpha=alpha)
-
-
-def sqrt_utility():
-    return Utility("sqrt")
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +158,13 @@ class BenchmarkSpec:
     e: float
     sigma_target: float
 
+    def __post_init__(self):
+        if not 0 < self.sigma_target < 0.5:
+            raise ValueError("sigma target must lie in (0, 1/2)")
+
     @property
     def beta(self):
         """Shape solving 1 / sqrt(8 beta + 4) = sigma_target."""
-        if not 0 < self.sigma_target < 0.5:
-            raise ValueError("sigma target must lie in (0, 1/2)")
         return (1.0 / self.sigma_target ** 2 - 4.0) / 8.0
 
     def sample(self, rng, n):
@@ -278,33 +259,3 @@ def sequential_mc(draw, tau_target, n_min, n_max, rng):
             break
     return SequentialEstimate(mu_hat=acc.mean, tau_sq=acc.variance / acc.n, n=acc.n)
 
-
-def bayesian_sequential_mc(prior_mean, prior_var, draw, tau_target, n_min, n_max, rng):
-    """Precision-weighted posterior mean estimation with variance stopping.
-
-    The prior N(prior_mean, prior_var) is combined with the running
-    sample mean via precision weighting; sampling stops once the
-    posterior variance 1 / (1/prior_var + n/var_n) drops to the target.
-    Returns (posterior mean, posterior variance, n).
-    """
-    if prior_var <= 0:
-        raise ValueError("prior variance must be positive")
-    if n_min < 2:
-        raise ValueError("n_min must be at least 2")
-    acc = _RunningMoments()
-    target = tau_target ** 2
-    prior_prec = 1.0 / prior_var
-    while True:
-        acc.push(float(draw(rng)))
-        if acc.n >= n_min:
-            var_n = acc.variance
-            data_prec = np.inf if var_n == 0 else acc.n / var_n
-            post_var = 1.0 / (prior_prec + data_prec)
-            if post_var <= target or acc.n >= n_max:
-                break
-    if np.isinf(data_prec):
-        post_mean = acc.mean
-    else:
-        post_mean = ((prior_prec * prior_mean + data_prec * acc.mean)
-                     / (prior_prec + data_prec))
-    return post_mean, post_var, acc.n

@@ -35,7 +35,6 @@ __all__ = [
     "Kernel",
     "GprDataset",
     "GprPosterior",
-    "kernel_eval",
     "posterior",
     "log_marginal_likelihood",
     "fit_hyperparameters",
@@ -85,11 +84,6 @@ class Kernel:
         return s2 * (1.0 + z + z ** 2 / 3.0) * np.exp(-z)
 
 
-def kernel_eval(kern, k1, k2):
-    """Covariance between two single design points."""
-    return float(kern.matrix(np.atleast_2d(k1), np.atleast_2d(k2))[0, 0])
-
-
 class GprDataset:
     """Noisy observations (k, mu_hat_k, tau_k^2) plus standardization constants.
 
@@ -129,11 +123,6 @@ class GprDataset:
     @property
     def standardized_noises(self):
         return self.noises / self.s_bar ** 2
-
-    def with_standardization_of(self, other):
-        """Same data, standardized with the constants of ``other``."""
-        return GprDataset(self.points, self.values, self.noises,
-                          mu_bar=other.mu_bar, s_bar=other.s_bar)
 
 
 def _factor(kern, dataset):

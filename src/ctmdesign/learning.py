@@ -40,7 +40,6 @@ __all__ = [
     "acquisition",
     "rejection_sample",
     "pointwise_bands",
-    "local_band",
     "sandwich_sets",
     "nikodym_bound_mc",
     "run_active_learning",
@@ -69,15 +68,7 @@ class DesignSpace:
         return float(np.prod([hi - lo for lo, hi in self.bounds]))
 
     def uniform(self, rng, n):
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
-        return lo + (hi - lo) * rng.random((n, self.dim))
-
-    def contains(self, k):
-        k = np.atleast_2d(k)
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
-        return np.all((k >= lo) & (k <= hi), axis=1)
+        return self.scale_unit(rng.random((n, self.dim)))
 
     def scale_unit(self, u):
         """Map points of the unit cube into the box."""
@@ -187,10 +178,6 @@ class LevelSetEstimate:
     def bands(self):
         return pointwise_bands(self.posterior, self.delta)
 
-    def sandwich(self):
-        lower, upper = self.bands()
-        return sandwich_sets(lower, upper, self.gamma)
-
 
 def acquisition(k, post, gamma, c2, variant="absolute"):
     """Informative potential of sampling at k, in (0, 1/2].
@@ -200,12 +187,19 @@ def acquisition(k, post, gamma, c2, variant="absolute"):
     """
     k = np.atleast_2d(k)
     if variant == "absolute":
-        gap = np.abs(np.atleast_1d(post.mean(k)) - gamma)
+        m, s = post.mean(k), None
     else:
         m, s = post.mean_std(k)
-        gap = np.abs(np.atleast_1d(m) - gamma) / np.maximum(np.atleast_1d(s), 1e-300)
-    out = ndtr(-c2 * gap)
+    out = ndtr(-c2 * _gap(m, s, gamma, variant))
     return out if out.size > 1 else float(out[0])
+
+
+def _gap(m, s, gamma, variant):
+    """|m - gamma|, divided by the posterior std in the "scaled" variant."""
+    gap = np.abs(np.atleast_1d(m) - gamma)
+    if variant == "absolute":
+        return gap
+    return gap / np.maximum(np.atleast_1d(s), 1e-300)
 
 
 def rejection_sample(n_loop, post, gamma, tau_i, c2, config, space, rng):
@@ -230,12 +224,7 @@ def rejection_sample(n_loop, post, gamma, tau_i, c2, config, space, rng):
             ks = space.uniform(rng, batch)
             ps = rng.random(batch)
             m, s = post.mean_std(ks)
-            if config.acquisition_variant == "absolute":
-                gap = np.abs(np.atleast_1d(m) - gamma)
-            else:
-                gap = np.abs(np.atleast_1d(m) - gamma) / np.maximum(
-                    np.atleast_1d(s), 1e-300)
-            acc = ndtr(-c2 * gap)
+            acc = ndtr(-c2 * _gap(m, s, gamma, config.acquisition_variant))
             gate = config.c1 * tau_i < np.atleast_1d(s)
             candidates = iter(zip(ks, gate, ps, acc))
             continue
@@ -269,38 +258,6 @@ def pointwise_bands(post, delta):
     def upper(k):
         m, s = post.mean_std(np.atleast_2d(k))
         return m + z * s
-
-    return lower, upper
-
-
-def local_band(post, k_star, lipschitz, eps, delta, space=None):
-    """Credible band around k_star widening with the distance, on B_eps(k_star).
-
-    m(k*) -+ (z_{1-delta/2} sigma(k*) + L ||k - k*||), valid under an
-    almost-sure Lipschitz bound L on the surface near k_star.
-    """
-    if lipschitz < 0 or eps <= 0:
-        raise ValueError("need lipschitz >= 0 and eps > 0")
-    k_star = np.asarray(k_star, dtype=float)
-    if space is not None:
-        corners = k_star[None, :] + eps * np.vstack([np.eye(len(k_star)),
-                                                     -np.eye(len(k_star))])
-        if not np.all(space.contains(corners)):
-            raise ValueError("ball around k_star exits the design space")
-    z = ndtri(1.0 - delta / 2.0)
-    m0 = float(np.atleast_1d(post.mean(np.atleast_2d(k_star)))[0])
-    s0 = float(np.atleast_1d(post.std(np.atleast_2d(k_star)))[0])
-    half = z * s0
-
-    def dist(k):
-        k = np.atleast_2d(k)
-        return np.linalg.norm(k - k_star[None, :], axis=1)
-
-    def lower(k):
-        return m0 - half - lipschitz * dist(k)
-
-    def upper(k):
-        return m0 + half + lipschitz * dist(k)
 
     return lower, upper
 
@@ -368,7 +325,8 @@ def run_active_learning(config, space, simulator, gamma, master_seed,
     pure function of (config, space, simulator, gamma, master_seed):
     every random stream is derived deterministically from the seed.
     Iteration i's estimate is produced after refitting on the cumulative
-    dataset; index 0 is the initialization.
+    dataset (an iteration that accepted no point keeps the previous fit
+    and bound); index 0 is the initialization.
 
     ``on_iteration(estimate, state)`` is called after each iteration,
     e.g. to persist artifacts; failures abort with partial results
@@ -402,17 +360,19 @@ def run_active_learning(config, space, simulator, gamma, master_seed,
     sobol = SobolStream(space)
     estimates = []
 
-    def finish_iteration(i, post_i):
+    def error_bound(post_i):
         lower, upper = pointwise_bands(post_i, config.delta)
-        e_hat = nikodym_bound_mc(lower, upper, gamma, space, sobol, config.n_eval)
+        return nikodym_bound_mc(lower, upper, gamma, space, sobol, config.n_eval)
+
+    def finish_iteration(i, post_i, e_hat):
         est = LevelSetEstimate(iteration=i, posterior=post_i, gamma=gamma,
                                delta=config.delta, e_hat=e_hat)
         estimates.append(est)
         if on_iteration is not None:
             on_iteration(est, state)
-        return e_hat
 
-    e_hat = finish_iteration(0, post)
+    e_hat = error_bound(post)
+    finish_iteration(0, post, e_hat)
 
     for i in range(1, config.iterations + 1):
         if config.error_stop is not None and e_hat <= config.error_stop:
@@ -423,11 +383,14 @@ def run_active_learning(config, space, simulator, gamma, master_seed,
                                       config.tau(i), config.c2_at(i),
                                       config, space, rng_i)
         if len(new_points) == 0:
+            # unchanged data: the previous posterior and bound still hold
             log.info("iteration %d: uncertainty gate closed everywhere", i)
-        estimate_at(new_points, i, check_discard=True)
-        pts, vals, noi = state.kept()
-        data_i = GprDataset(pts, vals, noi, mu_bar=base.mu_bar, s_bar=base.s_bar)
-        post = posterior(data_i, kern)
-        e_hat = finish_iteration(i, post)
+        else:
+            estimate_at(new_points, i, check_discard=True)
+            pts, vals, noi = state.kept()
+            data_i = GprDataset(pts, vals, noi, mu_bar=base.mu_bar, s_bar=base.s_bar)
+            post = posterior(data_i, kern)
+            e_hat = error_bound(post)
+        finish_iteration(i, post, e_hat)
 
     return estimates

@@ -37,20 +37,14 @@ __all__ = [
     "Route",
     "TurningFractions",
     "TrafficNetwork",
-    "DensityState",
     "FlowRecord",
     "NetworkError",
-    "update_density",
-    "aggregate_inflows",
-    "total_mass",
+    "clamp_densities",
 ]
 
 #: densities this far below zero are treated as floating-point noise and
 #: clamped; anything larger indicates a solver bug and raises.
 NEGATIVE_DENSITY_TOLERANCE = 1e-12
-
-#: turning-fraction rows must sum to one within this tolerance.
-TURNING_ROW_TOLERANCE = 1e-12
 
 
 class NetworkError(ValueError):
@@ -102,21 +96,6 @@ class TurningFractions:
 
     def fraction(self, route, w):
         return self._table.get((route, w), 0.0)
-
-    def validate(self, network):
-        for route in network.routes:
-            exits = [w for w in network.neighbors_out(route.dst) if w != route.via
-                     or network.allows_uturn(route.dst)]
-            if not exits:
-                continue
-            total = sum(self.fraction(route, w) for w in exits)
-            if abs(total - 1.0) > TURNING_ROW_TOLERANCE:
-                raise NetworkError(
-                    f"turning fractions out of route {route} sum to {total!r}, expected 1"
-                )
-
-    def items(self):
-        return self._table.items()
 
 
 class TrafficNetwork:
@@ -216,23 +195,6 @@ class TrafficNetwork:
 
 
 @dataclass
-class DensityState:
-    """Per-route densities at a time index.  Owned by exactly one replicate."""
-
-    rho: np.ndarray
-    time_index: int = 0
-
-    def copy(self):
-        return DensityState(self.rho.copy(), self.time_index)
-
-    def validate(self):
-        if not np.all(np.isfinite(self.rho)):
-            raise NetworkError("non-finite density encountered")
-        if np.any(self.rho < 0):
-            raise NetworkError("negative density encountered")
-
-
-@dataclass
 class FlowRecord:
     """Realized flows of one step, vehicles per time step per route."""
 
@@ -240,53 +202,6 @@ class FlowRecord:
     q_out: np.ndarray
     q_net: np.ndarray
     q_aux: np.ndarray = field(default=None)
-
-
-def update_density(rho, l_v, q_in, q_out, q_net):
-    """One-route density update: rho + (q_in - q_out + q_net) / l_v.
-
-    The caller guarantees non-negativity of the result through the flow
-    constraints and net-flow clamping; this function only checks inputs.
-    """
-    values = (rho, l_v, q_in, q_out, q_net)
-    if not all(math.isfinite(x) for x in values):
-        raise NetworkError(f"non-finite input to density update: {values}")
-    if l_v <= 0:
-        raise NetworkError(f"node length must be positive, got {l_v}")
-    return rho + (q_in - q_out + q_net) / l_v
-
-
-def aggregate_inflows(outflows, turning, network):
-    """Aggregate route inflows from upstream outflows and turning fractions.
-
-    q_in[(u, v, w)] = sum over x in I(u) of  f[(x,u,v) -> w] * q_out[(x,u,v)].
-
-    ``outflows`` maps Route -> flow; the result has the same form.  Turning
-    rows are validated to sum to one for every route with positive exits.
-    """
-    by_route = {}
-    for route, q in outflows.items():
-        exits = [w for w in network.neighbors_out(route.dst)
-                 if w != route.via or network.allows_uturn(route.dst)]
-        if not exits:
-            continue
-        total = sum(turning.fraction(route, w) for w in exits)
-        if abs(total - 1.0) > TURNING_ROW_TOLERANCE:
-            raise NetworkError(
-                f"turning fractions out of route {route} sum to {total!r}, expected 1"
-            )
-        for w in exits:
-            key = Route(route.via, route.dst, w)
-            by_route[key] = by_route.get(key, 0.0) + turning.fraction(route, w) * q
-    result = {}
-    for route in network.routes:
-        result[route] = by_route.get(route, 0.0)
-    return result
-
-
-def total_mass(state, network):
-    """Total vehicle count: sum over routes of l_v * rho."""
-    return float(np.dot(network.route_lengths, state.rho))
 
 
 def clamp_densities(rho):

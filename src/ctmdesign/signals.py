@@ -1,4 +1,4 @@
-"""Traffic-signal schedules and per-step signal state.
+"""Traffic-signal schedules and their per-step phase and ramp.
 
 A signalized intersection alternates green between its two axes on a
 fixed cycle of length 2 * green.  Axis I (arms at even counterclockwise
@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .network import Route
-
-__all__ = ["SignalSchedule", "SignalState", "advance_signal"]
+__all__ = ["SignalSchedule", "signal_phase", "ramp_value"]
 
 
 @dataclass(frozen=True)
@@ -58,15 +56,6 @@ class SignalSchedule:
         return frozenset((self.ccw[1], self.ccw[3]))
 
 
-@dataclass
-class SignalState:
-    """Signal values at one time step: 0/1 light state, ramp LA in [0,1]."""
-
-    ls: dict
-    la: dict
-    t_switch: dict
-
-
 def signal_phase(schedule, t):
     """(axis-I green flag, steps since last switch) at time t."""
     m = (t + schedule.shift) % (2 * schedule.green)
@@ -78,26 +67,3 @@ def ramp_value(schedule, t_switch):
     x = (t_switch - schedule.t_safe) * schedule.t_real * schedule.a_real / schedule.v_real
     return min(1.0, max(0.0, x))
 
-
-def advance_signal(schedule, t, via=None):
-    """Signal state of all twelve routes of the intersection at time t.
-
-    Routes are keyed as (u, via, w) over distinct arm pairs; ``via`` is
-    only used to label the routes and defaults to -1.
-    """
-    if t < 0:
-        raise ValueError("time index must be non-negative")
-    node = -1 if via is None else via
-    i_green, t_switch = signal_phase(schedule, t)
-    la_on = ramp_value(schedule, t_switch)
-    ls, la, tsw = {}, {}, {}
-    for pu, u in enumerate(schedule.ccw):
-        green = i_green if pu % 2 == 0 else not i_green
-        for w in schedule.ccw:
-            if w == u:
-                continue
-            route = Route(u, node, w)
-            ls[route] = 1 if green else 0
-            la[route] = la_on if green else 0.0
-            tsw[route] = t_switch
-    return SignalState(ls=ls, la=la, t_switch=tsw)

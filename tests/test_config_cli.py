@@ -5,10 +5,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from ctmdesign import learning, solvers
 from ctmdesign.cli import main, replicate_values
 from ctmdesign.config import ConfigError, Scenario, load_scenario
 from ctmdesign.env import replicate_rng
-from ctmdesign.network import DensityState, total_mass
+from ctmdesign.network import NetworkError
+from reference import DensityState, total_mass
 
 
 def bundled(name):
@@ -239,6 +241,25 @@ def test_cli_estimate_levelset_and_export_grid(tmp_path):
     assert final  # non-empty
 
 
+def test_cli_idle_iterations_reuse_the_previous_fit(tmp_path, monkeypatch):
+    fits = []
+    real = learning.posterior
+    monkeypatch.setattr(learning, "posterior",
+                        lambda *args: fits.append(args) or real(*args))
+    # c1 * tau exceeds the posterior std everywhere: no point is accepted
+    path = synthetic_config(tmp_path, tau_values=[0.01, 100.0, 100.0],
+                            max_trials=300)
+    out = tmp_path / "run"
+    assert main(["estimate-levelset", "--config", str(path), "--seed", "5",
+                 "--out-dir", str(out)]) == 0
+    assert len(fits) == 1
+    grids = [(out / f"grid_{i}.csv").read_bytes() for i in range(3)]
+    assert grids[1] == grids[0] and grids[2] == grids[0]
+    errors = list(csv.DictReader(open(out / "errors.csv")))
+    assert [row["iteration"] for row in errors] == ["0", "1", "2"]
+    assert len({row["e_hat"] for row in errors}) == 1
+
+
 def test_cli_benchmark_compare(tmp_path):
     path = synthetic_config(tmp_path)
     out = tmp_path / "cmp"
@@ -250,7 +271,7 @@ def test_cli_benchmark_compare(tmp_path):
     assert len(rows) == 4  # two designs x two rules
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, monkeypatch):
     bad = tmp_path / "missing.json"
     bad.write_text('{"version": 1}')
     rc = main(["simulate", "--config", str(bad), "--design", "0",
@@ -261,3 +282,29 @@ def test_cli_exit_codes(tmp_path):
     rc = main(["calibrate", "--config", str(broken),
                "--out-dir", str(tmp_path / "y")])
     assert rc == 2
+    # a NetworkError while stepping is a numerical failure
+    def clamp_fails(rho):
+        raise NetworkError("density below tolerance")
+
+    monkeypatch.setattr(solvers, "clamp_densities", clamp_fails)
+    rc = main(["simulate", "--config", str(bundled("urban")), "--design",
+               "2.5,0.01,0.01,20,75", "--reps", "1",
+               "--out-dir", str(tmp_path / "z")])
+    assert rc == 3
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("learning", "tau_values", [0.01, -0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01]),
+    ("design", "bounds", [[1.0, 0.0], [0.0, 1.0]]),
+], ids=["negative-tau", "reversed-bounds"])
+def test_cli_invalid_values_exit_2_naming_the_file(tmp_path, capsys, block,
+                                                   key, value):
+    raw = json.loads(bundled("synthetic").read_text())
+    raw[block][key] = value
+    path = write_config(tmp_path, raw)
+    rc = main(["estimate-levelset", "--config", str(path),
+               "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(path) in err and "Traceback" not in err
+

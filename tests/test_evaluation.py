@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ctmdesign.evaluation import (AvgNetworkFlow, AvgVelocity, BenchmarkSpec,
-                                  Throughput, Utility, bayesian_sequential_mc,
-                                  calibrate_threshold, sequential_mc)
+                                  Throughput, Utility, calibrate_threshold,
+                                  sequential_mc)
 from ctmdesign.network import FlowRecord
 
 
@@ -187,44 +187,3 @@ def test_one_pass_variance_matches_two_pass():
     ref_var = np.var(draws, ddof=1)
     assert est.tau_sq * 200 == pytest.approx(ref_var, rel=1e-10)
     assert est.mu_hat == pytest.approx(np.mean(draws), rel=1e-12)
-
-
-def test_bayesian_posterior_limits_and_shrinkage():
-    draws = [1.0, 3.0, 2.0, 2.0, 1.5, 2.5]
-
-    def make_draw():
-        it = iter(draws)
-        return lambda rng: next(it)
-
-    # diffuse prior: posterior mean approaches the sample mean
-    t_post, s2, n = bayesian_sequential_mc(0.0, 1e12, make_draw(), 0.0,
-                                           2, 6, np.random.default_rng(0))
-    assert t_post == pytest.approx(np.mean(draws), rel=1e-6)
-    # equal precisions: posterior mean is the midpoint
-    var_n = np.var(draws, ddof=1) / len(draws)
-    t_post, s2, n = bayesian_sequential_mc(10.0, var_n, make_draw(), 0.0,
-                                           2, 6, np.random.default_rng(0))
-    assert t_post == pytest.approx(0.5 * (10.0 + np.mean(draws)), rel=1e-9)
-    # posterior variance never exceeds the frequentist noise
-    assert s2 <= var_n + 1e-15
-
-
-def test_bayesian_shrinkage_between_prior_and_sample():
-    rng_master = np.random.default_rng(11)
-    for _ in range(50):
-        prior_mean = float(rng_master.normal())
-        prior_var = float(0.1 + rng_master.random())
-        est_rng = np.random.default_rng(rng_master.integers(1e9))
-        collected = []
-
-        def draw(rng):
-            x = est_rng.standard_normal()
-            collected.append(x)
-            return x
-
-        t_post, s2, n = bayesian_sequential_mc(prior_mean, prior_var, draw,
-                                               0.2, 2, 50,
-                                               np.random.default_rng(0))
-        sample_mean = np.mean(collected[:n])
-        assert abs(t_post - prior_mean) <= abs(sample_mean - prior_mean) + 1e-12
-        assert s2 <= np.var(collected[:n], ddof=1) / n + 1e-12

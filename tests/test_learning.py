@@ -4,10 +4,9 @@ from scipy.stats import chisquare
 
 from ctmdesign.gpr import GprDataset, Kernel, posterior
 from ctmdesign.learning import (DesignSpace, LevelSetEstimate, LoopConfig,
-                                SobolStream, acquisition, local_band,
-                                nikodym_bound_mc, pointwise_bands,
-                                rejection_sample, run_active_learning,
-                                sandwich_sets)
+                                SobolStream, acquisition, nikodym_bound_mc,
+                                pointwise_bands, rejection_sample,
+                                run_active_learning, sandwich_sets)
 
 
 def unit_space(dim=1):
@@ -145,32 +144,6 @@ def test_pointwise_band_widths():
         lo, hi = pointwise_bands(post, delta)
         widths.append(float(np.mean(np.asarray(hi(pts)) - np.asarray(lo(pts)))))
     assert all(a > b for a, b in zip(widths, widths[1:]))
-
-
-def test_local_band_formula():
-    post = fixed_posterior_1d()
-    k_star = np.array([0.5])
-    m0 = float(post.mean([k_star]))
-    s0 = float(post.std([k_star]))
-    lower, upper = local_band(post, k_star, lipschitz=2.0, eps=0.3, delta=0.05)
-    k = np.array([[0.75]])
-    width = 1.959964 * s0 + 2.0 * 0.25
-    assert np.asarray(upper(k))[0] == pytest.approx(m0 + width, abs=1e-5)
-    assert np.asarray(lower(k))[0] == pytest.approx(m0 - width, abs=1e-5)
-    # zero Lipschitz constant gives the constant pointwise band at k*
-    lo0, hi0 = local_band(post, k_star, 0.0, 0.3, 0.05)
-    assert np.asarray(hi0(k))[0] == pytest.approx(m0 + 1.959964 * s0, abs=1e-5)
-    # affine width growth
-    k2 = np.array([[0.6]])
-    w1 = np.asarray(upper(k))[0] - np.asarray(lower(k))[0]
-    w2 = np.asarray(upper(k2))[0] - np.asarray(lower(k2))[0]
-    assert w1 - w2 == pytest.approx(2 * 2.0 * (0.25 - 0.10), abs=1e-9)
-
-
-def test_local_band_ball_must_stay_inside():
-    post = fixed_posterior_1d()
-    with pytest.raises(ValueError):
-        local_band(post, np.array([0.95]), 1.0, 0.2, 0.05, space=unit_space())
 
 
 def test_sandwich_ordering_pointwise():

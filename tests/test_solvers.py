@@ -1,14 +1,21 @@
 import itertools
+import json
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ctmdesign.cells import CellSpec
-from ctmdesign.network import (DensityState, TrafficNetwork,
-                               TurningFractions, total_mass)
+from ctmdesign.cells import KINDS, CellSpec
+from ctmdesign.config import Scenario
+from ctmdesign.evaluation import AvgNetworkFlow
+from ctmdesign.network import NetworkError, Route, TrafficNetwork, TurningFractions
+from ctmdesign.signals import SignalSchedule
 from ctmdesign.solvers import (InteractionRule, LocalProblem, SimulationEngine,
                                solve_cooperative, solve_cpf, solve_dpf,
                                solve_priority)
+from reference import (DensityState, advance_signal, aggregate_inflows,
+                       receiving, sending, total_mass, update_density)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -330,9 +337,6 @@ def test_step_empty_network_stays_empty():
 
 def test_step_composes_the_phases():
     # recompute one step by hand from the individually tested pieces
-    from ctmdesign.cells import receiving, sending
-    from ctmdesign.network import aggregate_inflows, update_density
-
     net, eng = ring_engine()
     rng = np.random.default_rng(8)
     rho = 4 * rng.random(net.n_routes)
@@ -382,24 +386,153 @@ def test_engine_feasibility_invariants_on_random_steps():
             assert np.all(rec.q_out >= -1e-12)
 
 
-def test_engine_general_fraction_fallback_agrees():
-    # explicit non-uniform fractions exercise the per-group path; compare
-    # totals against the vectorized uniform layout on a uniform instance
+def test_outflows_with_subnormal_demand_do_not_overflow():
     net, eng = ring_engine()
-    rng = np.random.default_rng(3)
-    rho = 4 * rng.random(net.n_routes)
-    vec_rho, vec_rec = eng.step(0, rho, InteractionRule("dpf"))
+    s = np.full(net.n_routes, 1e-310)
+    r = np.full(net.n_routes, 5.0)
+    for rule in ("dpf", "cpf", "priority", "cooperative"):
+        with np.errstate(all="raise"):
+            q_out = eng.outflows(s, r, InteractionRule(rule))
+        assert np.array_equal(q_out, s)
 
-    table = {}
-    for r in net.routes:
-        exits = [w for w in net.neighbors_out(r.dst) if w != r.via]
-        for w in exits:
-            table[(r, w)] = 1.0 / len(exits)
-    # a turning table that is equal but stored explicitly still uses the
-    # fast path; force the slow path through per-group cpf weights instead
-    rule = InteractionRule("cpf", weights={
-        (u, v): np.full(1, 1.0)
-        for (u, v) in eng.group_edges})
-    slow_rho, slow_rec = eng.step(0, rho, rule)
-    assert slow_rec.q_out == pytest.approx(vec_rec.q_out, abs=1e-10)
-    assert slow_rho == pytest.approx(vec_rho, abs=1e-10)
+
+def test_engine_rejects_upstream_dependent_turning():
+    # hub 0 feeds node 1, which splits toward 4 and 5 differently for
+    # traffic arriving from 2 and from 3
+    edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]
+    net = TrafficNetwork(6, edges + [(b, a) for a, b in edges],
+                         {i: 1.0 for i in range(6)})
+    table = {(Route(x, 0, 1), w): 0.5 for x in (2, 3) for w in (4, 5)}
+    table[(Route(2, 0, 1), 4)] = 1.0
+    table[(Route(2, 0, 1), 5)] = 0.0
+    cells = {v: CellSpec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
+             for v in range(6)}
+    with pytest.raises(NetworkError):
+        SimulationEngine(net, cells, TurningFractions(table))
+
+
+def test_run_evaluates_signals_per_step_beyond_table_limit():
+    # greens 89 and 97: periods 178 and 194 have an LCM of 17266 steps,
+    # too long for a precomputed LA table
+    raw = json.loads(resources.files("ctmdesign.scenarios")
+                     .joinpath("urban.json").read_text())
+    raw["network"]["signals"]["14"]["green"] = 89
+    raw["network"]["signals"]["16"]["green"] = 97
+    raw["environment"] = {"kind": "none"}
+    scen = Scenario(raw)
+    eng = scen.engine()
+    assert eng.signal_table() is None
+    rule = InteractionRule("dpf")
+    rho0 = scen.initial_densities()
+    via_run, via_step = AvgNetworkFlow(), AvgNetworkFlow()
+    eng.run(rho0, 1250, rule, observers=(via_run,))
+    rho = rho0
+    for t in range(1250):
+        rho_next, record = eng.step(t, rho, rule)
+        via_step(t, rho, record)
+        rho = rho_next
+    assert via_run.value() == via_step.value()
+
+
+# ---------------------------------------------------------------------------
+# engine properties on random networks of every single-population cell kind
+# ---------------------------------------------------------------------------
+
+Z4_KINDS = ("signalized_intersection", "uni_roundabout", "bi_roundabout")
+RULES = ("dpf", "cpf", "priority", "cooperative")
+PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)
+
+
+def cell_of(kind, arms):
+    extra = {}
+    if kind in ("bidirectional_interface", "pedestrian_square",
+                "uni_roundabout", "bi_roundabout"):
+        extra["d"] = 0.5
+    if kind in ("simplified_intersection", "signalized_intersection"):
+        extra["zeta"] = 0.1
+    if kind in Z4_KINDS:
+        extra["ccw"] = tuple(arms)
+    return CellSpec(kind=kind, s_max=4, rho_max=20, a=0.8, b=0.9, c=1, **extra)
+
+
+@st.composite
+def networks(draw, hub_kind):
+    """(engine, cells, schedules, densities): a ring 1..m with chords, plus
+    a hub 0 of kind ``hub_kind`` on four ring nodes.  Every node has at
+    least two neighbours, so the system is closed."""
+    m = draw(st.integers(4, 7))
+    pairs = {(i, i % m + 1) for i in range(1, m + 1)}
+    pairs |= {(0, i) for i in draw(st.permutations(range(1, m + 1)))[:4]}
+    for a, b in draw(st.lists(st.tuples(st.integers(1, m), st.integers(1, m)),
+                              max_size=3)):
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    edges = [e for a, b in pairs for e in ((a, b), (b, a))]
+    lengths = draw(st.lists(st.floats(1.0, 3.0), min_size=m + 1, max_size=m + 1))
+    net = TrafficNetwork(m + 1, edges, dict(enumerate(lengths)))
+    cells, schedules = {}, {}
+    for v in range(m + 1):
+        arms = sorted(net.neighbors_in(v))
+        kinds = KINDS if len(arms) == 4 else tuple(k for k in KINDS
+                                                   if k not in Z4_KINDS)
+        kind = hub_kind if v == 0 else draw(st.sampled_from(kinds))
+        cells[v] = cell_of(kind, arms)
+        if kind == "signalized_intersection":
+            schedules[v] = SignalSchedule(
+                ccw=tuple(arms), green=draw(st.integers(1, 6)),
+                shift=draw(st.integers(0, 5)), t_real=2.88, v_real=50 / 3.6)
+    rho = np.array(draw(st.lists(st.floats(0.0, 6.0), min_size=net.n_routes,
+                                 max_size=net.n_routes)))
+    eng = SimulationEngine(net, cells, TurningFractions.uniform_no_uturn(net),
+                           schedules)
+    return eng, cells, schedules, rho
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("hub_kind", KINDS)
+@PROPERTY
+@given(data=st.data(), t0=st.integers(0, 20))
+def test_engine_invariants_on_random_networks(hub_kind, rule, data, t0):
+    eng, _, _, rho = data.draw(networks(hub_kind))
+    net = eng.network
+    m0 = total_mass(DensityState(rho), net)
+    for t in range(t0, t0 + 10):
+        s, r = eng.cells.evaluate(rho, eng.signal_la(t))
+        rho, rec = eng.step(t, rho, InteractionRule(rule))
+        assert np.all(rec.q_out >= 0) and np.all(rec.q_out <= s + 1e-12)
+        # q_in of (u, v, w) is sum_x f[x -> w] q_x over the group (u, v)
+        assert np.all(rec.q_in <= r + 1e-9)
+        assert total_mass(DensityState(rho), net) == pytest.approx(
+            m0, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("hub_kind", KINDS)
+@PROPERTY
+@given(data=st.data(), t=st.integers(0, 20))
+def test_engine_matches_local_solvers_and_scalar_cells(hub_kind, data, t):
+    eng, cells, schedules, rho = data.draw(networks(hub_kind))
+    net = eng.network
+    s, r = eng.cells.evaluate(rho, eng.signal_la(t))
+    dens = {route: rho[i] for i, route in enumerate(net.routes)}
+    for i, route in enumerate(net.routes):
+        v = route.via
+        signal = advance_signal(schedules[v], t, via=v) if v in schedules else None
+        assert s[i] == pytest.approx(sending(cells[v], route, dens, signal))
+        assert r[i] == pytest.approx(receiving(cells[v], route, dens))
+
+    solvers = {
+        "dpf": lambda p: solve_dpf(p)[1],
+        "cpf": lambda p: solve_cpf(p, np.full(len(p.sendings),
+                                              1.0 / len(p.sendings)))[1],
+        "priority": solve_priority,
+        "cooperative": solve_cooperative,
+    }
+    for rule, solve in solvers.items():
+        q_out = eng.outflows(s, r, InteractionRule(rule))
+        for u, v in eng.group_edges:
+            ups = [i for i, x in enumerate(net.routes) if x.via == u and x.dst == v]
+            downs = [j for j in net.routes_through(v) if net.routes[j].src == u]
+            f = [[eng.turning.fraction(net.routes[i], net.routes[j].dst)
+                  for j in downs] for i in ups]
+            problem = LocalProblem(s[ups], r[downs], f)
+            assert q_out[ups] == pytest.approx(solve(problem), rel=1e-9, abs=1e-12)
