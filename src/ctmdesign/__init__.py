@@ -29,8 +29,9 @@ from .gpr import Kernel, GprDataset, GprPosterior, posterior, fit_hyperparameter
 from .learning import (
     DesignSpace,
     LoopConfig,
-    SobolStream,
     LevelSetEstimate,
+    sobol_points,
+    credible_band,
     run_active_learning,
 )
 

@@ -37,7 +37,7 @@ from .config import ConfigError, Scenario, load_scenario
 from .env import replicate_rng
 from .evaluation import calibrate_threshold
 from .gpr import GprDataset, Kernel, posterior
-from .learning import run_active_learning
+from .learning import credible_band, run_active_learning
 from .network import NetworkError
 from .solvers import InteractionRule
 
@@ -107,6 +107,13 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
+def _summary(values):
+    """Mean and standard error of replicate values (error 0 for one value)."""
+    n = len(values)
+    se = values.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
+    return values.mean(), se
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -123,8 +130,7 @@ def cmd_simulate(args):
     rep_file = out_dir / "replicates.csv"
     _write_csv(rep_file, ["replicate", "value"],
                [(i, _fmt(v)) for i, v in enumerate(values)])
-    mean = values.mean()
-    se = values.std(ddof=1) / np.sqrt(len(values)) if len(values) > 1 else 0.0
+    mean, se = _summary(values)
     sum_file = out_dir / "summary.csv"
     _write_csv(sum_file, ["n", "mean", "std_error"],
                [(len(values), _fmt(mean), _fmt(se))])
@@ -185,17 +191,12 @@ def _grid_slice(scenario, space, resolution=None):
     return pts, axes, (res, res)
 
 
-def _write_grid(path, pts, axes, names, est):
-    lower, upper = est.bands()
-    m, s = est.posterior.mean_std(pts)
-    m = np.atleast_1d(m)
-    s = np.atleast_1d(s)
-    lo = np.atleast_1d(lower(pts))
-    hi = np.atleast_1d(upper(pts))
+def _write_grid(path, pts, axes, names, post, gamma, delta):
+    m, s, lower, upper = credible_band(post, pts, delta)
     ia, ib = names.index(axes[0]), names.index(axes[1])
     rows = [(_fmt(p[ia]), _fmt(p[ib]), _fmt(mi), _fmt(si),
-             int(mi >= est.gamma), int(lo_i >= est.gamma), int(hi_i >= est.gamma))
-            for p, mi, si, lo_i, hi_i in zip(pts, m, s, lo, hi)]
+             int(mi >= gamma), int(lo_i >= gamma), int(hi_i >= gamma))
+            for p, mi, si, lo_i, hi_i in zip(pts, m, s, lower, upper)]
     _write_csv(path, [axes[0], axes[1], "mean", "std", "member",
                       "inner", "outer"], rows)
 
@@ -239,7 +240,8 @@ def cmd_estimate_levelset(args):
         if space.dim >= 2:
             pts, axes, _ = _grid_slice(scenario, space)
             grid_file = out_dir / f"grid_{i}.csv"
-            _write_grid(grid_file, pts, axes, names, est)
+            _write_grid(grid_file, pts, axes, names, est.posterior, gamma,
+                        est.delta)
             files.append(grid_file.name)
         error_rows.append((i, _fmt(est.e_hat), len(state.points),
                            int(np.sum(state.discarded))))
@@ -271,11 +273,10 @@ def cmd_benchmark_compare(args):
         for rule in ("dpf", "cooperative"):
             values = replicate_values(scenario, k, args.reps, seed + ki,
                                       rule=rule, workers=args.workers)
-            mean = values.mean()
-            se = values.std(ddof=1) / np.sqrt(len(values))
+            mean, se = _summary(values)
             rows.append(tuple(_fmt(x) for x in k)
                         + (rule, len(values), _fmt(mean), _fmt(se)))
-            print(f"k={list(k)} {rule}: mean={mean:.4f} se={se:.4f}")
+            print(f"k={list(map(float, k))} {rule}: mean={mean:.4f} se={se:.4f}")
     table_file = out_dir / "comparison.csv"
     _write_csv(table_file, names + ["rule", "n", "mean", "std_error"], rows)
     _manifest(out_dir, args.config, scenario.raw, seed, [table_file.name], t0)
@@ -285,30 +286,29 @@ def cmd_benchmark_compare(args):
 def cmd_export_grid(args):
     scenario = load_scenario(args.config)
     run_dir = Path(args.run_dir)
-    with open(run_dir / "hyperparameters.json") as fh:
-        hp = json.load(fh)
+    hp_file = run_dir / "hyperparameters.json"
+    try:
+        with open(hp_file) as fh:
+            hp = json.load(fh)
+        with open(run_dir / "dataset.csv") as fh:
+            rows = list(csv.DictReader(fh))
+    except OSError as exc:
+        raise ConfigError(f"{exc.filename}: {exc.strerror}") from None
+    delta = hp.get("delta", 0.05)
+    if not 0 < delta < 1:
+        raise ConfigError(f"{hp_file}: delta {delta} must lie in (0, 1)")
     names = scenario.design_names
-    pts_list, vals, noises, discarded = [], [], [], []
-    with open(run_dir / "dataset.csv") as fh:
-        for row in csv.DictReader(fh):
-            pts_list.append([float(row[n]) for n in names])
-            vals.append(float(row["mu_hat"]))
-            noises.append(float(row["tau_sq"]))
-            discarded.append(bool(int(row["discarded"])))
-    keep = ~np.array(discarded)
-    data = GprDataset(np.array(pts_list)[keep], np.array(vals)[keep],
-                      np.array(noises)[keep],
+    kept = [row for row in rows if not int(row["discarded"])]
+    data = GprDataset(np.array([[float(row[n]) for n in names] for row in kept]),
+                      np.array([float(row["mu_hat"]) for row in kept]),
+                      np.array([float(row["tau_sq"]) for row in kept]),
                       mu_bar=hp["mu_bar"], s_bar=hp["s_bar"])
     post = posterior(data, Kernel(hp["variant"], hp["sigma_c"], hp["length"]))
-    from .learning import LevelSetEstimate
-
-    est = LevelSetEstimate(iteration=-1, posterior=post, gamma=hp["gamma"],
-                           delta=hp.get("delta", 0.05))
     space = scenario.design_space()
     pts, axes, _ = _grid_slice(scenario, space, resolution=args.resolution)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_grid(out / "grid.csv", pts, axes, names, est)
+    _write_grid(out / "grid.csv", pts, axes, names, post, hp["gamma"], delta)
     print(f"wrote {out / 'grid.csv'}")
     return 0
 
@@ -322,6 +322,14 @@ def _parse_design(text, scenario):
         raise ConfigError(f"cannot parse design vector {text!r}") from None
     scenario.design_params(k)  # validates the length
     return k
+
+
+def _positive_int(text):
+    """argparse type of --reps and --resolution: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser():
@@ -341,7 +349,7 @@ def build_parser():
         if design:
             p.add_argument("--design", help="design vector, comma separated")
         if reps:
-            p.add_argument("--reps", type=int, default=500,
+            p.add_argument("--reps", type=_positive_int, default=500,
                            help="replicates per design")
 
     p_sim = sub.add_parser("simulate", help="replicate one design")
@@ -369,7 +377,7 @@ def build_parser():
     common(p_exp)
     p_exp.add_argument("--run-dir", required=True,
                        help="directory of an estimate-levelset run")
-    p_exp.add_argument("--resolution", type=int, default=None)
+    p_exp.add_argument("--resolution", type=_positive_int, default=None)
     p_exp.set_defaults(func=cmd_export_grid)
     return parser
 

@@ -268,10 +268,16 @@ class Scenario:
             if ccw is not None:
                 params["ccw"] = tuple(self._node_id(x) for x in ccw)
             try:
-                self.node_cells[self._node_id(n)] = CellSpec(kind=kind, **params)
+                cell = CellSpec(kind=kind, **params)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(
                     f"{self.origin}: cell of node {n} ({g}): {exc}") from None
+            # a free-flow outflow a * rho must not exceed the l_v * rho on the node
+            l_v = lengths[self._node_id(n)]
+            if l_v < cell.a:
+                raise ConfigError(f"{self.origin}: node {n} ({g}): length {l_v:g} "
+                                  f"is below its free-flow factor a = {cell.a:g}")
+            self.node_cells[self._node_id(n)] = cell
 
         if net_cfg["turning"] != "uniform_no_uturn":
             raise ConfigError(f"{self.origin}: unsupported turning rule")

@@ -14,10 +14,12 @@ The loop alternates between
    requirement that Monte Carlo can still help:  c1 * tau_i < sigma(k).
 
 Each iteration yields a plug-in estimate {m_i >= gamma} together with
-pointwise credible bands m_i +/- z_{1-delta/2} sigma_i, the inner/outer
-sandwich sets they induce, and a quasi-Monte Carlo estimate of the
-volume between the sandwich sets, which bounds the Nikodym estimation
-error with probability 1 - delta pointwise.
+the pointwise credible band m_i +/- z_{1-delta/2} sigma_i.  The band
+gives inner and outer sets {lower >= gamma} and {upper >= gamma}; the
+volume between them, estimated by quasi-Monte Carlo on Sobol points
+drawn once per run, bounds the Nikodym estimation error with
+probability 1 - delta pointwise.  ``credible_band`` evaluates m, sigma
+and both band edges from one posterior query per point set.
 """
 
 from __future__ import annotations
@@ -35,12 +37,11 @@ from .gpr import GprDataset, fit_hyperparameters, posterior
 __all__ = [
     "DesignSpace",
     "LoopConfig",
-    "SobolStream",
     "LevelSetEstimate",
+    "sobol_points",
+    "credible_band",
     "acquisition",
     "rejection_sample",
-    "pointwise_bands",
-    "sandwich_sets",
     "nikodym_bound_mc",
     "run_active_learning",
 ]
@@ -116,6 +117,8 @@ class LoopConfig:
             raise ValueError("c1 must exceed 1")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
+        if self.n_eval < 1:
+            raise ValueError("n_eval must be at least 1")
         if self.acquisition_variant not in ("absolute", "scaled"):
             raise ValueError("unknown acquisition variant")
         if self.c2 is not None:
@@ -139,44 +142,29 @@ class LoopConfig:
         return self.c2_0 * i
 
 
-class SobolStream:
-    """First points of the (unscrambled) Sobol sequence over a design space.
+def sobol_points(space, n):
+    """First n points of the unscrambled Sobol sequence, scaled into the box.
 
-    The same sequence is reused across iterations so error-bound
-    comparisons are free of Monte Carlo fluctuation.
+    The loop draws them once per run, so error-bound comparisons across
+    iterations are free of Monte Carlo fluctuation.
     """
+    from scipy.stats import qmc
 
-    def __init__(self, space):
-        self.space = space
-        self._cache = np.zeros((0, space.dim))
-
-    def points(self, n):
-        if n > len(self._cache):
-            from scipy.stats import qmc
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                u = qmc.Sobol(d=self.space.dim, scramble=False).random(n)
-            self._cache = self.space.scale_unit(u)
-        return self._cache[:n]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        u = qmc.Sobol(d=space.dim, scramble=False).random(n)
+    return space.scale_unit(u)
 
 
 @dataclass
 class LevelSetEstimate:
-    """One iteration's estimate: posterior, plug-in set, bands, error bound."""
+    """One iteration's estimate: posterior, threshold, band level, error bound."""
 
     iteration: int
     posterior: object
     gamma: float
     delta: float
     e_hat: float = None
-
-    def member(self, k):
-        """Plug-in membership m(k) >= gamma."""
-        return np.atleast_1d(self.posterior.mean(np.atleast_2d(k))) >= self.gamma
-
-    def bands(self):
-        return pointwise_bands(self.posterior, self.delta)
 
 
 def acquisition(k, post, gamma, c2, variant="absolute"):
@@ -245,51 +233,27 @@ def rejection_sample(n_loop, post, gamma, tau_i, c2, config, space, rng):
     return np.array(found) if found else np.zeros((0, space.dim))
 
 
-def pointwise_bands(post, delta):
-    """Pointwise credible band functions m -+ z_{1-delta/2} sigma."""
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
-    z = ndtri(1.0 - delta / 2.0)
+def credible_band(post, pts, delta):
+    """(m, s, lower, upper) at pts from one posterior query.
 
-    def lower(k):
-        m, s = post.mean_std(np.atleast_2d(k))
-        return m - z * s
-
-    def upper(k):
-        m, s = post.mean_std(np.atleast_2d(k))
-        return m + z * s
-
-    return lower, upper
+    lower/upper = m -+ z_{1-delta/2} s is the pointwise credible band;
+    {lower >= gamma} and {upper >= gamma} are the inner and outer sets
+    around the plug-in set {m >= gamma}.
+    """
+    m, s = post.mean_std(pts)
+    half = ndtri(1.0 - delta / 2.0) * s
+    return m, s, m - half, m + half
 
 
-def sandwich_sets(lower, upper, gamma):
-    """Inner/outer membership predicates {band >= gamma}; inner <= outer."""
-
-    def inner(k):
-        return np.atleast_1d(lower(k)) >= gamma
-
-    def outer(k):
-        return np.atleast_1d(upper(k)) >= gamma
-
-    return inner, outer
-
-
-def nikodym_bound_mc(lower, upper, gamma, space, sobol, n_eval):
+def nikodym_bound_mc(lower, upper, gamma, volume):
     """Volume of {upper >= gamma > lower} by quasi-Monte Carlo.
 
-    Evaluated on the first n_eval points of the stream's fixed
-    low-discrepancy sequence; bounds the Nikodym error of the plug-in
-    set whenever lower/upper form a credible band.
+    ``lower`` and ``upper`` are a credible band evaluated at the run's
+    Sobol points in a box of the given volume; the result bounds the
+    Nikodym error of the plug-in set.
     """
-    if n_eval < 1:
-        raise ValueError("n_eval must be positive")
-    pts = sobol.points(n_eval)
-    lo = np.atleast_1d(lower(pts))
-    hi = np.atleast_1d(upper(pts))
-    if np.any(lo > hi):
-        raise ValueError("band functions are not ordered")
-    inside = (hi >= gamma) & (gamma > lo)
-    return space.volume * float(inside.mean())
+    inside = (upper >= gamma) & (gamma > lower)
+    return volume * float(inside.mean())
 
 
 @dataclass
@@ -357,12 +321,12 @@ def run_active_learning(config, space, simulator, gamma, master_seed,
                                rng=replicate_rng(master_seed, 2))
     post = posterior(base, kern)
 
-    sobol = SobolStream(space)
+    sobol = sobol_points(space, config.n_eval)
     estimates = []
 
     def error_bound(post_i):
-        lower, upper = pointwise_bands(post_i, config.delta)
-        return nikodym_bound_mc(lower, upper, gamma, space, sobol, config.n_eval)
+        _, _, lower, upper = credible_band(post_i, sobol, config.delta)
+        return nikodym_bound_mc(lower, upper, gamma, space.volume)
 
     def finish_iteration(i, post_i, e_hat):
         est = LevelSetEstimate(iteration=i, posterior=post_i, gamma=gamma,

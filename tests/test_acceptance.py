@@ -17,9 +17,9 @@ from scipy import integrate, stats
 from ctmdesign.config import Scenario
 from ctmdesign.env import FrankCopula, replicate_rng
 from ctmdesign.gpr import GprDataset, Kernel, fit_hyperparameters, posterior
-from ctmdesign.learning import (DesignSpace, LoopConfig, SobolStream,
-                                acquisition, nikodym_bound_mc,
-                                rejection_sample, run_active_learning)
+from ctmdesign.learning import (DesignSpace, LoopConfig, acquisition,
+                                nikodym_bound_mc, rejection_sample,
+                                run_active_learning, sobol_points)
 from ctmdesign.solvers import (InteractionRule, LocalProblem, solve_cooperative,
                                solve_cpf, solve_dpf, solve_priority)
 from reference import DensityState, total_mass
@@ -347,10 +347,8 @@ def test_criterion_07_level_set_recovery():
 def test_criterion_08_error_bound_estimator():
     t0 = time.time()
     space = DesignSpace(((0.0, 1.0),))
-    sobol = SobolStream(space)
-    lower = lambda k: np.atleast_2d(k)[:, 0] - 0.1
-    upper = lambda k: np.atleast_2d(k)[:, 0] + 0.1
-    e_hat = nikodym_bound_mc(lower, upper, 0.5, space, sobol, 100000)
+    k = sobol_points(space, 100000)[:, 0]
+    e_hat = nikodym_bound_mc(k - 0.1, k + 0.1, 0.5, space.volume)
     elapsed = time.time() - t0
     report(8, abs(e_hat - 0.2) <= 0.01 and elapsed < 5,
            f"synthetic band k +- 0.1 at gamma 0.5: e_hat = {e_hat:.5f} "

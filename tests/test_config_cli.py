@@ -1,6 +1,11 @@
 import csv
 import json
+import os
+import shutil
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from ctmdesign import learning, solvers
 from ctmdesign.cli import main, replicate_values
 from ctmdesign.config import ConfigError, Scenario, load_scenario
 from ctmdesign.env import replicate_rng
+from ctmdesign.gpr import GprPosterior
 from ctmdesign.network import NetworkError
 from reference import DensityState, total_mass
 
@@ -65,6 +71,13 @@ def test_unknown_node_rejected(tmp_path):
     raw = json.loads(bundled("urban").read_text())
     raw["network"]["edges"].append([1, 99])
     with pytest.raises(ConfigError, match="99"):
+        Scenario(raw)
+
+
+def test_node_length_below_free_flow_factor_rejected():
+    raw = json.loads(bundled("urban").read_text())
+    raw["network"]["lengths"]["roads"] = 0.5
+    with pytest.raises(ConfigError, match=r"node \d+ \(roads\).*free-flow"):
         Scenario(raw)
 
 
@@ -260,6 +273,28 @@ def test_cli_idle_iterations_reuse_the_previous_fit(tmp_path, monkeypatch):
     assert len({row["e_hat"] for row in errors}) == 1
 
 
+def test_cli_queries_each_sobol_and_grid_point_once_per_estimate(
+        tmp_path, monkeypatch):
+    rows, fits = [], []
+    real_query = GprPosterior.mean_std
+    monkeypatch.setattr(GprPosterior, "mean_std",
+                        lambda self, q: rows.append(len(q)) or real_query(self, q))
+    real_fit = learning.posterior
+    monkeypatch.setattr(learning, "posterior",
+                        lambda *args: fits.append(args) or real_fit(*args))
+    raw = json.loads(synthetic_config(tmp_path).read_text())
+    raw["learning"]["grid"]["resolution"] = 30
+    path = write_config(tmp_path, raw)
+    assert main(["estimate-levelset", "--config", str(path), "--seed", "21",
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    # rejection sampling queries 256-row candidate batches; 5000 rows are
+    # the Sobol points of one error bound, 900 rows one 30 x 30 grid
+    assert len(fits) >= 2
+    assert rows.count(5000) == len(fits)
+    assert rows.count(900) == 3
+    assert set(rows) == {256, 5000, 900}
+
+
 def test_cli_benchmark_compare(tmp_path):
     path = synthetic_config(tmp_path)
     out = tmp_path / "cmp"
@@ -269,6 +304,41 @@ def test_cli_benchmark_compare(tmp_path):
     assert rc == 0
     rows = list(csv.DictReader(open(out / "comparison.csv")))
     assert len(rows) == 4  # two designs x two rules
+
+
+def test_cli_single_replicate_summaries(tmp_path, capsys):
+    path = synthetic_config(tmp_path)
+    assert main(["simulate", "--config", str(path), "--design", "0.2,0.2",
+                 "--reps", "1", "--out-dir", str(tmp_path / "sim")]) == 0
+    summary = list(csv.DictReader(open(tmp_path / "sim" / "summary.csv")))
+    assert summary[0]["std_error"] == "0"
+    assert main(["benchmark-compare", "--config", str(path),
+                 "--designs", "0.2,0.2", "--reps", "1",
+                 "--out-dir", str(tmp_path / "cmp")]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "cmp" / "comparison.csv")))
+    assert [row["std_error"] for row in rows] == ["0", "0"]
+    assert "k=[0.2, 0.2] dpf" in capsys.readouterr().out
+
+
+def exit_code(argv):
+    """main's return value, or the code of argparse's SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command", ["simulate", "benchmark-compare"])
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_cli_reps_below_one_exit_2(tmp_path, capsys, command, reps):
+    path = synthetic_config(tmp_path)
+    design = ["--design", "0.2,0.2"] if command == "simulate" else [
+        "--designs", "0.2,0.2"]
+    rc = exit_code([command, "--config", str(path), *design, "--reps", reps,
+                    "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "--reps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch):
@@ -296,7 +366,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
 @pytest.mark.parametrize("block, key, value", [
     ("learning", "tau_values", [0.01, -0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01]),
     ("design", "bounds", [[1.0, 0.0], [0.0, 1.0]]),
-], ids=["negative-tau", "reversed-bounds"])
+    ("learning", "n_eval", 0),
+], ids=["negative-tau", "reversed-bounds", "zero-n_eval"])
 def test_cli_invalid_values_exit_2_naming_the_file(tmp_path, capsys, block,
                                                    key, value):
     raw = json.loads(bundled("synthetic").read_text())
@@ -308,3 +379,60 @@ def test_cli_invalid_values_exit_2_naming_the_file(tmp_path, capsys, block,
     assert rc == 2
     assert str(path) in err and "Traceback" not in err
 
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A small estimate-levelset run directory and its config."""
+    tmp_path = tmp_path_factory.mktemp("finished")
+    path = synthetic_config(tmp_path, iterations=0)
+    out = tmp_path / "run"
+    assert main(["estimate-levelset", "--config", str(path), "--seed", "4",
+                 "--out-dir", str(out)]) == 0
+    return path, out
+
+
+def _without_dataset(run):
+    (run / "dataset.csv").unlink()
+    return "dataset.csv", []
+
+
+def _zero_delta(run):
+    hp_file = run / "hyperparameters.json"
+    hp = json.loads(hp_file.read_text())
+    hp_file.write_text(json.dumps({**hp, "delta": 0.0}))
+    return "hyperparameters.json", []
+
+
+def _zero_resolution(run):
+    return "--resolution", ["--resolution", "0"]
+
+
+@pytest.mark.parametrize("spoil", [_without_dataset, _zero_delta,
+                                   _zero_resolution],
+                         ids=["missing-file", "delta-0", "resolution-0"])
+def test_cli_export_grid_bad_inputs_exit_2(tmp_path, capsys, finished_run,
+                                           spoil):
+    path, out = finished_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    named, extra = spoil(run)
+    capsys.readouterr()
+    rc = exit_code(["export-grid", "--config", str(path), "--run-dir", str(run),
+                    "--out-dir", str(tmp_path / "export"), *extra])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "export" / "grid.csv").exists()
+
+
+def test_benchmark_tracer_installs():
+    # ctmbench/tracer.py wraps package functions by name; a renamed or
+    # removed one breaks traced benchmark runs
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "ctmbench")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from tracer import Tracer, install; install(Tracer())"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -3,10 +3,10 @@ import pytest
 from scipy.stats import chisquare
 
 from ctmdesign.gpr import GprDataset, Kernel, posterior
-from ctmdesign.learning import (DesignSpace, LevelSetEstimate, LoopConfig,
-                                SobolStream, acquisition, nikodym_bound_mc,
-                                pointwise_bands, rejection_sample,
-                                run_active_learning, sandwich_sets)
+from ctmdesign.learning import (DesignSpace, LoopConfig, acquisition,
+                                credible_band, nikodym_bound_mc,
+                                rejection_sample, run_active_learning,
+                                sobol_points)
 
 
 def unit_space(dim=1):
@@ -133,63 +133,53 @@ def test_pointwise_band_widths():
     post = fixed_posterior_1d()
     pts = np.linspace(0, 1, 50).reshape(-1, 1)
     m, s = post.mean_std(pts)
-    lower, upper = pointwise_bands(post, delta=1.0)
-    assert np.allclose(np.asarray(lower(pts)), m)
-    assert np.allclose(np.asarray(upper(pts)), m)
-    lower, upper = pointwise_bands(post, delta=0.05)
-    half = np.asarray(upper(pts)) - m
+    _, _, lower, upper = credible_band(post, pts, delta=1.0)
+    assert np.allclose(lower, m)
+    assert np.allclose(upper, m)
+    _, _, lower, upper = credible_band(post, pts, delta=0.05)
+    half = upper - m
     assert half == pytest.approx(1.959964 * s, abs=1e-5)
     widths = []
     for delta in (0.01, 0.05, 0.2, 0.5):
-        lo, hi = pointwise_bands(post, delta)
-        widths.append(float(np.mean(np.asarray(hi(pts)) - np.asarray(lo(pts)))))
+        _, _, lo, hi = credible_band(post, pts, delta)
+        widths.append(float(np.mean(hi - lo)))
     assert all(a > b for a, b in zip(widths, widths[1:]))
 
 
 def test_sandwich_ordering_pointwise():
     post = fixed_posterior_1d()
     gamma = 0.2
-    lower, upper = pointwise_bands(post, 0.05)
-    inner, outer = sandwich_sets(lower, upper, gamma)
     pts = np.linspace(0, 1, 400).reshape(-1, 1)
-    est = LevelSetEstimate(iteration=0, posterior=post, gamma=gamma, delta=0.05)
-    member = est.member(pts)
-    assert np.all(inner(pts) <= member)
-    assert np.all(member <= outer(pts))
-    # a level below the global band minimum makes all three sets everything
-    lo_min = float(np.min(np.asarray(lower(pts))))
-    inner2, outer2 = sandwich_sets(lower, upper, lo_min - 1.0)
-    assert np.all(inner2(pts))
-    assert np.all(outer2(pts))
+    m, _, lower, upper = credible_band(post, pts, 0.05)
+    member = m >= gamma
+    assert np.all((lower >= gamma) <= member)
+    assert np.all(member <= (upper >= gamma))
 
 
 def test_nikodym_bound_analytic_band():
     space = unit_space()
-    sobol = SobolStream(space)
-    lower = lambda k: np.atleast_2d(k)[:, 0] - 0.1
-    upper = lambda k: np.atleast_2d(k)[:, 0] + 0.1
-    e_hat = nikodym_bound_mc(lower, upper, 0.5, space, sobol, 100000)
+    k = sobol_points(space, 100000)[:, 0]
+    e_hat = nikodym_bound_mc(k - 0.1, k + 0.1, 0.5, space.volume)
     assert e_hat == pytest.approx(0.2, abs=0.01)
 
 
 def test_nikodym_bound_degenerate_bands():
     space = unit_space()
-    sobol = SobolStream(space)
-    m = lambda k: np.atleast_2d(k)[:, 0]
-    assert nikodym_bound_mc(m, m, 2.0, space, sobol, 1000) == 0.0
-    lower = lambda k: np.full(len(np.atleast_2d(k)), -np.inf)
-    upper = lambda k: np.full(len(np.atleast_2d(k)), np.inf)
-    assert nikodym_bound_mc(lower, upper, 0.0, space, sobol, 1000) == pytest.approx(
+    m = sobol_points(space, 1000)[:, 0]
+    assert nikodym_bound_mc(m, m, 2.0, space.volume) == 0.0
+    lower = np.full(len(m), -np.inf)
+    upper = np.full(len(m), np.inf)
+    assert nikodym_bound_mc(lower, upper, 0.0, space.volume) == pytest.approx(
         space.volume)
 
 
 def test_nikodym_estimator_converges_with_budget():
     space = unit_space()
-    sobol = SobolStream(space)
-    lower = lambda k: np.atleast_2d(k)[:, 0] - 0.07
-    upper = lambda k: np.atleast_2d(k)[:, 0] + 0.07
-    errors = [abs(nikodym_bound_mc(lower, upper, 0.4, space, sobol, n) - 0.14)
-              for n in (1000, 10000, 100000)]
+    errors = []
+    for n in (1000, 10000, 100000):
+        k = sobol_points(space, n)[:, 0]
+        errors.append(abs(nikodym_bound_mc(k - 0.07, k + 0.07, 0.4,
+                                           space.volume) - 0.14))
     assert errors[2] <= errors[0] + 1e-12
     assert errors[2] < 0.005
 
@@ -198,17 +188,16 @@ def test_sandwich_bound_dominates_grid_nikodym_distance():
     # exhaustive fine-grid volumes instantiate the error bound on a synthetic
     # truth known to lie inside the band
     space = unit_space()
-    sobol = SobolStream(space)
     grid = np.linspace(0, 1, 20001).reshape(-1, 1)
     truth = lambda k: np.sin(2 * np.pi * np.atleast_2d(k)[:, 0])
     est = lambda k: truth(k) + 0.05 * np.cos(2 * np.pi * np.atleast_2d(k)[:, 0])
-    lower = lambda k: est(k) - 0.08
-    upper = lambda k: est(k) + 0.08
     gamma = 0.3
     member_est = est(grid) >= gamma
     member_truth = truth(grid) >= gamma
     d_n = np.mean(member_est != member_truth) * space.volume
-    bound = nikodym_bound_mc(lower, upper, gamma, space, sobol, 100000)
+    sobol = sobol_points(space, 100000)
+    bound = nikodym_bound_mc(est(sobol) - 0.08, est(sobol) + 0.08, gamma,
+                             space.volume)
     assert d_n <= bound
 
 
@@ -237,7 +226,7 @@ def test_loop_recovers_sin_boundary():
                                     gamma=0.0, master_seed=7)
     final = estimates[-1]
     grid = np.linspace(0, 1, 4001).reshape(-1, 1)
-    member = final.member(grid)
+    member = np.asarray(final.posterior.mean(grid)) >= final.gamma
     flips = grid[:-1, 0][np.flatnonzero(member[:-1] != member[1:])]
     # analytic superlevel set of sin(2 pi k) at 0 is [0, 1/2]; crossings at
     # the boundary 0.5 (0 and 1 are boundary-of-domain crossings)
