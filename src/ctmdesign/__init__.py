@@ -18,7 +18,7 @@ from .solvers import (
     solve_priority,
     solve_cooperative,
 )
-from .env import FrankCopula, ArSourceSink, GaussianSourceSink, clamp_net_flow
+from .env import FrankCopula, ArSourceSink, GaussianSourceSink
 from .evaluation import (
     Utility,
     BenchmarkSpec,

@@ -321,13 +321,31 @@ class CellTable:
             self.W = np.asarray(self.W.todense())
             self.E = np.asarray(self.E.todense())
 
+    def _apply(self, m, rho):
+        """m @ rho along the last axis of ``rho``.
+
+        The dense product is a stacked matmul, one gemv per replicate, so
+        each row of a (B, n) state gets the bits of a one-replicate step;
+        ``rho @ m.T`` would be one gemm with a different summation order.
+        """
+        if self._dense:
+            return np.matmul(m, rho[..., None])[..., 0]
+        return (m @ rho.T).T
+
     def evaluate(self, rho, la=None):
-        """Return (S, R) arrays for the whole network at densities ``rho``."""
+        """Return (S, R) arrays for the whole network at densities ``rho``.
+
+        ``rho`` is one replicate (n_routes,) or a batch (B, n_routes); ``la``
+        broadcasts against it.
+        """
         base = self.a * rho
         if la is not None:
-            base = base * la
+            base *= la
         if self._has_damping:
-            base = base * np.exp(-(self.E @ rho))
-        s = np.minimum(self.s_max, base)
-        r = np.maximum(self.b * (self.cap - self.W @ rho), 0.0)
-        return s, r
+            damp = self._apply(self.E, rho)
+            np.negative(damp, out=damp)
+            base *= np.exp(damp, out=damp)
+        s = np.minimum(self.s_max, base, out=base)
+        load = self._apply(self.W, rho)
+        r = self.b * np.subtract(self.cap, load, out=load)
+        return s, np.maximum(r, 0.0, out=r)

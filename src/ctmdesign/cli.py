@@ -14,8 +14,8 @@ Subcommands:
 * ``export-grid``        re-evaluate a persisted posterior on a fresh grid.
 
 All outputs are CSV plus one manifest JSON per run; identical config and
-seed reproduce byte-identical outputs on the same platform regardless of
-the worker count (replicates are reduced in index order).
+seed reproduce byte-identical outputs on the same platform for any worker
+count and batch size (replicates are reduced in index order).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -33,7 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, Scenario, load_scenario
+from .config import (ConfigError, Scenario, _json_error, _rejected_as_config_error,
+                     load_scenario)
 from .env import replicate_rng
 from .evaluation import calibrate_threshold
 from .gpr import GprDataset, Kernel, posterior
@@ -43,32 +44,44 @@ from .solvers import InteractionRule
 
 _WORKER_SCENARIO = None
 
+#: most replicates stepped together as one batch
+_MAX_BATCH = 64
+
 
 def _init_worker(raw):
     global _WORKER_SCENARIO
     _WORKER_SCENARIO = Scenario(raw)
 
 
-def _replicate(scenario, k, seed, index, rule):
+def _replicates(scenario, k, seed, indices, rule):
     rule_obj = InteractionRule(rule) if rule else None
-    return scenario.run_replicate(k, replicate_rng(seed, 0, index), rule=rule_obj)
+    return scenario.run_replicate(
+        k, [replicate_rng(seed, 0, i) for i in indices], rule=rule_obj)
 
 
-def _worker_replicate(args):
-    return _replicate(_WORKER_SCENARIO, *args)
+def _worker_replicates(args):
+    return _replicates(_WORKER_SCENARIO, *args)
 
 
 def replicate_values(scenario, k, reps, seed, rule=None, workers=1):
-    """Per-replicate performance statistics, in replicate order."""
+    """Per-replicate performance statistics, in replicate order.
+
+    Replicates run in batches of consecutive indices, at most
+    ``_MAX_BATCH`` each and split evenly over the workers; every value is
+    the same for any worker count and batch size.
+    """
+    size = min(_MAX_BATCH, -(-reps // max(workers, 1)))
+    batches = [range(i, min(i + size, reps)) for i in range(0, reps, size)]
     if workers <= 1:
-        return np.array([_replicate(scenario, k, seed, i, rule)
-                         for i in range(reps)])
+        return np.array([v for b in batches
+                         for v in _replicates(scenario, k, seed, b, rule)])
     from concurrent.futures import ProcessPoolExecutor
 
-    jobs = [(tuple(k), seed, i, rule) for i in range(reps)]
+    jobs = [(tuple(k), seed, b, rule) for b in batches]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(scenario.raw,)) as pool:
-        return np.array(list(pool.map(_worker_replicate, jobs, chunksize=8)))
+        return np.array([v for values in pool.map(_worker_replicates, jobs)
+                         for v in values])
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +204,20 @@ def _grid_slice(scenario, space, resolution=None):
     return pts, axes, (res, res)
 
 
+#: one grid CSV row, formatted as ``_fmt`` and ``csv`` would write it
+_GRID_ROW = "{:.12g},{:.12g},{:.12g},{:.12g},{:d},{:d},{:d}\r\n"
+
+
 def _write_grid(path, pts, axes, names, post, gamma, delta):
     m, s, lower, upper = credible_band(post, pts, delta)
     ia, ib = names.index(axes[0]), names.index(axes[1])
-    rows = [(_fmt(p[ia]), _fmt(p[ib]), _fmt(mi), _fmt(si),
-             int(mi >= gamma), int(lo_i >= gamma), int(hi_i >= gamma))
-            for p, mi, si, lo_i, hi_i in zip(pts, m, s, lower, upper)]
-    _write_csv(path, [axes[0], axes[1], "mean", "std", "member",
-                      "inner", "outer"], rows)
+    columns = (pts[:, ia].tolist(), pts[:, ib].tolist(), m.tolist(), s.tolist(),
+               (m >= gamma).tolist(), (lower >= gamma).tolist(),
+               (upper >= gamma).tolist())
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow([axes[0], axes[1], "mean", "std", "member",
+                                 "inner", "outer"])
+        fh.writelines(map(_GRID_ROW.format, *columns))
 
 
 def cmd_estimate_levelset(args):
@@ -213,8 +232,8 @@ def cmd_estimate_levelset(args):
     utility = scenario.utility()
     names = scenario.design_names
 
-    def simulator(k, rng):
-        return float(utility(scenario.run_replicate(k, rng)))
+    def simulator(k, rngs):
+        return [float(utility(q)) for q in scenario.run_replicate(k, rngs)]
 
     files = []
     error_rows = []
@@ -287,28 +306,36 @@ def cmd_export_grid(args):
     scenario = load_scenario(args.config)
     run_dir = Path(args.run_dir)
     hp_file = run_dir / "hyperparameters.json"
+    data_file = run_dir / "dataset.csv"
     try:
         with open(hp_file) as fh:
             hp = json.load(fh)
-        with open(run_dir / "dataset.csv") as fh:
+        with open(data_file) as fh:
             rows = list(csv.DictReader(fh))
     except OSError as exc:
         raise ConfigError(f"{exc.filename}: {exc.strerror}") from None
-    delta = hp.get("delta", 0.05)
-    if not 0 < delta < 1:
-        raise ConfigError(f"{hp_file}: delta {delta} must lie in (0, 1)")
+    except json.JSONDecodeError as exc:
+        raise _json_error(hp_file, exc) from None
+    with _rejected_as_config_error(hp_file):
+        delta = hp["delta"] if "delta" in hp else 0.05
+        if not 0 < delta < 1:
+            raise ValueError(f"delta {delta} must lie in (0, 1)")
+        kern = Kernel(hp["variant"], hp["sigma_c"], hp["length"])
+        mu_bar, s_bar, gamma = hp["mu_bar"], hp["s_bar"], hp["gamma"]
     names = scenario.design_names
-    kept = [row for row in rows if not int(row["discarded"])]
-    data = GprDataset(np.array([[float(row[n]) for n in names] for row in kept]),
-                      np.array([float(row["mu_hat"]) for row in kept]),
-                      np.array([float(row["tau_sq"]) for row in kept]),
-                      mu_bar=hp["mu_bar"], s_bar=hp["s_bar"])
-    post = posterior(data, Kernel(hp["variant"], hp["sigma_c"], hp["length"]))
+    with _rejected_as_config_error(data_file):
+        kept = [row for row in rows if not int(row["discarded"])]
+        data = GprDataset(
+            np.array([[float(row[n]) for n in names] for row in kept]),
+            np.array([float(row["mu_hat"]) for row in kept]),
+            np.array([float(row["tau_sq"]) for row in kept]),
+            mu_bar=mu_bar, s_bar=s_bar)
+    post = posterior(data, kern)
     space = scenario.design_space()
     pts, axes, _ = _grid_slice(scenario, space, resolution=args.resolution)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_grid(out / "grid.csv", pts, axes, names, post, hp["gamma"], delta)
+    _write_grid(out / "grid.csv", pts, axes, names, post, gamma, delta)
     print(f"wrote {out / 'grid.csv'}")
     return 0
 

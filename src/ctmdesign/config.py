@@ -361,7 +361,7 @@ class Scenario:
         return {v: self.node_cells[v].rho_max * cap_fraction
                 for v in range(self.network.n_nodes)}
 
-    def _environment(self, params, rng):
+    def _environment(self, params, rng, steps):
         env_cfg = self.raw.get("environment", {"kind": "none"})
         kind = env_cfg["kind"]
         if kind == "none":
@@ -374,7 +374,8 @@ class Scenario:
                 for s in env_cfg["sources"]]
             copula = FrankCopula(float(_resolve(env_cfg["copula_r"], params,
                                                 "copula r")))
-            return ArCopulaEnvironment(self.network, sources, copula, caps, rng)
+            return ArCopulaEnvironment(self.network, sources, copula, caps, rng,
+                                       steps)
         if kind == "gaussian_pairs":
             sources = []
             for s in env_cfg["sources"]:
@@ -391,7 +392,7 @@ class Scenario:
                 scale = float(entry.get("scale", 1.0))
                 constants.append((self._route(entry["route"]), scale * float(value)))
             return GaussianPairsEnvironment(self.network, sources, constants,
-                                            caps, rng)
+                                            caps, rng, steps)
         raise ConfigError(f"{self.origin}: unknown environment kind {kind!r}")
 
     def _measure(self):
@@ -418,23 +419,43 @@ class Scenario:
     # -- running ----------------------------------------------------------
 
     def run_replicate(self, k, rng, extra_observers=(), rule=None):
-        """One trajectory at design k; returns the performance statistic.
+        """Trajectories at design k; returns their performance statistics.
 
-        Consumes the generator in a fixed order: integerization draws
-        first, then the environment's per-step draws.
+        ``rng`` is one Generator (one replicate, a float is returned) or a
+        list of them (one replicate per generator, stepped together as one
+        batch; a list of floats is returned).  Before stepping, each
+        replicate takes its integerization draws and then its whole
+        environment block from its own generator, in list order, so a
+        list that repeats one generator reproduces consecutive calls on it.
+        Every value is bit-identical to the one-generator call.
         """
+        single = isinstance(rng, np.random.Generator)
+        rngs = [rng] if single else list(rng)
         if "simulator" in self.raw:
-            return self._analytic_draw(k, rng)
-        params = self._integerize_params(self.design_params(k), rng)
-        programs = self._signal_programs(params)
+            values = [self._analytic_draw(k, g) for g in rngs]
+            return values[0] if single else values
+        if not rngs:
+            return []
+        steps = self.raw["run"]["steps"]
+        design = self.design_params(k)
+        programs, envs = [], []
+        for g in rngs:
+            params = self._integerize_params(design, g)
+            programs.append(self._signal_programs(params))
+            with _rejected_as_config_error(f"{self.origin}: environment or measure"):
+                envs.append(self._environment(params, g, steps))
         with _rejected_as_config_error(f"{self.origin}: environment or measure"):
-            env = self._environment(params, rng)
             measure = self._measure()()
-        engine = self.engine()
-        engine.run(self.initial_densities(), self.raw["run"]["steps"],
-                   rule or self.interaction_rule(), env=env, programs=programs,
-                   observers=(measure, *extra_observers))
-        return measure.value()
+        rho0 = self.initial_densities()
+        if len(rngs) == 1:  # one replicate steps a 1-D state: faster at B = 1
+            env, programs = envs[0], programs[0]
+        else:
+            env = None if envs[0] is None else type(envs[0]).stack(envs)
+            rho0 = np.tile(rho0, (len(rngs), 1))
+        self.engine().run(rho0, steps, rule or self.interaction_rule(), env=env,
+                          programs=programs, observers=(measure, *extra_observers))
+        values = [float(v) for v in np.broadcast_to(measure.value(), len(rngs))]
+        return values[0] if single else values
 
     def _analytic_draw(self, k, rng):
         sim = self.raw["simulator"]

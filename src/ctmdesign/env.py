@@ -19,22 +19,28 @@ Two environment families are provided:
 
 All randomness flows through one numpy Generator per replicate, seeded
 from (master seed, replicate index), so trajectories are reproducible
-bit for bit.
+bit for bit.  An environment draws its whole block of uniforms when it
+is built and tabulates the attempted flows of every step; ``net_flows``
+only clamps them.  ``stack`` joins the environments of B replicates
+into one that steps a (B, n_routes) state, with every entry equal to
+the one-replicate result.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
+from .network import take_routes
+
 __all__ = [
     "FrankCopula",
     "ArSourceSink",
     "GaussianSourceSink",
-    "clamp_net_flow",
     "ArCopulaEnvironment",
     "GaussianPairsEnvironment",
     "replicate_rng",
@@ -58,6 +64,23 @@ def _log_mix(a, b, s):
     if s <= 0:
         return math.log(a + b * math.exp(s))
     return s + math.log(a * math.exp(-s) + b)
+
+
+#: libm's exp and log, called once per element: numpy's own vectorized
+#: ones round some results differently from ``math``
+_EXP = np.frompyfunc(math.exp, 1, 1)
+_LOG = np.frompyfunc(math.log, 1, 1)
+
+
+def _log_mix_array(a, b, s):
+    """``_log_mix`` elementwise over arrays, with the same libm calls."""
+    out = np.empty(s.shape)
+    low = s <= 0
+    high = ~low
+    out[low] = _LOG(a[low] + b[low] * _EXP(s[low]).astype(float)).astype(float)
+    out[high] = s[high] + _LOG(a[high] * _EXP(-s[high]).astype(float)
+                               + b[high]).astype(float)
+    return out
 
 
 class FrankCopula:
@@ -90,6 +113,22 @@ class FrankCopula:
         den = _log_mix(p, 1.0 - p, -r * u1)
         u2 = u1 - (num - den) / r
         return u1, min(max(u2, _U_CLIP), 1.0 - _U_CLIP)
+
+    def pairs(self, uniforms):
+        """Pairs (u1, u2) from the uniform pairs (u1, p) on the last axis.
+
+        Each pair is bit-identical to ``sample`` on a generator that
+        returns u1 and then p.
+        """
+        u = np.clip(uniforms, _U_CLIP, 1.0 - _U_CLIP)
+        if self.independent:
+            return u
+        r = self.r
+        u1, p = u[..., 0], u[..., 1]
+        num = _log_mix_array(1.0 - p, p, -r * (1.0 - u1))
+        den = _log_mix_array(p, 1.0 - p, -r * u1)
+        u2 = np.clip(u1 - (num - den) / r, _U_CLIP, 1.0 - _U_CLIP)
+        return np.stack([u1, u2], axis=-1)
 
 
 @dataclass
@@ -129,35 +168,48 @@ class GaussianSourceSink:
             raise ValueError("coefficient of variation must be non-negative")
 
 
-def clamp_net_flow(q_aux, rho, q_in, q_out, rho_cap, l_v):
-    """Truncate an attempted net flow so the updated density lands in [0, rho_cap].
-
-    Returns the realized q_net: equal to q_aux whenever the update stays
-    inside the bounds, otherwise the value that attains the violated
-    boundary exactly under rho' = rho + (q_in - q_out + q_net) / l_v.
-    """
-    lo = -rho * l_v - q_in + q_out
-    hi = (rho_cap - rho) * l_v - q_in + q_out
-    return min(max(q_aux, lo), hi)
-
-
 class _EnvironmentBase:
-    """Shared net-flow assembly over a compiled set of source routes."""
+    """Clamps precomputed attempted flows into realized net flows.
 
-    def __init__(self, network, node_caps):
-        self.network = network
-        self.node_caps = node_caps  # per-node admissible density cap
+    ``attempts[t, j]`` is the attempted flow of step t on route
+    ``routes[j]``; when a route is listed twice, the later column wins.
+    A batch of B replicates carries ``attempts`` as (steps, B, m) and
+    steps a (B, n_routes) state (see ``stack``).
+    """
 
-    def _clamp_into(self, q_aux_map, rho, q_in, q_out):
-        n = self.network.n_routes
-        q_aux = np.zeros(n)
-        q_net = np.zeros(n)
-        for idx, aux in q_aux_map:
-            v = self.network.routes[idx].via
-            q_aux[idx] = aux
-            q_net[idx] = clamp_net_flow(
-                aux, rho[idx], q_in[idx], q_out[idx],
-                self.node_caps[v], self.network.lengths[v])
+    def __init__(self, network, node_caps, routes, attempts):
+        last = {r: j for j, r in enumerate(routes)}
+        self._idx = np.array(list(last), dtype=np.intp)
+        self._attempts = attempts[:, list(last.values())]
+        via = network.route_via[self._idx]
+        self._l_v = network.lengths[via]
+        self._neg_l_v = -self._l_v
+        self._cap = np.array([node_caps[v] for v in via], dtype=float)
+
+    @staticmethod
+    def stack(envs):
+        """One environment for the replicates of ``envs`` (same scenario)."""
+        out = copy.copy(envs[0])
+        out._attempts = np.stack([e._attempts for e in envs], axis=1)
+        return out
+
+    def net_flows(self, t, rho, q_in, q_out):
+        """(q_aux, q_net) of step t.
+
+        q_net is q_aux truncated so that the update lands in [0, rho_cap]:
+        lo = -rho * l_v - q_in + q_out, hi = (rho_cap - rho) * l_v - q_in
+        + q_out, q_net = min(max(q_aux, lo), hi).
+        """
+        idx = self._idx
+        aux = self._attempts[t]
+        rho_s = take_routes(rho, idx)
+        q_in_s, q_out_s = take_routes(q_in, idx), take_routes(q_out, idx)
+        lo = rho_s * self._neg_l_v - q_in_s + q_out_s   # (-rho) * l_v exactly
+        hi = (self._cap - rho_s) * self._l_v - q_in_s + q_out_s
+        q_aux = np.zeros(rho.shape)
+        q_net = np.zeros(rho.shape)
+        q_aux.T[idx] = aux.T
+        q_net.T[idx] = np.minimum(np.maximum(aux, lo), hi).T
         return q_aux, q_net
 
 
@@ -166,54 +218,44 @@ class ArCopulaEnvironment(_EnvironmentBase):
 
     One copula pair is drawn per step; its coordinates drive the
     innovations of the sources in listed order via the normal inverse
-    CDF, eps_j = sigma_j * Phi^{-1}(u_j).
+    CDF, eps_j = sigma_j * Phi^{-1}(u_j).  All ``steps`` pairs are drawn
+    at construction, as one block of 2 * steps uniforms.
     """
 
-    def __init__(self, network, sources, copula, node_caps, rng):
-        super().__init__(network, node_caps)
+    def __init__(self, network, sources, copula, node_caps, rng, steps):
         if len(sources) != 2:
             raise ValueError("the copula environment couples exactly two sources")
-        self.sources = sources
-        self.copula = copula
-        self.rng = rng
-        self._route_idx = [network.index_of(*src.route) for src in sources]
-
-    def net_flows(self, t, rho, q_in, q_out):
-        u1, u2 = self.copula.sample(self.rng)
-        pairs = []
-        for src, ridx, u in zip(self.sources, self._route_idx, (u1, u2)):
-            eps = src.sigma * ndtri(u)
-            pairs.append((ridx, src.step(eps)))
-        return self._clamp_into(pairs, rho, q_in, q_out)
+        u = copula.pairs(rng.random((steps, 2)))
+        eps = np.array([src.sigma for src in sources]) * ndtri(u)
+        start = np.array([[src.value for src in sources]])
+        walk = np.cumsum(np.concatenate([start, eps]), axis=0)[1:]
+        super().__init__(network, node_caps,
+                         [network.index_of(*src.route) for src in sources], walk)
 
 
 class GaussianPairsEnvironment(_EnvironmentBase):
     """Independent Gaussian attempted flows with mirrored partner routes.
 
     ``constants`` maps routes to deterministic attempted flows (e.g.
-    fixed sinks).  Random sources are drawn in listed order, one normal
-    per source per step.
+    fixed sinks).  Random sources draw one normal per source per step,
+    in listed order; all ``steps`` rows are drawn at construction, as
+    one block of steps * len(sources) uniforms.
     """
 
-    def __init__(self, network, sources, constants, node_caps, rng):
-        super().__init__(network, node_caps)
-        self.sources = sources
-        self.rng = rng
-        self._compiled = []
-        for src in sources:
-            idx = network.index_of(*src.route)
-            pidx = (network.index_of(*src.pair_route)
-                    if src.pair_route is not None else None)
-            self._compiled.append((src, idx, pidx))
-        self._constants = [(network.index_of(*route), value)
-                           for route, value in constants]
-
-    def net_flows(self, t, rho, q_in, q_out):
-        pairs = list(self._constants)
-        for src, idx, pidx in self._compiled:
-            draw = src.xi + src.psi * src.xi * ndtri(
-                min(max(self.rng.random(), _U_CLIP), 1.0 - _U_CLIP))
-            pairs.append((idx, draw))
-            if pidx is not None:
-                pairs.append((pidx, src.pair_sign * draw))
-        return self._clamp_into(pairs, rho, q_in, q_out)
+    def __init__(self, network, sources, constants, node_caps, rng, steps):
+        u = np.clip(rng.random((steps, len(sources))), _U_CLIP, 1.0 - _U_CLIP)
+        xi = np.array([src.xi for src in sources])
+        draws = xi + np.array([src.psi * src.xi for src in sources]) * ndtri(u)
+        routes, columns = [], []
+        for route, value in constants:
+            routes.append(network.index_of(*route))
+            columns.append(np.full(steps, float(value)))
+        for j, src in enumerate(sources):
+            routes.append(network.index_of(*src.route))
+            columns.append(draws[:, j])
+            if src.pair_route is not None:
+                routes.append(network.index_of(*src.pair_route))
+                columns.append(src.pair_sign * draws[:, j])
+        attempts = (np.stack(columns, axis=1) if columns
+                    else np.zeros((steps, 0)))
+        super().__init__(network, node_caps, routes, attempts)

@@ -8,6 +8,10 @@ maximum number of replicates:
 
     n = min( min{ n >= n_min : var_n / n <= tau^2 }, n_max ).
 
+The first n_min replicates always run, so ``sequential_mc`` draws them
+as one batch and the rest one at a time; the estimate is the same as
+drawing every replicate alone.
+
 Acceptance thresholds gamma are calibrated as expected utilities of
 benchmark flow distributions e * 2 * X with X ~ Beta(beta, beta), where
 beta is chosen to match a target standard deviation of X through
@@ -20,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import beta as beta_dist
+
+from .network import take_routes
 
 __all__ = [
     "Utility",
@@ -73,6 +77,10 @@ class Utility:
 
 # ---------------------------------------------------------------------------
 # Performance measures (streaming observers over a trajectory)
+#
+# Each observer reduces over the last (route) axis, so it follows one
+# replicate (a float statistic) or a batch of B replicates (B statistics,
+# each equal to the one-replicate value).
 # ---------------------------------------------------------------------------
 
 class AvgNetworkFlow:
@@ -85,7 +93,7 @@ class AvgNetworkFlow:
         self._steps = 0
 
     def __call__(self, t, rho_before, record):
-        self._sum += float(record.q_out.sum())
+        self._sum += record.q_out.sum(axis=-1)
         self._steps += 1
 
     def value(self):
@@ -111,13 +119,16 @@ class Throughput:
     def __call__(self, t, rho_before, record):
         if record.q_aux is None:
             return
-        net = record.q_net[self.idx]
-        aux = record.q_aux[self.idx]
-        self._removed += float(np.maximum(-net, 0.0).sum())
-        self._attempted += float(np.maximum(aux, 0.0).sum())
+        net = take_routes(record.q_net, self.idx)
+        aux = take_routes(record.q_aux, self.idx)
+        self._removed += np.maximum(-net, 0.0).sum(axis=-1)
+        self._attempted += np.maximum(aux, 0.0).sum(axis=-1)
 
     def value(self):
-        return self._removed / self._attempted if self._attempted > 0 else 0.0
+        attempted = np.asarray(self._attempted, dtype=float)
+        out = np.zeros_like(attempted)
+        np.divide(self._removed, attempted, out=out, where=attempted > 0)
+        return out if out.ndim else float(out)
 
 
 class AvgVelocity:
@@ -137,10 +148,10 @@ class AvgVelocity:
         self._steps = 0
 
     def __call__(self, t, rho_before, record):
-        rho = rho_before[self.idx]
-        q = record.q_out[self.idx]
+        rho = take_routes(rho_before, self.idx)
+        q = take_routes(record.q_out, self.idx)
         ratio = np.where(rho < self.EMPTY, self.free_flow, q / np.maximum(rho, self.EMPTY))
-        self._sum += float(ratio.sum())
+        self._sum += ratio.sum(axis=-1)
         self._steps += 1
 
     def value(self):
@@ -178,6 +189,11 @@ def calibrate_threshold(bench, utility, rel_tol=1e-8):
     requested relative tolerance.  Deterministic, so thresholds are
     reproducible across runs.
     """
+    # imported here: scipy.stats and scipy.integrate take most of the
+    # package's import time, and only calibration needs them
+    from scipy import integrate
+    from scipy.stats import beta as beta_dist
+
     b = bench.beta
     pdf = beta_dist(b, b).pdf
     scale = 2.0 * bench.e
@@ -238,10 +254,14 @@ class _RunningMoments:
 def sequential_mc(draw, tau_target, n_min, n_max, rng):
     """Estimate a mean by i.i.d. replication with a noise-targeted stop.
 
-    ``draw(rng)`` produces one replicate of u(Q_k).  Sampling stops at
-    the first n >= n_min with var_n / n <= tau_target^2, or at n_max.
-    Replicates are generated in index order so the stopping decision is
-    reproducible regardless of any parallel scheduling upstream.
+    ``draw(rngs)`` produces one replicate of u(Q_k) per generator in the
+    list ``rngs``, consuming each generator as consecutive one-generator
+    calls would.  Every replicate is drawn from ``rng``: the first n_min,
+    which always run, as one batch ``draw([rng] * n_min)``, then one at a
+    time.  Sampling stops at the first n >= n_min with
+    var_n / n <= tau_target^2, or at n_max.  Replicates are pushed in
+    index order, so the stopping decision is reproducible regardless of
+    any batching or parallel scheduling upstream.
     """
     if n_min < 2:
         raise ValueError("n_min must be at least 2")
@@ -251,11 +271,8 @@ def sequential_mc(draw, tau_target, n_min, n_max, rng):
         raise ValueError("target noise must be non-negative")
     acc = _RunningMoments()
     target = tau_target ** 2
-    while True:
-        acc.push(float(draw(rng)))
-        if acc.n >= n_min and acc.variance / acc.n <= target:
-            break
-        if acc.n >= n_max:
-            break
+    for value in draw([rng] * n_min):
+        acc.push(float(value))
+    while acc.n < n_max and acc.variance / acc.n > target:
+        acc.push(float(draw([rng])[0]))
     return SequentialEstimate(mu_hat=acc.mean, tau_sq=acc.variance / acc.n, n=acc.n)
-

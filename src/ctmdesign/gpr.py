@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "Kernel",
@@ -127,6 +126,10 @@ class GprDataset:
 
 def _factor(kern, dataset):
     """Cholesky factor of Sigma + diag(tau~^2), with jitter escalation."""
+    # scipy.linalg is imported where it is used, so that commands which
+    # fit no GP (simulate, calibrate) do not pay for it at start-up
+    from scipy.linalg import cho_factor
+
     sigma = kern.matrix(dataset.points, dataset.points)
     noise = np.diag(dataset.standardized_noises)
     s2 = kern.sigma_c ** 2
@@ -155,6 +158,8 @@ class GprPosterior:
     def __init__(self, dataset, kern):
         self.dataset = dataset
         self.kernel = kern
+        from scipy.linalg import cho_solve
+
         self._cho = _factor(kern, dataset)
         self._alpha = cho_solve(self._cho, dataset.standardized_values)
 
@@ -218,6 +223,8 @@ def log_marginal_likelihood(dataset, kern):
     -(1/2) nu^T K^{-1} nu - (1/2) log det K - (n/2) log 2 pi  with
     K = Sigma + diag(tau~^2).
     """
+    from scipy.linalg import cho_solve
+
     cho = _factor(kern, dataset)
     nu = dataset.standardized_values
     alpha = cho_solve(cho, nu)

@@ -285,7 +285,10 @@ def run_active_learning(config, space, simulator, gamma, master_seed,
                         on_iteration=None):
     """Full estimation loop; returns the per-iteration LevelSetEstimates.
 
-    ``simulator(k, rng)`` draws one replicate of u(Q_k).  The loop is a
+    ``simulator(k, rngs)`` draws one replicate of u(Q_k) per generator in
+    the list ``rngs`` and returns their values in order, consuming each
+    generator as consecutive one-generator calls would (see
+    ``sequential_mc``, which batches a point's first n_min).  The loop is a
     pure function of (config, space, simulator, gamma, master_seed):
     every random stream is derived deterministically from the seed.
     Iteration i's estimate is produced after refitting on the cumulative
@@ -305,7 +308,7 @@ def run_active_learning(config, space, simulator, gamma, master_seed,
         n_max = config.n_max_at(iteration)
         for j, k in enumerate(points):
             rng = replicate_rng(master_seed, 1, iteration, j)
-            est = sequential_mc(lambda r: simulator(k, r), tau_i,
+            est = sequential_mc(lambda rngs: simulator(k, rngs), tau_i,
                                 config.n_min, n_max, rng)
             if check_discard and np.sqrt(est.tau_sq) >= config.c3 * tau_i:
                 est.discarded = True

@@ -40,6 +40,7 @@ __all__ = [
     "FlowRecord",
     "NetworkError",
     "clamp_densities",
+    "take_routes",
 ]
 
 #: densities this far below zero are treated as floating-point noise and
@@ -204,9 +205,24 @@ class FlowRecord:
     q_aux: np.ndarray = field(default=None)
 
 
+def take_routes(x, idx):
+    """``x[..., idx]`` for one replicate's (n,) or a batch's (B, n) route array.
+
+    A 1-D array takes numpy's fast path for one index array, which
+    ``x[..., idx]`` leaves (about 2 us against 0.3 us per call at 100
+    routes, a large share of a one-replicate step).  A batch gets a
+    C-contiguous result, so reductions along its rows sum each row in the
+    order of the one-replicate case.  Assign through ``x.T[idx] = v.T``.
+    """
+    return x[idx] if x.ndim == 1 else x.take(idx, axis=-1)
+
+
 def clamp_densities(rho):
-    """Zero out negative densities below the noise tolerance; raise otherwise."""
-    worst = rho.min() if len(rho) else 0.0
+    """Zero out negative densities below the noise tolerance; raise otherwise.
+
+    ``rho`` is one replicate's densities or a batch of them (any shape).
+    """
+    worst = rho.min() if rho.size else 0.0
     if worst < -NEGATIVE_DENSITY_TOLERANCE:
         raise NetworkError(
             f"density {worst} below -{NEGATIVE_DENSITY_TOLERANCE}: solver bug"

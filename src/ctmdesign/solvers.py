@@ -29,6 +29,13 @@ every local problem reduces to one shared outflow budget and all of
 them are solved in closed form across the whole network with
 vectorized operations.  The per-problem ``solve_*`` functions are the
 reference definitions of the four regimes.
+
+Every phase works on the last axis: a (n_routes,) state is one
+replicate and a (B, n_routes) state is B replicates stepped together.
+Each row of a batch goes through the same floating-point operations in
+the same order as a one-replicate run (one gemv per row for the cell
+products, segment sums along contiguous rows), so it is bit-identical
+to it; a batch only amortizes numpy's per-call overhead.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import CellTable
-from .network import FlowRecord, NetworkError, clamp_densities
+from .network import FlowRecord, NetworkError, clamp_densities, take_routes
 from .signals import ramp_value, signal_phase
 
 __all__ = [
@@ -272,7 +279,8 @@ class SimulationEngine:
 
     The engine is immutable after construction and shared across
     replicates; all mutable per-replicate state (densities, signal
-    programs, environment) is passed through ``step``.
+    programs, environment) is passed through ``step`` or ``run``, for
+    one replicate or a batch (see the module docstring).
 
     Parameters
     ----------
@@ -324,7 +332,11 @@ class SimulationEngine:
         self._up_concat = (np.concatenate(up_lists) if up_lists
                            else np.zeros(0, np.intp))
         up_sizes = [len(u) for u in up_lists]
+        self._up_sizes = np.array(up_sizes, dtype=np.intp)
         self._up_ptr = np.cumsum([0] + up_sizes)[:-1]
+        # every route is an upstream route of exactly one group, its edge
+        # (via, dst), so the upstream layout is a permutation of the routes
+        self._route_order = np.argsort(self._up_concat)
         self._group_of_up = np.repeat(np.arange(self.n_groups), up_sizes)
         down_sizes = [len(d) for d in down_lists if len(d)]
         self._down_concat = (np.concatenate([d for d in down_lists if len(d)])
@@ -336,6 +348,7 @@ class SimulationEngine:
         f_down = np.concatenate(
             [rows[g] for g in self._groups_with_down]) if down_sizes else np.zeros(0)
         self._f_down = f_down
+        self._exits = np.flatnonzero(f_down == 0)
         with np.errstate(divide="ignore"):
             self._inv_f_down = np.where(f_down > 0, 1.0 / f_down, np.inf)
 
@@ -372,48 +385,54 @@ class SimulationEngine:
         return la
 
     def outflows(self, s, r, rule):
-        """Phase 2: realized outflows per route under the interaction rule."""
-        s_up = s[self._up_concat]
-        sum_s = np.add.reduceat(s_up, self._up_ptr) if len(s_up) else np.zeros(0)
-        # shared outflow budget per group: min over w of R_w / f_w
-        cap = np.full(self.n_groups, np.inf)
-        if len(self._down_concat):
-            ratios = r[self._down_concat] * self._inv_f_down
-            ratios[self._f_down == 0] = np.inf  # unconstrained exits
-            cap[self._groups_with_down] = np.minimum.reduceat(
-                ratios, self._down_ptr)
+        """Phase 2: realized outflows per route under the interaction rule.
 
-        q_out = np.zeros_like(s)
+        Works on the last axis: ``s`` and ``r`` are (n_routes,) for one
+        replicate or (B, n_routes) for a batch.
+        """
+        if not self.n_groups:
+            return np.zeros(s.shape)
+        s_up = take_routes(s, self._up_concat)
+        sum_s = np.add.reduceat(s_up, self._up_ptr, axis=-1)
+        # shared outflow budget per group: min over w of R_w / f_w; exits
+        # (f_w = 0) and groups without downstream routes never bind
+        if self._down_concat.size:
+            ratios = take_routes(r, self._down_concat) * self._inv_f_down
+            if self._exits.size:
+                ratios.T[self._exits] = np.inf
+            cap = np.minimum.reduceat(ratios, self._down_ptr, axis=-1)
+        if len(self._groups_with_down) < self.n_groups:
+            full = np.full(s.shape[:-1] + (self.n_groups,), np.inf)
+            if self._down_concat.size:
+                full.T[self._groups_with_down] = cap.T
+            cap = full
+
         if rule.variant in ("dpf", "cpf"):
             # lambda = min(1, cap / sum_s), divided only where it binds so
             # that a subnormal sum_s cannot overflow the quotient
-            lam = np.ones(self.n_groups)
-            binds = sum_s > cap
-            lam[binds] = cap[binds] / sum_s[binds]
-            q_out[self._up_concat] = lam[self._group_of_up] * s_up
-            return q_out
-
-        # priority (canonical order) and cooperative (lexicographic
-        # tie-break) coincide under x-independent fractions: fill the
-        # budget in canonical order
-        if rule.variant == "cooperative":
-            cap = np.minimum(cap, sum_s)
-        cs = np.cumsum(s_up)
-        if len(s_up):
-            sizes = np.diff(np.append(self._up_ptr, len(s_up)))
-            start = np.repeat(cs[self._up_ptr] - s_up[self._up_ptr], sizes)
+            lam = np.ones(cap.shape)
+            np.divide(cap, sum_s, out=lam, where=sum_s > cap)
+            q_up = take_routes(lam, self._group_of_up) * s_up
         else:
-            start = np.zeros(0)
-        before = cs - s_up - start
-        q_out[self._up_concat] = np.clip(cap[self._group_of_up] - before, 0.0, s_up)
-        return q_out
+            # priority (canonical order) and cooperative (lexicographic
+            # tie-break) coincide under x-independent fractions: fill the
+            # budget in canonical order
+            if rule.variant == "cooperative":
+                cap = np.minimum(cap, sum_s)
+            cs = np.cumsum(s_up, axis=-1)
+            first = take_routes(cs - s_up, self._up_ptr)
+            before = cs - s_up - take_routes(first, self._group_of_up)
+            q_up = np.clip(take_routes(cap, self._group_of_up) - before, 0.0, s_up)
+        return take_routes(q_up, self._route_order)
 
     def inflows(self, q_out):
         """Phase 3: aggregate inflows from outflows and turning fractions."""
-        q_in = np.zeros_like(q_out)
-        if len(self._down_concat):
-            sum_q = np.add.reduceat(q_out[self._up_concat], self._up_ptr)
-            q_in[self._down_concat] = self._f_down * sum_q[self._group_of_down]
+        q_in = np.zeros(q_out.shape)
+        if self._down_concat.size:
+            sum_q = np.add.reduceat(take_routes(q_out, self._up_concat),
+                                    self._up_ptr, axis=-1)
+            q_in.T[self._down_concat] = (
+                self._f_down * take_routes(sum_q, self._group_of_down)).T
         return q_in
 
     def step(self, t, rho, rule, env=None, programs=None):
@@ -433,7 +452,7 @@ class SimulationEngine:
             q_aux, q_net = env.net_flows(t, rho, q_in, q_out)
         else:
             q_aux = None
-            q_net = np.zeros_like(rho)
+            q_net = np.zeros(rho.shape)
         rho_new = rho + (q_in - q_out + q_net) / self.route_lengths
         clamp_densities(rho_new)
         return rho_new, FlowRecord(q_in=q_in, q_out=q_out, q_net=q_net, q_aux=q_aux)
@@ -459,19 +478,55 @@ class SimulationEngine:
                 return None
         return np.array([self.signal_la(t, programs) for t in range(period)])
 
+    def _la_lookup(self, programs, batched):
+        """Function t -> the LA of every replicate, or None without signals.
+
+        A batch looks up one table per distinct program and gathers the
+        rows per replicate; a program shared by the whole batch gives one
+        (n_routes,) row that broadcasts.
+        """
+        if not self._signal_blocks:
+            return lambda t: None
+        if batched:
+            keys = {}
+            which = np.array([keys.setdefault(_program_key(p), (len(keys), p))[0]
+                              for p in programs])
+            distinct = [p for _, p in keys.values()]
+        else:
+            distinct = [programs]
+        tables = [self.signal_table(p) for p in distinct]
+        if len(tables) == 1 and tables[0] is not None:
+            table = tables[0]
+            return lambda t: table[t % len(table)]
+
+        def la_at(t):
+            rows = [tab[t % len(tab)] if tab is not None else self.signal_la(t, p)
+                    for tab, p in zip(tables, distinct)]
+            return rows[0] if len(rows) == 1 else np.stack(rows)[which]
+        return la_at
+
     def run(self, rho0, n_steps, rule, env=None, programs=None, observers=()):
         """Run ``n_steps`` steps from rho0, feeding each step to the observers.
 
+        ``rho0`` is one replicate (n_routes,) with ``programs`` one mapping
+        node -> SignalSchedule, or a batch (B, n_routes) with ``programs``
+        a sequence of B such mappings; None means the default schedules.
         Each observer is called as observer(t, rho_before, record).
         Returns the final density array.
         """
-        rho = np.asarray(rho0, dtype=float).copy()
-        table = self.signal_table(programs)
+        rho = np.array(rho0, dtype=float)
+        batched = rho.ndim > 1
+        if batched and programs is None:
+            programs = [None] * len(rho)
+        la_at = self._la_lookup(programs, batched)
         for t in range(n_steps):
-            la = (table[t % len(table)] if table is not None
-                  else self.signal_la(t, programs))
-            rho_next, record = self._step_with_la(t, rho, rule, env, la)
+            rho_next, record = self._step_with_la(t, rho, rule, env, la_at(t))
             for obs in observers:
                 obs(t, rho, record)
             rho = rho_next
         return rho
+
+
+def _program_key(programs):
+    """Hashable identity of one replicate's signal programs."""
+    return tuple(sorted(programs.items())) if programs else None

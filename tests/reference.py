@@ -4,7 +4,8 @@ Each function restates one piece of the model route by route, with
 dict-keyed densities and flows: the cells' S and R (``CellTable`` in the
 package), inflow aggregation and the density update (the engine's phases
 3 and 5), the signal state of an intersection (``signal_la``), the
-conserved mass, and the covariance of two single design points.
+truncation of one attempted net flow (the environments' ``net_flows``),
+the conserved mass, and the covariance of two single design points.
 """
 
 from __future__ import annotations
@@ -198,3 +199,19 @@ def advance_signal(schedule, t, via=None):
 def kernel_eval(kern, k1, k2):
     """Covariance between two single design points."""
     return float(kern.matrix(np.atleast_2d(k1), np.atleast_2d(k2))[0, 0])
+
+
+# ---------------------------------------------------------------------------
+# environment
+# ---------------------------------------------------------------------------
+
+def clamp_net_flow(q_aux, rho, q_in, q_out, rho_cap, l_v):
+    """Truncate an attempted net flow so the updated density lands in [0, rho_cap].
+
+    Returns the realized q_net: equal to q_aux whenever the update stays
+    inside the bounds, otherwise the value that attains the violated
+    boundary exactly under rho' = rho + (q_in - q_out + q_net) / l_v.
+    """
+    lo = -rho * l_v - q_in + q_out
+    hi = (rho_cap - rho) * l_v - q_in + q_out
+    return min(max(q_aux, lo), hi)

@@ -152,12 +152,12 @@ def test_criterion_03_table2_reproduction():
     ok = True
     for ci, (tg, ts) in enumerate(configs):
         k = (2.5, 0.01, 0.01, float(tg), float(ts))
-        dpf_vals = [scen.run_replicate(k, replicate_rng(SEED, 30, ci, i),
-                                       rule=InteractionRule("dpf"))
-                    for i in range(500)]
-        cdbm_vals = [scen.run_replicate(k, replicate_rng(SEED, 31, ci, i),
-                                        rule=InteractionRule("cooperative"))
-                     for i in range(100)]
+        dpf_vals = scen.run_replicate(
+            k, [replicate_rng(SEED, 30, ci, i) for i in range(500)],
+            rule=InteractionRule("dpf"))
+        cdbm_vals = scen.run_replicate(
+            k, [replicate_rng(SEED, 31, ci, i) for i in range(100)],
+            rule=InteractionRule("cooperative"))
         m_dpf = float(np.mean(dpf_vals))
         m_cdbm = float(np.mean(cdbm_vals))
         dev_dpf = m_dpf / dpf_refs[ci] - 1
@@ -311,10 +311,10 @@ def test_criterion_07_level_set_recovery():
                         tau_schedule=(0.01,) * 8, n_min=20, n_max=(500,),
                         c1=5.0, c2_0=2.0, c3=2.0, n_eval=2 ** 14, delta=0.05)
 
-    def simulator(k, rng):
+    def simulator(k, rngs):
         k = np.asarray(k)
-        return float(np.sin(2 * np.pi * k[0]) * np.cos(2 * np.pi * k[1])
-                     + 0.1 * rng.standard_normal())
+        return [float(np.sin(2 * np.pi * k[0]) * np.cos(2 * np.pi * k[1])
+                      + 0.1 * rng.standard_normal()) for rng in rngs]
 
     grid_axis = (np.arange(400) + 0.5) / 400
     aa, bb = np.meshgrid(grid_axis, grid_axis, indexing="ij")
@@ -368,9 +368,9 @@ def test_criterion_09_urban_shape():
     reps = 50
 
     def cell_stats(tg, ts, tag):
-        vals = [scen.run_replicate((2.5, 0.01, 0.01, tg, ts),
-                                   replicate_rng(SEED, 90, tag, i))
-                for i in range(reps)]
+        vals = scen.run_replicate((2.5, 0.01, 0.01, tg, ts),
+                                  [replicate_rng(SEED, 90, tag, i)
+                                   for i in range(reps)])
         return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(reps))
 
     # the checks below read the T_s = 0 column and the T_g = 5 row of the

@@ -109,6 +109,37 @@ def test_urban_replicate_runs_and_is_reproducible():
     assert 1.0 < a < 110.0
 
 
+BATCH_CASES = {
+    # fractional T_g and T_s: the replicates of a batch integerize to
+    # different signal programs
+    "urban-dpf": ("urban", (2.5, 0.01, 0.01, 20.4, 75.5), "dpf"),
+    "urban-cooperative": ("urban", (2.5, 0.01, 0.01, 20.4, 75.5), "cooperative"),
+    "highway_small": ("highway_small", (30.0, 20.0), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_replicate_batches_equal_single_replicates(case):
+    name, k, rule = BATCH_CASES[case]
+    if name == "highway_small":
+        path = Path(__file__).resolve().parents[1] / "ctmbench/scenarios/highway_small.json"
+        scen = load_scenario(path)
+    else:
+        scen = load_bundled(name)
+    rule = solvers.InteractionRule(rule) if rule else None
+    singles = [scen.run_replicate(k, replicate_rng(31, 0, i), rule=rule)
+               for i in range(16)]
+    for size in (1, 2, 7, 16):
+        batch = scen.run_replicate(
+            k, [replicate_rng(31, 0, i) for i in range(size)], rule=rule)
+        assert batch == singles[:size]
+    # one generator listed B times is B consecutive one-generator calls
+    shared, consecutive = replicate_rng(31, 1), replicate_rng(31, 1)
+    assert (scen.run_replicate(k, [shared] * 7, rule=rule)
+            == [scen.run_replicate(k, consecutive, rule=rule) for _ in range(7)])
+    assert scen.run_replicate(k, [], rule=rule) == []
+
+
 def test_urban_shift_periodicity_bit_identical():
     # identical seed, configurations (T_g, T_s) and (T_g, T_s + 2 T_g)
     scen = load_bundled("urban")
@@ -408,9 +439,41 @@ def _zero_resolution(run):
     return "--resolution", ["--resolution", "0"]
 
 
+def _truncated_hyperparameters(run):
+    hp_file = run / "hyperparameters.json"
+    hp_file.write_text(hp_file.read_text()[:25])
+    return "hyperparameters.json", []
+
+
+def _without_hyperparameter(key):
+    def spoil(run):
+        hp_file = run / "hyperparameters.json"
+        hp = json.loads(hp_file.read_text())
+        del hp[key]
+        hp_file.write_text(json.dumps(hp))
+        return "hyperparameters.json", []
+    return spoil
+
+
+def _non_numeric_dataset_cell(run):
+    data_file = run / "dataset.csv"
+    lines = data_file.read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\r\n").split(",")
+    cells = lines[1].rstrip("\r\n").split(",")
+    cells[header.index("mu_hat")] = "abc"
+    lines[1] = ",".join(cells) + "\r\n"
+    data_file.write_text("".join(lines))
+    return "dataset.csv", []
+
+
 @pytest.mark.parametrize("spoil", [_without_dataset, _zero_delta,
-                                   _zero_resolution],
-                         ids=["missing-file", "delta-0", "resolution-0"])
+                                   _zero_resolution, _truncated_hyperparameters,
+                                   _without_hyperparameter("mu_bar"),
+                                   _without_hyperparameter("gamma"),
+                                   _non_numeric_dataset_cell],
+                         ids=["missing-file", "delta-0", "resolution-0",
+                              "truncated-hyperparameters", "missing-mu_bar",
+                              "missing-gamma", "non-numeric-cell"])
 def test_cli_export_grid_bad_inputs_exit_2(tmp_path, capsys, finished_run,
                                            spoil):
     path, out = finished_run
@@ -424,6 +487,38 @@ def test_cli_export_grid_bad_inputs_exit_2(tmp_path, capsys, finished_run,
     assert rc == 2
     assert named in err and "Traceback" not in err
     assert not (tmp_path / "export" / "grid.csv").exists()
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # calibration, the GP and the optimizers import these where they are
+    # used; simulate needs none of them at start-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ctmdesign.cli; print(' '.join(sorted(m for m in "
+         "('scipy.stats', 'scipy.integrate', 'scipy.optimize', 'scipy.linalg') "
+         "if m in sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
+def test_benchmark_setup_probe_stamps_the_first_replicate(tmp_path):
+    # ctmbench/run.py measures set-up as the time to the first
+    # Scenario.run_replicate call, which launch.py hooks; a batch path that
+    # bypassed it would leave the stamp empty
+    root = Path(__file__).resolve().parents[1]
+    stats = tmp_path / "stats.json"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(root / "ctmbench" / "launch.py"), "--src", str(root / "src"),
+         "--stats", str(stats), "--probe", "--",
+         "simulate", "--config", str(root / "src/ctmdesign/scenarios/urban.json"),
+         "--design", "2.5,0.01,0.01,20,75", "--reps", "2", "--seed", "1",
+         "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(stats.read_text())["first_replicate"] is not None
 
 
 def test_benchmark_tracer_installs():

@@ -4,10 +4,11 @@ from scipy import integrate, stats
 
 from ctmdesign.env import (ArCopulaEnvironment, ArSourceSink, FrankCopula,
                            GaussianPairsEnvironment, GaussianSourceSink,
-                           clamp_net_flow, replicate_rng)
+                           replicate_rng)
 from ctmdesign.network import TrafficNetwork, TurningFractions
 from ctmdesign.cells import CellSpec
 from ctmdesign.solvers import InteractionRule, SimulationEngine
+from reference import clamp_net_flow
 
 
 def frank_tau_oracle(r):
@@ -123,7 +124,7 @@ def test_ar_copula_environment_reproducible():
     outs = []
     for _ in range(2):
         env = ArCopulaEnvironment(net, sources(), FrankCopula(2.5), caps,
-                                  replicate_rng(123, 0))
+                                  replicate_rng(123, 0), steps=50)
         vals = [env.net_flows(t, rho, q, q)[1].copy() for t in range(50)]
         outs.append(np.array(vals))
     assert np.array_equal(outs[0], outs[1])
@@ -137,7 +138,7 @@ def test_gaussian_pairs_mirror_and_constants():
     src = GaussianSourceSink(route=(0, 1, 2), xi=3.0, psi=0.1,
                              pair_route=(2, 1, 0), pair_sign=-1.0)
     env = GaussianPairsEnvironment(net, [src], [((0, 1, 2), 0.0)], caps,
-                                   replicate_rng(9, 0))
+                                   replicate_rng(9, 0), steps=2000)
     rho = np.full(net.n_routes, 2.0)
     q = np.zeros(net.n_routes)
     aux, netf = env.net_flows(0, rho, q, q)
@@ -158,7 +159,7 @@ def test_full_trajectory_bit_reproducible():
         env = ArCopulaEnvironment(
             net, [ArSourceSink(route=(0, 1, 2), sigma=0.3),
                   ArSourceSink(route=(2, 1, 0), sigma=0.3)],
-            FrankCopula(-4.0), caps, replicate_rng(42, 7))
+            FrankCopula(-4.0), caps, replicate_rng(42, 7), steps=100)
         rho = np.full(net.n_routes, 1.0)
         for t in range(100):
             rho, _ = eng.step(t, rho, InteractionRule("dpf"), env=env)
@@ -166,3 +167,35 @@ def test_full_trajectory_bit_reproducible():
 
     a, b = run(), run()
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("r", [-50.0, -4.0, 0.0, 2.5, 50.0])
+def test_copula_pairs_equal_scalar_samples(r):
+    cop = FrankCopula(r)
+    rng = np.random.default_rng(11)
+    scalar = np.array([cop.sample(rng) for _ in range(5000)])
+    bulk = cop.pairs(np.random.default_rng(11).random((5000, 2)))
+    assert np.array_equal(scalar, bulk)
+
+
+def test_net_flows_clamp_each_route_like_the_scalar_rule():
+    net, cells = line_network()
+    caps = {v: 3.0 for v in range(3)}
+    src = GaussianSourceSink(route=(0, 1, 2), xi=3.0, psi=2.0,
+                             pair_route=(2, 1, 0), pair_sign=-1.0)
+    env = GaussianPairsEnvironment(net, [src], [((1, 2, 1), -4.0)], caps,
+                                   replicate_rng(3, 0), steps=40)
+    rng = np.random.default_rng(4)
+    routes = [net.index_of(0, 1, 2), net.index_of(2, 1, 0), net.index_of(1, 2, 1)]
+    clamped = 0
+    for t in range(40):
+        rho, q_in, q_out = 3.0 * rng.random((3, net.n_routes))
+        q_aux, q_net = env.net_flows(t, rho, q_in, q_out)
+        for i in routes:
+            v = net.routes[i].via
+            assert q_net[i] == clamp_net_flow(q_aux[i], rho[i], q_in[i], q_out[i],
+                                              caps[v], net.lengths[v])
+        clamped += int(np.count_nonzero(q_net != q_aux))
+        untouched = np.setdiff1d(np.arange(net.n_routes), routes)
+        assert np.all(q_aux[untouched] == 0) and np.all(q_net[untouched] == 0)
+    assert clamped > 0

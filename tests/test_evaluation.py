@@ -138,7 +138,8 @@ def test_threshold_monotone_in_benchmark_mean():
 # ---------------------------------------------------------------------------
 
 def test_sequential_mc_deterministic_stops_at_n_min():
-    est = sequential_mc(lambda rng: 3.0, tau_target=0.1, n_min=5, n_max=100,
+    est = sequential_mc(lambda rngs: [3.0] * len(rngs), tau_target=0.1,
+                        n_min=5, n_max=100,
                         rng=np.random.default_rng(0))
     assert est.n == 5
     assert est.mu_hat == 3.0
@@ -146,8 +147,8 @@ def test_sequential_mc_deterministic_stops_at_n_min():
 
 
 def test_sequential_mc_zero_target_runs_to_n_max():
-    est = sequential_mc(lambda rng: rng.standard_normal(), tau_target=0.0,
-                        n_min=5, n_max=37, rng=np.random.default_rng(1))
+    est = sequential_mc(lambda rngs: [g.standard_normal() for g in rngs],
+                        tau_target=0.0, n_min=5, n_max=37, rng=np.random.default_rng(1))
     assert est.n == 37
 
 
@@ -158,7 +159,7 @@ def test_sequential_mc_stop_index_tracks_variance():
     target_n = v / tau ** 2  # 64
     stops = []
     for i in range(100):
-        est = sequential_mc(lambda rng: 2.0 * rng.standard_normal(),
+        est = sequential_mc(lambda rngs: [2.0 * g.standard_normal() for g in rngs],
                             tau_target=tau, n_min=2, n_max=100000,
                             rng=np.random.default_rng(1000 + i))
         stops.append(est.n)
@@ -171,7 +172,8 @@ def test_sequential_mc_sandwich_invariant():
         n_min = int(rng_master.integers(2, 10))
         n_max = n_min + int(rng_master.integers(0, 50))
         tau = float(rng_master.random() * 0.5)
-        est = sequential_mc(lambda rng: rng.standard_normal(), tau, n_min,
+        est = sequential_mc(lambda rngs: [g.standard_normal() for g in rngs],
+                            tau, n_min,
                             n_max, np.random.default_rng(rng_master.integers(1e9)))
         assert n_min <= est.n <= n_max
         if est.n < n_max:
@@ -182,7 +184,8 @@ def test_one_pass_variance_matches_two_pass():
     rng = np.random.default_rng(2)
     draws = list(1000 * rng.random(200))
     it = iter(draws)
-    est = sequential_mc(lambda rng: next(it), tau_target=0.0, n_min=2,
+    est = sequential_mc(lambda rngs: [next(it) for _ in rngs], tau_target=0.0,
+                        n_min=2,
                         n_max=200, rng=rng)
     ref_var = np.var(draws, ddof=1)
     assert est.tau_sq * 200 == pytest.approx(ref_var, rel=1e-10)

@@ -206,9 +206,9 @@ def test_sandwich_bound_dominates_grid_nikodym_distance():
 # ---------------------------------------------------------------------------
 
 def sin_simulator(noise=0.01):
-    def sim(k, rng):
-        return float(np.sin(2 * np.pi * np.atleast_1d(k)[0])
-                     + noise * rng.standard_normal())
+    def sim(k, rngs):
+        return [float(np.sin(2 * np.pi * np.atleast_1d(k)[0])
+                      + noise * rng.standard_normal()) for rng in rngs]
     return sim
 
 
@@ -283,8 +283,8 @@ def test_discard_rule_flags_noisy_points():
     config = loop_config(n_initial=12, n_loop=6, iterations=1,
                          tau_schedule=(5.0, 1e-4), n_min=2, n_max=(3,))
 
-    def noisy(k, rng):
-        return float(10.0 * rng.standard_normal())
+    def noisy(k, rngs):
+        return [float(10.0 * rng.standard_normal()) for rng in rngs]
 
     seen = {}
 

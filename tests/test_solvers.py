@@ -327,6 +327,33 @@ def test_step_conserves_mass_closed_ring():
         assert total_mass(DensityState(r), net) == pytest.approx(m0, abs=1e-10)
 
 
+def line_engine(n):
+    """Closed line of n highway nodes, U-turns at both ends."""
+    edges = [(i, i + 1) for i in range(n - 1)] + [(i + 1, i) for i in range(n - 1)]
+    net = TrafficNetwork(n, edges, {i: 1.0 for i in range(n)},
+                         allow_uturn={0, n - 1})
+    cells = {v: CellSpec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
+             for v in range(n)}
+    return net, SimulationEngine(net, cells, TurningFractions.uniform_no_uturn(net))
+
+
+@pytest.mark.parametrize("n_nodes", [6, 300])
+@pytest.mark.parametrize("rule", ["dpf", "cpf", "priority", "cooperative"])
+def test_run_batch_rows_equal_single_runs(n_nodes, rule):
+    # 300 nodes give 598 routes, past the dense limit of CellTable: the
+    # sparse products must keep the rows of a batch bit-identical too
+    net, eng = line_engine(n_nodes)
+    assert eng.cells._dense == (n_nodes == 6)
+    rho0 = np.random.default_rng(n_nodes).uniform(0.0, 9.0, (5, net.n_routes))
+    obs = AvgNetworkFlow()
+    batch = eng.run(rho0, 60, InteractionRule(rule), observers=(obs,))
+    for b in range(len(rho0)):
+        one = AvgNetworkFlow()
+        assert np.array_equal(eng.run(rho0[b], 60, InteractionRule(rule),
+                                      observers=(one,)), batch[b])
+        assert one.value() == obs.value()[b]
+
+
 def test_step_empty_network_stays_empty():
     net, eng = ring_engine()
     rho = np.zeros(net.n_routes)
