@@ -212,6 +212,26 @@ def overlap_matrix(kind, ccw, via):
 # Compiled vectorized evaluation (used by the simulation engine)
 # ---------------------------------------------------------------------------
 
+#: networks of at most this many routes keep W and E as dense arrays
+_DENSE_MAX_ROUTES = 512
+
+
+def _assemble(rows, cols, vals, n, dense):
+    """The n x n matrix of (row, col, value) entries, repeats summed.
+
+    Dense for small networks (``np.add.at`` sums a repeated entry as CSR
+    assembly does); a CSR matrix otherwise, the only use of scipy.sparse.
+    """
+    if dense:
+        m = np.zeros((n, n))
+        index = (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp))
+        np.add.at(m, index, np.asarray(vals, dtype=float))
+        return m
+    from scipy import sparse
+
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
 class CellTable:
     """Vectorized S/R evaluation over all routes of a network.
 
@@ -227,8 +247,6 @@ class CellTable:
     """
 
     def __init__(self, network, node_cells):
-        from scipy import sparse
-
         n = network.n_routes
         self.network = network
         self.s_max = np.zeros(n)
@@ -309,17 +327,11 @@ class CellTable:
             else:
                 raise CellError(f"no engine rule for kind {cell.kind!r}")
 
-        shape = (n, n)
-        self.W = sparse.csr_matrix(
-            (w_vals, (w_rows, w_cols)), shape=shape)
-        self.E = sparse.csr_matrix(
-            (e_vals, (e_rows, e_cols)), shape=shape)
-        self._has_damping = self.E.nnz > 0
         # small networks run faster through dense BLAS than sparse dispatch
-        self._dense = n <= 512
-        if self._dense:
-            self.W = np.asarray(self.W.todense())
-            self.E = np.asarray(self.E.todense())
+        self._dense = n <= _DENSE_MAX_ROUTES
+        self.W = _assemble(w_rows, w_cols, w_vals, n, self._dense)
+        self.E = _assemble(e_rows, e_cols, e_vals, n, self._dense)
+        self._has_damping = len(e_vals) > 0
 
     def _apply(self, m, rho):
         """m @ rho along the last axis of ``rho``.

@@ -16,6 +16,13 @@ Subcommands:
 All outputs are CSV plus one manifest JSON per run; identical config and
 seed reproduce byte-identical outputs on the same platform for any worker
 count and batch size (replicates are reduced in index order).
+``--workers`` splits the replicates of ``simulate`` and
+``benchmark-compare`` over processes; ``estimate-levelset`` runs in one
+process and steps the first n_min replicates of all of an iteration's
+design points as one list, then continues each point in chunks.  Its
+manifest records the replicates used (the sum of n over the dataset),
+the replicates drawn (also those thrown away past a stop), and how many
+points stopped at their noise target or at the n_max cap.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -44,9 +51,6 @@ from .solvers import InteractionRule
 
 _WORKER_SCENARIO = None
 
-#: most replicates stepped together as one batch
-_MAX_BATCH = 64
-
 
 def _init_worker(raw):
     global _WORKER_SCENARIO
@@ -66,18 +70,17 @@ def _worker_replicates(args):
 def replicate_values(scenario, k, reps, seed, rule=None, workers=1):
     """Per-replicate performance statistics, in replicate order.
 
-    Replicates run in batches of consecutive indices, at most
-    ``_MAX_BATCH`` each and split evenly over the workers; every value is
-    the same for any worker count and batch size.
+    The replicate indices are split into one run of consecutive indices
+    per worker (``Scenario.run_replicate`` steps each run in batches);
+    every value is the same for any worker count and batch size.
     """
-    size = min(_MAX_BATCH, -(-reps // max(workers, 1)))
-    batches = [range(i, min(i + size, reps)) for i in range(0, reps, size)]
     if workers <= 1:
-        return np.array([v for b in batches
-                         for v in _replicates(scenario, k, seed, b, rule)])
+        return np.array(_replicates(scenario, k, seed, range(reps), rule))
     from concurrent.futures import ProcessPoolExecutor
 
-    jobs = [(tuple(k), seed, b, rule) for b in batches]
+    size = -(-reps // workers)
+    jobs = [(tuple(k), seed, range(i, min(i + size, reps)), rule)
+            for i in range(0, reps, size)]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(scenario.raw,)) as pool:
         return np.array([v for values in pool.map(_worker_replicates, jobs)
@@ -232,13 +235,16 @@ def cmd_estimate_levelset(args):
     utility = scenario.utility()
     names = scenario.design_names
 
-    def simulator(k, rngs):
-        return [float(utility(q)) for q in scenario.run_replicate(k, rngs)]
+    def simulator(ks, rngs):
+        return [float(utility(q)) for q in scenario.run_replicate(ks, rngs)]
 
     files = []
     error_rows = []
+    loop_state = None
 
     def persist(est, state):
+        nonlocal loop_state
+        loop_state = state
         i = est.iteration
         dataset_file = out_dir / "dataset.csv"
         rows = [tuple(_fmt(x) for x in p)
@@ -273,7 +279,8 @@ def cmd_estimate_levelset(args):
     estimates = run_active_learning(config, space, simulator, gamma, seed,
                                     on_iteration=persist)
     _manifest(out_dir, args.config, scenario.raw, seed, set(files), t0,
-              extra={"gamma": gamma, "iterations": len(estimates) - 1})
+              extra={"gamma": gamma, "iterations": len(estimates) - 1,
+                     **loop_state.replicate_counts()})
     return 0
 
 
@@ -352,7 +359,7 @@ def _parse_design(text, scenario):
 
 
 def _positive_int(text):
-    """argparse type of --reps and --resolution: an integer of at least 1."""
+    """argparse type of --reps, --resolution and --workers: an integer >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -371,8 +378,9 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (default: scenario seed)")
         p.add_argument("--out-dir", default="out", help="output directory")
-        p.add_argument("--workers", type=int, default=1,
-                       help="replicate worker processes")
+        p.add_argument("--workers", type=_positive_int, default=1,
+                       help="replicate worker processes (simulate and "
+                            "benchmark-compare)")
         if design:
             p.add_argument("--design", help="design vector, comma separated")
         if reps:

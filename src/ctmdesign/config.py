@@ -35,6 +35,10 @@ from .solvers import InteractionRule, SimulationEngine
 __all__ = ["ConfigError", "Scenario", "load_scenario", "SCENARIO_SCHEMA"]
 
 
+#: most replicates stepped together as one (B, n_routes) batch
+_MAX_BATCH = 64
+
+
 class ConfigError(ValueError):
     """Scenario file rejected, with a JSON-path or line-precise message."""
 
@@ -422,25 +426,40 @@ class Scenario:
         """Trajectories at design k; returns their performance statistics.
 
         ``rng`` is one Generator (one replicate, a float is returned) or a
-        list of them (one replicate per generator, stepped together as one
-        batch; a list of floats is returned).  Before stepping, each
+        list of them (one replicate per generator, a list of floats is
+        returned).  ``k`` is one design vector shared by every replicate,
+        or one design per generator, shape (len(rng), dim).  A list is
+        stepped in batches of at most 64 consecutive replicates, which
+        ``extra_observers`` follow in turn.  Before stepping, each
         replicate takes its integerization draws and then its whole
         environment block from its own generator, in list order, so a
-        list that repeats one generator reproduces consecutive calls on it.
-        Every value is bit-identical to the one-generator call.
+        list that repeats one generator reproduces consecutive calls on
+        it.  Every value is bit-identical to the one-generator call at its
+        own design.
         """
         single = isinstance(rng, np.random.Generator)
         rngs = [rng] if single else list(rng)
+        ks = np.asarray(k, dtype=float)
+        if ks.ndim < 2:
+            ks = np.broadcast_to(ks.reshape(-1), (len(rngs), ks.size))
+        elif len(ks) != len(rngs):
+            raise ValueError(f"{len(ks)} designs for {len(rngs)} generators")
         if "simulator" in self.raw:
-            values = [self._analytic_draw(k, g) for g in rngs]
-            return values[0] if single else values
-        if not rngs:
-            return []
+            values = [self._analytic_draw(kj, g) for kj, g in zip(ks, rngs)]
+        else:
+            values = []
+            for lo in range(0, len(rngs), _MAX_BATCH):
+                hi = lo + _MAX_BATCH
+                values += self._run_batch(ks[lo:hi], rngs[lo:hi],
+                                          extra_observers, rule)
+        return values[0] if single else values
+
+    def _run_batch(self, ks, rngs, extra_observers, rule):
+        """One stepped batch: replicate j at design ks[j] from rngs[j]."""
         steps = self.raw["run"]["steps"]
-        design = self.design_params(k)
         programs, envs = [], []
-        for g in rngs:
-            params = self._integerize_params(design, g)
+        for kj, g in zip(ks, rngs):
+            params = self._integerize_params(self.design_params(kj), g)
             programs.append(self._signal_programs(params))
             with _rejected_as_config_error(f"{self.origin}: environment or measure"):
                 envs.append(self._environment(params, g, steps))
@@ -454,8 +473,7 @@ class Scenario:
             rho0 = np.tile(rho0, (len(rngs), 1))
         self.engine().run(rho0, steps, rule or self.interaction_rule(), env=env,
                           programs=programs, observers=(measure, *extra_observers))
-        values = [float(v) for v in np.broadcast_to(measure.value(), len(rngs))]
-        return values[0] if single else values
+        return [float(v) for v in np.broadcast_to(measure.value(), len(rngs))]
 
     def _analytic_draw(self, k, rng):
         sim = self.raw["simulator"]

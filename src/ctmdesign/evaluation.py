@@ -8,8 +8,12 @@ maximum number of replicates:
 
     n = min( min{ n >= n_min : var_n / n <= tau^2 }, n_max ).
 
-The first n_min replicates always run, so ``sequential_mc`` draws them
-as one batch and the rest one at a time; the estimate is the same as
+The first n_min replicates always run, so the caller may draw them ahead
+(the level-set loop draws those of all of an iteration's points as one
+batch).  ``sequential_mc`` then continues in chunks sized by the running
+variance, the count var_n / tau^2 - n that it predicts is still needed,
+and throws away the draws of a chunk that fall past the stopping index.
+Values are pushed in index order, so the estimate is the same as
 drawing every replicate alone.
 
 Acceptance thresholds gamma are calibrated as expected utilities of
@@ -222,13 +226,25 @@ def calibrate_threshold(bench, utility, rel_tol=1e-8):
 # Sequential Monte Carlo estimation of a function value
 # ---------------------------------------------------------------------------
 
+#: most replicates one continuation chunk asks for; at most this many
+#: minus one are drawn past the stopping index
+_MAX_CHUNK = 64
+
+
 @dataclass
 class SequentialEstimate:
-    """Stopped sample mean with its realized noise tau^2 = var / n."""
+    """Stopped sample mean with its realized noise tau^2 = var / n.
+
+    ``drawn`` counts every replicate drawn, including those of the last
+    chunk past the stopping index; ``stop`` is ``"target"`` when the
+    noise target was met and ``"cap"`` when n_max ended the sampling.
+    """
 
     mu_hat: float
     tau_sq: float
     n: int
+    drawn: int
+    stop: str
     discarded: bool = False
 
 
@@ -251,17 +267,24 @@ class _RunningMoments:
         return self._m2 / (self.n - 1) if self.n > 1 else 0.0
 
 
-def sequential_mc(draw, tau_target, n_min, n_max, rng):
+def sequential_mc(draw, tau_target, n_min, n_max, rng, first=None):
     """Estimate a mean by i.i.d. replication with a noise-targeted stop.
 
     ``draw(rngs)`` produces one replicate of u(Q_k) per generator in the
     list ``rngs``, consuming each generator as consecutive one-generator
-    calls would.  Every replicate is drawn from ``rng``: the first n_min,
-    which always run, as one batch ``draw([rng] * n_min)``, then one at a
-    time.  Sampling stops at the first n >= n_min with
-    var_n / n <= tau_target^2, or at n_max.  Replicates are pushed in
-    index order, so the stopping decision is reproducible regardless of
-    any batching or parallel scheduling upstream.
+    calls would.  Every replicate is drawn from ``rng``.  The first n_min
+    always run: they are ``first`` when the caller drew them ahead from
+    ``rng``, else one batch ``draw([rng] * n_min)``.  Sampling stops at
+    the first n >= n_min with var_n / n <= tau_target^2, or at n_max.
+
+    After n_min the sampling continues in chunks ``draw([rng] * c)``:
+    c = ceil(var_n / tau_target^2) - n, the count the running variance
+    predicts is still needed, clipped to [1, min(64, n_max - n)]
+    (min(64, n_max - n) when tau_target is 0).  Values are pushed in
+    index order and the stopping rule is checked after each, so the
+    estimate is bit-identical to drawing one replicate at a time; the
+    draws of the last chunk past the stopping index, at most 63, are
+    thrown away.
     """
     if n_min < 2:
         raise ValueError("n_min must be at least 2")
@@ -271,8 +294,25 @@ def sequential_mc(draw, tau_target, n_min, n_max, rng):
         raise ValueError("target noise must be non-negative")
     acc = _RunningMoments()
     target = tau_target ** 2
-    for value in draw([rng] * n_min):
+    values = draw([rng] * n_min) if first is None else first
+    drawn = len(values)
+    for value in values:
         acc.push(float(value))
-    while acc.n < n_max and acc.variance / acc.n > target:
-        acc.push(float(draw([rng])[0]))
-    return SequentialEstimate(mu_hat=acc.mean, tau_sq=acc.variance / acc.n, n=acc.n)
+
+    def done():
+        return acc.n >= n_max or not acc.variance / acc.n > target
+
+    while not done():
+        c = min(_MAX_CHUNK, n_max - acc.n)
+        if target > 0 and acc.variance / target < acc.n + c:
+            c = max(1, math.ceil(acc.variance / target) - acc.n)
+        chunk = draw([rng] * c)
+        drawn += c
+        for value in chunk:
+            acc.push(float(value))
+            if done():
+                break
+    tau_sq = acc.variance / acc.n
+    return SequentialEstimate(mu_hat=acc.mean, tau_sq=tau_sq, n=acc.n,
+                              drawn=drawn,
+                              stop="target" if tau_sq <= target else "cap")

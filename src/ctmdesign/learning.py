@@ -25,8 +25,8 @@ and both band edges from one posterior query per point set.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -142,18 +142,56 @@ class LoopConfig:
         return self.c2_0 * i
 
 
+#: bits of the Sobol integers; the sequence has at most 2^30 points
+_SOBOL_BITS = 30
+
+
+def _sobol_directions(dim):
+    """Direction numbers v[d, b] of the first ``dim`` Sobol axes.
+
+    The primitive polynomials and initial numbers are the Joe-Kuo set
+    that scipy ships as a data file for ``scipy.stats.qmc.Sobol``; it is
+    read directly, so ``scipy.stats`` is never imported.  The remaining
+    numbers follow the recurrence of Bratley & Fox (1988), Algorithm 659.
+    """
+    import scipy
+
+    path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    with np.load(path) as data:
+        poly, vinit = data["poly"][:dim], data["vinit"][:dim]
+    v = np.zeros((dim, _SOBOL_BITS), dtype=np.int64)
+    v[0] = 1
+    for d in range(1, dim):
+        p = int(poly[d])
+        m = p.bit_length() - 1
+        v[d, :m] = vinit[d, :m]
+        for j in range(m, _SOBOL_BITS):
+            new = int(v[d, j - m])
+            for i in range(m):
+                if (p >> (m - 1 - i)) & 1:
+                    new ^= int(v[d, j - i - 1]) << (i + 1)
+            v[d, j] = new
+    return v << np.arange(_SOBOL_BITS - 1, -1, -1)
+
+
 def sobol_points(space, n):
     """First n points of the unscrambled Sobol sequence, scaled into the box.
 
-    The loop draws them once per run, so error-bound comparisons across
-    iterations are free of Monte Carlo fluctuation.
+    Point i is the XOR of the direction numbers selected by the Gray code
+    of i, built in index order by one cumulative XOR, over 30 bits; the
+    points equal ``scipy.stats.qmc.Sobol(d, scramble=False).random(n)``
+    bit for bit.  The loop draws them once per run, so error-bound
+    comparisons across iterations are free of Monte Carlo fluctuation.
     """
-    from scipy.stats import qmc
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        u = qmc.Sobol(d=space.dim, scramble=False).random(n)
-    return space.scale_unit(u)
+    if n > 2 ** _SOBOL_BITS:
+        raise ValueError(f"at most 2^{_SOBOL_BITS} Sobol points, got {n}")
+    v = _sobol_directions(space.dim)
+    j = np.arange(1, n, dtype=np.int64)
+    # point j = point j-1 XOR the direction of the lowest set bit of j
+    low_bit = np.frexp((j & -j).astype(float))[1] - 1
+    x = np.zeros((n, space.dim), dtype=np.int64)
+    np.bitwise_xor.accumulate(v[:, low_bit].T, axis=0, out=x[1:])
+    return space.scale_unit(x * 2.0 ** -_SOBOL_BITS)
 
 
 @dataclass
@@ -264,6 +302,8 @@ class _LoopState:
     counts: list = field(default_factory=list)
     discarded: list = field(default_factory=list)
     iteration_born: list = field(default_factory=list)
+    drawn: list = field(default_factory=list)
+    stops: list = field(default_factory=list)
 
     def add(self, k, est, iteration):
         self.points.append(np.asarray(k, dtype=float))
@@ -272,6 +312,15 @@ class _LoopState:
         self.counts.append(est.n)
         self.discarded.append(est.discarded)
         self.iteration_born.append(iteration)
+        self.drawn.append(est.drawn)
+        self.stops.append(est.stop)
+
+    def replicate_counts(self):
+        """Replicates used (sum of n) and drawn, and why the points stopped."""
+        return {"replicates_used": int(sum(self.counts)),
+                "replicates_drawn": int(sum(self.drawn)),
+                "target_stops": self.stops.count("target"),
+                "cap_stops": self.stops.count("cap")}
 
     def kept(self):
         keep = ~np.array(self.discarded, dtype=bool)
@@ -285,12 +334,16 @@ def run_active_learning(config, space, simulator, gamma, master_seed,
                         on_iteration=None):
     """Full estimation loop; returns the per-iteration LevelSetEstimates.
 
-    ``simulator(k, rngs)`` draws one replicate of u(Q_k) per generator in
-    the list ``rngs`` and returns their values in order, consuming each
-    generator as consecutive one-generator calls would (see
-    ``sequential_mc``, which batches a point's first n_min).  The loop is a
-    pure function of (config, space, simulator, gamma, master_seed):
-    every random stream is derived deterministically from the seed.
+    ``simulator(ks, rngs)`` draws one replicate of u(Q_k) per generator
+    in the list ``rngs``, replicate j at design ``ks[j]`` (``ks`` has one
+    row per generator), and returns their values in order, consuming each
+    generator as consecutive one-generator calls would.  Each design point
+    has its own generator.  The first n_min replicates of all of an
+    iteration's points are drawn as one list (point 0's generator n_min
+    times, then point 1's, and so on); ``sequential_mc`` then continues
+    each point in chunks from its own generator.  The loop is a pure
+    function of (config, space, simulator, gamma, master_seed): every
+    random stream is derived deterministically from the seed.
     Iteration i's estimate is produced after refitting on the cumulative
     dataset (an iteration that accepted no point keeps the previous fit
     and bound); index 0 is the initialization.
@@ -306,10 +359,17 @@ def run_active_learning(config, space, simulator, gamma, master_seed,
     def estimate_at(points, iteration, check_discard):
         tau_i = config.tau(iteration)
         n_max = config.n_max_at(iteration)
-        for j, k in enumerate(points):
-            rng = replicate_rng(master_seed, 1, iteration, j)
-            est = sequential_mc(lambda rngs: simulator(k, rngs), tau_i,
-                                config.n_min, n_max, rng)
+        n_min = config.n_min
+        rngs = [replicate_rng(master_seed, 1, iteration, j)
+                for j in range(len(points))]
+        first = simulator(np.repeat(points, n_min, axis=0),
+                          [g for g in rngs for _ in range(n_min)])
+        for j, (k, rng) in enumerate(zip(points, rngs)):
+            def draw(chunk, k=k):
+                return simulator(np.broadcast_to(k, (len(chunk), len(k))), chunk)
+
+            est = sequential_mc(draw, tau_i, n_min, n_max, rng,
+                                first=first[j * n_min:(j + 1) * n_min])
             if check_discard and np.sqrt(est.tau_sq) >= config.c3 * tau_i:
                 est.discarded = True
             state.add(k, est, iteration)

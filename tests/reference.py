@@ -215,3 +215,32 @@ def clamp_net_flow(q_aux, rho, q_in, q_out, rho_cap, l_v):
     lo = -rho * l_v - q_in + q_out
     hi = (rho_cap - rho) * l_v - q_in + q_out
     return min(max(q_aux, lo), hi)
+
+
+# ---------------------------------------------------------------------------
+# sequential Monte Carlo
+# ---------------------------------------------------------------------------
+
+def sequential_mc(draw, tau_target, n_min, n_max, rng):
+    """(mu_hat, tau_sq, n): the first n_min replicates as one batch, then
+    one ``draw([rng])`` at a time until var_n / n <= tau_target^2 or n_max.
+
+    Welford's one-pass mean and variance, pushed in index order.
+    """
+    n, mean, m2 = 0, 0.0, 0.0
+
+    def push(x):
+        nonlocal n, mean, m2
+        n += 1
+        delta = x - mean
+        mean += delta / n
+        m2 += delta * (x - mean)
+
+    def variance():
+        return m2 / (n - 1) if n > 1 else 0.0
+
+    for value in draw([rng] * n_min):
+        push(float(value))
+    while n < n_max and variance() / n > tau_target ** 2:
+        push(float(draw([rng])[0]))
+    return mean, variance() / n, n

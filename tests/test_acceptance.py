@@ -311,10 +311,9 @@ def test_criterion_07_level_set_recovery():
                         tau_schedule=(0.01,) * 8, n_min=20, n_max=(500,),
                         c1=5.0, c2_0=2.0, c3=2.0, n_eval=2 ** 14, delta=0.05)
 
-    def simulator(k, rngs):
-        k = np.asarray(k)
+    def simulator(ks, rngs):
         return [float(np.sin(2 * np.pi * k[0]) * np.cos(2 * np.pi * k[1])
-                      + 0.1 * rng.standard_normal()) for rng in rngs]
+                      + 0.1 * rng.standard_normal()) for k, rng in zip(ks, rngs)]
 
     grid_axis = (np.arange(400) + 0.5) / 400
     aa, bb = np.meshgrid(grid_axis, grid_axis, indexing="ij")

@@ -140,6 +140,43 @@ def test_replicate_batches_equal_single_replicates(case):
     assert scen.run_replicate(k, [], rule=rule) == []
 
 
+MIXED_CASES = {
+    "urban-dpf": ("urban", "dpf"),
+    "urban-cooperative": ("urban", "cooperative"),
+    "highway_small": ("highway_small", None),
+}
+
+
+def _mixed_designs(name, size):
+    """``size`` designs that differ in every varied parameter, row by row."""
+    rng = np.random.default_rng(47)
+    if name == "highway_small":
+        return rng.uniform(1.0, 61.0, (size, 2))
+    # r, and fractional T_g and T_s that integerize to different programs
+    return np.column_stack([rng.uniform(-50, 50, size), np.full(size, 0.01),
+                            np.full(size, 0.01), rng.uniform(5, 60, size),
+                            rng.uniform(0, 100, size)])
+
+
+@pytest.mark.parametrize("case", sorted(MIXED_CASES))
+def test_mixed_design_batches_equal_single_replicates(case):
+    name, rule = MIXED_CASES[case]
+    if name == "highway_small":
+        path = Path(__file__).resolve().parents[1] / "ctmbench/scenarios/highway_small.json"
+        scen = load_scenario(path)
+    else:
+        scen = load_bundled(name)
+    rule = solvers.InteractionRule(rule) if rule else None
+    ks = _mixed_designs(name, 70)
+    singles = [scen.run_replicate(k, replicate_rng(53, 0, i), rule=rule)
+               for i, k in enumerate(ks)]
+    # 70 rows span two stepped batches of at most 64
+    for size in (1, 2, 7, 70):
+        batch = scen.run_replicate(
+            ks[:size], [replicate_rng(53, 0, i) for i in range(size)], rule=rule)
+        assert batch == singles[:size]
+
+
 def test_urban_shift_periodicity_bit_identical():
     # identical seed, configurations (T_g, T_s) and (T_g, T_s + 2 T_g)
     scen = load_bundled("urban")
@@ -372,6 +409,52 @@ def test_cli_reps_below_one_exit_2(tmp_path, capsys, command, reps):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "benchmark-compare",
+                                     "estimate-levelset"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_workers_below_one_exit_2(tmp_path, capsys, command, workers):
+    path = synthetic_config(tmp_path)
+    extra = {"simulate": ["--design", "0.2,0.2"],
+             "benchmark-compare": ["--designs", "0.2,0.2"]}.get(command, [])
+    rc = exit_code([command, "--config", str(path), *extra, "--workers", workers,
+                    "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "--workers" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _run_counts(tmp_path, **learning):
+    """manifest.json and dataset.csv rows of a small synthetic run."""
+    path = synthetic_config(tmp_path, **learning)
+    out = tmp_path / "run"
+    assert main(["estimate-levelset", "--config", str(path), "--seed", "6",
+                 "--out-dir", str(out)]) == 0
+    with open(out / "dataset.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    return json.loads((out / "manifest.json").read_text()), rows
+
+
+def test_manifest_replicate_counts_without_continuation(tmp_path):
+    manifest, rows = _run_counts(tmp_path, n_min=8, n_max=[8])
+    used = sum(int(row["n"]) for row in rows)
+    assert used == 8 * len(rows)
+    assert manifest["replicates_used"] == manifest["replicates_drawn"] == used
+    assert manifest["target_stops"] + manifest["cap_stops"] == len(rows)
+
+
+def test_manifest_replicate_counts_agree_with_the_dataset(tmp_path):
+    manifest, rows = _run_counts(tmp_path, n_min=4, n_max=[200],
+                                 tau_values=[0.03] * 3)
+    n = [int(row["n"]) for row in rows]
+    continued = sum(1 for x in n if x > 4)
+    assert manifest["replicates_used"] == sum(n)
+    assert sum(n) <= manifest["replicates_drawn"] <= sum(n) + 63 * continued
+    assert manifest["replicates_drawn"] > sum(n)    # some chunk overshot a stop
+    assert manifest["cap_stops"] == sum(1 for x in n if x == 200)
+    assert manifest["target_stops"] + manifest["cap_stops"] == len(rows)
+
+
 def test_cli_exit_codes(tmp_path, monkeypatch):
     bad = tmp_path / "missing.json"
     bad.write_text('{"version": 1}')
@@ -501,6 +584,63 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def _fresh_modules(code, names):
+    """Which of ``names`` a fresh interpreter has loaded after ``code``."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys\n{code}\nprint(' '.join(m for m in {names!r} if m in sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_engine_build_leaves_scipy_sparse_unloaded():
+    # networks of at most 512 routes assemble W and E as dense arrays
+    code = ("from importlib import resources\n"
+            "from ctmdesign.config import load_scenario\n"
+            "for name in ('urban', 'highway'):\n"
+            "    load_scenario(resources.files('ctmdesign.scenarios')"
+            ".joinpath(name + '.json')).engine()")
+    assert _fresh_modules(code, ("scipy.sparse",)) == []
+
+
+def test_bundled_networks_write_each_matrix_entry_once(monkeypatch):
+    # the dense assembly sums repeated entries with np.add.at, in another
+    # order than CSR assembly would for three or more; none may repeat
+    from ctmdesign import cells
+
+    assemble = cells._assemble
+    seen = []
+
+    def record(rows, cols, vals, n, dense):
+        seen.append(list(zip(rows, cols)))
+        return assemble(rows, cols, vals, n, dense)
+
+    monkeypatch.setattr(cells, "_assemble", record)
+    root = Path(__file__).resolve().parents[1]
+    paths = [bundled(name) for name in ("urban", "highway")]
+    paths += sorted((root / "ctmbench" / "scenarios").glob("*.json"))
+    for path in paths:
+        raw = json.loads(Path(path).read_text())
+        if "network" in raw:
+            Scenario(raw).engine()
+    assert len(seen) >= 6
+    for entries in seen:
+        assert len(entries) == len(set(entries))
+
+
+def test_estimate_levelset_leaves_scipy_stats_unloaded(tmp_path):
+    # the Sobol points are built in numpy, and an explicit gamma needs no
+    # calibration quadrature
+    path = synthetic_config(tmp_path, iterations=1, n_initial=8, n_loop=3,
+                            n_max=[20])
+    code = ("from ctmdesign.cli import main\n"
+            f"assert main(['estimate-levelset', '--config', {str(path)!r}, "
+            f"'--out-dir', {str(tmp_path / 'run')!r}]) == 0")
+    assert _fresh_modules(code, ("scipy.stats", "scipy.integrate")) == []
 
 
 def test_benchmark_setup_probe_stamps_the_first_replicate(tmp_path):

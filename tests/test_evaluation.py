@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
 from ctmdesign.evaluation import (AvgNetworkFlow, AvgVelocity, BenchmarkSpec,
                                   Throughput, Utility, calibrate_threshold,
                                   sequential_mc)
@@ -190,3 +194,43 @@ def test_one_pass_variance_matches_two_pass():
     ref_var = np.var(draws, ddof=1)
     assert est.tau_sq * 200 == pytest.approx(ref_var, rel=1e-10)
     assert est.mu_hat == pytest.approx(np.mean(draws), rel=1e-12)
+
+
+def _stream_draw(stream):
+    """draw(rngs) over one value stream, counting the values it hands out."""
+    it = iter(stream)
+    drawn = [0]
+
+    def draw(rngs):
+        drawn[0] += len(rngs)
+        return [next(it) for _ in rngs]
+
+    return draw, drawn
+
+
+_VALUES = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n_min=st.integers(2, 30), extra=st.integers(0, 300),
+       tau=st.one_of(st.just(0.0), st.floats(1e-3, 50.0)),
+       stream=st.one_of(_VALUES.map(itertools.repeat),
+                        st.lists(_VALUES, min_size=1, max_size=40).map(itertools.cycle),
+                        st.integers(0, 2 ** 32).map(
+                            lambda seed: iter(np.random.default_rng(seed)
+                                              .standard_normal(2000).tolist()))),
+       ahead=st.booleans())
+def test_chunked_sequential_mc_equals_one_at_a_time(n_min, extra, tau, stream,
+                                                    ahead):
+    # n_min == n_max at extra == 0; constant, cycled and random streams
+    values = list(itertools.islice(stream, n_min + extra + 64))
+    n_max = n_min + extra
+    draw, drawn = _stream_draw(values)
+    first = draw([None] * n_min) if ahead else None
+    est = sequential_mc(draw, tau, n_min, n_max, None, first=first)
+    oracle_draw, _ = _stream_draw(values)
+    mu_hat, tau_sq, n = reference.sequential_mc(oracle_draw, tau, n_min, n_max, None)
+    assert (est.mu_hat, est.tau_sq, est.n) == (mu_hat, tau_sq, n)
+    assert est.drawn == drawn[0]
+    assert n <= est.drawn <= n + 63
+    assert est.stop == ("target" if tau_sq <= tau ** 2 else "cap")

@@ -156,6 +156,19 @@ def test_sandwich_ordering_pointwise():
     assert np.all(member <= (upper >= gamma))
 
 
+@pytest.mark.parametrize("n", [2 ** 14, 100000])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_sobol_points_equal_scipy_unscrambled_sobol(dim, n):
+    import warnings
+
+    from scipy.stats import qmc
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # n not a power of 2
+        expected = qmc.Sobol(d=dim, scramble=False).random(n)
+    assert sobol_points(unit_space(dim), n).tobytes() == expected.tobytes()
+
+
 def test_nikodym_bound_analytic_band():
     space = unit_space()
     k = sobol_points(space, 100000)[:, 0]
@@ -206,9 +219,9 @@ def test_sandwich_bound_dominates_grid_nikodym_distance():
 # ---------------------------------------------------------------------------
 
 def sin_simulator(noise=0.01):
-    def sim(k, rngs):
-        return [float(np.sin(2 * np.pi * np.atleast_1d(k)[0])
-                      + noise * rng.standard_normal()) for rng in rngs]
+    def sim(ks, rngs):
+        return [float(np.sin(2 * np.pi * k[0]) + noise * rng.standard_normal())
+                for k, rng in zip(ks, rngs)]
     return sim
 
 
@@ -283,7 +296,7 @@ def test_discard_rule_flags_noisy_points():
     config = loop_config(n_initial=12, n_loop=6, iterations=1,
                          tau_schedule=(5.0, 1e-4), n_min=2, n_max=(3,))
 
-    def noisy(k, rngs):
+    def noisy(ks, rngs):
         return [float(10.0 * rng.standard_normal()) for rng in rngs]
 
     seen = {}
