@@ -16,6 +16,7 @@ trajectories are reproducible from (seed, replicate index) alone.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from contextlib import contextmanager
@@ -38,6 +39,10 @@ __all__ = ["ConfigError", "Scenario", "load_scenario", "SCENARIO_SCHEMA"]
 #: most replicates stepped together as one (B, n_routes) batch
 _MAX_BATCH = 64
 
+#: smallest green and shift of a signal program; a design-referenced one
+#: stands at this value in the default schedule
+_SIGNAL_FLOOR = {"green": 1, "shift": 0}
+
 
 class ConfigError(ValueError):
     """Scenario file rejected, with a JSON-path or line-precise message."""
@@ -50,6 +55,19 @@ _DESIGN_REF = {
     "additionalProperties": False,
 }
 _NUMBER_OR_REF = {"oneOf": [{"type": "number"}, _DESIGN_REF]}
+_SIGNAL = {
+    "type": "object",
+    "required": ["ccw", "green"],
+    "properties": {
+        "ccw": {"type": "array", "items": {"type": "integer"},
+                "minItems": 4, "maxItems": 4},
+        "green": {"oneOf": [{"type": "integer", "minimum": 1}, _DESIGN_REF]},
+        "shift": {"oneOf": [{"type": "integer", "minimum": 0}, _DESIGN_REF]},
+        "t_safe": {"type": "integer"},
+        "a_real": {"type": "number", "exclusiveMinimum": 0},
+        "v_real_kmh": {"type": "number", "exclusiveMinimum": 0},
+    },
+}
 
 SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -97,7 +115,9 @@ SCENARIO_SCHEMA = {
                             "additionalProperties": {"type": "number"}},
                 "cells": {"type": "object"},
                 "turning": {"enum": ["uniform_no_uturn"]},
-                "signals": {"type": "object"},
+                "signals": {"type": "object",
+                            "propertyNames": {"pattern": "^-?(0|[1-9][0-9]*)$"},
+                            "additionalProperties": _SIGNAL},
                 "roundabout_ccw": {"type": "object"},
             },
         },
@@ -179,7 +199,6 @@ class Scenario:
         self.origin = origin
         self.name = raw["name"]
         self.seed = raw.get("seed", 0)
-        self._engine = None
         self._node_index = None
         if "network" in raw:
             self._build_network()
@@ -260,7 +279,7 @@ class Scenario:
         cells_cfg = net_cfg["cells"]
         signals_cfg = net_cfg.get("signals", {})
         ccw_cfg = {**net_cfg.get("roundabout_ccw", {}),
-                   **{k: v["ccw"] for k, v in signals_cfg.items() if "ccw" in v}}
+                   **{k: v["ccw"] for k, v in signals_cfg.items()}}
         self.node_cells = {}
         for n in nodes:
             g = self._group_of[n]
@@ -287,33 +306,39 @@ class Scenario:
             raise ConfigError(f"{self.origin}: unsupported turning rule")
         self.turning = TurningFractions.uniform_no_uturn(self.network)
 
-        self._signal_templates = {}
-        run_cfg = self.raw.get("run", {})
-        t_real = float(run_cfg.get("t_real", 1.0))
-        for node_str, sig in signals_cfg.items():
-            n = int(node_str)
-            self._signal_templates[self._node_id(n)] = {
-                "ccw": tuple(self._node_id(x) for x in sig["ccw"]),
-                "green": sig["green"],
-                "shift": sig.get("shift", 0),
-                "t_real": t_real,
-                "a_real": float(sig.get("a_real", 1.5)),
-                "v_real": float(sig.get("v_real_kmh", 50.0)) / 3.6,
-                "t_safe": int(sig.get("t_safe", 2)),
-            }
+        self._build_signals(signals_cfg)
+        self.engine = SimulationEngine(self.network, self.node_cells,
+                                       self.turning, self.signals)
 
-    def engine(self):
-        if self._engine is None:
-            base = {}
-            for v, tpl in self._signal_templates.items():
-                base[v] = SignalSchedule(
-                    ccw=tpl["ccw"], green=max(1, int(round(_const_or(tpl["green"], 1)))),
-                    shift=max(0, int(round(_const_or(tpl["shift"], 0)))),
-                    t_real=tpl["t_real"], a_real=tpl["a_real"],
-                    v_real=tpl["v_real"], t_safe=tpl["t_safe"])
-            self._engine = SimulationEngine(self.network, self.node_cells,
-                                            self.turning, base)
-        return self._engine
+    def _build_signals(self, signals_cfg):
+        """One default schedule per signalized node; a design-referenced
+        green or shift stands at its floor until ``_signal_programs``."""
+        integerized = (set(self.raw.get("design", {}).get("integerized", []))
+                       & set(self.design_names))
+        t_real = float(self.raw.get("run", {}).get("t_real", 1.0))
+        self.signals, self._signal_refs = {}, []
+        for node_str, sig in signals_cfg.items():
+            v = self._node_id(int(node_str))
+            where = f"{self.origin}: signal of node {node_str}"
+            if self.node_cells[v].kind != "signalized_intersection":
+                raise ConfigError(f"{where}: node is a {self.node_cells[v].kind}, "
+                                  "not a signalized_intersection")
+            fields = dict(_SIGNAL_FLOOR)
+            for key in fields:
+                value = sig.get(key, fields[key])
+                if not isinstance(value, dict):
+                    fields[key] = int(value)
+                elif value["design"] in integerized:
+                    self._signal_refs.append((v, key, value["design"]))
+                else:
+                    raise ConfigError(
+                        f"{where}: {key} references {value['design']!r}, which "
+                        "is not a design parameter listed under design.integerized")
+            self.signals[v] = SignalSchedule(
+                ccw=tuple(self._node_id(x) for x in sig["ccw"]), **fields,
+                t_real=t_real, a_real=float(sig.get("a_real", 1.5)),
+                v_real=float(sig.get("v_real_kmh", 50.0)) / 3.6,
+                t_safe=int(sig.get("t_safe", 2)))
 
     # -- per-replicate assembly ------------------------------------------
 
@@ -352,13 +377,11 @@ class Scenario:
         return out
 
     def _signal_programs(self, params):
-        programs = {}
-        for v, tpl in self._signal_templates.items():
-            green = max(1, int(_resolve(tpl["green"], params, "signal green")))
-            shift = max(0, int(_resolve(tpl["shift"], params, "signal shift")))
-            programs[v] = SignalSchedule(
-                ccw=tpl["ccw"], green=green, shift=shift, t_real=tpl["t_real"],
-                a_real=tpl["a_real"], v_real=tpl["v_real"], t_safe=tpl["t_safe"])
+        """Node -> SignalSchedule of one replicate, design values in place."""
+        programs = dict(self.signals)
+        for v, key, name in self._signal_refs:
+            value = max(_SIGNAL_FLOOR[key], int(params[name]))
+            programs[v] = dataclasses.replace(programs[v], **{key: value})
         return programs
 
     def _node_caps(self, cap_fraction):
@@ -471,8 +494,8 @@ class Scenario:
         else:
             env = None if envs[0] is None else type(envs[0]).stack(envs)
             rho0 = np.tile(rho0, (len(rngs), 1))
-        self.engine().run(rho0, steps, rule or self.interaction_rule(), env=env,
-                          programs=programs, observers=(measure, *extra_observers))
+        self.engine.run(rho0, steps, rule or self.interaction_rule(), env=env,
+                        programs=programs, observers=(measure, *extra_observers))
         return [float(v) for v in np.broadcast_to(measure.value(), len(rngs))]
 
     def _analytic_draw(self, k, rng):
@@ -569,7 +592,3 @@ class Scenario:
     def grid_block(self):
         return self.raw.get("learning", {}).get("grid", {})
 
-
-def _const_or(value, placeholder):
-    """A literal schedule value, or ``placeholder`` for a design reference."""
-    return value if isinstance(value, (int, float)) else placeholder

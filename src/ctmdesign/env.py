@@ -59,13 +59,6 @@ def replicate_rng(master_seed, *key):
         np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(key)))
 
 
-def _log_mix(a, b, s):
-    """log(a + b * exp(s)) without overflow, for a, b >= 0."""
-    if s <= 0:
-        return math.log(a + b * math.exp(s))
-    return s + math.log(a * math.exp(-s) + b)
-
-
 #: libm's exp and log, called once per element: numpy's own vectorized
 #: ones round some results differently from ``math``
 _EXP = np.frompyfunc(math.exp, 1, 1)
@@ -73,7 +66,7 @@ _LOG = np.frompyfunc(math.log, 1, 1)
 
 
 def _log_mix_array(a, b, s):
-    """``_log_mix`` elementwise over arrays, with the same libm calls."""
+    """log(a + b * exp(s)) elementwise without overflow, for a, b >= 0."""
     out = np.empty(s.shape)
     low = s <= 0
     high = ~low
@@ -99,32 +92,18 @@ class FrankCopula:
     def independent(self):
         return abs(self.r) <= INDEPENDENCE_EPS
 
-    def sample(self, rng):
-        """One pair (u1, u2) with uniform marginals and Frank dependence."""
-        u1 = rng.random()
-        p = rng.random()
-        u1 = min(max(u1, _U_CLIP), 1.0 - _U_CLIP)
-        p = min(max(p, _U_CLIP), 1.0 - _U_CLIP)
-        if self.independent:
-            return u1, p
-        r = self.r
-        # u2 = u1 - (1/r) * [log((1-p) + p e^{-r(1-u1)}) - log(p + (1-p) e^{-r u1})]
-        num = _log_mix(1.0 - p, p, -r * (1.0 - u1))
-        den = _log_mix(p, 1.0 - p, -r * u1)
-        u2 = u1 - (num - den) / r
-        return u1, min(max(u2, _U_CLIP), 1.0 - _U_CLIP)
-
     def pairs(self, uniforms):
         """Pairs (u1, u2) from the uniform pairs (u1, p) on the last axis.
 
-        Each pair is bit-identical to ``sample`` on a generator that
-        returns u1 and then p.
+        Each pair is bit-identical to the scalar closed form evaluated with
+        ``math`` on u1 and then p.
         """
         u = np.clip(uniforms, _U_CLIP, 1.0 - _U_CLIP)
         if self.independent:
             return u
         r = self.r
         u1, p = u[..., 0], u[..., 1]
+        # u2 = u1 - (1/r) * [log((1-p) + p e^{-r(1-u1)}) - log(p + (1-p) e^{-r u1})]
         num = _log_mix_array(1.0 - p, p, -r * (1.0 - u1))
         den = _log_mix_array(p, 1.0 - p, -r * u1)
         u2 = np.clip(u1 - (num - den) / r, _U_CLIP, 1.0 - _U_CLIP)

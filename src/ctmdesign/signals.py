@@ -1,4 +1,4 @@
-"""Traffic-signal schedules and their per-step phase and ramp.
+"""Traffic-signal schedules.
 
 A signalized intersection alternates green between its two axes on a
 fixed cycle of length 2 * green.  Axis I (arms at even counterclockwise
@@ -12,13 +12,16 @@ safety/reaction time.  With ``t_switch`` steps elapsed since the last
 switch (counted from 1, as if the schedule had been running forever),
 
     LA = clip((t_switch - t_safe) * t_real * a_real / v_real, 0, 1) * LS.
+
+``SimulationEngine.signal_table`` evaluates this closed form over arrays
+of schedules and steps; ``tests/reference.py`` holds the scalar oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["SignalSchedule", "signal_phase", "ramp_value"]
+__all__ = ["SignalSchedule"]
 
 
 @dataclass(frozen=True)
@@ -54,16 +57,3 @@ class SignalSchedule:
     @property
     def axis_j(self):
         return frozenset((self.ccw[1], self.ccw[3]))
-
-
-def signal_phase(schedule, t):
-    """(axis-I green flag, steps since last switch) at time t."""
-    m = (t + schedule.shift) % (2 * schedule.green)
-    return m < schedule.green, (m % schedule.green) + 1
-
-
-def ramp_value(schedule, t_switch):
-    """Acceleration ramp in [0, 1] after t_switch steps in the current state."""
-    x = (t_switch - schedule.t_safe) * schedule.t_real * schedule.a_real / schedule.v_real
-    return min(1.0, max(0.0, x))
-

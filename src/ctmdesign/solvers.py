@@ -30,6 +30,11 @@ them are solved in closed form across the whole network with
 vectorized operations.  The per-problem ``solve_*`` functions are the
 reference definitions of the four regimes.
 
+Signals enter through the sending factor LA.  ``run`` evaluates the
+closed form of every step at once (``signal_table``: one column per
+signalized node and axis, over the replicates' own programs) and copies
+row t onto the signalized routes of one LA buffer at step t.
+
 Every phase works on the last axis: a (n_routes,) state is one
 replicate and a (B, n_routes) state is B replicates stepped together.
 Each row of a batch goes through the same floating-point operations in
@@ -40,14 +45,13 @@ to it; a batch only amortizes numpy's per-call overhead.
 
 from __future__ import annotations
 
-import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cells import CellTable
 from .network import FlowRecord, NetworkError, clamp_densities, take_routes
-from .signals import ramp_value, signal_phase
 
 __all__ = [
     "LocalProblem",
@@ -265,15 +269,6 @@ def solve_cooperative(problem):
 # Step engine
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _SignalBlock:
-    """Static signal data of one intersection: schedule + route indices."""
-
-    schedule: object
-    route_idx: np.ndarray
-    in_axis_i: np.ndarray
-
-
 class SimulationEngine:
     """Compiled five-phase stepper for one network.
 
@@ -289,15 +284,15 @@ class SimulationEngine:
     turning : TurningFractions, independent of the upstream node on
         every edge (``NetworkError`` otherwise)
     schedules : mapping node -> SignalSchedule, for signalized nodes.
-        Green/shift values in these schedules act as defaults; ``step``
-        accepts per-replicate overrides.
+        These are the default programs; ``step`` and ``run`` accept
+        per-replicate ones.
     """
 
     def __init__(self, network, node_cells, turning, schedules=None):
         self.network = network
         self.cells = CellTable(network, node_cells)
         self.turning = turning
-        schedules = dict(schedules or {})
+        self._schedules = dict(schedules or {})
 
         up_lists, down_lists, rows = [], [], []
         group_edges = []
@@ -352,36 +347,63 @@ class SimulationEngine:
         with np.errstate(divide="ignore"):
             self._inv_f_down = np.where(f_down > 0, 1.0 / f_down, np.inf)
 
-        self._signal_blocks = {}
-        for v, sched in schedules.items():
-            info = [(i, axis) for (i, node, axis) in self.cells.signal_routes
-                    if node == v]
-            self._signal_blocks[v] = _SignalBlock(
-                schedule=sched,
-                route_idx=np.array([i for i, _ in info], dtype=np.intp),
-                in_axis_i=np.array([a for _, a in info], dtype=bool),
-            )
+        # signal table columns: 2 j + 0 (axis I) and 2 j + 1 (axis J) of the
+        # j-th scheduled node; each signalized route reads its arm's axis
+        col_of = {v: 2 * j for j, v in enumerate(self._schedules)}
+        signal = [(i, col_of[v] + (not in_axis_i))
+                  for i, v, in_axis_i in self.cells.signal_routes if v in col_of]
+        self._signal_idx = np.array([i for i, _ in signal], dtype=np.intp)
+        self._signal_col = np.array([c for _, c in signal], dtype=np.intp)
         self.route_lengths = network.route_lengths
 
     # -- per-step pieces ---------------------------------------------------
 
-    def signal_la(self, t, programs=None):
-        """Per-route LA array at time t, or None without signalized nodes.
+    def signal_table(self, programs, steps):
+        """LA of both axes of every scheduled node at each of ``steps``.
 
-        ``programs`` optionally overrides the schedule per node for the
-        current replicate (e.g. with integer-randomized green/shift).
+        ``programs`` is None (the default schedules), one mapping node ->
+        SignalSchedule, or a sequence of B such mappings (or Nones); a node
+        missing from a mapping keeps its default.  Returns an array of shape
+        (len(steps), [B,] 2 * n_signals), or None without scheduled nodes.
+        Each element goes through the IEEE operations of the scalar
+        definition in order: the integer t_switch - t_safe, then * t_real,
+        * a_real and / v_real, then max with 0.0 and min with 1.0.
         """
-        if not self._signal_blocks:
+        if not self._schedules:
             return None
-        la = np.ones(self.network.n_routes)
-        for v, block in self._signal_blocks.items():
-            sched = block.schedule
-            if programs and v in programs:
-                sched = programs[v]
-            i_green, t_switch = signal_phase(sched, t)
-            value = ramp_value(sched, t_switch)
-            green_routes = block.in_axis_i == i_green
-            la[block.route_idx] = np.where(green_routes, value, 0.0)
+        single = programs is None or isinstance(programs, Mapping)
+        scheds = [[p[v] if p and v in p else default
+                   for v, default in self._schedules.items()]
+                  for p in ([programs] if single else programs)]
+
+        def field(name):
+            values = np.array([[getattr(s, name) for s in row] for row in scheds])
+            return values[0] if single else values
+
+        green = field("green")
+        t = np.asarray(steps).reshape((-1,) + (1,) * green.ndim)
+        m = (t + field("shift")) % (2 * green)
+        x = (m % green + 1 - field("t_safe")) * field("t_real") * field("a_real") \
+            / field("v_real")
+        # Python's max(0.0, x) and min(1.0, x): -0.0 and NaN give +0.0
+        ramp = np.where(x > 0.0, x, 0.0)
+        ramp = np.where(ramp < 1.0, ramp, 1.0)
+        # axis I is green while m < green, axis J otherwise
+        axis_green = (m < green)[..., None] == np.array([True, False])
+        table = np.where(axis_green, ramp[..., None], 0.0)
+        return table.reshape(table.shape[:-2] + (-1,))
+
+    def signal_la(self, t, programs=None):
+        """Per-route LA at time t, or None without scheduled nodes.
+
+        One step of ``signal_table``: shape (n_routes,) for None or one
+        mapping of ``programs``, (B, n_routes) for a sequence of B.
+        """
+        table = self.signal_table(programs, (t,))
+        if table is None:
+            return None
+        la = np.ones(table.shape[1:-1] + (self.network.n_routes,))
+        la.T[self._signal_idx] = table[0].T[self._signal_col]
         return la
 
     def outflows(self, s, r, rule):
@@ -457,54 +479,6 @@ class SimulationEngine:
         clamp_densities(rho_new)
         return rho_new, FlowRecord(q_in=q_in, q_out=q_out, q_net=q_net, q_aux=q_aux)
 
-    def signal_table(self, programs=None):
-        """Precomputed LA vectors over one full signal period, or None.
-
-        All signal programs share the period 2 * green of their own cycle;
-        the table covers the least common multiple, or is None when that
-        exceeds 8192 steps (``run`` then evaluates each step's LA).
-        """
-        if not self._signal_blocks:
-            return None
-        periods = []
-        for v, block in self._signal_blocks.items():
-            sched = block.schedule if not (programs and v in programs) \
-                else programs[v]
-            periods.append(2 * sched.green)
-        period = periods[0]
-        for p in periods[1:]:
-            period = period * p // math.gcd(period, p)
-            if period > 8192:
-                return None
-        return np.array([self.signal_la(t, programs) for t in range(period)])
-
-    def _la_lookup(self, programs, batched):
-        """Function t -> the LA of every replicate, or None without signals.
-
-        A batch looks up one table per distinct program and gathers the
-        rows per replicate; a program shared by the whole batch gives one
-        (n_routes,) row that broadcasts.
-        """
-        if not self._signal_blocks:
-            return lambda t: None
-        if batched:
-            keys = {}
-            which = np.array([keys.setdefault(_program_key(p), (len(keys), p))[0]
-                              for p in programs])
-            distinct = [p for _, p in keys.values()]
-        else:
-            distinct = [programs]
-        tables = [self.signal_table(p) for p in distinct]
-        if len(tables) == 1 and tables[0] is not None:
-            table = tables[0]
-            return lambda t: table[t % len(table)]
-
-        def la_at(t):
-            rows = [tab[t % len(tab)] if tab is not None else self.signal_la(t, p)
-                    for tab, p in zip(tables, distinct)]
-            return rows[0] if len(rows) == 1 else np.stack(rows)[which]
-        return la_at
-
     def run(self, rho0, n_steps, rule, env=None, programs=None, observers=()):
         """Run ``n_steps`` steps from rho0, feeding each step to the observers.
 
@@ -515,18 +489,18 @@ class SimulationEngine:
         Returns the final density array.
         """
         rho = np.array(rho0, dtype=float)
-        batched = rho.ndim > 1
-        if batched and programs is None:
-            programs = [None] * len(rho)
-        la_at = self._la_lookup(programs, batched)
+        table = self.signal_table(programs, range(n_steps))
+        if table is not None:
+            # one LA buffer; only the signalized routes change per step
+            la = np.ones(table.shape[1:-1] + (self.network.n_routes,))
+        else:
+            la = None
         for t in range(n_steps):
-            rho_next, record = self._step_with_la(t, rho, rule, env, la_at(t))
+            if la is not None:
+                la.T[self._signal_idx] = table[t].T[self._signal_col]
+            rho_next, record = self._step_with_la(t, rho, rule, env, la)
             for obs in observers:
                 obs(t, rho, record)
             rho = rho_next
         return rho
 
-
-def _program_key(programs):
-    """Hashable identity of one replicate's signal programs."""
-    return tuple(sorted(programs.items())) if programs else None

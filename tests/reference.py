@@ -3,9 +3,11 @@
 Each function restates one piece of the model route by route, with
 dict-keyed densities and flows: the cells' S and R (``CellTable`` in the
 package), inflow aggregation and the density update (the engine's phases
-3 and 5), the signal state of an intersection (``signal_la``), the
-truncation of one attempted net flow (the environments' ``net_flows``),
-the conserved mass, and the covariance of two single design points.
+3 and 5), the signal phase, ramp and state of an intersection (the
+engine's ``signal_table``), one Frank-copula pair (``FrankCopula.pairs``),
+the truncation of one attempted net flow (the environments'
+``net_flows``), the conserved mass, the covariance of two single design
+points, and one-at-a-time sequential Monte Carlo.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ctmdesign.cells import CellError, overlap_matrix
+from ctmdesign.env import _U_CLIP
 from ctmdesign.network import NetworkError, Route
-from ctmdesign.signals import ramp_value, signal_phase
 
 #: turning-fraction rows must sum to one within this tolerance.
 TURNING_ROW_TOLERANCE = 1e-12
@@ -168,6 +170,18 @@ class SignalState:
     t_switch: dict
 
 
+def signal_phase(schedule, t):
+    """(axis-I green flag, steps since last switch) at time t."""
+    m = (t + schedule.shift) % (2 * schedule.green)
+    return m < schedule.green, (m % schedule.green) + 1
+
+
+def ramp_value(schedule, t_switch):
+    """Acceleration ramp in [0, 1] after t_switch steps in the current state."""
+    x = (t_switch - schedule.t_safe) * schedule.t_real * schedule.a_real / schedule.v_real
+    return min(1.0, max(0.0, x))
+
+
 def advance_signal(schedule, t, via=None):
     """Signal state of all twelve routes of the intersection at time t.
 
@@ -204,6 +218,29 @@ def kernel_eval(kern, k1, k2):
 # ---------------------------------------------------------------------------
 # environment
 # ---------------------------------------------------------------------------
+
+def _log_mix(a, b, s):
+    """log(a + b * exp(s)) without overflow, for a, b >= 0."""
+    if s <= 0:
+        return math.log(a + b * math.exp(s))
+    return s + math.log(a * math.exp(-s) + b)
+
+
+def frank_sample(copula, rng):
+    """One pair (u1, u2) of ``copula`` from two uniforms of ``rng``, u1 first."""
+    u1 = rng.random()
+    p = rng.random()
+    u1 = min(max(u1, _U_CLIP), 1.0 - _U_CLIP)
+    p = min(max(p, _U_CLIP), 1.0 - _U_CLIP)
+    if copula.independent:
+        return u1, p
+    r = copula.r
+    # u2 = u1 - (1/r) * [log((1-p) + p e^{-r(1-u1)}) - log(p + (1-p) e^{-r u1})]
+    num = _log_mix(1.0 - p, p, -r * (1.0 - u1))
+    den = _log_mix(p, 1.0 - p, -r * u1)
+    u2 = u1 - (num - den) / r
+    return u1, min(max(u2, _U_CLIP), 1.0 - _U_CLIP)
+
 
 def clamp_net_flow(q_aux, rho, q_in, q_out, rho_cap, l_v):
     """Truncate an attempted net flow so the updated density lands in [0, rho_cap].

@@ -46,7 +46,7 @@ def urban_scenario():
 def test_criterion_01_conservation():
     t0 = time.time()
     scen = urban_scenario()
-    engine = scen.engine()
+    engine = scen.engine
     rho0 = scen.initial_densities()
     m0 = total_mass(DensityState(rho0), scen.network)
     worst = 0.0
@@ -144,7 +144,7 @@ TABLE2 = {(20, 75): (60.48, 65.78), (20, 10): (60.49, 64.71),
 def test_criterion_03_table2_reproduction():
     t0 = time.time()
     scen = urban_scenario()
-    scen.engine()
+    scen.engine
     configs = ((20, 75), (20, 10), (30, 30), (30, 20))
     dpf_refs = (60.48, 60.49, 61.75, 59.17)
     cdbm_refs = (65.78, 64.71, 64.29, 64.28)
@@ -180,7 +180,7 @@ def test_criterion_03_table2_reproduction():
 def test_criterion_04_signal_periodicity():
     t0 = time.time()
     scen = urban_scenario()
-    scen.engine()
+    scen.engine
 
     def trajectory_hash(ts):
         digest = hashlib.sha256()
@@ -361,7 +361,7 @@ def test_criterion_08_error_bound_estimator():
 def test_criterion_09_urban_shape():
     t0 = time.time()
     scen = urban_scenario()
-    scen.engine()
+    scen.engine
     tg_axis = np.linspace(5, 100, 11)
     ts_axis = np.linspace(0, 100, 11)
     reps = 50
@@ -426,9 +426,7 @@ def test_criterion_10_copula():
     t0 = time.time()
 
     def tau_of(r, seed):
-        cop = FrankCopula(r)
-        rng = np.random.default_rng(seed)
-        u = np.array([cop.sample(rng) for _ in range(100000)])
+        u = FrankCopula(r).pairs(np.random.default_rng(seed).random((100000, 2)))
         return stats.kendalltau(u[:, 0], u[:, 1]).statistic
 
     debye, _ = integrate.quad(lambda t: t / np.expm1(t), 0, 5.0)

@@ -495,6 +495,70 @@ def test_cli_invalid_values_exit_2_naming_the_file(tmp_path, capsys, block,
 
 
 
+def _signal_entry(node, key, value):
+    def spoil(raw):
+        raw["network"]["signals"][node][key] = value
+    return spoil
+
+
+def _without_signal_field(key):
+    def spoil(raw):
+        del raw["network"]["signals"]["14"][key]
+    return spoil
+
+
+def _signal_key_x(raw):
+    signals = raw["network"]["signals"]
+    signals["x"] = signals.pop("14")
+
+
+def _tg_not_integerized(raw):
+    raw["design"]["integerized"] = ["T_s"]
+
+
+def _signal_on_node(node):
+    def spoil(raw):
+        signals = raw["network"]["signals"]
+        signals[node] = dict(signals["14"])
+    return spoil
+
+
+@pytest.mark.parametrize("spoil, node", [
+    (_without_signal_field("green"), "14"),
+    (_without_signal_field("ccw"), "14"),
+    (_signal_key_x, "x"),
+    (_signal_on_node("014"), "014"),
+    (_signal_entry("14", "t_safe", "a"), "14"),
+    (_signal_entry("14", "a_real", "fast"), "14"),
+    (_signal_entry("14", "green", 20.7), "14"),
+    (_signal_entry("14", "green", 0), "14"),
+    (_signal_entry("14", "shift", -1), "14"),
+    (_signal_entry("14", "shift", 2.5), "14"),
+    (_signal_entry("14", "t_safe", 1.5), "14"),
+    (_signal_entry("14", "a_real", 0), "14"),
+    (_signal_entry("14", "v_real_kmh", -50), "14"),
+    (_tg_not_integerized, "14"),
+    (_signal_on_node("3"), "3"),
+    (_signal_on_node("99"), "99"),
+], ids=["missing-green", "missing-ccw", "node-key-x", "node-key-014",
+        "non-numeric-t_safe", "non-numeric-a_real", "fractional-green",
+        "zero-green", "negative-shift", "fractional-shift", "fractional-t_safe",
+        "zero-a_real", "negative-v_real", "T_g-not-integerized",
+        "simplified-node", "unknown-node"])
+def test_cli_invalid_signals_exit_2_naming_file_and_node(tmp_path, capsys,
+                                                         spoil, node):
+    raw = json.loads(bundled("urban").read_text())
+    spoil(raw)
+    path = write_config(tmp_path, raw)
+    rc = main(["simulate", "--config", str(path), "--design", "2.5,0.01,0.01,20,75",
+               "--reps", "1", "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(path) in err and "Traceback" not in err
+    assert (f"signals/{node}" in err or f"signals: '{node}'" in err
+            or f"node {node}" in err)
+
+
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
     """A small estimate-levelset run directory and its config."""
@@ -603,7 +667,7 @@ def test_engine_build_leaves_scipy_sparse_unloaded():
             "from ctmdesign.config import load_scenario\n"
             "for name in ('urban', 'highway'):\n"
             "    load_scenario(resources.files('ctmdesign.scenarios')"
-            ".joinpath(name + '.json')).engine()")
+            ".joinpath(name + '.json')).engine")
     assert _fresh_modules(code, ("scipy.sparse",)) == []
 
 
@@ -626,7 +690,7 @@ def test_bundled_networks_write_each_matrix_entry_once(monkeypatch):
     for path in paths:
         raw = json.loads(Path(path).read_text())
         if "network" in raw:
-            Scenario(raw).engine()
+            Scenario(raw).engine
     assert len(seen) >= 6
     for entries in seen:
         assert len(entries) == len(set(entries))

@@ -1,8 +1,15 @@
-import pytest
+import dataclasses
+import json
+from importlib import resources
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ctmdesign.config import Scenario
 from ctmdesign.network import Route
-from ctmdesign.signals import SignalSchedule, signal_phase
-from reference import advance_signal
+from ctmdesign.signals import SignalSchedule
+from reference import advance_signal, signal_phase
 
 
 def sched(green=10, shift=0):
@@ -76,3 +83,66 @@ def test_schedule_validation():
 def test_axes_disjoint():
     s = sched()
     assert s.axis_i.isdisjoint(s.axis_j)
+
+
+# ---------------------------------------------------------------------------
+# the engine's closed-form LA against the scalar oracle
+# ---------------------------------------------------------------------------
+
+URBAN = Scenario(json.loads(resources.files("ctmdesign.scenarios")
+                            .joinpath("urban.json").read_text()))
+ENGINE = URBAN.engine
+
+
+@st.composite
+def programs(draw):
+    """One replicate's programs: every signalized urban node reprogrammed."""
+    return {v: dataclasses.replace(
+                base, green=draw(st.integers(1, 120)), shift=draw(st.integers(0, 120)),
+                t_safe=draw(st.integers(0, 5)), t_real=draw(st.floats(0.5, 5.0)),
+                a_real=draw(st.floats(0.1, 5.0)), v_real=draw(st.floats(1.0, 40.0)))
+            for v, base in URBAN.signals.items()}
+
+
+def oracle_la(progs, t):
+    """Per-route LA of one replicate from ``advance_signal``, 1 off signals."""
+    la = np.ones(ENGINE.network.n_routes)
+    for v, base in URBAN.signals.items():
+        sched = progs[v] if progs and v in progs else base
+        for route, value in advance_signal(sched, t, via=v).la.items():
+            la[ENGINE.network.route_index[route]] = value
+    return la
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("batch", [None, 2, 7])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), ts=st.lists(st.integers(0, 2000), min_size=1, max_size=4))
+def test_engine_la_equals_scalar_oracle(batch, data, ts):
+    if batch is None:
+        progs = data.draw(programs())
+        want = [oracle_la(progs, t) for t in ts]
+    else:
+        # a mixed-program batch; None rows keep the default schedules
+        progs = data.draw(st.lists(st.one_of(st.none(), programs()),
+                                   min_size=batch, max_size=batch))
+        want = [np.array([oracle_la(p, t) for p in progs]) for t in ts]
+    for t, la in zip(ts, want):
+        assert_same_bits(ENGINE.signal_la(t, progs), la)
+    # a table over several steps holds the same rows as one-step tables
+    table = ENGINE.signal_table(progs, ts)
+    for k, t in enumerate(ts):
+        assert_same_bits(table[k], ENGINE.signal_table(progs, (t,))[0])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(progs=programs(), t=st.integers(0, 20000))
+def test_engine_la_on_signal_periods_with_a_long_common_cycle(progs, t):
+    # greens 89 and 97: periods 178 and 194, a common cycle of 17266 steps
+    progs = {v: dataclasses.replace(p, green=g)
+             for (v, p), g in zip(progs.items(), (89, 97))}
+    assert_same_bits(ENGINE.signal_la(t, progs), oracle_la(progs, t))

@@ -438,17 +438,16 @@ def test_engine_rejects_upstream_dependent_turning():
         SimulationEngine(net, cells, TurningFractions(table))
 
 
-def test_run_evaluates_signals_per_step_beyond_table_limit():
+def test_run_equals_steps_on_signal_periods_without_a_short_common_cycle():
     # greens 89 and 97: periods 178 and 194 have an LCM of 17266 steps,
-    # too long for a precomputed LA table
+    # far beyond the run's 1250
     raw = json.loads(resources.files("ctmdesign.scenarios")
                      .joinpath("urban.json").read_text())
     raw["network"]["signals"]["14"]["green"] = 89
     raw["network"]["signals"]["16"]["green"] = 97
     raw["environment"] = {"kind": "none"}
     scen = Scenario(raw)
-    eng = scen.engine()
-    assert eng.signal_table() is None
+    eng = scen.engine
     rule = InteractionRule("dpf")
     rho0 = scen.initial_densities()
     via_run, via_step = AvgNetworkFlow(), AvgNetworkFlow()
