@@ -183,7 +183,11 @@ def cmd_calibrate(args):
 
 
 def _grid_slice(scenario, space, resolution=None):
-    """2D slice grid from the learning.grid block: (points, axis names, shape)."""
+    """2D slice grid from the learning.grid block.
+
+    Returns (points, axis names, row prefixes), a prefix being the row's
+    two axis coordinates formatted as the grid CSV has them.
+    """
     grid_cfg = scenario.grid_block()
     names = scenario.design_names
     axes = grid_cfg.get("axes", names[:2])
@@ -204,19 +208,21 @@ def _grid_slice(scenario, space, resolution=None):
         else:
             lo, hi = space.bounds[j]
             pts[:, j] = float(fixed.get(name, (lo + hi) / 2.0))
-    return pts, axes, (res, res)
+    prefixes = list(map("{:.12g},{:.12g},".format, pts[:, ia].tolist(),
+                        pts[:, ib].tolist()))
+    return pts, axes, prefixes
 
 
-#: one grid CSV row, formatted as ``_fmt`` and ``csv`` would write it
-_GRID_ROW = "{:.12g},{:.12g},{:.12g},{:.12g},{:d},{:d},{:d}\r\n"
+#: one grid CSV row from its prefix, formatted as ``_fmt`` and ``csv`` would write it
+_GRID_ROW = "{}{:.12g},{:.12g},{:d},{:d},{:d}\r\n"
 
 
-def _write_grid(path, pts, axes, names, post, gamma, delta):
+def _write_grid(path, grid, post, gamma, delta):
+    """One grid CSV of the posterior on a ``_grid_slice`` grid."""
+    pts, axes, prefixes = grid
     m, s, lower, upper = credible_band(post, pts, delta)
-    ia, ib = names.index(axes[0]), names.index(axes[1])
-    columns = (pts[:, ia].tolist(), pts[:, ib].tolist(), m.tolist(), s.tolist(),
-               (m >= gamma).tolist(), (lower >= gamma).tolist(),
-               (upper >= gamma).tolist())
+    columns = (prefixes, m.tolist(), s.tolist(), (m >= gamma).tolist(),
+               (lower >= gamma).tolist(), (upper >= gamma).tolist())
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow([axes[0], axes[1], "mean", "std", "member",
                                  "inner", "outer"])
@@ -240,10 +246,10 @@ def cmd_estimate_levelset(args):
 
     files = []
     error_rows = []
-    loop_state = None
+    loop_state = grid = None
 
     def persist(est, state):
-        nonlocal loop_state
+        nonlocal loop_state, grid
         loop_state = state
         i = est.iteration
         dataset_file = out_dir / "dataset.csv"
@@ -263,10 +269,11 @@ def cmd_estimate_levelset(args):
                        "s_bar": est.posterior.dataset.s_bar,
                        "gamma": gamma, "delta": est.delta}, fh, indent=2)
         if space.dim >= 2:
-            pts, axes, _ = _grid_slice(scenario, space)
+            # one grid for every iteration, built here so start-up does not wait
+            if grid is None:
+                grid = _grid_slice(scenario, space)
             grid_file = out_dir / f"grid_{i}.csv"
-            _write_grid(grid_file, pts, axes, names, est.posterior, gamma,
-                        est.delta)
+            _write_grid(grid_file, grid, est.posterior, gamma, est.delta)
             files.append(grid_file.name)
         error_rows.append((i, _fmt(est.e_hat), len(state.points),
                            int(np.sum(state.discarded))))
@@ -311,6 +318,10 @@ def cmd_benchmark_compare(args):
 
 def cmd_export_grid(args):
     scenario = load_scenario(args.config)
+    space = scenario.design_space()
+    if space.dim < 2:
+        raise ConfigError(f"{args.config}: export-grid needs a design space of "
+                          f"at least two dimensions, not {space.dim}")
     run_dir = Path(args.run_dir)
     hp_file = run_dir / "hyperparameters.json"
     data_file = run_dir / "dataset.csv"
@@ -338,11 +349,10 @@ def cmd_export_grid(args):
             np.array([float(row["tau_sq"]) for row in kept]),
             mu_bar=mu_bar, s_bar=s_bar)
     post = posterior(data, kern)
-    space = scenario.design_space()
-    pts, axes, _ = _grid_slice(scenario, space, resolution=args.resolution)
+    grid = _grid_slice(scenario, space, resolution=args.resolution)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_grid(out / "grid.csv", pts, axes, names, post, gamma, delta)
+    _write_grid(out / "grid.csv", grid, post, gamma, delta)
     print(f"wrote {out / 'grid.csv'}")
     return 0
 

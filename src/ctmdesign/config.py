@@ -202,6 +202,7 @@ class Scenario:
         self._node_index = None
         if "network" in raw:
             self._build_network()
+        self._check_grid()
 
     # -- design space --------------------------------------------------
 
@@ -591,4 +592,35 @@ class Scenario:
 
     def grid_block(self):
         return self.raw.get("learning", {}).get("grid", {})
+
+    def _check_grid(self):
+        """Reject a learning.grid block that cannot describe a 2-D slice."""
+        grid = self.grid_block()
+        where = f"{self.origin}: learning.grid"
+        if not isinstance(grid, dict):
+            raise ConfigError(f"{where}: {grid!r} is not an object")
+        if not grid:
+            return
+        names = self.design_names
+        bounds = dict(zip(names, self.raw["design"]["bounds"])) if names else {}
+        res = grid.get("resolution", 200)
+        if type(res) is not int or res < 1:
+            raise ConfigError(f"{where}: resolution {res!r} is not an integer >= 1")
+        axes = grid.get("axes", names[:2])
+        if (not isinstance(axes, list) or len(axes) != 2
+                or not all(isinstance(a, str) and a in bounds for a in axes)
+                or axes[0] == axes[1]):
+            raise ConfigError(f"{where}: axes {axes!r} are not two distinct "
+                              f"design parameters of {names}")
+        fixed = grid.get("fixed", {})
+        if not isinstance(fixed, dict):
+            raise ConfigError(f"{where}: fixed {fixed!r} is not an object")
+        for name, value in fixed.items():
+            if name not in bounds or name in axes:
+                raise ConfigError(f"{where}: fixed {name!r} is not a design "
+                                  "parameter off the axes")
+            lo, hi = bounds[name]
+            if type(value) not in (int, float) or not lo <= value <= hi:
+                raise ConfigError(f"{where}: fixed {name} = {value!r} is not a "
+                                  f"number in [{lo}, {hi}]")
 

@@ -7,7 +7,8 @@ package), inflow aggregation and the density update (the engine's phases
 engine's ``signal_table``), one Frank-copula pair (``FrankCopula.pairs``),
 the truncation of one attempted net flow (the environments'
 ``net_flows``), the conserved mass, the covariance of two single design
-points, and one-at-a-time sequential Monte Carlo.
+points and the kernel's cross-covariance matrix in expression form
+(``Kernel.matrix``), and one-at-a-time sequential Monte Carlo.
 """
 
 from __future__ import annotations
@@ -213,6 +214,25 @@ def advance_signal(schedule, t, via=None):
 def kernel_eval(kern, k1, k2):
     """Covariance between two single design points."""
     return float(kern.matrix(np.atleast_2d(k1), np.atleast_2d(k2))[0, 0])
+
+
+def kernel_matrix(kern, x1, x2):
+    """Cross-covariance matrix in expression form (``Kernel.matrix`` in place)."""
+    x1 = np.atleast_2d(np.asarray(x1, dtype=float))
+    x2 = np.atleast_2d(np.asarray(x2, dtype=float))
+    d2 = (np.sum(x1 ** 2, axis=1)[:, None] + np.sum(x2 ** 2, axis=1)[None, :]
+          - 2.0 * x1 @ x2.T)
+    dist = np.sqrt(np.maximum(d2, 0.0)) / kern.length
+    s2 = kern.sigma_c ** 2
+    if kern.variant == "squared_exponential":
+        return s2 * np.exp(-0.5 * dist ** 2)
+    if kern.variant == "matern12":
+        return s2 * np.exp(-dist)
+    if kern.variant == "matern32":
+        z = math.sqrt(3.0) * dist
+        return s2 * (1.0 + z) * np.exp(-z)
+    z = math.sqrt(5.0) * dist
+    return s2 * (1.0 + z + z ** 2 / 3.0) * np.exp(-z)
 
 
 # ---------------------------------------------------------------------------

@@ -636,6 +636,55 @@ def test_cli_export_grid_bad_inputs_exit_2(tmp_path, capsys, finished_run,
     assert not (tmp_path / "export" / "grid.csv").exists()
 
 
+@pytest.mark.parametrize("grid", [
+    {"resolution": 0}, {"resolution": -3}, {"resolution": "a"},
+    {"resolution": 2.5}, {"resolution": True},
+    {"axes": ["zz", "k2"]}, {"axes": ["k1"]}, {"axes": ["k1", "k1"]},
+    {"axes": "k1"}, {"fixed": {"zz": 0.5}}, {"fixed": {"k1": 0.5}},
+    {"fixed": {"k3": "a"}}, {"fixed": {"k3": 2.5}}, {"fixed": []}, [1],
+], ids=["resolution-0", "resolution-negative", "resolution-string",
+        "resolution-fractional", "resolution-bool", "unknown-axis", "one-axis",
+        "repeated-axis", "axes-string", "fixed-unknown", "fixed-on-axis",
+        "fixed-string", "fixed-out-of-bounds", "fixed-list", "grid-list"])
+def test_cli_invalid_grid_exit_2_at_load(tmp_path, capsys, grid):
+    raw = json.loads(bundled("synthetic").read_text())
+    raw["design"]["names"].append("k3")
+    raw["design"]["bounds"].append([0, 2])
+    raw["learning"].update({"n_initial": 10, "n_loop": 5, "iterations": 1,
+                            "n_eval": 500})
+    raw["learning"]["grid"] = grid if isinstance(grid, list) else {
+        **raw["learning"]["grid"], **grid}
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "run"
+    rc = exit_code(["estimate-levelset", "--config", str(path), "--seed", "1",
+                    "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{path}: learning.grid" in err and "Traceback" not in err
+    assert not (out / "dataset.csv").exists()  # rejected before the loop
+
+
+def test_cli_export_grid_on_one_dimension_exit_2(tmp_path, capsys):
+    raw = json.loads(bundled("synthetic").read_text())
+    raw["design"] = {"names": ["k1"], "bounds": [[0, 1]], "integerized": []}
+    raw["simulator"]["surface"] = "sin1d"
+    raw["learning"].update({"n_initial": 10, "n_loop": 5, "iterations": 0,
+                            "n_eval": 500})
+    del raw["learning"]["grid"]
+    path = write_config(tmp_path, raw)
+    run = tmp_path / "run"
+    assert main(["estimate-levelset", "--config", str(path), "--seed", "1",
+                 "--out-dir", str(run)]) == 0
+    assert not list(run.glob("grid_*.csv"))
+    capsys.readouterr()
+    rc = exit_code(["export-grid", "--config", str(path), "--run-dir", str(run),
+                    "--out-dir", str(tmp_path / "export")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(path) in err and "two dimensions" in err and "Traceback" not in err
+    assert not (tmp_path / "export" / "grid.csv").exists()
+
+
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     # calibration, the GP and the optimizers import these where they are
     # used; simulate needs none of them at start-up

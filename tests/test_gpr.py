@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as gamma_fn, kv
 
-from ctmdesign.gpr import (GprDataset, Kernel, fit_hyperparameters,
-                           log_marginal_likelihood, posterior)
-from reference import kernel_eval
+from ctmdesign.gpr import (KERNEL_VARIANTS, GprDataset, GprPosterior, Kernel,
+                           fit_hyperparameters, log_marginal_likelihood, posterior)
+from reference import kernel_eval, kernel_matrix
 
 
 def matern_bessel_oracle(nu, sigma_c, length, dist):
@@ -63,15 +65,34 @@ def test_gram_matrices_positive_semidefinite():
             assert eigs.min() >= -1e-8
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(KERNEL_VARIANTS), sigma_c=st.floats(0.05, 5.0),
+       length=st.floats(0.01, 5.0), dim=st.integers(1, 6), n1=st.integers(1, 40),
+       n2=st.integers(1, 40), scale=st.floats(0.01, 20.0), same=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_matrix_equals_expression_oracle(variant, sigma_c, length, dim, n1,
+                                                n2, scale, same, seed):
+    # the in-place evaluation keeps the expression's IEEE operation order
+    kern = Kernel(variant, sigma_c, length)
+    rng = np.random.default_rng(seed)
+    x1 = scale * rng.random((n1, dim))
+    x2 = x1 if same else scale * rng.random((n2, dim))
+    got = kern.matrix(x1, x2)
+    assert got.shape == (n1, len(x2))
+    assert np.all(got == kernel_matrix(kern, x1, x2))
+    # one row, given as a single design vector
+    assert np.all(kern.matrix(x1[0], x2) == kernel_matrix(kern, x1[0], x2))
+
+
 # ---------------------------------------------------------------------------
 # posterior
 # ---------------------------------------------------------------------------
 
 def naive_posterior(dataset, kern, queries):
     """Direct dense-inverse transcription of the posterior formulas."""
-    k_dd = kern.matrix(dataset.points, dataset.points)
+    k_dd = kernel_matrix(kern, dataset.points, dataset.points)
     k_inv = np.linalg.inv(k_dd + np.diag(dataset.standardized_noises))
-    k_dq = kern.matrix(dataset.points, queries)
+    k_dq = kernel_matrix(kern, dataset.points, queries)
     nu = dataset.standardized_values
     mean_std = k_dq.T @ k_inv @ nu
     var_std = kern.sigma_c ** 2 - np.einsum("ij,ji->i", k_dq.T, k_inv @ k_dq)
@@ -120,6 +141,47 @@ def test_posterior_matches_naive_formulas():
             got_mean, got_std = post.mean_std(queries)
             assert got_mean == pytest.approx(ref_mean, abs=1e-8)
             assert got_std == pytest.approx(ref_std, abs=1e-8)
+
+
+B = GprPosterior.QUERY_BLOCK
+
+
+@pytest.mark.parametrize("m", [0, 1, B - 1, B, B + 1, 3 * B + 5])
+def test_posterior_queries_across_block_edges_match_naive(m):
+    rng = np.random.default_rng(53)
+    x = rng.random((30, 2))
+    data = GprDataset(x, np.sin(5.0 * x[:, 0]) + 0.1 * rng.normal(size=30),
+                      0.05 + 0.05 * rng.random(30))
+    kern = Kernel("matern32", sigma_c=0.9, length=0.4)
+    post = posterior(data, kern)
+    q = rng.random((m, 2))
+    ref_mean, ref_std = naive_posterior(data, kern, q)
+    mean, std = post.mean_std(q)
+    assert mean.shape == std.shape == (m,)
+    np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(std, ref_std, rtol=0, atol=1e-12)
+    if m == 1:  # one point gives floats
+        assert post.mean(q) == mean[0] and post.std(q) == std[0]
+    else:
+        assert np.array_equal(post.mean(q), mean) and post.mean(q).shape == (m,)
+        assert np.array_equal(post.std(q), std) and post.std(q).shape == (m,)
+
+
+def test_posterior_query_memory_stays_block_sized():
+    # 100,000 queries at 500 data points: the parent's 8192-wide expression
+    # form peaked at 189 MB; the block buffers and outputs take about 10 MB
+    rng = np.random.default_rng(59)
+    x = rng.random((500, 2))
+    post = posterior(GprDataset(x, np.sin(5.0 * x[:, 0]), np.full(500, 0.01)),
+                     Kernel("matern32", 0.9, 0.3))
+    q = rng.random((100_000, 2))
+    tracemalloc.start()
+    try:
+        post.mean_std(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_posterior_std_bounded_by_prior_and_shrinks_with_data():
