@@ -28,6 +28,7 @@ from .env import (ArCopulaEnvironment, ArSourceSink, FrankCopula,
                   GaussianPairsEnvironment, GaussianSourceSink)
 from .evaluation import (AvgNetworkFlow, AvgVelocity, BenchmarkSpec, Throughput,
                          Utility, calibrate_threshold)
+from .gpr import KERNEL_VARIANTS
 from .learning import DesignSpace, LoopConfig
 from .network import TrafficNetwork, TurningFractions
 from .signals import SignalSchedule
@@ -155,18 +156,20 @@ def _json_error(path, exc):
 
 def load_scenario(path):
     """Parse and validate a scenario file."""
-    import jsonschema
+    from jsonschema.exceptions import best_match
+    from jsonschema.validators import validator_for
 
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise _json_error(path, exc) from None
-    try:
-        jsonschema.validate(raw, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # jsonschema.validate without its check of the (fixed) schema against
+    # the metaschema, which took most of the load time; a unit test checks it
+    exc = best_match(validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA).iter_errors(raw))
+    if exc is not None:
         loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: at {loc}: {exc.message}") from None
+        raise ConfigError(f"{path}: at {loc}: {exc.message}")
     return Scenario(raw, origin=str(path))
 
 
@@ -568,10 +571,13 @@ class Scenario:
             # acquisition noticeably peaked across the value scale
             c2_0 = 2.0 / float(scale)
         n_max = l_cfg.get("n_max", [3000])
+        kernel = l_cfg.get("kernel", {})
+        if not isinstance(kernel, dict):
+            raise ConfigError(f"{self.origin}: learning.kernel {kernel!r} is not an object")
         if isinstance(n_max, int):
             n_max = [n_max]
         with _rejected_as_config_error(f"{self.origin}: learning"):
-            return LoopConfig(
+            config = LoopConfig(
                 n_initial=int(l_cfg["n_initial"]),
                 n_loop=int(l_cfg["n_loop"]),
                 iterations=int(l_cfg["iterations"]),
@@ -587,8 +593,17 @@ class Scenario:
                 delta=float(l_cfg.get("delta", 0.05)),
                 n_eval=int(l_cfg.get("n_eval", 100000)),
                 error_stop=l_cfg.get("error_stop"),
-                kernel_variant=l_cfg.get("kernel", {}).get("variant", "matern32"),
+                kernel_variant=kernel.get("variant", "matern32"),
             )
+        # checked here, not in LoopConfig, which also serves smaller test loops
+        if config.n_initial < 3:
+            raise ConfigError(f"{self.origin}: learning.n_initial {config.n_initial} "
+                              "is below 3, the fewest points the kernel fit needs")
+        if config.kernel_variant not in KERNEL_VARIANTS:
+            raise ConfigError(f"{self.origin}: learning.kernel.variant "
+                              f"{config.kernel_variant!r} is not one of "
+                              f"{KERNEL_VARIANTS}")
+        return config
 
     def grid_block(self):
         return self.raw.get("learning", {}).get("grid", {})

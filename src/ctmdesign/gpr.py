@@ -16,7 +16,13 @@ inverse) and retransformed by m -> m * s_bar + mu_bar, sigma -> sigma *
 s_bar.  Hyperparameters (signal standard deviation, length scale) are
 selected once on the initial dataset by maximizing the log marginal
 likelihood with derivative-free multi-start search and are frozen for
-the rest of a run.
+the rest of a run.  The search is an in-package Nelder-Mead, a port of
+scipy's that visits the same points (``scipy.optimize.minimize`` is the
+test oracle), and each of its likelihood evaluations starts from the
+dataset's distance matrix, computed once: it divides by the length
+scale, applies the closed form, adds noise and jitter to the diagonal in
+place and calls LAPACK's potrf and potrs directly, with the same bits as
+``cho_factor``/``cho_solve`` of the summed matrix.
 
 Kernels: squared exponential and the half-integer Matern family
 (nu = 1/2, 3/2, 5/2) through their closed forms.  A kernel matrix is
@@ -30,6 +36,7 @@ queries run in cache-sized blocks of 1024 points (see ``GprPosterior``).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -78,13 +85,16 @@ class Kernel:
         x2 = np.atleast_2d(np.asarray(x2, dtype=float))
         if x1.shape[1] != x2.shape[1]:
             raise ValueError("kernel inputs must share the design dimension")
-        g = (2.0 * x1) @ x2.T
-        out = np.add(np.sum(x1 ** 2, axis=1)[:, None],
-                     np.sum(x2 ** 2, axis=1)[None, :])
-        np.subtract(out, g, out=out)
-        np.maximum(out, 0.0, out=out)
-        np.sqrt(out, out=out)
-        np.divide(out, self.length, out=out)  # out = dist
+        dist, g = _distances(x1, x2)
+        return self.of_distances(dist, out=dist, exp_buf=g)
+
+    def of_distances(self, dist, out=None, exp_buf=None):
+        """The covariance at unscaled distances ``dist``: / l, then the closed form.
+
+        Writes into ``out`` (a fresh array if None; it may be ``dist``) and
+        uses ``exp_buf``, an array shaped like ``dist``, as the exp buffer.
+        """
+        out = np.divide(dist, self.length, out=out)
         s2 = self.sigma_c ** 2
         if self.variant == "squared_exponential":
             np.multiply(out, out, out=out)
@@ -95,6 +105,7 @@ class Kernel:
             np.negative(out, out=out)
             np.exp(out, out=out)
             return np.multiply(out, s2, out=out)
+        g = np.empty_like(out) if exp_buf is None else exp_buf
         np.multiply(out, _SQRT3 if self.variant == "matern32" else _SQRT5, out=out)
         np.negative(out, out=g)
         np.exp(g, out=g)  # g = exp(-z)
@@ -107,6 +118,17 @@ class Kernel:
             np.add(out, zz3, out=out)
         np.multiply(out, s2, out=out)
         return np.multiply(out, g, out=out)
+
+
+def _distances(x1, x2):
+    """Unscaled distances between (n1, r) and (n2, r), and the spare gemm buffer."""
+    g = (2.0 * x1) @ x2.T
+    out = np.add(np.sum(x1 ** 2, axis=1)[:, None],
+                 np.sum(x2 ** 2, axis=1)[None, :])
+    np.subtract(out, g, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
+    return out, g
 
 
 class GprDataset:
@@ -141,33 +163,58 @@ class GprDataset:
     def __len__(self):
         return len(self.points)
 
-    @property
+    # computed once: every likelihood evaluation of a fit reads them
+
+    @functools.cached_property
+    def distances(self):
+        """Unscaled distances between the points, in Fortran order for LAPACK."""
+        return np.asfortranarray(_distances(self.points, self.points)[0])
+
+    @functools.cached_property
     def standardized_values(self):
         return (self.values - self.mu_bar) / self.s_bar
 
-    @property
+    @functools.cached_property
     def standardized_noises(self):
         return self.noises / self.s_bar ** 2
 
 
-def _factor(kern, dataset):
-    """Cholesky factor of Sigma + diag(tau~^2), with jitter escalation."""
-    # scipy.linalg is imported where it is used, so that commands which
-    # fit no GP (simulate, calibrate) do not pay for it at start-up
-    from scipy.linalg import cho_factor
+@functools.cache
+def _lapack(name):
+    """The float64 LAPACK routine ``name``, loaded at the first GP fit."""
+    from scipy.linalg.lapack import get_lapack_funcs
 
-    sigma = kern.matrix(dataset.points, dataset.points)
-    noise = np.diag(dataset.standardized_noises)
+    return get_lapack_funcs((name,), (np.empty((1, 1)),))[0]
+
+
+def _check_finite(a):
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _factor(kern, dataset):
+    """Cholesky factor (c, lower) of Sigma + diag(tau~^2), with jitter escalation.
+
+    As ``cho_factor(..., lower=True)`` of the summed matrix: the same bits,
+    the same ValueError on non-finite entries, escalation where it failed.
+    """
+    sigma = kern.of_distances(dataset.distances)
+    _check_finite(sigma)  # then only the diagonal can turn non-finite below
+    noise = dataset.standardized_noises
     s2 = kern.sigma_c ** 2
-    last_err = None
+    potrf = _lapack("potrf")
     for jitter in _JITTERS:
-        try:
-            return cho_factor(sigma + noise + jitter * s2 * np.eye(len(dataset)),
-                              lower=True)
-        except np.linalg.LinAlgError as err:
-            last_err = err
+        c = sigma.copy(order="F")
+        diag = c.ravel(order="F")[:: len(c) + 1]
+        np.add(diag, noise, out=diag)
+        np.add(diag, jitter * s2, out=diag)
+        _check_finite(diag)
+        c, info = potrf(c, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            return c, True
     raise np.linalg.LinAlgError(
-        f"covariance factorization failed after jitter escalation: {last_err}")
+        "covariance factorization failed after jitter escalation: "
+        f"{info}-th leading minor of the array is not positive definite")
 
 
 class GprPosterior:
@@ -259,14 +306,65 @@ def log_marginal_likelihood(dataset, kern):
     -(1/2) nu^T K^{-1} nu - (1/2) log det K - (n/2) log 2 pi  with
     K = Sigma + diag(tau~^2).
     """
-    from scipy.linalg import cho_solve
-
-    cho = _factor(kern, dataset)
+    c, lower = _factor(kern, dataset)
     nu = dataset.standardized_values
-    alpha = cho_solve(cho, nu)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+    _check_finite(nu)
+    alpha = _lapack("potrs")(c, nu, lower=lower)[0]
+    logdet = 2.0 * float(np.log(c.diagonal()).sum())
     n = len(dataset)
     return float(-0.5 * nu @ alpha - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi))
+
+
+def _nelder_mead(func, x0, xatol, fatol, maxiter):
+    """(x, fun) of a Nelder-Mead search for a minimum of ``func`` from ``x0``.
+
+    A port of scipy 1.17's ``_minimize_neldermead`` (standard coefficients,
+    no bounds, no evaluation cap) that evaluates ``func`` at the same points
+    in the same order as ``scipy.optimize.minimize(method="Nelder-Mead")``,
+    the tests' oracle.  It keeps scipy's expressions and its two sorts (the
+    vectorized argsort need not be stable).
+    """
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        sim[k + 1] = x0
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([func(x) for x in sim], dtype=float)
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    for _ in range(1, maxiter):
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = func(xc)
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = func(xc)
+                shrink = not fxc < fsim[-1]
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
 
 
 def fit_hyperparameters(dataset, variant, n_starts=10, rng=None, tol=1e-6):
@@ -278,8 +376,6 @@ def fit_hyperparameters(dataset, variant, n_starts=10, rng=None, tol=1e-6):
     fallback (sample std-dev, median pairwise distance) is returned with
     a warning.
     """
-    from scipy.optimize import minimize
-
     if len(dataset) < 3:
         raise ValueError("hyperparameter fitting needs at least 3 points")
     if len(np.unique(dataset.points, axis=0)) < 3:
@@ -304,14 +400,13 @@ def fit_hyperparameters(dataset, variant, n_starts=10, rng=None, tol=1e-6):
     for _ in range(n_starts):
         start = np.log([value_scale, length_scale]) + rng.uniform(
             math.log(1e-2), math.log(1e2), size=2)
-        res = minimize(objective, start, method="Nelder-Mead",
-                       options={"xatol": tol, "fatol": tol, "maxiter": 500})
-        if not np.isfinite(res.fun) or res.fun >= 1e29:
+        x, fun = _nelder_mead(objective, start, tol, tol, maxiter=500)
+        if not np.isfinite(fun) or fun >= 1e29:
             continue
-        if best is None or res.fun < best.fun:
-            best = res
+        if best is None or fun < best[1]:
+            best = (x, fun)
     if best is None:
         warnings.warn("all hyperparameter searches failed; using data-scale fallback")
         return Kernel(variant, value_scale, length_scale)
-    sigma_c, length = np.exp(best.x)
+    sigma_c, length = np.exp(best[0])
     return Kernel(variant, float(sigma_c), float(length))

@@ -8,7 +8,10 @@ engine's ``signal_table``), one Frank-copula pair (``FrankCopula.pairs``),
 the truncation of one attempted net flow (the environments'
 ``net_flows``), the conserved mass, the covariance of two single design
 points and the kernel's cross-covariance matrix in expression form
-(``Kernel.matrix``), and one-at-a-time sequential Monte Carlo.
+(``Kernel.matrix``), the log marginal likelihood through ``cho_factor``
+and the hyperparameter fit through ``scipy.optimize.minimize``
+(``gpr.log_marginal_likelihood`` and ``gpr.fit_hyperparameters``), and
+one-at-a-time sequential Monte Carlo.
 """
 
 from __future__ import annotations
@@ -233,6 +236,76 @@ def kernel_matrix(kern, x1, x2):
         return s2 * (1.0 + z) * np.exp(-z)
     z = math.sqrt(5.0) * dist
     return s2 * (1.0 + z + z ** 2 / 3.0) * np.exp(-z)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian process fit
+# ---------------------------------------------------------------------------
+
+_JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
+
+
+def cho_factor_jittered(kern, dataset):
+    """``cho_factor`` of Sigma + diag(tau~^2) + jitter * s2 * I, escalating the jitter."""
+    from scipy.linalg import cho_factor
+
+    sigma = kernel_matrix(kern, dataset.points, dataset.points)
+    noise = np.diag(dataset.standardized_noises)
+    s2 = kern.sigma_c ** 2
+    for jitter in _JITTERS:
+        try:
+            return cho_factor(sigma + noise + jitter * s2 * np.eye(len(dataset)),
+                              lower=True)
+        except np.linalg.LinAlgError:
+            pass
+    raise np.linalg.LinAlgError("covariance factorization failed after jitter escalation")
+
+
+def log_marginal_likelihood(dataset, kern):
+    """Log evidence in expression form, through ``cho_factor`` and ``cho_solve``."""
+    from scipy.linalg import cho_solve
+
+    cho = cho_factor_jittered(kern, dataset)
+    nu = dataset.standardized_values
+    alpha = cho_solve(cho, nu)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+    n = len(dataset)
+    return float(-0.5 * nu @ alpha - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi))
+
+
+def fit_hyperparameters(dataset, variant, n_starts=10, rng=None, tol=1e-6):
+    """The multi-start fit through ``scipy.optimize.minimize(method="Nelder-Mead")``."""
+    from scipy.optimize import minimize
+
+    from ctmdesign.gpr import Kernel
+
+    rng = np.random.default_rng(rng)
+    diffs = dataset.points[:, None, :] - dataset.points[None, :, :]
+    dists = np.sqrt((diffs ** 2).sum(axis=-1))
+    pos = dists[dists > 0]
+    length_scale = float(np.median(pos)) if len(pos) else 1.0
+
+    def objective(log_params):
+        sigma_c, length = np.exp(log_params)
+        try:
+            return -log_marginal_likelihood(dataset, Kernel(variant, sigma_c, length))
+        except (np.linalg.LinAlgError, FloatingPointError, ValueError):
+            return 1e30
+
+    best = None
+    for _ in range(n_starts):
+        start = np.log([1.0, length_scale]) + rng.uniform(
+            math.log(1e-2), math.log(1e2), size=2)
+        res = minimize(objective, start, method="Nelder-Mead",
+                       options={"xatol": tol, "fatol": tol, "maxiter": 500})
+        if not np.isfinite(res.fun) or res.fun >= 1e29:
+            continue
+        if best is None or res.fun < best.fun:
+            best = res
+    if best is None:
+        return Kernel(variant, 1.0, length_scale)
+    sigma_c, length = np.exp(best.x)
+    return Kernel(variant, float(sigma_c), float(length))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from ctmdesign import learning, solvers
 from ctmdesign.cli import main, replicate_values
-from ctmdesign.config import ConfigError, Scenario, load_scenario
+from ctmdesign.config import SCENARIO_SCHEMA, ConfigError, Scenario, load_scenario
 from ctmdesign.env import replicate_rng
 from ctmdesign.gpr import GprPosterior
 from ctmdesign.network import NetworkError
@@ -65,6 +65,13 @@ def test_schema_violation_reports_path(tmp_path):
     path = write_config(tmp_path, raw)
     with pytest.raises(ConfigError, match="run/steps"):
         load_scenario(path)
+
+
+def test_scenario_schema_is_valid_against_its_metaschema():
+    # load_scenario validates with the schema but does not check the schema
+    from jsonschema.validators import validator_for
+
+    validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
 
 
 def test_unknown_node_rejected(tmp_path):
@@ -664,6 +671,28 @@ def test_cli_invalid_grid_exit_2_at_load(tmp_path, capsys, grid):
     assert not (out / "dataset.csv").exists()  # rejected before the loop
 
 
+@pytest.mark.parametrize("learning, where", [
+    ({"n_initial": 2}, "learning.n_initial"),
+    ({"n_initial": 1}, "learning.n_initial"),
+    ({"kernel": {"variant": "bogus"}}, "learning.kernel.variant"),
+    ({"kernel": "matern32"}, "learning.kernel"),
+], ids=["n_initial-2", "n_initial-1", "kernel-variant", "kernel-string"])
+def test_cli_unusable_learning_block_exit_2_at_load(tmp_path, capsys, learning, where):
+    # the kernel fit needs three points and a kernel object with a known
+    # variant; each is checked before the initial design is simulated
+    small = Path(__file__).resolve().parents[1] / "ctmbench/scenarios/synthetic_small.json"
+    raw = json.loads(small.read_text())
+    raw["learning"].update(learning)
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "run"
+    rc = exit_code(["estimate-levelset", "--config", str(path), "--seed", "1",
+                    "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{path}: {where}" in err and "Traceback" not in err
+    assert not (out / "dataset.csv").exists()
+
+
 def test_cli_export_grid_on_one_dimension_exit_2(tmp_path, capsys):
     raw = json.loads(bundled("synthetic").read_text())
     raw["design"] = {"names": ["k1"], "bounds": [[0, 1]], "integerized": []}
@@ -718,6 +747,16 @@ def test_engine_build_leaves_scipy_sparse_unloaded():
             "    load_scenario(resources.files('ctmdesign.scenarios')"
             ".joinpath(name + '.json')).engine")
     assert _fresh_modules(code, ("scipy.sparse",)) == []
+
+
+def test_hyperparameter_fit_leaves_scipy_optimize_and_sparse_unloaded():
+    # the fit runs its own Nelder-Mead; scipy.optimize would load scipy.sparse
+    code = ("import numpy as np\n"
+            "from ctmdesign.gpr import GprDataset, fit_hyperparameters\n"
+            "x = np.random.default_rng(0).random((10, 2))\n"
+            "fit_hyperparameters(GprDataset(x, np.sin(4 * x[:, 0]), np.full(10, 0.01)),"
+            " 'matern32', rng=1)")
+    assert _fresh_modules(code, ("scipy.optimize", "scipy.sparse")) == []
 
 
 def test_bundled_networks_write_each_matrix_entry_once(monkeypatch):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as gamma_fn, kv
 
+import reference
 from ctmdesign.gpr import (KERNEL_VARIANTS, GprDataset, GprPosterior, Kernel,
-                           fit_hyperparameters, log_marginal_likelihood, posterior)
+                           _nelder_mead, fit_hyperparameters, log_marginal_likelihood,
+                           posterior)
 from reference import kernel_eval, kernel_matrix
 
 
@@ -249,6 +251,134 @@ def test_log_marginal_likelihood_matches_naive():
                 naive_log_ml(data, kern), abs=1e-8)
 
 
+def _outcome(f, *args):
+    """f(*args), or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the type is compared
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(KERNEL_VARIANTS), n=st.integers(1, 40),
+       dim=st.integers(1, 4), scale=st.floats(1e-2, 1e2),
+       log_sigma=st.floats(-10.0, 400.0), log_length=st.floats(-10.0, 10.0),
+       n_dup=st.integers(0, 3), noise_scale=st.sampled_from([0.0, 1e-13, 0.1]),
+       bad_value=st.sampled_from([None] * 4 + [np.nan, np.inf]),
+       bad_noise=st.sampled_from([None] * 6 + [np.nan, np.inf]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_log_marginal_likelihood_equals_expression_oracle(
+        variant, n, dim, scale, log_sigma, log_length, n_dup, noise_scale, bad_value,
+        bad_noise, seed):
+    # the lean evaluation (cached distances, diagonal added in place, LAPACK
+    # called directly) returns the same float, or fails the same way:
+    # duplicated points with little or no noise escalate the jitter (added
+    # after the noise), and an overflowing sigma_c or a non-finite value or
+    # noise raises ValueError
+    rng = np.random.default_rng(seed)
+    x = scale * rng.random((n, dim))
+    x[1:1 + n_dup] = x[0]
+    noises = noise_scale * rng.random(n)
+    values = rng.normal(size=n)
+    if bad_value is not None:
+        values[-1] = bad_value
+    if bad_noise is not None:
+        noises[0] = bad_noise
+    data = GprDataset(x, values, noises, mu_bar=0.0, s_bar=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # np.float64, as the fit passes them: sigma_c ** 2 overflows to inf
+        kern = Kernel(variant, np.exp(log_sigma), np.exp(log_length))
+        got = _outcome(log_marginal_likelihood, data, kern)
+        want = _outcome(reference.log_marginal_likelihood, data, kern)
+    assert got == want or (got != got and want != want)  # NaN equals NaN
+
+
+def _rank_one():
+    # three copies of one point without noise
+    return (GprDataset([[0.3, 0.4]] * 3 + [[0.9, 0.1]], [0.1, 0.2, 0.3, 1.0],
+                       [0.0] * 4, mu_bar=0.0, s_bar=1.0),
+            Kernel("squared_exponential", 1.3, 0.5))
+
+
+def _smooth_with_tiny_noise():
+    # a long length scale and noise below 1e-15; s2 just below 1, so the
+    # jitter moves the diagonal into the next binade and adding it before
+    # the noise would round differently
+    rng = np.random.default_rng(14)
+    return (GprDataset(rng.random((12, 1)), rng.normal(size=12),
+                       1e-15 * rng.random(12), mu_bar=0.0, s_bar=1.0),
+            Kernel("squared_exponential", (1 - 3e-11) ** 0.5, 3.0))
+
+
+@pytest.mark.parametrize("case", [_rank_one, _smooth_with_tiny_noise])
+def test_log_marginal_likelihood_escalates_jitter_like_oracle(case):
+    from scipy.linalg import cho_factor
+
+    data, kern = case()
+    sigma = kernel_matrix(kern, data.points, data.points)
+    with pytest.raises(np.linalg.LinAlgError):  # the first jitter is needed
+        cho_factor(sigma + np.diag(data.standardized_noises), lower=True)
+    assert log_marginal_likelihood(data, kern) == reference.log_marginal_likelihood(
+        data, kern)
+
+
+@pytest.mark.parametrize("variant", ["matern32", "matern52"])
+def test_log_marginal_likelihood_rejects_an_infinite_off_diagonal_like_oracle(variant):
+    # s2 just below the largest double: (1 + z) * s2 overflows off the
+    # diagonal while the diagonal stays s2, and cho_factor's ValueError
+    # must not turn into a failed factorization
+    data = GprDataset([[0.0], [0.5]], [0.0, 1.0], [0.0, 0.0], mu_bar=0.0, s_bar=1.0)
+    kern = Kernel(variant, np.sqrt(1.7e308), 1.0)
+    with np.errstate(over="ignore"):
+        assert np.isinf(kernel_matrix(kern, data.points, data.points)[0, 1])
+        for lml in (log_marginal_likelihood, reference.log_marginal_likelihood):
+            with pytest.raises(ValueError) as err:
+                lml(data, kern)
+            assert err.type is ValueError  # not its subclass LinAlgError
+
+
+def _test_objective(kind, center):
+    """One of five 2-D objectives: smooth, curved, plateaued, tied, kinked."""
+    def f(x):
+        d = x - center
+        if kind == "quadratic":
+            return float(d @ d)
+        if kind == "rosenbrock":
+            return float(100.0 * (d[1] - d[0] ** 2) ** 2 + (1.0 - d[0]) ** 2)
+        if kind == "plateau":  # the fit's 1e30 for a failed evaluation
+            return 1e30 if abs(d[0]) > 1.0 else float(d @ d)
+        if kind == "ties":
+            return float(np.round(d @ d, 1))
+        return float(np.abs(d).sum())
+    return f
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["quadratic", "rosenbrock", "plateau", "ties", "abs"]),
+       center=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+       x0=st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+       zero=st.sampled_from([None, 0, 1]), tol=st.sampled_from([1e-6, 1e-3]),
+       maxiter=st.sampled_from([500, 7]))
+def test_nelder_mead_equals_scipy_oracle(kind, center, x0, zero, tol, maxiter):
+    from scipy.optimize import minimize
+
+    # the port evaluates the same points in the same order and ends at the
+    # same x and fun; a zero start coordinate takes the 0.00025 step
+    f = _test_objective(kind, np.array(center))
+    x0 = np.array(x0)
+    if zero is not None:
+        x0[zero] = 0.0
+    seen_scipy, seen_port = [], []
+    res = minimize(lambda x: seen_scipy.append(np.array(x)) or f(x), x0,
+                   method="Nelder-Mead",
+                   options={"xatol": tol, "fatol": tol, "maxiter": maxiter})
+    x, fun = _nelder_mead(lambda x: seen_port.append(np.array(x)) or f(x), x0,
+                          tol, tol, maxiter)
+    assert len(seen_port) == len(seen_scipy)
+    assert all(np.array_equal(a, b) for a, b in zip(seen_port, seen_scipy))
+    assert np.array_equal(x, res.x) and fun == res.fun
+
+
 def test_inflating_noise_of_outlier_improves_likelihood():
     # a far-off point fits badly; doubling its noise variance raises the
     # evidence
@@ -294,6 +424,23 @@ def test_fit_invariant_to_value_shift():
                             rng=np.random.default_rng(0))
     assert a.sigma_c == pytest.approx(b.sigma_c)
     assert a.length == pytest.approx(b.length)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(KERNEL_VARIANTS), n=st.integers(3, 12),
+       dim=st.integers(1, 3), noise=st.sampled_from([0.0, 1e-4, 0.05]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fit_hyperparameters_equals_scipy_oracle(variant, n, dim, noise, seed):
+    # the in-package Nelder-Mead over the lean likelihood returns the
+    # kernel that scipy.optimize.minimize over the expression form returns
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, dim))
+    data = GprDataset(x, np.sin(4.0 * x.sum(axis=1)) + 0.1 * rng.normal(size=n),
+                      noise * rng.random(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _outcome(fit_hyperparameters, data, variant, 10, seed)
+        want = _outcome(reference.fit_hyperparameters, data, variant, 10, seed)
+    assert got == want
 
 
 def test_fit_needs_three_distinct_points():
