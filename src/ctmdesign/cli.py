@@ -153,7 +153,7 @@ def cmd_simulate(args):
     _manifest(out_dir, args.config, scenario.raw, seed,
               [rep_file.name, sum_file.name], t0,
               extra={"design": list(map(float, k)),
-                     "rule": args.rule or scenario.raw.get("run", {}).get("rule")})
+                     "rule": args.rule or getattr(scenario.rule, "variant", None)})
     print(f"{scenario.name}: n={len(values)} mean={mean:.4f} se={se:.4f}")
     return 0
 
@@ -183,16 +183,14 @@ def cmd_calibrate(args):
 
 
 def _grid_slice(scenario, space, resolution=None):
-    """2D slice grid from the learning.grid block.
+    """2D slice grid of the scenario's learning.grid settings.
 
     Returns (points, axis names, row prefixes), a prefix being the row's
     two axis coordinates formatted as the grid CSV has them.
     """
-    grid_cfg = scenario.grid_block()
     names = scenario.design_names
-    axes = grid_cfg.get("axes", names[:2])
-    res = resolution or grid_cfg.get("resolution", 200)
-    fixed = grid_cfg.get("fixed", {})
+    axes, fixed = scenario.grid_axes, scenario.grid_fixed
+    res = resolution or scenario.grid_resolution
     ia, ib = names.index(axes[0]), names.index(axes[1])
     (a_lo, a_hi) = space.bounds[ia]
     (b_lo, b_hi) = space.bounds[ib]
@@ -399,8 +397,7 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", help="replicate one design")
     common(p_sim, design=True, reps=True)
-    p_sim.add_argument("--rule", choices=["dpf", "cpf", "priority",
-                                          "cooperative"], default=None)
+    p_sim.add_argument("--rule", choices=InteractionRule.VARIANTS, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cal = sub.add_parser("calibrate", help="benchmark thresholds")

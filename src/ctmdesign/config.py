@@ -4,8 +4,8 @@ A scenario file is JSON with a versioned schema.  It either describes a
 traffic network (nodes, cells, signals, sources/sinks, run horizon,
 performance measure) or an analytic test surface, plus the design-space
 bounds and the estimation budgets.  Scalar fields that vary with the
-design vector hold ``{"design": "<name>"}`` references resolved at
-simulation time.
+design vector hold ``{"design": "<name>"}`` references.  ``Scenario``
+parses and checks every setting at load; a replicate only resolves them.
 
 Design parameters listed under ``design.integerized`` are rounded to an
 adjacent integer per replicate, with probabilities matching the real
@@ -30,7 +30,7 @@ from .evaluation import (AvgNetworkFlow, AvgVelocity, BenchmarkSpec, Throughput,
                          Utility, calibrate_threshold)
 from .gpr import KERNEL_VARIANTS
 from .learning import DesignSpace, LoopConfig
-from .network import TrafficNetwork, TurningFractions
+from .network import NetworkError, TrafficNetwork, TurningFractions
 from .signals import SignalSchedule
 from .solvers import InteractionRule, SimulationEngine
 
@@ -56,6 +56,10 @@ _DESIGN_REF = {
     "additionalProperties": False,
 }
 _NUMBER_OR_REF = {"oneOf": [{"type": "number"}, _DESIGN_REF]}
+_INTEGER = {"type": "integer"}
+
+#: learning budgets, whole numbers
+_BUDGETS = ("n_initial", "n_loop", "iterations", "n_min", "max_trials", "n_eval")
 _SIGNAL = {
     "type": "object",
     "required": ["ccw", "green"],
@@ -74,6 +78,7 @@ SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "required": ["version", "name"],
+    "dependentRequired": {"network": ["run"]},
     "properties": {
         "version": {"const": 1},
         "name": {"type": "string"},
@@ -140,12 +145,14 @@ SCENARIO_SCHEMA = {
             "properties": {
                 "steps": {"type": "integer", "minimum": 1},
                 "t_real": {"type": "number", "exclusiveMinimum": 0},
-                "rule": {"enum": ["dpf", "cpf", "priority", "cooperative"]},
+                "rule": {"enum": list(InteractionRule.VARIANTS)},
                 "initial_density": {"type": "object"},
             },
         },
         "evaluation": {"type": "object"},
-        "learning": {"type": "object"},
+        "learning": {"type": "object", "properties": {
+            **dict.fromkeys(_BUDGETS, _INTEGER),
+            "n_max": {"oneOf": [_INTEGER, {"type": "array", "items": _INTEGER}]}}},
     },
 }
 
@@ -173,14 +180,24 @@ def load_scenario(path):
     return Scenario(raw, origin=str(path))
 
 
-def _resolve(value, params, context):
-    """Literal numbers pass through; design references pull from params."""
-    if isinstance(value, dict):
-        name = value["design"]
-        if name not in params:
-            raise ConfigError(f"{context}: unknown design parameter {name!r}")
-        return params[name]
-    return value
+def _present(cfg, keys):
+    """Keyword arguments of the ``keys`` (key -> (field, conversion)) in ``cfg``."""
+    return {field: conv(cfg[key]) for key, (field, conv) in keys.items() if key in cfg}
+
+
+#: optional signal entry keys; SignalSchedule owns their defaults
+_SIGNAL_KEYS = {"a_real": ("a_real", float),
+                "v_real_kmh": ("v_real", lambda kmh: float(kmh) / 3.6),
+                "t_safe": ("t_safe", int)}
+
+#: keys of an environment source per kind: (required, optional)
+_SOURCE_KEYS = {"ar_copula": (("route", "sigma"), ()),
+                "gaussian_pairs": (("route", "xi", "psi"), ("pair_route", "pair_sign"))}
+
+
+def _at(value, params):
+    """A parsed setting, a design parameter's name replaced by its value."""
+    return float(params[value]) if isinstance(value, str) else value
 
 
 @contextmanager
@@ -188,6 +205,8 @@ def _rejected_as_config_error(context):
     """Re-raise a constructor's ValueError as a ConfigError naming ``context``."""
     try:
         yield
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"{context}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -195,23 +214,33 @@ def _rejected_as_config_error(context):
 
 
 class Scenario:
-    """A validated scenario: builds the engine once, then runs replicates."""
+    """A validated scenario: parses its settings and builds the engine once."""
 
     def __init__(self, raw, origin="<dict>"):
         self.raw = raw
         self.origin = origin
         self.name = raw["name"]
         self.seed = raw.get("seed", 0)
-        self._node_index = None
+        design = raw.get("design", {})
+        self.design_names = list(design.get("names", []))
+        self._integerized = [name for name in design.get("integerized", [])
+                             if name in self.design_names]
+        self.rule = self._analytic = None
+        if "simulator" in raw:
+            sim = raw["simulator"]
+            self._analytic = (sim.get("surface", "sincos2d"), float(sim.get("noise", 0.0)))
         if "network" in raw:
             self._build_network()
-        self._check_grid()
+            run = raw["run"]
+            self.steps = run["steps"]
+            self.rule = InteractionRule(run.get("rule", "dpf"))
+            self._rho0 = self._initial_densities(run.get("initial_density", {}))
+            self._parse_environment(raw.get("environment", {"kind": "none"}))
+            self._measure = self._parse_measure(
+                raw.get("evaluation", {}).get("measure", {"kind": "avg_network_flow"}))
+        self._parse_grid()
 
     # -- design space --------------------------------------------------
-
-    @property
-    def design_names(self):
-        return list(self.raw.get("design", {}).get("names", []))
 
     def design_space(self):
         bounds = self.raw.get("design", {}).get("bounds")
@@ -228,6 +257,14 @@ class Scenario:
                 f"design vector has {len(k)} entries, expected {len(names)}: {names}")
         return dict(zip(names, k))
 
+    def _design_value(self, value, where):
+        """A literal as a float; a design reference as the parameter's name."""
+        if not isinstance(value, dict):
+            return float(value)
+        if value["design"] not in self.design_names:
+            raise ConfigError(f"{where}: unknown design parameter {value['design']!r}")
+        return value["design"]
+
     # -- network construction -------------------------------------------
 
     def _node_id(self, node):
@@ -237,8 +274,13 @@ class Scenario:
             raise ConfigError(
                 f"{self.origin}: unknown node {node} referenced") from None
 
-    def _route(self, triple):
-        return tuple(self._node_id(n) for n in triple)
+    def _route(self, triple, where):
+        """Index of the route named by three node labels; it must exist."""
+        try:
+            return self.network.index_of(*(self._node_index[n] for n in triple))
+        except (KeyError, TypeError, NetworkError):
+            raise ConfigError(f"{where}: {triple!r} is not a route of the "
+                              "network") from None
 
     def _build_network(self):
         net_cfg = self.raw["network"]
@@ -317,9 +359,7 @@ class Scenario:
     def _build_signals(self, signals_cfg):
         """One default schedule per signalized node; a design-referenced
         green or shift stands at its floor until ``_signal_programs``."""
-        integerized = (set(self.raw.get("design", {}).get("integerized", []))
-                       & set(self.design_names))
-        t_real = float(self.raw.get("run", {}).get("t_real", 1.0))
+        timing = _present(self.raw.get("run", {}), {"t_real": ("t_real", float)})
         self.signals, self._signal_refs = {}, []
         for node_str, sig in signals_cfg.items():
             v = self._node_id(int(node_str))
@@ -332,7 +372,7 @@ class Scenario:
                 value = sig.get(key, fields[key])
                 if not isinstance(value, dict):
                     fields[key] = int(value)
-                elif value["design"] in integerized:
+                elif value["design"] in self._integerized:
                     self._signal_refs.append((v, key, value["design"]))
                 else:
                     raise ConfigError(
@@ -340,45 +380,109 @@ class Scenario:
                         "is not a design parameter listed under design.integerized")
             self.signals[v] = SignalSchedule(
                 ccw=tuple(self._node_id(x) for x in sig["ccw"]), **fields,
-                t_real=t_real, a_real=float(sig.get("a_real", 1.5)),
-                v_real=float(sig.get("v_real_kmh", 50.0)) / 3.6,
-                t_safe=int(sig.get("t_safe", 2)))
+                **timing, **_present(sig, _SIGNAL_KEYS))
+
+    # -- run settings, parsed at load ------------------------------------
+
+    def _initial_densities(self, init_cfg):
+        """Route densities at t = 0 from the run.initial_density block."""
+        mode = init_cfg.get("mode", "per_route")
+        rho0 = np.zeros(self.network.n_routes)
+        where = f"{self.origin}: run.initial_density"
+        with _rejected_as_config_error(where):
+            if mode == "per_route":
+                for i, r in enumerate(self.network.routes):
+                    g = self._group_of[self.node_labels[r.via]]
+                    rho0[i] = float(init_cfg["values"][g])
+            elif mode == "max_density_fraction":
+                frac = float(init_cfg["fraction"])
+                for v in range(self.network.n_nodes):
+                    idx = self.network.routes_through(v)
+                    if len(idx) == 0:
+                        continue
+                    rho_max = self.node_cells[v].rho_max
+                    rho0[idx] = rho_max * frac / len(idx)
+            else:
+                raise ConfigError(f"{where}: unknown mode {mode!r}")
+        return rho0
+
+    def initial_densities(self):
+        """Route densities at t = 0, a fresh array."""
+        return self._rho0.copy()
+
+    def _parse_environment(self, env_cfg):
+        """The environment block, design references kept as parameter names."""
+        self._env_kind = kind = env_cfg["kind"]
+        self._sources, self._constants = [], []
+        if kind == "none":
+            return
+        where = f"{self.origin}: environment"
+        con = f"{where}.constants"
+        with _rejected_as_config_error(where):
+            cap = float(env_cfg.get("rho_cap_fraction", 1.0))
+            self._caps = {v: cell.rho_max * cap for v, cell in self.node_cells.items()}
+            self._sources = [self._source(s, kind, f"{where}.sources")
+                             for s in env_cfg["sources"]]
+            self._constants = [(self.network.routes[self._route(e["route"], con)],
+                                float(e.get("scale", 1.0)),
+                                self._design_value(e["value"], con))
+                               for e in env_cfg.get("constants", [])]
+            if kind == "ar_copula":
+                if len(self._sources) != 2:
+                    raise ConfigError(f"{where}.sources: the copula environment "
+                                      "couples exactly two sources")
+                self._copula_r = self._design_value(env_cfg["copula_r"], where)
+
+    def _source(self, entry, kind, where):
+        """A source's constructor arguments: routes as the network's routes,
+        numbers as floats, design references as parameter names."""
+        required, optional = _SOURCE_KEYS[kind]
+        unknown = sorted(set(entry) - set(required) - set(optional))
+        missing = sorted(set(required) - set(entry))
+        if unknown or missing:
+            raise ConfigError(f"{where}: source {entry!r} "
+                              + (f"has an unknown key {unknown[0]!r}" if unknown
+                                 else f"has no {missing[0]!r}"))
+        args = {}
+        for key, value in entry.items():
+            if key.endswith("route"):
+                args[key] = self.network.routes[self._route(value, where)]
+            elif key == "pair_sign":
+                with _rejected_as_config_error(f"{where}: pair_sign"):
+                    args[key] = float(value)
+            else:
+                args[key] = self._design_value(value, where)
+        return args
+
+    def _parse_measure(self, m_cfg):
+        """Factory of one replicate's performance observer."""
+        where = f"{self.origin}: evaluation.measure"
+        kind = m_cfg.get("kind")
+        if kind == "avg_network_flow":
+            return AvgNetworkFlow
+        if kind == "throughput":
+            routes = [s[key] for key in ("route", "pair_route") for s in self._sources
+                      if key in s] + [route for route, _, _ in self._constants]
+            routes = [self.network.index_of(*r) for r in routes]
+            return lambda: Throughput(routes)
+        if kind == "avg_velocity":
+            with _rejected_as_config_error(where):
+                idx = [self._route(r, where) for r in m_cfg["routes"]]
+            free = [self.node_cells[self.network.routes[i].via].a for i in idx]
+            return lambda: AvgVelocity(idx, free)
+        raise ConfigError(f"{where}: unknown measure {kind!r}")
 
     # -- per-replicate assembly ------------------------------------------
 
-    def initial_densities(self):
-        init_cfg = self.raw.get("run", {}).get("initial_density", {})
-        mode = init_cfg.get("mode", "per_route")
-        rho0 = np.zeros(self.network.n_routes)
-        if mode == "per_route":
-            for i, r in enumerate(self.network.routes):
-                g = self._group_of[self.node_labels[r.via]]
-                rho0[i] = float(init_cfg["values"][g])
-        elif mode == "max_density_fraction":
-            frac = float(init_cfg["fraction"])
-            for v in range(self.network.n_nodes):
-                idx = self.network.routes_through(v)
-                if len(idx) == 0:
-                    continue
-                rho_max = self.node_cells[v].rho_max
-                rho0[idx] = rho_max * frac / len(idx)
-        else:
-            raise ConfigError(f"{self.origin}: unknown initial-density mode {mode!r}")
-        return rho0
-
-    def interaction_rule(self):
-        return InteractionRule(self.raw.get("run", {}).get("rule", "dpf"))
-
-    def _integerize_params(self, params, rng):
-        """Round flagged design parameters to adjacent integers, in order."""
-        out = dict(params)
-        for name in self.raw.get("design", {}).get("integerized", []):
-            if name not in out:
-                continue
-            x = out[name]
+    def _replicate_params(self, k, rng):
+        """Design parameters of one replicate: the integerized ones rounded to
+        an adjacent integer, drawing from ``rng`` in declared order."""
+        params = self.design_params(k)
+        for name in self._integerized:
+            x = params[name]
             frac = x - math.floor(x)
-            out[name] = math.floor(x) + (1.0 if rng.random() < frac else 0.0)
-        return out
+            params[name] = math.floor(x) + (1.0 if rng.random() < frac else 0.0)
+        return params
 
     def _signal_programs(self, params):
         """Node -> SignalSchedule of one replicate, design values in place."""
@@ -388,64 +492,23 @@ class Scenario:
             programs[v] = dataclasses.replace(programs[v], **{key: value})
         return programs
 
-    def _node_caps(self, cap_fraction):
-        return {v: self.node_cells[v].rho_max * cap_fraction
-                for v in range(self.network.n_nodes)}
-
-    def _environment(self, params, rng, steps):
-        env_cfg = self.raw.get("environment", {"kind": "none"})
-        kind = env_cfg["kind"]
+    def _environment(self, params, rng):
+        """One replicate's environment; it draws its whole block from ``rng``."""
+        kind = self._env_kind
         if kind == "none":
             return None
-        caps = self._node_caps(float(env_cfg.get("rho_cap_fraction", 1.0)))
-        if kind == "ar_copula":
-            sources = [
-                ArSourceSink(route=self._route(s["route"]),
-                             sigma=float(_resolve(s["sigma"], params, "source sigma")))
-                for s in env_cfg["sources"]]
-            copula = FrankCopula(float(_resolve(env_cfg["copula_r"], params,
-                                                "copula r")))
-            return ArCopulaEnvironment(self.network, sources, copula, caps, rng,
-                                       steps)
-        if kind == "gaussian_pairs":
-            sources = []
-            for s in env_cfg["sources"]:
-                sources.append(GaussianSourceSink(
-                    route=self._route(s["route"]),
-                    xi=float(_resolve(s["xi"], params, "source xi")),
-                    psi=float(_resolve(s["psi"], params, "source psi")),
-                    pair_route=(self._route(s["pair_route"])
-                                if "pair_route" in s else None),
-                    pair_sign=float(s.get("pair_sign", -1.0))))
-            constants = []
-            for entry in env_cfg.get("constants", []):
-                value = _resolve(entry["value"], params, "constant flow")
-                scale = float(entry.get("scale", 1.0))
-                constants.append((self._route(entry["route"]), scale * float(value)))
+        source = ArSourceSink if kind == "ar_copula" else GaussianSourceSink
+        with _rejected_as_config_error(f"{self.origin}: environment"):
+            sources = [source(**{key: _at(value, params) for key, value in s.items()})
+                       for s in self._sources]
+            if kind == "ar_copula":
+                return ArCopulaEnvironment(
+                    self.network, sources, FrankCopula(_at(self._copula_r, params)),
+                    self._caps, rng, self.steps)
+            constants = [(route, scale * _at(value, params))
+                         for route, scale, value in self._constants]
             return GaussianPairsEnvironment(self.network, sources, constants,
-                                            caps, rng, steps)
-        raise ConfigError(f"{self.origin}: unknown environment kind {kind!r}")
-
-    def _measure(self):
-        eval_cfg = self.raw.get("evaluation", {})
-        m_cfg = eval_cfg.get("measure", {"kind": "avg_network_flow"})
-        kind = m_cfg["kind"]
-        if kind == "avg_network_flow":
-            return AvgNetworkFlow
-        if kind == "throughput":
-            env_cfg = self.raw.get("environment", {})
-            routes = [self.network.index_of(*self._route(s["route"]))
-                      for s in env_cfg.get("sources", [])]
-            routes += [self.network.index_of(*self._route(s["pair_route"]))
-                       for s in env_cfg.get("sources", []) if "pair_route" in s]
-            routes += [self.network.index_of(*self._route(e["route"]))
-                       for e in env_cfg.get("constants", [])]
-            return lambda: Throughput(routes)
-        if kind == "avg_velocity":
-            idx = [self.network.index_of(*self._route(r)) for r in m_cfg["routes"]]
-            free = [self.node_cells[self.network.routes[i].via].a for i in idx]
-            return lambda: AvgVelocity(idx, free)
-        raise ConfigError(f"{self.origin}: unknown measure {kind!r}")
+                                            self._caps, rng, self.steps)
 
     # -- running ----------------------------------------------------------
 
@@ -462,7 +525,7 @@ class Scenario:
         environment block from its own generator, in list order, so a
         list that repeats one generator reproduces consecutive calls on
         it.  Every value is bit-identical to the one-generator call at its
-        own design.
+        own design.  ``rule`` overrides the scenario's interaction rule.
         """
         single = isinstance(rng, np.random.Generator)
         rngs = [rng] if single else list(rng)
@@ -471,7 +534,7 @@ class Scenario:
             ks = np.broadcast_to(ks.reshape(-1), (len(rngs), ks.size))
         elif len(ks) != len(rngs):
             raise ValueError(f"{len(ks)} designs for {len(rngs)} generators")
-        if "simulator" in self.raw:
+        if self._analytic is not None:
             values = [self._analytic_draw(kj, g) for kj, g in zip(ks, rngs)]
         else:
             values = []
@@ -483,34 +546,28 @@ class Scenario:
 
     def _run_batch(self, ks, rngs, extra_observers, rule):
         """One stepped batch: replicate j at design ks[j] from rngs[j]."""
-        steps = self.raw["run"]["steps"]
         programs, envs = [], []
         for kj, g in zip(ks, rngs):
-            params = self._integerize_params(self.design_params(kj), g)
+            params = self._replicate_params(kj, g)
             programs.append(self._signal_programs(params))
-            with _rejected_as_config_error(f"{self.origin}: environment or measure"):
-                envs.append(self._environment(params, g, steps))
-        with _rejected_as_config_error(f"{self.origin}: environment or measure"):
-            measure = self._measure()()
-        rho0 = self.initial_densities()
+            envs.append(self._environment(params, g))
+        measure = self._measure()
         if len(rngs) == 1:  # one replicate steps a 1-D state: faster at B = 1
-            env, programs = envs[0], programs[0]
+            env, programs, rho0 = envs[0], programs[0], self._rho0
         else:
             env = None if envs[0] is None else type(envs[0]).stack(envs)
-            rho0 = np.tile(rho0, (len(rngs), 1))
-        self.engine.run(rho0, steps, rule or self.interaction_rule(), env=env,
+            rho0 = np.tile(self._rho0, (len(rngs), 1))
+        self.engine.run(rho0, self.steps, rule or self.rule, env=env,
                         programs=programs, observers=(measure, *extra_observers))
         return [float(v) for v in np.broadcast_to(measure.value(), len(rngs))]
 
     def _analytic_draw(self, k, rng):
-        sim = self.raw["simulator"]
-        k = np.asarray(k, dtype=float).ravel()
-        surface = sim.get("surface", "sincos2d")
+        surface, noise = self._analytic
         if surface == "sin1d":
             mean = math.sin(2 * math.pi * k[0])
         else:
             mean = math.sin(2 * math.pi * k[0]) * math.cos(2 * math.pi * k[1])
-        return mean + sim.get("noise", 0.0) * rng.standard_normal()
+        return mean + noise * rng.standard_normal()
 
     # -- evaluation / learning blocks -------------------------------------
 
@@ -553,48 +610,40 @@ class Scenario:
         return calibrate_threshold(benches[label], self.utility())
 
     def loop_config(self):
+        """The learning block as a LoopConfig; built on request, because a
+        ``benchmark_gap`` tau scale calibrates thresholds."""
         l_cfg = self.raw.get("learning")
         if l_cfg is None:
             raise ConfigError(f"{self.origin}: scenario has no learning block")
-        scale = l_cfg.get("tau_scale", 1.0)
-        if scale == "benchmark_gap":
-            benches = self.benchmarks()
-            u = self.utility()
-            gammas = [calibrate_threshold(b, u) for b in benches.values()]
-            scale = abs(max(gammas) - min(gammas))
-        taus = l_cfg.get("tau_values")
-        if taus is None:
-            taus = [f * float(scale) for f in l_cfg["tau_fractions"]]
-        c2 = l_cfg.get("c2")
-        c2_0 = l_cfg.get("c2_0")
-        if c2 is None and c2_0 is None:
-            # acquisition noticeably peaked across the value scale
-            c2_0 = 2.0 / float(scale)
-        n_max = l_cfg.get("n_max", [3000])
         kernel = l_cfg.get("kernel", {})
         if not isinstance(kernel, dict):
             raise ConfigError(f"{self.origin}: learning.kernel {kernel!r} is not an object")
-        if isinstance(n_max, int):
-            n_max = [n_max]
         with _rejected_as_config_error(f"{self.origin}: learning"):
-            config = LoopConfig(
-                n_initial=int(l_cfg["n_initial"]),
-                n_loop=int(l_cfg["n_loop"]),
-                iterations=int(l_cfg["iterations"]),
-                tau_schedule=tuple(float(t) for t in taus),
-                n_min=int(l_cfg.get("n_min", 20)),
-                n_max=tuple(int(n) for n in n_max),
-                c1=float(l_cfg.get("c1", 5.0)),
-                c2_0=(None if c2_0 is None else float(c2_0)),
-                c2=(None if c2 is None else tuple(float(x) for x in c2)),
-                c3=float(l_cfg.get("c3", 2.0)),
-                max_trials=int(l_cfg.get("max_trials", 10000)),
-                acquisition_variant=l_cfg.get("acquisition", "absolute"),
-                delta=float(l_cfg.get("delta", 0.05)),
-                n_eval=int(l_cfg.get("n_eval", 100000)),
-                error_stop=l_cfg.get("error_stop"),
-                kernel_variant=kernel.get("variant", "matern32"),
-            )
+            scale = l_cfg.get("tau_scale", 1.0)
+            if scale == "benchmark_gap":
+                benches = self.benchmarks()
+                u = self.utility()
+                gammas = [calibrate_threshold(b, u) for b in benches.values()]
+                scale = abs(max(gammas) - min(gammas))
+            taus = l_cfg.get("tau_values")
+            if taus is None:
+                taus = [f * float(scale) for f in l_cfg["tau_fractions"]]
+            # a key named as a LoopConfig field passes as it is; LoopConfig
+            # owns the defaults of those the scenario leaves out
+            fields = {f.name: l_cfg[f.name] for f in dataclasses.fields(LoopConfig)
+                      if l_cfg.get(f.name) is not None and f.name not in
+                      ("tau_schedule", "acquisition_variant", "kernel_variant")}
+            for key in ("n_max", "c2"):
+                if key in fields:
+                    fields[key] = tuple(np.atleast_1d(fields[key]).tolist())
+            if "acquisition" in l_cfg:
+                fields["acquisition_variant"] = l_cfg["acquisition"]
+            if "c2" not in fields and "c2_0" not in fields:
+                # acquisition noticeably peaked across the value scale
+                fields["c2_0"] = 2.0 / float(scale)
+            if "variant" in kernel:
+                fields["kernel_variant"] = kernel["variant"]
+            config = LoopConfig(tau_schedule=tuple(float(t) for t in taus), **fields)
         # checked here, not in LoopConfig, which also serves smaller test loops
         if config.n_initial < 3:
             raise ConfigError(f"{self.origin}: learning.n_initial {config.n_initial} "
@@ -605,29 +654,27 @@ class Scenario:
                               f"{KERNEL_VARIANTS}")
         return config
 
-    def grid_block(self):
-        return self.raw.get("learning", {}).get("grid", {})
-
-    def _check_grid(self):
-        """Reject a learning.grid block that cannot describe a 2-D slice."""
-        grid = self.grid_block()
+    def _parse_grid(self):
+        """``grid_axes``, ``grid_resolution`` and ``grid_fixed`` of learning.grid,
+        which must describe a 2-D slice of the design space."""
+        grid = self.raw.get("learning", {}).get("grid", {})
         where = f"{self.origin}: learning.grid"
         if not isinstance(grid, dict):
             raise ConfigError(f"{where}: {grid!r} is not an object")
+        names = self.design_names
+        self.grid_axes = axes = grid.get("axes", names[:2])
+        self.grid_resolution = res = grid.get("resolution", 200)
+        self.grid_fixed = fixed = grid.get("fixed", {})
         if not grid:
             return
-        names = self.design_names
         bounds = dict(zip(names, self.raw["design"]["bounds"])) if names else {}
-        res = grid.get("resolution", 200)
         if type(res) is not int or res < 1:
             raise ConfigError(f"{where}: resolution {res!r} is not an integer >= 1")
-        axes = grid.get("axes", names[:2])
         if (not isinstance(axes, list) or len(axes) != 2
                 or not all(isinstance(a, str) and a in bounds for a in axes)
                 or axes[0] == axes[1]):
             raise ConfigError(f"{where}: axes {axes!r} are not two distinct "
                               f"design parameters of {names}")
-        fixed = grid.get("fixed", {})
         if not isinstance(fixed, dict):
             raise ConfigError(f"{where}: fixed {fixed!r} is not an object")
         for name, value in fixed.items():
@@ -638,4 +685,3 @@ class Scenario:
             if type(value) not in (int, float) or not lo <= value <= hi:
                 raise ConfigError(f"{where}: fixed {name} = {value!r} is not a "
                                   f"number in [{lo}, {hi}]")
-

@@ -216,16 +216,16 @@ def acquisition(k, post, gamma, c2, variant="absolute"):
         m, s = post.mean(k), None
     else:
         m, s = post.mean_std(k)
-    out = ndtr(-c2 * _gap(m, s, gamma, variant))
+    out = _acceptance(m, s, gamma, c2, variant)
     return out if out.size > 1 else float(out[0])
 
 
-def _gap(m, s, gamma, variant):
-    """|m - gamma|, divided by the posterior std in the "scaled" variant."""
+def _acceptance(m, s, gamma, c2, variant):
+    """Phi(-c2 |m - gamma|), the gap divided by s in the "scaled" variant."""
     gap = np.abs(np.atleast_1d(m) - gamma)
-    if variant == "absolute":
-        return gap
-    return gap / np.maximum(np.atleast_1d(s), 1e-300)
+    if variant != "absolute":
+        gap = gap / np.maximum(np.atleast_1d(s), 1e-300)
+    return ndtr(-c2 * gap)
 
 
 def rejection_sample(n_loop, post, gamma, tau_i, c2, config, space, rng):
@@ -250,7 +250,7 @@ def rejection_sample(n_loop, post, gamma, tau_i, c2, config, space, rng):
             ks = space.uniform(rng, batch)
             ps = rng.random(batch)
             m, s = post.mean_std(ks)
-            acc = ndtr(-c2 * _gap(m, s, gamma, config.acquisition_variant))
+            acc = _acceptance(m, s, gamma, c2, config.acquisition_variant)
             gate = config.c1 * tau_i < np.atleast_1d(s)
             candidates = iter(zip(ks, gate, ps, acc))
             continue

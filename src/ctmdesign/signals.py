@@ -39,7 +39,7 @@ class SignalSchedule:
     shift: int = 0
     t_real: float = 1.0
     a_real: float = 1.5
-    v_real: float = 13.888888888888889
+    v_real: float = 50.0 / 3.6
     t_safe: int = 2
 
     def __post_init__(self):

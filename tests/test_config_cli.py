@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections.abc import Mapping
 from importlib import resources
 from pathlib import Path
 
@@ -184,6 +185,37 @@ def test_mixed_design_batches_equal_single_replicates(case):
         assert batch == singles[:size]
 
 
+class _Unreadable(Mapping):
+    """Stands in for a scenario's raw JSON: any read fails the test."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"raw JSON read at {key!r}")
+
+    def __iter__(self):
+        raise AssertionError("raw JSON iterated")
+
+    def __len__(self):
+        raise AssertionError("raw JSON sized")
+
+
+@pytest.mark.parametrize("name, k", [
+    ("urban", (2.5, 0.01, 0.01, 20.4, 75.5)),
+    ("highway_small", (30.0, 20.0)),
+    ("synthetic_small", (0.2, 0.7)),
+])
+def test_replicate_path_reads_no_raw_json(name, k):
+    # every setting a replicate needs is parsed when the scenario loads
+    root = Path(__file__).resolve().parents[1]
+    path = bundled(name) if name == "urban" else root / f"ctmbench/scenarios/{name}.json"
+    guarded, plain = load_scenario(path), load_scenario(path)
+    guarded.raw = _Unreadable()
+    for key in ((0,), (1, 0)):
+        assert (guarded.run_replicate(k, replicate_rng(3, *key))
+                == plain.run_replicate(k, replicate_rng(3, *key)))
+    assert (guarded.run_replicate(k, [replicate_rng(3, 2, i) for i in range(3)])
+            == plain.run_replicate(k, [replicate_rng(3, 2, i) for i in range(3)]))
+
+
 def test_urban_shift_periodicity_bit_identical():
     # identical seed, configurations (T_g, T_s) and (T_g, T_s + 2 T_g)
     scen = load_bundled("urban")
@@ -276,6 +308,20 @@ def test_cli_simulate_and_outputs(tmp_path):
                "--reps", "8", "--seed", "3", "--out-dir", str(out)])
     assert rc == 0
     assert (out / "replicates.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("rule", [None, "cooperative"])
+def test_cli_simulate_manifest_records_the_rule_that_ran(tmp_path, rule):
+    # without run.rule the scenario steps dpf
+    raw = json.loads(bundled("urban").read_text())
+    del raw["run"]["rule"]
+    if rule:
+        raw["run"]["rule"] = rule
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--design", "2.5,0.01,0.01,20,75",
+                 "--reps", "1", "--out-dir", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["rule"] == (rule or "dpf")
 
 
 def test_cli_simulate_worker_pool_deterministic(tmp_path):
@@ -484,21 +530,65 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert rc == 3
 
 
-@pytest.mark.parametrize("block, key, value", [
-    ("learning", "tau_values", [0.01, -0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01]),
-    ("design", "bounds", [[1.0, 0.0], [0.0, 1.0]]),
-    ("learning", "n_eval", 0),
-], ids=["negative-tau", "reversed-bounds", "zero-n_eval"])
-def test_cli_invalid_values_exit_2_naming_the_file(tmp_path, capsys, block,
-                                                   key, value):
-    raw = json.loads(bundled("synthetic").read_text())
+URBAN_SOURCE = {"route": [6, 7, 11], "sigma": {"design": "sigma_a"}}
+
+
+@pytest.mark.parametrize("name, block, key, value, named", [
+    ("synthetic", "learning", "tau_values",
+     [0.01, -0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01], "learning"),
+    ("synthetic", "design", "bounds", [[1.0, 0.0], [0.0, 1.0]], "design"),
+    ("synthetic", "learning", "n_eval", 0, "learning"),
+    ("urban", "run", "initial_density",
+     {"mode": "per_route", "values": {"roads": 5, "unsignalized": 1}},
+     "run.initial_density"),
+    ("urban", "run", "initial_density", {"mode": "max_density_fraction"},
+     "run.initial_density"),
+    ("urban", "run", "initial_density", {"mode": "uniform"}, "run.initial_density"),
+    ("urban", "environment", "sources",
+     [URBAN_SOURCE, {"route": [24, 23, 999], "sigma": {"design": "sigma_b"}}],
+     "environment.sources"),
+    ("urban", "environment", "sources",
+     [URBAN_SOURCE, {"route": [24, 23, 24], "sigma": {"design": "sigma_b"}}],
+     "environment.sources"),
+    ("urban", "environment", "sources",
+     [URBAN_SOURCE, {"route": [24, 23, 19], "sigma": {"design": "zz"}}],
+     "environment.sources"),
+    ("urban", "environment", "sources",
+     [URBAN_SOURCE, {"route": [24, 23, 19], "sigmaa": {"design": "sigma_b"}}],
+     "environment.sources"),
+    ("urban", "environment", "sources",
+     [URBAN_SOURCE, {**URBAN_SOURCE, "value": 5}], "environment.sources"),
+    ("urban", "environment", "sources",
+     [URBAN_SOURCE, {**URBAN_SOURCE, "pair_sign": 1.0}], "environment.sources"),
+    ("urban", "environment", "sources",
+     [URBAN_SOURCE, {"route": [24, 23, 19]}], "environment.sources"),
+    ("urban", "environment", "sources", [URBAN_SOURCE], "environment.sources"),
+    ("highway", "environment", "sources",
+     [{"route": [5, 4, 3], "xi": {"design": "xi1"}, "psi": 0.1,
+       "pair_route": [14, 15, 16], "pair_sign": {"design": "xi1"}}],
+     "environment.sources: pair_sign"),
+    ("urban", "evaluation", "measure",
+     {"kind": "avg_velocity", "routes": [[6, 7, 999]]}, "evaluation.measure"),
+    ("urban", "evaluation", "measure", {"kind": "queue"}, "evaluation.measure"),
+], ids=["negative-tau", "reversed-bounds", "zero-n_eval",
+        "initial-density-missing-group", "initial-density-without-fraction",
+        "initial-density-unknown-mode", "source-unknown-node", "source-not-a-route",
+        "source-unknown-design-parameter", "source-misspelled-key",
+        "source-internal-state-key", "source-key-of-the-other-kind",
+        "source-missing-key", "copula-one-source", "pair-sign-design-reference",
+        "measure-unknown-node", "measure-unknown-kind"])
+def test_cli_invalid_values_exit_2_naming_the_file(tmp_path, capsys, name, block,
+                                                   key, value, named):
+    raw = json.loads(bundled(name).read_text())
     raw[block][key] = value
     path = write_config(tmp_path, raw)
     rc = main(["estimate-levelset", "--config", str(path),
                "--out-dir", str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert str(path) in err and "Traceback" not in err
+    assert f"{path}: {named}" in err and "Traceback" not in err
+    assert err.count(str(path)) == 1
+    assert not (tmp_path / "run" / "dataset.csv").exists()  # rejected before the loop
 
 
 
@@ -676,10 +766,23 @@ def test_cli_invalid_grid_exit_2_at_load(tmp_path, capsys, grid):
     ({"n_initial": 1}, "learning.n_initial"),
     ({"kernel": {"variant": "bogus"}}, "learning.kernel.variant"),
     ({"kernel": "matern32"}, "learning.kernel"),
-], ids=["n_initial-2", "n_initial-1", "kernel-variant", "kernel-string"])
+    ({"n_initial": 8.9}, "at learning/n_initial"),
+    ({"n_loop": 3.5}, "at learning/n_loop"),
+    ({"iterations": 1.5}, "at learning/iterations"),
+    ({"n_min": 6.2}, "at learning/n_min"),
+    ({"n_max": [40.5]}, "at learning/n_max"),
+    ({"n_max": 40.5}, "at learning/n_max"),
+    ({"max_trials": 100.5}, "at learning/max_trials"),
+    ({"n_eval": 500.5}, "at learning/n_eval"),
+    ({"tau_values": None}, "learning: missing key 'tau_fractions'"),
+], ids=["n_initial-2", "n_initial-1", "kernel-variant", "kernel-string",
+        "fractional-n_initial", "fractional-n_loop", "fractional-iterations",
+        "fractional-n_min", "fractional-n_max-entry", "fractional-n_max",
+        "fractional-max_trials", "fractional-n_eval", "no-tau-schedule"])
 def test_cli_unusable_learning_block_exit_2_at_load(tmp_path, capsys, learning, where):
     # the kernel fit needs three points and a kernel object with a known
-    # variant; each is checked before the initial design is simulated
+    # variant, and budgets are whole numbers; each is checked before the
+    # initial design is simulated
     small = Path(__file__).resolve().parents[1] / "ctmbench/scenarios/synthetic_small.json"
     raw = json.loads(small.read_text())
     raw["learning"].update(learning)
