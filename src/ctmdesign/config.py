@@ -44,6 +44,9 @@ _MAX_BATCH = 64
 #: stands at this value in the default schedule
 _SIGNAL_FLOOR = {"green": 1, "shift": 0}
 
+#: leading design parameters each analytic surface reads; the rest are unused
+_SURFACE_DIM = {"sin1d": 1, "sincos2d": 2}
+
 
 class ConfigError(ValueError):
     """Scenario file rejected, with a JSON-path or line-precise message."""
@@ -100,7 +103,7 @@ SCENARIO_SCHEMA = {
             "required": ["kind"],
             "properties": {
                 "kind": {"const": "analytic"},
-                "surface": {"enum": ["sin1d", "sincos2d"]},
+                "surface": {"enum": list(_SURFACE_DIM)},
                 "noise": {"type": "number", "minimum": 0},
             },
         },
@@ -228,7 +231,13 @@ class Scenario:
         self.rule = self._analytic = None
         if "simulator" in raw:
             sim = raw["simulator"]
-            self._analytic = (sim.get("surface", "sincos2d"), float(sim.get("noise", 0.0)))
+            surface = sim.get("surface", "sincos2d")
+            self._analytic = (surface, float(sim.get("noise", 0.0)))
+            if len(self.design_names) < _SURFACE_DIM[surface]:
+                raise ConfigError(
+                    f"{origin}: simulator.surface {surface!r} reads the first "
+                    f"{_SURFACE_DIM[surface]} design parameter(s), design.names has "
+                    f"{len(self.design_names)}")
         if "network" in raw:
             self._build_network()
             run = raw["run"]

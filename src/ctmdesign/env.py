@@ -29,13 +29,12 @@ the one-replicate result.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .network import take_routes
+from .normal import libm_exp, libm_log, ndtri
 
 __all__ = [
     "FrankCopula",
@@ -59,20 +58,13 @@ def replicate_rng(master_seed, *key):
         np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(key)))
 
 
-#: libm's exp and log, called once per element: numpy's own vectorized
-#: ones round some results differently from ``math``
-_EXP = np.frompyfunc(math.exp, 1, 1)
-_LOG = np.frompyfunc(math.log, 1, 1)
-
-
 def _log_mix_array(a, b, s):
     """log(a + b * exp(s)) elementwise without overflow, for a, b >= 0."""
     out = np.empty(s.shape)
     low = s <= 0
     high = ~low
-    out[low] = _LOG(a[low] + b[low] * _EXP(s[low]).astype(float)).astype(float)
-    out[high] = s[high] + _LOG(a[high] * _EXP(-s[high]).astype(float)
-                               + b[high]).astype(float)
+    out[low] = libm_log(a[low] + b[low] * libm_exp(s[low]))
+    out[high] = s[high] + libm_log(a[high] * libm_exp(-s[high]) + b[high])
     return out
 
 

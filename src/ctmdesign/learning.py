@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .evaluation import sequential_mc
 from .gpr import GprDataset, fit_hyperparameters, posterior
+from .normal import ndtr, ndtri
 
 __all__ = [
     "DesignSpace",

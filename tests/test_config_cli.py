@@ -817,25 +817,56 @@ def test_cli_export_grid_on_one_dimension_exit_2(tmp_path, capsys):
     assert not (tmp_path / "export" / "grid.csv").exists()
 
 
+@pytest.mark.parametrize("surface, names", [
+    ("sincos2d", ["k1"]), (None, ["k1"]), ("sin1d", []),
+], ids=["sincos2d-one-parameter", "default-surface-one-parameter",
+        "sin1d-no-parameter"])
+def test_cli_surface_dimension_mismatch_exit_2_at_load(tmp_path, capsys, surface,
+                                                       names):
+    # the surface reads k[0] (sin1d) or k[0] and k[1] (sincos2d); a design
+    # with fewer parameters was an IndexError at the first replicate
+    raw = json.loads(bundled("synthetic").read_text())
+    raw["design"] = {"names": names, "bounds": [[0, 1]] * len(names),
+                     "integerized": []}
+    if surface is None:
+        del raw["simulator"]["surface"]
+    else:
+        raw["simulator"]["surface"] = surface
+    del raw["learning"]["grid"]
+    path = write_config(tmp_path, raw)
+    rc = exit_code(["simulate", "--config", str(path), "--design",
+                    ",".join(["0.3"] * len(names)), "--reps", "2",
+                    "--out-dir", str(tmp_path / "sim")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{path}: simulator.surface" in err and "Traceback" not in err
+    assert not (tmp_path / "sim" / "replicates.csv").exists()
+
+
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # calibration, the GP and the optimizers import these where they are
-    # used; simulate needs none of them at start-up
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ctmdesign.cli; print(' '.join(sorted(m for m in "
-         "('scipy.stats', 'scipy.integrate', 'scipy.optimize', 'scipy.linalg') "
-         "if m in sys.modules)))"],
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    # the normal CDF and quantile are in-package, and calibration, the GP
+    # and the optimizers import scipy where they are used: start-up loads
+    # no scipy module at all
+    assert _fresh_modules("import ctmdesign.cli", ("scipy",)) == []
+
+
+def test_simulate_loads_no_scipy(tmp_path):
+    # the copula sources draw their normals in-package and the urban
+    # network needs neither an LP nor a sparse matrix
+    code = ("from ctmdesign.cli import main\n"
+            f"assert main(['simulate', '--config', {str(bundled('urban'))!r}, "
+            "'--design', '2.5,0.01,0.01,20,75', '--reps', '2', "
+            f"'--out-dir', {str(tmp_path / 'sim')!r}]) == 0")
+    assert _fresh_modules(code, ("scipy",)) == []
 
 
 def _fresh_modules(code, names):
-    """Which of ``names`` a fresh interpreter has loaded after ``code``."""
+    """Which of ``names``, or of their submodules, a fresh interpreter has
+    loaded after ``code``."""
     proc = subprocess.run(
         [sys.executable, "-c",
-         f"import sys\n{code}\nprint(' '.join(m for m in {names!r} if m in sys.modules))"],
+         f"import sys\n{code}\nprint(' '.join(sorted(m for m in sys.modules "
+         f"if any(m == n or m.startswith(n + '.') for n in {names!r}))))"],
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
