@@ -211,20 +211,24 @@ def _grid_slice(scenario, space, resolution=None):
     return pts, axes, prefixes
 
 
-#: one grid CSV row from its prefix, formatted as ``_fmt`` and ``csv`` would write it
-_GRID_ROW = "{}{:.12g},{:.12g},{:d},{:d},{:d}\r\n"
+#: one grid CSV row from its prefix, mean, std and flag suffix, formatted as
+#: ``_fmt`` and ``csv`` would write it
+_GRID_ROW = "%s%.12g,%.12g%s"
+#: the row ends "member,inner,outer", indexed by 4 member + 2 inner + outer
+_GRID_FLAGS = tuple(f",{i >> 2},{i >> 1 & 1},{i & 1}\r\n" for i in range(8))
 
 
 def _write_grid(path, grid, post, gamma, delta):
     """One grid CSV of the posterior on a ``_grid_slice`` grid."""
     pts, axes, prefixes = grid
     m, s, lower, upper = credible_band(post, pts, delta)
-    columns = (prefixes, m.tolist(), s.tolist(), (m >= gamma).tolist(),
-               (lower >= gamma).tolist(), (upper >= gamma).tolist())
+    flags = 4 * (m >= gamma) + 2 * (lower >= gamma) + (upper >= gamma)
+    rows = zip(prefixes, m.tolist(), s.tolist(),
+               map(_GRID_FLAGS.__getitem__, flags.tolist()))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow([axes[0], axes[1], "mean", "std", "member",
                                  "inner", "outer"])
-        fh.writelines(map(_GRID_ROW.format, *columns))
+        fh.writelines(map(_GRID_ROW.__mod__, rows))
 
 
 def cmd_estimate_levelset(args):
@@ -341,11 +345,17 @@ def cmd_export_grid(args):
     names = scenario.design_names
     with _rejected_as_config_error(data_file):
         kept = [row for row in rows if not int(row["discarded"])]
-        data = GprDataset(
-            np.array([[float(row[n]) for n in names] for row in kept]),
-            np.array([float(row["mu_hat"]) for row in kept]),
-            np.array([float(row["tau_sq"]) for row in kept]),
-            mu_bar=mu_bar, s_bar=s_bar)
+        if not kept:
+            raise ValueError("no row with discarded 0, so no data to condition on")
+        columns = {key: np.array([float(row[key]) for row in kept])
+                   for key in [*names, "mu_hat", "tau_sq"]}
+        for key, column in columns.items():
+            if not np.isfinite(column).all():
+                raise ValueError(f"{key} must be finite, not "
+                                 f"{column[~np.isfinite(column)][0]}")
+        data = GprDataset(np.column_stack([columns[n] for n in names]),
+                          columns["mu_hat"], columns["tau_sq"],
+                          mu_bar=mu_bar, s_bar=s_bar)
     post = posterior(data, kern)
     grid = _grid_slice(scenario, space, resolution=args.resolution)
     out = Path(args.out_dir)

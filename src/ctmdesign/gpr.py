@@ -24,6 +24,17 @@ scale, applies the closed form, adds noise and jitter to the diagonal in
 place and calls LAPACK's potrf and potrs directly, with the same bits as
 ``cho_factor``/``cho_solve`` of the summed matrix.
 
+LAPACK comes from scipy's compiled f2py module ``scipy.linalg._flapack``:
+dpotrf for the factor, dpotrs for alpha = K^{-1} nu and dtrtrs for
+L^{-1} Sigma(X, k) per query block.  The module is loaded once, from its
+file in scipy's install directory, at the first GP fit (``import scipy``
+and the extension, about 15 ms), so ``scipy/linalg/__init__.py`` and the
+array-API chain it imports (150-260 ms) never run.  ``cho_factor``,
+``cho_solve`` and ``solve_triangular`` call the same wrappers with the
+same arguments (for a lower, Fortran-ordered factor: trans 0), so the
+bits are the same; the tests keep those calls as oracles.  cho_solve's
+checks are kept: a non-finite value or factor raises ValueError.
+
 Kernels: squared exponential and the half-integer Matern family
 (nu = 1/2, 3/2, 5/2) through their closed forms.  A kernel matrix is
 evaluated in place, in the IEEE operation order of the plain expression
@@ -40,6 +51,9 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
+from pathlib import Path
 
 import numpy as np
 
@@ -179,12 +193,33 @@ class GprDataset:
         return self.noises / self.s_bar ** 2
 
 
-@functools.cache
-def _lapack(name):
-    """The float64 LAPACK routine ``name``, loaded at the first GP fit."""
-    from scipy.linalg.lapack import get_lapack_funcs
+def scipy_file(*parts):
+    """A path inside scipy's install directory; imports only the top-level package."""
+    import scipy
 
-    return get_lapack_funcs((name,), (np.empty((1, 1)),))[0]
+    return Path(scipy.__file__).parent.joinpath(*parts)
+
+
+@functools.cache
+def _flapack():
+    """scipy's compiled module ``scipy.linalg._flapack``, loaded at the first GP fit.
+
+    Loaded from its file, so ``scipy/linalg/__init__.py`` and the array-API
+    chain it imports never run.
+    """
+    name = "scipy.linalg._flapack"
+    directory = scipy_file("linalg")
+    spec = PathFinder.find_spec(name, [str(directory)])
+    if spec is None:
+        raise ImportError(f"{name} not found in {directory}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _lapack(name):
+    """The float64 LAPACK routine ``name`` (``potrf`` -> ``dpotrf``)."""
+    return getattr(_flapack(), "d" + name)
 
 
 def _check_finite(a):
@@ -239,29 +274,42 @@ class GprPosterior:
     def __init__(self, dataset, kern):
         self.dataset = dataset
         self.kernel = kern
-        from scipy.linalg import cho_solve
-
         self._cho = _factor(kern, dataset)
-        self._alpha = cho_solve(self._cho, dataset.standardized_values)
+        factor, values = self._cho[0], dataset.standardized_values
+        # as cho_solve: finite inputs only, info != 0 is an error, and an
+        # empty dataset (the prior) has an empty alpha
+        _check_finite(values)
+        _check_finite(factor)
+        self._alpha = np.empty(0)
+        if len(values):
+            self._alpha, info = _lapack("potrs")(factor, values, lower=1)
+            if info != 0:
+                raise ValueError(f"illegal value in {-info}th argument of internal potrs")
 
     def _query(self, queries, want_mean, want_std):
         """(mean, std) at the query points (raw scale), None where not wanted."""
-        from scipy.linalg import solve_triangular
-
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         n = len(queries)
         mean = np.empty(n) if want_mean else None
         var = np.empty(n) if want_std else None
-        factor, lower = self._cho
+        factor = self._cho[0]
+        trtrs = _lapack("trtrs")
         for lo in range(0, n, self.QUERY_BLOCK):
             hi = lo + self.QUERY_BLOCK
             kx = self.kernel.matrix(self.dataset.points, queries[lo:hi])
             if want_mean:
                 np.matmul(kx.T, self._alpha, out=mean[lo:hi])
             if want_std:
-                # var = c(k,k) - ||L^{-1} kx||^2, one triangular solve per block
-                kx = solve_triangular(factor, kx, lower=lower,
-                                      trans=0 if lower else 1, check_finite=False)
+                # var = c(k,k) - ||L^{-1} kx||^2, one triangular solve per
+                # block (none without data, as in solve_triangular)
+                if kx.size:
+                    kx, info = trtrs(factor, kx, lower=1, trans=0, unitdiag=0)
+                    if info > 0:
+                        raise np.linalg.LinAlgError(
+                            f"singular matrix: resolution failed at diagonal {info - 1}")
+                    if info < 0:
+                        raise ValueError(
+                            f"illegal value in {-info}-th argument of internal trtrs")
                 np.einsum("ij,ij->j", kx, kx, out=var[lo:hi])
             del kx  # freed before the next block's kernel matrix is built
         data = self.dataset

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .evaluation import sequential_mc
-from .gpr import GprDataset, fit_hyperparameters, posterior
+from .gpr import GprDataset, fit_hyperparameters, posterior, scipy_file
 from .normal import ndtr, ndtri
 
 __all__ = [
@@ -154,10 +153,7 @@ def _sobol_directions(dim):
     read directly, so ``scipy.stats`` is never imported.  The remaining
     numbers follow the recurrence of Bratley & Fox (1988), Algorithm 659.
     """
-    import scipy
-
-    path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
-    with np.load(path) as data:
+    with np.load(scipy_file("stats", "_sobol_direction_numbers.npz")) as data:
         poly, vinit = data["poly"][:dim], data["vinit"][:dim]
     v = np.zeros((dim, _SOBOL_BITS), dtype=np.int64)
     v[0] = 1

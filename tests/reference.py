@@ -10,8 +10,9 @@ the truncation of one attempted net flow (the environments'
 points and the kernel's cross-covariance matrix in expression form
 (``Kernel.matrix``), the log marginal likelihood through ``cho_factor``
 and the hyperparameter fit through ``scipy.optimize.minimize``
-(``gpr.log_marginal_likelihood`` and ``gpr.fit_hyperparameters``), and
-one-at-a-time sequential Monte Carlo.
+(``gpr.log_marginal_likelihood`` and ``gpr.fit_hyperparameters``), the
+posterior through ``cho_solve`` and ``solve_triangular``
+(``GprPosterior``), and one-at-a-time sequential Monte Carlo.
 """
 
 from __future__ import annotations
@@ -271,6 +272,31 @@ def log_marginal_likelihood(dataset, kern):
     logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
     n = len(dataset)
     return float(-0.5 * nu @ alpha - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi))
+
+
+def posterior_alpha(kern, dataset):
+    """K^{-1} nu through ``cho_factor`` and ``cho_solve`` (``GprPosterior._alpha``)."""
+    from scipy.linalg import cho_solve
+
+    return cho_solve(cho_factor_jittered(kern, dataset), dataset.standardized_values)
+
+
+def posterior_mean_std(kern, dataset, queries, block=1024):
+    """Posterior mean and std-dev (raw scale): per block of ``block`` queries,
+    one ``solve_triangular`` of the kernel block and one ``einsum``."""
+    from scipy.linalg import solve_triangular
+
+    factor, lower = cho_factor_jittered(kern, dataset)
+    alpha = posterior_alpha(kern, dataset)
+    means, variances = [], []
+    for lo in range(0, len(queries), block):
+        kx = kernel_matrix(kern, dataset.points, queries[lo:lo + block])
+        means.append(kx.T @ alpha)
+        v = solve_triangular(factor, kx, lower=lower, check_finite=False)
+        variances.append(np.einsum("ij,ij->j", v, v))
+    mean = np.concatenate(means) * dataset.s_bar + dataset.mu_bar
+    var = np.maximum(kern.sigma_c ** 2 - np.concatenate(variances), 0.0)
+    return mean, np.sqrt(var) * dataset.s_bar
 
 
 def fit_hyperparameters(dataset, variant, n_starts=10, rng=None, tol=1e-6):

@@ -733,6 +733,40 @@ def test_cli_export_grid_bad_inputs_exit_2(tmp_path, capsys, finished_run,
     assert not (tmp_path / "export" / "grid.csv").exists()
 
 
+def _dataset_cells(column, value, rows=slice(0, 1)):
+    """A spoiler that sets ``column`` of the given data rows of dataset.csv."""
+    def spoil(run):
+        with open(run / "dataset.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        for cells in table[1:][rows]:
+            cells[table[0].index(column)] = value
+        with open(run / "dataset.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(table)
+    return spoil
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_dataset_cells("mu_hat", "nan"), "mu_hat must be finite, not nan"),
+    (_dataset_cells("tau_sq", "inf"), "tau_sq must be finite, not inf"),
+    (_dataset_cells("discarded", "1", slice(None)), "no row with discarded 0"),
+], ids=["nan-mu_hat", "inf-tau_sq", "every-row-discarded"])
+def test_cli_export_grid_unusable_dataset_exit_2(tmp_path, capsys, finished_run,
+                                                 spoil, message):
+    # a non-finite value or noise was a ValueError traceback (exit 1) from
+    # the posterior, and a file without kept rows said "points, values and
+    # noises must have equal length"
+    path, out = finished_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    spoil(run)
+    rc = exit_code(["export-grid", "--config", str(path), "--run-dir", str(run),
+                    "--out-dir", str(tmp_path / "export")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{run / 'dataset.csv'}: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "export" / "grid.csv").exists()
+
+
 @pytest.mark.parametrize("grid", [
     {"resolution": 0}, {"resolution": -3}, {"resolution": "a"},
     {"resolution": 2.5}, {"resolution": True},
@@ -884,13 +918,16 @@ def test_engine_build_leaves_scipy_sparse_unloaded():
 
 
 def test_hyperparameter_fit_leaves_scipy_optimize_and_sparse_unloaded():
-    # the fit runs its own Nelder-Mead; scipy.optimize would load scipy.sparse
+    # the fit runs its own Nelder-Mead; scipy.optimize would load scipy.sparse.
+    # Its LAPACK calls load the compiled scipy.linalg._flapack alone, not the
+    # scipy.linalg package
     code = ("import numpy as np\n"
             "from ctmdesign.gpr import GprDataset, fit_hyperparameters\n"
             "x = np.random.default_rng(0).random((10, 2))\n"
             "fit_hyperparameters(GprDataset(x, np.sin(4 * x[:, 0]), np.full(10, 0.01)),"
             " 'matern32', rng=1)")
-    assert _fresh_modules(code, ("scipy.optimize", "scipy.sparse")) == []
+    assert _fresh_modules(code, ("scipy.optimize", "scipy.sparse", "scipy.linalg")) == [
+        "scipy.linalg._flapack"]
 
 
 def test_bundled_networks_write_each_matrix_entry_once(monkeypatch):
@@ -927,6 +964,23 @@ def test_estimate_levelset_leaves_scipy_stats_unloaded(tmp_path):
             f"assert main(['estimate-levelset', '--config', {str(path)!r}, "
             f"'--out-dir', {str(tmp_path / 'run')!r}]) == 0")
     assert _fresh_modules(code, ("scipy.stats", "scipy.integrate")) == []
+
+
+def test_estimate_levelset_loads_only_the_compiled_lapack_of_scipy_linalg(tmp_path):
+    # the fit, the posterior and the grids call potrf, potrs and trtrs from
+    # scipy.linalg._flapack; scipy.linalg's __init__ and the array-API chain
+    # it imports stay unloaded
+    root = Path(__file__).resolve().parents[1]
+    raw = json.loads((root / "ctmbench/scenarios/synthetic_small.json").read_text())
+    raw["learning"].update({"n_initial": 5, "iterations": 1, "n_eval": 64})
+    raw["learning"]["grid"]["resolution"] = 5
+    path = write_config(tmp_path, raw)
+    code = ("from ctmdesign.cli import main\n"
+            f"assert main(['estimate-levelset', '--config', {str(path)!r}, "
+            f"'--out-dir', {str(tmp_path / 'run')!r}]) == 0")
+    assert _fresh_modules(code, ("scipy.linalg", "scipy._lib._array_api")) == [
+        "scipy.linalg._flapack"]
+    assert (tmp_path / "run" / "grid_1.csv").exists()
 
 
 def test_benchmark_setup_probe_stamps_the_first_replicate(tmp_path):

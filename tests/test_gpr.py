@@ -186,6 +186,70 @@ def test_posterior_query_memory_stays_block_sized():
     assert peak < 12e6
 
 
+def _same_bits(got, want):
+    """Equal float64 bit patterns, NaN positions matched (their payloads not)."""
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(KERNEL_VARIANTS),
+       n=st.one_of(st.integers(1, 500), st.sampled_from([333, 400, 401, 500])),
+       m=st.sampled_from([1, B - 1, B, B + 1, 2 * B + 1]), dim=st.integers(1, 3),
+       log_length=st.floats(-4.0, 2.0), n_dup=st.integers(0, 3),
+       noise_scale=st.sampled_from([0.0, 1e-13, 0.1]),
+       bad_query=st.sampled_from([None] * 4 + [np.nan, np.inf]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_posterior_equals_cho_solve_and_solve_triangular_oracle(
+        variant, n, m, dim, log_length, n_dup, noise_scale, bad_query, seed):
+    # potrs and trtrs, called directly, are the routines cho_solve and
+    # solve_triangular call with the same arguments: alpha, mean and std-dev
+    # keep their bits at any size (also past ~400 points, where the BLAS
+    # may move the variance's last bits with the block width) and block count
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, dim))
+    x[1:1 + n_dup] = x[0]
+    data = GprDataset(x, np.sin(3.0 * x[:, 0]) + rng.normal(size=n),
+                      noise_scale * rng.random(n), mu_bar=rng.normal(),
+                      s_bar=rng.uniform(0.5, 2.0))
+    kern = Kernel(variant, float(rng.uniform(0.5, 2.0)), math.exp(log_length))
+    queries = rng.random((m, dim))
+    if bad_query is not None:
+        queries[m // 2, 0] = bad_query
+    want = _outcome(reference.posterior_alpha, kern, data)
+    if isinstance(want, type):  # no jitter made the matrix factorizable
+        assert _outcome(posterior, data, kern) is want
+        return
+    post = posterior(data, kern)
+    assert _same_bits(post._alpha, want)
+    with np.errstate(invalid="ignore"):  # inf - inf in a bad query's distances
+        got = post.mean_std(queries)
+        oracle = reference.posterior_mean_std(kern, data, queries)
+    for g, w in zip(got, oracle):
+        assert _same_bits(g, w)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_posterior_rejects_a_non_finite_value_like_cho_solve(bad):
+    # the factor sees only the points and noises; cho_solve checked the values
+    data = GprDataset([[0.0], [0.5], [1.0]], [0.0, bad, 1.0], [0.01] * 3,
+                      mu_bar=0.0, s_bar=1.0)
+    kern = Kernel("matern32", 1.0, 0.5)
+    for build in (posterior, lambda d, k: reference.posterior_alpha(k, d)):
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            build(data, kern)
+
+
+def test_posterior_of_no_data_is_the_prior():
+    data = GprDataset(np.empty((0, 2)), [], [], mu_bar=3.0, s_bar=2.0)
+    kern = Kernel("squared_exponential", 1.5, 0.4)
+    post = posterior(data, kern)
+    assert post._alpha.shape == (0,)
+    mean, std = post.mean_std(np.zeros((3, 2)))
+    assert np.all(mean == 3.0) and np.all(std == 3.0)
+
+
 def test_posterior_std_bounded_by_prior_and_shrinks_with_data():
     rng = np.random.default_rng(23)
     kern = Kernel("matern32", sigma_c=1.2, length=0.3)
