@@ -3,21 +3,12 @@
 from .network import (
     Route,
     TrafficNetwork,
-    TurningFractions,
     FlowRecord,
     NetworkError,
 )
 from .cells import CellSpec
 from .signals import SignalSchedule
-from .solvers import (
-    LocalProblem,
-    InteractionRule,
-    SimulationEngine,
-    solve_dpf,
-    solve_cpf,
-    solve_priority,
-    solve_cooperative,
-)
+from .solvers import InteractionRule, SimulationEngine
 from .env import FrankCopula, ArSourceSink, GaussianSourceSink
 from .evaluation import (
     Utility,

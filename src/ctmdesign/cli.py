@@ -341,7 +341,10 @@ def cmd_export_grid(args):
         if not 0 < delta < 1:
             raise ValueError(f"delta {delta} must lie in (0, 1)")
         kern = Kernel(hp["variant"], hp["sigma_c"], hp["length"])
-        mu_bar, s_bar, gamma = hp["mu_bar"], hp["s_bar"], hp["gamma"]
+        mu_bar, s_bar, gamma = (_finite_number(hp, key)
+                                for key in ("mu_bar", "s_bar", "gamma"))
+        if not s_bar > 0:
+            raise ValueError(f"s_bar must be positive, not {s_bar!r}")
     names = scenario.design_names
     with _rejected_as_config_error(data_file):
         kept = [row for row in rows if not int(row["discarded"])]
@@ -363,6 +366,16 @@ def cmd_export_grid(args):
     _write_grid(out / "grid.csv", grid, post, gamma, delta)
     print(f"wrote {out / 'grid.csv'}")
     return 0
+
+
+def _finite_number(mapping, key):
+    """``mapping[key]`` if it is a finite JSON number, else a ValueError."""
+    value = mapping[key]
+    # the bound also rejects NaN, +-inf and integers beyond the float range
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{key} must be a finite number, not {value!r}")
+    return value
 
 
 def _parse_design(text, scenario):

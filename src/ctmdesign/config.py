@@ -30,7 +30,7 @@ from .evaluation import (AvgNetworkFlow, AvgVelocity, BenchmarkSpec, Throughput,
                          Utility, calibrate_threshold)
 from .gpr import KERNEL_VARIANTS
 from .learning import DesignSpace, LoopConfig
-from .network import NetworkError, TrafficNetwork, TurningFractions
+from .network import NetworkError, TrafficNetwork
 from .signals import SignalSchedule
 from .solvers import InteractionRule, SimulationEngine
 
@@ -359,11 +359,9 @@ class Scenario:
 
         if net_cfg["turning"] != "uniform_no_uturn":
             raise ConfigError(f"{self.origin}: unsupported turning rule")
-        self.turning = TurningFractions.uniform_no_uturn(self.network)
 
         self._build_signals(signals_cfg)
-        self.engine = SimulationEngine(self.network, self.node_cells,
-                                       self.turning, self.signals)
+        self.engine = SimulationEngine(self.network, self.node_cells, self.signals)
 
     def _build_signals(self, signals_cfg):
         """One default schedule per signalized node; a design-referenced

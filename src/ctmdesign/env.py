@@ -102,22 +102,19 @@ class FrankCopula:
         return np.stack([u1, u2], axis=-1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArSourceSink:
-    """Order-1 random-walk attempted flow on one route; starts at zero."""
+    """Order-1 random-walk attempted flow on one route; starts at zero.
+
+    ``ArCopulaEnvironment`` runs the walk.
+    """
 
     route: tuple
     sigma: float
-    value: float = 0.0
 
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("noise standard deviation must be non-negative")
-
-    def step(self, eps):
-        """Additive innovation update; returns the new attempted flow."""
-        self.value += eps
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -198,8 +195,7 @@ class ArCopulaEnvironment(_EnvironmentBase):
             raise ValueError("the copula environment couples exactly two sources")
         u = copula.pairs(rng.random((steps, 2)))
         eps = np.array([src.sigma for src in sources]) * ndtri(u)
-        start = np.array([[src.value for src in sources]])
-        walk = np.cumsum(np.concatenate([start, eps]), axis=0)[1:]
+        walk = np.cumsum(eps, axis=0)
         super().__init__(network, node_caps,
                          [network.index_of(*src.route) for src in sources], walk)
 

@@ -17,8 +17,8 @@ s_bar.  Hyperparameters (signal standard deviation, length scale) are
 selected once on the initial dataset by maximizing the log marginal
 likelihood with derivative-free multi-start search and are frozen for
 the rest of a run.  The search is an in-package Nelder-Mead, a port of
-scipy's that visits the same points (``scipy.optimize.minimize`` is the
-test oracle), and each of its likelihood evaluations starts from the
+scipy's that visits the same points (scipy's ``minimize`` is the test
+oracle), and each of its likelihood evaluations starts from the
 dataset's distance matrix, computed once: it divides by the length
 scale, applies the closed form, adds noise and jitter to the diagonal in
 place and calls LAPACK's potrf and potrs directly, with the same bits as
@@ -228,7 +228,7 @@ def _check_finite(a):
 
 
 def _factor(kern, dataset):
-    """Cholesky factor (c, lower) of Sigma + diag(tau~^2), with jitter escalation.
+    """Lower Cholesky factor of Sigma + diag(tau~^2), with jitter escalation.
 
     As ``cho_factor(..., lower=True)`` of the summed matrix: the same bits,
     the same ValueError on non-finite entries, escalation where it failed.
@@ -246,7 +246,7 @@ def _factor(kern, dataset):
         _check_finite(diag)
         c, info = potrf(c, lower=1, clean=0, overwrite_a=1)
         if info == 0:
-            return c, True
+            return c
     raise np.linalg.LinAlgError(
         "covariance factorization failed after jitter escalation: "
         f"{info}-th leading minor of the array is not positive definite")
@@ -274,8 +274,8 @@ class GprPosterior:
     def __init__(self, dataset, kern):
         self.dataset = dataset
         self.kernel = kern
-        self._cho = _factor(kern, dataset)
-        factor, values = self._cho[0], dataset.standardized_values
+        self._chol = _factor(kern, dataset)
+        factor, values = self._chol, dataset.standardized_values
         # as cho_solve: finite inputs only, info != 0 is an error, and an
         # empty dataset (the prior) has an empty alpha
         _check_finite(values)
@@ -292,7 +292,7 @@ class GprPosterior:
         n = len(queries)
         mean = np.empty(n) if want_mean else None
         var = np.empty(n) if want_std else None
-        factor = self._cho[0]
+        factor = self._chol
         trtrs = _lapack("trtrs")
         for lo in range(0, n, self.QUERY_BLOCK):
             hi = lo + self.QUERY_BLOCK
@@ -354,10 +354,10 @@ def log_marginal_likelihood(dataset, kern):
     -(1/2) nu^T K^{-1} nu - (1/2) log det K - (n/2) log 2 pi  with
     K = Sigma + diag(tau~^2).
     """
-    c, lower = _factor(kern, dataset)
+    c = _factor(kern, dataset)
     nu = dataset.standardized_values
     _check_finite(nu)
-    alpha = _lapack("potrs")(c, nu, lower=lower)[0]
+    alpha = _lapack("potrs")(c, nu, lower=1)[0]
     logdet = 2.0 * float(np.log(c.diagonal()).sum())
     n = len(dataset)
     return float(-0.5 * nu @ alpha - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi))
@@ -368,7 +368,7 @@ def _nelder_mead(func, x0, xatol, fatol, maxiter):
 
     A port of scipy 1.17's ``_minimize_neldermead`` (standard coefficients,
     no bounds, no evaluation cap) that evaluates ``func`` at the same points
-    in the same order as ``scipy.optimize.minimize(method="Nelder-Mead")``,
+    in the same order as scipy's ``minimize(method="Nelder-Mead")``,
     the tests' oracle.  It keeps scipy's expressions and its two sorts (the
     vectorized argsort need not be stable).
     """

@@ -35,7 +35,6 @@ import numpy as np
 
 __all__ = [
     "Route",
-    "TurningFractions",
     "TrafficNetwork",
     "FlowRecord",
     "NetworkError",
@@ -65,38 +64,6 @@ class Route:
 
     def __repr__(self):
         return f"({self.src},{self.via},{self.dst})"
-
-
-class TurningFractions:
-    """Fractions f[(route, w)] of a route's outflow continuing toward w.
-
-    For every route (x, u, v) the fractions over w in O(v) must sum to
-    one (first-in-first-out conservation).  Fractions may be supplied as
-    an explicit table or generated uniformly over the non-U-turn exits.
-    """
-
-    def __init__(self, table):
-        self._table = dict(table)
-
-    @classmethod
-    def uniform_no_uturn(cls, network):
-        """Split every route's outflow equally over its end node's exits.
-
-        U-turn continuations are excluded except at nodes that opt in.
-        """
-        table = {}
-        for route in network.routes:
-            exits = [w for w in network.neighbors_out(route.dst)
-                     if w != route.via or network.allows_uturn(route.dst)]
-            if not exits:
-                continue
-            f = 1.0 / len(exits)
-            for w in exits:
-                table[(route, w)] = f
-        return cls(table)
-
-    def fraction(self, route, w):
-        return self._table.get((route, w), 0.0)
 
 
 class TrafficNetwork:

@@ -23,12 +23,15 @@ The regimes differ in how the feasible set is resolved:
 
 The step engine (``SimulationEngine``) evaluates all cells, solves all
 local problems, aggregates inflows, applies the environment's net flows,
-and advances the densities.  Turning fractions must not depend on the
-upstream node (the scenario schema only offers uniform turning), so
-every local problem reduces to one shared outflow budget and all of
-them are solved in closed form across the whole network with
-vectorized operations.  The per-problem ``solve_*`` functions are the
-reference definitions of the four regimes.
+and advances the densities.  The scenario schema offers one turning
+rule, ``uniform_no_uturn``: every upstream route (x, u, v) of the edge
+(u, v) splits its outflow equally over the downstream routes (u, v, w),
+whatever x is.  So every local problem reduces to one shared outflow
+budget, and all of them are solved in closed form across the whole
+network with vectorized operations.  The reference definitions of the
+four regimes, one local problem at a time (with an LP for fractions
+that depend on the upstream route), and the turning table they are
+checked with live in ``tests/reference.py``.
 
 Signals enter through the sending factor LA.  ``run`` evaluates the
 closed form of every step at once (``signal_table``: one column per
@@ -51,43 +54,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import CellTable
-from .network import FlowRecord, NetworkError, clamp_densities, take_routes
+from .network import FlowRecord, clamp_densities, take_routes
 
-__all__ = [
-    "LocalProblem",
-    "InteractionRule",
-    "solve_dpf",
-    "solve_cpf",
-    "solve_priority",
-    "solve_cooperative",
-    "SimulationEngine",
-]
-
-_WEIGHT_TOLERANCE = 1e-12
-
-
-@dataclass
-class LocalProblem:
-    """One decoupled flow problem on a directed edge (u, v).
-
-    ``sendings`` has one entry per upstream route (x, u, v) in canonical
-    (sorted-x) order, ``receivings`` one per downstream route (u, v, w),
-    and ``fractions[i, j]`` is the turning fraction from upstream route i
-    toward downstream route j.
-    """
-
-    sendings: np.ndarray
-    receivings: np.ndarray
-    fractions: np.ndarray
-
-    def __post_init__(self):
-        self.sendings = np.asarray(self.sendings, dtype=float)
-        self.receivings = np.asarray(self.receivings, dtype=float)
-        self.fractions = np.asarray(self.fractions, dtype=float)
-        if self.fractions.shape != (len(self.sendings), len(self.receivings)):
-            raise ValueError("fraction matrix shape mismatch")
-        if np.any(self.sendings < 0) or np.any(self.receivings < 0):
-            raise ValueError("sendings and receivings must be non-negative")
+__all__ = ["InteractionRule", "SimulationEngine"]
 
 
 @dataclass(frozen=True)
@@ -102,167 +71,6 @@ class InteractionRule:
     def __post_init__(self):
         if self.variant not in self.VARIANTS:
             raise ValueError(f"unknown interaction rule {self.variant!r}")
-
-
-def solve_dpf(problem):
-    """Largest feasible common proportionality factor and the outflows.
-
-    lambda = min(1, min_w R_w / sum_x f[x->w] S_x), ratios with zero
-    denominator imposing no constraint.  Only ratios below one are
-    formed, so a subnormal demand cannot overflow.
-    """
-    demand = problem.fractions.T @ problem.sendings
-    lam = 1.0
-    for d, r in zip(demand, problem.receivings):
-        if d > r:
-            lam = min(lam, r / d)
-    return lam, lam * problem.sendings
-
-
-def solve_cpf(problem, weights):
-    """Capacity-proportional outflows min(lambda * d_x, 1) * S_x.
-
-    lambda is the smallest value at which some receiving constraint
-    binds, found exactly by walking the breakpoints 1/d_x of the
-    piecewise-linear demand curve.  If no constraint ever binds the
-    flows are uncapped (q = S), mirroring the zero-denominator
-    convention of the demand-proportional rule.
-    """
-    d = np.asarray(weights, dtype=float)
-    if d.shape != problem.sendings.shape:
-        raise ValueError("one weight per upstream route required")
-    if np.any(d < 0) or abs(d.sum() - 1.0) > _WEIGHT_TOLERANCE:
-        raise ValueError("cpf weights must be non-negative and sum to one")
-
-    s = problem.sendings
-    lam = np.inf
-    for j, r_w in enumerate(problem.receivings):
-        terms = problem.fractions[:, j] * s
-        total = terms.sum()
-        if total <= r_w:
-            continue  # never binds for this w
-        # walk the breakpoints of sum_x terms_x * min(lambda d_x, 1) = r_w
-        order = np.argsort([np.inf if dx == 0 else 1.0 / dx for dx in d])
-        level = 0.0          # value at current lambda
-        slope = float(np.dot(terms, d))
-        cur = 0.0
-        root = None
-        for i in order:
-            if d[i] == 0:
-                continue
-            bp = 1.0 / d[i]
-            if slope > 0 and level + slope * (bp - cur) >= r_w:
-                root = cur + (r_w - level) / slope
-                break
-            level += slope * (bp - cur)
-            slope -= terms[i] * d[i]
-            cur = bp
-        if root is None:
-            # crossing happens on the final flat/linear piece
-            root = cur if slope <= 0 else cur + (r_w - level) / slope
-        lam = min(lam, root)
-
-    if not np.isfinite(lam):
-        return lam, s.copy()
-    return lam, np.minimum(lam * d, 1.0) * s
-
-
-def solve_priority(problem, order=None):
-    """Hierarchical outflows: earlier claimants take supply first."""
-    n = len(problem.sendings)
-    if order is None:
-        order = range(n)
-    else:
-        if sorted(order) != list(range(n)):
-            raise ValueError("order must be a permutation of the upstream routes")
-    q = np.zeros(n)
-    residual = problem.receivings.astype(float).copy()
-    for i in order:
-        bound = problem.sendings[i]
-        for j, r_w in enumerate(residual):
-            f = problem.fractions[i, j]
-            if f > 0:
-                bound = min(bound, r_w / f)
-        q[i] = max(bound, 0.0)
-        residual -= problem.fractions[i] * q[i]
-        np.maximum(residual, 0.0, out=residual)
-    return q
-
-
-def _uniform_fractions(fractions):
-    """Row vector if every upstream route turns identically, else None."""
-    if fractions.shape[0] == 0:
-        return None
-    first = fractions[0]
-    if np.all(fractions == first):
-        return first
-    return None
-
-
-def _greedy_fill(sendings, capacity):
-    """Lexicographic fill of a shared outflow budget."""
-    q = np.zeros_like(sendings)
-    left = capacity
-    for i, s in enumerate(sendings):
-        if left <= 0:
-            break
-        q[i] = min(s, left)
-        left -= q[i]
-    return q
-
-
-def solve_cooperative(problem):
-    """Maximize total outflow; lexicographic tie-break in canonical order.
-
-    Groups whose turning fractions do not depend on the upstream route
-    reduce to a single aggregate supply constraint and are solved by a
-    greedy fill.  General groups use a dense LP (scipy/HiGHS), followed
-    by one LP per variable to pin the lexicographically maximal optimum.
-    """
-    s = problem.sendings
-    n = len(s)
-    if n == 0:
-        return np.zeros(0)
-    row = _uniform_fractions(problem.fractions)
-    if row is not None:
-        cap = s.sum()
-        for f, r_w in zip(row, problem.receivings):
-            if f > 0:
-                cap = min(cap, r_w / f)
-        return _greedy_fill(s, cap)
-
-    from scipy.optimize import linprog
-
-    a_ub = problem.fractions.T
-    b_ub = problem.receivings
-    bounds = [(0.0, float(x)) for x in s]
-
-    res = linprog(-np.ones(n), A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        raise NetworkError(f"cooperative LP failed: {res.message}")
-    total = -res.fun
-
-    # pin the lexicographic optimum: fix the achieved total, then maximize
-    # each coordinate in canonical order, fixing it before moving on
-    fixed = np.full(n, np.nan)
-    a_eq = [np.ones(n)]
-    b_eq = [total]
-    q = res.x
-    for i in range(n):
-        c = np.zeros(n)
-        c[i] = -1.0
-        res_i = linprog(c, A_ub=a_ub, b_ub=b_ub,
-                        A_eq=np.array(a_eq), b_eq=np.array(b_eq),
-                        bounds=bounds, method="highs")
-        if not res_i.success:
-            break  # keep the plain optimum from the previous solve
-        fixed[i] = res_i.x[i]
-        row_i = np.zeros(n)
-        row_i[i] = 1.0
-        a_eq.append(row_i)
-        b_eq.append(fixed[i])
-        q = res_i.x
-    return np.maximum(q, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +89,17 @@ class SimulationEngine:
     ----------
     network : TrafficNetwork
     node_cells : mapping node -> CellSpec
-    turning : TurningFractions, independent of the upstream node on
-        every edge (``NetworkError`` otherwise)
     schedules : mapping node -> SignalSchedule, for signalized nodes.
         These are the default programs; ``step`` and ``run`` accept
         per-replicate ones.
     """
 
-    def __init__(self, network, node_cells, turning, schedules=None):
+    def __init__(self, network, node_cells, schedules=None):
         self.network = network
         self.cells = CellTable(network, node_cells)
-        self.turning = turning
         self._schedules = dict(schedules or {})
 
-        up_lists, down_lists, rows = [], [], []
+        up_lists, down_lists = [], []
         group_edges = []
         for v in range(network.n_nodes):
             for u in sorted(network.neighbors_in(v)):
@@ -304,20 +109,9 @@ class SimulationEngine:
                     continue
                 downs = [i for i in network.routes_through(v)
                          if network.routes[i].src == u]
-                f = np.zeros((len(ups), len(downs)))
-                for i, ri in enumerate(ups):
-                    for j, rj in enumerate(downs):
-                        f[i, j] = turning.fraction(network.routes[ri],
-                                                   network.routes[rj].dst)
-                row = _uniform_fractions(f)
-                if row is None:
-                    raise NetworkError(
-                        f"turning fractions on edge ({u},{v}) depend on the "
-                        "upstream node")
                 group_edges.append((u, v))
                 up_lists.append(np.array(ups, dtype=np.intp))
                 down_lists.append(np.array([int(j) for j in downs], dtype=np.intp))
-                rows.append(row)
 
         self.group_edges = group_edges
         self.n_groups = len(group_edges)
@@ -340,12 +134,10 @@ class SimulationEngine:
         self._groups_with_down = np.array(
             [g for g, d in enumerate(down_lists) if len(d)], dtype=np.intp)
         self._group_of_down = np.repeat(self._groups_with_down, down_sizes)
-        f_down = np.concatenate(
-            [rows[g] for g in self._groups_with_down]) if down_sizes else np.zeros(0)
-        self._f_down = f_down
-        self._exits = np.flatnonzero(f_down == 0)
-        with np.errstate(divide="ignore"):
-            self._inv_f_down = np.where(f_down > 0, 1.0 / f_down, np.inf)
+        # uniform_no_uturn: f_w = 1 / len(downs), as the group's downstream
+        # routes are exactly the exits each upstream route splits over
+        self._f_down = 1.0 / np.repeat(np.array(down_sizes, dtype=float), down_sizes)
+        self._inv_f_down = 1.0 / self._f_down
 
         # signal table columns: 2 j + 0 (axis I) and 2 j + 1 (axis J) of the
         # j-th scheduled node; each signalized route reads its arm's axis
@@ -416,12 +208,10 @@ class SimulationEngine:
             return np.zeros(s.shape)
         s_up = take_routes(s, self._up_concat)
         sum_s = np.add.reduceat(s_up, self._up_ptr, axis=-1)
-        # shared outflow budget per group: min over w of R_w / f_w; exits
-        # (f_w = 0) and groups without downstream routes never bind
+        # shared outflow budget per group: min over w of R_w / f_w; groups
+        # without downstream routes never bind
         if self._down_concat.size:
             ratios = take_routes(r, self._down_concat) * self._inv_f_down
-            if self._exits.size:
-                ratios.T[self._exits] = np.inf
             cap = np.minimum.reduceat(ratios, self._down_ptr, axis=-1)
         if len(self._groups_with_down) < self.n_groups:
             full = np.full(s.shape[:-1] + (self.n_groups,), np.inf)

@@ -2,9 +2,13 @@
 
 Each function restates one piece of the model route by route, with
 dict-keyed densities and flows: the cells' S and R (``CellTable`` in the
-package), inflow aggregation and the density update (the engine's phases
-3 and 5), the signal phase, ramp and state of an intersection (the
-engine's ``signal_table``), one Frank-copula pair (``FrankCopula.pairs``),
+package), the turning table of the scenario rule ``uniform_no_uturn``,
+inflow aggregation and the density update (the engine's phases 3 and 5),
+the four interaction regimes as one local flow problem per directed edge,
+solved one at a time (the cooperative one by a HiGHS LP when the turning
+fractions depend on the upstream route; the engine's phase 2), the
+signal phase, ramp and state of an intersection (the engine's
+``signal_table``), one Frank-copula pair (``FrankCopula.pairs``),
 the truncation of one attempted net flow (the environments'
 ``net_flows``), the conserved mass, the covariance of two single design
 points and the kernel's cross-covariance matrix in expression form
@@ -129,6 +133,38 @@ def update_density(rho, l_v, q_in, q_out, q_net):
     return rho + (q_in - q_out + q_net) / l_v
 
 
+class TurningFractions:
+    """Fractions f[(route, w)] of a route's outflow continuing toward w.
+
+    For every route (x, u, v) the fractions over w in O(v) must sum to
+    one (first-in-first-out conservation).  Fractions may be supplied as
+    an explicit table or generated uniformly over the non-U-turn exits.
+    """
+
+    def __init__(self, table):
+        self._table = dict(table)
+
+    @classmethod
+    def uniform_no_uturn(cls, network):
+        """Split every route's outflow equally over its end node's exits.
+
+        U-turn continuations are excluded except at nodes that opt in.
+        """
+        table = {}
+        for route in network.routes:
+            exits = [w for w in network.neighbors_out(route.dst)
+                     if w != route.via or network.allows_uturn(route.dst)]
+            if not exits:
+                continue
+            f = 1.0 / len(exits)
+            for w in exits:
+                table[(route, w)] = f
+        return cls(table)
+
+    def fraction(self, route, w):
+        return self._table.get((route, w), 0.0)
+
+
 def aggregate_inflows(outflows, turning, network):
     """Aggregate route inflows from upstream outflows and turning fractions.
 
@@ -160,6 +196,198 @@ def aggregate_inflows(outflows, turning, network):
 def total_mass(state, network):
     """Total vehicle count: sum over routes of l_v * rho."""
     return float(np.dot(network.route_lengths, state.rho))
+
+
+# ---------------------------------------------------------------------------
+# local flow problems
+# ---------------------------------------------------------------------------
+
+_WEIGHT_TOLERANCE = 1e-12
+
+
+@dataclass
+class LocalProblem:
+    """One decoupled flow problem on a directed edge (u, v).
+
+    ``sendings`` has one entry per upstream route (x, u, v) in canonical
+    (sorted-x) order, ``receivings`` one per downstream route (u, v, w),
+    and ``fractions[i, j]`` is the turning fraction from upstream route i
+    toward downstream route j.
+    """
+
+    sendings: np.ndarray
+    receivings: np.ndarray
+    fractions: np.ndarray
+
+    def __post_init__(self):
+        self.sendings = np.asarray(self.sendings, dtype=float)
+        self.receivings = np.asarray(self.receivings, dtype=float)
+        self.fractions = np.asarray(self.fractions, dtype=float)
+        if self.fractions.shape != (len(self.sendings), len(self.receivings)):
+            raise ValueError("fraction matrix shape mismatch")
+        if np.any(self.sendings < 0) or np.any(self.receivings < 0):
+            raise ValueError("sendings and receivings must be non-negative")
+
+
+def solve_dpf(problem):
+    """Largest feasible common proportionality factor and the outflows.
+
+    lambda = min(1, min_w R_w / sum_x f[x->w] S_x), ratios with zero
+    denominator imposing no constraint.  Only ratios below one are
+    formed, so a subnormal demand cannot overflow.
+    """
+    demand = problem.fractions.T @ problem.sendings
+    lam = 1.0
+    for d, r in zip(demand, problem.receivings):
+        if d > r:
+            lam = min(lam, r / d)
+    return lam, lam * problem.sendings
+
+
+def solve_cpf(problem, weights):
+    """Capacity-proportional outflows min(lambda * d_x, 1) * S_x.
+
+    lambda is the smallest value at which some receiving constraint
+    binds, found exactly by walking the breakpoints 1/d_x of the
+    piecewise-linear demand curve.  If no constraint ever binds the
+    flows are uncapped (q = S), mirroring the zero-denominator
+    convention of the demand-proportional rule.
+    """
+    d = np.asarray(weights, dtype=float)
+    if d.shape != problem.sendings.shape:
+        raise ValueError("one weight per upstream route required")
+    if np.any(d < 0) or abs(d.sum() - 1.0) > _WEIGHT_TOLERANCE:
+        raise ValueError("cpf weights must be non-negative and sum to one")
+
+    s = problem.sendings
+    lam = np.inf
+    for j, r_w in enumerate(problem.receivings):
+        terms = problem.fractions[:, j] * s
+        total = terms.sum()
+        if total <= r_w:
+            continue  # never binds for this w
+        # walk the breakpoints of sum_x terms_x * min(lambda d_x, 1) = r_w
+        order = np.argsort([np.inf if dx == 0 else 1.0 / dx for dx in d])
+        level = 0.0          # value at current lambda
+        slope = float(np.dot(terms, d))
+        cur = 0.0
+        root = None
+        for i in order:
+            if d[i] == 0:
+                continue
+            bp = 1.0 / d[i]
+            if slope > 0 and level + slope * (bp - cur) >= r_w:
+                root = cur + (r_w - level) / slope
+                break
+            level += slope * (bp - cur)
+            slope -= terms[i] * d[i]
+            cur = bp
+        if root is None:
+            # crossing happens on the final flat/linear piece
+            root = cur if slope <= 0 else cur + (r_w - level) / slope
+        lam = min(lam, root)
+
+    if not np.isfinite(lam):
+        return lam, s.copy()
+    return lam, np.minimum(lam * d, 1.0) * s
+
+
+def solve_priority(problem, order=None):
+    """Hierarchical outflows: earlier claimants take supply first."""
+    n = len(problem.sendings)
+    if order is None:
+        order = range(n)
+    else:
+        if sorted(order) != list(range(n)):
+            raise ValueError("order must be a permutation of the upstream routes")
+    q = np.zeros(n)
+    residual = problem.receivings.astype(float).copy()
+    for i in order:
+        bound = problem.sendings[i]
+        for j, r_w in enumerate(residual):
+            f = problem.fractions[i, j]
+            if f > 0:
+                bound = min(bound, r_w / f)
+        q[i] = max(bound, 0.0)
+        residual -= problem.fractions[i] * q[i]
+        np.maximum(residual, 0.0, out=residual)
+    return q
+
+
+def _uniform_fractions(fractions):
+    """Row vector if every upstream route turns identically, else None."""
+    if fractions.shape[0] == 0:
+        return None
+    first = fractions[0]
+    if np.all(fractions == first):
+        return first
+    return None
+
+
+def _greedy_fill(sendings, capacity):
+    """Lexicographic fill of a shared outflow budget."""
+    q = np.zeros_like(sendings)
+    left = capacity
+    for i, s in enumerate(sendings):
+        if left <= 0:
+            break
+        q[i] = min(s, left)
+        left -= q[i]
+    return q
+
+
+def solve_cooperative(problem):
+    """Maximize total outflow; lexicographic tie-break in canonical order.
+
+    Groups whose turning fractions do not depend on the upstream route
+    reduce to a single aggregate supply constraint and are solved by a
+    greedy fill.  General groups use a dense LP (scipy/HiGHS), followed
+    by one LP per variable to pin the lexicographically maximal optimum.
+    """
+    s = problem.sendings
+    n = len(s)
+    if n == 0:
+        return np.zeros(0)
+    row = _uniform_fractions(problem.fractions)
+    if row is not None:
+        cap = s.sum()
+        for f, r_w in zip(row, problem.receivings):
+            if f > 0:
+                cap = min(cap, r_w / f)
+        return _greedy_fill(s, cap)
+
+    from scipy.optimize import linprog
+
+    a_ub = problem.fractions.T
+    b_ub = problem.receivings
+    bounds = [(0.0, float(x)) for x in s]
+
+    res = linprog(-np.ones(n), A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if not res.success:
+        raise NetworkError(f"cooperative LP failed: {res.message}")
+    total = -res.fun
+
+    # pin the lexicographic optimum: fix the achieved total, then maximize
+    # each coordinate in canonical order, fixing it before moving on
+    fixed = np.full(n, np.nan)
+    a_eq = [np.ones(n)]
+    b_eq = [total]
+    q = res.x
+    for i in range(n):
+        c = np.zeros(n)
+        c[i] = -1.0
+        res_i = linprog(c, A_ub=a_ub, b_ub=b_ub,
+                        A_eq=np.array(a_eq), b_eq=np.array(b_eq),
+                        bounds=bounds, method="highs")
+        if not res_i.success:
+            break  # keep the plain optimum from the previous solve
+        fixed[i] = res_i.x[i]
+        row_i = np.zeros(n)
+        row_i[i] = 1.0
+        a_eq.append(row_i)
+        b_eq.append(fixed[i])
+        q = res_i.x
+    return np.maximum(q, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from ctmdesign.gpr import GprDataset, Kernel, fit_hyperparameters, posterior
 from ctmdesign.learning import (DesignSpace, LoopConfig, acquisition,
                                 nikodym_bound_mc, rejection_sample,
                                 run_active_learning, sobol_points)
-from ctmdesign.solvers import (InteractionRule, LocalProblem, solve_cooperative,
-                               solve_cpf, solve_dpf, solve_priority)
-from reference import DensityState, total_mass
+from ctmdesign.solvers import InteractionRule
+from reference import (DensityState, LocalProblem, solve_cooperative, solve_cpf,
+                       solve_dpf, solve_priority, total_mass)
 
 SEED = 20240807
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctmdesign.cells import CellError, CellSpec, CellTable, overlap_matrix
-from ctmdesign.network import Route, TrafficNetwork, TurningFractions
+from ctmdesign.network import Route, TrafficNetwork
 from ctmdesign.signals import SignalSchedule
 from reference import advance_signal, receiving, sending
 
@@ -317,12 +317,11 @@ def test_cell_table_matches_scalar_signalized():
     cells = {0: cell}
     for arm in (1, 2, 3, 4):
         cells[arm] = CellSpec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
-    turn = TurningFractions.uniform_no_uturn(net)
     from ctmdesign.solvers import SimulationEngine
 
     sched = SignalSchedule(ccw=ccw, green=7, shift=3, t_real=2.88,
                            v_real=50 / 3.6)
-    eng = SimulationEngine(net, cells, turn, {0: sched})
+    eng = SimulationEngine(net, cells, {0: sched})
     rng = np.random.default_rng(13)
     for t in (0, 3, 5, 9, 12, 20):
         rho = 3 * rng.random(net.n_routes)

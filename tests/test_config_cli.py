@@ -767,6 +767,30 @@ def test_cli_export_grid_unusable_dataset_exit_2(tmp_path, capsys, finished_run,
     assert not (tmp_path / "export" / "grid.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("gamma", None), ("gamma", "abc"), ("mu_bar", float("nan")),
+    ("s_bar", 0.0), ("mu_bar", "abc"), ("gamma", 10 ** 400),
+], ids=["null-gamma", "string-gamma", "nan-mu_bar", "zero-s_bar",
+        "string-mu_bar", "huge-int-gamma"])
+def test_cli_export_grid_unusable_hyperparameter_exit_2(tmp_path, capsys,
+                                                        finished_run, key, value):
+    # these ended in a TypeError or ValueError traceback (exit 1), an
+    # OverflowError reported as a numerical failure (exit 3), or an exit 2
+    # that blamed dataset.csv
+    path, out = finished_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    hp_file = run / "hyperparameters.json"
+    hp_file.write_text(json.dumps({**json.loads(hp_file.read_text()), key: value}))
+    rc = exit_code(["export-grid", "--config", str(path), "--run-dir", str(run),
+                    "--out-dir", str(tmp_path / "export")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{hp_file}: {key} must be" in err
+    assert "dataset.csv" not in err and "Traceback" not in err
+    assert not (tmp_path / "export" / "grid.csv").exists()
+
+
 @pytest.mark.parametrize("grid", [
     {"resolution": 0}, {"resolution": -3}, {"resolution": "a"},
     {"resolution": 2.5}, {"resolution": True},

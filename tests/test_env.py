@@ -5,7 +5,7 @@ from scipy import integrate, stats
 from ctmdesign.env import (ArCopulaEnvironment, ArSourceSink, FrankCopula,
                            GaussianPairsEnvironment, GaussianSourceSink,
                            replicate_rng)
-from ctmdesign.network import TrafficNetwork, TurningFractions
+from ctmdesign.network import TrafficNetwork
 from ctmdesign.cells import CellSpec
 from ctmdesign.solvers import InteractionRule, SimulationEngine
 from reference import clamp_net_flow, frank_sample
@@ -53,27 +53,23 @@ def test_frank_countermonotone_direction():
     assert tau < -0.85
 
 
-def test_ar_step_additive():
-    src = ArSourceSink(route=(0, 1, 2), sigma=0.5)
-    assert src.step(0.3) == pytest.approx(0.3)
-    assert src.step(-0.1) == pytest.approx(0.2)
-    zero = ArSourceSink(route=(0, 1, 2), sigma=0.0)
-    for _ in range(10):
-        assert zero.step(0.0) == 0.0
-
-
 def test_ar_variance_grows_linearly():
-    # random-walk variance after t steps is sigma^2 * t
+    # random-walk variance after t steps is sigma^2 * t: the attempted
+    # flows of an independent (r = 0) copula environment at its last step
     sigma, t_end, reps = 0.3, 64, 4000
-    rng = np.random.default_rng(6)
+    net, _ = line_network()
+    caps = {v: 1e9 for v in range(3)}
+    routes = [(0, 1, 2), (2, 1, 0)]
+    idx = [net.index_of(*r) for r in routes]
+    zero = np.zeros(net.n_routes)
     finals = []
-    for _ in range(reps):
-        src = ArSourceSink(route=(0, 1, 2), sigma=sigma)
-        for _ in range(t_end):
-            src.step(sigma * rng.standard_normal())
-        finals.append(src.value)
-    var = np.var(finals)
-    assert var == pytest.approx(sigma ** 2 * t_end, rel=0.15)
+    for rep in range(reps):
+        env = ArCopulaEnvironment(
+            net, [ArSourceSink(route=r, sigma=sigma) for r in routes],
+            FrankCopula(0.0), caps, replicate_rng(6, rep), steps=t_end)
+        finals.append(env.net_flows(t_end - 1, zero, zero, zero)[0][idx])
+    for var in np.var(finals, axis=0):
+        assert var == pytest.approx(sigma ** 2 * t_end, rel=0.15)
 
 
 def test_clamp_net_flow_bounds_and_interior():
@@ -146,8 +142,7 @@ def test_gaussian_pairs_mirror_and_constants():
 
 def test_full_trajectory_bit_reproducible():
     net, cells = line_network()
-    turn = TurningFractions.uniform_no_uturn(net)
-    eng = SimulationEngine(net, cells, turn)
+    eng = SimulationEngine(net, cells)
     caps = {v: 10.0 for v in range(3)}
 
     def run():

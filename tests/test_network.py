@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from ctmdesign.network import (NetworkError, Route, TrafficNetwork,
-                               TurningFractions)
-from reference import (DensityState, aggregate_inflows, total_mass,
-                       update_density)
+from ctmdesign.network import NetworkError, Route, TrafficNetwork
+from reference import (DensityState, TurningFractions, aggregate_inflows,
+                       total_mass, update_density)
 
 
 def two_node_net():

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from ctmdesign.cells import KINDS, CellSpec
 from ctmdesign.config import Scenario
 from ctmdesign.evaluation import AvgNetworkFlow
-from ctmdesign.network import NetworkError, Route, TrafficNetwork, TurningFractions
+from ctmdesign.network import TrafficNetwork
 from ctmdesign.signals import SignalSchedule
-from ctmdesign.solvers import (InteractionRule, LocalProblem, SimulationEngine,
-                               solve_cooperative, solve_cpf, solve_dpf,
-                               solve_priority)
-from reference import (DensityState, advance_signal, aggregate_inflows,
-                       receiving, sending, total_mass, update_density)
+from ctmdesign.solvers import InteractionRule, SimulationEngine
+from reference import (DensityState, LocalProblem, TurningFractions,
+                       advance_signal, aggregate_inflows, receiving, sending,
+                       solve_cooperative, solve_cpf, solve_dpf, solve_priority,
+                       total_mass, update_density)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -312,8 +312,7 @@ def ring_engine(n=4):
     net = TrafficNetwork(n, edges, {i: 1.0 for i in range(n)})
     cells = {v: CellSpec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
              for v in range(n)}
-    turn = TurningFractions.uniform_no_uturn(net)
-    return net, SimulationEngine(net, cells, turn)
+    return net, SimulationEngine(net, cells)
 
 
 def test_step_conserves_mass_closed_ring():
@@ -334,7 +333,7 @@ def line_engine(n):
                          allow_uturn={0, n - 1})
     cells = {v: CellSpec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
              for v in range(n)}
-    return net, SimulationEngine(net, cells, TurningFractions.uniform_no_uturn(net))
+    return net, SimulationEngine(net, cells)
 
 
 @pytest.mark.parametrize("n_nodes", [6, 300])
@@ -423,19 +422,51 @@ def test_outflows_with_subnormal_demand_do_not_overflow():
         assert np.array_equal(q_out, s)
 
 
-def test_engine_rejects_upstream_dependent_turning():
-    # hub 0 feeds node 1, which splits toward 4 and 5 differently for
-    # traffic arriving from 2 and from 3
-    edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]
-    net = TrafficNetwork(6, edges + [(b, a) for a, b in edges],
-                         {i: 1.0 for i in range(6)})
-    table = {(Route(x, 0, 1), w): 0.5 for x in (2, 3) for w in (4, 5)}
-    table[(Route(2, 0, 1), 4)] = 1.0
-    table[(Route(2, 0, 1), 5)] = 0.0
+def assert_turning_rows_equal_reference(eng):
+    """The engine's f_down, by bits, against the reference turning table:
+    per group, the one row its upstream routes share."""
+    net = eng.network
+    turn = TurningFractions.uniform_no_uturn(net)
+    rows = []
+    for u, v in eng.group_edges:
+        ups = [r for r in net.routes if r.via == u and r.dst == v]
+        downs = [net.routes[j] for j in net.routes_through(v)
+                 if net.routes[j].src == u]
+        f = np.array([[turn.fraction(ru, rd.dst) for rd in downs] for ru in ups])
+        assert np.all(f == f[0])  # independent of the upstream route
+        rows.append(f[0])
+    expected = np.concatenate(rows)
+    assert eng._f_down.dtype == expected.dtype
+    assert np.array_equal(eng._f_down.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("name", ["urban", "highway"])
+def test_turning_rows_equal_uniform_no_uturn_on_bundled_scenarios(name):
+    raw = json.loads(resources.files("ctmdesign.scenarios")
+                     .joinpath(f"{name}.json").read_text())
+    assert raw["network"]["turning"] == "uniform_no_uturn"
+    assert_turning_rows_equal_reference(Scenario(raw).engine)
+
+
+def test_turning_rows_equal_uniform_no_uturn_with_uturns_and_a_dead_end():
+    # a line 0-1-2 with U-turns at 0 and 1; 3 and 4 hang off 2 as dead
+    # ends, whose only exit is the U-turn they do not allow, so the groups
+    # (2, 3) and (2, 4) have upstream routes and no downstream ones
+    edges = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (2, 4), (4, 2)]
+    net = TrafficNetwork(5, edges, {i: 1.0 for i in range(5)}, allow_uturn={0, 1})
     cells = {v: CellSpec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
-             for v in range(6)}
-    with pytest.raises(NetworkError):
-        SimulationEngine(net, cells, TurningFractions(table))
+             for v in range(5)}
+    eng = SimulationEngine(net, cells)
+    assert (2, 3) in eng.group_edges
+    assert len(eng._groups_with_down) < eng.n_groups
+    assert_turning_rows_equal_reference(eng)
+    # a group without downstream routes has no budget: its routes send
+    # their whole demand
+    rho = np.full(net.n_routes, 3.0)
+    s, _ = eng.cells.evaluate(rho, None)
+    _, rec = eng.step(0, rho, InteractionRule("dpf"))
+    into_dead_end = [i for i, r in enumerate(net.routes) if r.dst == 3]
+    assert into_dead_end and np.array_equal(rec.q_out[into_dead_end], s[into_dead_end])
 
 
 def test_run_equals_steps_on_signal_periods_without_a_short_common_cycle():
@@ -509,8 +540,7 @@ def networks(draw, hub_kind):
                 shift=draw(st.integers(0, 5)), t_real=2.88, v_real=50 / 3.6)
     rho = np.array(draw(st.lists(st.floats(0.0, 6.0), min_size=net.n_routes,
                                  max_size=net.n_routes)))
-    eng = SimulationEngine(net, cells, TurningFractions.uniform_no_uturn(net),
-                           schedules)
+    eng = SimulationEngine(net, cells, schedules)
     return eng, cells, schedules, rho
 
 
@@ -553,12 +583,21 @@ def test_engine_matches_local_solvers_and_scalar_cells(hub_kind, data, t):
         "priority": solve_priority,
         "cooperative": solve_cooperative,
     }
+    turn = TurningFractions.uniform_no_uturn(net)
     for rule, solve in solvers.items():
         q_out = eng.outflows(s, r, InteractionRule(rule))
         for u, v in eng.group_edges:
             ups = [i for i, x in enumerate(net.routes) if x.via == u and x.dst == v]
             downs = [j for j in net.routes_through(v) if net.routes[j].src == u]
-            f = [[eng.turning.fraction(net.routes[i], net.routes[j].dst)
+            f = [[turn.fraction(net.routes[i], net.routes[j].dst)
                   for j in downs] for i in ups]
             problem = LocalProblem(s[ups], r[downs], f)
             assert q_out[ups] == pytest.approx(solve(problem), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("hub_kind", KINDS)
+@PROPERTY
+@given(data=st.data())
+def test_turning_rows_equal_uniform_no_uturn_on_random_networks(hub_kind, data):
+    eng, _, _, _ = data.draw(networks(hub_kind))
+    assert_turning_rows_equal_reference(eng)
