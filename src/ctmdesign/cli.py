@@ -21,8 +21,10 @@ count and batch size (replicates are reduced in index order).
 process and steps the first n_min replicates of all of an iteration's
 design points as one list, then continues each point in chunks.  Its
 manifest records the replicates used (the sum of n over the dataset),
-the replicates drawn (also those thrown away past a stop), and how many
-points stopped at their noise target or at the n_max cap.
+the replicates drawn (also those thrown away past a stop), how many
+points stopped at their noise target or at the n_max cap, and how many
+posterior variances were solved: at the Sobol points of each fit's error
+bound, and for the candidates of each rejection sampling.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -289,7 +291,9 @@ def cmd_estimate_levelset(args):
                                     on_iteration=persist)
     _manifest(out_dir, args.config, scenario.raw, seed, set(files), t0,
               extra={"gamma": gamma, "iterations": len(estimates) - 1,
-                     **loop_state.replicate_counts()})
+                     **loop_state.replicate_counts(),
+                     "nikodym_variance_points": loop_state.variance_points,
+                     "rejection_std_candidates": loop_state.std_candidates})
     return 0
 
 

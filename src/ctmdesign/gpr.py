@@ -228,7 +228,7 @@ def _check_finite(a):
 
 
 def _factor(kern, dataset):
-    """Lower Cholesky factor of Sigma + diag(tau~^2), with jitter escalation.
+    """Lower Cholesky factor of Sigma + diag(tau~^2) and the jitter it needed.
 
     As ``cho_factor(..., lower=True)`` of the summed matrix: the same bits,
     the same ValueError on non-finite entries, escalation where it failed.
@@ -246,7 +246,7 @@ def _factor(kern, dataset):
         _check_finite(diag)
         c, info = potrf(c, lower=1, clean=0, overwrite_a=1)
         if info == 0:
-            return c
+            return c, jitter
     raise np.linalg.LinAlgError(
         "covariance factorization failed after jitter escalation: "
         f"{info}-th leading minor of the array is not positive definite")
@@ -264,9 +264,18 @@ class GprPosterior:
     page-faulting temporaries of 8-33 MB each and passed over them at
     memory speed: a 100,000-point query at n = 500 peaks at about 10 MB
     instead of 190 MB.  Widths from 512 to 2048 ran within about 10% of
-    each other.  The mean is bit-identical for any width from 256 up; the
-    triangular solve of the variance is too up to about 400 data points,
-    above which the BLAS may move the variance's last bits.
+    each other.
+
+    A kernel column's bits depend on the width of the block it is built
+    in (the gemm of the distances), so the same points queried in other
+    blocks can differ in their last bits.  ``mean_std`` can screen a
+    block: the variance is then solved only on the columns the screen
+    keeps, sliced from the block already built.  Up to 384 data points
+    (measured with OpenBLAS 0.3.31), a column solved in a set of two or
+    more has the bits it has in the whole block's solve; a single column
+    takes another path through trtrs, so a lone kept column of a wider
+    block is solved twice over.  With more data the BLAS's blocking may
+    move the variance's last bits.
     """
 
     QUERY_BLOCK = 1024
@@ -274,7 +283,7 @@ class GprPosterior:
     def __init__(self, dataset, kern):
         self.dataset = dataset
         self.kernel = kern
-        self._chol = _factor(kern, dataset)
+        self._chol, self.jitter = _factor(kern, dataset)
         factor, values = self._chol, dataset.standardized_values
         # as cho_solve: finite inputs only, info != 0 is an error, and an
         # empty dataset (the prior) has an empty alpha
@@ -286,38 +295,49 @@ class GprPosterior:
             if info != 0:
                 raise ValueError(f"illegal value in {-info}th argument of internal potrs")
 
-    def _query(self, queries, want_mean, want_std):
+    def _query(self, queries, want_mean, want_std, screen=None):
         """(mean, std) at the query points (raw scale), None where not wanted."""
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         n = len(queries)
         mean = np.empty(n) if want_mean else None
         var = np.empty(n) if want_std else None
-        factor = self._chol
+        data = self.dataset
+        s2 = self.kernel.sigma_c ** 2
         trtrs = _lapack("trtrs")
         for lo in range(0, n, self.QUERY_BLOCK):
-            hi = lo + self.QUERY_BLOCK
-            kx = self.kernel.matrix(self.dataset.points, queries[lo:hi])
+            block = slice(lo, lo + self.QUERY_BLOCK)
+            kx = self.kernel.matrix(data.points, queries[block])
             if want_mean:
-                np.matmul(kx.T, self._alpha, out=mean[lo:hi])
+                m = np.matmul(kx.T, self._alpha, out=mean[block])
+                np.multiply(m, data.s_bar, out=m)
+                np.add(m, data.mu_bar, out=m)
             if want_std:
-                # var = c(k,k) - ||L^{-1} kx||^2, one triangular solve per
-                # block (none without data, as in solve_triangular)
-                if kx.size:
-                    kx, info = trtrs(factor, kx, lower=1, trans=0, unitdiag=0)
+                # var = c(k,k) - ||L^{-1} kx||^2 by one triangular solve of
+                # a Fortran-ordered copy, which trtrs overwrites
+                v = var[block]
+                if screen is None:
+                    keep = slice(None)
+                    cols = np.asfortranarray(kx)
+                else:
+                    v[:] = s2  # a screened-out column reads s = 0
+                    keep = np.flatnonzero(screen(m, block))
+                    if len(keep) == 1 < kx.shape[1]:
+                        keep = keep.repeat(2)
+                    cols = kx.T[keep].T
+                if cols.size:  # none without data, as in solve_triangular
+                    cols, info = trtrs(self._chol, cols, lower=1, trans=0,
+                                       unitdiag=0, overwrite_b=1)
                     if info > 0:
                         raise np.linalg.LinAlgError(
                             f"singular matrix: resolution failed at diagonal {info - 1}")
                     if info < 0:
                         raise ValueError(
                             f"illegal value in {-info}-th argument of internal trtrs")
-                np.einsum("ij,ij->j", kx, kx, out=var[lo:hi])
-            del kx  # freed before the next block's kernel matrix is built
-        data = self.dataset
-        if want_mean:
-            np.multiply(mean, data.s_bar, out=mean)
-            np.add(mean, data.mu_bar, out=mean)
+                v[keep] = np.einsum("ij,ij->j", cols, cols)
+                del cols
+            del kx  # both freed before the next block's kernel matrix is built
         if want_std:
-            np.subtract(self.kernel.sigma_c ** 2, var, out=var)
+            np.subtract(s2, var, out=var)
             np.maximum(var, 0.0, out=var)
             np.sqrt(var, out=var)
             np.multiply(var, data.s_bar, out=var)
@@ -333,9 +353,15 @@ class GprPosterior:
         out = self._query(queries, False, True)[1]
         return float(out[0]) if out.size == 1 else out
 
-    def mean_std(self, queries):
-        """Posterior mean and standard deviation arrays (raw scale)."""
-        return self._query(queries, True, True)
+    def mean_std(self, queries, screen=None):
+        """Posterior mean and standard deviation arrays (raw scale).
+
+        ``screen(m, block)``, if given, is called once per query block with
+        the block's raw-scale mean and its slice of the queries; it returns
+        a boolean mask of the block's points whose std is needed.  The
+        others are not solved and read 0.
+        """
+        return self._query(queries, True, True, screen)
 
     @property
     def prior_std(self):
@@ -354,7 +380,7 @@ def log_marginal_likelihood(dataset, kern):
     -(1/2) nu^T K^{-1} nu - (1/2) log det K - (n/2) log 2 pi  with
     K = Sigma + diag(tau~^2).
     """
-    c = _factor(kern, dataset)
+    c = _factor(kern, dataset)[0]
     nu = dataset.standardized_values
     _check_finite(nu)
     alpha = _lapack("potrs")(c, nu, lower=1)[0]

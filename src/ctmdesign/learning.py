@@ -20,6 +20,18 @@ volume between them, estimated by quasi-Monte Carlo on Sobol points
 drawn once per run, bounds the Nikodym estimation error with
 probability 1 - delta pointwise.  ``credible_band`` evaluates m, sigma
 and both band edges from one posterior query per point set.
+
+The posterior std can only fall as data is added while the kernel, the
+standardization, the kept noises and the jitter stay the same, and within
+a run they do (a fit that needed another jitter starts afresh).  So the
+bound keeps the last known std of every Sobol point and, after the first
+fit, solves the variance only where |m - gamma| is within z times it (plus
+a rounding slack): every other point lies outside the band for certain.
+Likewise the "absolute" rejection sampler solves sigma only for the
+candidates whose acceptance draw needs the gate.  Neither changes a bit
+of the results (see ``GprPosterior`` for when the solved columns keep
+theirs); the manifest of ``estimate-levelset`` records how many were
+solved.
 """
 
 from __future__ import annotations
@@ -224,7 +236,8 @@ def _acceptance(m, s, gamma, c2, variant):
     return ndtr(-c2 * gap)
 
 
-def rejection_sample(n_loop, post, gamma, tau_i, c2, config, space, rng):
+def rejection_sample(n_loop, post, gamma, tau_i, c2, config, space, rng,
+                     solved=None):
     """Propose up to n_loop points from the acquisition density.
 
     Uniform candidates are kept only when the posterior uncertainty
@@ -233,21 +246,39 @@ def rejection_sample(n_loop, post, gamma, tau_i, c2, config, space, rng):
     avoids spinning when the gate is closed almost everywhere; points
     that exhaust it are skipped with a log entry.  Candidates are drawn
     and evaluated in batches; the per-point trial accounting matches the
-    one-at-a-time loop.
+    one-at-a-time loop.  In the "absolute" variant I(k) needs the mean
+    alone, so sigma(k) is solved only for the candidates with
+    p < 2 * I(k), the only ones whose gate is read.  ``solved``, a list,
+    gets the number of candidates whose std was solved appended.
     """
     batch = 256
+    absolute = config.acquisition_variant == "absolute"
     found = []
     j = 0
     trials = 0
+    n_solved = 0
     candidates = iter(())
     while j < n_loop:
         item = next(candidates, None)
         if item is None:
             ks = space.uniform(rng, batch)
             ps = rng.random(batch)
-            m, s = post.mean_std(ks)
-            acc = _acceptance(m, s, gamma, c2, config.acquisition_variant)
-            gate = config.c1 * tau_i < np.atleast_1d(s)
+            if absolute:
+                acc = np.empty(batch)
+                wanted = np.empty(batch, dtype=bool)
+
+                def screen(m, block):
+                    acc[block] = _acceptance(m, None, gamma, c2, "absolute")
+                    wanted[block] = ps[block] < 2.0 * acc[block]
+                    return wanted[block]
+
+                _, s = post.mean_std(ks, screen)
+                n_solved += int(np.count_nonzero(wanted))
+            else:
+                m, s = post.mean_std(ks)
+                acc = _acceptance(m, s, gamma, c2, config.acquisition_variant)
+                n_solved += batch
+            gate = config.c1 * tau_i < s
             candidates = iter(zip(ks, gate, ps, acc))
             continue
         k, open_gate, p, prob = item
@@ -264,17 +295,20 @@ def rejection_sample(n_loop, post, gamma, tau_i, c2, config, space, rng):
                      "skipping the rest of this iteration", j + 1, n_loop,
                      config.max_trials)
             break
+    if solved is not None:
+        solved.append(n_solved)
     return np.array(found) if found else np.zeros((0, space.dim))
 
 
-def credible_band(post, pts, delta):
+def credible_band(post, pts, delta, screen=None):
     """(m, s, lower, upper) at pts from one posterior query.
 
     lower/upper = m -+ z_{1-delta/2} s is the pointwise credible band;
     {lower >= gamma} and {upper >= gamma} are the inner and outer sets
-    around the plug-in set {m >= gamma}.
+    around the plug-in set {m >= gamma}.  ``screen`` goes to
+    ``mean_std``: a point it screens out has s = 0, a band of width 0.
     """
-    m, s = post.mean_std(pts)
+    m, s = post.mean_std(pts, screen)
     half = ndtri(1.0 - delta / 2.0) * s
     return m, s, m - half, m + half
 
@@ -300,6 +334,10 @@ class _LoopState:
     iteration_born: list = field(default_factory=list)
     drawn: list = field(default_factory=list)
     stops: list = field(default_factory=list)
+    # per fit: Sobol points whose variance was solved; per rejection
+    # sampling: candidates whose std was solved
+    variance_points: list = field(default_factory=list)
+    std_candidates: list = field(default_factory=list)
 
     def add(self, k, est, iteration):
         self.points.append(np.asarray(k, dtype=float))
@@ -381,10 +419,29 @@ def run_active_learning(config, space, simulator, gamma, master_seed,
     post = posterior(base, kern)
 
     sobol = sobol_points(space, config.n_eval)
+    z = ndtri(1.0 - config.delta / 2.0)
+    # the last known std at each Sobol point, and the jitter of its fit
+    bound = np.full(len(sobol), np.inf)
+    bound_jitter = None
     estimates = []
 
     def error_bound(post_i):
-        _, _, lower, upper = credible_band(post_i, sobol, config.delta)
+        nonlocal bound_jitter
+        if post_i.jitter != bound_jitter:
+            bound.fill(np.inf)  # more jitter can raise the variance
+            bound_jitter = post_i.jitter
+        slack = 1e-3 * post_i.prior_std
+        solved = np.empty(len(sobol), dtype=bool)
+
+        def screen(m, block):
+            # only a point within z * s of gamma can lie in the band
+            need = np.abs(m - gamma) < z * (bound[block] * (1 + 1e-6) + slack)
+            solved[block] = need
+            return need
+
+        _, s, lower, upper = credible_band(post_i, sobol, config.delta, screen)
+        np.copyto(bound, s, where=solved)
+        state.variance_points.append(int(np.count_nonzero(solved)))
         return nikodym_bound_mc(lower, upper, gamma, space.volume)
 
     def finish_iteration(i, post_i, e_hat):
@@ -404,7 +461,8 @@ def run_active_learning(config, space, simulator, gamma, master_seed,
         rng_i = replicate_rng(master_seed, 3, i)
         new_points = rejection_sample(config.n_loop, post, gamma,
                                       config.tau(i), config.c2_at(i),
-                                      config, space, rng_i)
+                                      config, space, rng_i,
+                                      solved=state.std_candidates)
         if len(new_points) == 0:
             # unchanged data: the previous posterior and bound still hold
             log.info("iteration %d: uncertainty gate closed everywhere", i)

@@ -82,16 +82,16 @@ class SimulationEngine:
 
     The engine is immutable after construction and shared across
     replicates; all mutable per-replicate state (densities, signal
-    programs, environment) is passed through ``step`` or ``run``, for
-    one replicate or a batch (see the module docstring).
+    programs, environment) is passed through ``run``, for one replicate
+    or a batch (see the module docstring).
 
     Parameters
     ----------
     network : TrafficNetwork
     node_cells : mapping node -> CellSpec
     schedules : mapping node -> SignalSchedule, for signalized nodes.
-        These are the default programs; ``step`` and ``run`` accept
-        per-replicate ones.
+        These are the default programs; ``run`` accepts per-replicate
+        ones.
     """
 
     def __init__(self, network, node_cells, schedules=None):
@@ -185,19 +185,6 @@ class SimulationEngine:
         table = np.where(axis_green, ramp[..., None], 0.0)
         return table.reshape(table.shape[:-2] + (-1,))
 
-    def signal_la(self, t, programs=None):
-        """Per-route LA at time t, or None without scheduled nodes.
-
-        One step of ``signal_table``: shape (n_routes,) for None or one
-        mapping of ``programs``, (B, n_routes) for a sequence of B.
-        """
-        table = self.signal_table(programs, (t,))
-        if table is None:
-            return None
-        la = np.ones(table.shape[1:-1] + (self.network.n_routes,))
-        la.T[self._signal_idx] = table[0].T[self._signal_col]
-        return la
-
     def outflows(self, s, r, rule):
         """Phase 2: realized outflows per route under the interaction rule.
 
@@ -247,16 +234,8 @@ class SimulationEngine:
                 self._f_down * take_routes(sum_q, self._group_of_down)).T
         return q_in
 
-    def step(self, t, rho, rule, env=None, programs=None):
-        """Advance one step; returns (new densities, FlowRecord).
-
-        ``rho`` is not modified.  ``env`` supplies the net flows of phase
-        4 (None means a closed system), ``programs`` per-replicate
-        schedule overrides for the signalized nodes.
-        """
-        return self._step_with_la(t, rho, rule, env, self.signal_la(t, programs))
-
     def _step_with_la(self, t, rho, rule, env, la):
+        """One step with the per-route LA ``la``: (new densities, FlowRecord)."""
         s, r = self.cells.evaluate(rho, la)
         q_out = self.outflows(s, r, rule)
         q_in = self.inflows(q_out)

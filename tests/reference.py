@@ -16,7 +16,10 @@ points and the kernel's cross-covariance matrix in expression form
 and the hyperparameter fit through ``scipy.optimize.minimize``
 (``gpr.log_marginal_likelihood`` and ``gpr.fit_hyperparameters``), the
 posterior through ``cho_solve`` and ``solve_triangular``
-(``GprPosterior``), and one-at-a-time sequential Monte Carlo.
+(``GprPosterior``), the rejection sampler with every candidate's std
+queried (``learning.rejection_sample``), and one-at-a-time sequential
+Monte Carlo.  Two helpers step an engine one step at a time, which the
+package does only inside ``SimulationEngine.run``.
 """
 
 from __future__ import annotations
@@ -440,6 +443,35 @@ def advance_signal(schedule, t, via=None):
 
 
 # ---------------------------------------------------------------------------
+# one engine step (the engine itself steps only through ``run``)
+# ---------------------------------------------------------------------------
+
+def signal_la(eng, t, programs=None):
+    """Per-route LA of the engine ``eng`` at time t, or None without
+    scheduled nodes.
+
+    One step of ``signal_table``: shape (n_routes,) for None or one
+    mapping of ``programs``, (B, n_routes) for a sequence of B.
+    """
+    table = eng.signal_table(programs, (t,))
+    if table is None:
+        return None
+    la = np.ones(table.shape[1:-1] + (eng.network.n_routes,))
+    la.T[eng._signal_idx] = table[0].T[eng._signal_col]
+    return la
+
+
+def engine_step(eng, t, rho, rule, env=None, programs=None):
+    """Advance ``eng`` one step; returns (new densities, FlowRecord).
+
+    ``rho`` is not modified.  ``env`` supplies the net flows of phase
+    4 (None means a closed system), ``programs`` per-replicate
+    schedule overrides for the signalized nodes.
+    """
+    return eng._step_with_la(t, rho, rule, env, signal_la(eng, t, programs))
+
+
+# ---------------------------------------------------------------------------
 # Gaussian process kernel
 # ---------------------------------------------------------------------------
 
@@ -560,6 +592,48 @@ def fit_hyperparameters(dataset, variant, n_starts=10, rng=None, tol=1e-6):
         return Kernel(variant, 1.0, length_scale)
     sigma_c, length = np.exp(best.x)
     return Kernel(variant, float(sigma_c), float(length))
+
+
+# ---------------------------------------------------------------------------
+# active learning
+# ---------------------------------------------------------------------------
+
+def rejection_sample(n_loop, post, gamma, tau_i, c2, config, space, rng):
+    """``learning.rejection_sample`` with the mean and std of every candidate
+    queried; it logs its skip message to the ``reference`` logger."""
+    import logging
+
+    from ctmdesign.learning import _acceptance
+
+    batch = 256
+    found = []
+    j = 0
+    trials = 0
+    candidates = iter(())
+    while j < n_loop:
+        item = next(candidates, None)
+        if item is None:
+            ks = space.uniform(rng, batch)
+            ps = rng.random(batch)
+            m, s = post.mean_std(ks)
+            acc = _acceptance(m, s, gamma, c2, config.acquisition_variant)
+            gate = config.c1 * tau_i < np.atleast_1d(s)
+            candidates = iter(zip(ks, gate, ps, acc))
+            continue
+        k, open_gate, p, prob = item
+        trials += 1
+        accepted = open_gate and p < 2.0 * prob
+        if accepted:
+            found.append(k)
+            j += 1
+            trials = 0
+        elif trials >= config.max_trials:
+            logging.getLogger("reference").info(
+                "rejection sampling: point %d/%d exhausted %d trials; "
+                "skipping the rest of this iteration", j + 1, n_loop,
+                config.max_trials)
+            break
+    return np.array(found) if found else np.zeros((0, space.dim))
 
 
 # ---------------------------------------------------------------------------

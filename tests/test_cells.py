@@ -6,7 +6,7 @@ import pytest
 from ctmdesign.cells import CellError, CellSpec, CellTable, overlap_matrix
 from ctmdesign.network import Route, TrafficNetwork
 from ctmdesign.signals import SignalSchedule
-from reference import advance_signal, receiving, sending
+from reference import advance_signal, receiving, sending, signal_la
 
 
 def z4_node(n_arms=4):
@@ -325,7 +325,7 @@ def test_cell_table_matches_scalar_signalized():
     rng = np.random.default_rng(13)
     for t in (0, 3, 5, 9, 12, 20):
         rho = 3 * rng.random(net.n_routes)
-        la = eng.signal_la(t)
+        la = signal_la(eng, t)
         s_vec, r_vec = eng.cells.evaluate(rho, la)
         state = advance_signal(sched, t, via=0)
         dens_all = {r: rho[i] for i, r in enumerate(net.routes)}

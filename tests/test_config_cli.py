@@ -399,7 +399,8 @@ def test_cli_queries_each_sobol_and_grid_point_once_per_estimate(
     rows, fits = [], []
     real_query = GprPosterior.mean_std
     monkeypatch.setattr(GprPosterior, "mean_std",
-                        lambda self, q: rows.append(len(q)) or real_query(self, q))
+                        lambda self, q, *screen: rows.append(len(q))
+                        or real_query(self, q, *screen))
     real_fit = learning.posterior
     monkeypatch.setattr(learning, "posterior",
                         lambda *args: fits.append(args) or real_fit(*args))
@@ -506,6 +507,22 @@ def test_manifest_replicate_counts_agree_with_the_dataset(tmp_path):
     assert manifest["replicates_drawn"] > sum(n)    # some chunk overshot a stop
     assert manifest["cap_stops"] == sum(1 for x in n if x == 200)
     assert manifest["target_stops"] + manifest["cap_stops"] == len(rows)
+
+
+def test_manifest_counts_the_solved_variances(tmp_path):
+    manifest, rows = _run_counts(tmp_path, n_min=8, n_max=[8], iterations=3)
+    refits = sorted({int(row["iteration"]) for row in rows} - {0})
+    # one entry per fit: the first solves every Sobol point, later fits only
+    # those that can still lie in the band
+    solved = manifest["nikodym_variance_points"]
+    assert len(solved) == 1 + len(refits) >= 2
+    assert solved[0] == 5000 and all(0 < v < 5000 for v in solved[1:])
+    # one entry per rejection sampling: every accepted candidate needed one
+    candidates = manifest["rejection_std_candidates"]
+    assert len(candidates) == 3
+    for i, count in enumerate(candidates, start=1):
+        assert count >= sum(1 for row in rows if int(row["iteration"]) == i)
+        assert isinstance(count, int)
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch):

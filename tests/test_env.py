@@ -8,7 +8,7 @@ from ctmdesign.env import (ArCopulaEnvironment, ArSourceSink, FrankCopula,
 from ctmdesign.network import TrafficNetwork
 from ctmdesign.cells import CellSpec
 from ctmdesign.solvers import InteractionRule, SimulationEngine
-from reference import clamp_net_flow, frank_sample
+from reference import clamp_net_flow, engine_step, frank_sample
 
 
 def frank_tau_oracle(r):
@@ -152,7 +152,7 @@ def test_full_trajectory_bit_reproducible():
             FrankCopula(-4.0), caps, replicate_rng(42, 7), steps=100)
         rho = np.full(net.n_routes, 1.0)
         for t in range(100):
-            rho, _ = eng.step(t, rho, InteractionRule("dpf"), env=env)
+            rho, _ = engine_step(eng, t, rho, InteractionRule("dpf"), env=env)
         return rho
 
     a, b = run(), run()

@@ -230,6 +230,65 @@ def test_posterior_equals_cho_solve_and_solve_triangular_oracle(
         assert _same_bits(g, w)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(KERNEL_VARIANTS),
+       n=st.one_of(st.integers(0, 384), st.sampled_from([1, 2, 384])),
+       m=st.sampled_from([1, 2, B - 1, B, B + 1, 2 * B + 1]), dim=st.integers(1, 3),
+       log_length=st.floats(-4.0, 1.0),
+       kept=st.sampled_from(["none", "one", "two", "sparse", "dense", "all"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_screened_query_keeps_the_bits_of_the_full_query(variant, n, m, dim,
+                                                         log_length, kept, seed):
+    # up to 384 data points a column solved among two or more has the bits
+    # of the whole block's solve; a lone column is solved twice over
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, dim))
+    data = GprDataset(x, np.sin(3.0 * x[:, 0]) + rng.normal(size=n),
+                      0.01 + 0.1 * rng.random(n), mu_bar=rng.normal(),
+                      s_bar=rng.uniform(0.5, 2.0))
+    post = posterior(data, Kernel(variant, float(rng.uniform(0.5, 2.0)),
+                                  math.exp(log_length)))
+    queries = rng.random((m, dim))
+    mean, std = post.mean_std(queries)
+    masks = []
+
+    def screen(m_block, block):
+        assert _same_bits(m_block, mean[block])
+        w = len(m_block)
+        p = {"none": 0.0, "sparse": 0.05, "dense": 0.7, "all": 1.0}.get(kept)
+        if p is None:
+            mask = np.zeros(w, dtype=bool)
+            mask[rng.choice(w, size=min(w, 1 if kept == "one" else 2),
+                            replace=False)] = True
+        else:
+            mask = rng.random(w) < p
+        masks.append(mask)
+        return mask
+
+    got_mean, got_std = post.mean_std(queries, screen)
+    need = np.concatenate(masks)
+    assert len(need) == m
+    assert _same_bits(got_mean, mean)
+    assert _same_bits(got_std[need], std[need])
+    assert np.all(got_std[~need] == 0.0)
+
+
+@pytest.mark.parametrize("m, step", [(2, 1), (B, 7)])
+def test_each_lone_screened_column_keeps_the_bits_of_the_full_query(m, step):
+    # trtrs solves one column by another path, with other bits in most
+    # columns, so a lone kept column of a wider block is solved twice over
+    rng = np.random.default_rng(3)
+    x = rng.random((120, 2))
+    post = posterior(GprDataset(x, np.sin(3.0 * x[:, 0]) + rng.normal(size=120),
+                                0.01 + 0.1 * rng.random(120)),
+                     Kernel("matern32", 1.3, 0.4))
+    queries = rng.random((m, 2))
+    std = post.std(queries)
+    for j in range(0, m, step):
+        _, got = post.mean_std(queries, lambda _, block: np.arange(m)[block] == j)
+        assert got[j] == std[j] and np.count_nonzero(got) == 1
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_posterior_rejects_a_non_finite_value_like_cho_solve(bad):
     # the factor sees only the points and noises; cho_solve checked the values

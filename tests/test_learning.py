@@ -1,8 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from ctmdesign.gpr import GprDataset, Kernel, posterior
+import reference
+from ctmdesign import gpr
+from ctmdesign.gpr import KERNEL_VARIANTS, GprDataset, Kernel, posterior
 from ctmdesign.learning import (DesignSpace, LoopConfig, acquisition,
                                 credible_band, nikodym_bound_mc,
                                 rejection_sample, run_active_learning,
@@ -123,6 +128,75 @@ def test_rejection_matches_normalized_acquisition_density():
         if res.pvalue > 0.01:
             passes += 1
     assert passes >= 4
+
+
+class _Messages(logging.Handler):
+    """The messages of the log records it gets."""
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(["absolute"] * 3 + ["scaled"]),
+       kernel=st.sampled_from(KERNEL_VARIANTS), n=st.integers(1, 60),
+       dim=st.integers(1, 3), gamma_q=st.floats(0.0, 1.0),
+       gate_q=st.floats(0.0, 1.2), log_c2=st.floats(-2.0, 3.0),
+       n_loop=st.integers(1, 30), max_trials=st.integers(1, 600),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rejection_sample_equals_unscreened_oracle(variant, kernel, n, dim, gamma_q,
+                                                   gate_q, log_c2, n_loop,
+                                                   max_trials, seed):
+    # the "absolute" sampler solves a std only where p < 2 I(k); the oracle
+    # queries every candidate's std
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, dim))
+    post = posterior(GprDataset(x, np.sin(4.0 * x[:, 0]) + 0.3 * rng.normal(size=n),
+                                0.01 + 0.2 * rng.random(n), mu_bar=0.0, s_bar=1.0),
+                     Kernel(kernel, float(rng.uniform(0.5, 2.0)),
+                            float(rng.uniform(0.05, 1.0))))
+    space = unit_space(dim)
+    probe = rng.random((512, dim))
+    gamma = float(np.quantile(post.mean(probe), gamma_q))
+    config = loop_config(max_trials=max_trials, acquisition_variant=variant)
+    tau = gate_q * float(np.max(post.std(probe))) / config.c1
+    c2 = 10.0 ** log_c2
+    state = int(rng.integers(2 ** 32))
+    handler = _Messages()
+    for name in ("ctmdesign.learning", "reference"):
+        logging.getLogger(name).addHandler(handler)
+        logging.getLogger(name).setLevel(logging.INFO)
+    try:
+        runs = []
+        for sampler in (rejection_sample, reference.rejection_sample):
+            handler.messages = []
+            draws = np.random.default_rng(state)
+            pts = sampler(n_loop, post, gamma, tau, c2, config, space, draws)
+            runs.append((pts, draws.bit_generator.state, handler.messages))
+    finally:
+        for name in ("ctmdesign.learning", "reference"):
+            logging.getLogger(name).removeHandler(handler)
+            logging.getLogger(name).setLevel(logging.NOTSET)
+    (got, got_rng, got_log), (want, want_rng, want_log) = runs
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got_rng == want_rng  # the same candidates were drawn
+    assert got_log == want_log
+
+
+def test_rejection_sample_counts_the_solved_candidates():
+    post = fixed_posterior_1d(noise=0.3)
+    space = unit_space()
+    counts = {}
+    for variant in ("absolute", "scaled"):
+        solved = []
+        rejection_sample(40, post, 0.0, 0.01, 3.0,
+                         loop_config(acquisition_variant=variant), space,
+                         np.random.default_rng(1), solved=solved)
+        counts[variant] = solved
+    # every accepted candidate needed its std; the scaled variant needs all
+    assert 40 <= counts["absolute"][0] < counts["scaled"][0]
+    assert counts["scaled"][0] % 256 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +342,68 @@ def test_loop_dataset_sizes_and_monotone_information():
         s_prev = np.asarray(prev.posterior.std(grid))
         s_next = np.asarray(nxt.posterior.std(grid))
         assert np.all(s_next <= s_prev + 1e-9)
+
+
+def sincos_simulator(ks, rngs):
+    return [float(np.sin(2 * np.pi * k[0]) * np.cos(2 * np.pi * k[1])
+                  + 0.1 * rng.standard_normal()) for k, rng in zip(ks, rngs)]
+
+
+def nested_fits(seed, after_first_fit=None, n_eval=2 ** 14):
+    """A 2-D loop on datasets of 50, 60, ..., 120 points, as synthetic_small.
+
+    Returns the config, the space, one estimate per fit and the loop state.
+    """
+    config = loop_config(n_initial=50, n_loop=10, iterations=7,
+                         tau_schedule=(0.01,) * 8, n_min=20, n_max=(500,),
+                         n_eval=n_eval)
+    space = unit_space(2)
+    fits, states = [], []
+
+    def track(est, state):
+        if not fits or fits[-1].posterior is not est.posterior:
+            fits.append(est)
+        if est.iteration == 0 and after_first_fit is not None:
+            after_first_fit()
+        states.append(state)
+
+    run_active_learning(config, space, sincos_simulator, 0.0, seed,
+                        on_iteration=track)
+    return config, space, fits, states[-1]
+
+
+@pytest.mark.parametrize("seed", [1, 47])
+def test_error_bound_screen_equals_the_full_band_on_nested_fits(seed):
+    config, space, fits, state = nested_fits(seed)
+    sobol = sobol_points(space, config.n_eval)
+    assert len(state.variance_points) == len(fits) >= 4
+    assert len(fits[-1].posterior.dataset) <= 120
+    assert state.variance_points[0] == config.n_eval
+    assert all(0 < v < config.n_eval for v in state.variance_points[1:])
+    s_prev = None
+    for est in fits:
+        _, s, lower, upper = credible_band(est.posterior, sobol, config.delta)
+        assert est.e_hat == nikodym_bound_mc(lower, upper, est.gamma, space.volume)
+        # refitting on a superset never increases the posterior uncertainty
+        if s_prev is not None:
+            assert np.all(s <= s_prev + 1e-9)
+        s_prev = s
+
+
+def test_error_bound_solves_every_variance_after_a_jitter_change(monkeypatch):
+    # more jitter can raise a variance, so the first fit with the new jitter
+    # has no bound to screen with; the fits after it screen again
+    config, space, fits, state = nested_fits(
+        1, lambda: monkeypatch.setattr(gpr, "_JITTERS", (1e-6,)), n_eval=4096)
+    sobol = sobol_points(space, config.n_eval)
+    jitters = [est.posterior.jitter for est in fits]
+    assert jitters[0] == 0.0 and set(jitters[1:]) == {1e-6}
+    solved = state.variance_points
+    assert solved[0] == solved[1] == config.n_eval
+    assert len(solved) >= 3 and all(v < config.n_eval for v in solved[2:])
+    for est in fits:
+        _, _, lower, upper = credible_band(est.posterior, sobol, config.delta)
+        assert est.e_hat == nikodym_bound_mc(lower, upper, est.gamma, space.volume)
 
 
 def test_loop_deterministic_in_seed():

@@ -13,9 +13,9 @@ from ctmdesign.network import TrafficNetwork
 from ctmdesign.signals import SignalSchedule
 from ctmdesign.solvers import InteractionRule, SimulationEngine
 from reference import (DensityState, LocalProblem, TurningFractions,
-                       advance_signal, aggregate_inflows, receiving, sending,
-                       solve_cooperative, solve_cpf, solve_dpf, solve_priority,
-                       total_mass, update_density)
+                       advance_signal, aggregate_inflows, engine_step, receiving,
+                       sending, signal_la, solve_cooperative, solve_cpf, solve_dpf,
+                       solve_priority, total_mass, update_density)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -322,7 +322,7 @@ def test_step_conserves_mass_closed_ring():
     for rule in ("dpf", "cpf", "priority", "cooperative"):
         r = rho.copy()
         for t in range(200):
-            r, _ = eng.step(t, r, InteractionRule(rule))
+            r, _ = engine_step(eng, t, r, InteractionRule(rule))
         assert total_mass(DensityState(r), net) == pytest.approx(m0, abs=1e-10)
 
 
@@ -356,7 +356,7 @@ def test_run_batch_rows_equal_single_runs(n_nodes, rule):
 def test_step_empty_network_stays_empty():
     net, eng = ring_engine()
     rho = np.zeros(net.n_routes)
-    rho2, rec = eng.step(0, rho, InteractionRule("dpf"))
+    rho2, rec = engine_step(eng, 0, rho, InteractionRule("dpf"))
     assert np.all(rho2 == 0)
     assert np.all(rec.q_out == 0) and np.all(rec.q_in == 0)
 
@@ -366,7 +366,7 @@ def test_step_composes_the_phases():
     net, eng = ring_engine()
     rng = np.random.default_rng(8)
     rho = 4 * rng.random(net.n_routes)
-    rho_next, rec = eng.step(0, rho, InteractionRule("dpf"))
+    rho_next, rec = engine_step(eng, 0, rho, InteractionRule("dpf"))
 
     dens = {r: rho[i] for i, r in enumerate(net.routes)}
     cells = {v: CellSpec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
@@ -407,7 +407,7 @@ def test_engine_feasibility_invariants_on_random_steps():
         for t in range(50):
             la = None
             s, r = eng.cells.evaluate(rho, la)
-            rho, rec = eng.step(t, rho, InteractionRule(rule))
+            rho, rec = engine_step(eng, t, rho, InteractionRule(rule))
             assert np.all(rec.q_out <= s + 1e-9)
             assert np.all(rec.q_out >= -1e-12)
 
@@ -464,7 +464,7 @@ def test_turning_rows_equal_uniform_no_uturn_with_uturns_and_a_dead_end():
     # their whole demand
     rho = np.full(net.n_routes, 3.0)
     s, _ = eng.cells.evaluate(rho, None)
-    _, rec = eng.step(0, rho, InteractionRule("dpf"))
+    _, rec = engine_step(eng, 0, rho, InteractionRule("dpf"))
     into_dead_end = [i for i, r in enumerate(net.routes) if r.dst == 3]
     assert into_dead_end and np.array_equal(rec.q_out[into_dead_end], s[into_dead_end])
 
@@ -485,7 +485,7 @@ def test_run_equals_steps_on_signal_periods_without_a_short_common_cycle():
     eng.run(rho0, 1250, rule, observers=(via_run,))
     rho = rho0
     for t in range(1250):
-        rho_next, record = eng.step(t, rho, rule)
+        rho_next, record = engine_step(eng, t, rho, rule)
         via_step(t, rho, record)
         rho = rho_next
     assert via_run.value() == via_step.value()
@@ -553,8 +553,8 @@ def test_engine_invariants_on_random_networks(hub_kind, rule, data, t0):
     net = eng.network
     m0 = total_mass(DensityState(rho), net)
     for t in range(t0, t0 + 10):
-        s, r = eng.cells.evaluate(rho, eng.signal_la(t))
-        rho, rec = eng.step(t, rho, InteractionRule(rule))
+        s, r = eng.cells.evaluate(rho, signal_la(eng, t))
+        rho, rec = engine_step(eng, t, rho, InteractionRule(rule))
         assert np.all(rec.q_out >= 0) and np.all(rec.q_out <= s + 1e-12)
         # q_in of (u, v, w) is sum_x f[x -> w] q_x over the group (u, v)
         assert np.all(rec.q_in <= r + 1e-9)
@@ -568,7 +568,7 @@ def test_engine_invariants_on_random_networks(hub_kind, rule, data, t0):
 def test_engine_matches_local_solvers_and_scalar_cells(hub_kind, data, t):
     eng, cells, schedules, rho = data.draw(networks(hub_kind))
     net = eng.network
-    s, r = eng.cells.evaluate(rho, eng.signal_la(t))
+    s, r = eng.cells.evaluate(rho, signal_la(eng, t))
     dens = {route: rho[i] for i, route in enumerate(net.routes)}
     for i, route in enumerate(net.routes):
         v = route.via
