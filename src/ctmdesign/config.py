@@ -7,6 +7,12 @@ bounds and the estimation budgets.  Scalar fields that vary with the
 design vector hold ``{"design": "<name>"}`` references.  ``Scenario``
 parses and checks every setting at load; a replicate only resolves them.
 
+``SCENARIO_SCHEMA`` states the file's structural rules once, in JSON
+Schema (draft 2020-12).  ``load_scenario`` checks a file against it with
+the small interpreter below, which covers exactly the keywords the schema
+uses.  The tests hold it to a reference JSON Schema validator, which no
+command imports: it would load some 80 modules at every start-up.
+
 Design parameters listed under ``design.integerized`` are rounded to an
 adjacent integer per replicate, with probabilities matching the real
 value in expectation (signal programs must be whole time steps).  The
@@ -19,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -164,23 +171,126 @@ def _json_error(path, exc):
     return ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
 
-def load_scenario(path):
-    """Parse and validate a scenario file."""
-    from jsonschema.exceptions import best_match
-    from jsonschema.validators import validator_for
+#: the keywords ``_validate`` implements
+_KEYWORDS = frozenset({
+    "type", "const", "enum", "oneOf", "minimum", "maximum",
+    "exclusiveMinimum", "items", "minItems", "maxItems", "required",
+    "dependentRequired", "properties", "additionalProperties", "propertyNames",
+    "pattern"})
 
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
+          "boolean": bool, "null": type(None)}
+
+#: numeric bounds: keyword -> (is the value past it, message)
+_BOUNDS = {"minimum": (lambda x, b: x < b, "less than the minimum of"),
+           "exclusiveMinimum": (lambda x, b: x <= b,
+                                "less than or equal to the minimum of"),
+           "maximum": (lambda x, b: x > b, "greater than the maximum of")}
+
+
+def _is_type(value, kind):
+    """JSON Schema's type test: a whole float is an integer, a bool no number."""
+    if isinstance(value, bool):
+        return kind == "boolean"
+    if kind == "integer":
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    return isinstance(value, _TYPES[kind])
+
+
+def _same(a, b):
+    """JSON equality: 1 equals 1.0, but true does not equal 1."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _validate(schema, value, path, errors):
+    """``value`` checked against ``schema``: its errors are appended to
+    ``errors`` as (path, message) pairs in document order.  Returns the
+    value with each whole float where an integer is asked for turned into
+    that int, so 8.0 runs as 8 does; the input is left as it is."""
+    kind = schema.get("type")
+    if kind is not None and not _is_type(value, kind):
+        errors.append((path, f"{value!r} is not of type {kind!r}"))
+        return value
+    if kind == "integer":
+        value = int(value)
+    if "const" in schema and not _same(value, schema["const"]):
+        errors.append((path, f"{schema['const']!r} was expected"))
+    if "enum" in schema and not any(_same(value, e) for e in schema["enum"]):
+        errors.append((path, f"{value!r} is not one of {schema['enum']!r}"))
+    if "oneOf" in schema:
+        valid = []
+        for branch in schema["oneOf"]:
+            branch_errors = []
+            checked = _validate(branch, value, path, branch_errors)
+            if not branch_errors:
+                valid.append(checked)
+        if len(valid) == 1:
+            value = valid[0]
+        else:
+            under = "more than one" if valid else "none"
+            errors.append((path, f"{value!r} is valid under {under} of the schemas"))
+    for key, (past, words) in _BOUNDS.items():
+        if key in schema and _is_type(value, "number") and past(value, schema[key]):
+            errors.append((path, f"{value!r} is {words} {schema[key]!r}"))
+    if isinstance(value, str) and "pattern" in schema \
+            and not re.search(schema["pattern"], value):
+        errors.append((path, f"{value!r} does not match {schema['pattern']!r}"))
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            errors.append((path, f"{value!r} has under {schema['minItems']} items"))
+        if len(value) > schema.get("maxItems", len(value)):
+            errors.append((path, f"{value!r} has over {schema['maxItems']} items"))
+        if "items" in schema:
+            value = [_validate(schema["items"], item, (*path, i), errors)
+                     for i, item in enumerate(value)]
+    if isinstance(value, dict):
+        errors += [(path, f"{key!r} is a required property")
+                   for key in schema.get("required", ()) if key not in value]
+        errors += [(path, f"{need!r} is a dependency of {key!r}")
+                   for key, needs in schema.get("dependentRequired", {}).items()
+                   if key in value for need in needs if need not in value]
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        checked = {}
+        for key, item in value.items():
+            if "propertyNames" in schema:
+                _validate(schema["propertyNames"], key, path, errors)
+            sub = props.get(key, extra)
+            if sub is False:
+                errors.append((path, f"additional property {key!r} is not allowed"))
+            elif sub is not True:
+                item = _validate(sub, item, (*path, key), errors)
+            checked[key] = item
+        value = checked
+    return value
+
+
+def _validated(raw, origin):
+    """``raw`` checked against ``SCENARIO_SCHEMA``, whole floats at integer
+    keys read as integers; a violation raises a ConfigError naming the one
+    nearest the root, the first in the file on a tie."""
+    errors = []
+    raw = _validate(SCENARIO_SCHEMA, raw, (), errors)
+    if errors:
+        loc, message = min(errors, key=lambda error: len(error[0]))
+        raise ConfigError(f"{origin}: at {'/'.join(map(str, loc)) or '<root>'}: "
+                          f"{message}")
+    return raw
+
+
+def load_scenario(path):
+    """Parse and validate a scenario file.
+
+    The file is checked against ``SCENARIO_SCHEMA`` in-package; the tests
+    check that it accepts exactly the files a reference JSON Schema
+    validator accepts.
+    """
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise _json_error(path, exc) from None
-    # jsonschema.validate without its check of the (fixed) schema against
-    # the metaschema, which took most of the load time; a unit test checks it
-    exc = best_match(validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA).iter_errors(raw))
-    if exc is not None:
-        loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: at {loc}: {exc.message}")
-    return Scenario(raw, origin=str(path))
+    return Scenario(_validated(raw, path), origin=str(path))
 
 
 def _present(cfg, keys):

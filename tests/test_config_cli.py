@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ctmdesign import learning, solvers
+from ctmdesign import config, learning, solvers
 from ctmdesign.cli import main, replicate_values
 from ctmdesign.config import SCENARIO_SCHEMA, ConfigError, Scenario, load_scenario
 from ctmdesign.env import replicate_rng
@@ -73,6 +75,257 @@ def test_scenario_schema_is_valid_against_its_metaschema():
     from jsonschema.validators import validator_for
 
     validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
+
+
+def _schema_keywords(schema):
+    """The keywords of ``schema`` and of every subschema in it."""
+    found = set(schema)
+    subs = [schema[key] for key in ("items", "additionalProperties", "propertyNames")
+            if isinstance(schema.get(key), dict)]
+    subs += [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
+    for sub in subs:
+        found |= _schema_keywords(sub)
+    return found
+
+
+def test_scenario_schema_uses_only_the_keywords_the_validator_implements():
+    # a keyword added to the schema but not to the in-package validator
+    # would be ignored without a word; any subschema-bearing keyword other
+    # than those walked here shows up at its parent and fails too
+    assert _schema_keywords(SCENARIO_SCHEMA) - {"$schema"} == config._KEYWORDS
+
+
+def _oracle(doc):
+    """Whether jsonschema accepts ``doc``, and the paths of its errors and of
+    the errors in their oneOf contexts, as load_scenario writes them."""
+    from jsonschema.validators import validator_for
+
+    errors = list(validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA).iter_errors(doc))
+    accepted, paths = not errors, set()
+    while errors:
+        error = errors.pop()
+        paths.add("/".join(map(str, error.absolute_path)) or "<root>")
+        errors += error.context
+    return accepted, paths
+
+
+#: values a mutation puts in place: each JSON type, whole and fractional
+#: floats, numbers past the schema's bounds, unknown enum values, design
+#: references good and bad
+_MUTANT_VALUES = [0, 1, -1, 2, 7, 0.0, 1.0, 8.0, 0.5, -0.5, 1.5, 1e3, True, False,
+                  None, "", "bogus", "dpf", "k1", [], [1], [1.0, 2.0], ["x"], {},
+                  {"design": "k1"}, {"design": 1}, {"design": "k1", "x": 0}]
+
+#: keys a mutation adds: unknown ones, and signal node keys good and bad
+_MUTANT_KEYS = ["extra", "design", "kind", "7", "-3", "01", "-0", "x1", " 5"]
+
+
+def _described(schema, node, path=()):
+    """(path, subschema) of each node of ``node``, ``node`` included, that a
+    subschema of ``schema`` describes."""
+    yield path, schema
+    for branch in schema.get("oneOf", ()):
+        yield from _described(branch, node, path)
+    if isinstance(node, dict):
+        for key, child in node.items():
+            sub = schema.get("properties", {}).get(key,
+                                                   schema.get("additionalProperties"))
+            if isinstance(sub, dict):
+                yield from _described(sub, child, (*path, key))
+    if isinstance(node, list) and "items" in schema:
+        for i, child in enumerate(node):
+            yield from _described(schema["items"], child, (*path, i))
+
+
+def _target(data, doc):
+    """A node of ``doc`` that the schema describes: its path and the
+    subschemas that describe it.  The draw picks a subschema first, then
+    one of its nodes, so each keyword is hit about as often, however few
+    nodes it describes."""
+    described = list(_described(SCENARIO_SCHEMA, doc))
+    by_schema = {}
+    for path, schema in described:
+        by_schema.setdefault(id(schema), []).append(path)
+    paths = data.draw(st.sampled_from(list(by_schema.values())))
+    path = data.draw(st.sampled_from(paths))
+    return path, [schema for p, schema in described if p == path]
+
+
+def _mutate(data, doc):
+    """One random edit of ``doc`` in place."""
+    path, schemas = _target(data, doc)
+    parent, key, node = None, None, doc
+    for key in path:
+        parent, node = node, node[key]
+    bounds = [schema[word] for schema in schemas
+              for word in ("minimum", "exclusiveMinimum", "maximum") if word in schema]
+    op = data.draw(st.sampled_from(["set", "past", "drop", "add"]))
+
+    def value(extra=()):
+        return copy.deepcopy(data.draw(st.sampled_from([*_MUTANT_VALUES, *extra])))
+
+    if parent is not None and op == "set":
+        parent[key] = value()
+    elif parent is not None and op == "past" and bounds:
+        bound = data.draw(st.sampled_from(bounds))
+        parent[key] = bound + data.draw(st.sampled_from([-1, -0.5, 0, 0.0, 0.5, 1]))
+    elif op == "drop" and isinstance(node, dict) and node:
+        del node[data.draw(st.sampled_from(list(node)))]
+    elif op == "drop" and isinstance(node, list) and node:
+        node.pop(data.draw(st.integers(0, len(node) - 1)))
+    elif op == "add" and isinstance(node, dict):
+        node[data.draw(st.sampled_from(_MUTANT_KEYS))] = value(node.values())
+    elif op == "add" and isinstance(node, list):
+        node.append(value(node))
+
+
+def _floats(node, path=()):
+    """The paths of the floats in ``node``."""
+    if isinstance(node, (dict, list)):
+        keys = node if isinstance(node, dict) else range(len(node))
+        return {p for key in keys for p in _floats(node[key], (*path, key))}
+    return {path} if isinstance(node, float) else set()
+
+
+def _assert_agrees_with_jsonschema(doc):
+    """load_scenario's check accepts ``doc`` exactly when jsonschema does,
+    reports a path jsonschema reports, and leaves ``doc`` as it is."""
+    before = copy.deepcopy(doc)
+    accepted, paths = _oracle(doc)
+    try:
+        checked = config._validated(doc, "f.json")
+    except ConfigError as exc:
+        assert not accepted, str(exc)
+        assert str(exc).startswith("f.json: at ")
+        assert str(exc)[len("f.json: at "):].split(": ")[0] in paths, (str(exc), paths)
+    else:
+        assert accepted, paths
+        # the floats at integer keys, all whole, became ints; nothing else changed
+        integer = {p for p, schema in _described(SCENARIO_SCHEMA, doc)
+                   if schema.get("type") == "integer"}
+        assert _floats(checked) == _floats(doc) - integer
+        assert checked == doc and _oracle(checked)[0]
+    assert json.dumps(doc) == json.dumps(before)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_schema_check_agrees_with_jsonschema(data):
+    doc = json.loads(bundled(data.draw(st.sampled_from(
+        ["urban", "highway", "synthetic"]))).read_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, doc)
+    _assert_agrees_with_jsonschema(doc)
+
+
+def _set(keys, value):
+    """An in-place edit that sets the value at ``keys``, or deletes it for
+    ``...``."""
+    def edit(raw):
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        if value is ...:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+    return edit
+
+
+_GREEN = ("network", "signals", "14", "green")
+
+#: one edit per keyword and per edge the random mutations rarely reach
+KEYWORD_EDITS = {
+    "no-version": ("synthetic", _set(("version",), ...)),
+    "version-true": ("synthetic", _set(("version",), True)),
+    "version-whole-float": ("synthetic", _set(("version",), 1.0)),
+    "network-without-run": ("urban", _set(("run",), ...)),
+    "signal-key-leading-zero": ("urban", _set(("network", "signals", "05"), {
+        "ccw": [1, 2, 3, 4], "green": 5})),
+    "signal-key-letter": ("urban", _set(("network", "signals", "x1"), {})),
+    "signal-key-negative": ("urban", _set(("network", "signals", "-3"), {
+        "ccw": [1, 2, 3, 4], "green": 5})),
+    "signal-without-ccw": ("urban", _set(("network", "signals", "14", "ccw"), ...)),
+    "design-ref-extra-key": ("urban", _set(_GREEN, {"design": "T_g", "x": 1})),
+    "design-ref-number": ("urban", _set(_GREEN, {"design": 1})),
+    "green-zero": ("urban", _set(_GREEN, 0)),
+    "green-whole-float": ("urban", _set(_GREEN, 8.0)),
+    "green-bool": ("urban", _set(_GREEN, True)),
+    "ccw-three": ("urban", _set(("network", "signals", "14", "ccw"), [1, 2, 3])),
+    "ccw-five": ("urban", _set(("network", "signals", "14", "ccw"), [1, 2, 3, 4, 5])),
+    "bounds-triple": ("synthetic", _set(("design", "bounds", 0), [0, 1, 2])),
+    "rho-cap-above-one": ("urban", _set(("environment", "rho_cap_fraction"), 1.5)),
+    "rho-cap-zero": ("urban", _set(("environment", "rho_cap_fraction"), 0)),
+    "rho-cap-nan": ("urban", _set(("environment", "rho_cap_fraction"), float("nan"))),
+    "copula-r-name": ("urban", _set(("environment", "copula_r"), "r")),
+    "steps-zero": ("urban", _set(("run", "steps"), 0)),
+    "steps-inf": ("urban", _set(("run", "steps"), float("inf"))),
+    "steps-nan": ("urban", _set(("run", "steps"), float("nan"))),
+    "rule-unknown": ("urban", _set(("run", "rule"), "bogus")),
+    "lengths-string": ("urban", _set(("network", "lengths", "roads"), "a")),
+    "group-fraction": ("urban", _set(("network", "groups", "roads"), [1.5])),
+    "surface-unknown": ("synthetic", _set(("simulator", "surface"), "bogus")),
+    "noise-negative": ("synthetic", _set(("simulator", "noise"), -1)),
+    "n_max-empty": ("synthetic", _set(("learning", "n_max"), [])),
+    "n_max-bool": ("synthetic", _set(("learning", "n_max"), True)),
+    "n_max-whole-floats": ("synthetic", _set(("learning", "n_max"), [40.0, 50])),
+    "seed-string": ("synthetic", _set(("seed",), "5")),
+    "root-extra-key": ("synthetic", _set(("extra",), 1)),
+    "root-array": ("synthetic", lambda raw: [raw]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEYWORD_EDITS))
+def test_schema_check_agrees_with_jsonschema_on_each_keyword(case):
+    name, edit = KEYWORD_EDITS[case]
+    doc = json.loads(bundled(name).read_text())
+    doc = edit(doc) or doc
+    _assert_agrees_with_jsonschema(doc)
+
+
+@pytest.mark.parametrize("value", [3, 3.0, 2.5, "a"])
+def test_one_of_rejects_a_value_valid_under_two_branches(value):
+    # no value is valid under two branches of a oneOf in the scenario
+    # schema; this one overlaps, so "exactly one" is told from "any"
+    from jsonschema.validators import validator_for
+
+    schema = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
+    errors = []
+    config._validate(schema, value, (), errors)
+    assert (not errors) == validator_for(schema)(schema).is_valid(value)
+    assert bool(errors) == (value != 2.5)
+
+
+@pytest.mark.parametrize("section, key, whole", [
+    ("learning", "n_initial", 12.0), ("learning", "n_loop", 3.0),
+    ("learning", "iterations", 1.0), ("learning", "n_min", 5.0),
+    ("learning", "max_trials", 2000.0), ("learning", "n_eval", 512.0),
+    ("learning", "n_max", 40.0), ("learning", "n_max", [40.0]),
+    ("run", "steps", 50.0),
+], ids=["n_initial", "n_loop", "iterations", "n_min", "max_trials", "n_eval",
+        "n_max", "n_max-list", "steps"])
+def test_whole_float_at_integer_key_runs_as_the_integer(tmp_path, section, key, whole):
+    # JSON Schema counts 8.0 as an integer; such budgets ended in a TypeError
+    # traceback, and steps 50.0 in an exit 2 that blamed the environment
+    if section == "learning":
+        raw = json.loads(bundled("synthetic").read_text())
+        raw["learning"].update({"n_initial": 12, "n_loop": 3, "iterations": 1,
+                                "n_min": 5, "max_trials": 2000, "n_eval": 512,
+                                "n_max": [40], "grid": {"resolution": 10}})
+        command = ["estimate-levelset"]
+    else:
+        raw = json.loads(bundled("urban").read_text())
+        command = ["simulate", "--design", "2.5,0.01,0.01,20,75", "--reps", "2"]
+    artifacts = []
+    for value in (json.loads(json.dumps(whole).replace(".0", "")), whole):
+        raw[section][key] = value
+        out = tmp_path / f"run-{len(artifacts)}"
+        path = write_config(tmp_path, raw, f"scenario-{len(artifacts)}.json")
+        assert exit_code([*command, "--config", str(path), "--seed", "2",
+                          "--out-dir", str(out)]) == 0
+        artifacts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                          if p.name != "manifest.json"})
+    assert artifacts[0] and artifacts[0] == artifacts[1]
 
 
 def test_unknown_node_rejected(tmp_path):
@@ -918,21 +1171,36 @@ def test_cli_surface_dimension_mismatch_exit_2_at_load(tmp_path, capsys, surface
     assert not (tmp_path / "sim" / "replicates.csv").exists()
 
 
+#: jsonschema and what it loads; the scenario check is in-package
+_VALIDATOR_MODULES = ("jsonschema", "jsonschema_specifications", "referencing",
+                      "rpds", "attr", "attrs")
+
+
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     # the normal CDF and quantile are in-package, and calibration, the GP
     # and the optimizers import scipy where they are used: start-up loads
-    # no scipy module at all
-    assert _fresh_modules("import ctmdesign.cli", ("scipy",)) == []
+    # no scipy module at all, and no JSON Schema validator
+    assert _fresh_modules("import ctmdesign.cli", ("scipy", *_VALIDATOR_MODULES)) == []
+
+
+def test_load_scenario_loads_no_json_schema_validator():
+    code = ("from importlib import resources\n"
+            "from ctmdesign.config import load_scenario\n"
+            "for name in ('urban', 'highway', 'synthetic'):\n"
+            "    load_scenario(resources.files('ctmdesign.scenarios')"
+            ".joinpath(name + '.json'))")
+    assert _fresh_modules(code, _VALIDATOR_MODULES) == []
 
 
 def test_simulate_loads_no_scipy(tmp_path):
-    # the copula sources draw their normals in-package and the urban
-    # network needs neither an LP nor a sparse matrix
+    # the copula sources draw their normals in-package, the urban network
+    # needs neither an LP nor a sparse matrix, and the scenario check is
+    # in-package
     code = ("from ctmdesign.cli import main\n"
             f"assert main(['simulate', '--config', {str(bundled('urban'))!r}, "
             "'--design', '2.5,0.01,0.01,20,75', '--reps', '2', "
             f"'--out-dir', {str(tmp_path / 'sim')!r}]) == 0")
-    assert _fresh_modules(code, ("scipy",)) == []
+    assert _fresh_modules(code, ("scipy", *_VALIDATOR_MODULES)) == []
 
 
 def _fresh_modules(code, names):
