@@ -9,7 +9,7 @@ from .network import (
 from .cells import CellSpec
 from .signals import SignalSchedule
 from .solvers import InteractionRule, SimulationEngine
-from .env import FrankCopula, ArSourceSink, GaussianSourceSink
+from .env import FrankCopula
 from .evaluation import (
     Utility,
     BenchmarkSpec,

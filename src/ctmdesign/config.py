@@ -30,9 +30,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .cells import CellSpec
-from .env import (ArCopulaEnvironment, ArSourceSink, FrankCopula,
-                  GaussianPairsEnvironment, GaussianSourceSink)
+from .cells import KINDS, CellSpec
+from .env import ArCopulaEnvironment, GaussianPairsEnvironment
 from .evaluation import (AvgNetworkFlow, AvgVelocity, BenchmarkSpec, Throughput,
                          Utility, calibrate_threshold)
 from .gpr import KERNEL_VARIANTS
@@ -65,11 +64,16 @@ _DESIGN_REF = {
     "required": ["design"],
     "additionalProperties": False,
 }
-_NUMBER_OR_REF = {"oneOf": [{"type": "number"}, _DESIGN_REF]}
+_NUMBER = {"type": "number"}
+_NUMBERS = {"type": "array", "items": _NUMBER}
+_NUMBER_OR_REF = {"oneOf": [_NUMBER, _DESIGN_REF]}
 _INTEGER = {"type": "integer"}
 
 #: learning budgets, whole numbers
 _BUDGETS = ("n_initial", "n_loop", "iterations", "n_min", "max_trials", "n_eval")
+_UTILITY = {"type": "object", "required": ["kind"],
+            "properties": {"kind": {"type": "string"}, "label": {"type": "string"},
+                           "c": _NUMBER, "alpha": _NUMBER}}
 _SIGNAL = {
     "type": "object",
     "required": ["ccw", "green"],
@@ -129,7 +133,10 @@ SCENARIO_SCHEMA = {
                                                     "items": {"type": "integer"}}},
                 "lengths": {"type": "object",
                             "additionalProperties": {"type": "number"}},
-                "cells": {"type": "object"},
+                "cells": {"type": "object",
+                          "additionalProperties": {
+                              "type": "object", "required": ["kind"],
+                              "properties": {"kind": {"enum": list(KINDS)}}}},
                 "turning": {"enum": ["uniform_no_uturn"]},
                 "signals": {"type": "object",
                             "propertyNames": {"pattern": "^-?(0|[1-9][0-9]*)$"},
@@ -159,10 +166,42 @@ SCENARIO_SCHEMA = {
                 "initial_density": {"type": "object"},
             },
         },
-        "evaluation": {"type": "object"},
-        "learning": {"type": "object", "properties": {
-            **dict.fromkeys(_BUDGETS, _INTEGER),
-            "n_max": {"oneOf": [_INTEGER, {"type": "array", "items": _INTEGER}]}}},
+        "evaluation": {
+            "type": "object",
+            "properties": {
+                "measure": {"type": "object", "required": ["kind"], "properties": {
+                    "kind": {"enum": ["avg_network_flow", "throughput", "avg_velocity"]},
+                    "routes": {"type": "array"}}},
+                "utility": _UTILITY,
+                "utilities": {"type": "array", "items": _UTILITY},
+                "benchmarks": {"type": "object", "additionalProperties": {
+                    "type": "object", "required": ["e", "sigma"],
+                    "properties": {"e": _NUMBER, "sigma": _NUMBER}}},
+                "threshold": {"type": "object", "properties": {
+                    "gamma": _NUMBER, "benchmark": {"type": "string"}}},
+            },
+        },
+        "learning": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                **dict.fromkeys(_BUDGETS, _INTEGER),
+                "n_max": {"oneOf": [_INTEGER, {"type": "array", "items": _INTEGER}]},
+                **dict.fromkeys(("c1", "c2_0", "c3", "delta", "error_stop"), _NUMBER),
+                "c2": {"oneOf": [_NUMBER, _NUMBERS]},
+                "tau_values": _NUMBERS,
+                "tau_fractions": _NUMBERS,
+                "tau_scale": {"oneOf": [_NUMBER, {"const": "benchmark_gap"}]},
+                "acquisition": {"type": "string"},
+                "kernel": {"type": "object", "additionalProperties": False,
+                           "properties": {"variant": {"enum": list(KERNEL_VARIANTS)}}},
+                "grid": {"type": "object", "additionalProperties": False, "properties": {
+                    "resolution": {"type": "integer", "minimum": 1},
+                    "axes": {"type": "array", "items": {"type": "string"},
+                             "minItems": 2, "maxItems": 2},
+                    "fixed": {"type": "object", "additionalProperties": _NUMBER}}},
+            },
+        },
     },
 }
 
@@ -309,7 +348,10 @@ _SOURCE_KEYS = {"ar_copula": (("route", "sigma"), ()),
 
 
 def _at(value, params):
-    """A parsed setting, a design parameter's name replaced by its value."""
+    """A parsed setting, a design parameter's name replaced by its value; a
+    list setting entry by entry."""
+    if isinstance(value, list):
+        return [_at(v, params) for v in value]
     return float(params[value]) if isinstance(value, str) else value
 
 
@@ -467,9 +509,6 @@ class Scenario:
                                   f"is below its free-flow factor a = {cell.a:g}")
             self.node_cells[self._node_id(n)] = cell
 
-        if net_cfg["turning"] != "uniform_no_uturn":
-            raise ConfigError(f"{self.origin}: unsupported turning rule")
-
         self._build_signals(signals_cfg)
         self.engine = SimulationEngine(self.network, self.node_cells, self.signals)
 
@@ -528,31 +567,45 @@ class Scenario:
         return self._rho0.copy()
 
     def _parse_environment(self, env_cfg):
-        """The environment block, design references kept as parameter names."""
-        self._env_kind = kind = env_cfg["kind"]
-        self._sources, self._constants = [], []
+        """The environment, built once, and the values its ``draw`` takes,
+        design references kept as parameter names."""
+        kind = env_cfg["kind"]
+        self.environment, self._env_routes = None, []
         if kind == "none":
             return
         where = f"{self.origin}: environment"
         con = f"{where}.constants"
         with _rejected_as_config_error(where):
             cap = float(env_cfg.get("rho_cap_fraction", 1.0))
-            self._caps = {v: cell.rho_max * cap for v, cell in self.node_cells.items()}
-            self._sources = [self._source(s, kind, f"{where}.sources")
-                             for s in env_cfg["sources"]]
-            self._constants = [(self.network.routes[self._route(e["route"], con)],
-                                float(e.get("scale", 1.0)),
-                                self._design_value(e["value"], con))
-                               for e in env_cfg.get("constants", [])]
+            caps = {v: cell.rho_max * cap for v, cell in self.node_cells.items()}
+            sources = [self._source(s, kind, f"{where}.sources")
+                       for s in env_cfg["sources"]]
+            constants = [(self._route(e["route"], con), float(e.get("scale", 1.0)),
+                          self._design_value(e["value"], con))
+                         for e in env_cfg.get("constants", [])]
+            self._env_routes = ([s["route"] for s in sources]
+                                + [s["pair_route"] for s in sources if "pair_route" in s]
+                                + [route for route, _, _ in constants])
+            # a source's numbers: sigma, or xi and psi
+            self._env_values = {key: [s[key] for s in sources]
+                                for key in _SOURCE_KEYS[kind][0][1:]}
             if kind == "ar_copula":
-                if len(self._sources) != 2:
+                if len(sources) != 2:
                     raise ConfigError(f"{where}.sources: the copula environment "
                                       "couples exactly two sources")
-                self._copula_r = self._design_value(env_cfg["copula_r"], where)
+                self._env_values["r"] = self._design_value(env_cfg["copula_r"], where)
+                self.environment = ArCopulaEnvironment(
+                    self.network, caps, [s["route"] for s in sources])
+            else:
+                self._env_values["constants"] = [value for _, _, value in constants]
+                self.environment = GaussianPairsEnvironment(
+                    self.network, caps, [(route, scale) for route, scale, _ in constants],
+                    [(s["route"], s.get("pair_route"), s.get("pair_sign", -1.0))
+                     for s in sources])
 
     def _source(self, entry, kind, where):
-        """A source's constructor arguments: routes as the network's routes,
-        numbers as floats, design references as parameter names."""
+        """A source's settings: routes as route indices, numbers as floats,
+        design references as parameter names."""
         required, optional = _SOURCE_KEYS[kind]
         unknown = sorted(set(entry) - set(required) - set(optional))
         missing = sorted(set(required) - set(entry))
@@ -563,7 +616,7 @@ class Scenario:
         args = {}
         for key, value in entry.items():
             if key.endswith("route"):
-                args[key] = self.network.routes[self._route(value, where)]
+                args[key] = self._route(value, where)
             elif key == "pair_sign":
                 with _rejected_as_config_error(f"{where}: pair_sign"):
                     args[key] = float(value)
@@ -574,20 +627,16 @@ class Scenario:
     def _parse_measure(self, m_cfg):
         """Factory of one replicate's performance observer."""
         where = f"{self.origin}: evaluation.measure"
-        kind = m_cfg.get("kind")
+        kind = m_cfg["kind"]
         if kind == "avg_network_flow":
             return AvgNetworkFlow
         if kind == "throughput":
-            routes = [s[key] for key in ("route", "pair_route") for s in self._sources
-                      if key in s] + [route for route, _, _ in self._constants]
-            routes = [self.network.index_of(*r) for r in routes]
-            return lambda: Throughput(routes)
+            return lambda: Throughput(self._env_routes)
         if kind == "avg_velocity":
             with _rejected_as_config_error(where):
                 idx = [self._route(r, where) for r in m_cfg["routes"]]
             free = [self.node_cells[self.network.routes[i].via].a for i in idx]
             return lambda: AvgVelocity(idx, free)
-        raise ConfigError(f"{where}: unknown measure {kind!r}")
 
     # -- per-replicate assembly ------------------------------------------
 
@@ -609,23 +658,13 @@ class Scenario:
             programs[v] = dataclasses.replace(programs[v], **{key: value})
         return programs
 
-    def _environment(self, params, rng):
-        """One replicate's environment; it draws its whole block from ``rng``."""
-        kind = self._env_kind
-        if kind == "none":
+    def _attempts(self, params, rng):
+        """One replicate's block of attempted flows, drawn from ``rng``."""
+        if self.environment is None:
             return None
-        source = ArSourceSink if kind == "ar_copula" else GaussianSourceSink
         with _rejected_as_config_error(f"{self.origin}: environment"):
-            sources = [source(**{key: _at(value, params) for key, value in s.items()})
-                       for s in self._sources]
-            if kind == "ar_copula":
-                return ArCopulaEnvironment(
-                    self.network, sources, FrankCopula(_at(self._copula_r, params)),
-                    self._caps, rng, self.steps)
-            constants = [(route, scale * _at(value, params))
-                         for route, scale, value in self._constants]
-            return GaussianPairsEnvironment(self.network, sources, constants,
-                                            self._caps, rng, self.steps)
+            return self.environment.draw(rng, self.steps, **{
+                key: _at(value, params) for key, value in self._env_values.items()})
 
     # -- running ----------------------------------------------------------
 
@@ -663,17 +702,18 @@ class Scenario:
 
     def _run_batch(self, ks, rngs, extra_observers, rule):
         """One stepped batch: replicate j at design ks[j] from rngs[j]."""
-        programs, envs = [], []
+        programs, blocks = [], []
         for kj, g in zip(ks, rngs):
             params = self._replicate_params(kj, g)
             programs.append(self._signal_programs(params))
-            envs.append(self._environment(params, g))
+            blocks.append(self._attempts(params, g))
         measure = self._measure()
         if len(rngs) == 1:  # one replicate steps a 1-D state: faster at B = 1
-            env, programs, rho0 = envs[0], programs[0], self._rho0
+            attempts, programs, rho0 = blocks[0], programs[0], self._rho0
         else:
-            env = None if envs[0] is None else type(envs[0]).stack(envs)
+            attempts = None if self.environment is None else np.stack(blocks, axis=1)
             rho0 = np.tile(self._rho0, (len(rngs), 1))
+        env = None if attempts is None else self.environment.with_attempts(attempts)
         self.engine.run(rho0, self.steps, rule or self.rule, env=env,
                         programs=programs, observers=(measure, *extra_observers))
         return [float(v) for v in np.broadcast_to(measure.value(), len(rngs))]
@@ -732,9 +772,6 @@ class Scenario:
         l_cfg = self.raw.get("learning")
         if l_cfg is None:
             raise ConfigError(f"{self.origin}: scenario has no learning block")
-        kernel = l_cfg.get("kernel", {})
-        if not isinstance(kernel, dict):
-            raise ConfigError(f"{self.origin}: learning.kernel {kernel!r} is not an object")
         with _rejected_as_config_error(f"{self.origin}: learning"):
             scale = l_cfg.get("tau_scale", 1.0)
             if scale == "benchmark_gap":
@@ -748,8 +785,7 @@ class Scenario:
             # a key named as a LoopConfig field passes as it is; LoopConfig
             # owns the defaults of those the scenario leaves out
             fields = {f.name: l_cfg[f.name] for f in dataclasses.fields(LoopConfig)
-                      if l_cfg.get(f.name) is not None and f.name not in
-                      ("tau_schedule", "acquisition_variant", "kernel_variant")}
+                      if f.name in l_cfg}
             for key in ("n_max", "c2"):
                 if key in fields:
                     fields[key] = tuple(np.atleast_1d(fields[key]).tolist())
@@ -758,17 +794,13 @@ class Scenario:
             if "c2" not in fields and "c2_0" not in fields:
                 # acquisition noticeably peaked across the value scale
                 fields["c2_0"] = 2.0 / float(scale)
-            if "variant" in kernel:
-                fields["kernel_variant"] = kernel["variant"]
+            if "variant" in l_cfg.get("kernel", {}):
+                fields["kernel_variant"] = l_cfg["kernel"]["variant"]
             config = LoopConfig(tau_schedule=tuple(float(t) for t in taus), **fields)
         # checked here, not in LoopConfig, which also serves smaller test loops
         if config.n_initial < 3:
             raise ConfigError(f"{self.origin}: learning.n_initial {config.n_initial} "
                               "is below 3, the fewest points the kernel fit needs")
-        if config.kernel_variant not in KERNEL_VARIANTS:
-            raise ConfigError(f"{self.origin}: learning.kernel.variant "
-                              f"{config.kernel_variant!r} is not one of "
-                              f"{KERNEL_VARIANTS}")
         return config
 
     def _parse_grid(self):
@@ -776,29 +808,21 @@ class Scenario:
         which must describe a 2-D slice of the design space."""
         grid = self.raw.get("learning", {}).get("grid", {})
         where = f"{self.origin}: learning.grid"
-        if not isinstance(grid, dict):
-            raise ConfigError(f"{where}: {grid!r} is not an object")
         names = self.design_names
         self.grid_axes = axes = grid.get("axes", names[:2])
-        self.grid_resolution = res = grid.get("resolution", 200)
+        self.grid_resolution = grid.get("resolution", 200)
         self.grid_fixed = fixed = grid.get("fixed", {})
         if not grid:
             return
         bounds = dict(zip(names, self.raw["design"]["bounds"])) if names else {}
-        if type(res) is not int or res < 1:
-            raise ConfigError(f"{where}: resolution {res!r} is not an integer >= 1")
-        if (not isinstance(axes, list) or len(axes) != 2
-                or not all(isinstance(a, str) and a in bounds for a in axes)
-                or axes[0] == axes[1]):
+        if len(set(axes)) != 2 or not all(a in bounds for a in axes):
             raise ConfigError(f"{where}: axes {axes!r} are not two distinct "
                               f"design parameters of {names}")
-        if not isinstance(fixed, dict):
-            raise ConfigError(f"{where}: fixed {fixed!r} is not an object")
         for name, value in fixed.items():
             if name not in bounds or name in axes:
                 raise ConfigError(f"{where}: fixed {name!r} is not a design "
                                   "parameter off the axes")
             lo, hi = bounds[name]
-            if type(value) not in (int, float) or not lo <= value <= hi:
+            if not lo <= value <= hi:
                 raise ConfigError(f"{where}: fixed {name} = {value!r} is not a "
                                   f"number in [{lo}, {hi}]")

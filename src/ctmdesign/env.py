@@ -19,17 +19,17 @@ Two environment families are provided:
 
 All randomness flows through one numpy Generator per replicate, seeded
 from (master seed, replicate index), so trajectories are reproducible
-bit for bit.  An environment draws its whole block of uniforms when it
-is built and tabulates the attempted flows of every step; ``net_flows``
-only clamps them.  ``stack`` joins the environments of B replicates
-into one that steps a (B, n_routes) state, with every entry equal to
-the one-replicate result.
+bit for bit.  An environment is built once per scenario, from the
+route indices its sources act on.  ``draw`` returns one replicate's
+(steps, m) block of attempted flows; ``with_attempts`` returns the
+environment that steps it, or the (steps, B, m) blocks of B replicates
+as one (B, n_routes) state, every entry equal to the one-replicate
+result.  ``net_flows`` only clamps the attempts.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .normal import libm_exp, libm_log, ndtri
 
 __all__ = [
     "FrankCopula",
-    "ArSourceSink",
-    "GaussianSourceSink",
     "ArCopulaEnvironment",
     "GaussianPairsEnvironment",
     "replicate_rng",
@@ -102,63 +100,28 @@ class FrankCopula:
         return np.stack([u1, u2], axis=-1)
 
 
-@dataclass(frozen=True)
-class ArSourceSink:
-    """Order-1 random-walk attempted flow on one route; starts at zero.
-
-    ``ArCopulaEnvironment`` runs the walk.
-    """
-
-    route: tuple
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("noise standard deviation must be non-negative")
-
-
-@dataclass(frozen=True)
-class GaussianSourceSink:
-    """Independent per-step normal attempted flow N(xi, (psi*xi)^2).
-
-    ``pair_route`` optionally names a second route that receives the
-    same realization multiplied by ``pair_sign``.
-    """
-
-    route: tuple
-    xi: float
-    psi: float
-    pair_route: tuple = None
-    pair_sign: float = -1.0
-
-    def __post_init__(self):
-        if self.psi < 0:
-            raise ValueError("coefficient of variation must be non-negative")
-
-
 class _EnvironmentBase:
-    """Clamps precomputed attempted flows into realized net flows.
+    """Clamps attempted flows into realized net flows.
 
-    ``attempts[t, j]`` is the attempted flow of step t on route
-    ``routes[j]``; when a route is listed twice, the later column wins.
-    A batch of B replicates carries ``attempts`` as (steps, B, m) and
-    steps a (B, n_routes) state (see ``stack``).
+    Column j of a block of attempted flows acts on route ``routes[j]``;
+    when a route is listed twice, the later column wins.
     """
 
-    def __init__(self, network, node_caps, routes, attempts):
+    def __init__(self, network, node_caps, routes):
         last = {r: j for j, r in enumerate(routes)}
         self._idx = np.array(list(last), dtype=np.intp)
-        self._attempts = attempts[:, list(last.values())]
+        self._columns = np.array(list(last.values()), dtype=np.intp)
         via = network.route_via[self._idx]
         self._l_v = network.lengths[via]
         self._neg_l_v = -self._l_v
         self._cap = np.array([node_caps[v] for v in via], dtype=float)
 
-    @staticmethod
-    def stack(envs):
-        """One environment for the replicates of ``envs`` (same scenario)."""
-        out = copy.copy(envs[0])
-        out._attempts = np.stack([e._attempts for e in envs], axis=1)
+    def with_attempts(self, attempts):
+        """The environment stepping ``attempts``: one replicate's (steps, m)
+        block, or the (steps, B, m) blocks of B replicates, which step a
+        (B, n_routes) state."""
+        out = copy.copy(self)
+        out._attempts = attempts[..., self._columns]
         return out
 
     def net_flows(self, t, rho, q_in, q_out):
@@ -184,45 +147,50 @@ class _EnvironmentBase:
 class ArCopulaEnvironment(_EnvironmentBase):
     """Copula-coupled random-walk sources on a pair of routes.
 
-    One copula pair is drawn per step; its coordinates drive the
+    Each source's attempted flow is an order-1 random walk that starts at
+    zero.  One copula pair is drawn per step; its coordinates drive the
     innovations of the sources in listed order via the normal inverse
-    CDF, eps_j = sigma_j * Phi^{-1}(u_j).  All ``steps`` pairs are drawn
-    at construction, as one block of 2 * steps uniforms.
+    CDF, eps_j = sigma_j * Phi^{-1}(u_j).
     """
 
-    def __init__(self, network, sources, copula, node_caps, rng, steps):
-        if len(sources) != 2:
-            raise ValueError("the copula environment couples exactly two sources")
-        u = copula.pairs(rng.random((steps, 2)))
-        eps = np.array([src.sigma for src in sources]) * ndtri(u)
-        walk = np.cumsum(eps, axis=0)
-        super().__init__(network, node_caps,
-                         [network.index_of(*src.route) for src in sources], walk)
+    def draw(self, rng, steps, sigma, r):
+        """One replicate's (steps, 2) walks from one block of 2 * steps
+        uniforms of ``rng``; ``sigma`` lists the noise standard deviations
+        and ``r`` is the Frank copula parameter."""
+        if any(s < 0 for s in sigma):
+            raise ValueError("noise standard deviation must be non-negative")
+        u = FrankCopula(r).pairs(rng.random((steps, 2)))
+        return np.cumsum(np.array(sigma) * ndtri(u), axis=0)
 
 
 class GaussianPairsEnvironment(_EnvironmentBase):
     """Independent Gaussian attempted flows with mirrored partner routes.
 
-    ``constants`` maps routes to deterministic attempted flows (e.g.
-    fixed sinks).  Random sources draw one normal per source per step,
-    in listed order; all ``steps`` rows are drawn at construction, as
-    one block of steps * len(sources) uniforms.
+    ``constants`` lists (route, scale) pairs of deterministic attempted
+    flows (e.g. fixed sinks); ``sources`` lists (route, pair_route,
+    pair_sign) triples of random sources, each drawing N(xi, (psi*xi)^2)
+    per step, and its partner route (None for none) carrying the same
+    draw times ``pair_sign``.
     """
 
-    def __init__(self, network, sources, constants, node_caps, rng, steps):
-        u = np.clip(rng.random((steps, len(sources))), _U_CLIP, 1.0 - _U_CLIP)
-        xi = np.array([src.xi for src in sources])
-        draws = xi + np.array([src.psi * src.xi for src in sources]) * ndtri(u)
-        routes, columns = [], []
-        for route, value in constants:
-            routes.append(network.index_of(*route))
-            columns.append(np.full(steps, float(value)))
-        for j, src in enumerate(sources):
-            routes.append(network.index_of(*src.route))
-            columns.append(draws[:, j])
-            if src.pair_route is not None:
-                routes.append(network.index_of(*src.pair_route))
-                columns.append(src.pair_sign * draws[:, j])
-        attempts = (np.stack(columns, axis=1) if columns
-                    else np.zeros((steps, 0)))
-        super().__init__(network, node_caps, routes, attempts)
+    def __init__(self, network, node_caps, constants, sources):
+        # the source column and sign of each random route; a source's own
+        # route takes sign 1.0, and x * 1.0 is x, bit for bit
+        columns = [(j, r, s) for j, (route, pair_route, pair_sign) in enumerate(sources)
+                   for r, s in ((route, 1.0), (pair_route, pair_sign)) if r is not None]
+        self._scale = np.array([scale for _, scale in constants])
+        self._draw_col = np.array([j for j, _, _ in columns], dtype=np.intp)
+        self._sign = np.array([s for _, _, s in columns])
+        super().__init__(network, node_caps,
+                         [r for r, _ in constants] + [r for _, r, _ in columns])
+
+    def draw(self, rng, steps, xi, psi, constants):
+        """One replicate's block from one block of steps * len(xi) uniforms
+        of ``rng``, drawn one normal per source per step in listed order;
+        ``constants`` lists the values that the scales multiply."""
+        if any(p < 0 for p in psi):
+            raise ValueError("coefficient of variation must be non-negative")
+        u = np.clip(rng.random((steps, len(xi))), _U_CLIP, 1.0 - _U_CLIP)
+        draws = np.array(xi) + np.multiply(psi, xi) * ndtri(u)
+        return np.hstack([np.tile(self._scale * constants, (steps, 1)),
+                          draws[:, self._draw_col] * self._sign])

@@ -90,8 +90,6 @@ class Utility:
 class AvgNetworkFlow:
     """Time-averaged total outflow over all routes."""
 
-    name = "avg_network_flow"
-
     def __init__(self):
         self._sum = 0.0
         self._steps = 0
@@ -112,8 +110,6 @@ class Throughput:
     environment's source/sink routes and time-averaged; the averaging
     factors cancel.
     """
-
-    name = "throughput"
 
     def __init__(self, route_indices):
         self.idx = np.asarray(route_indices, dtype=np.intp)
@@ -142,7 +138,6 @@ class AvgVelocity:
     node's free-flow speed factor, the free-flow limit of q_out / rho.
     """
 
-    name = "avg_velocity"
     EMPTY = 1e-12
 
     def __init__(self, route_indices, free_flow):

@@ -122,6 +122,8 @@ class LoopConfig:
             raise ValueError("budgets must be positive")
         if len(self.tau_schedule) < self.iterations + 1:
             raise ValueError("tau schedule must cover init + all iterations")
+        if len(self.n_max) != 1 and len(self.n_max) < self.iterations + 1:
+            raise ValueError("n_max must be one bound or cover init + all iterations")
         if any(t <= 0 for t in self.tau_schedule):
             raise ValueError("target noises must be positive")
         if self.c1 <= 1:

@@ -121,7 +121,6 @@ class SimulationEngine:
         self._up_concat = (np.concatenate(up_lists) if up_lists
                            else np.zeros(0, np.intp))
         up_sizes = [len(u) for u in up_lists]
-        self._up_sizes = np.array(up_sizes, dtype=np.intp)
         self._up_ptr = np.cumsum([0] + up_sizes)[:-1]
         # every route is an upstream route of exactly one group, its edge
         # (via, dst), so the upstream layout is a permutation of the routes

@@ -26,6 +26,9 @@ def bundled(name):
     return resources.files("ctmdesign.scenarios").joinpath(f"{name}.json")
 
 
+SYNTHETIC_SMALL = Path(__file__).resolve().parents[1] / "ctmbench/scenarios/synthetic_small.json"
+
+
 def load_bundled(name):
     return Scenario(json.loads(bundled(name).read_text()), origin=name)
 
@@ -110,10 +113,12 @@ def _oracle(doc):
 
 
 #: values a mutation puts in place: each JSON type, whole and fractional
-#: floats, numbers past the schema's bounds, unknown enum values, design
-#: references good and bad
+#: floats, numbers past the schema's bounds, enum values known and unknown,
+#: design references good and bad
 _MUTANT_VALUES = [0, 1, -1, 2, 7, 0.0, 1.0, 8.0, 0.5, -0.5, 1.5, 1e3, True, False,
-                  None, "", "bogus", "dpf", "k1", [], [1], [1.0, 2.0], ["x"], {},
+                  None, "", "bogus", "dpf", "k1", "benchmark_gap", "matern52",
+                  "throughput", "highway", [], [1], [1.0, 2.0], ["x"], ["k1", "k2"], {},
+                  {"kind": "identity"}, {"e": 1, "sigma": 0.5},
                   {"design": "k1"}, {"design": 1}, {"design": "k1", "x": 0}]
 
 #: keys a mutation adds: unknown ones, and signal node keys good and bad
@@ -208,6 +213,16 @@ def _assert_agrees_with_jsonschema(doc):
     assert json.dumps(doc) == json.dumps(before)
 
 
+def test_mutations_reach_the_evaluation_and_learning_blocks():
+    # the schema describes the keys of both blocks, so the random edits
+    # reach inside them
+    for name in ("urban", "highway", "synthetic"):
+        doc = json.loads(bundled(name).read_text())
+        paths = [path for path, _ in _described(SCENARIO_SCHEMA, doc)]
+        for block in ("evaluation", "learning"):
+            assert any(len(path) > 2 and path[0] == block for path in paths), name
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.data())
 def test_schema_check_agrees_with_jsonschema(data):
@@ -270,6 +285,21 @@ KEYWORD_EDITS = {
     "n_max-bool": ("synthetic", _set(("learning", "n_max"), True)),
     "n_max-whole-floats": ("synthetic", _set(("learning", "n_max"), [40.0, 50])),
     "seed-string": ("synthetic", _set(("seed",), "5")),
+    "tau-scale-gap": ("synthetic", _set(("learning", "tau_scale"), "benchmark_gap")),
+    "tau-scale-other-string": ("synthetic", _set(("learning", "tau_scale"), "gap")),
+    "c2-scalar": ("synthetic", _set(("learning", "c2"), 3)),
+    "learning-unknown-key": ("synthetic", _set(("learning", "n_intial"), 10)),
+    "kernel-unknown-key": ("synthetic", _set(("learning", "kernel", "nu"), 1.5)),
+    "grid-resolution-whole-float": ("synthetic", _set(("learning", "grid", "resolution"),
+                                                      10.0)),
+    "grid-axes-three": ("synthetic", _set(("learning", "grid", "axes"), ["k1", "k2", "k1"])),
+    "threshold-gamma-null": ("synthetic", _set(("evaluation", "threshold", "gamma"), None)),
+    "measure-without-kind": ("urban", _set(("evaluation", "measure", "kind"), ...)),
+    "benchmark-without-sigma": ("urban", _set(("evaluation", "benchmarks", "A", "sigma"),
+                                              ...)),
+    "utility-alpha-string": ("urban", _set(("evaluation", "utilities", 1, "alpha"), "a")),
+    "cells-kind-unknown": ("urban", _set(("network", "cells", "roads", "kind"), "road")),
+    "cells-without-kind": ("urban", _set(("network", "cells", "roads", "kind"), ...)),
     "root-extra-key": ("synthetic", _set(("extra",), 1)),
     "root-array": ("synthetic", lambda raw: [raw]),
 }
@@ -301,9 +331,9 @@ def test_one_of_rejects_a_value_valid_under_two_branches(value):
     ("learning", "iterations", 1.0), ("learning", "n_min", 5.0),
     ("learning", "max_trials", 2000.0), ("learning", "n_eval", 512.0),
     ("learning", "n_max", 40.0), ("learning", "n_max", [40.0]),
-    ("run", "steps", 50.0),
+    ("run", "steps", 50.0), ("learning", "grid", {"resolution": 10.0}),
 ], ids=["n_initial", "n_loop", "iterations", "n_min", "max_trials", "n_eval",
-        "n_max", "n_max-list", "steps"])
+        "n_max", "n_max-list", "steps", "grid-resolution"])
 def test_whole_float_at_integer_key_runs_as_the_integer(tmp_path, section, key, whole):
     # JSON Schema counts 8.0 as an integer; such budgets ended in a TypeError
     # traceback, and steps 50.0 in an exit 2 that blamed the environment
@@ -467,6 +497,25 @@ def test_replicate_path_reads_no_raw_json(name, k):
                 == plain.run_replicate(k, replicate_rng(3, *key)))
     assert (guarded.run_replicate(k, [replicate_rng(3, 2, i) for i in range(3)])
             == plain.run_replicate(k, [replicate_rng(3, 2, i) for i in range(3)]))
+
+
+@pytest.mark.parametrize("name, k", [
+    ("urban", (2.5, 0.01, 0.01, 20.4, 75.5)),
+    ("highway", (20.0, 40.0)),
+])
+def test_replicates_resolve_no_route(monkeypatch, name, k):
+    # the environment's routes are resolved once, when the scenario loads
+    from ctmdesign.network import TrafficNetwork
+
+    scenario = load_bundled(name)
+    calls = []
+    index_of = TrafficNetwork.index_of
+    monkeypatch.setattr(TrafficNetwork, "index_of",
+                        lambda self, *route: calls.append(route) or index_of(self, *route))
+    values = scenario.run_replicate(k, [replicate_rng(4, i) for i in range(16)])
+    assert len(values) == 16 and calls == []
+    load_bundled(name)
+    assert calls    # loading resolves the routes through the counted method
 
 
 def test_urban_shift_periodicity_bit_identical():
@@ -839,7 +888,7 @@ URBAN_SOURCE = {"route": [6, 7, 11], "sigma": {"design": "sigma_a"}}
      "environment.sources: pair_sign"),
     ("urban", "evaluation", "measure",
      {"kind": "avg_velocity", "routes": [[6, 7, 999]]}, "evaluation.measure"),
-    ("urban", "evaluation", "measure", {"kind": "queue"}, "evaluation.measure"),
+    ("urban", "evaluation", "measure", {"kind": "queue"}, "at evaluation/measure/kind"),
 ], ids=["negative-tau", "reversed-bounds", "zero-n_eval",
         "initial-density-missing-group", "initial-density-without-fraction",
         "initial-density-unknown-mode", "source-unknown-node", "source-not-a-route",
@@ -1061,17 +1110,29 @@ def test_cli_export_grid_unusable_hyperparameter_exit_2(tmp_path, capsys,
     assert not (tmp_path / "export" / "grid.csv").exists()
 
 
-@pytest.mark.parametrize("grid", [
-    {"resolution": 0}, {"resolution": -3}, {"resolution": "a"},
-    {"resolution": 2.5}, {"resolution": True},
-    {"axes": ["zz", "k2"]}, {"axes": ["k1"]}, {"axes": ["k1", "k1"]},
-    {"axes": "k1"}, {"fixed": {"zz": 0.5}}, {"fixed": {"k1": 0.5}},
-    {"fixed": {"k3": "a"}}, {"fixed": {"k3": 2.5}}, {"fixed": []}, [1],
+@pytest.mark.parametrize("grid, where", [
+    ({"resolution": 0}, "at learning/grid/resolution"),
+    ({"resolution": -3}, "at learning/grid/resolution"),
+    ({"resolution": "a"}, "at learning/grid/resolution"),
+    ({"resolution": 2.5}, "at learning/grid/resolution"),
+    ({"resolution": True}, "at learning/grid/resolution"),
+    ({"axes": ["zz", "k2"]}, "learning.grid"),
+    ({"axes": ["k1"]}, "at learning/grid/axes"),
+    ({"axes": ["k1", "k1"]}, "learning.grid"),
+    ({"axes": "k1"}, "at learning/grid/axes"),
+    ({"fixed": {"zz": 0.5}}, "learning.grid"),
+    ({"fixed": {"k1": 0.5}}, "learning.grid"),
+    ({"fixed": {"k3": "a"}}, "at learning/grid/fixed/k3"),
+    ({"fixed": {"k3": 2.5}}, "learning.grid"),
+    ({"fixed": []}, "at learning/grid/fixed"),
+    ([1], "at learning/grid"),
+    ({"resolution": 10, "spacing": 2}, "at learning/grid"),
 ], ids=["resolution-0", "resolution-negative", "resolution-string",
         "resolution-fractional", "resolution-bool", "unknown-axis", "one-axis",
         "repeated-axis", "axes-string", "fixed-unknown", "fixed-on-axis",
-        "fixed-string", "fixed-out-of-bounds", "fixed-list", "grid-list"])
-def test_cli_invalid_grid_exit_2_at_load(tmp_path, capsys, grid):
+        "fixed-string", "fixed-out-of-bounds", "fixed-list", "grid-list",
+        "unknown-key"])
+def test_cli_invalid_grid_exit_2_at_load(tmp_path, capsys, grid, where):
     raw = json.loads(bundled("synthetic").read_text())
     raw["design"]["names"].append("k3")
     raw["design"]["bounds"].append([0, 2])
@@ -1085,15 +1146,15 @@ def test_cli_invalid_grid_exit_2_at_load(tmp_path, capsys, grid):
                     "--out-dir", str(out)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert f"{path}: learning.grid" in err and "Traceback" not in err
+    assert f"{path}: {where}" in err and "Traceback" not in err
     assert not (out / "dataset.csv").exists()  # rejected before the loop
 
 
 @pytest.mark.parametrize("learning, where", [
     ({"n_initial": 2}, "learning.n_initial"),
     ({"n_initial": 1}, "learning.n_initial"),
-    ({"kernel": {"variant": "bogus"}}, "learning.kernel.variant"),
-    ({"kernel": "matern32"}, "learning.kernel"),
+    ({"kernel": {"variant": "bogus"}}, "at learning/kernel/variant"),
+    ({"kernel": "matern32"}, "at learning/kernel"),
     ({"n_initial": 8.9}, "at learning/n_initial"),
     ({"n_loop": 3.5}, "at learning/n_loop"),
     ({"iterations": 1.5}, "at learning/iterations"),
@@ -1102,18 +1163,34 @@ def test_cli_invalid_grid_exit_2_at_load(tmp_path, capsys, grid):
     ({"n_max": 40.5}, "at learning/n_max"),
     ({"max_trials": 100.5}, "at learning/max_trials"),
     ({"n_eval": 500.5}, "at learning/n_eval"),
-    ({"tau_values": None}, "learning: missing key 'tau_fractions'"),
+    ({"tau_values": None}, "at learning/tau_values"),
+    ({"tau_values": ...}, "learning: missing key 'tau_fractions'"),
+    ({"c2_0": "x"}, "at learning/c2_0"),
+    ({"c2": [1, "a"]}, "at learning/c2"),
+    ({"error_stop": "x"}, "at learning/error_stop"),
+    ({"tau_scale": "gap"}, "at learning/tau_scale"),
+    ({"n_intial": 10}, "at learning: additional property 'n_intial'"),
+    ({"kernel": {"varaint": "matern52"}}, "at learning/kernel: additional property"),
+    ({"iterations": 3, "n_max": [40, 40]}, "learning: n_max must be one bound"),
+    ({"n_max": []}, "learning: n_max must be one bound"),
 ], ids=["n_initial-2", "n_initial-1", "kernel-variant", "kernel-string",
         "fractional-n_initial", "fractional-n_loop", "fractional-iterations",
         "fractional-n_min", "fractional-n_max-entry", "fractional-n_max",
-        "fractional-max_trials", "fractional-n_eval", "no-tau-schedule"])
+        "fractional-max_trials", "fractional-n_eval", "no-tau-schedule",
+        "no-tau-schedule-key", "string-c2_0", "string-in-c2", "string-error_stop",
+        "unknown-tau_scale", "misspelled-key", "misspelled-kernel-key",
+        "short-n_max-list", "empty-n_max-list"])
 def test_cli_unusable_learning_block_exit_2_at_load(tmp_path, capsys, learning, where):
     # the kernel fit needs three points and a kernel object with a known
-    # variant, and budgets are whole numbers; each is checked before the
-    # initial design is simulated
-    small = Path(__file__).resolve().parents[1] / "ctmbench/scenarios/synthetic_small.json"
-    raw = json.loads(small.read_text())
-    raw["learning"].update(learning)
+    # variant, budgets are whole numbers, every key is a known one of its
+    # type, and an n_max list covers every iteration; each is checked
+    # before the initial design is simulated
+    raw = json.loads(SYNTHETIC_SMALL.read_text())
+    for key, value in learning.items():
+        if value is ...:
+            del raw["learning"][key]
+        else:
+            raw["learning"][key] = value
     path = write_config(tmp_path, raw)
     out = tmp_path / "run"
     rc = exit_code(["estimate-levelset", "--config", str(path), "--seed", "1",
@@ -1122,6 +1199,82 @@ def test_cli_unusable_learning_block_exit_2_at_load(tmp_path, capsys, learning, 
     assert rc == 2
     assert f"{path}: {where}" in err and "Traceback" not in err
     assert not (out / "dataset.csv").exists()
+
+
+_URBAN_DESIGN = ["--design", "2.5,0.01,0.01,20,75", "--reps", "1"]
+
+
+@pytest.mark.parametrize("name, command, keys, value, where", [
+    ("synthetic_small", ["estimate-levelset"], ("threshold", "gamma"), "abc",
+     "at evaluation/threshold/gamma"),
+    ("synthetic_small", ["estimate-levelset"], ("threshold", "gamma"), None,
+     "at evaluation/threshold/gamma"),
+    ("synthetic_small", ["estimate-levelset"], ("threshold",), [], "at evaluation/threshold"),
+    ("synthetic_small", ["estimate-levelset"], ("utility",), "identity",
+     "at evaluation/utility"),
+    ("urban", ["calibrate"], ("benchmarks",), [], "at evaluation/benchmarks"),
+    ("urban", ["calibrate"], ("benchmarks", "A"), 3, "at evaluation/benchmarks/A"),
+    ("urban", ["calibrate"], ("benchmarks", "A", "e"), "60",
+     "at evaluation/benchmarks/A/e"),
+    ("urban", ["calibrate"], ("utilities",), [3], "at evaluation/utilities/0"),
+    ("urban", ["calibrate"], ("utilities", 1, "c"), "60",
+     "at evaluation/utilities/1/c"),
+    ("urban", ["simulate", *_URBAN_DESIGN], ("measure",), "foo",
+     "at evaluation/measure"),
+    ("urban", ["simulate", *_URBAN_DESIGN], ("measure",), {},
+     "at evaluation/measure"),
+], ids=["gamma-string", "gamma-null", "threshold-list", "utility-string",
+        "benchmarks-list", "benchmark-number", "benchmark-e-string",
+        "utilities-number", "utility-c-string", "measure-string", "measure-without-kind"])
+def test_cli_invalid_evaluation_block_exit_2_at_load(tmp_path, capsys, name, command,
+                                                     keys, value, where):
+    # each ended in a traceback, or in an exit 2 in Python's own words
+    raw = json.loads((SYNTHETIC_SMALL if name == "synthetic_small"
+                      else bundled(name)).read_text())
+    _set(("evaluation", *keys), value)(raw)
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "run"
+    rc = exit_code([*command, "--config", str(path), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{path}: {where}: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cells, where", [
+    (3, "at network/cells/roads"),
+    ({"s_max": 5, "rho_max": 30, "a": 1, "b": 1}, "at network/cells/roads"),
+    ({"kind": "road", "s_max": 5, "rho_max": 30, "a": 1, "b": 1},
+     "at network/cells/roads/kind"),
+], ids=["number", "without-kind", "unknown-kind"])
+def test_cli_invalid_cell_group_exit_2_at_load(tmp_path, capsys, cells, where):
+    raw = json.loads(bundled("urban").read_text())
+    raw["network"]["cells"]["roads"] = cells
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "run"
+    rc = exit_code(["simulate", *_URBAN_DESIGN, "--config", str(path),
+                    "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{path}: {where}: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, key, value, message", [
+    ("urban", "sigma", -0.01, "noise standard deviation must be non-negative"),
+    ("highway", "psi", -0.1, "coefficient of variation must be non-negative"),
+], ids=["urban-sigma", "highway-psi"])
+def test_cli_negative_noise_scale_exit_2_naming_the_environment(
+        tmp_path, capsys, name, key, value, message):
+    raw = json.loads(bundled(name).read_text())
+    raw["environment"]["sources"][0][key] = value
+    path = write_config(tmp_path, raw)
+    design = "2.5,0.01,0.01,20,75" if name == "urban" else "20,40"
+    rc = exit_code(["simulate", "--config", str(path), "--design", design,
+                    "--reps", "2", "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{path}: environment: {message}" in err and "Traceback" not in err
 
 
 def test_cli_export_grid_on_one_dimension_exit_2(tmp_path, capsys):

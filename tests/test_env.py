@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
-from ctmdesign.env import (ArCopulaEnvironment, ArSourceSink, FrankCopula,
-                           GaussianPairsEnvironment, GaussianSourceSink,
-                           replicate_rng)
+from ctmdesign.env import (ArCopulaEnvironment, FrankCopula,
+                           GaussianPairsEnvironment, replicate_rng)
 from ctmdesign.network import TrafficNetwork
 from ctmdesign.cells import CellSpec
 from ctmdesign.solvers import InteractionRule, SimulationEngine
@@ -62,12 +62,11 @@ def test_ar_variance_grows_linearly():
     routes = [(0, 1, 2), (2, 1, 0)]
     idx = [net.index_of(*r) for r in routes]
     zero = np.zeros(net.n_routes)
+    env = ArCopulaEnvironment(net, caps, idx)
     finals = []
     for rep in range(reps):
-        env = ArCopulaEnvironment(
-            net, [ArSourceSink(route=r, sigma=sigma) for r in routes],
-            FrankCopula(0.0), caps, replicate_rng(6, rep), steps=t_end)
-        finals.append(env.net_flows(t_end - 1, zero, zero, zero)[0][idx])
+        walk = env.draw(replicate_rng(6, rep), t_end, [sigma, sigma], 0.0)
+        finals.append(env.with_attempts(walk).net_flows(t_end - 1, zero, zero, zero)[0][idx])
     for var in np.var(finals, axis=0):
         assert var == pytest.approx(sigma ** 2 * t_end, rel=0.15)
 
@@ -108,15 +107,13 @@ def line_network():
 def test_ar_copula_environment_reproducible():
     net, cells = line_network()
     caps = {v: 20.0 for v in range(3)}
-    sources = lambda: [ArSourceSink(route=(0, 1, 2), sigma=0.4),
-                       ArSourceSink(route=(2, 1, 0), sigma=0.2)]
+    env = ArCopulaEnvironment(net, caps, [net.index_of(0, 1, 2), net.index_of(2, 1, 0)])
     rho = np.full(net.n_routes, 2.0)
     q = np.zeros(net.n_routes)
     outs = []
     for _ in range(2):
-        env = ArCopulaEnvironment(net, sources(), FrankCopula(2.5), caps,
-                                  replicate_rng(123, 0), steps=50)
-        vals = [env.net_flows(t, rho, q, q)[1].copy() for t in range(50)]
+        stepped = env.with_attempts(env.draw(replicate_rng(123, 0), 50, [0.4, 0.2], 2.5))
+        vals = [stepped.net_flows(t, rho, q, q)[1].copy() for t in range(50)]
         outs.append(np.array(vals))
     assert np.array_equal(outs[0], outs[1])
     idx = net.index_of(0, 1, 2)
@@ -126,14 +123,12 @@ def test_ar_copula_environment_reproducible():
 def test_gaussian_pairs_mirror_and_constants():
     net, cells = line_network()
     caps = {v: 1e9 for v in range(3)}  # no clamping
-    src = GaussianSourceSink(route=(0, 1, 2), xi=3.0, psi=0.1,
-                             pair_route=(2, 1, 0), pair_sign=-1.0)
-    env = GaussianPairsEnvironment(net, [src], [((0, 1, 2), 0.0)], caps,
-                                   replicate_rng(9, 0), steps=2000)
+    i1, i2 = net.index_of(0, 1, 2), net.index_of(2, 1, 0)
+    env = GaussianPairsEnvironment(net, caps, [(i1, 1.0)], [(i1, i2, -1.0)])
+    env = env.with_attempts(env.draw(replicate_rng(9, 0), 2000, [3.0], [0.1], [0.0]))
     rho = np.full(net.n_routes, 2.0)
     q = np.zeros(net.n_routes)
     aux, netf = env.net_flows(0, rho, q, q)
-    i1, i2 = net.index_of(0, 1, 2), net.index_of(2, 1, 0)
     assert aux[i2] == pytest.approx(-aux[i1])
     draws = [env.net_flows(t, rho, q, q)[0][i1] for t in range(2000)]
     assert np.mean(draws) == pytest.approx(3.0, abs=0.05)
@@ -146,10 +141,9 @@ def test_full_trajectory_bit_reproducible():
     caps = {v: 10.0 for v in range(3)}
 
     def run():
-        env = ArCopulaEnvironment(
-            net, [ArSourceSink(route=(0, 1, 2), sigma=0.3),
-                  ArSourceSink(route=(2, 1, 0), sigma=0.3)],
-            FrankCopula(-4.0), caps, replicate_rng(42, 7), steps=100)
+        env = ArCopulaEnvironment(net, caps, [net.index_of(0, 1, 2),
+                                              net.index_of(2, 1, 0)])
+        env = env.with_attempts(env.draw(replicate_rng(42, 7), 100, [0.3, 0.3], -4.0))
         rho = np.full(net.n_routes, 1.0)
         for t in range(100):
             rho, _ = engine_step(eng, t, rho, InteractionRule("dpf"), env=env)
@@ -171,12 +165,11 @@ def test_copula_pairs_equal_scalar_samples(r):
 def test_net_flows_clamp_each_route_like_the_scalar_rule():
     net, cells = line_network()
     caps = {v: 3.0 for v in range(3)}
-    src = GaussianSourceSink(route=(0, 1, 2), xi=3.0, psi=2.0,
-                             pair_route=(2, 1, 0), pair_sign=-1.0)
-    env = GaussianPairsEnvironment(net, [src], [((1, 2, 1), -4.0)], caps,
-                                   replicate_rng(3, 0), steps=40)
-    rng = np.random.default_rng(4)
     routes = [net.index_of(0, 1, 2), net.index_of(2, 1, 0), net.index_of(1, 2, 1)]
+    env = GaussianPairsEnvironment(net, caps, [(routes[2], 1.0)],
+                                   [(routes[0], routes[1], -1.0)])
+    env = env.with_attempts(env.draw(replicate_rng(3, 0), 40, [3.0], [2.0], [-4.0]))
+    rng = np.random.default_rng(4)
     clamped = 0
     for t in range(40):
         rho, q_in, q_out = 3.0 * rng.random((3, net.n_routes))
@@ -189,3 +182,51 @@ def test_net_flows_clamp_each_route_like_the_scalar_rule():
         untouched = np.setdiff1d(np.arange(net.n_routes), routes)
         assert np.all(q_aux[untouched] == 0) and np.all(q_net[untouched] == 0)
     assert clamped > 0
+
+
+def _line_environments(net, caps):
+    """A copula and a Gaussian environment of the line network, each with a
+    draw function of one replicate's block."""
+    r = [net.index_of(0, 1, 2), net.index_of(2, 1, 0), net.index_of(1, 2, 1)]
+    ar = ArCopulaEnvironment(net, caps, r[:2])
+    # a constant on a source route: the source's later column wins
+    gauss = GaussianPairsEnvironment(net, caps, [(r[0], 2.0), (r[2], 0.5)],
+                                     [(r[0], r[1], -1.0), (r[2], None, 1.0)])
+    return [(ar, lambda g, steps: ar.draw(g, steps, [0.4, 0.3], -3.0)),
+            (gauss, lambda g, steps: gauss.draw(g, steps, [2.0, 1.5], [0.8, 1.2],
+                                                [-1.0, 3.0]))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_reps=st.integers(1, 6), steps=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       cap=st.sampled_from([0.5, 3.0, 1e9]))
+def test_batched_blocks_step_like_one_replicate_environments(n_reps, steps, seed, cap):
+    net, _ = line_network()
+    caps = {v: cap for v in range(3)}
+    state = np.random.default_rng(seed)
+    for env, draw in _line_environments(net, caps):
+        blocks = [draw(replicate_rng(seed, j), steps) for j in range(n_reps)]
+        batch = env.with_attempts(np.stack(blocks, axis=1))
+        singles = [env.with_attempts(block) for block in blocks]
+        for t in range(steps):
+            rho, q_in, q_out = 2.0 * state.random((3, n_reps, net.n_routes))
+            aux, net_flow = batch.net_flows(t, rho, q_in, q_out)
+            for j, one in enumerate(singles):
+                aux_j, net_j = one.net_flows(t, rho[j], q_in[j], q_out[j])
+                assert aux[j].tobytes() == aux_j.tobytes()
+                assert net_flow[j].tobytes() == net_j.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["ar_copula", "gaussian_pairs"])
+def test_draw_rejects_a_negative_noise_scale(kind):
+    net, _ = line_network()
+    caps = {v: 3.0 for v in range(3)}
+    i1, i2 = net.index_of(0, 1, 2), net.index_of(2, 1, 0)
+    rng = replicate_rng(1, 0)
+    if kind == "ar_copula":
+        with pytest.raises(ValueError, match="noise standard deviation"):
+            ArCopulaEnvironment(net, caps, [i1, i2]).draw(rng, 5, [0.1, -0.1], 0.0)
+    else:
+        with pytest.raises(ValueError, match="coefficient of variation"):
+            GaussianPairsEnvironment(net, caps, [], [(i1, i2, -1.0)]).draw(
+                rng, 5, [3.0], [-0.1], [])

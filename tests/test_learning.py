@@ -35,6 +35,19 @@ def loop_config(**overrides):
     return LoopConfig(**base)
 
 
+@pytest.mark.parametrize("n_max", [(40,), (40,) * 4, (40,) * 8])
+def test_loop_config_takes_one_n_max_or_one_per_iteration(n_max):
+    config = loop_config(n_max=n_max)
+    assert [config.n_max_at(i) for i in range(4)] == [40] * 4
+
+
+@pytest.mark.parametrize("n_max", [(40, 40), (40,) * 3, ()])
+def test_loop_config_rejects_an_n_max_list_short_of_the_iterations(n_max):
+    # iterations 3 reads n_max_at(0) to n_max_at(3)
+    with pytest.raises(ValueError, match="n_max"):
+        loop_config(n_max=n_max)
+
+
 # ---------------------------------------------------------------------------
 # acquisition
 # ---------------------------------------------------------------------------
