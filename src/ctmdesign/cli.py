@@ -42,8 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, Scenario, _json_error, _rejected_as_config_error,
-                     load_scenario)
+from .config import (HYPERPARAMETERS_SCHEMA, ConfigError, Scenario,
+                     _rejected_as_config_error, load_json, load_scenario)
 from .env import replicate_rng
 from .evaluation import calibrate_threshold
 from .gpr import GprDataset, Kernel, posterior
@@ -139,7 +139,7 @@ def _summary(values):
 def cmd_simulate(args):
     scenario = load_scenario(args.config)
     seed = args.seed if args.seed is not None else scenario.seed
-    k = _parse_design(args.design, scenario)
+    k = _parse_design(args.design, scenario, "--design")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
@@ -300,7 +300,8 @@ def cmd_estimate_levelset(args):
 def cmd_benchmark_compare(args):
     scenario = load_scenario(args.config)
     seed = args.seed if args.seed is not None else scenario.seed
-    designs = [_parse_design(d, scenario) for d in args.designs.split(";") if d]
+    designs = [_parse_design(d, scenario, "--designs")
+               for d in args.designs.split(";") if d]
     if not designs:
         raise ConfigError("benchmark-compare needs at least one design")
     out_dir = Path(args.out_dir)
@@ -329,26 +330,13 @@ def cmd_export_grid(args):
         raise ConfigError(f"{args.config}: export-grid needs a design space of "
                           f"at least two dimensions, not {space.dim}")
     run_dir = Path(args.run_dir)
-    hp_file = run_dir / "hyperparameters.json"
+    hp = load_json(run_dir / "hyperparameters.json", HYPERPARAMETERS_SCHEMA)
     data_file = run_dir / "dataset.csv"
     try:
-        with open(hp_file) as fh:
-            hp = json.load(fh)
         with open(data_file) as fh:
             rows = list(csv.DictReader(fh))
     except OSError as exc:
         raise ConfigError(f"{exc.filename}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise _json_error(hp_file, exc) from None
-    with _rejected_as_config_error(hp_file):
-        delta = hp["delta"] if "delta" in hp else 0.05
-        if not 0 < delta < 1:
-            raise ValueError(f"delta {delta} must lie in (0, 1)")
-        kern = Kernel(hp["variant"], hp["sigma_c"], hp["length"])
-        mu_bar, s_bar, gamma = (_finite_number(hp, key)
-                                for key in ("mu_bar", "s_bar", "gamma"))
-        if not s_bar > 0:
-            raise ValueError(f"s_bar must be positive, not {s_bar!r}")
     names = scenario.design_names
     with _rejected_as_config_error(data_file):
         kept = [row for row in rows if not int(row["discarded"])]
@@ -362,43 +350,37 @@ def cmd_export_grid(args):
                                  f"{column[~np.isfinite(column)][0]}")
         data = GprDataset(np.column_stack([columns[n] for n in names]),
                           columns["mu_hat"], columns["tau_sq"],
-                          mu_bar=mu_bar, s_bar=s_bar)
-    post = posterior(data, kern)
+                          mu_bar=hp["mu_bar"], s_bar=hp["s_bar"])
+    post = posterior(data, Kernel(hp["variant"], hp["sigma_c"], hp["length"]))
     grid = _grid_slice(scenario, space, resolution=args.resolution)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_grid(out / "grid.csv", grid, post, gamma, delta)
+    _write_grid(out / "grid.csv", grid, post, hp["gamma"], hp.get("delta", 0.05))
     print(f"wrote {out / 'grid.csv'}")
     return 0
 
 
-def _finite_number(mapping, key):
-    """``mapping[key]`` if it is a finite JSON number, else a ValueError."""
-    value = mapping[key]
-    # the bound also rejects NaN, +-inf and integers beyond the float range
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ValueError(f"{key} must be a finite number, not {value!r}")
-    return value
-
-
-def _parse_design(text, scenario):
+def _parse_design(text, scenario, flag):
     if text is None:
-        raise ConfigError("--design is required for this command")
+        raise ConfigError(f"{flag} is required for this command")
     try:
         k = np.array([float(x) for x in text.replace(";", ",").split(",") if x])
     except ValueError:
-        raise ConfigError(f"cannot parse design vector {text!r}") from None
+        raise ConfigError(f"{flag}: cannot parse design vector {text!r}") from None
+    if not np.isfinite(k).all():
+        raise ConfigError(f"{flag}: design vector {text!r} has a non-finite entry")
     scenario.design_params(k)  # validates the length
     return k
 
 
-def _positive_int(text):
-    """argparse type of --reps, --resolution and --workers: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low):
+    """argparse type of an integer >= ``low``."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def build_parser():
@@ -410,16 +392,16 @@ def build_parser():
 
     def common(p, design=False, reps=False):
         p.add_argument("--config", required=True, help="scenario JSON file")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="master seed (default: scenario seed)")
         p.add_argument("--out-dir", default="out", help="output directory")
-        p.add_argument("--workers", type=_positive_int, default=1,
+        p.add_argument("--workers", type=_int_at_least(1), default=1,
                        help="replicate worker processes (simulate and "
                             "benchmark-compare)")
         if design:
             p.add_argument("--design", help="design vector, comma separated")
         if reps:
-            p.add_argument("--reps", type=_positive_int, default=500,
+            p.add_argument("--reps", type=_int_at_least(1), default=500,
                            help="replicates per design")
 
     p_sim = sub.add_parser("simulate", help="replicate one design")
@@ -446,7 +428,7 @@ def build_parser():
     common(p_exp)
     p_exp.add_argument("--run-dir", required=True,
                        help="directory of an estimate-levelset run")
-    p_exp.add_argument("--resolution", type=_positive_int, default=None)
+    p_exp.add_argument("--resolution", type=_int_at_least(1), default=None)
     p_exp.set_defaults(func=cmd_export_grid)
     return parser
 

@@ -8,10 +8,21 @@ design vector hold ``{"design": "<name>"}`` references.  ``Scenario``
 parses and checks every setting at load; a replicate only resolves them.
 
 ``SCENARIO_SCHEMA`` states the file's structural rules once, in JSON
-Schema (draft 2020-12).  ``load_scenario`` checks a file against it with
-the small interpreter below, which covers exactly the keywords the schema
-uses.  The tests hold it to a reference JSON Schema validator, which no
-command imports: it would load some 80 modules at every start-up.
+Schema (draft 2020-12), and ``HYPERPARAMETERS_SCHEMA`` those of the
+posterior file that ``export-grid`` reads.  ``load_json`` checks a file
+against its schema with the small interpreter below, which covers exactly
+the keywords the schemas use.  The tests hold it to a reference JSON
+Schema validator, which no command imports: it would load some 80 modules
+at every start-up.  Where a ``oneOf`` branches on a tag such as ``kind``,
+the errors reported are those of the branch the tag selects.
+
+Before the schema check, ``load_json`` refuses a number that is NaN,
+infinite or an integer beyond the float range, naming its JSON path.
+Python's json module reads the ``NaN`` and ``Infinity`` literals, and
+reads ``1e400`` as infinity; JSON Schema has no keyword that refuses them
+(NaN passes every bound, and a reference validator accepts it as a
+number), so this check stays outside the schema, and the schema check
+keeps accepting exactly what the reference validator accepts.
 
 Design parameters listed under ``design.integerized`` are rounded to an
 adjacent integer per replicate, with probabilities matching the real
@@ -26,6 +37,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -40,7 +52,8 @@ from .network import NetworkError, TrafficNetwork
 from .signals import SignalSchedule
 from .solvers import InteractionRule, SimulationEngine
 
-__all__ = ["ConfigError", "Scenario", "load_scenario", "SCENARIO_SCHEMA"]
+__all__ = ["ConfigError", "Scenario", "load_json", "load_scenario", "SCENARIO_SCHEMA",
+           "HYPERPARAMETERS_SCHEMA"]
 
 
 #: most replicates stepped together as one (B, n_routes) batch
@@ -55,7 +68,7 @@ _SURFACE_DIM = {"sin1d": 1, "sincos2d": 2}
 
 
 class ConfigError(ValueError):
-    """Scenario file rejected, with a JSON-path or line-precise message."""
+    """Input rejected, naming its file and JSON path or line, or its flag."""
 
 
 _DESIGN_REF = {
@@ -74,6 +87,21 @@ _BUDGETS = ("n_initial", "n_loop", "iterations", "n_min", "max_trials", "n_eval"
 _UTILITY = {"type": "object", "required": ["kind"],
             "properties": {"kind": {"type": "string"}, "label": {"type": "string"},
                            "c": _NUMBER, "alpha": _NUMBER}}
+#: a route (u, v, w) by node labels: from u through v to w
+_ROUTE = {"type": "array", "items": _INTEGER, "minItems": 3, "maxItems": 3}
+_COPULA_SOURCE = {"type": "object", "required": ["route", "sigma"],
+                  "additionalProperties": False,
+                  "properties": {"route": _ROUTE, "sigma": _NUMBER_OR_REF}}
+_PAIR_SOURCE = {"type": "object", "required": ["route", "xi", "psi"],
+                "additionalProperties": False,
+                "properties": {"route": _ROUTE, "pair_route": _ROUTE, "pair_sign": _NUMBER,
+                               "xi": _NUMBER_OR_REF, "psi": _NUMBER_OR_REF}}
+_CONSTANT = {"type": "object", "required": ["route", "value"],
+             "additionalProperties": False,
+             "properties": {"route": _ROUTE, "value": _NUMBER_OR_REF, "scale": _NUMBER}}
+_DENSITY = {"type": "number", "minimum": 0}
+#: a probability strictly between 0 and 1, such as the credible level delta
+_LEVEL = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 _SIGNAL = {
     "type": "object",
     "required": ["ccw", "green"],
@@ -96,7 +124,7 @@ SCENARIO_SCHEMA = {
     "properties": {
         "version": {"const": 1},
         "name": {"type": "string"},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "design": {
             "type": "object",
             "required": ["names", "bounds"],
@@ -146,15 +174,22 @@ SCENARIO_SCHEMA = {
         },
         "environment": {
             "type": "object",
-            "required": ["kind"],
             "properties": {
-                "kind": {"enum": ["none", "ar_copula", "gaussian_pairs"]},
-                "copula_r": _NUMBER_OR_REF,
                 "rho_cap_fraction": {"type": "number",
                                      "exclusiveMinimum": 0, "maximum": 1},
-                "sources": {"type": "array"},
-                "constants": {"type": "array"},
+                "constants": {"type": "array", "items": _CONSTANT},
             },
+            "oneOf": [
+                {"required": ["kind"], "properties": {"kind": {"const": "none"}}},
+                {"required": ["kind", "copula_r", "sources"], "properties": {
+                    "kind": {"const": "ar_copula"},
+                    "copula_r": _NUMBER_OR_REF,
+                    "sources": {"type": "array", "items": _COPULA_SOURCE,
+                                "minItems": 2, "maxItems": 2}}},
+                {"required": ["kind", "sources"], "properties": {
+                    "kind": {"const": "gaussian_pairs"},
+                    "sources": {"type": "array", "items": _PAIR_SOURCE}}},
+            ],
         },
         "run": {
             "type": "object",
@@ -163,7 +198,14 @@ SCENARIO_SCHEMA = {
                 "steps": {"type": "integer", "minimum": 1},
                 "t_real": {"type": "number", "exclusiveMinimum": 0},
                 "rule": {"enum": list(InteractionRule.VARIANTS)},
-                "initial_density": {"type": "object"},
+                "initial_density": {"type": "object", "oneOf": [
+                    {"required": ["values"], "properties": {
+                        "mode": {"const": "per_route"},
+                        "values": {"type": "object", "additionalProperties": _DENSITY}}},
+                    {"required": ["mode", "fraction"], "properties": {
+                        "mode": {"const": "max_density_fraction"},
+                        "fraction": _DENSITY}},
+                ]},
             },
         },
         "evaluation": {
@@ -171,7 +213,7 @@ SCENARIO_SCHEMA = {
             "properties": {
                 "measure": {"type": "object", "required": ["kind"], "properties": {
                     "kind": {"enum": ["avg_network_flow", "throughput", "avg_velocity"]},
-                    "routes": {"type": "array"}}},
+                    "routes": {"type": "array", "items": _ROUTE}}},
                 "utility": _UTILITY,
                 "utilities": {"type": "array", "items": _UTILITY},
                 "benchmarks": {"type": "object", "additionalProperties": {
@@ -187,7 +229,8 @@ SCENARIO_SCHEMA = {
             "properties": {
                 **dict.fromkeys(_BUDGETS, _INTEGER),
                 "n_max": {"oneOf": [_INTEGER, {"type": "array", "items": _INTEGER}]},
-                **dict.fromkeys(("c1", "c2_0", "c3", "delta", "error_stop"), _NUMBER),
+                **dict.fromkeys(("c1", "c2_0", "c3", "error_stop"), _NUMBER),
+                "delta": _LEVEL,
                 "c2": {"oneOf": [_NUMBER, _NUMBERS]},
                 "tau_values": _NUMBERS,
                 "tau_fractions": _NUMBERS,
@@ -205,15 +248,26 @@ SCENARIO_SCHEMA = {
     },
 }
 
-
-def _json_error(path, exc):
-    return ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+#: the fitted posterior that ``estimate-levelset`` writes and ``export-grid`` reads
+HYPERPARAMETERS_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["variant", "sigma_c", "length", "mu_bar", "s_bar", "gamma"],
+    "properties": {
+        "variant": {"enum": list(KERNEL_VARIANTS)},
+        **dict.fromkeys(("sigma_c", "length", "s_bar"),
+                        {"type": "number", "exclusiveMinimum": 0}),
+        "mu_bar": _NUMBER,
+        "gamma": _NUMBER,
+        "delta": _LEVEL,
+    },
+}
 
 
 #: the keywords ``_validate`` implements
 _KEYWORDS = frozenset({
-    "type", "const", "enum", "oneOf", "minimum", "maximum",
-    "exclusiveMinimum", "items", "minItems", "maxItems", "required",
+    "type", "const", "enum", "oneOf", "minimum", "maximum", "exclusiveMinimum",
+    "exclusiveMaximum", "items", "minItems", "maxItems", "required",
     "dependentRequired", "properties", "additionalProperties", "propertyNames",
     "pattern"})
 
@@ -224,7 +278,9 @@ _TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
 _BOUNDS = {"minimum": (lambda x, b: x < b, "less than the minimum of"),
            "exclusiveMinimum": (lambda x, b: x <= b,
                                 "less than or equal to the minimum of"),
-           "maximum": (lambda x, b: x > b, "greater than the maximum of")}
+           "maximum": (lambda x, b: x > b, "greater than the maximum of"),
+           "exclusiveMaximum": (lambda x, b: x >= b,
+                                "greater than or equal to the maximum of")}
 
 
 def _is_type(value, kind):
@@ -239,6 +295,28 @@ def _is_type(value, kind):
 def _same(a, b):
     """JSON equality: 1 equals 1.0, but true does not equal 1."""
     return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _none_valid(failed, value, path):
+    """The errors to report for a oneOf under none of whose branches
+    ``value`` is valid; ``failed`` pairs each branch with its errors.  When
+    every branch fixes one key by a ``const`` (a tag such as ``kind``), they
+    are the errors of the branch the value's tag selects, or of the branch
+    that does not require the tag when the value has none."""
+    tags = set.intersection(*({key for key, sub in branch.get("properties", {}).items()
+                               if "const" in sub} for branch, _ in failed))
+    if not tags or not isinstance(value, dict):
+        return [(path, f"{value!r} is valid under none of the schemas")]
+    tag = min(tags)
+    consts = [branch["properties"][tag]["const"] for branch, _ in failed]
+    chosen = [errors for (branch, errors), const in zip(failed, consts)
+              if (_same(value[tag], const) if tag in value
+                  else tag not in branch.get("required", ()))]
+    if chosen:
+        return chosen[0]
+    if tag in value:
+        return [((*path, tag), f"{value[tag]!r} is not one of {consts!r}")]
+    return [(path, f"{tag!r} is a required property")]
 
 
 def _validate(schema, value, path, errors):
@@ -257,17 +335,21 @@ def _validate(schema, value, path, errors):
     if "enum" in schema and not any(_same(value, e) for e in schema["enum"]):
         errors.append((path, f"{value!r} is not one of {schema['enum']!r}"))
     if "oneOf" in schema:
-        valid = []
+        valid, failed = [], []
         for branch in schema["oneOf"]:
             branch_errors = []
             checked = _validate(branch, value, path, branch_errors)
-            if not branch_errors:
+            if branch_errors:
+                failed.append((branch, branch_errors))
+            else:
                 valid.append(checked)
         if len(valid) == 1:
             value = valid[0]
+        elif valid:
+            errors.append((path, f"{value!r} is valid under more than one of the "
+                                 "schemas"))
         else:
-            under = "more than one" if valid else "none"
-            errors.append((path, f"{value!r} is valid under {under} of the schemas"))
+            errors += _none_valid(failed, value, path)
     for key, (past, words) in _BOUNDS.items():
         if key in schema and _is_type(value, "number") and past(value, schema[key]):
             errors.append((path, f"{value!r} is {words} {schema[key]!r}"))
@@ -304,32 +386,50 @@ def _validate(schema, value, path, errors):
     return value
 
 
-def _validated(raw, origin):
-    """``raw`` checked against ``SCENARIO_SCHEMA``, whole floats at integer
-    keys read as integers; a violation raises a ConfigError naming the one
-    nearest the root, the first in the file on a tie."""
+def _at_path(origin, path, message):
+    return ConfigError(f"{origin}: at {'/'.join(map(str, path)) or '<root>'}: {message}")
+
+
+def _validated(raw, origin, schema):
+    """``raw`` checked against ``schema``, whole floats at integer keys read
+    as integers; a violation raises a ConfigError naming the one nearest
+    the root, the first in the file on a tie."""
     errors = []
-    raw = _validate(SCENARIO_SCHEMA, raw, (), errors)
+    raw = _validate(schema, raw, (), errors)
     if errors:
-        loc, message = min(errors, key=lambda error: len(error[0]))
-        raise ConfigError(f"{origin}: at {'/'.join(map(str, loc)) or '<root>'}: "
-                          f"{message}")
+        raise _at_path(origin, *min(errors, key=lambda error: len(error[0])))
     return raw
 
 
-def load_scenario(path):
-    """Parse and validate a scenario file.
+def _check_finite(node, origin, path=()):
+    """Raise a ConfigError at the first number in ``node`` that is NaN,
+    infinite or an integer beyond the float range."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            _check_finite(child, origin, (*path, key))
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise _at_path(origin, path, f"{node!r} is not a finite number")
+    elif isinstance(node, int) and not abs(node) <= sys.float_info.max:
+        raise _at_path(origin, path, "the integer is beyond the float range")
 
-    The file is checked against ``SCENARIO_SCHEMA`` in-package; the tests
-    check that it accepts exactly the files a reference JSON Schema
-    validator accepts.
-    """
-    with open(path) as fh:
-        try:
+
+def load_json(path, schema):
+    """The JSON document in the file ``path``, its numbers finite, checked
+    against ``schema`` (see the module docstring)."""
+    try:
+        with open(path) as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise _json_error(path, exc) from None
-    return Scenario(_validated(raw, path), origin=str(path))
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:  # bad JSON (by line), not UTF-8, a 4300+ digit int
+        raise ConfigError(f"{path}: {exc}") from None
+    _check_finite(raw, path)
+    return _validated(raw, path, schema)
+
+
+def load_scenario(path):
+    """The scenario in the file ``path``, checked by ``load_json``."""
+    return Scenario(load_json(path, SCENARIO_SCHEMA), origin=str(path))
 
 
 def _present(cfg, keys):
@@ -341,10 +441,6 @@ def _present(cfg, keys):
 _SIGNAL_KEYS = {"a_real": ("a_real", float),
                 "v_real_kmh": ("v_real", lambda kmh: float(kmh) / 3.6),
                 "t_safe": ("t_safe", int)}
-
-#: keys of an environment source per kind: (required, optional)
-_SOURCE_KEYS = {"ar_copula": (("route", "sigma"), ()),
-                "gaussian_pairs": (("route", "xi", "psi"), ("pair_route", "pair_sign"))}
 
 
 def _at(value, params):
@@ -439,7 +535,7 @@ class Scenario:
         """Index of the route named by three node labels; it must exist."""
         try:
             return self.network.index_of(*(self._node_index[n] for n in triple))
-        except (KeyError, TypeError, NetworkError):
+        except (KeyError, NetworkError):
             raise ConfigError(f"{where}: {triple!r} is not a route of the "
                               "network") from None
 
@@ -542,24 +638,20 @@ class Scenario:
 
     def _initial_densities(self, init_cfg):
         """Route densities at t = 0 from the run.initial_density block."""
-        mode = init_cfg.get("mode", "per_route")
         rho0 = np.zeros(self.network.n_routes)
-        where = f"{self.origin}: run.initial_density"
-        with _rejected_as_config_error(where):
-            if mode == "per_route":
+        if init_cfg.get("mode", "per_route") == "per_route":
+            with _rejected_as_config_error(f"{self.origin}: run.initial_density"):
                 for i, r in enumerate(self.network.routes):
                     g = self._group_of[self.node_labels[r.via]]
                     rho0[i] = float(init_cfg["values"][g])
-            elif mode == "max_density_fraction":
-                frac = float(init_cfg["fraction"])
-                for v in range(self.network.n_nodes):
-                    idx = self.network.routes_through(v)
-                    if len(idx) == 0:
-                        continue
-                    rho_max = self.node_cells[v].rho_max
-                    rho0[idx] = rho_max * frac / len(idx)
-            else:
-                raise ConfigError(f"{where}: unknown mode {mode!r}")
+        else:
+            frac = float(init_cfg["fraction"])
+            for v in range(self.network.n_nodes):
+                idx = self.network.routes_through(v)
+                if len(idx) == 0:
+                    continue
+                rho_max = self.node_cells[v].rho_max
+                rho0[idx] = rho_max * frac / len(idx)
         return rho0
 
     def initial_densities(self):
@@ -575,54 +667,33 @@ class Scenario:
             return
         where = f"{self.origin}: environment"
         con = f"{where}.constants"
-        with _rejected_as_config_error(where):
-            cap = float(env_cfg.get("rho_cap_fraction", 1.0))
-            caps = {v: cell.rho_max * cap for v, cell in self.node_cells.items()}
-            sources = [self._source(s, kind, f"{where}.sources")
-                       for s in env_cfg["sources"]]
-            constants = [(self._route(e["route"], con), float(e.get("scale", 1.0)),
-                          self._design_value(e["value"], con))
-                         for e in env_cfg.get("constants", [])]
-            self._env_routes = ([s["route"] for s in sources]
-                                + [s["pair_route"] for s in sources if "pair_route" in s]
-                                + [route for route, _, _ in constants])
-            # a source's numbers: sigma, or xi and psi
-            self._env_values = {key: [s[key] for s in sources]
-                                for key in _SOURCE_KEYS[kind][0][1:]}
-            if kind == "ar_copula":
-                if len(sources) != 2:
-                    raise ConfigError(f"{where}.sources: the copula environment "
-                                      "couples exactly two sources")
-                self._env_values["r"] = self._design_value(env_cfg["copula_r"], where)
-                self.environment = ArCopulaEnvironment(
-                    self.network, caps, [s["route"] for s in sources])
-            else:
-                self._env_values["constants"] = [value for _, _, value in constants]
-                self.environment = GaussianPairsEnvironment(
-                    self.network, caps, [(route, scale) for route, scale, _ in constants],
-                    [(s["route"], s.get("pair_route"), s.get("pair_sign", -1.0))
-                     for s in sources])
+        cap = float(env_cfg.get("rho_cap_fraction", 1.0))
+        caps = {v: cell.rho_max * cap for v, cell in self.node_cells.items()}
+        sources = [self._source(s, f"{where}.sources") for s in env_cfg["sources"]]
+        constants = [(self._route(e["route"], con), float(e.get("scale", 1.0)),
+                      self._design_value(e["value"], con))
+                     for e in env_cfg.get("constants", [])]
+        self._env_routes = ([s["route"] for s in sources]
+                            + [s["pair_route"] for s in sources if "pair_route" in s]
+                            + [route for route, _, _ in constants])
+        if kind == "ar_copula":
+            self._env_values = {"sigma": [s["sigma"] for s in sources],
+                                "r": self._design_value(env_cfg["copula_r"], where)}
+            self.environment = ArCopulaEnvironment(
+                self.network, caps, [s["route"] for s in sources])
+        else:
+            self._env_values = {key: [s[key] for s in sources] for key in ("xi", "psi")}
+            self._env_values["constants"] = [value for _, _, value in constants]
+            self.environment = GaussianPairsEnvironment(
+                self.network, caps, [(route, scale) for route, scale, _ in constants],
+                [(s["route"], s.get("pair_route"), s.get("pair_sign", -1.0))
+                 for s in sources])
 
-    def _source(self, entry, kind, where):
+    def _source(self, entry, where):
         """A source's settings: routes as route indices, numbers as floats,
         design references as parameter names."""
-        required, optional = _SOURCE_KEYS[kind]
-        unknown = sorted(set(entry) - set(required) - set(optional))
-        missing = sorted(set(required) - set(entry))
-        if unknown or missing:
-            raise ConfigError(f"{where}: source {entry!r} "
-                              + (f"has an unknown key {unknown[0]!r}" if unknown
-                                 else f"has no {missing[0]!r}"))
-        args = {}
-        for key, value in entry.items():
-            if key.endswith("route"):
-                args[key] = self._route(value, where)
-            elif key == "pair_sign":
-                with _rejected_as_config_error(f"{where}: pair_sign"):
-                    args[key] = float(value)
-            else:
-                args[key] = self._design_value(value, where)
-        return args
+        return {key: self._route(value, where) if key.endswith("route")
+                else self._design_value(value, where) for key, value in entry.items()}
 
     def _parse_measure(self, m_cfg):
         """Factory of one replicate's performance observer."""

@@ -96,14 +96,22 @@ def test_scenario_schema_uses_only_the_keywords_the_validator_implements():
     # would be ignored without a word; any subschema-bearing keyword other
     # than those walked here shows up at its parent and fails too
     assert _schema_keywords(SCENARIO_SCHEMA) - {"$schema"} == config._KEYWORDS
+    assert _schema_keywords(config.HYPERPARAMETERS_SCHEMA) <= config._KEYWORDS | {"$schema"}
 
 
-def _oracle(doc):
+def test_hyperparameters_schema_is_valid_against_its_metaschema():
+    from jsonschema.validators import validator_for
+
+    schema = config.HYPERPARAMETERS_SCHEMA
+    validator_for(schema).check_schema(schema)
+
+
+def _oracle(doc, schema=SCENARIO_SCHEMA):
     """Whether jsonschema accepts ``doc``, and the paths of its errors and of
     the errors in their oneOf contexts, as load_scenario writes them."""
     from jsonschema.validators import validator_for
 
-    errors = list(validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA).iter_errors(doc))
+    errors = list(validator_for(schema)(schema).iter_errors(doc))
     accepted, paths = not errors, set()
     while errors:
         error = errors.pop()
@@ -113,33 +121,40 @@ def _oracle(doc):
 
 
 #: values a mutation puts in place: each JSON type, whole and fractional
-#: floats, numbers past the schema's bounds, enum values known and unknown,
-#: design references good and bad
+#: floats, numbers past the schema's bounds, enum values and tags known and
+#: unknown, routes and sources, design references good and bad
 _MUTANT_VALUES = [0, 1, -1, 2, 7, 0.0, 1.0, 8.0, 0.5, -0.5, 1.5, 1e3, True, False,
                   None, "", "bogus", "dpf", "k1", "benchmark_gap", "matern52",
-                  "throughput", "highway", [], [1], [1.0, 2.0], ["x"], ["k1", "k2"], {},
+                  "throughput", "highway", "none", "ar_copula", "gaussian_pairs",
+                  "per_route", "max_density_fraction", [], [1], [1.0, 2.0], ["x"],
+                  ["k1", "k2"], [1, 2, 3], [1.0, 2, 3.0], [[1, 2, 3]], {},
                   {"kind": "identity"}, {"e": 1, "sigma": 0.5},
+                  {"route": [1, 2, 3], "sigma": 0.1},
+                  {"route": [1, 2, 3], "xi": 1, "psi": 0.1, "pair_route": [3, 2, 1]},
+                  {"route": [1, 2, 3], "value": {"design": "k1"}, "scale": -2.0},
                   {"design": "k1"}, {"design": 1}, {"design": "k1", "x": 0}]
 
 #: keys a mutation adds: unknown ones, and signal node keys good and bad
 _MUTANT_KEYS = ["extra", "design", "kind", "7", "-3", "01", "-0", "x1", " 5"]
 
 
-def _described(schema, node, path=()):
+def _described(schema, node, path=(), valid_only=False):
     """(path, subschema) of each node of ``node``, ``node`` included, that a
-    subschema of ``schema`` describes."""
+    subschema of ``schema`` describes; with ``valid_only``, only through the
+    oneOf branches that jsonschema finds the node valid under."""
     yield path, schema
     for branch in schema.get("oneOf", ()):
-        yield from _described(branch, node, path)
+        if not valid_only or _oracle(node, branch)[0]:
+            yield from _described(branch, node, path, valid_only)
     if isinstance(node, dict):
         for key, child in node.items():
             sub = schema.get("properties", {}).get(key,
                                                    schema.get("additionalProperties"))
             if isinstance(sub, dict):
-                yield from _described(sub, child, (*path, key))
+                yield from _described(sub, child, (*path, key), valid_only)
     if isinstance(node, list) and "items" in schema:
         for i, child in enumerate(node):
-            yield from _described(schema["items"], child, (*path, i))
+            yield from _described(schema["items"], child, (*path, i), valid_only)
 
 
 def _target(data, doc):
@@ -192,25 +207,27 @@ def _floats(node, path=()):
     return {path} if isinstance(node, float) else set()
 
 
-def _assert_agrees_with_jsonschema(doc):
-    """load_scenario's check accepts ``doc`` exactly when jsonschema does,
+def _assert_agrees_with_jsonschema(doc, schema=SCENARIO_SCHEMA):
+    """load_json's check accepts ``doc`` exactly when jsonschema does,
     reports a path jsonschema reports, and leaves ``doc`` as it is."""
     before = copy.deepcopy(doc)
-    accepted, paths = _oracle(doc)
+    accepted, paths = _oracle(doc, schema)
     try:
-        checked = config._validated(doc, "f.json")
+        checked = config._validated(doc, "f.json", schema)
     except ConfigError as exc:
         assert not accepted, str(exc)
         assert str(exc).startswith("f.json: at ")
         assert str(exc)[len("f.json: at "):].split(": ")[0] in paths, (str(exc), paths)
+        return str(exc)
     else:
         assert accepted, paths
         # the floats at integer keys, all whole, became ints; nothing else changed
-        integer = {p for p, schema in _described(SCENARIO_SCHEMA, doc)
-                   if schema.get("type") == "integer"}
+        integer = {p for p, sub in _described(schema, doc, valid_only=True)
+                   if sub.get("type") == "integer"}
         assert _floats(checked) == _floats(doc) - integer
-        assert checked == doc and _oracle(checked)[0]
-    assert json.dumps(doc) == json.dumps(before)
+        assert checked == doc and _oracle(checked, schema)[0]
+    finally:
+        assert json.dumps(doc) == json.dumps(before)
 
 
 def test_mutations_reach_the_evaluation_and_learning_blocks():
@@ -302,6 +319,53 @@ KEYWORD_EDITS = {
     "cells-without-kind": ("urban", _set(("network", "cells", "roads", "kind"), ...)),
     "root-extra-key": ("synthetic", _set(("extra",), 1)),
     "root-array": ("synthetic", lambda raw: [raw]),
+    "seed-negative": ("synthetic", _set(("seed",), -1)),
+    "delta-one": ("synthetic", _set(("learning", "delta"), 1)),
+    "delta-whole-float-one": ("synthetic", _set(("learning", "delta"), 1.0)),
+    "delta-below-one": ("synthetic", _set(("learning", "delta"), 0.999)),
+    "delta-zero": ("synthetic", _set(("learning", "delta"), 0)),
+    "environment-none-with-sources": ("urban", _set(("environment", "kind"), "none")),
+    "environment-kind-unknown": ("urban", _set(("environment", "kind"), "bogus")),
+    "environment-kind-number": ("urban", _set(("environment", "kind"), 1)),
+    "environment-without-kind": ("highway", _set(("environment", "kind"), ...)),
+    "copula-without-r": ("urban", _set(("environment", "copula_r"), ...)),
+    "copula-without-sources": ("urban", _set(("environment", "sources"), ...)),
+    "copula-one-source": ("urban", _set(("environment", "sources", 1), ...)),
+    "copula-three-sources": ("urban", lambda raw: raw["environment"]["sources"].append(
+        dict(raw["environment"]["sources"][0]))),
+    "copula-on-pair-sources": ("highway", _set(("environment", "kind"), "ar_copula")),
+    "pairs-on-copula-sources": ("urban", _set(("environment", "kind"), "gaussian_pairs")),
+    "copula-source-pair-route": ("urban", _set(("environment", "sources", 0, "pair_route"),
+                                               [1, 2, 3])),
+    "copula-source-sigma-string": ("urban", _set(("environment", "sources", 0, "sigma"),
+                                                 "a")),
+    "copula-source-number": ("urban", _set(("environment", "sources", 0), 3)),
+    "pair-source-without-psi": ("highway", _set(("environment", "sources", 0, "psi"), ...)),
+    "pair-sign-reference": ("highway", _set(("environment", "sources", 0, "pair_sign"),
+                                            {"design": "xi1"})),
+    "route-two-nodes": ("highway", _set(("environment", "sources", 0, "route"), [5, 4])),
+    "route-whole-floats": ("highway", _set(("environment", "sources", 0, "route"),
+                                           [5.0, 4, 3.0])),
+    "route-fraction": ("highway", _set(("environment", "sources", 0, "route"), [5.5, 4, 3])),
+    "constant-string": ("highway", _set(("environment", "constants", 0), "x")),
+    "constant-without-value": ("highway", _set(("environment", "constants", 0, "value"),
+                                               ...)),
+    "constant-value-string": ("highway", _set(("environment", "constants", 0, "value"),
+                                              "abc")),
+    "measure-route-two-nodes": ("urban", _set(("evaluation", "measure"),
+                                              {"kind": "avg_velocity", "routes": [[6, 7]]})),
+    "initial-density-mode-unknown": ("urban", _set(("run", "initial_density", "mode"),
+                                                   "uniform")),
+    "initial-density-default-mode": ("urban", _set(("run", "initial_density", "mode"), ...)),
+    "initial-density-fraction-without-mode": ("highway", _set(
+        ("run", "initial_density", "mode"), ...)),
+    "initial-density-without-fraction": ("highway", _set(
+        ("run", "initial_density", "fraction"), ...)),
+    "initial-density-value-string": ("urban", _set(
+        ("run", "initial_density", "values", "roads"), "a")),
+    "initial-density-negative-fraction": ("highway", _set(
+        ("run", "initial_density", "fraction"), -0.5)),
+    "initial-density-list": ("urban", _set(("run", "initial_density"), [])),
 }
 
 
@@ -311,6 +375,46 @@ def test_schema_check_agrees_with_jsonschema_on_each_keyword(case):
     doc = json.loads(bundled(name).read_text())
     doc = edit(doc) or doc
     _assert_agrees_with_jsonschema(doc)
+
+
+def _hyperparameters():
+    return {"variant": "matern32", "sigma_c": 1.7, "length": 0.57, "mu_bar": 0.03,
+            "s_bar": 0.55, "gamma": 0.0, "delta": 0.05}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("delta", 1), ("delta", 1.0), ("delta", 0.9999), ("delta", 0), ("delta", ...),
+    ("s_bar", 0.0), ("sigma_c", -1), ("length", "a"), ("mu_bar", None),
+    ("gamma", True), ("gamma", ...), ("variant", "bogus"), ("extra", 1),
+])
+def test_hyperparameters_check_agrees_with_jsonschema(key, value):
+    doc = _hyperparameters()
+    _set((key,), value)(doc)
+    _assert_agrees_with_jsonschema(doc, config.HYPERPARAMETERS_SCHEMA)
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("urban", _set(("environment", "sources"), [3, 4]),
+     "at environment/sources/0: 3 is not of type 'object'"),
+    ("urban", _set(("environment", "kind"), "bogus"),
+     "at environment/kind: 'bogus' is not one of ['none', 'ar_copula', 'gaussian_pairs']"),
+    ("highway", _set(("environment", "kind"), "ar_copula"),
+     "at environment: 'copula_r' is a required property"),
+    ("urban", _set(("environment", "sources", 1), ...),
+     "at environment/sources: [{'route': [6, 7, 11], 'sigma': {'design': 'sigma_a'}}] "
+     "has under 2 items"),
+    ("highway", _set(("run", "initial_density", "mode"), ...),
+     "at run/initial_density: 'values' is a required property"),
+    ("highway", _set(("run", "initial_density", "fraction"), "a"),
+     "at run/initial_density/fraction: 'a' is not of type 'number'"),
+], ids=["sources-numbers", "kind-unknown", "copula-kind-on-pair-sources",
+        "copula-one-source", "mode-default-without-values", "fraction-string"])
+def test_a_tagged_one_of_reports_the_branch_its_tag_selects(name, edit, message):
+    # not "valid under none of the schemas" at the block: the kind or mode
+    # picks the branch, and an unknown one is named at the tag
+    doc = json.loads(bundled(name).read_text())
+    edit(doc)
+    assert _assert_agrees_with_jsonschema(doc) == f"f.json: {message}"
 
 
 @pytest.mark.parametrize("value", [3, 3.0, 2.5, "a"])
@@ -861,8 +965,9 @@ URBAN_SOURCE = {"route": [6, 7, 11], "sigma": {"design": "sigma_a"}}
      {"mode": "per_route", "values": {"roads": 5, "unsignalized": 1}},
      "run.initial_density"),
     ("urban", "run", "initial_density", {"mode": "max_density_fraction"},
-     "run.initial_density"),
-    ("urban", "run", "initial_density", {"mode": "uniform"}, "run.initial_density"),
+     "at run/initial_density: 'fraction' is a required property"),
+    ("urban", "run", "initial_density", {"mode": "uniform"},
+     "at run/initial_density/mode: 'uniform' is not one of"),
     ("urban", "environment", "sources",
      [URBAN_SOURCE, {"route": [24, 23, 999], "sigma": {"design": "sigma_b"}}],
      "environment.sources"),
@@ -874,18 +979,22 @@ URBAN_SOURCE = {"route": [6, 7, 11], "sigma": {"design": "sigma_a"}}
      "environment.sources"),
     ("urban", "environment", "sources",
      [URBAN_SOURCE, {"route": [24, 23, 19], "sigmaa": {"design": "sigma_b"}}],
-     "environment.sources"),
+     "at environment/sources/1: 'sigma' is a required property"),
     ("urban", "environment", "sources",
-     [URBAN_SOURCE, {**URBAN_SOURCE, "value": 5}], "environment.sources"),
+     [URBAN_SOURCE, {**URBAN_SOURCE, "value": 5}],
+     "at environment/sources/1: additional property 'value'"),
     ("urban", "environment", "sources",
-     [URBAN_SOURCE, {**URBAN_SOURCE, "pair_sign": 1.0}], "environment.sources"),
+     [URBAN_SOURCE, {**URBAN_SOURCE, "pair_sign": 1.0}],
+     "at environment/sources/1: additional property 'pair_sign'"),
     ("urban", "environment", "sources",
-     [URBAN_SOURCE, {"route": [24, 23, 19]}], "environment.sources"),
-    ("urban", "environment", "sources", [URBAN_SOURCE], "environment.sources"),
+     [URBAN_SOURCE, {"route": [24, 23, 19]}],
+     "at environment/sources/1: 'sigma' is a required property"),
+    ("urban", "environment", "sources", [URBAN_SOURCE],
+     "at environment/sources: "),
     ("highway", "environment", "sources",
      [{"route": [5, 4, 3], "xi": {"design": "xi1"}, "psi": 0.1,
        "pair_route": [14, 15, 16], "pair_sign": {"design": "xi1"}}],
-     "environment.sources: pair_sign"),
+     "at environment/sources/0/pair_sign: "),
     ("urban", "evaluation", "measure",
      {"kind": "avg_velocity", "routes": [[6, 7, 999]]}, "evaluation.measure"),
     ("urban", "evaluation", "measure", {"kind": "queue"}, "at evaluation/measure/kind"),
@@ -1086,28 +1195,32 @@ def test_cli_export_grid_unusable_dataset_exit_2(tmp_path, capsys, finished_run,
     assert not (tmp_path / "export" / "grid.csv").exists()
 
 
-@pytest.mark.parametrize("key, value", [
-    ("gamma", None), ("gamma", "abc"), ("mu_bar", float("nan")),
-    ("s_bar", 0.0), ("mu_bar", "abc"), ("gamma", 10 ** 400),
+@pytest.mark.parametrize("key, literal", [
+    ("gamma", "null"), ("gamma", '"abc"'), ("mu_bar", "NaN"),
+    ("s_bar", "0.0"), ("mu_bar", '"abc"'), ("gamma", "1" + "0" * 400),
+    ("gamma", "Infinity"), ("s_bar", "1e400"), ("sigma_c", "NaN"),
+    ("length", "Infinity"), ("delta", "NaN"), ("mu_bar", "-1e400"), ("delta", "1"),
 ], ids=["null-gamma", "string-gamma", "nan-mu_bar", "zero-s_bar",
-        "string-mu_bar", "huge-int-gamma"])
+        "string-mu_bar", "huge-int-gamma", "infinite-gamma", "overflowing-s_bar",
+        "nan-sigma_c", "infinite-length", "nan-delta", "overflowing-mu_bar", "delta-1"])
 def test_cli_export_grid_unusable_hyperparameter_exit_2(tmp_path, capsys,
-                                                        finished_run, key, value):
+                                                        finished_run, key, literal):
     # these ended in a TypeError or ValueError traceback (exit 1), an
-    # OverflowError reported as a numerical failure (exit 3), or an exit 2
-    # that blamed dataset.csv
+    # OverflowError reported as a numerical failure (exit 3), an exit 2
+    # that blamed dataset.csv, or a grid (an infinite length)
     path, out = finished_run
     run = tmp_path / "run"
     shutil.copytree(out, run)
     hp_file = run / "hyperparameters.json"
-    hp_file.write_text(json.dumps({**json.loads(hp_file.read_text()), key: value}))
+    hp_file.write_text(json.dumps({**json.loads(hp_file.read_text()), key: "@"})
+                       .replace('"@"', literal))
     rc = exit_code(["export-grid", "--config", str(path), "--run-dir", str(run),
                     "--out-dir", str(tmp_path / "export")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert f"{hp_file}: {key} must be" in err
+    assert f"{hp_file}: at {key}: " in err.splitlines()[0]
     assert "dataset.csv" not in err and "Traceback" not in err
-    assert not (tmp_path / "export" / "grid.csv").exists()
+    assert not (tmp_path / "export").exists()
 
 
 @pytest.mark.parametrize("grid, where", [
@@ -1275,6 +1388,125 @@ def test_cli_negative_noise_scale_exit_2_naming_the_environment(
     err = capsys.readouterr().err
     assert rc == 2
     assert f"{path}: environment: {message}" in err and "Traceback" not in err
+
+
+def _assert_rejected_at(tmp_path, capsys, argv, *named):
+    """``argv`` exits 2 with every one of ``named`` on the first stderr line,
+    without a traceback, and writes nothing to ``tmp_path / "run"``."""
+    out = tmp_path / "run"
+    rc = exit_code([*argv, "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert all(name in err.splitlines()[0] for name in named), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _with_literal(raw, keys, literal):
+    """``raw`` as JSON text with the value at ``keys`` written as ``literal``."""
+    _set(keys, "@")(raw)
+    return json.dumps(raw).replace('"@"', literal)
+
+
+#: a command that loads each scenario, without --config and --out-dir
+_RUN_COMMAND = {"urban": ["simulate", *_URBAN_DESIGN],
+                "highway": ["simulate", "--design", "20,40", "--reps", "1"],
+                "synthetic": ["simulate", "--design", "0.3,0.3", "--reps", "2"],
+                "synthetic_small": ["estimate-levelset", "--seed", "1"]}
+
+
+@pytest.mark.parametrize("name, keys, literal", [
+    ("synthetic_small", ("evaluation", "threshold", "gamma"), "NaN"),
+    ("synthetic", ("simulator", "noise"), "Infinity"),
+    ("synthetic", ("simulator", "noise"), "1e400"),
+    ("synthetic_small", ("learning", "c1"), "NaN"),
+    ("synthetic_small", ("design", "bounds", 0, 1), "Infinity"),
+    ("urban", ("environment", "sources", 0, "sigma"), "Infinity"),
+    ("urban", ("run", "initial_density", "values", "roads"), "1e400"),
+    ("urban", ("network", "lengths", "roads"), "NaN"),
+    ("urban", ("network", "signals", "14", "a_real"), "Infinity"),
+    ("highway", ("environment", "rho_cap_fraction"), "NaN"),
+    ("highway", ("environment", "constants", 0, "scale"), "-Infinity"),
+    ("highway", ("environment", "sources", 1, "pair_sign"), "-1e400"),
+    ("highway", ("network", "cells", "core", "rho_max"), "NaN"),
+], ids=["gamma-nan", "noise-infinity", "noise-1e400", "c1-nan", "bound-infinity",
+        "sigma-infinity", "initial-density-1e400", "length-nan", "a_real-infinity",
+        "rho-cap-nan", "constant-scale-minus-infinity", "pair-sign-minus-1e400",
+        "rho_max-nan"])
+def test_cli_non_finite_number_exit_2_naming_its_path(tmp_path, capsys, name, keys,
+                                                      literal):
+    # Python's json reads NaN and Infinity literals and reads 1e400 as inf;
+    # these ran to exit 0 (a NaN gamma gave an error bound of 0), or ended
+    # in a traceback, a numerical failure or an exit 2 in Python's words
+    raw = json.loads((SYNTHETIC_SMALL if name == "synthetic_small"
+                      else bundled(name)).read_text())
+    path = tmp_path / "scenario.json"
+    path.write_text(_with_literal(raw, keys, literal))
+    where = "/".join(map(str, keys))
+    _assert_rejected_at(tmp_path, capsys, [*_RUN_COMMAND[name], "--config", str(path)],
+                        f"{path}: at {where}: ", "not a finite number")
+
+
+@pytest.mark.parametrize("name, keys, value, where", [
+    ("urban", ("environment", "sources"), [3, 4], "at environment/sources/0: "),
+    ("highway", ("environment", "constants", 0, "value"), "abc",
+     "at environment/constants/0/value: "),
+    ("urban", ("run", "initial_density", "values", "roads"), "a",
+     "at run/initial_density/values/roads: "),
+    ("urban", ("run", "initial_density", "values", "roads"), -5,
+     "at run/initial_density/values/roads: "),
+    ("highway", ("run", "initial_density", "fraction"), -0.5,
+     "at run/initial_density/fraction: "),
+    ("urban", ("environment", "kind"), "bogus", "at environment/kind: "),
+    ("highway", ("environment", "sources", 0, "route"), [5, 4],
+     "at environment/sources/0/route: "),
+    ("urban", ("seed",), -1, "at seed: "),
+], ids=["sources-numbers", "constant-value-string", "initial-density-string",
+        "initial-density-negative", "initial-fraction-negative", "environment-kind-unknown",
+        "route-two-nodes", "seed-negative"])
+def test_cli_environment_run_and_seed_exit_2_at_a_json_path(tmp_path, capsys, name, keys,
+                                                             value, where):
+    # each exited 2 in Python's words ("'int' object is not iterable",
+    # "could not convert string to float"), as a numerical failure (a
+    # negative initial density), or in a traceback (a negative seed)
+    raw = json.loads(bundled(name).read_text())
+    _set(keys, value)(raw)
+    path = write_config(tmp_path, raw)
+    _assert_rejected_at(tmp_path, capsys, [*_RUN_COMMAND[name], "--config", str(path)],
+                        f"{path}: {where}")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--design", "nan,0.01,0.01,20,75", "--reps", "1"], "--design"),
+    (["simulate", "--design", "2.5,0.01,0.01,inf,75", "--reps", "1"], "--design"),
+    (["simulate", "--design", "2.5,1e400,0.01,20,75", "--reps", "1"], "--design"),
+    (["benchmark-compare", "--designs", "2.5,0.01,0.01,20,nan", "--reps", "1"],
+     "--designs"),
+    (["simulate", *_URBAN_DESIGN, "--seed", "-1"], "--seed"),
+    (["benchmark-compare", "--designs", "2.5,0.01,0.01,20,75", "--reps", "1",
+      "--seed", "-1"], "--seed"),
+], ids=["design-nan", "design-inf", "design-1e400", "designs-nan", "seed-negative",
+        "compare-seed-negative"])
+def test_cli_non_finite_design_or_negative_seed_exit_2_naming_the_flag(
+        tmp_path, capsys, argv, flag):
+    # a NaN design ran to exit 0 with mean=nan, an infinite one was a
+    # numerical failure, and the others ended in a traceback
+    _assert_rejected_at(tmp_path, capsys, [*argv, "--config", str(bundled("urban"))],
+                        flag)
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file or directory"),
+    (b"\xff\xfe{}", "can't decode"),
+    (b'{"version": 1, "name": "x", "seed": 1' + b"0" * 5000 + b"}", "digits"),
+], ids=["missing", "not-utf-8", "integer-of-5001-digits"])
+def test_cli_unreadable_config_exit_2_naming_the_file(tmp_path, capsys, content, message):
+    # each ended in a traceback
+    path = tmp_path / "scenario.json"
+    if content is not None:
+        path.write_bytes(content)
+    _assert_rejected_at(tmp_path, capsys, ["calibrate", "--config", str(path)],
+                        f"{path}: ", message)
 
 
 def test_cli_export_grid_on_one_dimension_exit_2(tmp_path, capsys):
