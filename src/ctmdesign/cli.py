@@ -292,6 +292,7 @@ def cmd_estimate_levelset(args):
     _manifest(out_dir, args.config, scenario.raw, seed, set(files), t0,
               extra={"gamma": gamma, "iterations": len(estimates) - 1,
                      **loop_state.replicate_counts(),
+                     "nikodym_mean_points": loop_state.mean_points,
                      "nikodym_variance_points": loop_state.variance_points,
                      "rejection_std_candidates": loop_state.std_candidates})
     return 0

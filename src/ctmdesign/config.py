@@ -100,6 +100,7 @@ _CONSTANT = {"type": "object", "required": ["route", "value"],
              "additionalProperties": False,
              "properties": {"route": _ROUTE, "value": _NUMBER_OR_REF, "scale": _NUMBER}}
 _DENSITY = {"type": "number", "minimum": 0}
+_CAP_FRACTION = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
 #: a probability strictly between 0 and 1, such as the credible level delta
 _LEVEL = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 _SIGNAL = {
@@ -174,21 +175,22 @@ SCENARIO_SCHEMA = {
         },
         "environment": {
             "type": "object",
-            "properties": {
-                "rho_cap_fraction": {"type": "number",
-                                     "exclusiveMinimum": 0, "maximum": 1},
-                "constants": {"type": "array", "items": _CONSTANT},
-            },
             "oneOf": [
-                {"required": ["kind"], "properties": {"kind": {"const": "none"}}},
-                {"required": ["kind", "copula_r", "sources"], "properties": {
-                    "kind": {"const": "ar_copula"},
-                    "copula_r": _NUMBER_OR_REF,
-                    "sources": {"type": "array", "items": _COPULA_SOURCE,
-                                "minItems": 2, "maxItems": 2}}},
-                {"required": ["kind", "sources"], "properties": {
-                    "kind": {"const": "gaussian_pairs"},
-                    "sources": {"type": "array", "items": _PAIR_SOURCE}}},
+                {"required": ["kind"], "additionalProperties": False,
+                 "properties": {"kind": {"const": "none"}}},
+                {"required": ["kind", "copula_r", "sources"], "additionalProperties": False,
+                 "properties": {
+                     "kind": {"const": "ar_copula"},
+                     "rho_cap_fraction": _CAP_FRACTION,
+                     "copula_r": _NUMBER_OR_REF,
+                     "sources": {"type": "array", "items": _COPULA_SOURCE,
+                                 "minItems": 2, "maxItems": 2}}},
+                {"required": ["kind", "sources"], "additionalProperties": False,
+                 "properties": {
+                     "kind": {"const": "gaussian_pairs"},
+                     "rho_cap_fraction": _CAP_FRACTION,
+                     "sources": {"type": "array", "items": _PAIR_SOURCE},
+                     "constants": {"type": "array", "items": _CONSTANT}}},
             ],
         },
         "run": {
@@ -204,7 +206,7 @@ SCENARIO_SCHEMA = {
                         "values": {"type": "object", "additionalProperties": _DENSITY}}},
                     {"required": ["mode", "fraction"], "properties": {
                         "mode": {"const": "max_density_fraction"},
-                        "fraction": _DENSITY}},
+                        "fraction": {**_DENSITY, "maximum": 1}}},
                 ]},
             },
         },
@@ -637,13 +639,22 @@ class Scenario:
     # -- run settings, parsed at load ------------------------------------
 
     def _initial_densities(self, init_cfg):
-        """Route densities at t = 0 from the run.initial_density block."""
+        """Route densities at t = 0 from the run.initial_density block; a
+        node's total stays within its rho_max."""
         rho0 = np.zeros(self.network.n_routes)
         if init_cfg.get("mode", "per_route") == "per_route":
+            values = init_cfg["values"]
             with _rejected_as_config_error(f"{self.origin}: run.initial_density"):
                 for i, r in enumerate(self.network.routes):
-                    g = self._group_of[self.node_labels[r.via]]
-                    rho0[i] = float(init_cfg["values"][g])
+                    rho0[i] = float(values[self._group_of[self.node_labels[r.via]]])
+            for v, cell in self.node_cells.items():
+                count = len(self.network.routes_through(v))
+                g = self._group_of[self.node_labels[v]]
+                if count and values[g] * count > cell.rho_max:
+                    raise _at_path(self.origin, ("run", "initial_density", "values", g),
+                                   f"{values[g]!r} on each of the {count} routes through "
+                                   f"node {self.node_labels[v]} exceeds its rho_max "
+                                   f"{cell.rho_max!r}")
         else:
             frac = float(init_cfg["fraction"])
             for v in range(self.network.n_nodes):

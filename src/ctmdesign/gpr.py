@@ -24,16 +24,17 @@ scale, applies the closed form, adds noise and jitter to the diagonal in
 place and calls LAPACK's potrf and potrs directly, with the same bits as
 ``cho_factor``/``cho_solve`` of the summed matrix.
 
-LAPACK comes from scipy's compiled f2py module ``scipy.linalg._flapack``:
-dpotrf for the factor, dpotrs for alpha = K^{-1} nu and dtrtrs for
-L^{-1} Sigma(X, k) per query block.  The module is loaded once, from its
-file in scipy's install directory, at the first GP fit (``import scipy``
-and the extension, about 15 ms), so ``scipy/linalg/__init__.py`` and the
-array-API chain it imports (150-260 ms) never run.  ``cho_factor``,
-``cho_solve`` and ``solve_triangular`` call the same wrappers with the
-same arguments (for a lower, Fortran-ordered factor: trans 0), so the
-bits are the same; the tests keep those calls as oracles.  cho_solve's
-checks are kept: a non-finite value or factor raises ValueError.
+LAPACK and BLAS come from scipy's compiled f2py modules
+``scipy.linalg._flapack`` (dpotrf for the factor, dpotrs for alpha = K^{-1}
+nu) and ``scipy.linalg._fblas`` (dtrsm for L^{-1} Sigma(X, k) per query
+block).  Each is loaded once, from its file in scipy's install directory,
+at its first use (``import scipy`` and the extension, about 15 ms), so
+``scipy/linalg/__init__.py`` and the array-API chain it imports (150-260
+ms) never run.  ``cho_factor`` and ``cho_solve`` call the same wrappers
+with the same arguments (for a lower, Fortran-ordered factor), as does
+``scipy.linalg.blas.dtrsm``, so the bits are the same; the tests keep
+those calls as oracles.  cho_solve's checks are kept: a non-finite value
+or factor raises ValueError.
 
 Kernels: squared exponential and the half-integer Matern family
 (nu = 1/2, 3/2, 5/2) through their closed forms.  A kernel matrix is
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
@@ -70,6 +72,12 @@ KERNEL_VARIANTS = ("squared_exponential", "matern12", "matern32", "matern52")
 
 #: jitter escalation for the SPD factorization, relative to sigma_c^2
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
+
+#: points of a query pack: 8 per CPU.  OpenBLAS shares a solve's rows evenly
+#: among its threads, one per CPU unless set lower; with a thread count that
+#: divides the CPU count, each share is whole 8-row groups (see GprPosterior)
+_PACK = 8 * (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
@@ -201,13 +209,13 @@ def scipy_file(*parts):
 
 
 @functools.cache
-def _flapack():
-    """scipy's compiled module ``scipy.linalg._flapack``, loaded at the first GP fit.
+def _compiled(name):
+    """scipy's compiled module ``scipy.linalg.<name>``, loaded at its first use.
 
     Loaded from its file, so ``scipy/linalg/__init__.py`` and the array-API
     chain it imports never run.
     """
-    name = "scipy.linalg._flapack"
+    name = f"scipy.linalg.{name}"
     directory = scipy_file("linalg")
     spec = PathFinder.find_spec(name, [str(directory)])
     if spec is None:
@@ -219,7 +227,21 @@ def _flapack():
 
 def _lapack(name):
     """The float64 LAPACK routine ``name`` (``potrf`` -> ``dpotrf``)."""
-    return getattr(_flapack(), "d" + name)
+    return getattr(_compiled("_flapack"), "d" + name)
+
+
+def _trsm(factor, rows):
+    """``rows`` L^{-T} for the lower factor L, solved in place when ``rows``
+    is Fortran-ordered: the row-wise form of L^{-1} ``rows.T``."""
+    return _compiled("_fblas").dtrsm(1.0, factor, rows, side=1, lower=1, trans_a=1,
+                                     overwrite_b=1)
+
+
+def _packed(rows):
+    """``rows`` repeated cyclically to a whole number of ``_PACK``-row packs."""
+    if len(rows) % _PACK == 0:
+        return rows
+    return np.resize(rows, (-(-len(rows) // _PACK) * _PACK, *rows.shape[1:]))
 
 
 def _check_finite(a):
@@ -266,16 +288,19 @@ class GprPosterior:
     instead of 190 MB.  Widths from 512 to 2048 ran within about 10% of
     each other.
 
-    A kernel column's bits depend on the width of the block it is built
-    in (the gemm of the distances), so the same points queried in other
-    blocks can differ in their last bits.  ``mean_std`` can screen a
-    block: the variance is then solved only on the columns the screen
-    keeps, sliced from the block already built.  Up to 384 data points
-    (measured with OpenBLAS 0.3.31), a column solved in a set of two or
-    more has the bits it has in the whole block's solve; a single column
-    takes another path through trtrs, so a lone kept column of a wider
-    block is solved twice over.  With more data the BLAS's blocking may
-    move the variance's last bits.
+    Each block is padded to a whole number of packs of ``_PACK`` points
+    (8 per CPU) by repeating its points, and the variance solves only
+    packs: dtrsm from the right on the block's F-ordered view ``kx.T``,
+    in place, so no copy is made.  With OpenBLAS (0.3.30 for scipy's
+    dtrsm, 0.3.31 for numpy's gemm and gemv) a row of a solve, and a
+    column of the distances' gemm and of the mean's gemv, then has the
+    same bits in every pack layout: whatever its block and whichever
+    points are queried or solved with it (measured at n up to 700 in all
+    four kernels; ``tests/test_gpr.py`` pins it).  An OpenBLAS solve
+    shares its rows evenly among its threads, and 8-row groups keep each
+    share off the kernels' remainder paths.  So ``mean_std`` can screen a
+    block exactly: the variance is then solved only on the points the
+    screen keeps, gathered into packs from the block already built.
     """
 
     QUERY_BLOCK = 1024
@@ -303,38 +328,26 @@ class GprPosterior:
         var = np.empty(n) if want_std else None
         data = self.dataset
         s2 = self.kernel.sigma_c ** 2
-        trtrs = _lapack("trtrs")
         for lo in range(0, n, self.QUERY_BLOCK):
             block = slice(lo, lo + self.QUERY_BLOCK)
-            kx = self.kernel.matrix(data.points, queries[block])
+            w = len(queries[block])
+            kx = self.kernel.matrix(data.points, _packed(queries[block]))
             if want_mean:
-                m = np.matmul(kx.T, self._alpha, out=mean[block])
-                np.multiply(m, data.s_bar, out=m)
+                m = np.multiply((kx.T @ self._alpha)[:w], data.s_bar, out=mean[block])
                 np.add(m, data.mu_bar, out=m)
             if want_std:
-                # var = c(k,k) - ||L^{-1} kx||^2 by one triangular solve of
-                # a Fortran-ordered copy, which trtrs overwrites
+                # var = c(k,k) - ||L^{-1} kx||^2, row-wise from kx^T L^{-T}
                 v = var[block]
                 if screen is None:
-                    keep = slice(None)
-                    cols = np.asfortranarray(kx)
+                    keep, rows = np.arange(w), kx.T  # every row, solved in place
                 else:
-                    v[:] = s2  # a screened-out column reads s = 0
+                    v[:] = s2  # a screened-out point reads s = 0
                     keep = np.flatnonzero(screen(m, block))
-                    if len(keep) == 1 < kx.shape[1]:
-                        keep = keep.repeat(2)
-                    cols = kx.T[keep].T
-                if cols.size:  # none without data, as in solve_triangular
-                    cols, info = trtrs(self._chol, cols, lower=1, trans=0,
-                                       unitdiag=0, overwrite_b=1)
-                    if info > 0:
-                        raise np.linalg.LinAlgError(
-                            f"singular matrix: resolution failed at diagonal {info - 1}")
-                    if info < 0:
-                        raise ValueError(
-                            f"illegal value in {-info}-th argument of internal trtrs")
-                v[keep] = np.einsum("ij,ij->j", cols, cols)
-                del cols
+                    rows = np.take(kx, _packed(keep), axis=1).T
+                if rows.size:  # none without data
+                    rows = _trsm(self._chol, rows)
+                v[keep] = np.einsum("ij,ij->i", rows, rows)[:len(keep)]
+                del rows
             del kx  # both freed before the next block's kernel matrix is built
         if want_std:
             np.subtract(s2, var, out=var)
@@ -362,6 +375,19 @@ class GprPosterior:
         others are not solved and read 0.
         """
         return self._query(queries, True, True, screen)
+
+    def residual_norm(self, start):
+        """rho = ||S^{-1/2} r|| of the data from index ``start`` on.
+
+        r are their standardized residuals against the posterior of the
+        data before them (same kernel, standardization and jitter), and S
+        their posterior covariance there plus diag(tau~^2 + jitter).  S is
+        the Schur complement of the leading block of K, so L^{-1} nu is
+        (L_old^{-1} nu_old, L_S^{-1} r) and rho the norm of its tail.
+        """
+        nu = self.dataset.standardized_values[None, :].copy()  # solved in place
+        w = _trsm(self._chol, nu)[0, start:]
+        return math.sqrt(w @ w)
 
     @property
     def prior_std(self):

@@ -21,17 +21,30 @@ drawn once per run, bounds the Nikodym estimation error with
 probability 1 - delta pointwise.  ``credible_band`` evaluates m, sigma
 and both band edges from one posterior query per point set.
 
-The posterior std can only fall as data is added while the kernel, the
-standardization, the kept noises and the jitter stay the same, and within
-a run they do (a fit that needed another jitter starts afresh).  So the
-bound keeps the last known std of every Sobol point and, after the first
-fit, solves the variance only where |m - gamma| is within z times it (plus
-a rounding slack): every other point lies outside the band for certain.
-Likewise the "absolute" rejection sampler solves sigma only for the
-candidates whose acceptance draw needs the gate.  Neither changes a bit
-of the results (see ``GprPosterior`` for when the solved columns keep
-theirs); the manifest of ``estimate-levelset`` records how many were
-solved.
+Within a run the kernel, the standardization and the jitter stay the
+same and the kept data only grows, new points appended at the end (a fit
+that needed another jitter, as one whose S below cannot be factored
+does, starts the bound afresh).  So the posterior std can only fall from
+fit to fit, and the mean moves boundedly: with r the new points'
+standardized residuals against the previous posterior and S their
+covariance there plus diag(tau~^2 + jitter), the batch kriging update
+(Chevalier, Ginsbourger & Emery 2014) reads
+m_i(k) - m_{i-1}(k) = c_{i-1}(k, X_new) S^{-1} r, and by Cauchy-Schwarz
+
+    |m_i(k) - m_{i-1}(k)| <= rho_i * s_{i-1}(k),    rho_i = ||S^{-1/2} r||.
+
+The bound keeps, per Sobol point, the last known std s_ref and the mean
+m_ref of the last fit that computed it.  All the points added since that
+fit make one batch, whose rho (at most the sum of the fits' rho) bounds
+the mean's move.  So a point with |m_ref - gamma| >= (z + rho) * s_ref
+(plus a rounding slack) lies outside the band for certain and gets no
+kernel row at all; of the others, only those with |m - gamma| within
+z * s_ref (plus the slack) have their variance solved.  Likewise the
+"absolute" rejection sampler solves sigma only for the candidates whose
+acceptance draw needs the gate.  Neither changes a bit of the results,
+as the queried points keep the bits of a full query (see
+``GprPosterior``); the manifest of ``estimate-levelset`` records how many
+means and variances were computed.
 """
 
 from __future__ import annotations
@@ -154,6 +167,9 @@ class LoopConfig:
             raise ValueError("either c2 schedule or c2_0 must be configured")
         return self.c2_0 * i
 
+
+#: Sobol points screened and queried at a time by the error bound
+_SOBOL_CHUNK = 8192
 
 #: bits of the Sobol integers; the sequence has at most 2^30 points
 _SOBOL_BITS = 30
@@ -315,15 +331,16 @@ def credible_band(post, pts, delta, screen=None):
     return m, s, m - half, m + half
 
 
-def nikodym_bound_mc(lower, upper, gamma, volume):
+def nikodym_bound_mc(lower, upper, gamma, volume, n=None):
     """Volume of {upper >= gamma > lower} by quasi-Monte Carlo.
 
     ``lower`` and ``upper`` are a credible band evaluated at the run's
-    Sobol points in a box of the given volume; the result bounds the
-    Nikodym error of the plug-in set.
+    Sobol points in a box of the given volume, or at those of its ``n``
+    points that can lie in the band; the result bounds the Nikodym error
+    of the plug-in set.
     """
-    inside = (upper >= gamma) & (gamma > lower)
-    return volume * float(inside.mean())
+    inside = int(np.count_nonzero((upper >= gamma) & (gamma > lower)))
+    return volume * (inside / (len(lower) if n is None else n))
 
 
 @dataclass
@@ -336,8 +353,9 @@ class _LoopState:
     iteration_born: list = field(default_factory=list)
     drawn: list = field(default_factory=list)
     stops: list = field(default_factory=list)
-    # per fit: Sobol points whose variance was solved; per rejection
-    # sampling: candidates whose std was solved
+    # per fit: Sobol points whose mean and whose variance were computed;
+    # per rejection sampling: candidates whose std was solved
+    mean_points: list = field(default_factory=list)
     variance_points: list = field(default_factory=list)
     std_candidates: list = field(default_factory=list)
 
@@ -422,29 +440,55 @@ def run_active_learning(config, space, simulator, gamma, master_seed,
 
     sobol = sobol_points(space, config.n_eval)
     z = ndtri(1.0 - config.delta / 2.0)
-    # the last known std at each Sobol point, and the jitter of its fit
-    bound = np.full(len(sobol), np.inf)
-    bound_jitter = None
+    # per Sobol point: the last known std, and the mean of the last fit that
+    # computed it with that fit's index; per fit since the bound started
+    # afresh: its data size
+    bound = np.empty(len(sobol))
+    m_ref = np.zeros(len(sobol))
+    ref_fit = np.zeros(len(sobol), dtype=np.min_scalar_type(config.iterations))
+    sizes = []
+    jitter = None
     estimates = []
 
     def error_bound(post_i):
-        nonlocal bound_jitter
-        if post_i.jitter != bound_jitter:
+        nonlocal jitter
+        if post_i.jitter != jitter:
             bound.fill(np.inf)  # more jitter can raise the variance
-            bound_jitter = post_i.jitter
+            ref_fit.fill(0)
+            sizes.clear()
+            jitter = post_i.jitter
+        sizes.append(len(post_i.dataset))
+        # per reference fit: rho of all the points added since
+        drift = np.array([post_i.residual_norm(n) for n in sizes])
         slack = 1e-3 * post_i.prior_std
-        solved = np.empty(len(sobol), dtype=bool)
+        lows, ups = [], []
+        n_means = n_vars = 0
+        for lo in range(0, len(sobol), _SOBOL_CHUNK):
+            c = slice(lo, lo + _SOBOL_CHUNK)
+            # the mean moved by at most drift * s_ref since m_ref
+            reach = (z + drift[ref_fit[c]]) * bound[c] * (1 + 1e-6) + slack
+            pts = lo + np.flatnonzero(np.abs(m_ref[c] - gamma) < reach)
+            s_ref = bound[pts]
+            solved = np.empty(len(pts), dtype=bool)
 
-        def screen(m, block):
-            # only a point within z * s of gamma can lie in the band
-            need = np.abs(m - gamma) < z * (bound[block] * (1 + 1e-6) + slack)
-            solved[block] = need
-            return need
+            def screen(m, block):
+                # only a point within z * s of gamma can lie in the band
+                solved[block] = np.abs(m - gamma) < z * (s_ref[block] * (1 + 1e-6) + slack)
+                return solved[block]
 
-        _, s, lower, upper = credible_band(post_i, sobol, config.delta, screen)
-        np.copyto(bound, s, where=solved)
-        state.variance_points.append(int(np.count_nonzero(solved)))
-        return nikodym_bound_mc(lower, upper, gamma, space.volume)
+            m, s, lower, upper = credible_band(post_i, sobol[pts], config.delta, screen)
+            m_ref[pts] = m
+            ref_fit[pts] = len(sizes) - 1
+            bound[pts[solved]] = s[solved]
+            # only a point with a solved variance has a band of nonzero width
+            lows.append(lower[solved])
+            ups.append(upper[solved])
+            n_means += len(pts)
+            n_vars += int(np.count_nonzero(solved))
+        state.mean_points.append(n_means)
+        state.variance_points.append(n_vars)
+        return nikodym_bound_mc(np.concatenate(lows), np.concatenate(ups), gamma,
+                                space.volume, len(sobol))
 
     def finish_iteration(i, post_i, e_hat):
         est = LevelSetEstimate(iteration=i, posterior=post_i, gamma=gamma,

@@ -15,8 +15,8 @@ points and the kernel's cross-covariance matrix in expression form
 (``Kernel.matrix``), the log marginal likelihood through ``cho_factor``
 and the hyperparameter fit through ``scipy.optimize.minimize``
 (``gpr.log_marginal_likelihood`` and ``gpr.fit_hyperparameters``), the
-posterior through ``cho_solve`` and ``solve_triangular``
-(``GprPosterior``), the rejection sampler with every candidate's std
+posterior through ``cho_solve`` and scipy's public ``dtrsm``, and its
+variance through ``solve_triangular`` (``GprPosterior``), the rejection sampler with every candidate's std
 queried (``learning.rejection_sample``), and one-at-a-time sequential
 Monte Carlo.  Two helpers step an engine one step at a time, which the
 package does only inside ``SimulationEngine.run``.
@@ -541,22 +541,39 @@ def posterior_alpha(kern, dataset):
     return cho_solve(cho_factor_jittered(kern, dataset), dataset.standardized_values)
 
 
-def posterior_mean_std(kern, dataset, queries, block=1024):
+def posterior_mean_std(kern, dataset, queries, pack, block=1024):
     """Posterior mean and std-dev (raw scale): per block of ``block`` queries,
-    one ``solve_triangular`` of the kernel block and one ``einsum``."""
-    from scipy.linalg import solve_triangular
+    its points repeated cyclically to a whole number of ``pack``-point
+    packs, one ``scipy.linalg.blas.dtrsm`` from the right on the kernel
+    block's transpose and one ``einsum``."""
+    from scipy.linalg.blas import dtrsm
 
-    factor, lower = cho_factor_jittered(kern, dataset)
+    factor, _ = cho_factor_jittered(kern, dataset)
     alpha = posterior_alpha(kern, dataset)
     means, variances = [], []
     for lo in range(0, len(queries), block):
-        kx = kernel_matrix(kern, dataset.points, queries[lo:lo + block])
-        means.append(kx.T @ alpha)
-        v = solve_triangular(factor, kx, lower=lower, check_finite=False)
-        variances.append(np.einsum("ij,ij->j", v, v))
+        q = queries[lo:lo + block]
+        w = len(q)
+        kx = kernel_matrix(kern, dataset.points,
+                           np.resize(q, (-(-w // pack) * pack, q.shape[1])))
+        means.append((kx.T @ alpha)[:w])
+        v = dtrsm(1.0, factor, kx.T, side=1, lower=1, trans_a=1) if kx.size else kx.T
+        variances.append(np.einsum("ij,ij->i", v, v)[:w])
     mean = np.concatenate(means) * dataset.s_bar + dataset.mu_bar
     var = np.maximum(kern.sigma_c ** 2 - np.concatenate(variances), 0.0)
     return mean, np.sqrt(var) * dataset.s_bar
+
+
+def posterior_variance(kern, dataset, queries):
+    """Posterior variance (standardized scale) through ``solve_triangular``,
+    with the 2-norm condition number of the factor it solved with."""
+    from scipy.linalg import solve_triangular
+
+    factor, lower = cho_factor_jittered(kern, dataset)
+    kx = kernel_matrix(kern, dataset.points, queries)
+    v = solve_triangular(factor, kx, lower=lower, check_finite=False)
+    cond = np.linalg.cond(np.tril(factor)) if len(dataset) else 1.0
+    return kern.sigma_c ** 2 - np.einsum("ij,ij->j", v, v), cond
 
 
 def fit_hyperparameters(dataset, variant, n_starts=10, rng=None, tol=1e-6):

@@ -366,6 +366,12 @@ KEYWORD_EDITS = {
     "initial-density-negative-fraction": ("highway", _set(
         ("run", "initial_density", "fraction"), -0.5)),
     "initial-density-list": ("urban", _set(("run", "initial_density"), [])),
+    "initial-density-fraction-above-one": ("highway", _set(
+        ("run", "initial_density", "fraction"), 1.5)),
+    "copula-constants": ("urban", _set(("environment", "constants"), [])),
+    "none-with-rho-cap": ("urban", lambda raw: raw.update(
+        environment={"kind": "none", "rho_cap_fraction": 0.5})),
+    "pairs-unknown-key": ("highway", _set(("environment", "extra"), 1)),
 }
 
 
@@ -802,25 +808,37 @@ def test_cli_idle_iterations_reuse_the_previous_fit(tmp_path, monkeypatch):
 
 def test_cli_queries_each_sobol_and_grid_point_once_per_estimate(
         tmp_path, monkeypatch):
-    rows, fits = [], []
+    events = []  # the points of each query, and None at each fit
     real_query = GprPosterior.mean_std
     monkeypatch.setattr(GprPosterior, "mean_std",
-                        lambda self, q, *screen: rows.append(len(q))
+                        lambda self, q, *screen: events.append(np.asarray(q))
                         or real_query(self, q, *screen))
     real_fit = learning.posterior
     monkeypatch.setattr(learning, "posterior",
-                        lambda *args: fits.append(args) or real_fit(*args))
+                        lambda *args: events.append(None) or real_fit(*args))
     raw = json.loads(synthetic_config(tmp_path).read_text())
     raw["learning"]["grid"]["resolution"] = 30
     path = write_config(tmp_path, raw)
     assert main(["estimate-levelset", "--config", str(path), "--seed", "21",
                  "--out-dir", str(tmp_path / "run")]) == 0
-    # rejection sampling queries 256-row candidate batches; 5000 rows are
-    # the Sobol points of one error bound, 900 rows one 30 x 30 grid
-    assert len(fits) >= 2
-    assert rows.count(5000) == len(fits)
-    assert rows.count(900) == 3
-    assert set(rows) == {256, 5000, 900}
+    sobol = {tuple(p) for p in learning.sobol_points(
+        load_scenario(path).design_space(), 5000)}
+    # after each fit, the error bound queries each of the 5000 Sobol points
+    # at most once (all of them at the first fit); rejection sampling
+    # queries 256-row candidate batches, and each iteration one 30 x 30 grid
+    per_fit, others = [], []
+    for q in events:
+        if q is None:
+            per_fit.append([])
+        elif all(tuple(p) in sobol for p in q):
+            per_fit[-1] += map(tuple, q)
+        else:
+            others.append(len(q))
+    assert len(per_fit) >= 2
+    assert all(len(set(points)) == len(points) for points in per_fit)
+    assert len(per_fit[0]) == 5000
+    assert others.count(900) == 3
+    assert set(others) == {256, 900}
 
 
 def test_cli_benchmark_compare(tmp_path):
@@ -923,6 +941,10 @@ def test_manifest_counts_the_solved_variances(tmp_path):
     solved = manifest["nikodym_variance_points"]
     assert len(solved) == 1 + len(refits) >= 2
     assert solved[0] == 5000 and all(0 < v < 5000 for v in solved[1:])
+    # and the Sobol points whose mean was computed, a superset of those
+    means = manifest["nikodym_mean_points"]
+    assert len(means) == len(solved) and means[0] == 5000
+    assert all(v <= m < 5000 for v, m in zip(solved[1:], means[1:]))
     # one entry per rejection sampling: every accepted candidate needed one
     candidates = manifest["rejection_std_candidates"]
     assert len(candidates) == 3
@@ -1476,6 +1498,29 @@ def test_cli_environment_run_and_seed_exit_2_at_a_json_path(tmp_path, capsys, na
                         f"{path}: {where}")
 
 
+@pytest.mark.parametrize("name, keys, value, where", [
+    ("urban", ("environment", "constants"), [{"route": [6, 7, 11], "value": 50.0}],
+     "at environment: additional property 'constants' is not allowed"),
+    ("urban", ("environment", "kind"), "none", "at environment: additional property "),
+    ("urban", ("run", "initial_density", "values", "roads"), 20,
+     "at run/initial_density/values/roads: 20 on each of the 2 routes through node "),
+    ("highway", ("run", "initial_density", "fraction"), 1.5,
+     "at run/initial_density/fraction: 1.5 is greater than the maximum of 1"),
+], ids=["copula-constants", "none-with-sources", "initial-density-above-rho-max",
+        "initial-fraction-above-one"])
+def test_cli_input_the_run_would_drop_or_overfill_exit_2_at_a_json_path(
+        tmp_path, capsys, name, keys, value, where):
+    # each ran to exit 0: constants and sources the environment never
+    # received (constants still counted by the throughput measure), and
+    # node totals above the jam density (a road's two routes at 20 fill 40
+    # of its 30)
+    raw = json.loads(bundled(name).read_text())
+    _set(keys, value)(raw)
+    path = write_config(tmp_path, raw)
+    _assert_rejected_at(tmp_path, capsys, [*_RUN_COMMAND[name], "--config", str(path)],
+                        f"{path}: {where}")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["simulate", "--design", "nan,0.01,0.01,20,75", "--reps", "1"], "--design"),
     (["simulate", "--design", "2.5,0.01,0.01,inf,75", "--reps", "1"], "--design"),
@@ -1661,9 +1706,9 @@ def test_estimate_levelset_leaves_scipy_stats_unloaded(tmp_path):
 
 
 def test_estimate_levelset_loads_only_the_compiled_lapack_of_scipy_linalg(tmp_path):
-    # the fit, the posterior and the grids call potrf, potrs and trtrs from
-    # scipy.linalg._flapack; scipy.linalg's __init__ and the array-API chain
-    # it imports stay unloaded
+    # the fit, the posterior and the grids call potrf and potrs from
+    # scipy.linalg._flapack and trsm from scipy.linalg._fblas; scipy.linalg's
+    # __init__ and the array-API chain it imports stay unloaded
     root = Path(__file__).resolve().parents[1]
     raw = json.loads((root / "ctmbench/scenarios/synthetic_small.json").read_text())
     raw["learning"].update({"n_initial": 5, "iterations": 1, "n_eval": 64})
@@ -1673,7 +1718,7 @@ def test_estimate_levelset_loads_only_the_compiled_lapack_of_scipy_linalg(tmp_pa
             f"assert main(['estimate-levelset', '--config', {str(path)!r}, "
             f"'--out-dir', {str(tmp_path / 'run')!r}]) == 0")
     assert _fresh_modules(code, ("scipy.linalg", "scipy._lib._array_api")) == [
-        "scipy.linalg._flapack"]
+        "scipy.linalg._fblas", "scipy.linalg._flapack"]
     assert (tmp_path / "run" / "grid_1.csv").exists()
 
 

@@ -362,14 +362,15 @@ def sincos_simulator(ks, rngs):
                   + 0.1 * rng.standard_normal()) for k, rng in zip(ks, rngs)]
 
 
-def nested_fits(seed, after_first_fit=None, n_eval=2 ** 14):
-    """A 2-D loop on datasets of 50, 60, ..., 120 points, as synthetic_small.
+def nested_fits(seed, after_first_fit=None, n_eval=2 ** 14, **overrides):
+    """A 2-D loop on datasets of 50, 60, ..., 120 points, as synthetic_small
+    (other sizes through ``overrides`` of the config).
 
     Returns the config, the space, one estimate per fit and the loop state.
     """
-    config = loop_config(n_initial=50, n_loop=10, iterations=7,
-                         tau_schedule=(0.01,) * 8, n_min=20, n_max=(500,),
-                         n_eval=n_eval)
+    config = loop_config(**{**dict(n_initial=50, n_loop=10, iterations=7,
+                                   tau_schedule=(0.01,) * 8, n_min=20, n_max=(500,),
+                                   n_eval=n_eval), **overrides})
     space = unit_space(2)
     fits, states = [], []
 
@@ -385,14 +386,22 @@ def nested_fits(seed, after_first_fit=None, n_eval=2 ** 14):
     return config, space, fits, states[-1]
 
 
-@pytest.mark.parametrize("seed", [1, 47])
-def test_error_bound_screen_equals_the_full_band_on_nested_fits(seed):
-    config, space, fits, state = nested_fits(seed)
+@pytest.mark.parametrize("seed, overrides", [
+    pytest.param(1, {}, id="1"), pytest.param(47, {}, id="47"),
+    # 430, 440, ..., 500 points: up to the paper budget
+    pytest.param(1, {"n_initial": 430, "c1": 1.5}, id="1-to-500-points"),
+])
+def test_error_bound_screen_equals_the_full_band_on_nested_fits(seed, overrides):
+    config, space, fits, state = nested_fits(seed, **overrides)
     sobol = sobol_points(space, config.n_eval)
     assert len(state.variance_points) == len(fits) >= 4
-    assert len(fits[-1].posterior.dataset) <= 120
+    assert len(fits[-1].posterior.dataset) <= config.n_initial + 70
     assert state.variance_points[0] == config.n_eval
     assert all(0 < v < config.n_eval for v in state.variance_points[1:])
+    # a variance is solved only where the mean was computed
+    assert len(state.mean_points) == len(fits) and state.mean_points[0] == config.n_eval
+    assert all(v <= m < config.n_eval for v, m in zip(state.variance_points[1:],
+                                                      state.mean_points[1:]))
     s_prev = None
     for est in fits:
         _, s, lower, upper = credible_band(est.posterior, sobol, config.delta)
@@ -411,9 +420,9 @@ def test_error_bound_solves_every_variance_after_a_jitter_change(monkeypatch):
     sobol = sobol_points(space, config.n_eval)
     jitters = [est.posterior.jitter for est in fits]
     assert jitters[0] == 0.0 and set(jitters[1:]) == {1e-6}
-    solved = state.variance_points
-    assert solved[0] == solved[1] == config.n_eval
-    assert len(solved) >= 3 and all(v < config.n_eval for v in solved[2:])
+    for solved in (state.mean_points, state.variance_points):
+        assert solved[0] == solved[1] == config.n_eval
+        assert len(solved) >= 3 and all(v < config.n_eval for v in solved[2:])
     for est in fits:
         _, _, lower, upper = credible_band(est.posterior, sobol, config.delta)
         assert est.e_hat == nikodym_bound_mc(lower, upper, est.gamma, space.volume)
