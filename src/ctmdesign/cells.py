@@ -34,8 +34,8 @@ Node types and their parameters:
 ``uni_roundabout`` / ``bi_roundabout``
     Four arms on Z_4.  Receivings subtract overlap-weighted densities of
     the other paths through the ring; the weights and per-path capacity
-    fractions are tabulated in OVERLAP_TABLES and assembled into an
-    OverlapMatrix at construction time.
+    fractions are tabulated in OVERLAP_TABLES and expanded per node by
+    ``overlap_matrix`` at construction time.
 
 ``CellTable`` compiles the cells of a whole network into arrays and
 evaluates every route's S and R in one vectorized pass.
@@ -53,7 +53,6 @@ from .network import Route
 __all__ = [
     "CellSpec",
     "CellTable",
-    "OverlapMatrix",
     "CellError",
     "overlap_matrix",
 ]
@@ -169,22 +168,14 @@ OVERLAP_TABLES = {
 }
 
 
-class OverlapMatrix:
-    """Path-overlap coefficients and capacity fractions of a roundabout cell.
+@lru_cache(maxsize=None)
+def overlap_matrix(kind, ccw, via):
+    """(weights, capacity) of a roundabout node from the tabulated weights.
 
     ``weights`` maps (receiving Route, interfering Route) -> fraction, the
     own route excluded (self-interaction is carried by c); ``capacity``
     maps Route -> fraction of rho_max available to that path.
     """
-
-    def __init__(self, weights, capacity):
-        self.weights = dict(weights)
-        self.capacity = dict(capacity)
-
-
-@lru_cache(maxsize=None)
-def overlap_matrix(kind, ccw, via):
-    """Build the OverlapMatrix of a roundabout node from the tabulated weights."""
     table = OVERLAP_TABLES[kind]
     weights = {}
     capacity = {}
@@ -205,7 +196,7 @@ def overlap_matrix(kind, ccw, via):
             for (src_off, dst_off), w in entries:
                 other = Route(ccw[(s + src_off) % 4], via, ccw[(s + dst_off) % 4])
                 weights[(own, other)] = w
-    return OverlapMatrix(weights, capacity)
+    return weights, capacity
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +308,11 @@ class CellTable:
                     in_axis_i = cell.position(r.src) % 2 == 0
                     self.signal_routes.append((i, v, in_axis_i))
             elif cell.kind in ("uni_roundabout", "bi_roundabout"):
-                om = overlap_matrix(cell.kind, tuple(cell.ccw), v)
+                weights, capacity = overlap_matrix(cell.kind, tuple(cell.ccw), v)
                 for r, i in local.items():
-                    self.cap[i] = om.capacity[r] * cell.rho_max
+                    self.cap[i] = capacity[r] * cell.rho_max
                     w_add(i, i, cell.c)
-                for (own, other), wgt in om.weights.items():
+                for (own, other), wgt in weights.items():
                     if own in local and other in local:
                         w_add(local[own], local[other], cell.d * wgt)
             else:

@@ -257,8 +257,9 @@ def cmd_estimate_levelset(args):
         loop_state = state
         i = est.iteration
         dataset_file = out_dir / "dataset.csv"
-        rows = [tuple(_fmt(x) for x in p)
-                + (_fmt(v), _fmt(n), cnt, int(d), born)
+        # full precision, so a posterior rebuilt from the file (export-grid)
+        # conditions on the loop's data
+        rows = [tuple(repr(float(x)) for x in (*p, v, n)) + (cnt, int(d), born)
                 for p, v, n, cnt, d, born in zip(
                     state.points, state.values, state.noises, state.counts,
                     state.discarded, state.iteration_born)]

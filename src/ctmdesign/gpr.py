@@ -274,6 +274,30 @@ def _factor(kern, dataset):
         f"{info}-th leading minor of the array is not positive definite")
 
 
+def _factor_solve(kern, dataset):
+    """``_factor``'s (L, jitter) and alpha = K^{-1} nu by potrs.
+
+    As ``cho_solve``: finite values only, info != 0 is an error, and an
+    empty dataset (the prior) has an empty alpha.  cho_solve's check of
+    the factor is left to the caller: the fit's thousands of likelihood
+    evaluations skip it.
+    """
+    c, jitter = _factor(kern, dataset)
+    nu = dataset.standardized_values
+    _check_finite(nu)
+    if not len(nu):
+        return c, jitter, np.empty(0)
+    alpha, info = _lapack("potrs")(c, nu, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return c, jitter, alpha
+
+
+def _keep_none(m, block):
+    """A ``mean_std`` screen that keeps no point: the mean alone."""
+    return np.zeros(len(m), dtype=bool)
+
+
 class GprPosterior:
     """Evaluable posterior mean and standard deviation over the design space.
 
@@ -308,62 +332,52 @@ class GprPosterior:
     def __init__(self, dataset, kern):
         self.dataset = dataset
         self.kernel = kern
-        self._chol, self.jitter = _factor(kern, dataset)
-        factor, values = self._chol, dataset.standardized_values
-        # as cho_solve: finite inputs only, info != 0 is an error, and an
-        # empty dataset (the prior) has an empty alpha
-        _check_finite(values)
-        _check_finite(factor)
-        self._alpha = np.empty(0)
-        if len(values):
-            self._alpha, info = _lapack("potrs")(factor, values, lower=1)
-            if info != 0:
-                raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+        self._chol, self.jitter, self._alpha = _factor_solve(kern, dataset)
+        _check_finite(self._chol)  # cho_solve's check of the factor
 
-    def _query(self, queries, want_mean, want_std, screen=None):
-        """(mean, std) at the query points (raw scale), None where not wanted."""
+    def _query(self, queries, screen=None):
+        """(mean, std) at the query points (raw scale); see ``mean_std``.
+
+        ``mean``, ``std`` and ``mean_std`` each call it once, so a wrapper
+        of any of them sees every query exactly once.
+        """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         n = len(queries)
-        mean = np.empty(n) if want_mean else None
-        var = np.empty(n) if want_std else None
+        mean, var = np.empty(n), np.empty(n)
         data = self.dataset
         s2 = self.kernel.sigma_c ** 2
         for lo in range(0, n, self.QUERY_BLOCK):
             block = slice(lo, lo + self.QUERY_BLOCK)
             w = len(queries[block])
             kx = self.kernel.matrix(data.points, _packed(queries[block]))
-            if want_mean:
-                m = np.multiply((kx.T @ self._alpha)[:w], data.s_bar, out=mean[block])
-                np.add(m, data.mu_bar, out=m)
-            if want_std:
-                # var = c(k,k) - ||L^{-1} kx||^2, row-wise from kx^T L^{-T}
-                v = var[block]
-                if screen is None:
-                    keep, rows = np.arange(w), kx.T  # every row, solved in place
-                else:
-                    v[:] = s2  # a screened-out point reads s = 0
-                    keep = np.flatnonzero(screen(m, block))
-                    rows = np.take(kx, _packed(keep), axis=1).T
-                if rows.size:  # none without data
-                    rows = _trsm(self._chol, rows)
-                v[keep] = np.einsum("ij,ij->i", rows, rows)[:len(keep)]
-                del rows
-            del kx  # both freed before the next block's kernel matrix is built
-        if want_std:
-            np.subtract(s2, var, out=var)
-            np.maximum(var, 0.0, out=var)
-            np.sqrt(var, out=var)
-            np.multiply(var, data.s_bar, out=var)
+            m = np.multiply((kx.T @ self._alpha)[:w], data.s_bar, out=mean[block])
+            np.add(m, data.mu_bar, out=m)
+            # var = c(k,k) - ||L^{-1} kx||^2, row-wise from kx^T L^{-T}
+            v = var[block]
+            if screen is None:
+                keep, rows = np.arange(w), kx.T  # every row, solved in place
+            else:
+                v[:] = s2  # a screened-out point reads s = 0
+                keep = np.flatnonzero(screen(m, block))
+                rows = np.take(kx, _packed(keep), axis=1).T
+            if rows.size:  # none without data or kept points
+                rows = _trsm(self._chol, rows)
+            v[keep] = np.einsum("ij,ij->i", rows, rows)[:len(keep)]
+            del rows, kx  # both freed before the next block's kernel matrix is built
+        np.subtract(s2, var, out=var)
+        np.maximum(var, 0.0, out=var)
+        np.sqrt(var, out=var)
+        np.multiply(var, data.s_bar, out=var)
         return mean, var
 
     def mean(self, queries):
         """Posterior mean at the query points (raw scale); a float at one point."""
-        out = self._query(queries, True, False)[0]
+        out = self._query(queries, _keep_none)[0]
         return float(out[0]) if out.size == 1 else out
 
     def std(self, queries):
         """Posterior standard deviation at the query points (raw scale)."""
-        out = self._query(queries, False, True)[1]
+        out = self._query(queries)[1]
         return float(out[0]) if out.size == 1 else out
 
     def mean_std(self, queries, screen=None):
@@ -374,7 +388,7 @@ class GprPosterior:
         a boolean mask of the block's points whose std is needed.  The
         others are not solved and read 0.
         """
-        return self._query(queries, True, True, screen)
+        return self._query(queries, screen)
 
     def residual_norm(self, start):
         """rho = ||S^{-1/2} r|| of the data from index ``start`` on.
@@ -406,10 +420,8 @@ def log_marginal_likelihood(dataset, kern):
     -(1/2) nu^T K^{-1} nu - (1/2) log det K - (n/2) log 2 pi  with
     K = Sigma + diag(tau~^2).
     """
-    c = _factor(kern, dataset)[0]
+    c, _, alpha = _factor_solve(kern, dataset)
     nu = dataset.standardized_values
-    _check_finite(nu)
-    alpha = _lapack("potrs")(c, nu, lower=1)[0]
     logdet = 2.0 * float(np.log(c.diagonal()).sum())
     n = len(dataset)
     return float(-0.5 * nu @ alpha - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi))

@@ -12,6 +12,9 @@ The loop alternates between
 3. proposing new points by rejection sampling from the acquisition
    density  I(k) = Phi(-c2_i * |m(k) - gamma|),  gated by the
    requirement that Monte Carlo can still help:  c1 * tau_i < sigma(k).
+   Phi(x) is erfc(-x sqrt(1/2)) / 2 with libm's erfc, per element,
+   within 1e-13 relative of ``scipy.special.ndtr``; it feeds only the
+   accept test p < 2 I(k), with p uniform on the 2^-53 grid.
 
 Each iteration yields a plug-in estimate {m_i >= gamma} together with
 the pointwise credible band m_i +/- z_{1-delta/2} sigma_i.  The band
@@ -50,13 +53,14 @@ means and variances were computed.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .evaluation import sequential_mc
 from .gpr import GprDataset, fit_hyperparameters, posterior, scipy_file
-from .normal import ndtr, ndtri
+from .normal import ndtri
 
 __all__ = [
     "DesignSpace",
@@ -246,12 +250,20 @@ def acquisition(k, post, gamma, c2, variant="absolute"):
     return out if out.size > 1 else float(out[0])
 
 
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _phi(x):
+    """The standard normal CDF of a float array, from libm's erfc."""
+    return 0.5 * _ERFC(x * -math.sqrt(0.5)).astype(float)
+
+
 def _acceptance(m, s, gamma, c2, variant):
     """Phi(-c2 |m - gamma|), the gap divided by s in the "scaled" variant."""
     gap = np.abs(np.atleast_1d(m) - gamma)
     if variant != "absolute":
         gap = gap / np.maximum(np.atleast_1d(s), 1e-300)
-    return ndtr(-c2 * gap)
+    return _phi(-c2 * gap)
 
 
 def rejection_sample(n_loop, post, gamma, tau_i, c2, config, space, rng,

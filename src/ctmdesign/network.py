@@ -108,15 +108,15 @@ class TrafficNetwork:
             self.lengths[v] = l_v
         self.lengths.setflags(write=False)
 
-        self._allow_uturn = frozenset(allow_uturn or ())
+        allow_uturn = frozenset(allow_uturn or ())
         self._in = [tuple(np.flatnonzero(adj[:, v])) for v in range(n_nodes)]
-        self._out = [tuple(np.flatnonzero(adj[v, :])) for v in range(n_nodes)]
 
         routes = []
         for v in range(n_nodes):
+            out = np.flatnonzero(adj[v, :])
             for u in self._in[v]:
-                for w in self._out[v]:
-                    if w == u and v not in self._allow_uturn:
+                for w in out:
+                    if w == u and v not in allow_uturn:
                         continue
                     routes.append(Route(u, v, w))
         routes.sort(key=lambda r: (r.via, r.src, r.dst))
@@ -133,18 +133,10 @@ class TrafficNetwork:
         if not (0 <= v < self.n_nodes):
             raise NetworkError(f"invalid node id {v} (n_nodes={self.n_nodes})")
 
-    def allows_uturn(self, v):
-        return v in self._allow_uturn
-
     def neighbors_in(self, v):
         """Set of nodes u with an edge (u, v): the nodes which can reach v."""
         self._check_node(v)
         return set(self._in[v])
-
-    def neighbors_out(self, v):
-        """Set of nodes w with an edge (v, w): the nodes reachable from v."""
-        self._check_node(v)
-        return set(self._out[v])
 
     def routes_through(self, v):
         """Route indices through node v, in enumeration order."""

@@ -1,11 +1,12 @@
-"""The standard normal CDF and quantile, bit for bit those of scipy.special.
+"""The standard normal quantile, bit for bit that of scipy.special.
 
-``ndtri`` (Phi^{-1}) and ``ndtr`` (Phi) evaluate the Cephes rational
-approximations (S. L. Moshier, *Methods and Programs for Mathematical
-Functions*, 1989) that ``scipy.special.ndtri`` and ``scipy.special.ndtr``
-evaluate, with the same coefficients, branches and operation order, so
-every result equals scipy's by ``==``.  They spare the replicate path the
-import of ``scipy.special``, which takes most of the package's start-up.
+``ndtri`` (Phi^{-1}) evaluates the Cephes rational approximation (S. L.
+Moshier, *Methods and Programs for Mathematical Functions*, 1989) that
+``scipy.special.ndtri`` evaluates, with the same coefficients, branches
+and operation order, so every result equals scipy's by ``==``.  It
+spares the replicate path the import of ``scipy.special``, which takes
+most of the package's start-up.  (The acquisition's Phi is libm's
+``erfc``; see ``learning``.)
 
 ``log`` and ``exp`` are libm's, called once per element through
 ``math``, as scipy's compiled code calls them.  numpy's vectorized
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-__all__ = ["libm_exp", "libm_log", "ndtr", "ndtri"]
+__all__ = ["libm_exp", "libm_log", "ndtri"]
 
 _EXP = np.frompyfunc(math.exp, 1, 1)
 _LOG = np.frompyfunc(math.log, 1, 1)
@@ -57,25 +58,8 @@ _P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.9388102529247444341
 _Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
        1.37702099489081330271E0, 2.16236993594496635890E-1, 1.34204006088543189037E-2,
        3.28014464682127739104E-4, 2.89247864745380683936E-6, 6.79019408009981274425E-9)
-# erf on |x| <= 1 (T/U); erfc below x = 8 (P/Q) and from 8 on (R/S)
-_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
-      7.00332514112805075473E3, 5.55923013010394962768E4)
-_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
-      2.26290000613890934246E4, 4.92673942608635921086E4)
-_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
-      4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
-      9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
-_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
-      9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
-      1.65666309194161350182E3, 5.57535340817727675546E2)
-_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
-      6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
-_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
-      1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
 _EXPM2 = 0.13533528323661269189  # exp(-2)
 _S2PI = 2.50662827463100050242E0  # sqrt(2 pi)
-_SQRTH = 7.07106781186547524401E-1  # sqrt(1/2)
-_MAXLOG = 7.09782712893383996843E2  # log(DBL_MAX)
 
 
 def _polevl(x, coef):
@@ -110,40 +94,3 @@ def ndtri(y):
     out[tail] = x
     return out.reshape(y.shape)[()]
 
-
-def _erf(x):
-    """Cephes erf for |x| <= 1."""
-    z = x * x
-    return x * _polevl(z, _T) / _polevl(z, _U)
-
-
-def _erfc(x):
-    """Cephes erfc for x >= sqrt(1/2), 0 where exp(-x^2) underflows."""
-    out = np.zeros(x.shape)
-    low = x < 1.0
-    out[low] = 1.0 - _erf(x[low])
-    hi = np.flatnonzero(~low)
-    # -x^2 < -MAXLOG from x = 26.65 on: the clip changes no branch and
-    # keeps x^2 and the polynomials finite
-    w = np.minimum(x[hi], 27.0)
-    z = -w * w
-    keep = z >= -_MAXLOG
-    hi, w, z = hi[keep], w[keep], z[keep]
-    near = w < 8.0
-    p = np.where(near, _polevl(w, _P), _polevl(w, _R))
-    q = np.where(near, _polevl(w, _Q), _polevl(w, _S))
-    out[hi] = libm_exp(z) * p / q
-    return out
-
-
-def ndtr(a):
-    """Phi(a) elementwise; nan stays nan."""
-    x = np.asarray(a, dtype=float) * _SQRTH
-    z = np.abs(x)
-    out = np.full(x.shape, np.nan)
-    mid = z < _SQRTH
-    out[mid] = 0.5 + 0.5 * _erf(x[mid])
-    tail = z >= _SQRTH
-    y = 0.5 * _erfc(z[tail])
-    out[tail] = np.where(x[tail] > 0, 1.0 - y, y)
-    return out[()]

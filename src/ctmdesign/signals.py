@@ -50,10 +50,3 @@ class SignalSchedule:
         if self.shift < 0:
             raise ValueError("shift must be non-negative")
 
-    @property
-    def axis_i(self):
-        return frozenset((self.ccw[0], self.ccw[2]))
-
-    @property
-    def axis_j(self):
-        return frozenset((self.ccw[1], self.ccw[3]))

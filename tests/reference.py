@@ -102,10 +102,10 @@ def receiving(cell, route, densities):
         cap = cell.approach_capacity_fraction * cell.rho_max
         return max(cell.b * (cap - approach), 0.0)
     if cell.kind in ("uni_roundabout", "bi_roundabout"):
-        om = overlap_matrix(cell.kind, tuple(cell.ccw), route.via)
+        weights, capacity = overlap_matrix(cell.kind, tuple(cell.ccw), route.via)
         cross = sum(w * _density(densities, other)
-                    for (own, other), w in om.weights.items() if own == route)
-        cap = om.capacity[route] * cell.rho_max
+                    for (own, other), w in weights.items() if own == route)
+        cap = capacity[route] * cell.rho_max
         return max(cell.b * (cap - cell.c * rho - cell.d * cross), 0.0)
     raise CellError(f"no receiving rule for kind {cell.kind!r}")
 
@@ -136,6 +136,13 @@ def update_density(rho, l_v, q_in, q_out, q_net):
     return rho + (q_in - q_out + q_net) / l_v
 
 
+def _exits(network, route):
+    """Nodes a route's outflow may continue toward: those of the routes
+    (via, dst, w) that exist, so a U-turn only where the node allows one."""
+    return [w for w in set(np.flatnonzero(network.adjacency[route.dst]))
+            if Route(route.via, route.dst, w) in network.route_index]
+
+
 class TurningFractions:
     """Fractions f[(route, w)] of a route's outflow continuing toward w.
 
@@ -155,8 +162,7 @@ class TurningFractions:
         """
         table = {}
         for route in network.routes:
-            exits = [w for w in network.neighbors_out(route.dst)
-                     if w != route.via or network.allows_uturn(route.dst)]
+            exits = _exits(network, route)
             if not exits:
                 continue
             f = 1.0 / len(exits)
@@ -178,8 +184,7 @@ def aggregate_inflows(outflows, turning, network):
     """
     by_route = {}
     for route, q in outflows.items():
-        exits = [w for w in network.neighbors_out(route.dst)
-                 if w != route.via or network.allows_uturn(route.dst)]
+        exits = _exits(network, route)
         if not exits:
             continue
         total = sum(turning.fraction(route, w) for w in exits)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from ctmdesign import cells as cells_module
 from ctmdesign.cells import CellError, CellSpec, CellTable, overlap_matrix
 from ctmdesign.network import Route, TrafficNetwork
 from ctmdesign.signals import SignalSchedule
+from ctmdesign.solvers import InteractionRule, SimulationEngine
 from reference import advance_signal, receiving, sending, signal_la
 
 
@@ -164,7 +166,7 @@ def uni_roundabout_oracle_weights(s, t):
 
 def test_uni_roundabout_matches_segment_oracle():
     ccw = (1, 2, 3, 4)
-    om = overlap_matrix("uni_roundabout", ccw, 0)
+    weights, capacity = overlap_matrix("uni_roundabout", ccw, 0)
     for s in range(4):
         for t in range(4):
             if s == t:
@@ -172,11 +174,11 @@ def test_uni_roundabout_matches_segment_oracle():
             own = Route(ccw[s], 0, ccw[t])
             oracle = uni_roundabout_oracle_weights(s, t)
             got = {}
-            for (o, other), w in om.weights.items():
+            for (o, other), w in weights.items():
                 if o == own:
                     got[(ccw.index(other.src), ccw.index(other.dst))] = w
             assert got == pytest.approx(oracle)
-            assert om.capacity[own] == pytest.approx(((t - s) % 4) / 4.0)
+            assert capacity[own] == pytest.approx(((t - s) % 4) / 4.0)
 
 
 def test_uni_roundabout_receiving_value():
@@ -317,8 +319,6 @@ def test_cell_table_matches_scalar_signalized():
     cells = {0: cell}
     for arm in (1, 2, 3, 4):
         cells[arm] = CellSpec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
-    from ctmdesign.solvers import SimulationEngine
-
     sched = SignalSchedule(ccw=ccw, green=7, shift=3, t_real=2.88,
                            v_real=50 / 3.6)
     eng = SimulationEngine(net, cells, {0: sched})
@@ -335,3 +335,49 @@ def test_cell_table_matches_scalar_signalized():
                 sending(cell, route, dens_all, state)), (t, route)
             assert r_vec[i] == pytest.approx(
                 receiving(cell, route, dens_all)), (t, route)
+
+
+# ---------------------------------------------------------------------------
+# the sparse (CSR) products of networks past the dense limit
+# ---------------------------------------------------------------------------
+
+def intersection_grid(side=12):
+    """A side x side grid of simplified intersections, each road both ways:
+    1,448 routes, and W and E with a full block per node."""
+    edges = []
+    for i in range(side):
+        for j in range(side):
+            v = i * side + j
+            for w in ([v + side] if i + 1 < side else []) + ([v + 1] if j + 1 < side else []):
+                edges += [(v, w), (w, v)]
+    net = TrafficNetwork(side * side, edges, {v: 1.0 for v in range(side * side)})
+    # rho_max above any node total of the test states keeps R off its 0 clamp
+    cell = CellSpec(kind="simplified_intersection", s_max=2.5, rho_max=60.0, a=0.8,
+                    b=0.5, c=1.0, zeta=0.05)
+    return net, {v: cell for v in range(net.n_nodes)}
+
+
+def test_sparse_cell_table_matches_the_dense_one(monkeypatch):
+    net, cells = intersection_grid()
+    sparse = CellTable(net, cells)
+    monkeypatch.setattr(cells_module, "_DENSE_MAX_ROUTES", net.n_routes)
+    dense = CellTable(net, cells)
+    assert not sparse._dense and dense._dense
+    rho = np.random.default_rng(61).uniform(0.0, 3.0, (7, net.n_routes))
+    for state in (rho, rho[0]):
+        for got, want in zip(sparse.evaluate(state), dense.evaluate(state)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("rule", ["dpf", "cooperative"])
+def test_sparse_engine_conserves_mass_and_batch_rows_equal_single_runs(rule):
+    net, cells = intersection_grid()
+    eng = SimulationEngine(net, cells)
+    assert not eng.cells._dense
+    rho0 = np.random.default_rng(67).uniform(0.0, 3.0, (7, net.n_routes))
+    batch = eng.run(rho0, 20, InteractionRule(rule))
+    for b in range(len(rho0)):
+        assert np.array_equal(eng.run(rho0[b], 20, InteractionRule(rule)), batch[b])
+    # a closed network of unit lengths: the densities sum to the same mass
+    np.testing.assert_allclose(batch.sum(axis=1), rho0.sum(axis=1), rtol=1e-12)
+    assert not np.array_equal(batch, rho0)

@@ -1117,6 +1117,15 @@ def finished_run(tmp_path_factory):
     return path, out
 
 
+def test_cli_export_grid_reproduces_the_last_grid_byte_for_byte(tmp_path, finished_run):
+    # dataset.csv holds every float at full precision, so the rebuilt
+    # posterior conditions on the loop's data and picks the loop's jitter
+    path, out = finished_run
+    assert main(["export-grid", "--config", str(path), "--run-dir", str(out),
+                 "--out-dir", str(tmp_path / "export")]) == 0
+    assert (tmp_path / "export" / "grid.csv").read_bytes() == (out / "grid_0.csv").read_bytes()
+
+
 def _without_dataset(run):
     (run / "dataset.csv").unlink()
     return "dataset.csv", []
@@ -1750,3 +1759,37 @@ def test_benchmark_tracer_installs():
         [sys.executable, "-c", "from tracer import Tracer, install; install(Tracer())"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+#: spans of ctmbench/tracer.py that each traced command must enter
+_LEVELSET_SPANS = {"gpr.fit", "gpr.posterior", "gpr.lml", "gpr.factor", "gpr.query",
+                   "learning.loop", "learning.uniform", "learning.rejection",
+                   "learning.nikodym", "evaluation.sequential_mc", "cli.persist",
+                   "cli.write_csv", "cli.write_grid", "cli.manifest", "config.load",
+                   "config.run_replicate"}
+_SIMULATE_SPANS = {"cells.evaluate", "solvers.outflows", "solvers.inflows", "solvers.run",
+                   "network.clamp", "env.net_flows", "evaluation.observe",
+                   "signals.table", "config.engine_build", "config.run_replicate",
+                   "config.load", "cli.write_csv", "cli.manifest"}
+
+
+@pytest.mark.parametrize("command, spans", [
+    (["estimate-levelset", "--config", str(SYNTHETIC_SMALL)], _LEVELSET_SPANS),
+    (["simulate", "--config", str(bundled("urban")), "--design", "2.5,0.01,0.01,20,75",
+      "--reps", "2"], _SIMULATE_SPANS)], ids=["estimate-levelset", "simulate"])
+def test_benchmark_tracer_sees_every_layer_called(tmp_path, command, spans):
+    # the tracer patches module attributes and class methods: a function
+    # the package stopped calling through its module (or a method called
+    # around its class) keeps its name but drops out of the per-layer metrics
+    root = Path(__file__).resolve().parents[1]
+    stats = tmp_path / "stats.json"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(root / "ctmbench" / "launch.py"), "--src", str(root / "src"),
+         "--stats", str(stats), "--trace", "--", *command, "--seed", "1",
+         "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    calls = {name: rec[0] for name, rec in
+             json.loads(stats.read_text())["trace"]["spans"].items()}
+    assert {name for name in spans if calls.get(name, 0) == 0} == set()

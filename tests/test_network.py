@@ -13,13 +13,13 @@ def two_node_net():
 def test_neighbors_two_node_bidirectional():
     net = two_node_net()
     assert net.neighbors_in(0) == {1}
-    assert net.neighbors_out(0) == {1}
+    assert set(np.flatnonzero(net.adjacency[0])) == {1}
 
 
 def test_neighbors_isolated_node():
     net = TrafficNetwork(3, [(0, 1), (1, 0)], {0: 1, 1: 1, 2: 1})
     assert net.neighbors_in(2) == set()
-    assert net.neighbors_out(2) == set()
+    assert not net.adjacency[2].any()
 
 
 def test_neighbors_invalid_node():

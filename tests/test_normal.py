@@ -1,9 +1,11 @@
-"""The in-package normal CDF and quantile against scipy.special, bit for bit.
+"""The in-package normal quantile and CDF against scipy.special.
 
-Every case compares the bits of each result with ``scipy.special``'s, and
-NaN positions with NaN positions.  RuntimeWarnings are errors under the
-project's pytest settings, so no input may overflow or divide by zero
-along the way either.
+Every quantile case compares the bits of each result with
+``scipy.special.ndtri``'s, and NaN positions with NaN positions.  The
+acquisition's CDF (libm's erfc) is compared with ``scipy.special.ndtr``
+to a relative 1e-12.  RuntimeWarnings are errors under the project's
+pytest settings, so no input may overflow or divide by zero along the
+way either.
 """
 
 import math
@@ -13,14 +15,15 @@ import scipy.special as sc
 from hypothesis import given, settings, strategies as st
 
 from ctmdesign.env import _U_CLIP
-from ctmdesign.normal import ndtr, ndtri
+from ctmdesign.learning import _phi
+from ctmdesign.normal import ndtri
 
 ORACLE = settings(max_examples=300, deadline=None, derandomize=True)
 
 EXPM2 = math.exp(-2.0)
 #: the x = 8 switch of ndtri's tail: y = exp(-32)
 EXPM32 = math.exp(-32.0)
-#: where exp(-a^2 / 2) underflows and erfc turns to 0
+#: where exp(-a^2 / 2) underflows and Cephes' erfc turns to 0
 UNDERFLOW = -math.sqrt(2.0 * 7.09782712893383996843E2)
 
 
@@ -84,15 +87,30 @@ cdf_inputs = st.one_of(
     near(UNDERFLOW, 1e-9), near(UNDERFLOW, 1e-3))
 
 
+def assert_close_to_ndtr(xs):
+    """Within 1e-12 relative of scipy's Phi where that exceeds 1e-300, NaN
+    where it is NaN, and below that both within 1e-300 of each other."""
+    xs = np.asarray(xs, dtype=float)
+    ours, theirs = _phi(xs), sc.ndtr(xs)
+    assert ours.shape == theirs.shape and ours.dtype == theirs.dtype
+    nan = np.isnan(theirs)
+    assert np.array_equal(np.isnan(ours), nan)
+    big = theirs > 1e-300
+    assert np.all(np.abs(ours[big] - theirs[big]) <= 1e-12 * theirs[big])
+    tiny = ~nan & ~big
+    assert np.all(np.abs(ours[tiny] - theirs[tiny]) <= 1e-300)
+
+
 @ORACLE
 @given(st.lists(cdf_inputs, min_size=1, max_size=64))
-def test_ndtr_equals_scipy(xs):
-    assert_same(ndtr(np.array(xs)), sc.ndtr(np.array(xs)))
+def test_phi_is_close_to_scipy(xs):
+    assert_close_to_ndtr(xs)
 
 
 def test_ndtr_equals_scipy_on_a_block_of_draws():
-    xs = 12.0 * np.random.default_rng(0).standard_normal(200_000)
-    assert_same(ndtr(xs), sc.ndtr(xs))
+    # the largest relative gap found on a grid of [-40, 40] was 5.7e-14
+    assert_close_to_ndtr(np.linspace(-40.0, 40.0, 400_001))
+    assert_close_to_ndtr(12.0 * np.random.default_rng(0).standard_normal(200_000))
 
 
 def test_ndtr_edges_equal_scipy():
@@ -101,7 +119,7 @@ def test_ndtr_edges_equal_scipy():
     xs = [0.0, -0.0, 5e-324, -5e-324, np.nan]
     for edge in edges:
         xs += neighbours(edge) + neighbours(-edge)
-    assert_same(ndtr(np.array(xs)), sc.ndtr(np.array(xs)))
+    assert_close_to_ndtr(xs)
     for x in xs:
-        assert_same(ndtr(x), sc.ndtr(x))
-    assert_same(ndtr(np.zeros((0, 2))), sc.ndtr(np.zeros((0, 2))))
+        assert_close_to_ndtr([x])
+    assert_close_to_ndtr(np.zeros((0, 2)))

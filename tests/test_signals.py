@@ -81,8 +81,8 @@ def test_schedule_validation():
 
 
 def test_axes_disjoint():
-    s = sched()
-    assert s.axis_i.isdisjoint(s.axis_j)
+    ccw = sched().ccw
+    assert {ccw[0], ccw[2]}.isdisjoint({ccw[1], ccw[3]})
 
 
 # ---------------------------------------------------------------------------
