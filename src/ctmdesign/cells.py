@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .network import Route
+from .network import Route, RouteParameters
 
 __all__ = [
     "CellSpec",
@@ -234,7 +234,11 @@ class CellTable:
     where W carries the self term c and all cross terms, E carries the
     zeta-weighted damping terms, and la is the per-route signal
     adjustment (1 for unsignalized routes).  W and E are assembled once
-    per network; la is filled in per step by the engine.
+    per network; la is filled in per step by the engine.  The products
+    are split by rows: a W row whose one stored entry is on its diagonal
+    is that weight times rho, the other W rows and the nonzero E rows are
+    products over their row sub-matrix; rows of E without entries skip
+    the damping (see ``ctmdesign.solvers`` for the layout and bits).
     """
 
     def __init__(self, network, node_cells):
@@ -322,33 +326,54 @@ class CellTable:
         self._dense = n <= _DENSE_MAX_ROUTES
         self.W = _assemble(w_rows, w_cols, w_vals, n, self._dense)
         self.E = _assemble(e_rows, e_cols, e_vals, n, self._dense)
-        self._has_damping = len(e_vals) > 0
+        w_nnz, e_nnz = (np.count_nonzero(m, axis=1) if self._dense
+                        else np.diff(m.indptr) for m in (self.W, self.E))
+        diagonal = self.W.diagonal()
+        single = (w_nnz == 1) & (diagonal != 0)
+        self._w_rows = np.flatnonzero(~single)
+        self._W_rows = self.W[self._w_rows]
+        self._e_rows = np.flatnonzero(e_nnz)
+        self._E_rows = self.E[self._e_rows]
+        # the diagonal weight is 0.0 on the rows of _w_rows
+        self._params = RouteParameters(self.a, self.s_max, self.b, self.cap,
+                                       np.where(single, diagonal, 0.0))
 
     def _apply(self, m, rho):
-        """m @ rho along the last axis of ``rho``.
-
-        The dense product is a stacked matmul, one gemv per replicate, so
-        each row of a (B, n) state gets the bits of a one-replicate step;
-        ``rho @ m.T`` would be one gemm with a different summation order.
-        """
+        """m @ rho over the route axis of one replicate's (n,) or a batch's
+        (n, B) state: one gemv per replicate if m is dense."""
         if self._dense:
-            return np.matmul(m, rho[..., None])[..., 0]
-        return (m @ rho.T).T
+            return np.matmul(m, rho.T[..., None])[..., 0].T
+        return m @ rho
+
+    def _damping(self, rho):
+        """E @ rho on the rows of E with entries (``_e_rows``)."""
+        return self._apply(self._E_rows, rho)
+
+    def _load(self, rho):
+        """W @ rho: w * rho on the single-entry diagonal rows, the
+        sub-matrix product on the others (``_w_rows``)."""
+        w_diag = self._params[rho.shape][4]
+        load = w_diag * rho
+        if len(self._w_rows):
+            load[self._w_rows] = self._apply(self._W_rows, rho)
+        return load
 
     def evaluate(self, rho, la=None):
         """Return (S, R) arrays for the whole network at densities ``rho``.
 
-        ``rho`` is one replicate (n_routes,) or a batch (B, n_routes); ``la``
-        broadcasts against it.
+        ``rho`` is one replicate (n_routes,) or a route-major batch
+        (n_routes, B); ``la`` has its shape.
         """
-        base = self.a * rho
+        a, s_max, b, cap, _ = self._params[rho.shape]
+        base = a * rho
         if la is not None:
             base *= la
-        if self._has_damping:
-            damp = self._apply(self.E, rho)
+        if len(self._e_rows):
+            damp = self._damping(rho)
             np.negative(damp, out=damp)
-            base *= np.exp(damp, out=damp)
-        s = np.minimum(self.s_max, base, out=base)
-        load = self._apply(self.W, rho)
-        r = self.b * np.subtract(self.cap, load, out=load)
+            np.exp(damp, out=damp)
+            base[self._e_rows] = base.take(self._e_rows, 0) * damp
+        s = np.minimum(s_max, base, out=base)
+        load = self._load(rho)
+        r = b * np.subtract(cap, load, out=load)
         return s, np.maximum(r, 0.0, out=r)

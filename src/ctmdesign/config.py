@@ -758,7 +758,9 @@ class Scenario:
         returned).  ``k`` is one design vector shared by every replicate,
         or one design per generator, shape (len(rng), dim).  A list is
         stepped in batches of at most 64 consecutive replicates, which
-        ``extra_observers`` follow in turn.  Before stepping, each
+        ``extra_observers`` follow in turn: a batch's densities and
+        ``FlowRecord`` arrays are route-major, (n_routes, B), and one
+        replicate's are (n_routes,).  Before stepping, each
         replicate takes its integerization draws and then its whole
         environment block from its own generator, in list order, so a
         list that repeats one generator reproduces consecutive calls on
@@ -793,7 +795,7 @@ class Scenario:
         if len(rngs) == 1:  # one replicate steps a 1-D state: faster at B = 1
             attempts, programs, rho0 = blocks[0], programs[0], self._rho0
         else:
-            attempts = None if self.environment is None else np.stack(blocks, axis=1)
+            attempts = None if self.environment is None else np.stack(blocks, axis=2)
             rho0 = np.tile(self._rho0, (len(rngs), 1))
         env = None if attempts is None else self.environment.with_attempts(attempts)
         self.engine.run(rho0, self.steps, rule or self.rule, env=env,

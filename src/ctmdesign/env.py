@@ -22,9 +22,9 @@ from (master seed, replicate index), so trajectories are reproducible
 bit for bit.  An environment is built once per scenario, from the
 route indices its sources act on.  ``draw`` returns one replicate's
 (steps, m) block of attempted flows; ``with_attempts`` returns the
-environment that steps it, or the (steps, B, m) blocks of B replicates
-as one (B, n_routes) state, every entry equal to the one-replicate
-result.  ``net_flows`` only clamps the attempts.
+environment that steps it, or the (steps, m, B) blocks of B replicates
+as one route-major (n_routes, B) state, every entry equal to the
+one-replicate result.  ``net_flows`` only clamps the attempts.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import copy
 
 import numpy as np
 
-from .network import take_routes
 from .normal import libm_exp, libm_log, ndtri
 
 __all__ = [
@@ -112,16 +111,18 @@ class _EnvironmentBase:
         self._idx = np.array(list(last), dtype=np.intp)
         self._columns = np.array(list(last.values()), dtype=np.intp)
         via = network.route_via[self._idx]
-        self._l_v = network.lengths[via]
-        self._neg_l_v = -self._l_v
-        self._cap = np.array([node_caps[v] for v in via], dtype=float)
+        l_v = network.lengths[via]
+        self._params = (l_v, -l_v, np.array([node_caps[v] for v in via], dtype=float))
 
     def with_attempts(self, attempts):
         """The environment stepping ``attempts``: one replicate's (steps, m)
-        block, or the (steps, B, m) blocks of B replicates, which step a
-        (B, n_routes) state."""
+        block, or the (steps, m, B) blocks of B replicates, which step a
+        route-major (n_routes, B) state."""
         out = copy.copy(self)
-        out._attempts = attempts[..., self._columns]
+        out._attempts = attempts.take(self._columns, 1)
+        if attempts.ndim == 3:
+            out._params = tuple(np.repeat(x[:, None], attempts.shape[2], axis=1)
+                                for x in self._params)
         return out
 
     def net_flows(self, t, rho, q_in, q_out):
@@ -133,14 +134,14 @@ class _EnvironmentBase:
         """
         idx = self._idx
         aux = self._attempts[t]
-        rho_s = take_routes(rho, idx)
-        q_in_s, q_out_s = take_routes(q_in, idx), take_routes(q_out, idx)
-        lo = rho_s * self._neg_l_v - q_in_s + q_out_s   # (-rho) * l_v exactly
-        hi = (self._cap - rho_s) * self._l_v - q_in_s + q_out_s
+        rho_s, q_in_s, q_out_s = rho.take(idx, 0), q_in.take(idx, 0), q_out.take(idx, 0)
+        l_v, neg_l_v, cap = self._params
+        lo = rho_s * neg_l_v - q_in_s + q_out_s   # (-rho) * l_v exactly
+        hi = (cap - rho_s) * l_v - q_in_s + q_out_s
         q_aux = np.zeros(rho.shape)
         q_net = np.zeros(rho.shape)
-        q_aux.T[idx] = aux.T
-        q_net.T[idx] = np.minimum(np.maximum(aux, lo), hi).T
+        q_aux[idx] = aux
+        q_net[idx] = np.minimum(np.maximum(aux, lo), hi)
         return q_aux, q_net
 
 

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import take_routes
-
 __all__ = [
     "Utility",
     "AvgNetworkFlow",
@@ -82,10 +80,15 @@ class Utility:
 # ---------------------------------------------------------------------------
 # Performance measures (streaming observers over a trajectory)
 #
-# Each observer reduces over the last (route) axis, so it follows one
-# replicate (a float statistic) or a batch of B replicates (B statistics,
-# each equal to the one-replicate value).
+# Each observer follows one replicate's (n_routes,) arrays (a float
+# statistic) or a batch's route-major (n_routes, B) ones (B statistics,
+# each equal to the one-replicate value; see ``ctmdesign.solvers``).
 # ---------------------------------------------------------------------------
+
+def _route_sum(x):
+    """Sum over the route axis, through a contiguous (B, k) copy in a batch."""
+    return np.add.reduce(np.ascontiguousarray(x.T) if x.ndim == 2 else x, axis=-1)
+
 
 class AvgNetworkFlow:
     """Time-averaged total outflow over all routes."""
@@ -95,7 +98,7 @@ class AvgNetworkFlow:
         self._steps = 0
 
     def __call__(self, t, rho_before, record):
-        self._sum += record.q_out.sum(axis=-1)
+        self._sum += _route_sum(record.q_out)
         self._steps += 1
 
     def value(self):
@@ -119,10 +122,10 @@ class Throughput:
     def __call__(self, t, rho_before, record):
         if record.q_aux is None:
             return
-        net = take_routes(record.q_net, self.idx)
-        aux = take_routes(record.q_aux, self.idx)
-        self._removed += np.maximum(-net, 0.0).sum(axis=-1)
-        self._attempted += np.maximum(aux, 0.0).sum(axis=-1)
+        net = record.q_net.take(self.idx, 0)
+        aux = record.q_aux.take(self.idx, 0)
+        self._removed += _route_sum(np.maximum(-net, 0.0))
+        self._attempted += _route_sum(np.maximum(aux, 0.0))
 
     def value(self):
         attempted = np.asarray(self._attempted, dtype=float)
@@ -147,10 +150,11 @@ class AvgVelocity:
         self._steps = 0
 
     def __call__(self, t, rho_before, record):
-        rho = take_routes(rho_before, self.idx)
-        q = take_routes(record.q_out, self.idx)
-        ratio = np.where(rho < self.EMPTY, self.free_flow, q / np.maximum(rho, self.EMPTY))
-        self._sum += ratio.sum(axis=-1)
+        rho = rho_before.take(self.idx, 0)
+        q = record.q_out.take(self.idx, 0)
+        free_flow = self.free_flow.reshape(rho.shape[:1] + (1,) * (rho.ndim - 1))
+        ratio = np.where(rho < self.EMPTY, free_flow, q / np.maximum(rho, self.EMPTY))
+        self._sum += _route_sum(ratio)
         self._steps += 1
 
     def value(self):

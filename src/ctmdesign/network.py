@@ -38,8 +38,8 @@ __all__ = [
     "TrafficNetwork",
     "FlowRecord",
     "NetworkError",
+    "RouteParameters",
     "clamp_densities",
-    "take_routes",
 ]
 
 #: densities this far below zero are treated as floating-point noise and
@@ -156,7 +156,8 @@ class TrafficNetwork:
 
 @dataclass
 class FlowRecord:
-    """Realized flows of one step, vehicles per time step per route."""
+    """Realized flows of one step, vehicles per time step per route: (n,)
+    arrays for one replicate, route-major (n, B) ones for a batch."""
 
     q_in: np.ndarray
     q_out: np.ndarray
@@ -164,16 +165,31 @@ class FlowRecord:
     q_aux: np.ndarray = field(default=None)
 
 
-def take_routes(x, idx):
-    """``x[..., idx]`` for one replicate's (n,) or a batch's (B, n) route array.
+class RouteParameters(dict):
+    """Per-route parameter arrays keyed by the shape of a state: as given
+    under (n,), for one replicate, and expanded to C-contiguous (n, B)
+    under (n, B), for a route-major batch.
 
-    A 1-D array takes numpy's fast path for one index array, which
-    ``x[..., idx]`` leaves (about 2 us against 0.3 us per call at 100
-    routes, a large share of a one-replicate step).  A batch gets a
-    C-contiguous result, so reductions along its rows sum each row in the
-    order of the one-replicate case.  Assign through ``x.T[idx] = v.T``.
+    An expansion is made when a batch shape is first asked for and kept
+    until ``release``, so a run makes it once.  Elementwise operations on
+    equal shapes run about twice as fast as with an (n, 1) column
+    broadcast over B, at B = 16-64.
     """
-    return x[idx] if x.ndim == 1 else x.take(idx, axis=-1)
+
+    def __init__(self, *arrays):
+        super().__init__({arrays[0].shape: arrays})
+
+    def __missing__(self, shape):
+        expanded = tuple(np.repeat(x[:, None], shape[1], axis=1)
+                         for x in self[shape[:1]])
+        self[shape] = expanded
+        return expanded
+
+    def release(self):
+        """Drop the batch expansions."""
+        for key in list(self):
+            if len(key) > 1:
+                self.pop(key, None)
 
 
 def clamp_densities(rho):

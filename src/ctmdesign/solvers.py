@@ -34,16 +34,45 @@ that depend on the upstream route), and the turning table they are
 checked with live in ``tests/reference.py``.
 
 Signals enter through the sending factor LA.  ``run`` evaluates the
-closed form of every step at once (``signal_table``: one column per
+closed form of every step at once (``signal_table``: one row per
 signalized node and axis, over the replicates' own programs) and copies
-row t onto the signalized routes of one LA buffer at step t.
+the signalized routes' rows of step t into one LA buffer at step t.
 
-Every phase works on the last axis: a (n_routes,) state is one
-replicate and a (B, n_routes) state is B replicates stepped together.
-Each row of a batch goes through the same floating-point operations in
-the same order as a one-replicate run (one gemv per row for the cell
-products, segment sums along contiguous rows), so it is bit-identical
-to it; a batch only amortizes numpy's per-call overhead.
+Layout and bits
+---------------
+A (n_routes,) state is one replicate.  A batch of B replicates steps
+route-major: ``run`` takes and returns (B, n_routes) and transposes once
+on the way in and once on the way out, and inside it the state, every
+per-step array and every ``FlowRecord`` that observers see is a
+C-contiguous (n_routes, B) array.  A gather of routes is then a row copy
+``x.take(idx, 0)`` and a scatter a row assignment ``x[idx] = rows`` in
+either layout.  Per-route parameters are (n,) arrays for one replicate
+and are expanded to (n, B) once per batch run (``RouteParameters``).
+A one-replicate run keeps the 1-D state: as (n, 1) it was 25% slower.
+
+Every column of a batch goes through the floating-point operations of a
+one-replicate run in the same order, so it is bit-identical to it:
+
+* elementwise operations are the same in either layout;
+* a group sum (``_GroupSums``) adds rows in the order of numpy's
+  ``add.reduceat`` over the group: x0 + (((x1 + x2) + x3) + ...) for up
+  to 8 routes, numpy's 8-accumulator pairwise order for 9 or more; a
+  group minimum is exact in any order;
+* the priority fill's running sum is a cumulative sum along the route
+  axis, the same sequential recurrence in either layout;
+* in the cell products (``CellTable``), a ``W`` row whose one stored
+  entry is on the diagonal is w * rho elementwise, exact because every
+  other product of the row is +-0; the other ``W`` rows and the nonzero
+  rows of ``E`` run one gemv per replicate over their row sub-matrix,
+  ``np.matmul(M_rows, rho.T[..., None])``, whose rows have the bits of
+  the full gemv ``np.matmul(M, rho[..., None])`` (a property of the BLAS
+  build, which ``tests/test_cells.py`` pins); ``rho @ M.T`` would be a
+  gemm with another summation order; past 512 routes ``W`` and ``E``
+  are CSR, whose product ``M_rows @ rho`` sums each row's entries in
+  one order for every column;
+* observers reduce over routes through a contiguous (B, k) copy, whose
+  rows sum in the order of a one-replicate (k,) sum; a sum down axis 0
+  would not.
 """
 
 from __future__ import annotations
@@ -54,7 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import CellTable
-from .network import FlowRecord, clamp_densities, take_routes
+from .network import FlowRecord, RouteParameters, clamp_densities
 
 __all__ = ["InteractionRule", "SimulationEngine"]
 
@@ -71,6 +100,77 @@ class InteractionRule:
     def __post_init__(self):
         if self.variant not in self.VARIANTS:
             raise ValueError(f"unknown interaction rule {self.variant!r}")
+
+
+# ---------------------------------------------------------------------------
+# Group sums in the order of numpy's add.reduceat
+# ---------------------------------------------------------------------------
+
+def _pairwise_sum(rows):
+    """rows[0] + ... + rows[m - 1] elementwise for m >= 8, in the order of
+    numpy's pairwise sum of m contiguous elements: 8 accumulators, then
+    the remainder in turn, halved at 8-multiples past 128 elements.
+    ``rows`` may be added into."""
+    m = len(rows)
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
+    acc = rows[:8]
+    for i in range(8, m - m % 8, 8):
+        for j in range(8):
+            acc[j] += rows[i + j]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for row in rows[m - m % 8:]:
+        total += row
+    return total
+
+
+class _GroupSums:
+    """Sums over groups of rows, each in the order of numpy's ``add.reduceat``.
+
+    ``add.reduceat`` sums a segment x0, ..., x(k-1) as x0 + pairwise(x1,
+    ..., x(k-1)), where numpy's pairwise sum of fewer than 8 elements
+    adds them in turn onto -0.0, the identity: x0 + (((x1 + x2) + x3) +
+    ...).  ``groups`` lists each group's row indices, largest groups
+    first.  The groups of up to 8 rows are gathered in one copy, column
+    by column: column j holds the j-th row of every group that has one,
+    and those groups lead, so column j adds onto a prefix of column 1,
+    and then column 1 onto a prefix of column 0.  Each larger size k gets
+    a (k, n_k) table of its own, because its pairwise order depends on k.
+    """
+
+    def __init__(self, groups):
+        sizes = [len(g) for g in groups]
+        if sizes != sorted(sizes, reverse=True) or 0 in sizes:
+            raise ValueError("groups must be non-empty, largest first")
+        big = sum(k > 8 for k in sizes)
+        self._tables = [np.array([groups[g] for g in range(big) if sizes[g] == k],
+                                 dtype=np.intp).T
+                        for k in sorted(set(sizes[:big]), reverse=True)]
+        small = groups[big:]
+        columns = [[g[j] for g in small if len(g) > j]
+                   for j in range(max(sizes[big:], default=0))]
+        self._flat = np.array([i for col in columns for i in col], dtype=np.intp)
+        start = np.cumsum([0] + [len(col) for col in columns])
+        # (prefix of the accumulating column, column added onto it), in order
+        self._adds = [(slice(start[1], start[1] + len(columns[j])),
+                       slice(start[j], start[j + 1])) for j in range(2, len(columns))]
+        if len(columns) > 1:
+            self._adds.append((slice(0, len(columns[1])), slice(start[1], start[2])))
+        self._n_small = len(small)
+
+    def __call__(self, x):
+        """The group sums of ``x``'s rows: (n_groups,) or (n_groups, B)."""
+        flat = x.take(self._flat, 0)
+        for acc, part in self._adds:
+            total = flat[acc]
+            total += flat[part]
+        sums = flat[:self._n_small]
+        if not self._tables:
+            return sums
+        big = [x.take(table, 0) for table in self._tables]
+        return np.concatenate([rows[0] + _pairwise_sum(list(rows[1:])) for rows in big]
+                              + [sums])
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +198,7 @@ class SimulationEngine:
         self.network = network
         self.cells = CellTable(network, node_cells)
         self._schedules = dict(schedules or {})
+        n = network.n_routes
 
         up_lists, down_lists = [], []
         group_edges = []
@@ -115,37 +216,54 @@ class SimulationEngine:
 
         self.group_edges = group_edges
         self.n_groups = len(group_edges)
+        # the sums, budgets and fractions of a step take the groups in
+        # slots, largest upstream group first
+        slots = sorted(range(self.n_groups), key=lambda g: -len(up_lists[g]))
+        slot_of = np.argsort(slots)
+        self._up_sums = _GroupSums([up_lists[g] for g in slots])
+        # each budget is the minimum over a column of the group's downstream
+        # routes, repeated to one width; a group without downstream routes
+        # has no budget (+inf)
+        width = max([1] + [len(d) for d in down_lists])
+        downs = [down_lists[g] if len(down_lists[g]) else [0] for g in slots]
+        self._down_table = np.array([np.resize(d, width) for d in downs],
+                                    dtype=np.intp).reshape(-1, width).T
+        self._unbounded = np.array([slot for slot, g in enumerate(slots)
+                                    if not len(down_lists[g])], dtype=np.intp)
 
-        # flat layout: each group's upstream routes share one row vector
-        # f_w of fractions toward its downstream routes
+        # the flat upstream layout, in group order, of the priority fill:
+        # every route is an upstream route of exactly one group, its edge
+        # (via, dst), so the layout is a permutation of the routes
+        up_sizes = [len(u) for u in up_lists]
         self._up_concat = (np.concatenate(up_lists) if up_lists
                            else np.zeros(0, np.intp))
-        up_sizes = [len(u) for u in up_lists]
-        self._up_ptr = np.cumsum([0] + up_sizes)[:-1]
-        # every route is an upstream route of exactly one group, its edge
-        # (via, dst), so the upstream layout is a permutation of the routes
         self._route_order = np.argsort(self._up_concat)
-        self._group_of_up = np.repeat(np.arange(self.n_groups), up_sizes)
-        down_sizes = [len(d) for d in down_lists if len(d)]
-        self._down_concat = (np.concatenate([d for d in down_lists if len(d)])
-                             if down_sizes else np.zeros(0, np.intp))
-        self._down_ptr = np.cumsum([0] + down_sizes)[:-1]
-        self._groups_with_down = np.array(
-            [g for g, d in enumerate(down_lists) if len(d)], dtype=np.intp)
-        self._group_of_down = np.repeat(self._groups_with_down, down_sizes)
-        # uniform_no_uturn: f_w = 1 / len(downs), as the group's downstream
-        # routes are exactly the exits each upstream route splits over
-        self._f_down = 1.0 / np.repeat(np.array(down_sizes, dtype=float), down_sizes)
-        self._inv_f_down = 1.0 / self._f_down
+        self._slot_of_up = np.repeat(slot_of, up_sizes)
+        self._first_of_up = np.repeat(np.cumsum([0] + up_sizes)[:-1], up_sizes)
+        self._slot_of_route = self._slot_of_up[self._route_order]
 
-        # signal table columns: 2 j + 0 (axis I) and 2 j + 1 (axis J) of the
+        # uniform_no_uturn: f_w = 1 / len(downs), as the group's downstream
+        # routes are exactly the exits each upstream route splits over.  A
+        # route is downstream of at most one group, (src, via); a route of
+        # none has no inflow
+        f_in = np.ones(n)
+        self._slot_into = np.zeros(n, dtype=np.intp)
+        inflow = np.zeros(n, dtype=bool)
+        for g, downs in enumerate(down_lists):
+            if len(downs):
+                f_in[downs] = 1.0 / len(downs)
+                self._slot_into[downs] = slot_of[g]
+                inflow[downs] = True
+        self._no_inflow = np.flatnonzero(~inflow)
+        self._params = RouteParameters(network.route_lengths, f_in, 1.0 / f_in)
+
+        # signal table rows: 2 j + 0 (axis I) and 2 j + 1 (axis J) of the
         # j-th scheduled node; each signalized route reads its arm's axis
-        col_of = {v: 2 * j for j, v in enumerate(self._schedules)}
-        signal = [(i, col_of[v] + (not in_axis_i))
-                  for i, v, in_axis_i in self.cells.signal_routes if v in col_of]
+        row_of = {v: 2 * j for j, v in enumerate(self._schedules)}
+        signal = [(i, row_of[v] + (not in_axis_i))
+                  for i, v, in_axis_i in self.cells.signal_routes if v in row_of]
         self._signal_idx = np.array([i for i, _ in signal], dtype=np.intp)
-        self._signal_col = np.array([c for _, c in signal], dtype=np.intp)
-        self.route_lengths = network.route_lengths
+        self._signal_row = np.array([c for _, c in signal], dtype=np.intp)
 
     # -- per-step pieces ---------------------------------------------------
 
@@ -155,10 +273,11 @@ class SimulationEngine:
         ``programs`` is None (the default schedules), one mapping node ->
         SignalSchedule, or a sequence of B such mappings (or Nones); a node
         missing from a mapping keeps its default.  Returns an array of shape
-        (len(steps), [B,] 2 * n_signals), or None without scheduled nodes.
-        Each element goes through the IEEE operations of the scalar
-        definition in order: the integer t_switch - t_safe, then * t_real,
-        * a_real and / v_real, then max with 0.0 and min with 1.0.
+        (len(steps), 2 * n_signals[, B]), the stepping layout, or None
+        without scheduled nodes.  Each element goes through the IEEE
+        operations of the scalar definition in order: the integer
+        t_switch - t_safe, then * t_real, * a_real and / v_real, then max
+        with 0.0 and min with 1.0.
         """
         if not self._schedules:
             return None
@@ -169,68 +288,69 @@ class SimulationEngine:
 
         def field(name):
             values = np.array([[getattr(s, name) for s in row] for row in scheds])
-            return values[0] if single else values
+            return values[0] if single else values.T
 
         green = field("green")
-        t = np.asarray(steps).reshape((-1,) + (1,) * green.ndim)
-        m = (t + field("shift")) % (2 * green)
-        x = (m % green + 1 - field("t_safe")) * field("t_real") * field("a_real") \
-            / field("v_real")
-        # Python's max(0.0, x) and min(1.0, x): -0.0 and NaN give +0.0
-        ramp = np.where(x > 0.0, x, 0.0)
-        ramp = np.where(ramp < 1.0, ramp, 1.0)
+        m = np.asarray(steps).reshape((-1,) + (1,) * green.ndim) + field("shift")
+        m %= 2 * green
         # axis I is green while m < green, axis J otherwise
-        axis_green = (m < green)[..., None] == np.array([True, False])
-        table = np.where(axis_green, ramp[..., None], 0.0)
-        return table.reshape(table.shape[:-2] + (-1,))
+        axis_i = m < green
+        m %= green
+        m += 1
+        m -= field("t_safe")
+        x = np.multiply(m, field("t_real"), dtype=float)
+        del m
+        x *= field("a_real")
+        x /= field("v_real")
+        # Python's max(0.0, x) and min(1.0, x): -0.0 and NaN give +0.0
+        np.copyto(x, 0.0, where=~(x > 0.0))
+        np.copyto(x, 1.0, where=~(x < 1.0))
+        table = np.zeros(x.shape[:2] + (2,) + x.shape[2:])
+        np.copyto(table[:, :, 0], x, where=axis_i)
+        np.copyto(table[:, :, 1], x, where=~axis_i)
+        return table.reshape((len(x), 2 * x.shape[1]) + x.shape[2:])
 
     def outflows(self, s, r, rule):
         """Phase 2: realized outflows per route under the interaction rule.
 
-        Works on the last axis: ``s`` and ``r`` are (n_routes,) for one
-        replicate or (B, n_routes) for a batch.
+        ``s`` and ``r`` are (n_routes,) for one replicate or route-major
+        (n_routes, B) for a batch.
         """
         if not self.n_groups:
             return np.zeros(s.shape)
-        s_up = take_routes(s, self._up_concat)
-        sum_s = np.add.reduceat(s_up, self._up_ptr, axis=-1)
-        # shared outflow budget per group: min over w of R_w / f_w; groups
-        # without downstream routes never bind
-        if self._down_concat.size:
-            ratios = take_routes(r, self._down_concat) * self._inv_f_down
-            cap = np.minimum.reduceat(ratios, self._down_ptr, axis=-1)
-        if len(self._groups_with_down) < self.n_groups:
-            full = np.full(s.shape[:-1] + (self.n_groups,), np.inf)
-            if self._down_concat.size:
-                full.T[self._groups_with_down] = cap.T
-            cap = full
+        _, _, inv_f = self._params[s.shape]
+        sum_s = self._up_sums(s)
+        # shared outflow budget per group: min over w of R_w / f_w
+        cap = np.minimum.reduce((r * inv_f).take(self._down_table, 0))
+        if len(self._unbounded):
+            cap[self._unbounded] = np.inf
 
         if rule.variant in ("dpf", "cpf"):
             # lambda = min(1, cap / sum_s), divided only where it binds so
             # that a subnormal sum_s cannot overflow the quotient
-            lam = np.ones(cap.shape)
+            lam = np.empty(cap.shape)   # half the cost of np.ones at B = 1
+            lam.fill(1.0)
             np.divide(cap, sum_s, out=lam, where=sum_s > cap)
-            q_up = take_routes(lam, self._group_of_up) * s_up
-        else:
-            # priority (canonical order) and cooperative (lexicographic
-            # tie-break) coincide under x-independent fractions: fill the
-            # budget in canonical order
-            if rule.variant == "cooperative":
-                cap = np.minimum(cap, sum_s)
-            cs = np.cumsum(s_up, axis=-1)
-            first = take_routes(cs - s_up, self._up_ptr)
-            before = cs - s_up - take_routes(first, self._group_of_up)
-            q_up = np.clip(take_routes(cap, self._group_of_up) - before, 0.0, s_up)
-        return take_routes(q_up, self._route_order)
+            return lam.take(self._slot_of_route, 0) * s
+        # priority (canonical order) and cooperative (lexicographic
+        # tie-break) coincide under x-independent fractions: fill the
+        # budget in canonical order
+        if rule.variant == "cooperative":
+            cap = np.minimum(cap, sum_s)
+        s_up = s.take(self._up_concat, 0)
+        prior = np.add.accumulate(s_up, axis=0) - s_up   # cumsum
+        before = prior - prior.take(self._first_of_up, 0)
+        q_up = np.clip(cap.take(self._slot_of_up, 0) - before, 0.0, s_up)
+        return q_up.take(self._route_order, 0)
 
     def inflows(self, q_out):
         """Phase 3: aggregate inflows from outflows and turning fractions."""
-        q_in = np.zeros(q_out.shape)
-        if self._down_concat.size:
-            sum_q = np.add.reduceat(take_routes(q_out, self._up_concat),
-                                    self._up_ptr, axis=-1)
-            q_in.T[self._down_concat] = (
-                self._f_down * take_routes(sum_q, self._group_of_down)).T
+        if not self.n_groups:
+            return np.zeros(q_out.shape)
+        _, f_in, _ = self._params[q_out.shape]
+        q_in = f_in * self._up_sums(q_out).take(self._slot_into, 0)
+        if len(self._no_inflow):
+            q_in[self._no_inflow] = 0.0
         return q_in
 
     def _step_with_la(self, t, rho, rule, env, la):
@@ -243,7 +363,8 @@ class SimulationEngine:
         else:
             q_aux = None
             q_net = np.zeros(rho.shape)
-        rho_new = rho + (q_in - q_out + q_net) / self.route_lengths
+        lengths, _, _ = self._params[rho.shape]
+        rho_new = rho + (q_in - q_out + q_net) / lengths
         clamp_densities(rho_new)
         return rho_new, FlowRecord(q_in=q_in, q_out=q_out, q_net=q_net, q_aux=q_aux)
 
@@ -253,22 +374,31 @@ class SimulationEngine:
         ``rho0`` is one replicate (n_routes,) with ``programs`` one mapping
         node -> SignalSchedule, or a batch (B, n_routes) with ``programs``
         a sequence of B such mappings; None means the default schedules.
-        Each observer is called as observer(t, rho_before, record).
-        Returns the final density array.
+        Each observer is called as observer(t, rho_before, record), with
+        (n_routes,) arrays for one replicate and route-major (n_routes, B)
+        arrays for a batch.  Returns the final densities, shaped as rho0.
         """
         rho = np.array(rho0, dtype=float)
+        batch = rho.ndim == 2
+        if batch:
+            rho = np.ascontiguousarray(rho.T)
         table = self.signal_table(programs, range(n_steps))
+        la = None
         if table is not None:
+            if batch and table.ndim == 2:  # one program for every replicate
+                table = table[..., None]
             # one LA buffer; only the signalized routes change per step
-            la = np.ones(table.shape[1:-1] + (self.network.n_routes,))
-        else:
-            la = None
-        for t in range(n_steps):
-            if la is not None:
-                la.T[self._signal_idx] = table[t].T[self._signal_col]
-            rho_next, record = self._step_with_la(t, rho, rule, env, la)
-            for obs in observers:
-                obs(t, rho, record)
-            rho = rho_next
-        return rho
-
+            la = np.ones(rho.shape)
+        try:
+            for t in range(n_steps):
+                if la is not None:
+                    la[self._signal_idx] = table[t].take(self._signal_row, 0)
+                rho_next, record = self._step_with_la(t, rho, rule, env, la)
+                for obs in observers:
+                    obs(t, rho, record)
+                rho = rho_next
+        finally:
+            # a batch's expanded parameters live for one run
+            self._params.release()
+            self.cells._params.release()
+        return np.ascontiguousarray(rho.T) if batch else rho

@@ -456,13 +456,13 @@ def signal_la(eng, t, programs=None):
     scheduled nodes.
 
     One step of ``signal_table``: shape (n_routes,) for None or one
-    mapping of ``programs``, (B, n_routes) for a sequence of B.
+    mapping of ``programs``, route-major (n_routes, B) for a sequence of B.
     """
     table = eng.signal_table(programs, (t,))
     if table is None:
         return None
-    la = np.ones(table.shape[1:-1] + (eng.network.n_routes,))
-    la.T[eng._signal_idx] = table[0].T[eng._signal_col]
+    la = np.ones((eng.network.n_routes,) + table.shape[2:])
+    la[eng._signal_idx] = table[0][eng._signal_row]
     return la
 
 

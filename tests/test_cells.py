@@ -1,10 +1,13 @@
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from ctmdesign import cells as cells_module
 from ctmdesign.cells import CellError, CellSpec, CellTable, overlap_matrix
+from ctmdesign.config import Scenario
 from ctmdesign.network import Route, TrafficNetwork
 from ctmdesign.signals import SignalSchedule
 from ctmdesign.solvers import InteractionRule, SimulationEngine
@@ -363,8 +366,8 @@ def test_sparse_cell_table_matches_the_dense_one(monkeypatch):
     monkeypatch.setattr(cells_module, "_DENSE_MAX_ROUTES", net.n_routes)
     dense = CellTable(net, cells)
     assert not sparse._dense and dense._dense
-    rho = np.random.default_rng(61).uniform(0.0, 3.0, (7, net.n_routes))
-    for state in (rho, rho[0]):
+    rho = np.random.default_rng(61).uniform(0.0, 3.0, (net.n_routes, 7))
+    for state in (rho, rho[:, 0]):
         for got, want in zip(sparse.evaluate(state), dense.evaluate(state)):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -381,3 +384,48 @@ def test_sparse_engine_conserves_mass_and_batch_rows_equal_single_runs(rule):
     # a closed network of unit lengths: the densities sum to the same mass
     np.testing.assert_allclose(batch.sum(axis=1), rho0.sum(axis=1), rtol=1e-12)
     assert not np.array_equal(batch, rho0)
+
+
+# ---------------------------------------------------------------------------
+# the split products of the bundled networks
+# ---------------------------------------------------------------------------
+
+def bundled_cells(name):
+    raw = json.loads(resources.files("ctmdesign.scenarios")
+                     .joinpath(f"{name}.json").read_text())
+    return Scenario(raw).engine.cells
+
+
+def _same_bits(got, want):
+    return bool(np.array_equal(got, want) and np.array_equal(np.signbit(got),
+                                                              np.signbit(want)))
+
+
+@pytest.mark.parametrize("batch", [1, 2, 16, 64])
+def test_split_products_keep_the_bits_of_the_full_gemv(batch):
+    # a property of the BLAS build, not of the mathematics: a gemv over a
+    # row sub-matrix, with the state read as a strided route-major column,
+    # gives each row the bits of the full gemv of a contiguous state,
+    # which the bit-identity of batches and one-replicate runs rests on
+    rng = np.random.default_rng(batch)
+    for name in ("urban", "highway"):
+        table = bundled_cells(name)
+        n = table.network.n_routes
+        assert len(table._w_rows) < n          # some W rows are w * rho alone
+        for _ in range(10):
+            rho = rng.uniform(0.0, 4.0, (batch, n))
+            rho[rng.random(rho.shape) < 0.3] = 0.0
+            state = rho[0] if batch == 1 else np.ascontiguousarray(rho.T)
+            want_w = np.matmul(table.W, rho[..., None])[..., 0]
+            want_e = np.matmul(table.E, rho[..., None])[..., 0]
+            got_w = table._load(state).T.reshape(want_w.shape)
+            got_e = table._damping(state).T.reshape(batch, -1)
+            off = np.setdiff1d(np.arange(n), table._e_rows)
+            same = [_same_bits(got_w, want_w),
+                    _same_bits(got_e, want_e[:, table._e_rows]),
+                    not np.any(want_e[:, off])]
+            assert all(same), (
+                f"{name}, B = {batch}: W rows, nonzero E rows and the other E rows "
+                f"(zero) keep the bits of the full gemv: {same}.  This is a property "
+                "of the BLAS build (measured with OpenBLAS 0.3.31) that the stepper's "
+                "split cell products rely on; this BLAS does not have it")

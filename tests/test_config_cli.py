@@ -514,8 +514,11 @@ BATCH_CASES = {
     # fractional T_g and T_s: the replicates of a batch integerize to
     # different signal programs
     "urban-dpf": ("urban", (2.5, 0.01, 0.01, 20.4, 75.5), "dpf"),
+    "urban-cpf": ("urban", (2.5, 0.01, 0.01, 20.4, 75.5), "cpf"),
+    "urban-priority": ("urban", (2.5, 0.01, 0.01, 20.4, 75.5), "priority"),
     "urban-cooperative": ("urban", (2.5, 0.01, 0.01, 20.4, 75.5), "cooperative"),
     "highway_small": ("highway_small", (30.0, 20.0), None),
+    "highway_small-cooperative": ("highway_small", (30.0, 20.0), "cooperative"),
 }
 
 
@@ -762,7 +765,10 @@ def test_cli_calibrate_thresholds(tmp_path):
 
 
 def test_cli_estimate_levelset_and_export_grid(tmp_path):
-    path = synthetic_config(tmp_path)
+    # the run rasterizes at the export's resolution, so the two grids can
+    # be compared point by point
+    grid_cfg = json.loads(bundled("synthetic").read_text())["learning"]["grid"]
+    path = synthetic_config(tmp_path, grid={**grid_cfg, "resolution": 40})
     out = tmp_path / "run"
     rc = main(["estimate-levelset", "--config", str(path), "--seed", "21",
                "--out-dir", str(out)])
@@ -784,7 +790,8 @@ def test_cli_estimate_levelset_and_export_grid(tmp_path):
     # exported membership matches the persisted posterior's final grid
     final = {(r["k1"], r["k2"]): r["member"]
              for r in csv.DictReader(open(out / "grid_2.csv"))}
-    assert final  # non-empty
+    assert len(final) == 1600
+    assert {(r["k1"], r["k2"]): r["member"] for r in grid} == final
 
 
 def test_cli_idle_iterations_reuse_the_previous_fit(tmp_path, monkeypatch):

@@ -206,15 +206,16 @@ def test_batched_blocks_step_like_one_replicate_environments(n_reps, steps, seed
     state = np.random.default_rng(seed)
     for env, draw in _line_environments(net, caps):
         blocks = [draw(replicate_rng(seed, j), steps) for j in range(n_reps)]
-        batch = env.with_attempts(np.stack(blocks, axis=1))
+        batch = env.with_attempts(np.stack(blocks, axis=2))
         singles = [env.with_attempts(block) for block in blocks]
         for t in range(steps):
-            rho, q_in, q_out = 2.0 * state.random((3, n_reps, net.n_routes))
+            # route-major batch state: column j is replicate j
+            rho, q_in, q_out = 2.0 * state.random((3, net.n_routes, n_reps))
             aux, net_flow = batch.net_flows(t, rho, q_in, q_out)
             for j, one in enumerate(singles):
-                aux_j, net_j = one.net_flows(t, rho[j], q_in[j], q_out[j])
-                assert aux[j].tobytes() == aux_j.tobytes()
-                assert net_flow[j].tobytes() == net_j.tobytes()
+                aux_j, net_j = one.net_flows(t, rho[:, j], q_in[:, j], q_out[:, j])
+                assert aux[:, j].tobytes() == aux_j.tobytes()
+                assert net_flow[:, j].tobytes() == net_j.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["ar_copula", "gaussian_pairs"])

@@ -130,7 +130,8 @@ def test_engine_la_equals_scalar_oracle(batch, data, ts):
         # a mixed-program batch; None rows keep the default schedules
         progs = data.draw(st.lists(st.one_of(st.none(), programs()),
                                    min_size=batch, max_size=batch))
-        want = [np.array([oracle_la(p, t) for p in progs]) for t in ts]
+        # route-major: column j is replicate j
+        want = [np.array([oracle_la(p, t) for p in progs]).T for t in ts]
     for t, la in zip(ts, want):
         assert_same_bits(signal_la(ENGINE, t, progs), la)
     # a table over several steps holds the same rows as one-step tables

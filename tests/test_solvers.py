@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctmdesign import solvers
 from ctmdesign.cells import KINDS, CellSpec
 from ctmdesign.config import Scenario
 from ctmdesign.evaluation import AvgNetworkFlow
@@ -427,17 +428,20 @@ def assert_turning_rows_equal_reference(eng):
     per group, the one row its upstream routes share."""
     net = eng.network
     turn = TurningFractions.uniform_no_uturn(net)
-    rows = []
+    rows, down_idx = [], []
     for u, v in eng.group_edges:
         ups = [r for r in net.routes if r.via == u and r.dst == v]
-        downs = [net.routes[j] for j in net.routes_through(v)
-                 if net.routes[j].src == u]
-        f = np.array([[turn.fraction(ru, rd.dst) for rd in downs] for ru in ups])
+        downs = [j for j in net.routes_through(v) if net.routes[j].src == u]
+        f = np.array([[turn.fraction(ru, net.routes[j].dst) for j in downs]
+                      for ru in ups])
         assert np.all(f == f[0])  # independent of the upstream route
         rows.append(f[0])
+        down_idx += downs
     expected = np.concatenate(rows)
-    assert eng._f_down.dtype == expected.dtype
-    assert np.array_equal(eng._f_down.view(np.int64), expected.view(np.int64))
+    _, f_in, _ = eng._params[(net.n_routes,)]
+    f_down = f_in[down_idx]
+    assert f_down.dtype == expected.dtype
+    assert np.array_equal(f_down.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("name", ["urban", "highway"])
@@ -458,7 +462,7 @@ def test_turning_rows_equal_uniform_no_uturn_with_uturns_and_a_dead_end():
              for v in range(5)}
     eng = SimulationEngine(net, cells)
     assert (2, 3) in eng.group_edges
-    assert len(eng._groups_with_down) < eng.n_groups
+    assert len(eng._unbounded) > 0
     assert_turning_rows_equal_reference(eng)
     # a group without downstream routes has no budget: its routes send
     # their whole demand
@@ -601,3 +605,54 @@ def test_engine_matches_local_solvers_and_scalar_cells(hub_kind, data, t):
 def test_turning_rows_equal_uniform_no_uturn_on_random_networks(hub_kind, data):
     eng, _, _, _ = data.draw(networks(hub_kind))
     assert_turning_rows_equal_reference(eng)
+
+
+@pytest.mark.parametrize("rule", ["dpf", "cooperative"])
+@PROPERTY
+@given(data=st.data())
+def test_batch_on_the_default_programs_equals_single_runs(rule, data):
+    # no per-replicate programs: every replicate of a batch reads the
+    # signalized hub's default schedule
+    eng, _, _, rho = data.draw(networks("signalized_intersection"))
+    batch = np.stack([rho, 0.5 * rho, rho[::-1]])
+    final = eng.run(batch, 30, InteractionRule(rule))
+    for b in range(len(batch)):
+        assert np.array_equal(eng.run(batch[b], 30, InteractionRule(rule)), final[b])
+
+
+# ---------------------------------------------------------------------------
+# group sums in the order of numpy's add.reduceat
+# ---------------------------------------------------------------------------
+
+def _group_sums_against_reduceat(sizes, batch, seed):
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    cuts = np.cumsum([0] + sizes)
+    perm = rng.permutation(n)
+    groups = sorted((perm[a:b] for a, b in zip(cuts[:-1], cuts[1:])), key=len, reverse=True)
+    shape = (n,) if batch is None else (n, batch)
+    # magnitudes over 16 decades: a sum in another order differs
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    got = solvers._GroupSums(groups)(x)
+    ptr = np.cumsum([0] + [len(g) for g in groups])[:-1]
+    order = np.concatenate(groups)
+    columns = [x] if batch is None else [x[:, b] for b in range(batch)]
+    want = np.stack([np.add.reduceat(col[order], ptr) for col in columns], axis=-1)
+    want = want.reshape(got.shape)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sizes=st.lists(st.integers(1, 20), min_size=1, max_size=12),
+       batch=st.sampled_from([None, 1, 3, 16]), seed=st.integers(0, 2**32 - 1))
+def test_group_sums_equal_reduceat(sizes, batch, seed):
+    _group_sums_against_reduceat(sizes, batch, seed)
+
+
+@pytest.mark.parametrize("sizes", [[9], [16, 8, 1], [17, 17, 3], [129], [256, 200, 9, 2]])
+def test_group_sums_equal_reduceat_past_the_pairwise_block(sizes):
+    for seed in range(5):
+        _group_sums_against_reduceat(sizes, 4, seed)
