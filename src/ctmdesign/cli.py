@@ -392,22 +392,25 @@ def build_parser():
                     "acceptable-design estimation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, design=False, reps=False):
+    def common(p, workers=None, design=False, reps=False):
+        """--config and --out-dir; for a command that draws replicates,
+        ``workers`` is the help of --workers, which comes with --seed."""
         p.add_argument("--config", required=True, help="scenario JSON file")
-        p.add_argument("--seed", type=_int_at_least(0), default=None,
-                       help="master seed (default: scenario seed)")
+        if workers:
+            p.add_argument("--seed", type=_int_at_least(0), default=None,
+                           help="master seed (default: scenario seed)")
         p.add_argument("--out-dir", default="out", help="output directory")
-        p.add_argument("--workers", type=_int_at_least(1), default=1,
-                       help="replicate worker processes (simulate and "
-                            "benchmark-compare)")
+        if workers:
+            p.add_argument("--workers", type=_int_at_least(1), default=1, help=workers)
         if design:
             p.add_argument("--design", help="design vector, comma separated")
         if reps:
             p.add_argument("--reps", type=_int_at_least(1), default=500,
                            help="replicates per design")
 
+    pool = "replicate worker processes"
     p_sim = sub.add_parser("simulate", help="replicate one design")
-    common(p_sim, design=True, reps=True)
+    common(p_sim, workers=pool, design=True, reps=True)
     p_sim.add_argument("--rule", choices=InteractionRule.VARIANTS, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -416,12 +419,12 @@ def build_parser():
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_est = sub.add_parser("estimate-levelset", help="active-learning loop")
-    common(p_est)
+    common(p_est, workers="no effect yet: estimate-levelset runs in one process")
     p_est.set_defaults(func=cmd_estimate_levelset)
 
     p_cmp = sub.add_parser("benchmark-compare",
                            help="demand-proportional vs cooperative")
-    common(p_cmp, reps=True)
+    common(p_cmp, workers=pool, reps=True)
     p_cmp.add_argument("--designs", required=True,
                        help="semicolon-separated design vectors")
     p_cmp.set_defaults(func=cmd_benchmark_compare)

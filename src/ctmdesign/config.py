@@ -117,6 +117,14 @@ _SIGNAL = {
     },
 }
 
+#: one node group's cell parameters; ``ccw`` comes from ``signals`` or
+#: ``roundabout_ccw``, and ``CellSpec`` checks the values
+_CELL = {"type": "object", "required": ["kind"], "additionalProperties": False,
+         "properties": {"kind": {"enum": list(KINDS)},
+                        **dict.fromkeys(("s_max", "rho_max", "a", "b", "c", "d", "zeta"),
+                                        _NUMBER),
+                        "approach_capacity_fraction": _CAP_FRACTION}}
+
 SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -162,10 +170,7 @@ SCENARIO_SCHEMA = {
                                                     "items": {"type": "integer"}}},
                 "lengths": {"type": "object",
                             "additionalProperties": {"type": "number"}},
-                "cells": {"type": "object",
-                          "additionalProperties": {
-                              "type": "object", "required": ["kind"],
-                              "properties": {"kind": {"enum": list(KINDS)}}}},
+                "cells": {"type": "object", "additionalProperties": _CELL},
                 "turning": {"enum": ["uniform_no_uturn"]},
                 "signals": {"type": "object",
                             "propertyNames": {"pattern": "^-?(0|[1-9][0-9]*)$"},

@@ -33,6 +33,7 @@ import copy
 
 import numpy as np
 
+from .network import RouteParameters
 from .normal import libm_exp, libm_log, ndtri
 
 __all__ = [
@@ -112,7 +113,8 @@ class _EnvironmentBase:
         self._columns = np.array(list(last.values()), dtype=np.intp)
         via = network.route_via[self._idx]
         l_v = network.lengths[via]
-        self._params = (l_v, -l_v, np.array([node_caps[v] for v in via], dtype=float))
+        self._params = RouteParameters(l_v, -l_v,
+                                       np.array([node_caps[v] for v in via], dtype=float))
 
     def with_attempts(self, attempts):
         """The environment stepping ``attempts``: one replicate's (steps, m)
@@ -120,9 +122,8 @@ class _EnvironmentBase:
         route-major (n_routes, B) state."""
         out = copy.copy(self)
         out._attempts = attempts.take(self._columns, 1)
-        if attempts.ndim == 3:
-            out._params = tuple(np.repeat(x[:, None], attempts.shape[2], axis=1)
-                                for x in self._params)
+        # a fresh table: a batch's (m, B) expansion ends with this copy
+        out._params = RouteParameters(*self._params[self._idx.shape])
         return out
 
     def net_flows(self, t, rho, q_in, q_out):
@@ -135,7 +136,7 @@ class _EnvironmentBase:
         idx = self._idx
         aux = self._attempts[t]
         rho_s, q_in_s, q_out_s = rho.take(idx, 0), q_in.take(idx, 0), q_out.take(idx, 0)
-        l_v, neg_l_v, cap = self._params
+        l_v, neg_l_v, cap = self._params[rho_s.shape]
         lo = rho_s * neg_l_v - q_in_s + q_out_s   # (-rho) * l_v exactly
         hi = (cap - rho_s) * l_v - q_in_s + q_out_s
         q_aux = np.zeros(rho.shape)

@@ -185,12 +185,16 @@ class BenchmarkSpec:
         return self.e * 2.0 * rng.beta(self.beta, self.beta, size=n)
 
 
-def calibrate_threshold(bench, utility, rel_tol=1e-8):
+#: relative tolerance of the benchmark quadrature
+_QUAD_REL_TOL = 1e-8
+
+
+def calibrate_threshold(bench, utility):
     """Expected utility of the benchmark flow, by adaptive quadrature.
 
     gamma = E[u(e * 2 * X)] with X ~ Beta(beta, beta), computed to the
-    requested relative tolerance.  Deterministic, so thresholds are
-    reproducible across runs.
+    relative tolerance ``_QUAD_REL_TOL``.  Deterministic, so thresholds
+    are reproducible across runs.
     """
     # imported here: scipy.stats and scipy.integrate take most of the
     # package's import time, and only calibration needs them
@@ -211,11 +215,11 @@ def calibrate_threshold(bench, utility, rel_tol=1e-8):
         if 0.0 < kink < 1.0:
             points.append(kink)
     value, err = integrate.quad(integrand, 0.0, 1.0,
-                                points=points or None, epsrel=rel_tol,
+                                points=points or None, epsrel=_QUAD_REL_TOL,
                                 epsabs=0.0, limit=200)
     if not math.isfinite(value):
         raise ArithmeticError("benchmark quadrature did not converge")
-    if abs(err) > max(1e-12, 100 * rel_tol * abs(value)):
+    if abs(err) > max(1e-12, 100 * _QUAD_REL_TOL * abs(value)):
         raise ArithmeticError(
             f"benchmark quadrature error {err} too large for value {value}")
     return value

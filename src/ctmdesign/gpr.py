@@ -479,6 +479,22 @@ def _nelder_mead(func, x0, xatol, fatol, maxiter):
     return sim[0], np.min(fsim)
 
 
+def _distinct_rows(points):
+    """How many distinct rows ``points`` has; numpy's ``unique`` over rows
+    would import ``numpy.ma`` on its first call."""
+    rows = points[np.lexsort(points.T)]
+    return 1 + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
+
+
+def _median(x):
+    """The median of a non-empty 1-D array without NaN, with the bits of
+    numpy's ``median``, which would import ``numpy.ma`` on its first call:
+    the mean of the middle order statistics."""
+    k = len(x) // 2
+    lo = k - 1 + len(x) % 2
+    return np.partition(x, (lo, k))[lo:k + 1].mean()
+
+
 def fit_hyperparameters(dataset, variant, n_starts=10, rng=None, tol=1e-6):
     """Maximize the log marginal likelihood over (sigma_c, length).
 
@@ -490,14 +506,14 @@ def fit_hyperparameters(dataset, variant, n_starts=10, rng=None, tol=1e-6):
     """
     if len(dataset) < 3:
         raise ValueError("hyperparameter fitting needs at least 3 points")
-    if len(np.unique(dataset.points, axis=0)) < 3:
+    if _distinct_rows(dataset.points) < 3:
         raise ValueError("hyperparameter fitting needs at least 3 distinct points")
     rng = np.random.default_rng(rng)
 
     diffs = dataset.points[:, None, :] - dataset.points[None, :, :]
     dists = np.sqrt((diffs ** 2).sum(axis=-1))
-    pos = dists[dists > 0]
-    length_scale = float(np.median(pos)) if len(pos) else 1.0
+    # three distinct points: some distance is positive
+    length_scale = float(_median(dists[dists > 0]))
     value_scale = 1.0  # data is standardized
 
     def objective(log_params):

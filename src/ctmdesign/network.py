@@ -109,12 +109,10 @@ class TrafficNetwork:
         self.lengths.setflags(write=False)
 
         allow_uturn = frozenset(allow_uturn or ())
-        self._in = [tuple(np.flatnonzero(adj[:, v])) for v in range(n_nodes)]
-
         routes = []
         for v in range(n_nodes):
             out = np.flatnonzero(adj[v, :])
-            for u in self._in[v]:
+            for u in np.flatnonzero(adj[:, v]):
                 for w in out:
                     if w == u and v not in allow_uturn:
                         continue
@@ -132,11 +130,6 @@ class TrafficNetwork:
     def _check_node(self, v):
         if not (0 <= v < self.n_nodes):
             raise NetworkError(f"invalid node id {v} (n_nodes={self.n_nodes})")
-
-    def neighbors_in(self, v):
-        """Set of nodes u with an edge (u, v): the nodes which can reach v."""
-        self._check_node(v)
-        return set(self._in[v])
 
     def routes_through(self, v):
         """Route indices through node v, in enumeration order."""

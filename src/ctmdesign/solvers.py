@@ -54,10 +54,10 @@ Every column of a batch goes through the floating-point operations of a
 one-replicate run in the same order, so it is bit-identical to it:
 
 * elementwise operations are the same in either layout;
-* a group sum (``_GroupSums``) adds rows in the order of numpy's
-  ``add.reduceat`` over the group: x0 + (((x1 + x2) + x3) + ...) for up
-  to 8 routes, numpy's 8-accumulator pairwise order for 9 or more; a
-  group minimum is exact in any order;
+* a group sum (``_GroupSums``) adds rows in one order for every group
+  size, x0 + (((x1 + x2) + x3) + ...), which is the order of numpy's
+  ``add.reduceat`` over a group of up to 8 routes; a group minimum is
+  exact in any order;
 * the priority fill's running sum is a cumulative sum along the route
   axis, the same sequential recurrence in either layout;
 * in the cell products (``CellTable``), a ``W`` row whose one stored
@@ -103,53 +103,28 @@ class InteractionRule:
 
 
 # ---------------------------------------------------------------------------
-# Group sums in the order of numpy's add.reduceat
+# Group sums
 # ---------------------------------------------------------------------------
 
-def _pairwise_sum(rows):
-    """rows[0] + ... + rows[m - 1] elementwise for m >= 8, in the order of
-    numpy's pairwise sum of m contiguous elements: 8 accumulators, then
-    the remainder in turn, halved at 8-multiples past 128 elements.
-    ``rows`` may be added into."""
-    m = len(rows)
-    if m > 128:
-        half = m // 2 - m // 2 % 8
-        return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
-    acc = rows[:8]
-    for i in range(8, m - m % 8, 8):
-        for j in range(8):
-            acc[j] += rows[i + j]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for row in rows[m - m % 8:]:
-        total += row
-    return total
-
-
 class _GroupSums:
-    """Sums over groups of rows, each in the order of numpy's ``add.reduceat``.
+    """Sums over groups of rows, each as x0 + (((x1 + x2) + x3) + ...).
 
-    ``add.reduceat`` sums a segment x0, ..., x(k-1) as x0 + pairwise(x1,
-    ..., x(k-1)), where numpy's pairwise sum of fewer than 8 elements
-    adds them in turn onto -0.0, the identity: x0 + (((x1 + x2) + x3) +
-    ...).  ``groups`` lists each group's row indices, largest groups
-    first.  The groups of up to 8 rows are gathered in one copy, column
-    by column: column j holds the j-th row of every group that has one,
-    and those groups lead, so column j adds onto a prefix of column 1,
-    and then column 1 onto a prefix of column 0.  Each larger size k gets
-    a (k, n_k) table of its own, because its pairwise order depends on k.
+    For a group of up to 8 rows this is the order of numpy's
+    ``add.reduceat``, which sums a segment as x0 + pairwise(x1, ...),
+    where a pairwise sum of fewer than 8 elements adds them in turn onto
+    -0.0, the identity.  ``groups`` lists each group's row indices,
+    largest first.  The rows are gathered in one copy, column by column:
+    column j holds the j-th row of every group that has one, and those
+    groups lead, so column j adds onto a prefix of column 1, and then
+    column 1 onto a prefix of column 0.
     """
 
     def __init__(self, groups):
         sizes = [len(g) for g in groups]
         if sizes != sorted(sizes, reverse=True) or 0 in sizes:
             raise ValueError("groups must be non-empty, largest first")
-        big = sum(k > 8 for k in sizes)
-        self._tables = [np.array([groups[g] for g in range(big) if sizes[g] == k],
-                                 dtype=np.intp).T
-                        for k in sorted(set(sizes[:big]), reverse=True)]
-        small = groups[big:]
-        columns = [[g[j] for g in small if len(g) > j]
-                   for j in range(max(sizes[big:], default=0))]
+        columns = [[g[j] for g in groups if len(g) > j]
+                   for j in range(max(sizes, default=0))]
         self._flat = np.array([i for col in columns for i in col], dtype=np.intp)
         start = np.cumsum([0] + [len(col) for col in columns])
         # (prefix of the accumulating column, column added onto it), in order
@@ -157,7 +132,7 @@ class _GroupSums:
                        slice(start[j], start[j + 1])) for j in range(2, len(columns))]
         if len(columns) > 1:
             self._adds.append((slice(0, len(columns[1])), slice(start[1], start[2])))
-        self._n_small = len(small)
+        self._n_groups = len(groups)
 
     def __call__(self, x):
         """The group sums of ``x``'s rows: (n_groups,) or (n_groups, B)."""
@@ -165,17 +140,26 @@ class _GroupSums:
         for acc, part in self._adds:
             total = flat[acc]
             total += flat[part]
-        sums = flat[:self._n_small]
-        if not self._tables:
-            return sums
-        big = [x.take(table, 0) for table in self._tables]
-        return np.concatenate([rows[0] + _pairwise_sum(list(rows[1:])) for rows in big]
-                              + [sums])
+        return flat[:self._n_groups]
 
 
 # ---------------------------------------------------------------------------
 # Step engine
 # ---------------------------------------------------------------------------
+
+def _edge_groups(network):
+    """The local problems of a step, one per edge (u, v) with an upstream
+    route: the edges in (v, u) order, and each one's upstream routes
+    (x, u, v) and downstream routes (u, v, w) as index arrays in route
+    order, from one pass over the routes."""
+    up_of, down_of = {}, {}
+    for i, r in enumerate(network.routes):
+        up_of.setdefault((r.via, r.dst), []).append(i)
+        down_of.setdefault((r.src, r.via), []).append(i)
+    edges = sorted(up_of, key=lambda e: (e[1], e[0]))
+    return (edges, [np.array(up_of[e], dtype=np.intp) for e in edges],
+            [np.array(down_of.get(e, []), dtype=np.intp) for e in edges])
+
 
 class SimulationEngine:
     """Compiled five-phase stepper for one network.
@@ -200,22 +184,8 @@ class SimulationEngine:
         self._schedules = dict(schedules or {})
         n = network.n_routes
 
-        up_lists, down_lists = [], []
-        group_edges = []
-        for v in range(network.n_nodes):
-            for u in sorted(network.neighbors_in(v)):
-                ups = [network.route_index[r] for r in network.routes
-                       if r.via == u and r.dst == v]
-                if not ups:
-                    continue
-                downs = [i for i in network.routes_through(v)
-                         if network.routes[i].src == u]
-                group_edges.append((u, v))
-                up_lists.append(np.array(ups, dtype=np.intp))
-                down_lists.append(np.array([int(j) for j in downs], dtype=np.intp))
-
-        self.group_edges = group_edges
-        self.n_groups = len(group_edges)
+        self.group_edges, up_lists, down_lists = _edge_groups(network)
+        self.n_groups = len(self.group_edges)
         # the sums, budgets and fractions of a step take the groups in
         # slots, largest upstream group first
         slots = sorted(range(self.n_groups), key=lambda g: -len(up_lists[g]))

@@ -8,7 +8,9 @@ the four interaction regimes as one local flow problem per directed edge,
 solved one at a time (the cooperative one by a HiGHS LP when the turning
 fractions depend on the upstream route; the engine's phase 2), the
 signal phase, ramp and state of an intersection (the engine's
-``signal_table``), one Frank-copula pair (``FrankCopula.pairs``),
+``signal_table``), the engine's edge groups by a scan of every route
+per edge and a group sum added one row at a time (``solvers``), one
+Frank-copula pair (``FrankCopula.pairs``),
 the truncation of one attempted net flow (the environments'
 ``net_flows``), the conserved mass, the covariance of two single design
 points and the kernel's cross-covariance matrix in expression form
@@ -445,6 +447,37 @@ def advance_signal(schedule, t, via=None):
             la[route] = la_on if green else 0.0
             tsw[route] = t_switch
     return SignalState(ls=ls, la=la, t_switch=tsw)
+
+
+# ---------------------------------------------------------------------------
+# the engine's groups and group sums
+# ---------------------------------------------------------------------------
+
+def edge_groups(network):
+    """The engine's local problems by a scan of every route per edge:
+    [((u, v), upstream route indices, downstream route indices)] for
+    each edge (u, v) with an upstream route (x, u, v), in (v, u) order,
+    the downstream routes being the (u, v, w), both in route order."""
+    groups = []
+    for v in range(network.n_nodes):
+        for u in np.flatnonzero(network.adjacency[:, v]):
+            ups = [network.route_index[r] for r in network.routes
+                   if r.via == u and r.dst == v]
+            if ups:
+                downs = [int(i) for i in network.routes_through(v)
+                         if network.routes[i].src == u]
+                groups.append(((u, v), ups, downs))
+    return groups
+
+
+def group_sum(rows):
+    """rows[0] + (((rows[1] + rows[2]) + rows[3]) + ...), one add at a time."""
+    if len(rows) == 1:
+        return rows[0]
+    tail = rows[1]
+    for row in rows[2:]:
+        tail = tail + row
+    return rows[0] + tail
 
 
 # ---------------------------------------------------------------------------

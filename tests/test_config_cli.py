@@ -317,6 +317,19 @@ KEYWORD_EDITS = {
     "utility-alpha-string": ("urban", _set(("evaluation", "utilities", 1, "alpha"), "a")),
     "cells-kind-unknown": ("urban", _set(("network", "cells", "roads", "kind"), "road")),
     "cells-without-kind": ("urban", _set(("network", "cells", "roads", "kind"), ...)),
+    "cell-a-bool": ("urban", _set(("network", "cells", "roads", "a"), True)),
+    "cell-a-string": ("urban", _set(("network", "cells", "roads", "a"), "0.5")),
+    "cell-zeta-null": ("urban", _set(("network", "cells", "unsignalized", "zeta"), None)),
+    "cell-approach-fraction-negative": ("urban", _set(
+        ("network", "cells", "signalized", "approach_capacity_fraction"), -1)),
+    "cell-approach-fraction-zero": ("urban", _set(
+        ("network", "cells", "signalized", "approach_capacity_fraction"), 0)),
+    "cell-approach-fraction-one": ("urban", _set(
+        ("network", "cells", "signalized", "approach_capacity_fraction"), 1)),
+    "cell-approach-fraction-above-one": ("urban", _set(
+        ("network", "cells", "signalized", "approach_capacity_fraction"), 5)),
+    "cell-unknown-key": ("urban", _set(("network", "cells", "roads", "speed"), 1)),
+    "cell-ccw": ("urban", _set(("network", "cells", "signalized", "ccw"), [13, 20, 15, 9])),
     "root-extra-key": ("synthetic", _set(("extra",), 1)),
     "root-array": ("synthetic", lambda raw: [raw]),
     "seed-negative": ("synthetic", _set(("seed",), -1)),
@@ -909,6 +922,20 @@ def test_cli_workers_below_one_exit_2(tmp_path, capsys, command, workers):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["calibrate", "export-grid"])
+@pytest.mark.parametrize("flag", ["--seed", "--workers"])
+def test_cli_commands_that_draw_no_replicates_refuse_seed_and_workers(tmp_path, capsys,
+                                                                     command, flag):
+    # both commands took both flags and read neither; calibrate wrote the
+    # scenario's seed to its manifest whatever --seed said
+    extra = ["--run-dir", str(tmp_path)] if command == "export-grid" else []
+    rc = exit_code([command, "--config", str(bundled("urban")), *extra, flag, "1",
+                    "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _run_counts(tmp_path, **learning):
     """manifest.json and dataset.csv rows of a small synthetic run."""
     path = synthetic_config(tmp_path, **learning)
@@ -1392,12 +1419,28 @@ def test_cli_invalid_evaluation_block_exit_2_at_load(tmp_path, capsys, name, com
     assert not out.exists()
 
 
+_ROAD = {"kind": "highway", "s_max": 5, "rho_max": 30, "a": 1, "b": 1}
+
+
 @pytest.mark.parametrize("cells, where", [
     (3, "at network/cells/roads"),
     ({"s_max": 5, "rho_max": 30, "a": 1, "b": 1}, "at network/cells/roads"),
-    ({"kind": "road", "s_max": 5, "rho_max": 30, "a": 1, "b": 1},
-     "at network/cells/roads/kind"),
-], ids=["number", "without-kind", "unknown-kind"])
+    ({**_ROAD, "kind": "road"}, "at network/cells/roads/kind"),
+    # "a": true ran to exit 0 and "a": "0.5" exited 2 without a JSON path;
+    # a fraction of -1 or 5 ran to exit 0
+    ({**_ROAD, "a": True}, "at network/cells/roads/a"),
+    ({**_ROAD, "a": "0.5"}, "at network/cells/roads/a"),
+    ({**_ROAD, "zeta": None}, "at network/cells/roads/zeta"),
+    ({**_ROAD, "approach_capacity_fraction": -1},
+     "at network/cells/roads/approach_capacity_fraction"),
+    ({**_ROAD, "approach_capacity_fraction": 0},
+     "at network/cells/roads/approach_capacity_fraction"),
+    ({**_ROAD, "approach_capacity_fraction": 5},
+     "at network/cells/roads/approach_capacity_fraction"),
+    ({**_ROAD, "speed": 1}, "at network/cells/roads"),
+    ({**_ROAD, "ccw": [1, 2, 3, 4]}, "at network/cells/roads"),
+], ids=["number", "without-kind", "unknown-kind", "a-bool", "a-string", "zeta-null",
+        "fraction-negative", "fraction-zero", "fraction-above-one", "unknown-key", "ccw"])
 def test_cli_invalid_cell_group_exit_2_at_load(tmp_path, capsys, cells, where):
     raw = json.loads(bundled("urban").read_text())
     raw["network"]["cells"]["roads"] = cells
@@ -1660,6 +1703,14 @@ def _fresh_modules(code, names):
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split()
+
+
+def test_estimate_levelset_leaves_numpy_ma_unloaded(tmp_path):
+    # the first call of np.unique(..., axis=0) or np.median imports numpy.ma
+    code = ("from ctmdesign.cli import main\n"
+            f"assert main(['estimate-levelset', '--config', {str(SYNTHETIC_SMALL)!r}, "
+            f"'--seed', '1', '--out-dir', {str(tmp_path / 'est')!r}]) == 0")
+    assert _fresh_modules(code, ("numpy.ma",)) == []
 
 
 def test_engine_build_leaves_scipy_sparse_unloaded():

@@ -652,6 +652,25 @@ def test_fit_needs_three_distinct_points():
         fit_hyperparameters(dup, "squared_exponential")
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_distinct_rows_equal_numpy_unique(dim, data):
+    # few values, so rows repeat; 0.0 and -0.0 are one value
+    value = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 3e300])
+    rows = data.draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=1,
+                              max_size=12))
+    points = np.array(rows)
+    assert gpr._distinct_rows(points) == len(np.unique(points, axis=0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30))
+def test_median_equals_numpy_median(values):
+    x = np.array(values)
+    got, want = gpr._median(x), np.median(x)
+    assert got == want and np.signbit(got) == np.signbit(want)
+
+
 # ---------------------------------------------------------------------------
 # standardization
 # ---------------------------------------------------------------------------

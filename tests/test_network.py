@@ -12,22 +12,22 @@ def two_node_net():
 
 def test_neighbors_two_node_bidirectional():
     net = two_node_net()
-    assert net.neighbors_in(0) == {1}
+    assert set(np.flatnonzero(net.adjacency[:, 0])) == {1}
     assert set(np.flatnonzero(net.adjacency[0])) == {1}
 
 
 def test_neighbors_isolated_node():
     net = TrafficNetwork(3, [(0, 1), (1, 0)], {0: 1, 1: 1, 2: 1})
-    assert net.neighbors_in(2) == set()
+    assert set(np.flatnonzero(net.adjacency[:, 2])) == set()
     assert not net.adjacency[2].any()
 
 
 def test_neighbors_invalid_node():
     net = two_node_net()
     with pytest.raises(NetworkError):
-        net.neighbors_in(5)
+        net.routes_through(5)
     with pytest.raises(NetworkError):
-        net.neighbors_in(-1)
+        net.routes_through(-1)
 
 
 def test_urban_signalized_neighbors():
@@ -40,9 +40,9 @@ def test_urban_signalized_neighbors():
                      .joinpath("urban.json").read_text())
     scen = Scenario(raw)
     idx = {n: i for i, n in enumerate(scen.node_labels)}
-    arms = scen.network.neighbors_in(idx[14])
+    arms = set(np.flatnonzero(scen.network.adjacency[:, idx[14]]))
     assert arms == {idx[13], idx[20], idx[15], idx[9]}
-    arms16 = scen.network.neighbors_in(idx[16])
+    arms16 = set(np.flatnonzero(scen.network.adjacency[:, idx[16]]))
     assert arms16 == {idx[15], idx[21], idx[17], idx[10]}
 
 

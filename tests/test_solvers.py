@@ -14,9 +14,10 @@ from ctmdesign.network import TrafficNetwork
 from ctmdesign.signals import SignalSchedule
 from ctmdesign.solvers import InteractionRule, SimulationEngine
 from reference import (DensityState, LocalProblem, TurningFractions,
-                       advance_signal, aggregate_inflows, engine_step, receiving,
-                       sending, signal_la, solve_cooperative, solve_cpf, solve_dpf,
-                       solve_priority, total_mass, update_density)
+                       advance_signal, aggregate_inflows, edge_groups, engine_step,
+                       group_sum, receiving, sending, signal_la, solve_cooperative,
+                       solve_cpf, solve_dpf, solve_priority, total_mass, update_density)
+from test_cells import intersection_grid
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -378,7 +379,7 @@ def test_step_composes_the_phases():
 
     q_out = {}
     for v in range(net.n_nodes):
-        for u in net.neighbors_in(v):
+        for u in np.flatnonzero(net.adjacency[:, v]):
             ups = [r for r in net.routes if r.via == u and r.dst == v]
             downs = [r for r in net.routes if r.via == v and r.src == u]
             if not ups:
@@ -452,15 +453,19 @@ def test_turning_rows_equal_uniform_no_uturn_on_bundled_scenarios(name):
     assert_turning_rows_equal_reference(Scenario(raw).engine)
 
 
-def test_turning_rows_equal_uniform_no_uturn_with_uturns_and_a_dead_end():
-    # a line 0-1-2 with U-turns at 0 and 1; 3 and 4 hang off 2 as dead
-    # ends, whose only exit is the U-turn they do not allow, so the groups
-    # (2, 3) and (2, 4) have upstream routes and no downstream ones
+def dead_end_line():
+    """A line 0-1-2 with U-turns at 0 and 1; 3 and 4 hang off 2 as dead
+    ends, whose only exit is the U-turn they do not allow, so the groups
+    (2, 3) and (2, 4) have upstream routes and no downstream ones."""
     edges = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (2, 4), (4, 2)]
     net = TrafficNetwork(5, edges, {i: 1.0 for i in range(5)}, allow_uturn={0, 1})
     cells = {v: CellSpec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
              for v in range(5)}
-    eng = SimulationEngine(net, cells)
+    return net, SimulationEngine(net, cells)
+
+
+def test_turning_rows_equal_uniform_no_uturn_with_uturns_and_a_dead_end():
+    net, eng = dead_end_line()
     assert (2, 3) in eng.group_edges
     assert len(eng._unbounded) > 0
     assert_turning_rows_equal_reference(eng)
@@ -533,7 +538,7 @@ def networks(draw, hub_kind):
     net = TrafficNetwork(m + 1, edges, dict(enumerate(lengths)))
     cells, schedules = {}, {}
     for v in range(m + 1):
-        arms = sorted(net.neighbors_in(v))
+        arms = list(np.flatnonzero(net.adjacency[:, v]))
         kinds = KINDS if len(arms) == 4 else tuple(k for k in KINDS
                                                    if k not in Z4_KINDS)
         kind = hub_kind if v == 0 else draw(st.sampled_from(kinds))
@@ -621,10 +626,12 @@ def test_batch_on_the_default_programs_equals_single_runs(rule, data):
 
 
 # ---------------------------------------------------------------------------
-# group sums in the order of numpy's add.reduceat
+# group sums: x0 + (((x1 + x2) + x3) + ...), numpy's add.reduceat order up
+# to 8 routes
 # ---------------------------------------------------------------------------
 
-def _group_sums_against_reduceat(sizes, batch, seed):
+def _random_group_sums(sizes, batch, seed):
+    """(groups, x, the group sums of x) for random groups of ``sizes``."""
     rng = np.random.default_rng(seed)
     n = sum(sizes)
     cuts = np.cumsum([0] + sizes)
@@ -635,24 +642,61 @@ def _group_sums_against_reduceat(sizes, batch, seed):
     x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
     x[rng.random(shape) < 0.1] = 0.0
     x[rng.random(shape) < 0.1] = -0.0
-    got = solvers._GroupSums(groups)(x)
-    ptr = np.cumsum([0] + [len(g) for g in groups])[:-1]
-    order = np.concatenate(groups)
-    columns = [x] if batch is None else [x[:, b] for b in range(batch)]
-    want = np.stack([np.add.reduceat(col[order], ptr) for col in columns], axis=-1)
-    want = want.reshape(got.shape)
+    return groups, x, solvers._GroupSums(groups)(x)
+
+
+def _assert_same_bits(got, want):
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _assert_fold(groups, x, got):
+    _assert_same_bits(got, np.stack([group_sum(list(x[g])) for g in groups]))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(sizes=st.lists(st.integers(1, 20), min_size=1, max_size=12),
        batch=st.sampled_from([None, 1, 3, 16]), seed=st.integers(0, 2**32 - 1))
 def test_group_sums_equal_reduceat(sizes, batch, seed):
-    _group_sums_against_reduceat(sizes, batch, seed)
+    groups, x, got = _random_group_sums(sizes, batch, seed)
+    _assert_fold(groups, x, got)
+    # the groups of up to 8 routes: numpy's add.reduceat adds them in the fold
+    ptr = np.cumsum([0] + [len(g) for g in groups])[:-1]
+    order = np.concatenate(groups)
+    columns = [x] if batch is None else [x[:, b] for b in range(batch)]
+    want = np.stack([np.add.reduceat(col[order], ptr) for col in columns], axis=-1)
+    small = np.array([len(g) <= 8 for g in groups])
+    _assert_same_bits(got[small], want.reshape(got.shape)[small])
 
 
 @pytest.mark.parametrize("sizes", [[9], [16, 8, 1], [17, 17, 3], [129], [256, 200, 9, 2]])
 def test_group_sums_equal_reduceat_past_the_pairwise_block(sizes):
+    # past 8 routes add.reduceat sums pairwise, with 8 accumulators; the
+    # group sums keep the fold at every size
     for seed in range(5):
-        _group_sums_against_reduceat(sizes, 4, seed)
+        _assert_fold(*_random_group_sums(sizes, 4, seed))
+
+
+# ---------------------------------------------------------------------------
+# the engine's groups
+# ---------------------------------------------------------------------------
+
+def _network(name):
+    if name == "dead-end":
+        return dead_end_line()[0]
+    if name == "grid":
+        return intersection_grid()[0]
+    raw = json.loads(resources.files("ctmdesign.scenarios")
+                     .joinpath(f"{name}.json").read_text())
+    return Scenario(raw).network
+
+
+@pytest.mark.parametrize("name", ["urban", "highway", "dead-end", "grid"])
+def test_one_pass_groups_equal_the_scan_of_every_route_per_edge(name):
+    net = _network(name)
+    edges, ups, downs = solvers._edge_groups(net)
+    want = edge_groups(net)
+    assert edges == [e for e, _, _ in want]
+    assert [u.tolist() for u in ups] == [u for _, u, _ in want]
+    assert [d.tolist() for d in downs] == [d for _, _, d in want]
+    assert all(a.dtype == np.intp for a in ups + downs)
