@@ -6,8 +6,11 @@ Subcommands:
                          write per-replicate statistics.
 * ``calibrate``          write benchmark-calibrated acceptance thresholds.
 * ``estimate-levelset``  run the full active-learning loop and persist
-                         per-iteration artifacts (dataset, grids, error
-                         bounds, fitted hyperparameters).
+                         per-iteration artifacts: the dataset and fitted
+                         hyperparameters as each iteration ends, the
+                         grids and error bounds of all iterations after
+                         the loop (as each iteration ends with
+                         ``error_stop`` set).
 * ``benchmark-compare``  mean performance under the demand-proportional
                          rule versus the cooperative benchmark for a list
                          of designs.
@@ -24,7 +27,8 @@ manifest records the replicates used (the sum of n over the dataset),
 the replicates drawn (also those thrown away past a stop), how many
 points stopped at their noise target or at the n_max cap, and how many
 posterior variances were solved: at the Sobol points of each fit's error
-bound, and for the candidates of each rejection sampling.
+bound, and for the candidates of each rejection sampling; and the wall
+seconds of each phase of the run (``phase_seconds``).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -37,6 +41,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +51,10 @@ from .config import (HYPERPARAMETERS_SCHEMA, ConfigError, Scenario,
                      _rejected_as_config_error, load_json, load_scenario)
 from .env import replicate_rng
 from .evaluation import calibrate_threshold
-from .gpr import GprDataset, Kernel, posterior
-from .learning import credible_band, run_active_learning
+from .gpr import GprDataset, Kernel, nested_query, posterior
+from .learning import band, run_active_learning, timed
 from .network import NetworkError
+from .normal import ndtri
 from .solvers import InteractionRule
 
 _WORKER_SCENARIO = None
@@ -220,17 +226,30 @@ _GRID_ROW = "%s%.12g,%.12g%s"
 _GRID_FLAGS = tuple(f",{i >> 2},{i >> 1 & 1},{i & 1}\r\n" for i in range(8))
 
 
-def _write_grid(path, grid, post, gamma, delta):
-    """One grid CSV of the posterior on a ``_grid_slice`` grid."""
+def _write_grid(paths, grid, posts, gamma, delta):
+    """The grid CSV ``paths[j]`` of the posterior ``posts[j]`` on a
+    ``_grid_slice`` grid, for every j in one pass over the grid's blocks:
+    the posteriors are nested (``gpr.nested_query``), and the rows of a
+    posterior listed more than once are formatted once."""
     pts, axes, prefixes = grid
-    m, s, lower, upper = credible_band(post, pts, delta)
-    flags = 4 * (m >= gamma) + 2 * (lower >= gamma) + (upper >= gamma)
-    rows = zip(prefixes, m.tolist(), s.tolist(),
-               map(_GRID_FLAGS.__getitem__, flags.tolist()))
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow([axes[0], axes[1], "mean", "std", "member",
-                                 "inner", "outer"])
-        fh.writelines(map(_GRID_ROW.__mod__, rows))
+    distinct = list({id(post): post for post in posts}.values())
+    z = ndtri(1.0 - delta / 2.0)
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", newline="")) for path in paths]
+        for fh in files:
+            csv.writer(fh).writerow([axes[0], axes[1], "mean", "std", "member",
+                                     "inner", "outer"])
+        for block, cols in nested_query(distinct, pts):
+            for post in distinct:
+                m, s = cols.mean(post), cols.std(post)
+                lower, upper = band(m, s, z)
+                flags = 4 * (m >= gamma) + 2 * (lower >= gamma) + (upper >= gamma)
+                rows = "".join(map(_GRID_ROW.__mod__, zip(
+                    prefixes[block], m.tolist(), s.tolist(),
+                    map(_GRID_FLAGS.__getitem__, flags.tolist()))))
+                for fh, owner in zip(files, posts):
+                    if owner is post:
+                        fh.write(rows)
 
 
 def cmd_estimate_levelset(args):
@@ -248,54 +267,69 @@ def cmd_estimate_levelset(args):
     def simulator(ks, rngs):
         return [float(utility(q)) for q in scenario.run_replicate(ks, rngs)]
 
-    files = []
+    files = {"dataset.csv", "hyperparameters.json", "errors.csv"}
+    seconds = {"grid_pass": 0.0, "persist": 0.0}
     error_rows = []
+    pending = []  # (estimate, points, discarded) of the iterations not yet bounded
     loop_state = grid = None
 
     def persist(est, state):
-        nonlocal loop_state, grid
+        """As each iteration ends: the dataset and the hyperparameters."""
+        nonlocal loop_state
         loop_state = state
-        i = est.iteration
-        dataset_file = out_dir / "dataset.csv"
-        # full precision, so a posterior rebuilt from the file (export-grid)
-        # conditions on the loop's data
-        rows = [tuple(repr(float(x)) for x in (*p, v, n)) + (cnt, int(d), born)
-                for p, v, n, cnt, d, born in zip(
-                    state.points, state.values, state.noises, state.counts,
-                    state.discarded, state.iteration_born)]
-        _write_csv(dataset_file, names + ["mu_hat", "tau_sq", "n",
-                                          "discarded", "iteration"], rows)
-        kern = est.posterior.kernel
-        hp_file = out_dir / "hyperparameters.json"
-        with open(hp_file, "w") as fh:
-            json.dump({"variant": kern.variant, "sigma_c": kern.sigma_c,
-                       "length": kern.length,
-                       "mu_bar": est.posterior.dataset.mu_bar,
-                       "s_bar": est.posterior.dataset.s_bar,
-                       "gamma": gamma, "delta": est.delta}, fh, indent=2)
+        with timed(seconds, "persist"):
+            # full precision, so a posterior rebuilt from the file (export-grid)
+            # conditions on the loop's data
+            rows = [tuple(repr(float(x)) for x in (*p, v, n)) + (cnt, int(d), born)
+                    for p, v, n, cnt, d, born in zip(
+                        state.points, state.values, state.noises, state.counts,
+                        state.discarded, state.iteration_born)]
+            _write_csv(out_dir / "dataset.csv", names + ["mu_hat", "tau_sq", "n",
+                                                         "discarded", "iteration"], rows)
+            kern = est.posterior.kernel
+            with open(out_dir / "hyperparameters.json", "w") as fh:
+                json.dump({"variant": kern.variant, "sigma_c": kern.sigma_c,
+                           "length": kern.length,
+                           "mu_bar": est.posterior.dataset.mu_bar,
+                           "s_bar": est.posterior.dataset.s_bar,
+                           "gamma": gamma, "delta": est.delta}, fh, indent=2)
+        pending.append((est, len(state.points), int(np.sum(state.discarded))))
+        if est.e_hat is not None:
+            write_bounds()
+
+    def write_bounds():
+        """Grids, errors.csv rows and bound lines of the bounded iterations."""
+        nonlocal grid
         if space.dim >= 2:
-            # one grid for every iteration, built here so start-up does not wait
-            if grid is None:
-                grid = _grid_slice(scenario, space)
-            grid_file = out_dir / f"grid_{i}.csv"
-            _write_grid(grid_file, grid, est.posterior, gamma, est.delta)
-            files.append(grid_file.name)
-        error_rows.append((i, _fmt(est.e_hat), len(state.points),
-                           int(np.sum(state.discarded))))
-        _write_csv(out_dir / "errors.csv",
-                   ["iteration", "e_hat", "points", "discarded"], error_rows)
-        files.extend([dataset_file.name, hp_file.name, "errors.csv"])
-        print(f"iteration {i}: {len(state.points)} points, "
-              f"error bound {est.e_hat:.5g}")
+            grid_files = [out_dir / f"grid_{est.iteration}.csv" for est, _, _ in pending]
+            with timed(seconds, "grid_pass"):
+                if grid is None:  # one grid for every iteration
+                    grid = _grid_slice(scenario, space)
+                _write_grid(grid_files, grid,
+                            [est.posterior for est, _, _ in pending], gamma, config.delta)
+            files.update(path.name for path in grid_files)
+        with timed(seconds, "persist"):
+            error_rows.extend((est.iteration, _fmt(est.e_hat), points, discarded)
+                              for est, points, discarded in pending)
+            _write_csv(out_dir / "errors.csv",
+                       ["iteration", "e_hat", "points", "discarded"], error_rows)
+            for est, points, _ in pending:
+                print(f"iteration {est.iteration}: {points} points, "
+                      f"error bound {est.e_hat:.5g}")
+        pending.clear()
 
     estimates = run_active_learning(config, space, simulator, gamma, seed,
                                     on_iteration=persist)
-    _manifest(out_dir, args.config, scenario.raw, seed, set(files), t0,
+    if pending:
+        write_bounds()
+    _manifest(out_dir, args.config, scenario.raw, seed, files, t0,
               extra={"gamma": gamma, "iterations": len(estimates) - 1,
                      **loop_state.replicate_counts(),
                      "nikodym_mean_points": loop_state.mean_points,
                      "nikodym_variance_points": loop_state.variance_points,
-                     "rejection_std_candidates": loop_state.std_candidates})
+                     "rejection_std_candidates": loop_state.std_candidates,
+                     "phase_seconds": {key: round(value, 6) for key, value in
+                                       {**loop_state.seconds, **seconds}.items()}})
     return 0
 
 
@@ -357,7 +391,7 @@ def cmd_export_grid(args):
     grid = _grid_slice(scenario, space, resolution=args.resolution)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_grid(out / "grid.csv", grid, post, hp["gamma"], hp.get("delta", 0.05))
+    _write_grid([out / "grid.csv"], grid, [post], hp["gamma"], hp.get("delta", 0.05))
     print(f"wrote {out / 'grid.csv'}")
     return 0
 

@@ -127,7 +127,7 @@ class _EnvironmentBase:
         return out
 
     def net_flows(self, t, rho, q_in, q_out):
-        """(q_aux, q_net) of step t.
+        """(q_aux, q_net) of step t, stacked in one (2, *rho.shape) array.
 
         q_net is q_aux truncated so that the update lands in [0, rho_cap]:
         lo = -rho * l_v - q_in + q_out, hi = (rho_cap - rho) * l_v - q_in
@@ -139,11 +139,10 @@ class _EnvironmentBase:
         l_v, neg_l_v, cap = self._params[rho_s.shape]
         lo = rho_s * neg_l_v - q_in_s + q_out_s   # (-rho) * l_v exactly
         hi = (cap - rho_s) * l_v - q_in_s + q_out_s
-        q_aux = np.zeros(rho.shape)
-        q_net = np.zeros(rho.shape)
-        q_aux[idx] = aux
-        q_net[idx] = np.minimum(np.maximum(aux, lo), hi)
-        return q_aux, q_net
+        flows = np.zeros((2, *rho.shape))
+        flows[0, idx] = aux
+        flows[1, idx] = np.minimum(np.maximum(aux, lo), hi)
+        return flows
 
 
 class ArCopulaEnvironment(_EnvironmentBase):

@@ -120,12 +120,17 @@ class Throughput:
         self._attempted = 0.0
 
     def __call__(self, t, rho_before, record):
-        if record.q_aux is None:
+        if record.env is None:
             return
-        net = record.q_net.take(self.idx, 0)
-        aux = record.q_aux.take(self.idx, 0)
-        self._removed += _route_sum(np.maximum(-net, 0.0))
-        self._attempted += _route_sum(np.maximum(aux, 0.0))
+        # one gather of q_aux and q_net, stacked: max(q_aux, 0), max(-q_net, 0)
+        flows = record.env.take(self.idx, 1)
+        np.negative(flows[1], out=flows[1])
+        np.maximum(flows, 0.0, out=flows)
+        if flows.ndim == 3:  # one contiguous (2, B, k) copy, as _route_sum's
+            flows = np.ascontiguousarray(flows.transpose(0, 2, 1))
+        attempted, removed = np.add.reduce(flows, axis=-1)
+        self._removed += removed
+        self._attempted += attempted
 
     def value(self):
         attempted = np.asarray(self._attempted, dtype=float)

@@ -44,6 +44,18 @@ sum of squared norms minus it, max(., 0), sqrt and / l into one (n1, n2)
 buffer, then the variant's closed form, e.g. s2 * (1 + z) * exp(-z) for
 Matern-3/2, with the gemm result reused as the exp buffer.  Posterior
 queries run in cache-sized blocks of 1024 points (see ``GprPosterior``).
+
+Nested posteriors share their kernel rows.  When each dataset of a list
+of posteriors is a prefix of the largest one and all share one kernel
+(as in a level-set run, whose kept points are only appended),
+``nested_query`` builds a query block's kernel columns once, against the
+largest dataset, and each posterior reads the leading n_i rows.  A row
+of ``Kernel.matrix(X, Q)`` has the same bits as the row of
+``Kernel.matrix(X[:n], Q)`` for n >= 2 on this BLAS build (pinned by
+``tests/test_gpr.py``), so every posterior gets the bits of its own
+``mean_std``.  Not for n = 1: numpy's matmul takes a gemv for a
+one-row gemm, whose bits can differ; a fit needs 3 points, so no loop
+posterior has one.
 """
 
 from __future__ import annotations
@@ -64,6 +76,7 @@ __all__ = [
     "GprDataset",
     "GprPosterior",
     "posterior",
+    "nested_query",
     "log_marginal_likelihood",
     "fit_hyperparameters",
 ]
@@ -303,8 +316,8 @@ class GprPosterior:
 
     Immutable and shareable: evaluation at query points has no side
     effects.  Mean and std-dev are returned on the original (raw) scale.
-    Queries are evaluated in blocks of ``QUERY_BLOCK`` columns into
-    preallocated outputs.  At 1024 columns a block's (n, 1024) buffers
+    Queries are evaluated in blocks of ``QUERY_BLOCK`` columns (see
+    ``QueryBlock``).  At 1024 columns a block's (n, 1024) buffers
     stay cache-sized (1 MB at n = 120, 4 MB at n = 500) and are reused
     from the heap, where 8192-column blocks made about ten fresh,
     page-faulting temporaries of 8-33 MB each and passed over them at
@@ -342,33 +355,17 @@ class GprPosterior:
         of any of them sees every query exactly once.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        n = len(queries)
-        mean, var = np.empty(n), np.empty(n)
-        data = self.dataset
-        s2 = self.kernel.sigma_c ** 2
-        for lo in range(0, n, self.QUERY_BLOCK):
-            block = slice(lo, lo + self.QUERY_BLOCK)
-            w = len(queries[block])
-            kx = self.kernel.matrix(data.points, _packed(queries[block]))
-            m = np.multiply((kx.T @ self._alpha)[:w], data.s_bar, out=mean[block])
-            np.add(m, data.mu_bar, out=m)
-            # var = c(k,k) - ||L^{-1} kx||^2, row-wise from kx^T L^{-T}
-            v = var[block]
+        mean, std = np.empty(len(queries)), np.empty(len(queries))
+        for block, cols in nested_query([self], queries):
+            mean[block] = cols.mean(self)
             if screen is None:
-                keep, rows = np.arange(w), kx.T  # every row, solved in place
+                std[block] = cols.std(self)
             else:
-                v[:] = s2  # a screened-out point reads s = 0
-                keep = np.flatnonzero(screen(m, block))
-                rows = np.take(kx, _packed(keep), axis=1).T
-            if rows.size:  # none without data or kept points
-                rows = _trsm(self._chol, rows)
-            v[keep] = np.einsum("ij,ij->i", rows, rows)[:len(keep)]
-            del rows, kx  # both freed before the next block's kernel matrix is built
-        np.subtract(s2, var, out=var)
-        np.maximum(var, 0.0, out=var)
-        np.sqrt(var, out=var)
-        np.multiply(var, data.s_bar, out=var)
-        return mean, var
+                keep = np.flatnonzero(screen(mean[block], block))
+                s = std[block]
+                s[:] = 0.0  # a screened-out point reads s = 0
+                s[keep] = cols.std(self, keep)
+        return mean, std
 
     def mean(self, queries):
         """Posterior mean at the query points (raw scale); a float at one point."""
@@ -412,6 +409,114 @@ class GprPosterior:
 def posterior(dataset, kern):
     """Posterior of the zero-mean prior given the standardized dataset."""
     return GprPosterior(dataset, kern)
+
+
+def nested_query(posts, queries, starts=None):
+    """Query blocks of one point set, shared by nested posteriors.
+
+    ``posts`` share one kernel, and each one's data points are a prefix of
+    the largest dataset's (see the module docstring).  Yields, per block
+    of queries, its slice of the queries and a ``QueryBlock``, whose
+    kernel columns against the largest dataset are built once and read
+    by every posterior.  ``starts`` lists the first query of each block
+    but the first, in increasing order; by default a block has
+    ``GprPosterior.QUERY_BLOCK`` queries.
+    """
+    posts = list(posts)
+    points = max((p.dataset.points for p in posts), key=len)
+    kern = posts[0].kernel
+    for p in posts:
+        if p.kernel != kern or not np.array_equal(
+                p.dataset.points, points[:len(p.dataset)], equal_nan=True):
+            raise ValueError("nested posteriors need one kernel, and data points "
+                             "that are a prefix of the largest dataset's")
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    if starts is None:
+        starts = range(GprPosterior.QUERY_BLOCK, len(queries), GprPosterior.QUERY_BLOCK)
+    edges = [0, *starts, len(queries)]
+    for lo, hi in zip(edges, edges[1:]):
+        if lo < hi:
+            yield slice(lo, hi), QueryBlock(kern, points, queries[lo:hi])
+
+
+class QueryBlock:
+    """One block of queries and its kernel columns against a dataset's points.
+
+    Columns are built in packs (``_packed``) of the queries asked for, for
+    every row at once, and kept until a request needs one that is not
+    built: its columns are then built afresh.  ``mean`` and ``std`` of a
+    posterior on the first n points read the leading n rows: the mean by
+    one gemv over every built column, the variance by a dtrsm on a packed
+    gather, or with no gather on columns built exactly as asked for: in
+    place by a posterior on every point, as their last reader, else on a
+    copy.
+    """
+
+    def __init__(self, kern, points, queries):
+        self.queries = queries
+        self._kernel, self._points = kern, points
+        self._k = None  # the columns built, (len(points), packed count)
+        self._built = None  # the queries whose columns _k holds; None: all
+        self._col = None  # each query's column in _k, -1 if none; None: its index
+
+    def _build(self, idx):
+        """Hold the columns of the queries ``idx`` (None: all)."""
+        if self._k is not None and (self._col is None or (
+                idx is not None and (self._col[idx] >= 0).all())):
+            return
+        q = self.queries if idx is None else self.queries[idx]
+        self._k = self._kernel.matrix(self._points, _packed(q))
+        self._built, self._col = idx, None
+        if idx is not None:
+            self._col = np.full(len(self.queries), -1)
+            self._col[idx] = np.arange(len(idx))
+
+    def _exact(self, idx):
+        """Whether the columns built are those of ``idx``, in order."""
+        if self._built is None or idx is None:
+            return self._built is idx
+        return np.array_equal(self._built, idx)
+
+    def _positions(self, idx):
+        return idx if self._col is None else self._col[idx]
+
+    def mean(self, post, idx=None):
+        """Raw-scale posterior mean of ``post`` at the queries ``idx`` of the
+        block (sorted indices; None for all of them)."""
+        if idx is not None and not len(idx):
+            return np.empty(0)
+        self._build(idx)
+        m = self._k[:len(post.dataset)].T @ post._alpha  # every built column
+        if self._exact(idx):
+            m = m[:len(self.queries) if idx is None else len(idx)]
+        else:
+            m = m[self._positions(idx)]
+        np.multiply(m, post.dataset.s_bar, out=m)
+        return np.add(m, post.dataset.mu_bar, out=m)
+
+    def std(self, post, idx=None):
+        """Raw-scale posterior std-dev of ``post`` at the queries ``idx``."""
+        w = len(self.queries) if idx is None else len(idx)
+        if not w:
+            return np.empty(0)
+        n = len(post.dataset)
+        self._build(idx)
+        if not self._exact(idx):
+            rows = np.take(self._k[:n], _packed(self._positions(idx)), axis=1).T
+        elif n == len(self._points):
+            rows, self._k = self._k.T, None  # the last reader solves in place
+        else:
+            rows = self._k[:n].copy().T  # later readers need the columns
+        # var = c(k,k) - ||L^{-1} kx||^2, row-wise from kx^T L^{-T}
+        if rows.size:  # none without data
+            rows = _trsm(post._chol, rows)
+        v = np.einsum("ij,ij->i", rows, rows)[:w]
+        del rows  # freed before the caller's next block is built
+        s2 = post.kernel.sigma_c ** 2
+        np.subtract(s2, v, out=v)
+        np.maximum(v, 0.0, out=v)
+        np.sqrt(v, out=v)
+        return np.multiply(v, post.dataset.s_bar, out=v)
 
 
 def log_marginal_likelihood(dataset, kern):

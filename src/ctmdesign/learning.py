@@ -21,8 +21,9 @@ the pointwise credible band m_i +/- z_{1-delta/2} sigma_i.  The band
 gives inner and outer sets {lower >= gamma} and {upper >= gamma}; the
 volume between them, estimated by quasi-Monte Carlo on Sobol points
 drawn once per run, bounds the Nikodym estimation error with
-probability 1 - delta pointwise.  ``credible_band`` evaluates m, sigma
-and both band edges from one posterior query per point set.
+probability 1 - delta pointwise.  ``band`` gives both band edges from
+m and sigma, and ``credible_band`` evaluates all four from one posterior
+query per point set.
 
 Within a run the kernel, the standardization and the jitter stay the
 same and the kept data only grows, new points appended at the end (a fit
@@ -48,18 +49,28 @@ acceptance draw needs the gate.  Neither changes a bit of the results,
 as the queried points keep the bits of a full query (see
 ``GprPosterior``); the manifest of ``estimate-levelset`` records how many
 means and variances were computed.
+
+The loop itself needs no bound unless ``error_stop`` is set, so the
+fits are bounded after it, in one pass over blocks of Sobol points
+(``_ErrorBound``): a point's state goes through the fits in their
+order, so every screen, count and bound is the one of a pass per fit,
+while each block's kernel columns are built once, against the last
+fit's data (``gpr.nested_query``).
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .evaluation import sequential_mc
-from .gpr import GprDataset, fit_hyperparameters, posterior, scipy_file
+from .gpr import (GprDataset, GprPosterior, fit_hyperparameters, nested_query,
+                  posterior, scipy_file)
 from .normal import ndtri
 
 __all__ = [
@@ -67,6 +78,7 @@ __all__ = [
     "LoopConfig",
     "LevelSetEstimate",
     "sobol_points",
+    "band",
     "credible_band",
     "acquisition",
     "rejection_sample",
@@ -171,9 +183,6 @@ class LoopConfig:
             raise ValueError("either c2 schedule or c2_0 must be configured")
         return self.c2_0 * i
 
-
-#: Sobol points screened and queried at a time by the error bound
-_SOBOL_CHUNK = 8192
 
 #: bits of the Sobol integers; the sequence has at most 2^30 points
 _SOBOL_BITS = 30
@@ -330,17 +339,29 @@ def rejection_sample(n_loop, post, gamma, tau_i, c2, config, space, rng,
     return np.array(found) if found else np.zeros((0, space.dim))
 
 
-def credible_band(post, pts, delta, screen=None):
-    """(m, s, lower, upper) at pts from one posterior query.
+def band(m, s, z):
+    """(lower, upper) = m -+ z s, the pointwise credible band at z = z_{1-delta/2}.
 
-    lower/upper = m -+ z_{1-delta/2} s is the pointwise credible band;
     {lower >= gamma} and {upper >= gamma} are the inner and outer sets
-    around the plug-in set {m >= gamma}.  ``screen`` goes to
-    ``mean_std``: a point it screens out has s = 0, a band of width 0.
+    around the plug-in set {m >= gamma}.
+    """
+    half = z * s
+    return m - half, m + half
+
+
+def credible_band(post, pts, delta, screen=None):
+    """(m, s, lower, upper) at pts from one posterior query (see ``band``).
+
+    ``screen`` goes to ``mean_std``: a point it screens out has s = 0, a
+    band of width 0.
     """
     m, s = post.mean_std(pts, screen)
-    half = ndtri(1.0 - delta / 2.0) * s
-    return m, s, m - half, m + half
+    return m, s, *band(m, s, ndtri(1.0 - delta / 2.0))
+
+
+def _in_band(lower, upper, gamma):
+    """Which points lie in the band: upper >= gamma > lower."""
+    return (upper >= gamma) & (gamma > lower)
 
 
 def nikodym_bound_mc(lower, upper, gamma, volume, n=None):
@@ -351,8 +372,97 @@ def nikodym_bound_mc(lower, upper, gamma, volume, n=None):
     points that can lie in the band; the result bounds the Nikodym error
     of the plug-in set.
     """
-    inside = int(np.count_nonzero((upper >= gamma) & (gamma > lower)))
+    inside = int(np.count_nonzero(_in_band(lower, upper, gamma)))
     return volume * (inside / (len(lower) if n is None else n))
+
+
+@contextmanager
+def timed(seconds, phase):
+    """Add the wall time of the ``with`` body to ``seconds[phase]``, a float."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[phase] += time.perf_counter() - t0
+
+
+class _ErrorBound:
+    """Nikodym error bounds of a run's fits on its Sobol points.
+
+    Per Sobol point it keeps the last known std s_ref, and the mean m_ref
+    of the last fit that computed it with that fit's index; per fit since
+    the bound started afresh, the fit's data size (see the module
+    docstring).  Called with the run's next fits, in order, it replays
+    the fits' screens point by point in one pass over the Sobol blocks:
+    each block's kernel columns are built once, against the last fit's
+    data (``nested_query``), when a fit's screen first needs them.  A
+    point's state goes through the fits in their order, so each bound,
+    and each count of means and variances, is the one of a pass per fit.
+    """
+
+    def __init__(self, space, config, gamma, state):
+        self.sobol = sobol_points(space, config.n_eval)
+        self.volume, self.gamma = space.volume, gamma
+        self.z = ndtri(1.0 - config.delta / 2.0)
+        self.state = state
+        n = len(self.sobol)
+        self.bound = np.empty(n)
+        self.m_ref = np.zeros(n)
+        self.ref_fit = np.zeros(n, dtype=np.min_scalar_type(config.iterations))
+        self.sizes = []
+        self.jitter = None
+
+    def __call__(self, posts):
+        """The bounds of ``posts``, the run's next fits in order."""
+        fits = []
+        for post in posts:
+            reset = post.jitter != self.jitter
+            if reset:  # more jitter can raise the variance
+                self.sizes.clear()
+                self.jitter = post.jitter
+            self.sizes.append(len(post.dataset))
+            # per reference fit: rho of all the points added since
+            drift = np.array([post.residual_norm(n) for n in self.sizes])
+            fits.append((post, reset, drift, len(self.sizes) - 1, 1e-3 * post.prior_std))
+        if not fits:
+            return []
+        gamma, z = self.gamma, self.z
+        starts = None  # after a reset, blocks of QUERY_BLOCK Sobol points
+        _, reset, drift, _, slack = fits[0]
+        if not reset:  # blocks of QUERY_BLOCK points that the first screen keeps
+            reach = (z + drift[self.ref_fit]) * self.bound * (1 + 1e-6) + slack
+            kept = np.flatnonzero(np.abs(self.m_ref - gamma) < reach)
+            starts = kept[GprPosterior.QUERY_BLOCK::GprPosterior.QUERY_BLOCK]
+        # per fit: the band at the points in it, block by block
+        inside = [([], []) for _ in fits]
+        n_means, n_vars = [0] * len(fits), [0] * len(fits)
+        for block, cols in nested_query(posts, self.sobol, starts):
+            bound, m_ref, ref_fit = self.bound[block], self.m_ref[block], self.ref_fit[block]
+            for f, (post, reset, drift, index, slack) in enumerate(fits):
+                if reset:
+                    bound.fill(np.inf)
+                    ref_fit.fill(0)
+                # the mean moved by at most drift * s_ref since m_ref
+                reach = (z + drift[ref_fit]) * bound * (1 + 1e-6) + slack
+                pts = np.flatnonzero(np.abs(m_ref - gamma) < reach)
+                m = cols.mean(post, pts if len(pts) < len(m_ref) else None)
+                # only a point within z * s_ref of gamma can lie in the band
+                solved = np.abs(m - gamma) < z * (bound[pts] * (1 + 1e-6) + slack)
+                m_ref[pts] = m
+                ref_fit[pts] = index
+                s = cols.std(post, pts[solved])
+                bound[pts[solved]] = s
+                # only a point with a solved variance has a band of nonzero width
+                lower, upper = band(m[solved], s, z)
+                near = _in_band(lower, upper, gamma)
+                inside[f][0].append(lower[near])
+                inside[f][1].append(upper[near])
+                n_means[f] += len(pts)
+                n_vars[f] += len(s)
+        self.state.mean_points.extend(n_means)
+        self.state.variance_points.extend(n_vars)
+        return [nikodym_bound_mc(np.concatenate(lows), np.concatenate(ups), gamma,
+                                 self.volume, len(self.sobol)) for lows, ups in inside]
 
 
 @dataclass
@@ -370,6 +480,9 @@ class _LoopState:
     mean_points: list = field(default_factory=list)
     variance_points: list = field(default_factory=list)
     std_candidates: list = field(default_factory=list)
+    # wall seconds per loop phase
+    seconds: dict = field(default_factory=lambda: dict.fromkeys(
+        ("smc", "fit", "rejection", "bound_pass"), 0.0))
 
     def add(self, k, est, iteration):
         self.points.append(np.asarray(k, dtype=float))
@@ -414,13 +527,19 @@ def run_active_learning(config, space, simulator, gamma, master_seed,
     dataset (an iteration that accepted no point keeps the previous fit
     and bound); index 0 is the initialization.
 
-    ``on_iteration(estimate, state)`` is called after each iteration,
+    ``on_iteration(estimate, state)`` is called as each iteration ends,
     e.g. to persist artifacts; failures abort with partial results
-    already delivered through the callback.
+    already delivered through the callback.  The error bounds ``e_hat``
+    of all fits come from one pass over the Sobol points after the loop
+    (``_ErrorBound``), so the callback sees ``estimate.e_hat`` None and
+    the returned estimates carry it; with ``config.error_stop`` set, the
+    stop rule reads each bound as its fit comes, and the callback sees
+    it too.
     """
     from .env import replicate_rng
 
     state = _LoopState()
+    seconds = state.seconds
 
     def estimate_at(points, iteration, check_discard):
         tau_i = config.tau(iteration)
@@ -443,93 +562,61 @@ def run_active_learning(config, space, simulator, gamma, master_seed,
     # Phase 1: uniform exploration, frozen hyperparameters and scaling
     init_rng = replicate_rng(master_seed, 0)
     x0 = space.uniform(init_rng, config.n_initial)
-    estimate_at(x0, 0, check_discard=False)
-    pts, vals, noi = state.kept()
-    base = GprDataset(pts, vals, noi)
-    kern = fit_hyperparameters(base, config.kernel_variant,
-                               rng=replicate_rng(master_seed, 2))
-    post = posterior(base, kern)
+    with timed(seconds, "smc"):
+        estimate_at(x0, 0, check_discard=False)
+    with timed(seconds, "fit"):
+        pts, vals, noi = state.kept()
+        base = GprDataset(pts, vals, noi)
+        kern = fit_hyperparameters(base, config.kernel_variant,
+                                   rng=replicate_rng(master_seed, 2))
+        post = posterior(base, kern)
 
-    sobol = sobol_points(space, config.n_eval)
-    z = ndtri(1.0 - config.delta / 2.0)
-    # per Sobol point: the last known std, and the mean of the last fit that
-    # computed it with that fit's index; per fit since the bound started
-    # afresh: its data size
-    bound = np.empty(len(sobol))
-    m_ref = np.zeros(len(sobol))
-    ref_fit = np.zeros(len(sobol), dtype=np.min_scalar_type(config.iterations))
-    sizes = []
-    jitter = None
+    error_bound = _ErrorBound(space, config, gamma, state)
     estimates = []
+    fits, fit_of, e_hats = [], [], []  # fit_of: each estimate's index in fits
 
-    def error_bound(post_i):
-        nonlocal jitter
-        if post_i.jitter != jitter:
-            bound.fill(np.inf)  # more jitter can raise the variance
-            ref_fit.fill(0)
-            sizes.clear()
-            jitter = post_i.jitter
-        sizes.append(len(post_i.dataset))
-        # per reference fit: rho of all the points added since
-        drift = np.array([post_i.residual_norm(n) for n in sizes])
-        slack = 1e-3 * post_i.prior_std
-        lows, ups = [], []
-        n_means = n_vars = 0
-        for lo in range(0, len(sobol), _SOBOL_CHUNK):
-            c = slice(lo, lo + _SOBOL_CHUNK)
-            # the mean moved by at most drift * s_ref since m_ref
-            reach = (z + drift[ref_fit[c]]) * bound[c] * (1 + 1e-6) + slack
-            pts = lo + np.flatnonzero(np.abs(m_ref[c] - gamma) < reach)
-            s_ref = bound[pts]
-            solved = np.empty(len(pts), dtype=bool)
+    def settle():
+        """Bound the fits not bounded yet, in one pass, into their estimates."""
+        with timed(seconds, "bound_pass"):
+            e_hats.extend(error_bound(fits[len(e_hats):]))
+        for est, f in zip(estimates, fit_of):
+            est.e_hat = e_hats[f]
 
-            def screen(m, block):
-                # only a point within z * s of gamma can lie in the band
-                solved[block] = np.abs(m - gamma) < z * (s_ref[block] * (1 + 1e-6) + slack)
-                return solved[block]
-
-            m, s, lower, upper = credible_band(post_i, sobol[pts], config.delta, screen)
-            m_ref[pts] = m
-            ref_fit[pts] = len(sizes) - 1
-            bound[pts[solved]] = s[solved]
-            # only a point with a solved variance has a band of nonzero width
-            lows.append(lower[solved])
-            ups.append(upper[solved])
-            n_means += len(pts)
-            n_vars += int(np.count_nonzero(solved))
-        state.mean_points.append(n_means)
-        state.variance_points.append(n_vars)
-        return nikodym_bound_mc(np.concatenate(lows), np.concatenate(ups), gamma,
-                                space.volume, len(sobol))
-
-    def finish_iteration(i, post_i, e_hat):
-        est = LevelSetEstimate(iteration=i, posterior=post_i, gamma=gamma,
-                               delta=config.delta, e_hat=e_hat)
-        estimates.append(est)
+    def finish_iteration(i, post_i):
+        if not fits or fits[-1] is not post_i:
+            fits.append(post_i)
+        estimates.append(LevelSetEstimate(iteration=i, posterior=post_i, gamma=gamma,
+                                          delta=config.delta))
+        fit_of.append(len(fits) - 1)
+        if config.error_stop is not None:
+            settle()
         if on_iteration is not None:
-            on_iteration(est, state)
+            on_iteration(estimates[-1], state)
 
-    e_hat = error_bound(post)
-    finish_iteration(0, post, e_hat)
+    finish_iteration(0, post)
 
     for i in range(1, config.iterations + 1):
+        e_hat = estimates[-1].e_hat
         if config.error_stop is not None and e_hat <= config.error_stop:
             log.info("error bound %.4g below stop threshold; ending loop", e_hat)
             break
         rng_i = replicate_rng(master_seed, 3, i)
-        new_points = rejection_sample(config.n_loop, post, gamma,
-                                      config.tau(i), config.c2_at(i),
-                                      config, space, rng_i,
-                                      solved=state.std_candidates)
+        with timed(seconds, "rejection"):
+            new_points = rejection_sample(config.n_loop, post, gamma,
+                                          config.tau(i), config.c2_at(i),
+                                          config, space, rng_i,
+                                          solved=state.std_candidates)
         if len(new_points) == 0:
             # unchanged data: the previous posterior and bound still hold
             log.info("iteration %d: uncertainty gate closed everywhere", i)
         else:
-            estimate_at(new_points, i, check_discard=True)
-            pts, vals, noi = state.kept()
-            data_i = GprDataset(pts, vals, noi, mu_bar=base.mu_bar, s_bar=base.s_bar)
-            post = posterior(data_i, kern)
-            e_hat = error_bound(post)
-        finish_iteration(i, post, e_hat)
+            with timed(seconds, "smc"):
+                estimate_at(new_points, i, check_discard=True)
+            with timed(seconds, "fit"):
+                pts, vals, noi = state.kept()
+                data_i = GprDataset(pts, vals, noi, mu_bar=base.mu_bar, s_bar=base.s_bar)
+                post = posterior(data_i, kern)
+        finish_iteration(i, post)
 
+    settle()
     return estimates

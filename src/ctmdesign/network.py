@@ -150,12 +150,21 @@ class TrafficNetwork:
 @dataclass
 class FlowRecord:
     """Realized flows of one step, vehicles per time step per route: (n,)
-    arrays for one replicate, route-major (n, B) ones for a batch."""
+    arrays for one replicate, route-major (n, B) ones for a batch.
+
+    ``env`` stacks the environment's attempted flows q_aux and the net
+    flows q_net, (2, n) or (2, n, B); None in a closed system.
+    """
 
     q_in: np.ndarray
     q_out: np.ndarray
     q_net: np.ndarray
-    q_aux: np.ndarray = field(default=None)
+    env: np.ndarray = field(default=None)
+
+    @property
+    def q_aux(self):
+        """The attempted flows; None in a closed system."""
+        return None if self.env is None else self.env[0]
 
 
 class RouteParameters(dict):

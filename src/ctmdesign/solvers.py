@@ -329,14 +329,15 @@ class SimulationEngine:
         q_out = self.outflows(s, r, rule)
         q_in = self.inflows(q_out)
         if env is not None:
-            q_aux, q_net = env.net_flows(t, rho, q_in, q_out)
+            flows = env.net_flows(t, rho, q_in, q_out)
+            q_net = flows[1]
         else:
-            q_aux = None
+            flows = None
             q_net = np.zeros(rho.shape)
         lengths, _, _ = self._params[rho.shape]
         rho_new = rho + (q_in - q_out + q_net) / lengths
         clamp_densities(rho_new)
-        return rho_new, FlowRecord(q_in=q_in, q_out=q_out, q_net=q_net, q_aux=q_aux)
+        return rho_new, FlowRecord(q_in=q_in, q_out=q_out, q_net=q_net, env=flows)
 
     def run(self, rho0, n_steps, rule, env=None, programs=None, observers=()):
         """Run ``n_steps`` steps from rho0, feeding each step to the observers.

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctmdesign import config, learning, solvers
-from ctmdesign.cli import main, replicate_values
+from ctmdesign.cli import _grid_slice, main, replicate_values
 from ctmdesign.config import SCENARIO_SCHEMA, ConfigError, Scenario, load_scenario
 from ctmdesign.env import replicate_rng
-from ctmdesign.gpr import GprPosterior
+from ctmdesign.gpr import Kernel, QueryBlock
 from ctmdesign.network import NetworkError
 from reference import DensityState, total_mass
 
@@ -828,37 +828,58 @@ def test_cli_idle_iterations_reuse_the_previous_fit(tmp_path, monkeypatch):
 
 def test_cli_queries_each_sobol_and_grid_point_once_per_estimate(
         tmp_path, monkeypatch):
-    events = []  # the points of each query, and None at each fit
-    real_query = GprPosterior.mean_std
-    monkeypatch.setattr(GprPosterior, "mean_std",
-                        lambda self, q, *screen: events.append(np.asarray(q))
-                        or real_query(self, q, *screen))
-    real_fit = learning.posterior
-    monkeypatch.setattr(learning, "posterior",
-                        lambda *args: events.append(None) or real_fit(*args))
+    # the bounds of all fits come from one pass over the Sobol points, and
+    # the grids from one pass over the grid: each point's kernel column is
+    # built once, against the last fit's data, and each fit computes the
+    # mean at a point at most once
+    built = []  # (rows, query points) of each kernel block built
+
+    def matrix(self, x1, x2, real=Kernel.matrix):
+        built.append((len(x1), [tuple(q) for q in np.asarray(x2)]))
+        return real(self, x1, x2)
+
+    means = []  # (posterior, query points) of each mean read from a block
+
+    def mean(self, post, idx=None, real=QueryBlock.mean):
+        q = self.queries if idx is None else self.queries[idx]
+        means.append((post, [tuple(p) for p in q]))
+        return real(self, post, idx)
+
+    monkeypatch.setattr(Kernel, "matrix", matrix)
+    monkeypatch.setattr(QueryBlock, "mean", mean)
     raw = json.loads(synthetic_config(tmp_path).read_text())
     raw["learning"]["grid"]["resolution"] = 30
     path = write_config(tmp_path, raw)
+    out = tmp_path / "run"
     assert main(["estimate-levelset", "--config", str(path), "--seed", "21",
-                 "--out-dir", str(tmp_path / "run")]) == 0
-    sobol = {tuple(p) for p in learning.sobol_points(
-        load_scenario(path).design_space(), 5000)}
-    # after each fit, the error bound queries each of the 5000 Sobol points
-    # at most once (all of them at the first fit); rejection sampling
-    # queries 256-row candidate batches, and each iteration one 30 x 30 grid
-    per_fit, others = [], []
-    for q in events:
-        if q is None:
-            per_fit.append([])
-        elif all(tuple(p) in sobol for p in q):
-            per_fit[-1] += map(tuple, q)
+                 "--out-dir", str(out)]) == 0
+    scenario = load_scenario(path)
+    space = scenario.design_space()
+    sobol = set(map(tuple, learning.sobol_points(space, 5000)))
+    grid = set(map(tuple, _grid_slice(scenario, space)[0]))
+    kept = sum(1 for row in csv.DictReader(open(out / "dataset.csv"))
+               if row["discarded"] == "0")
+    manifest = json.loads((out / "manifest.json").read_text())
+    fits = len(manifest["nikodym_mean_points"])
+    assert fits >= 2
+    for points, size in ((sobol, 5000), (grid, 900)):
+        # a block's packs repeat its points; no other point is built twice
+        blocks = [(rows, set(q)) for rows, q in built if set(q) <= points]
+        assert {rows for rows, _ in blocks} == {kept}
+        assert sum(len(q) for _, q in blocks) == len(set().union(*(q for _, q in blocks)))
+        assert len(set().union(*(q for _, q in blocks))) == size
+        per_fit = {}
+        for post, q in means:
+            if set(q) <= points:
+                per_fit.setdefault(id(post), []).extend(q)
+        assert len(per_fit) == fits
+        assert all(len(set(q)) == len(q) for q in per_fit.values())
+        if points is grid:
+            assert all(len(q) == size for q in per_fit.values())
         else:
-            others.append(len(q))
-    assert len(per_fit) >= 2
-    assert all(len(set(points)) == len(points) for points in per_fit)
-    assert len(per_fit[0]) == 5000
-    assert others.count(900) == 3
-    assert set(others) == {256, 900}
+            assert sorted(map(len, per_fit.values())) == sorted(manifest["nikodym_mean_points"])
+    # rejection sampling builds its 256-row candidate batches
+    assert {len(q) for _, q in built if not set(q) <= sobol | grid} == {256}
 
 
 def test_cli_benchmark_compare(tmp_path):
@@ -985,6 +1006,19 @@ def test_manifest_counts_the_solved_variances(tmp_path):
     for i, count in enumerate(candidates, start=1):
         assert count >= sum(1 for row in rows if int(row["iteration"]) == i)
         assert isinstance(count, int)
+
+
+@pytest.mark.parametrize("error_stop", [None, 1e-9])
+def test_manifest_times_each_phase(tmp_path, error_stop):
+    # one perf_counter pair per phase: the seconds of the loop's phases and
+    # of the artifacts, which together take part of the run's wall time
+    learning = {"iterations": 3} if error_stop is None else {"iterations": 3,
+                                                            "error_stop": error_stop}
+    manifest, _ = _run_counts(tmp_path, **learning)
+    phases = manifest["phase_seconds"]
+    assert set(phases) == {"smc", "fit", "rejection", "bound_pass", "grid_pass", "persist"}
+    assert all(isinstance(value, float) and value >= 0 for value in phases.values())
+    assert sum(phases.values()) <= manifest["wall_clock_s"]
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch):

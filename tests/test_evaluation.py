@@ -51,9 +51,9 @@ def test_utility_domain_and_parameter_checks():
 def record(q_out, q_net=None, q_aux=None):
     q_out = np.asarray(q_out, dtype=float)
     z = np.zeros_like(q_out)
-    return FlowRecord(q_in=z, q_out=q_out,
-                      q_net=z if q_net is None else np.asarray(q_net, float),
-                      q_aux=None if q_aux is None else np.asarray(q_aux, float))
+    q_net = z if q_net is None else np.asarray(q_net, float)
+    return FlowRecord(q_in=z, q_out=q_out, q_net=q_net,
+                      env=None if q_aux is None else np.stack((q_aux, q_net)))
 
 
 def test_avg_network_flow_constant():

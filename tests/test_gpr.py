@@ -324,6 +324,104 @@ def test_packed_queries_keep_the_bits_of_the_full_block(n):
                 "share of a solve among threads, does not have it")
 
 
+@pytest.mark.parametrize("n_max", [3, 120, 500])
+def test_kernel_row_prefixes_keep_the_bits_of_the_full_matrix(n_max):
+    # a property of the BLAS build, not of the mathematics: the leading n
+    # rows of a kernel block have the bits of the block built on the first n
+    # points alone, for n >= 2, which nested posteriors (gpr.nested_query)
+    # rely on; for n = 1 numpy's matmul takes a gemv, whose bits can differ.
+    # Blocks are built in whole packs; widths below about 100 keep the bits
+    # too, but larger ones that are no multiple of 8 (255, 500, 1023) do not
+    rng = np.random.default_rng(n_max)
+    widths = (1, 5, gpr._PACK + 3, 3 * gpr._PACK + 1, gpr._PACK, 3 * gpr._PACK,
+              49 * gpr._PACK, B)
+    for variant, dim in zip(KERNEL_VARIANTS, (1, 2, 3, 5)):
+        kern = Kernel(variant, 1.3, 0.4)
+        x = rng.random((n_max, dim))
+        for w in widths:
+            q = rng.random((w, dim))
+            full = kern.matrix(x, q)
+            for n in sorted({2, 3, n_max // 2, n_max - 1, n_max} - {0, 1}):
+                assert _same_bits(kern.matrix(x[:n], q), full[:n]), (
+                    f"{variant}, {n} of {n_max} points, {w} queries: the leading "
+                    "rows of a kernel block do not keep the bits of the block of "
+                    "those points alone.  This is a property of the BLAS build "
+                    "(measured with OpenBLAS 0.3.31) that the nested posteriors of "
+                    "ctmdesign.gpr.nested_query rely on; this BLAS does not have it")
+
+
+def _nested_posteriors(variant, sizes, dim, jittered, rng):
+    """Posteriors on the leading ``sizes`` of one dataset; those at the
+    indices ``jittered`` are factored with the jitter 1e-6."""
+    n = sizes[-1]
+    x = rng.random((n, dim))
+    data = GprDataset(x, np.sin(3.0 * x[:, 0]) + rng.normal(size=n),
+                      0.01 + 0.1 * rng.random(n), mu_bar=rng.normal(),
+                      s_bar=rng.uniform(0.5, 2.0))
+    kern = Kernel(variant, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.1, 1.0)))
+    posts = []
+    for j, m in enumerate(sizes):
+        if posts and len(posts[-1].dataset) == m and j % 2:
+            posts.append(posts[-1])  # an iteration that accepted no point
+            continue
+        prefix = GprDataset(x[:m], data.values[:m], data.noises[:m],
+                            mu_bar=data.mu_bar, s_bar=data.s_bar)
+        with pytest.MonkeyPatch.context() as mp:
+            if j in jittered:
+                mp.setattr(gpr, "_JITTERS", (1e-6,))
+            posts.append(posterior(prefix, kern))
+    return posts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(KERNEL_VARIANTS),
+       sizes=st.lists(st.integers(2, 160), min_size=1, max_size=6).map(sorted),
+       dim=st.integers(1, 3), m=st.sampled_from([1, 7, B - 1, B + 1, 2 * B + 3]),
+       jittered=st.sets(st.integers(0, 5), max_size=2),
+       screened=st.sampled_from([None, 0.0, 0.3, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_nested_query_equals_each_posteriors_own_query(variant, sizes, dim, m, jittered,
+                                                       screened, seed):
+    # one block's kernel columns serve every posterior: each reads its
+    # leading rows and gets the bits of its own mean_std, whichever of the
+    # block's points it asks for and in whichever order the fits come
+    rng = np.random.default_rng(seed)
+    posts = _nested_posteriors(variant, sizes, dim, jittered, rng)
+    queries = rng.random((m, dim))
+    want = [post.mean_std(queries) for post in posts]
+    got = [(np.full(m, np.nan), np.full(m, np.nan)) for _ in posts]
+    for block, cols in gpr.nested_query(posts, queries):
+        w = len(cols.queries)
+        for post, (mean, std) in zip(posts, got):
+            idx = None if screened is None else np.flatnonzero(rng.random(w) < 0.5)
+            mean[block][slice(None) if idx is None else idx] = cols.mean(post, idx)
+            if screened is None:
+                std[block] = cols.std(post)
+            else:
+                keep = np.flatnonzero(rng.random(w) < screened)
+                std[block][keep] = cols.std(post, keep)
+    for (mean, std), (m_want, s_want) in zip(got, want):
+        for g, w_ in ((mean, m_want), (std, s_want)):
+            asked = ~np.isnan(g)
+            assert _same_bits(g[asked], w_[asked])
+        if screened is None:
+            assert not np.isnan(mean).any() and not np.isnan(std).any()
+
+
+def test_nested_query_refuses_posteriors_that_are_not_nested():
+    rng = np.random.default_rng(5)
+    x = rng.random((20, 2))
+    data = GprDataset(x, np.sin(x[:, 0]), np.full(20, 0.01))
+    kern = Kernel("matern32", 1.0, 0.4)
+    post = posterior(data, kern)
+    other = posterior(GprDataset(x[::-1][:10], np.sin(x[::-1][:10, 0]), np.full(10, 0.01)),
+                      kern)
+    wider = posterior(data, Kernel("matern32", 1.0, 0.5))
+    for posts in ([other, post], [post, wider]):
+        with pytest.raises(ValueError, match="nested posteriors"):
+            next(gpr.nested_query(posts, rng.random((3, 2))))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(variant=st.sampled_from(KERNEL_VARIANTS), n_old=st.integers(1, 80),
        n_new=st.integers(0, 30), dim=st.integers(1, 3), log_length=st.floats(-3.0, 1.0),

@@ -449,6 +449,36 @@ def test_loop_error_stop():
     assert len(estimates) == 1
 
 
+#: e_hat of each fit, and the Sobol means and variances each computed, in the
+#: loop below, from the code that bounded each fit as it came (before the
+#: bounds moved into one pass over the Sobol points)
+_BOUNDS_BY_FIT = ([0.24169921875, 0.2119140625, 0.17529296875, 0.14788818359375,
+                   0.13433837890625, 0.1258544921875, 0.11614990234375, 0.115478515625],
+                  [16384, 6267, 5798, 7362, 6967, 8088, 8132, 8058],
+                  [16384, 4086, 3612, 3116, 2558, 2390, 2269, 2214])
+
+
+@pytest.mark.parametrize("error_stop", [None, 0.14])
+def test_error_bounds_equal_the_bounds_computed_fit_by_fit(error_stop):
+    # with error_stop set the stop rule reads each bound as its fit comes, and
+    # the loop stops where it did; without it the callback sees no bound
+    config = loop_config(n_initial=50, n_loop=10, iterations=7, tau_schedule=(0.01,) * 8,
+                         n_min=20, n_max=(500,), n_eval=2 ** 14, error_stop=error_stop)
+    seen, states = [], []
+
+    def track(est, state):
+        seen.append(est.e_hat)
+        states.append(state)
+
+    estimates = run_active_learning(config, unit_space(2), sincos_simulator, 0.0, 1,
+                                    on_iteration=track)
+    fits = 5 if error_stop else 8
+    e_hat, means, variances = (values[:fits] for values in _BOUNDS_BY_FIT)
+    assert [est.e_hat for est in estimates] == e_hat
+    assert seen == (e_hat if error_stop else [None] * fits)
+    assert states[-1].mean_points == means and states[-1].variance_points == variances
+
+
 def test_discard_rule_flags_noisy_points():
     # a simulator with huge variance at tiny n_max forces tau_k above c3*tau
     config = loop_config(n_initial=12, n_loop=6, iterations=1,
