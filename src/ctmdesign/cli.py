@@ -14,7 +14,12 @@ Subcommands:
 * ``benchmark-compare``  mean performance under the demand-proportional
                          rule versus the cooperative benchmark for a list
                          of designs.
-* ``export-grid``        re-evaluate a persisted posterior on a fresh grid.
+* ``export-grid``        rebuild a run's last posterior from its
+                         ``dataset.csv`` and ``hyperparameters.json``,
+                         replaying the loop's factor chain (one fit per
+                         iteration that added rows), and evaluate it on a
+                         fresh grid; at the run's resolution it equals the
+                         last grid byte for byte.
 
 All outputs are CSV plus one manifest JSON per run; identical config and
 seed reproduce byte-identical outputs on the same platform for any worker
@@ -214,8 +219,9 @@ def _grid_slice(scenario, space, resolution=None):
         else:
             lo, hi = space.bounds[j]
             pts[:, j] = float(fixed.get(name, (lo + hi) / 2.0))
-    prefixes = list(map("{:.12g},{:.12g},".format, pts[:, ia].tolist(),
-                        pts[:, ib].tolist()))
+    # row (i, j) is at (a[i], b[j]): each axis's values are formatted once
+    b_text = list(map("{:.12g},".format, b.tolist()))
+    prefixes = [x + y for x in map("{:.12g},".format, a.tolist()) for y in b_text]
     return pts, axes, prefixes
 
 
@@ -240,13 +246,16 @@ def _write_grid(paths, grid, posts, gamma, delta):
             csv.writer(fh).writerow([axes[0], axes[1], "mean", "std", "member",
                                      "inner", "outer"])
         for block, cols in nested_query(distinct, pts):
-            for post in distinct:
-                m, s = cols.mean(post), cols.std(post)
+            means = [cols.mean(post) for post in distinct]  # before the solves
+            fields = [None] * (4 * len(means[0]))
+            fields[0::4] = prefixes[block]
+            for post, m in zip(distinct, means):
+                s = cols.std(post)
                 lower, upper = band(m, s, z)
                 flags = 4 * (m >= gamma) + 2 * (lower >= gamma) + (upper >= gamma)
-                rows = "".join(map(_GRID_ROW.__mod__, zip(
-                    prefixes[block], m.tolist(), s.tolist(),
-                    map(_GRID_FLAGS.__getitem__, flags.tolist()))))
+                fields[1::4], fields[2::4] = m.tolist(), s.tolist()
+                fields[3::4] = map(_GRID_FLAGS.__getitem__, flags.tolist())
+                rows = (_GRID_ROW * len(m)) % tuple(fields)
                 for fh, owner in zip(files, posts):
                     if owner is post:
                         fh.write(rows)
@@ -375,7 +384,11 @@ def cmd_export_grid(args):
         raise ConfigError(f"{exc.filename}: {exc.strerror}") from None
     names = scenario.design_names
     with _rejected_as_config_error(data_file):
-        kept = [row for row in rows if not int(row["discarded"])]
+        born = np.array([int(row["iteration"]) for row in rows])
+        if np.any(np.diff(born) < 0):
+            raise ValueError("iteration must not decrease from row to row")
+        keep = np.array([not int(row["discarded"]) for row in rows], dtype=bool)
+        kept = [row for row, k in zip(rows, keep) if k]
         if not kept:
             raise ValueError("no row with discarded 0, so no data to condition on")
         columns = {key: np.array([float(row[key]) for row in kept])
@@ -384,10 +397,15 @@ def cmd_export_grid(args):
             if not np.isfinite(column).all():
                 raise ValueError(f"{key} must be finite, not "
                                  f"{column[~np.isfinite(column)][0]}")
-        data = GprDataset(np.column_stack([columns[n] for n in names]),
-                          columns["mu_hat"], columns["tau_sq"],
-                          mu_bar=hp["mu_bar"], s_bar=hp["s_bar"])
-    post = posterior(data, Kernel(hp["variant"], hp["sigma_c"], hp["length"]))
+        points = np.column_stack([columns[n] for n in names])
+        # the loop's fits: one per iteration that added rows, on the kept rows so far
+        fits = [GprDataset(points[:n], columns["mu_hat"][:n], columns["tau_sq"][:n],
+                           mu_bar=hp["mu_bar"], s_bar=hp["s_bar"])
+                for n in (int(np.count_nonzero(born[keep] <= i)) for i in np.unique(born))]
+    kern = Kernel(hp["variant"], hp["sigma_c"], hp["length"])
+    post = None
+    for data in fits:  # one factor chain, as the loop's
+        post = posterior(data, kern, post)
     grid = _grid_slice(scenario, space, resolution=args.resolution)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -45,17 +45,35 @@ buffer, then the variant's closed form, e.g. s2 * (1 + z) * exp(-z) for
 Matern-3/2, with the gemm result reused as the exp buffer.  Posterior
 queries run in cache-sized blocks of 1024 points (see ``GprPosterior``).
 
-Nested posteriors share their kernel rows.  When each dataset of a list
-of posteriors is a prefix of the largest one and all share one kernel
-(as in a level-set run, whose kept points are only appended),
-``nested_query`` builds a query block's kernel columns once, against the
-largest dataset, and each posterior reads the leading n_i rows.  A row
-of ``Kernel.matrix(X, Q)`` has the same bits as the row of
+Nested posteriors share their kernel rows and their solves.  When each
+dataset of a list of posteriors is a prefix of the largest one and all
+share one kernel (as in a level-set run, whose kept points are only
+appended), ``nested_query`` builds a query block's kernel columns once,
+against the largest dataset, and each posterior reads the leading n_i
+rows.  A row of ``Kernel.matrix(X, Q)`` has the same bits as the row of
 ``Kernel.matrix(X[:n], Q)`` for n >= 2 on this BLAS build (pinned by
 ``tests/test_gpr.py``), so every posterior gets the bits of its own
-``mean_std``.  Not for n = 1: numpy's matmul takes a gemv for a
-one-row gemm, whose bits can differ; a fit needs 3 points, so no loop
-posterior has one.
+``mean_std``.  Not for n = 1: numpy's
+matmul takes a gemv for a one-row gemm, whose bits can differ; a fit
+needs 3 points, so no loop posterior has one.
+
+A refit forms one factor chain with the fit before it:
+``posterior(dataset, kern, previous)`` copies ``previous``'s factor L0
+and extends it by the new points' block, B = K21 L0^{-T} by dtrsm and
+L_S = chol(K22 + diag(tau~^2 + jitter sigma_c^2) - B B^T) by dpotrf
+(Chevalier, Ginsbourger & Emery 2014, "Corrected kriging update formulae
+for batch-sequential data assimilation"), with the jitter
+``_JITTERS[0]``.  It does so when the previous points and standardized
+noises are a prefix of the new ones, the kernel is the same and the
+previous factor has the jitter ``_JITTERS[0]``; otherwise, or when S
+cannot be factored, the factor is computed afresh, as without
+``previous``.  Every factor of a chain is then a leading block of the
+last one, bit for bit.  The leading n columns of a right-side dtrsm by a
+factor have the bits of the solve by its leading n x n block, and so do
+their einsum sums of squares (pinned by ``tests/test_gpr.py``, a
+property of this BLAS build).  So one variance solve per query block and
+chain, by its largest factor, serves every posterior of the chain with
+the bits of its own ``mean_std``.
 """
 
 from __future__ import annotations
@@ -287,15 +305,48 @@ def _factor(kern, dataset):
         f"{info}-th leading minor of the array is not positive definite")
 
 
-def _factor_solve(kern, dataset):
-    """``_factor``'s (L, jitter) and alpha = K^{-1} nu by potrs.
+def _extended(previous, kern, dataset):
+    """``previous``'s factor extended to ``dataset`` by its Schur block, with
+    the jitter ``_JITTERS[0]``; None where the chain cannot continue (see
+    the module docstring)."""
+    n0, n = len(previous.dataset), len(dataset)
+    noise = dataset.standardized_noises
+    if (previous.kernel != kern or previous.jitter != _JITTERS[0] or not 0 < n0 <= n
+            or not np.array_equal(previous.dataset.points, dataset.points[:n0])
+            or not np.array_equal(previous.dataset.standardized_noises, noise[:n0])):
+        return None
+    if n == n0:
+        return previous._chol, _JITTERS[0]
+    rows = kern.of_distances(dataset.distances[n0:])  # (K21 | K22), Fortran-ordered
+    b = _trsm(previous._chol, rows[:, :n0])
+    s = rows[:, n0:]
+    diag = np.arange(n - n0)
+    s[diag, diag] += noise[n0:]
+    s[diag, diag] += _JITTERS[0] * kern.sigma_c ** 2
+    s -= b @ b.T
+    if not np.isfinite(s).all():
+        return None
+    s, info = _lapack("potrf")(s, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        return None
+    c = np.zeros((n, n), order="F")
+    c[:n0, :n0] = previous._chol
+    c[n0:, :n0] = b
+    c[n0:, n0:] = s
+    return c, _JITTERS[0]
+
+
+def _factor_solve(kern, dataset, previous=None):
+    """The factor L and its jitter, extended from ``previous``'s where it can
+    be (``_extended``), else ``_factor``'s, and alpha = K^{-1} nu by potrs.
 
     As ``cho_solve``: finite values only, info != 0 is an error, and an
     empty dataset (the prior) has an empty alpha.  cho_solve's check of
     the factor is left to the caller: the fit's thousands of likelihood
     evaluations skip it.
     """
-    c, jitter = _factor(kern, dataset)
+    chained = previous is not None and _extended(previous, kern, dataset)
+    c, jitter = chained or _factor(kern, dataset)
     nu = dataset.standardized_values
     _check_finite(nu)
     if not len(nu):
@@ -342,10 +393,10 @@ class GprPosterior:
 
     QUERY_BLOCK = 1024
 
-    def __init__(self, dataset, kern):
+    def __init__(self, dataset, kern, previous=None):
         self.dataset = dataset
         self.kernel = kern
-        self._chol, self.jitter, self._alpha = _factor_solve(kern, dataset)
+        self._chol, self.jitter, self._alpha = _factor_solve(kern, dataset, previous)
         _check_finite(self._chol)  # cho_solve's check of the factor
 
     def _query(self, queries, screen=None):
@@ -406,9 +457,13 @@ class GprPosterior:
         return self.kernel.sigma_c * self.dataset.s_bar
 
 
-def posterior(dataset, kern):
-    """Posterior of the zero-mean prior given the standardized dataset."""
-    return GprPosterior(dataset, kern)
+def posterior(dataset, kern, previous=None):
+    """Posterior of the zero-mean prior given the standardized dataset.
+
+    Its factor extends ``previous``'s, a posterior on a prefix of the
+    data, where it can (see the module docstring).
+    """
+    return GprPosterior(dataset, kern, previous)
 
 
 def nested_query(posts, queries, starts=None):
@@ -418,8 +473,9 @@ def nested_query(posts, queries, starts=None):
     the largest dataset's (see the module docstring).  Yields, per block
     of queries, its slice of the queries and a ``QueryBlock``, whose
     kernel columns against the largest dataset are built once and read
-    by every posterior.  ``starts`` lists the first query of each block
-    but the first, in increasing order; by default a block has
+    by every posterior, and whose whole-block variances are solved once
+    per factor chain.  ``starts`` lists the first query of each block but
+    the first, in increasing order; by default a block has
     ``GprPosterior.QUERY_BLOCK`` queries.
     """
     posts = list(posts)
@@ -430,13 +486,22 @@ def nested_query(posts, queries, starts=None):
                 p.dataset.points, points[:len(p.dataset)], equal_nan=True):
             raise ValueError("nested posteriors need one kernel, and data points "
                              "that are a prefix of the largest dataset's")
+    # per posterior, the largest one whose factor begins with its own
+    tops, heads = {}, []
+    for p in sorted(posts, key=lambda p: len(p.dataset), reverse=True):
+        n = len(p.dataset)
+        top = next((t for t in heads if t is p or np.array_equal(t._chol[:n, :n], p._chol)),
+                   None)
+        if top is None:
+            heads.append(top := p)
+        tops[id(p)] = top
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if starts is None:
         starts = range(GprPosterior.QUERY_BLOCK, len(queries), GprPosterior.QUERY_BLOCK)
     edges = [0, *starts, len(queries)]
     for lo, hi in zip(edges, edges[1:]):
         if lo < hi:
-            yield slice(lo, hi), QueryBlock(kern, points, queries[lo:hi])
+            yield slice(lo, hi), QueryBlock(kern, points, queries[lo:hi], tops)
 
 
 class QueryBlock:
@@ -446,18 +511,22 @@ class QueryBlock:
     every row at once, and kept until a request needs one that is not
     built: its columns are then built afresh.  ``mean`` and ``std`` of a
     posterior on the first n points read the leading n rows: the mean by
-    one gemv over every built column, the variance by a dtrsm on a packed
-    gather, or with no gather on columns built exactly as asked for: in
-    place by a posterior on every point, as their last reader, else on a
-    copy.
+    one gemv over every built column, the variance of some queries by a
+    dtrsm on a packed gather.  The variance of the whole block is solved
+    once per factor chain, by its largest factor, and each posterior of
+    the chain reads the leading n columns of the solve: on a copy of the
+    columns, or in place by the last chain to solve (so read the means
+    first).
     """
 
-    def __init__(self, kern, points, queries):
+    def __init__(self, kern, points, queries, tops):
         self.queries = queries
         self._kernel, self._points = kern, points
+        self._tops = tops  # id(posterior) -> the posterior whose solve serves it
+        self._chains = len({id(top) for top in tops.values()})
         self._k = None  # the columns built, (len(points), packed count)
-        self._built = None  # the queries whose columns _k holds; None: all
         self._col = None  # each query's column in _k, -1 if none; None: its index
+        self._solved = {}  # id(top) -> the whole block solved by its factor
 
     def _build(self, idx):
         """Hold the columns of the queries ``idx`` (None: all)."""
@@ -466,16 +535,10 @@ class QueryBlock:
             return
         q = self.queries if idx is None else self.queries[idx]
         self._k = self._kernel.matrix(self._points, _packed(q))
-        self._built, self._col = idx, None
+        self._col = None
         if idx is not None:
             self._col = np.full(len(self.queries), -1)
             self._col[idx] = np.arange(len(idx))
-
-    def _exact(self, idx):
-        """Whether the columns built are those of ``idx``, in order."""
-        if self._built is None or idx is None:
-            return self._built is idx
-        return np.array_equal(self._built, idx)
 
     def _positions(self, idx):
         return idx if self._col is None else self._col[idx]
@@ -487,10 +550,7 @@ class QueryBlock:
             return np.empty(0)
         self._build(idx)
         m = self._k[:len(post.dataset)].T @ post._alpha  # every built column
-        if self._exact(idx):
-            m = m[:len(self.queries) if idx is None else len(idx)]
-        else:
-            m = m[self._positions(idx)]
+        m = m[:len(self.queries)] if idx is None else m[self._positions(idx)]
         np.multiply(m, post.dataset.s_bar, out=m)
         return np.add(m, post.dataset.mu_bar, out=m)
 
@@ -500,16 +560,13 @@ class QueryBlock:
         if not w:
             return np.empty(0)
         n = len(post.dataset)
-        self._build(idx)
-        if not self._exact(idx):
-            rows = np.take(self._k[:n], _packed(self._positions(idx)), axis=1).T
-        elif n == len(self._points):
-            rows, self._k = self._k.T, None  # the last reader solves in place
+        if idx is None:
+            rows = self._chain_solve(self._tops[id(post)])[:, :n]
         else:
-            rows = self._k[:n].copy().T  # later readers need the columns
-        # var = c(k,k) - ||L^{-1} kx||^2, row-wise from kx^T L^{-T}
-        if rows.size:  # none without data
-            rows = _trsm(post._chol, rows)
+            self._build(idx)
+            rows = np.take(self._k[:n], _packed(self._positions(idx)), axis=1).T
+            if rows.size:  # none without data
+                rows = _trsm(post._chol, rows)
         v = np.einsum("ij,ij->i", rows, rows)[:w]
         del rows  # freed before the caller's next block is built
         s2 = post.kernel.sigma_c ** 2
@@ -517,6 +574,22 @@ class QueryBlock:
         np.maximum(v, 0.0, out=v)
         np.sqrt(v, out=v)
         return np.multiply(v, post.dataset.s_bar, out=v)
+
+    def _chain_solve(self, top):
+        """kx^T L^{-T} of the whole block by ``top``'s factor L, solved once."""
+        rows = self._solved.get(id(top))
+        if rows is None:
+            n = len(top.dataset)
+            self._build(None)
+            if len(self._solved) == self._chains - 1:  # the last to solve
+                rows, self._k = self._k[:n].T, None
+            else:
+                rows = self._k[:n].copy().T
+            # var = c(k,k) - ||L^{-1} kx||^2, row-wise from kx^T L^{-T}
+            if rows.size:  # none without data
+                rows = _trsm(top._chol, rows)
+            self._solved[id(top)] = rows
+        return rows
 
 
 def log_marginal_likelihood(dataset, kern):

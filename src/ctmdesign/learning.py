@@ -25,14 +25,17 @@ probability 1 - delta pointwise.  ``band`` gives both band edges from
 m and sigma, and ``credible_band`` evaluates all four from one posterior
 query per point set.
 
-Within a run the kernel, the standardization and the jitter stay the
-same and the kept data only grows, new points appended at the end (a fit
-that needed another jitter, as one whose S below cannot be factored
-does, starts the bound afresh).  So the posterior std can only fall from
-fit to fit, and the mean moves boundedly: with r the new points'
-standardized residuals against the previous posterior and S their
-covariance there plus diag(tau~^2 + jitter), the batch kriging update
-(Chevalier, Ginsbourger & Emery 2014) reads
+Within a run the kernel and the standardization stay the same and the
+kept data only grows, new points appended at the end.  Each refit
+extends the last fit's Cholesky factor by the factor of S below (the
+factor chain of ``gpr.posterior``) when the last fit needed no jitter
+and S can be factored; otherwise the factor is computed afresh, with the
+jitter it needs, and a fit whose jitter differs from the last one's
+starts the bound afresh.  Between such fits the posterior std can only
+fall from fit to fit, and the mean moves boundedly: with r the new
+points' standardized residuals against the previous posterior and S
+their covariance there plus diag(tau~^2 + jitter), the batch kriging
+update (Chevalier, Ginsbourger & Emery 2014) reads
 m_i(k) - m_{i-1}(k) = c_{i-1}(k, X_new) S^{-1} r, and by Cauchy-Schwarz
 
     |m_i(k) - m_{i-1}(k)| <= rho_i * s_{i-1}(k),    rho_i = ||S^{-1/2} r||.
@@ -615,7 +618,7 @@ def run_active_learning(config, space, simulator, gamma, master_seed,
             with timed(seconds, "fit"):
                 pts, vals, noi = state.kept()
                 data_i = GprDataset(pts, vals, noi, mu_bar=base.mu_bar, s_bar=base.s_bar)
-                post = posterior(data_i, kern)
+                post = posterior(data_i, kern, post)
         finish_iteration(i, post)
 
     settle()

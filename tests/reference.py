@@ -579,6 +579,19 @@ def posterior_alpha(kern, dataset):
     return cho_solve(cho_factor_jittered(kern, dataset), dataset.standardized_values)
 
 
+def factor_error(factor, kern, dataset, jitter):
+    """How far a lower factor L of K = Sigma + diag(tau~^2 + jitter s2) is
+    from it: max |L L^T - K|, max |L - L_c| for ``cho_factor``'s factor L_c
+    of K, and the 2-norm condition number of K."""
+    from scipy.linalg import cho_factor
+
+    k = kernel_matrix(kern, dataset.points, dataset.points) + np.diag(
+        dataset.standardized_noises + jitter * kern.sigma_c ** 2)
+    low = np.tril(factor)
+    want = np.tril(cho_factor(k, lower=True)[0])
+    return np.abs(low @ low.T - k).max(), np.abs(low - want).max(), np.linalg.cond(k)
+
+
 def posterior_mean_std(kern, dataset, queries, pack, block=1024):
     """Posterior mean and std-dev (raw scale): per block of ``block`` queries,
     its points repeated cyclically to a whole number of ``pack``-point

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctmdesign import config, learning, solvers
+from ctmdesign import cli, config, gpr, learning, solvers
 from ctmdesign.cli import _grid_slice, main, replicate_values
 from ctmdesign.config import SCENARIO_SCHEMA, ConfigError, Scenario, load_scenario
 from ctmdesign.env import replicate_rng
 from ctmdesign.gpr import Kernel, QueryBlock
 from ctmdesign.network import NetworkError
+from ctmdesign.normal import ndtri
 from reference import DensityState, total_mass
 
 
@@ -1192,6 +1193,80 @@ def test_cli_export_grid_reproduces_the_last_grid_byte_for_byte(tmp_path, finish
     assert main(["export-grid", "--config", str(path), "--run-dir", str(out),
                  "--out-dir", str(tmp_path / "export")]) == 0
     assert (tmp_path / "export" / "grid.csv").read_bytes() == (out / "grid_0.csv").read_bytes()
+
+
+def _export_is_the_last_grid(tmp_path, path, out):
+    """Whether export-grid rebuilds the run's last grid byte for byte."""
+    last = max(int(grid.stem.split("_")[1]) for grid in out.glob("grid_*.csv"))
+    assert main(["export-grid", "--config", str(path), "--run-dir", str(out),
+                 "--out-dir", str(tmp_path / "export")]) == 0
+    return (tmp_path / "export" / "grid.csv").read_bytes() == (
+        out / f"grid_{last}.csv").read_bytes()
+
+
+def test_cli_export_grid_replays_the_loops_factor_chain(tmp_path):
+    # each refit extends the factor of the fit before it, and export-grid
+    # replays that chain from dataset.csv's iteration column
+    path = synthetic_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["estimate-levelset", "--config", str(path), "--seed", "4",
+                 "--out-dir", str(out)]) == 0
+    born = [row["iteration"] for row in csv.DictReader(open(out / "dataset.csv"))]
+    assert {"1", "2"} <= set(born)  # both loop iterations added points
+    assert _export_is_the_last_grid(tmp_path, path, out)
+
+
+def test_cli_export_grid_replays_a_chain_with_a_jittered_fit(tmp_path, monkeypatch):
+    # every fit after the first needs the jitter 1e-6: the first of them is
+    # factored afresh and the next extends it, in the loop and in export-grid
+    jitters = gpr._JITTERS
+
+    def jitter_after_the_first_fit(module):
+        real, fits = module.posterior, []
+
+        def fit(*args):
+            monkeypatch.setattr(gpr, "_JITTERS", (1e-6,) if fits else jitters)
+            fits.append(real(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(module, "posterior", fit)
+        return fits
+
+    loop, export = jitter_after_the_first_fit(learning), jitter_after_the_first_fit(cli)
+    path = synthetic_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["estimate-levelset", "--config", str(path), "--seed", "4",
+                 "--out-dir", str(out)]) == 0
+    assert [post.jitter for post in loop] == [0.0, 1e-6, 1e-6]
+    n1 = len(loop[1].dataset)
+    assert np.array_equal(loop[2]._chol[:n1, :n1], loop[1]._chol)  # extended
+    assert _export_is_the_last_grid(tmp_path, path, out)
+    assert [post.jitter for post in export] == [0.0, 1e-6, 1e-6]
+
+
+def test_grid_rows_are_formatted_as_csv_writes_them(tmp_path):
+    # the prefixes come from each axis's strings and a block's rows from one
+    # format operation; the bytes are those of csv.writer and _fmt per row
+    path = synthetic_config(tmp_path)
+    scenario = load_scenario(path)
+    space = scenario.design_space()
+    grid = pts, axes, prefixes = _grid_slice(scenario, space, resolution=37)
+    ia, ib = (scenario.design_names.index(axis) for axis in axes)
+    assert prefixes == ["{:.12g},{:.12g},".format(p[ia], p[ib]) for p in pts.tolist()]
+    rng = np.random.default_rng(2)
+    x = rng.random((30, 2))
+    post = gpr.posterior(gpr.GprDataset(x, np.sin(3.0 * x[:, 0]), np.full(30, 0.01)),
+                         Kernel("matern32", 1.0, 0.3))
+    cli._write_grid([tmp_path / "grid.csv"], grid, [post], 0.1, 0.05)
+    m, s = post.mean_std(pts)
+    lower, upper = learning.band(m, s, ndtri(1.0 - 0.05 / 2.0))
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([axes[0], axes[1], "mean", "std", "member", "inner", "outer"])
+        writer.writerows((cli._fmt(p[ia]), cli._fmt(p[ib]), cli._fmt(mi), cli._fmt(si),
+                          int(mi >= 0.1), int(lo >= 0.1), int(up >= 0.1))
+                         for p, mi, si, lo, up in zip(pts, m, s, lower, upper))
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def _without_dataset(run):

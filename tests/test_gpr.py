@@ -350,9 +350,141 @@ def test_kernel_row_prefixes_keep_the_bits_of_the_full_matrix(n_max):
                     "ctmdesign.gpr.nested_query rely on; this BLAS does not have it")
 
 
-def _nested_posteriors(variant, sizes, dim, jittered, rng):
+@pytest.mark.parametrize("n_max", [3, 120, 500])
+def test_leading_columns_of_a_solve_keep_the_bits_of_the_leading_block(n_max):
+    # a property of the BLAS build, not of the mathematics: the leading n
+    # columns of a right-side dtrsm by a factor, kx^T L^{-T}, have the bits
+    # of the solve by the factor's leading n x n block, and so do their
+    # einsum sums of squares; one solve by the last factor of a chain then
+    # serves every posterior of the chain (gpr.QueryBlock)
+    rng = np.random.default_rng(n_max)
+    widths = (1, 5, gpr._PACK + 3, 3 * gpr._PACK + 1, gpr._PACK, 3 * gpr._PACK,
+              49 * gpr._PACK, B)
+    for variant, dim in zip(KERNEL_VARIANTS, (1, 2, 3, 5)):
+        x = rng.random((n_max, dim))
+        post = posterior(GprDataset(x, np.sin(3.0 * x[:, 0]) + rng.normal(size=n_max),
+                                    0.01 + 0.1 * rng.random(n_max)),
+                         Kernel(variant, 1.3, 0.4))
+        for w in widths:
+            kx = post.kernel.matrix(x, rng.random((w, dim)))
+            full = gpr._trsm(post._chol, kx.T.copy(order="F"))
+            for n in sorted({1, 2, n_max // 2, n_max - 1, n_max} - {0}):
+                lead = full[:, :n]
+                part = gpr._trsm(np.asfortranarray(post._chol[:n, :n]),
+                                 kx[:n].T.copy(order="F"))
+                same = [_same_bits(lead, part),
+                        _same_bits(np.einsum("ij,ij->i", lead, lead),
+                                   np.einsum("ij,ij->i", part, part))]
+                assert all(same), (
+                    f"{variant}, {n} of {n_max} points, {w} queries: the leading "
+                    f"columns of a dtrsm and their einsum keep the bits of the solve "
+                    f"by the leading block: {same}.  This is a property of the BLAS "
+                    "build (measured with OpenBLAS 0.3.30) that the factor chains "
+                    "of ctmdesign.gpr rely on; this BLAS does not have it")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(KERNEL_VARIANTS),
+       sizes=st.lists(st.integers(1, 160), min_size=2, max_size=5).map(sorted),
+       dim=st.integers(1, 3), noise_scale=st.sampled_from([0.0, 1e-6, 0.01, 0.1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_an_extended_factor_begins_with_its_parents_and_factors_the_matrix(
+        variant, sizes, dim, noise_scale, seed):
+    from scipy.linalg import cho_solve
+
+    # the chain copies the parent's factor and appends the Schur block's;
+    # where the parent needed no jitter and S factors it must extend, and
+    # otherwise it factors afresh, exactly as without a parent
+    rng = np.random.default_rng(seed)
+    n = sizes[-1]
+    x = rng.random((n, dim))
+    data = GprDataset(x, np.sin(3.0 * x[:, 0]) + rng.normal(size=n),
+                      noise_scale * rng.random(n), mu_bar=rng.normal(),
+                      s_bar=rng.uniform(0.5, 2.0))
+    kern = Kernel(variant, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.1, 1.0)))
+    prev = None
+    for m in sizes:
+        prefix = GprDataset(x[:m], data.values[:m], data.noises[:m],
+                            mu_bar=data.mu_bar, s_bar=data.s_bar)
+        post = posterior(prefix, kern, prev)
+        fresh = posterior(prefix, kern)
+        extended = None if prev is None else gpr._extended(prev, kern, prefix)
+        if prev is not None and prev.jitter == 0.0 and noise_scale >= 0.01:
+            assert extended is not None  # such an S factors
+        if extended is not None:
+            n0 = len(prev.dataset)
+            assert post.jitter == 0.0 and _same_bits(post._chol, extended[0])
+            assert _same_bits(post._chol[:n0, :n0], prev._chol)
+        else:
+            assert _same_bits(post._chol, fresh._chol) and post.jitter == fresh.jitter
+        assert _same_bits(post._alpha, cho_solve((post._chol, True),
+                                                 prefix.standardized_values))
+        low_err, err, cond = reference.factor_error(post._chol, kern, prefix, post.jitter)
+        scale = kern.sigma_c ** 2 + prefix.standardized_noises.max()
+        assert low_err <= 16 * (m + 1) * np.finfo(float).eps * scale
+        assert err <= 16 * (m + 1) * np.finfo(float).eps * cond * math.sqrt(scale)
+        prev = post
+
+
+def test_a_schur_block_that_cannot_be_factored_falls_back_to_a_fresh_factor(monkeypatch):
+    # a first jitter below zero makes the Schur block of a repeated,
+    # noise-free point indefinite: the refit is factored afresh, with the
+    # jitter escalated as for any fresh factor
+    monkeypatch.setattr(gpr, "_JITTERS", (-1e-3, 1e-6))
+    rng = np.random.default_rng(8)
+    x = 10.0 * rng.random((10, 2))
+    x = np.vstack([x, x[:1]])
+    kern = Kernel("matern32", 1.0, 0.1)
+    data = GprDataset(x, rng.normal(size=11), np.zeros(11), mu_bar=0.0, s_bar=1.0)
+    prev = posterior(GprDataset(x[:10], data.values[:10], data.noises[:10],
+                                mu_bar=0.0, s_bar=1.0), kern)
+    assert prev.jitter == -1e-3
+    assert gpr._extended(prev, kern, data) is None
+    post, fresh = posterior(data, kern, prev), posterior(data, kern)
+    assert post.jitter == fresh.jitter == 1e-6
+    assert _same_bits(post._chol, fresh._chol) and _same_bits(post._alpha, fresh._alpha)
+
+
+def test_a_chain_needs_a_jitter_free_parent_on_a_prefix_with_one_kernel(monkeypatch):
+    rng = np.random.default_rng(9)
+    x = rng.random((30, 2))
+    data = GprDataset(x, np.sin(3.0 * x[:, 0]), 0.01 + 0.1 * rng.random(30),
+                      mu_bar=0.0, s_bar=1.0)
+    kern = Kernel("matern52", 1.2, 0.3)
+
+    def head(m, **changes):
+        parts = {"points": x[:m], "values": data.values[:m], "noises": data.noises[:m],
+                 **changes}
+        return GprDataset(parts["points"], parts["values"], parts["noises"],
+                          mu_bar=0.0, s_bar=parts.get("s_bar", 1.0))
+
+    prev = posterior(head(20), kern)
+    assert gpr._extended(prev, kern, data) is not None
+    # the values and mu_bar do not enter the factor
+    assert gpr._extended(posterior(head(20, values=-data.values[:20]), kern), kern,
+                         data) is not None
+    for parent, k in [(posterior(head(20), Kernel("matern52", 1.2, 0.31)), kern),
+                      (prev, Kernel("matern52", 1.2, 0.31)),
+                      (posterior(head(20, points=x[10:30]), kern), kern),
+                      (posterior(head(20, noises=data.noises[:20] * 2), kern), kern),
+                      (posterior(head(20, s_bar=2.0), kern), kern),
+                      (posterior(GprDataset(np.empty((0, 2)), [], [], 0.0, 1.0), kern),
+                       kern)]:
+        assert gpr._extended(parent, k, data) is None
+    with monkeypatch.context() as mp:
+        mp.setattr(gpr, "_JITTERS", (1e-8,))
+        jittered = posterior(head(20), kern)
+    assert jittered.jitter == 1e-8 and gpr._extended(jittered, kern, data) is None
+    assert gpr._extended(posterior(data, kern), kern, head(20)) is None  # not a prefix
+    whole = posterior(data, kern)  # the same data: nothing to append
+    chol, jitter = gpr._extended(whole, kern, data)
+    assert chol is whole._chol and jitter == 0.0
+
+
+def _nested_posteriors(variant, sizes, dim, jittered, rng, chained=False):
     """Posteriors on the leading ``sizes`` of one dataset; those at the
-    indices ``jittered`` are factored with the jitter 1e-6."""
+    indices ``jittered`` are factored with the jitter 1e-6.  If
+    ``chained``, each extends the one before where it can (a factor chain)."""
     n = sizes[-1]
     x = rng.random((n, dim))
     data = GprDataset(x, np.sin(3.0 * x[:, 0]) + rng.normal(size=n),
@@ -369,7 +501,7 @@ def _nested_posteriors(variant, sizes, dim, jittered, rng):
         with pytest.MonkeyPatch.context() as mp:
             if j in jittered:
                 mp.setattr(gpr, "_JITTERS", (1e-6,))
-            posts.append(posterior(prefix, kern))
+            posts.append(posterior(prefix, kern, posts[-1] if chained and posts else None))
     return posts
 
 
@@ -378,15 +510,16 @@ def _nested_posteriors(variant, sizes, dim, jittered, rng):
        sizes=st.lists(st.integers(2, 160), min_size=1, max_size=6).map(sorted),
        dim=st.integers(1, 3), m=st.sampled_from([1, 7, B - 1, B + 1, 2 * B + 3]),
        jittered=st.sets(st.integers(0, 5), max_size=2),
-       screened=st.sampled_from([None, 0.0, 0.3, 1.0]),
+       screened=st.sampled_from([None, 0.0, 0.3, 1.0]), chained=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_nested_query_equals_each_posteriors_own_query(variant, sizes, dim, m, jittered,
-                                                       screened, seed):
+                                                       screened, chained, seed):
     # one block's kernel columns serve every posterior: each reads its
     # leading rows and gets the bits of its own mean_std, whichever of the
-    # block's points it asks for and in whichever order the fits come
+    # block's points it asks for and in whichever order the fits come; the
+    # posteriors of one factor chain share one variance solve
     rng = np.random.default_rng(seed)
-    posts = _nested_posteriors(variant, sizes, dim, jittered, rng)
+    posts = _nested_posteriors(variant, sizes, dim, jittered, rng, chained)
     queries = rng.random((m, dim))
     want = [post.mean_std(queries) for post in posts]
     got = [(np.full(m, np.nan), np.full(m, np.nan)) for _ in posts]
