@@ -22,7 +22,6 @@ from .learning import (
     LoopConfig,
     LevelSetEstimate,
     sobol_points,
-    credible_band,
     run_active_learning,
 )
 

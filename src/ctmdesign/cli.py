@@ -8,9 +8,9 @@ Subcommands:
 * ``estimate-levelset``  run the full active-learning loop and persist
                          per-iteration artifacts: the dataset and fitted
                          hyperparameters as each iteration ends, the
-                         grids and error bounds of all iterations after
-                         the loop (as each iteration ends with
-                         ``error_stop`` set).
+                         grids and ``errors.csv`` once after the loop in
+                         every mode (so a run that fails inside the loop
+                         leaves no grid and no ``errors.csv``).
 * ``benchmark-compare``  mean performance under the demand-proportional
                          rule versus the cooperative benchmark for a list
                          of designs.
@@ -276,11 +276,8 @@ def cmd_estimate_levelset(args):
     def simulator(ks, rngs):
         return [float(utility(q)) for q in scenario.run_replicate(ks, rngs)]
 
-    files = {"dataset.csv", "hyperparameters.json", "errors.csv"}
     seconds = {"grid_pass": 0.0, "persist": 0.0}
-    error_rows = []
-    pending = []  # (estimate, points, discarded) of the iterations not yet bounded
-    loop_state = grid = None
+    loop_state = None
 
     def persist(est, state):
         """As each iteration ends: the dataset and the hyperparameters."""
@@ -289,10 +286,9 @@ def cmd_estimate_levelset(args):
         with timed(seconds, "persist"):
             # full precision, so a posterior rebuilt from the file (export-grid)
             # conditions on the loop's data
-            rows = [tuple(repr(float(x)) for x in (*p, v, n)) + (cnt, int(d), born)
-                    for p, v, n, cnt, d, born in zip(
-                        state.points, state.values, state.noises, state.counts,
-                        state.discarded, state.iteration_born)]
+            rows = [tuple(repr(float(x)) for x in (*p, e.mu_hat, e.tau_sq))
+                    + (e.n, int(e.discarded), born)
+                    for p, e, born in zip(state.points, state.estimates, state.born)]
             _write_csv(out_dir / "dataset.csv", names + ["mu_hat", "tau_sq", "n",
                                                          "discarded", "iteration"], rows)
             kern = est.posterior.kernel
@@ -302,35 +298,27 @@ def cmd_estimate_levelset(args):
                            "mu_bar": est.posterior.dataset.mu_bar,
                            "s_bar": est.posterior.dataset.s_bar,
                            "gamma": gamma, "delta": est.delta}, fh, indent=2)
-        pending.append((est, len(state.points), int(np.sum(state.discarded))))
-        if est.e_hat is not None:
-            write_bounds()
-
-    def write_bounds():
-        """Grids, errors.csv rows and bound lines of the bounded iterations."""
-        nonlocal grid
-        if space.dim >= 2:
-            grid_files = [out_dir / f"grid_{est.iteration}.csv" for est, _, _ in pending]
-            with timed(seconds, "grid_pass"):
-                if grid is None:  # one grid for every iteration
-                    grid = _grid_slice(scenario, space)
-                _write_grid(grid_files, grid,
-                            [est.posterior for est, _, _ in pending], gamma, config.delta)
-            files.update(path.name for path in grid_files)
-        with timed(seconds, "persist"):
-            error_rows.extend((est.iteration, _fmt(est.e_hat), points, discarded)
-                              for est, points, discarded in pending)
-            _write_csv(out_dir / "errors.csv",
-                       ["iteration", "e_hat", "points", "discarded"], error_rows)
-            for est, points, _ in pending:
-                print(f"iteration {est.iteration}: {points} points, "
-                      f"error bound {est.e_hat:.5g}")
-        pending.clear()
 
     estimates = run_active_learning(config, space, simulator, gamma, seed,
                                     on_iteration=persist)
-    if pending:
-        write_bounds()
+    files = {"dataset.csv", "hyperparameters.json", "errors.csv"}
+    if space.dim >= 2:  # one grid per iteration, all in one pass
+        grid_files = [out_dir / f"grid_{est.iteration}.csv" for est in estimates]
+        with timed(seconds, "grid_pass"):
+            _write_grid(grid_files, _grid_slice(scenario, space),
+                        [est.posterior for est in estimates], gamma, config.delta)
+        files.update(path.name for path in grid_files)
+    with timed(seconds, "persist"):
+        # the points held as each iteration ended
+        held = [[e for e, born in zip(loop_state.estimates, loop_state.born)
+                 if born <= est.iteration] for est in estimates]
+        _write_csv(out_dir / "errors.csv", ["iteration", "e_hat", "points", "discarded"],
+                   [(est.iteration, _fmt(est.e_hat), len(points),
+                     sum(e.discarded for e in points))
+                    for est, points in zip(estimates, held)])
+        for est, points in zip(estimates, held):
+            print(f"iteration {est.iteration}: {len(points)} points, "
+                  f"error bound {est.e_hat:.5g}")
     _manifest(out_dir, args.config, scenario.raw, seed, files, t0,
               extra={"gamma": gamma, "iterations": len(estimates) - 1,
                      **loop_state.replicate_counts(),

@@ -44,10 +44,10 @@ import numpy as np
 
 from .cells import KINDS, CellSpec
 from .env import ArCopulaEnvironment, GaussianPairsEnvironment
-from .evaluation import (AvgNetworkFlow, AvgVelocity, BenchmarkSpec, Throughput,
-                         Utility, calibrate_threshold)
+from .evaluation import (UTILITY_KINDS, AvgNetworkFlow, AvgVelocity, BenchmarkSpec,
+                         Throughput, Utility, calibrate_threshold)
 from .gpr import KERNEL_VARIANTS
-from .learning import DesignSpace, LoopConfig
+from .learning import ACQUISITION_VARIANTS, DesignSpace, LoopConfig
 from .network import NetworkError, TrafficNetwork
 from .signals import SignalSchedule
 from .solvers import InteractionRule, SimulationEngine
@@ -83,10 +83,10 @@ _NUMBER_OR_REF = {"oneOf": [_NUMBER, _DESIGN_REF]}
 _INTEGER = {"type": "integer"}
 
 #: learning budgets, whole numbers
-_BUDGETS = ("n_initial", "n_loop", "iterations", "n_min", "max_trials", "n_eval")
+_BUDGETS = ("n_initial", "n_loop", "iterations", "max_trials", "n_eval")
 _UTILITY = {"type": "object", "required": ["kind"],
-            "properties": {"kind": {"type": "string"}, "label": {"type": "string"},
-                           "c": _NUMBER, "alpha": _NUMBER}}
+            "properties": {"kind": {"enum": list(UTILITY_KINDS)},
+                           "label": {"type": "string"}, "c": _NUMBER, "alpha": _NUMBER}}
 #: a route (u, v, w) by node labels: from u through v to w
 _ROUTE = {"type": "array", "items": _INTEGER, "minItems": 3, "maxItems": 3}
 _COPULA_SOURCE = {"type": "object", "required": ["route", "sigma"],
@@ -103,12 +103,15 @@ _DENSITY = {"type": "number", "minimum": 0}
 _CAP_FRACTION = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
 #: a probability strictly between 0 and 1, such as the credible level delta
 _LEVEL = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
+#: a node's four neighbours, counter-clockwise, by node label
+_CCW = {"type": "array", "items": _INTEGER, "minItems": 4, "maxItems": 4}
+#: a node label as an object key
+_NODE_KEY = {"pattern": "^-?(0|[1-9][0-9]*)$"}
 _SIGNAL = {
     "type": "object",
     "required": ["ccw", "green"],
     "properties": {
-        "ccw": {"type": "array", "items": {"type": "integer"},
-                "minItems": 4, "maxItems": 4},
+        "ccw": _CCW,
         "green": {"oneOf": [{"type": "integer", "minimum": 1}, _DESIGN_REF]},
         "shift": {"oneOf": [{"type": "integer", "minimum": 0}, _DESIGN_REF]},
         "t_safe": {"type": "integer"},
@@ -172,10 +175,10 @@ SCENARIO_SCHEMA = {
                             "additionalProperties": {"type": "number"}},
                 "cells": {"type": "object", "additionalProperties": _CELL},
                 "turning": {"enum": ["uniform_no_uturn"]},
-                "signals": {"type": "object",
-                            "propertyNames": {"pattern": "^-?(0|[1-9][0-9]*)$"},
+                "signals": {"type": "object", "propertyNames": _NODE_KEY,
                             "additionalProperties": _SIGNAL},
-                "roundabout_ccw": {"type": "object"},
+                "roundabout_ccw": {"type": "object", "propertyNames": _NODE_KEY,
+                                   "additionalProperties": _CCW},
             },
         },
         "environment": {
@@ -200,7 +203,7 @@ SCENARIO_SCHEMA = {
         },
         "run": {
             "type": "object",
-            "required": ["steps"],
+            "required": ["steps", "initial_density"],
             "properties": {
                 "steps": {"type": "integer", "minimum": 1},
                 "t_real": {"type": "number", "exclusiveMinimum": 0},
@@ -235,6 +238,7 @@ SCENARIO_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 **dict.fromkeys(_BUDGETS, _INTEGER),
+                "n_min": {"type": "integer", "minimum": 2},
                 "n_max": {"oneOf": [_INTEGER, {"type": "array", "items": _INTEGER}]},
                 **dict.fromkeys(("c1", "c2_0", "c3", "error_stop"), _NUMBER),
                 "delta": _LEVEL,
@@ -242,7 +246,7 @@ SCENARIO_SCHEMA = {
                 "tau_values": _NUMBERS,
                 "tau_fractions": _NUMBERS,
                 "tau_scale": {"oneOf": [_NUMBER, {"const": "benchmark_gap"}]},
-                "acquisition": {"type": "string"},
+                "acquisition": {"enum": list(ACQUISITION_VARIANTS)},
                 "kernel": {"type": "object", "additionalProperties": False,
                            "properties": {"variant": {"enum": list(KERNEL_VARIANTS)}}},
                 "grid": {"type": "object", "additionalProperties": False, "properties": {
@@ -498,11 +502,12 @@ class Scenario:
             run = raw["run"]
             self.steps = run["steps"]
             self.rule = InteractionRule(run.get("rule", "dpf"))
-            self._rho0 = self._initial_densities(run.get("initial_density", {}))
+            self._rho0 = self._initial_densities(run["initial_density"])
             self._parse_environment(raw.get("environment", {"kind": "none"}))
             self._measure = self._parse_measure(
                 raw.get("evaluation", {}).get("measure", {"kind": "avg_network_flow"}))
         self._parse_grid()
+        self._check_n_max()
 
     # -- design space --------------------------------------------------
 
@@ -891,6 +896,19 @@ class Scenario:
             raise ConfigError(f"{self.origin}: learning.n_initial {config.n_initial} "
                               "is below 3, the fewest points the kernel fit needs")
         return config
+
+    def _check_n_max(self):
+        """Every n_max entry is at least n_min, LoopConfig's default for a
+        key left out: sequential Monte Carlo draws n_min replicates first."""
+        l_cfg = self.raw.get("learning", {})
+        n_min = l_cfg.get("n_min", LoopConfig.n_min)
+        n_max = l_cfg.get("n_max", LoopConfig.n_max[0])
+        paths = ([("learning", "n_max", i) for i in range(len(n_max))]
+                 if isinstance(n_max, list)
+                 else [("learning", "n_max" if "n_max" in l_cfg else "n_min")])
+        for path, n in zip(paths, np.atleast_1d(n_max).tolist()):
+            if n < n_min:
+                raise _at_path(self.origin, path, f"n_max {n!r} is below n_min {n_min!r}")
 
     def _parse_grid(self):
         """``grid_axes``, ``grid_resolution`` and ``grid_fixed`` of learning.grid,

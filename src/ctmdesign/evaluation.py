@@ -45,6 +45,9 @@ __all__ = [
 # Utility functions
 # ---------------------------------------------------------------------------
 
+UTILITY_KINDS = ("identity", "polynomial", "expectile", "sqrt")
+
+
 @dataclass(frozen=True)
 class Utility:
     """Non-decreasing scalar utility; callable on floats and arrays."""
@@ -54,7 +57,7 @@ class Utility:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("identity", "polynomial", "expectile", "sqrt"):
+        if self.kind not in UTILITY_KINDS:
             raise ValueError(f"unknown utility kind {self.kind!r}")
         if self.kind == "polynomial" and self.alpha < 1:
             raise ValueError("polynomial utility requires alpha >= 1")
@@ -185,9 +188,6 @@ class BenchmarkSpec:
     def beta(self):
         """Shape solving 1 / sqrt(8 beta + 4) = sigma_target."""
         return (1.0 / self.sigma_target ** 2 - 4.0) / 8.0
-
-    def sample(self, rng, n):
-        return self.e * 2.0 * rng.beta(self.beta, self.beta, size=n)
 
 
 #: relative tolerance of the benchmark quadrature

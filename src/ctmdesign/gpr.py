@@ -466,7 +466,7 @@ def posterior(dataset, kern, previous=None):
     return GprPosterior(dataset, kern, previous)
 
 
-def nested_query(posts, queries, starts=None):
+def nested_query(posts, queries):
     """Query blocks of one point set, shared by nested posteriors.
 
     ``posts`` share one kernel, and each one's data points are a prefix of
@@ -474,9 +474,7 @@ def nested_query(posts, queries, starts=None):
     of queries, its slice of the queries and a ``QueryBlock``, whose
     kernel columns against the largest dataset are built once and read
     by every posterior, and whose whole-block variances are solved once
-    per factor chain.  ``starts`` lists the first query of each block but
-    the first, in increasing order; by default a block has
-    ``GprPosterior.QUERY_BLOCK`` queries.
+    per factor chain.  A block has ``GprPosterior.QUERY_BLOCK`` queries.
     """
     posts = list(posts)
     points = max((p.dataset.points for p in posts), key=len)
@@ -496,12 +494,10 @@ def nested_query(posts, queries, starts=None):
             heads.append(top := p)
         tops[id(p)] = top
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    if starts is None:
-        starts = range(GprPosterior.QUERY_BLOCK, len(queries), GprPosterior.QUERY_BLOCK)
-    edges = [0, *starts, len(queries)]
-    for lo, hi in zip(edges, edges[1:]):
-        if lo < hi:
-            yield slice(lo, hi), QueryBlock(kern, points, queries[lo:hi], tops)
+    n, width = len(queries), GprPosterior.QUERY_BLOCK
+    for lo in range(0, n, width):
+        block = slice(lo, min(lo + width, n))
+        yield block, QueryBlock(kern, points, queries[block], tops)
 
 
 class QueryBlock:

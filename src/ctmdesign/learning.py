@@ -22,8 +22,7 @@ gives inner and outer sets {lower >= gamma} and {upper >= gamma}; the
 volume between them, estimated by quasi-Monte Carlo on Sobol points
 drawn once per run, bounds the Nikodym estimation error with
 probability 1 - delta pointwise.  ``band`` gives both band edges from
-m and sigma, and ``credible_band`` evaluates all four from one posterior
-query per point set.
+m and sigma.
 
 Within a run the kernel and the standardization stay the same and the
 kept data only grows, new points appended at the end.  Each refit
@@ -58,7 +57,10 @@ fits are bounded after it, in one pass over blocks of Sobol points
 (``_ErrorBound``): a point's state goes through the fits in their
 order, so every screen, count and bound is the one of a pass per fit,
 while each block's kernel columns are built once, against the last
-fit's data (``gpr.nested_query``).
+fit's data (``gpr.nested_query``); with ``error_stop`` set, each fit
+as it comes, by the same screens.  So ``estimate-levelset`` writes the
+grids and error bounds once after the loop in every mode, and a run
+that fails inside the loop leaves none of them.
 """
 
 from __future__ import annotations
@@ -72,8 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluation import sequential_mc
-from .gpr import (GprDataset, GprPosterior, fit_hyperparameters, nested_query,
-                  posterior, scipy_file)
+from .gpr import GprDataset, fit_hyperparameters, nested_query, posterior, scipy_file
 from .normal import ndtri
 
 __all__ = [
@@ -82,8 +83,6 @@ __all__ = [
     "LevelSetEstimate",
     "sobol_points",
     "band",
-    "credible_band",
-    "acquisition",
     "rejection_sample",
     "nikodym_bound_mc",
     "run_active_learning",
@@ -121,6 +120,11 @@ class DesignSpace:
         return lo + (hi - lo) * u
 
 
+#: acquisition variants: I(k) from the gap |m(k) - gamma| as it is, or
+#: divided by sigma(k)
+ACQUISITION_VARIANTS = ("absolute", "scaled")
+
+
 @dataclass
 class LoopConfig:
     """Budgets and constants of the estimation loop.
@@ -143,7 +147,7 @@ class LoopConfig:
     c2: tuple = None
     c3: float = 2.0
     max_trials: int = 10000
-    acquisition_variant: str = "absolute"   # or "scaled" (divides by sigma)
+    acquisition_variant: str = "absolute"   # see ACQUISITION_VARIANTS
     delta: float = 0.05
     n_eval: int = 100000
     error_stop: float = None
@@ -164,7 +168,7 @@ class LoopConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.n_eval < 1:
             raise ValueError("n_eval must be at least 1")
-        if self.acquisition_variant not in ("absolute", "scaled"):
+        if self.acquisition_variant not in ACQUISITION_VARIANTS:
             raise ValueError("unknown acquisition variant")
         if self.c2 is not None:
             if len(self.c2) < self.iterations:
@@ -245,21 +249,6 @@ class LevelSetEstimate:
     gamma: float
     delta: float
     e_hat: float = None
-
-
-def acquisition(k, post, gamma, c2, variant="absolute"):
-    """Informative potential of sampling at k, in (0, 1/2].
-
-    Phi(-c2 |m(k) - gamma|), optionally with the gap scaled by the
-    posterior standard deviation ("scaled" variant).
-    """
-    k = np.atleast_2d(k)
-    if variant == "absolute":
-        m, s = post.mean(k), None
-    else:
-        m, s = post.mean_std(k)
-    out = _acceptance(m, s, gamma, c2, variant)
-    return out if out.size > 1 else float(out[0])
 
 
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
@@ -352,16 +341,6 @@ def band(m, s, z):
     return m - half, m + half
 
 
-def credible_band(post, pts, delta, screen=None):
-    """(m, s, lower, upper) at pts from one posterior query (see ``band``).
-
-    ``screen`` goes to ``mean_std``: a point it screens out has s = 0, a
-    band of width 0.
-    """
-    m, s = post.mean_std(pts, screen)
-    return m, s, *band(m, s, ndtri(1.0 - delta / 2.0))
-
-
 def _in_band(lower, upper, gamma):
     """Which points lie in the band: upper >= gamma > lower."""
     return (upper >= gamma) & (gamma > lower)
@@ -395,12 +374,14 @@ class _ErrorBound:
     Per Sobol point it keeps the last known std s_ref, and the mean m_ref
     of the last fit that computed it with that fit's index; per fit since
     the bound started afresh, the fit's data size (see the module
-    docstring).  Called with the run's next fits, in order, it replays
-    the fits' screens point by point in one pass over the Sobol blocks:
-    each block's kernel columns are built once, against the last fit's
-    data (``nested_query``), when a fit's screen first needs them.  A
-    point's state goes through the fits in their order, so each bound,
-    and each count of means and variances, is the one of a pass per fit.
+    docstring).  Called with the run's next estimates, in order, it sets
+    their ``e_hat``: it replays their fits' screens point by point in one
+    pass over the Sobol blocks, each block's kernel columns built once,
+    against the last fit's data (``nested_query``), when a fit's screen
+    first needs them.  A point's state goes through the fits in their
+    order, so each bound, and each count of means and variances, is the
+    one of a pass per fit.  An estimate that shares the posterior before
+    it (an idle iteration) shares its bound.
     """
 
     def __init__(self, space, config, gamma, state):
@@ -414,11 +395,16 @@ class _ErrorBound:
         self.ref_fit = np.zeros(n, dtype=np.min_scalar_type(config.iterations))
         self.sizes = []
         self.jitter = None
+        self.last = self.e_hat = None  # the last posterior bounded, and its bound
 
-    def __call__(self, posts):
-        """The bounds of ``posts``, the run's next fits in order."""
-        fits = []
-        for post in posts:
+    def __call__(self, estimates):
+        """Set ``e_hat`` of ``estimates``, the run's next ones in order."""
+        fits, last = [], self.last
+        for est in estimates:
+            post = est.posterior
+            if post is last:
+                continue
+            last = post
             reset = post.jitter != self.jitter
             if reset:  # more jitter can raise the variance
                 self.sizes.clear()
@@ -427,19 +413,19 @@ class _ErrorBound:
             # per reference fit: rho of all the points added since
             drift = np.array([post.residual_norm(n) for n in self.sizes])
             fits.append((post, reset, drift, len(self.sizes) - 1, 1e-3 * post.prior_std))
-        if not fits:
-            return []
+        bounds = iter(self._bounds(fits) if fits else ())
+        for est in estimates:
+            if est.posterior is not self.last:
+                self.last, self.e_hat = est.posterior, next(bounds)
+            est.e_hat = self.e_hat
+
+    def _bounds(self, fits):
+        """The bounds of ``fits``, (posterior, reset, drift, index, slack) each."""
         gamma, z = self.gamma, self.z
-        starts = None  # after a reset, blocks of QUERY_BLOCK Sobol points
-        _, reset, drift, _, slack = fits[0]
-        if not reset:  # blocks of QUERY_BLOCK points that the first screen keeps
-            reach = (z + drift[self.ref_fit]) * self.bound * (1 + 1e-6) + slack
-            kept = np.flatnonzero(np.abs(self.m_ref - gamma) < reach)
-            starts = kept[GprPosterior.QUERY_BLOCK::GprPosterior.QUERY_BLOCK]
         # per fit: the band at the points in it, block by block
         inside = [([], []) for _ in fits]
         n_means, n_vars = [0] * len(fits), [0] * len(fits)
-        for block, cols in nested_query(posts, self.sobol, starts):
+        for block, cols in nested_query([fit[0] for fit in fits], self.sobol):
             bound, m_ref, ref_fit = self.bound[block], self.m_ref[block], self.ref_fit[block]
             for f, (post, reset, drift, index, slack) in enumerate(fits):
                 if reset:
@@ -470,14 +456,11 @@ class _ErrorBound:
 
 @dataclass
 class _LoopState:
+    # per design point: the point, its Monte Carlo estimate (a
+    # SequentialEstimate) and the iteration that added it
     points: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-    noises: list = field(default_factory=list)
-    counts: list = field(default_factory=list)
-    discarded: list = field(default_factory=list)
-    iteration_born: list = field(default_factory=list)
-    drawn: list = field(default_factory=list)
-    stops: list = field(default_factory=list)
+    estimates: list = field(default_factory=list)
+    born: list = field(default_factory=list)
     # per fit: Sobol points whose mean and whose variance were computed;
     # per rejection sampling: candidates whose std was solved
     mean_points: list = field(default_factory=list)
@@ -489,26 +472,23 @@ class _LoopState:
 
     def add(self, k, est, iteration):
         self.points.append(np.asarray(k, dtype=float))
-        self.values.append(est.mu_hat)
-        self.noises.append(est.tau_sq)
-        self.counts.append(est.n)
-        self.discarded.append(est.discarded)
-        self.iteration_born.append(iteration)
-        self.drawn.append(est.drawn)
-        self.stops.append(est.stop)
+        self.estimates.append(est)
+        self.born.append(iteration)
 
     def replicate_counts(self):
         """Replicates used (sum of n) and drawn, and why the points stopped."""
-        return {"replicates_used": int(sum(self.counts)),
-                "replicates_drawn": int(sum(self.drawn)),
-                "target_stops": self.stops.count("target"),
-                "cap_stops": self.stops.count("cap")}
+        stops = [est.stop for est in self.estimates]
+        return {"replicates_used": sum(est.n for est in self.estimates),
+                "replicates_drawn": sum(est.drawn for est in self.estimates),
+                "target_stops": stops.count("target"),
+                "cap_stops": stops.count("cap")}
 
     def kept(self):
-        keep = ~np.array(self.discarded, dtype=bool)
+        """Points, values and noises of the points not discarded."""
+        keep = [not est.discarded for est in self.estimates]
         pts = np.array(self.points)[keep]
-        vals = np.array(self.values)[keep]
-        noi = np.array(self.noises)[keep]
+        vals = np.array([est.mu_hat for est in self.estimates])[keep]
+        noi = np.array([est.tau_sq for est in self.estimates])[keep]
         return pts, vals, noi
 
 
@@ -531,13 +511,13 @@ def run_active_learning(config, space, simulator, gamma, master_seed,
     and bound); index 0 is the initialization.
 
     ``on_iteration(estimate, state)`` is called as each iteration ends,
-    e.g. to persist artifacts; failures abort with partial results
-    already delivered through the callback.  The error bounds ``e_hat``
-    of all fits come from one pass over the Sobol points after the loop
-    (``_ErrorBound``), so the callback sees ``estimate.e_hat`` None and
-    the returned estimates carry it; with ``config.error_stop`` set, the
-    stop rule reads each bound as its fit comes, and the callback sees
-    it too.
+    e.g. to persist the dataset; a failure aborts the loop, and only
+    what the callback saved remains.  The error bounds ``e_hat`` are
+    set by ``_ErrorBound``: for all fits in one pass over the Sobol
+    points after the loop, so the callback sees ``estimate.e_hat`` None
+    and the returned estimates carry it; with ``config.error_stop`` set,
+    each fit's as it comes, for the stop rule, so the callback sees it
+    too.  Either way the bounds are the same.
     """
     from .env import replicate_rng
 
@@ -576,23 +556,13 @@ def run_active_learning(config, space, simulator, gamma, master_seed,
 
     error_bound = _ErrorBound(space, config, gamma, state)
     estimates = []
-    fits, fit_of, e_hats = [], [], []  # fit_of: each estimate's index in fits
-
-    def settle():
-        """Bound the fits not bounded yet, in one pass, into their estimates."""
-        with timed(seconds, "bound_pass"):
-            e_hats.extend(error_bound(fits[len(e_hats):]))
-        for est, f in zip(estimates, fit_of):
-            est.e_hat = e_hats[f]
 
     def finish_iteration(i, post_i):
-        if not fits or fits[-1] is not post_i:
-            fits.append(post_i)
         estimates.append(LevelSetEstimate(iteration=i, posterior=post_i, gamma=gamma,
                                           delta=config.delta))
-        fit_of.append(len(fits) - 1)
         if config.error_stop is not None:
-            settle()
+            with timed(seconds, "bound_pass"):
+                error_bound(estimates[-1:])
         if on_iteration is not None:
             on_iteration(estimates[-1], state)
 
@@ -621,5 +591,7 @@ def run_active_learning(config, space, simulator, gamma, master_seed,
                 post = posterior(data_i, kern, post)
         finish_iteration(i, post)
 
-    settle()
+    if config.error_stop is None:
+        with timed(seconds, "bound_pass"):
+            error_bound(estimates)
     return estimates

@@ -19,8 +19,10 @@ and the hyperparameter fit through ``scipy.optimize.minimize``
 (``gpr.log_marginal_likelihood`` and ``gpr.fit_hyperparameters``), the
 posterior through ``cho_solve`` and scipy's public ``dtrsm``, and its
 variance through ``solve_triangular`` (``GprPosterior``), the rejection sampler with every candidate's std
-queried (``learning.rejection_sample``), and one-at-a-time sequential
-Monte Carlo.  Two helpers step an engine one step at a time, which the
+queried (``learning.rejection_sample``), the acquisition density and
+the credible band at a point set from one posterior query each, draws of
+a benchmark flow (``BenchmarkSpec``), and one-at-a-time sequential Monte
+Carlo.  Two helpers step an engine one step at a time, which the
 package does only inside ``SimulationEngine.run``.
 """
 
@@ -666,6 +668,33 @@ def fit_hyperparameters(dataset, variant, n_starts=10, rng=None, tol=1e-6):
 # active learning
 # ---------------------------------------------------------------------------
 
+def acquisition(k, post, gamma, c2, variant="absolute"):
+    """Informative potential of sampling at k, in (0, 1/2].
+
+    Phi(-c2 |m(k) - gamma|), optionally with the gap scaled by the
+    posterior standard deviation ("scaled" variant).
+    """
+    from ctmdesign.learning import _acceptance
+
+    k = np.atleast_2d(k)
+    if variant == "absolute":
+        m, s = post.mean(k), None
+    else:
+        m, s = post.mean_std(k)
+    out = _acceptance(m, s, gamma, c2, variant)
+    return out if out.size > 1 else float(out[0])
+
+
+def credible_band(post, pts, delta):
+    """(m, s, lower, upper) at pts from one posterior query (see
+    ``learning.band``)."""
+    from ctmdesign.learning import band
+    from ctmdesign.normal import ndtri
+
+    m, s = post.mean_std(pts)
+    return m, s, *band(m, s, ndtri(1.0 - delta / 2.0))
+
+
 def rejection_sample(n_loop, post, gamma, tau_i, c2, config, space, rng):
     """``learning.rejection_sample`` with the mean and std of every candidate
     queried; it logs its skip message to the ``reference`` logger."""
@@ -741,6 +770,15 @@ def clamp_net_flow(q_aux, rho, q_in, q_out, rho_cap, l_v):
     lo = -rho * l_v - q_in + q_out
     hi = (rho_cap - rho) * l_v - q_in + q_out
     return min(max(q_aux, lo), hi)
+
+
+# ---------------------------------------------------------------------------
+# benchmark flows
+# ---------------------------------------------------------------------------
+
+def benchmark_sample(bench, rng, n):
+    """n draws of a ``BenchmarkSpec``'s flow e * 2 * X, X ~ Beta(beta, beta)."""
+    return bench.e * 2.0 * rng.beta(bench.beta, bench.beta, size=n)
 
 
 # ---------------------------------------------------------------------------

