@@ -264,14 +264,14 @@ def _write_grid(paths, grid, posts, gamma, delta):
 def cmd_estimate_levelset(args):
     scenario = load_scenario(args.config)
     seed = args.seed if args.seed is not None else scenario.seed
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
     space = scenario.design_space()
     config = scenario.loop_config()
     gamma = scenario.threshold()
     utility = scenario.utility()
     names = scenario.design_names
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    t0 = time.time()
 
     def simulator(ks, rngs):
         return [float(utility(q)) for q in scenario.run_replicate(ks, rngs)]
@@ -363,7 +363,7 @@ def cmd_export_grid(args):
         raise ConfigError(f"{args.config}: export-grid needs a design space of "
                           f"at least two dimensions, not {space.dim}")
     run_dir = Path(args.run_dir)
-    hp = load_json(run_dir / "hyperparameters.json", HYPERPARAMETERS_SCHEMA)
+    hp = load_json(run_dir / "hyperparameters.json", HYPERPARAMETERS_SCHEMA, fill=True)
     data_file = run_dir / "dataset.csv"
     try:
         with open(data_file) as fh:
@@ -397,7 +397,7 @@ def cmd_export_grid(args):
     grid = _grid_slice(scenario, space, resolution=args.resolution)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_grid([out / "grid.csv"], grid, [post], hp["gamma"], hp.get("delta", 0.05))
+    _write_grid([out / "grid.csv"], grid, [post], hp["gamma"], hp["delta"])
     print(f"wrote {out / 'grid.csv'}")
     return 0
 

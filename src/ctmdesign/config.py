@@ -9,12 +9,25 @@ parses and checks every setting at load; a replicate only resolves them.
 
 ``SCENARIO_SCHEMA`` states the file's structural rules once, in JSON
 Schema (draft 2020-12), and ``HYPERPARAMETERS_SCHEMA`` those of the
-posterior file that ``export-grid`` reads.  ``load_json`` checks a file
-against its schema with the small interpreter below, which covers exactly
-the keywords the schemas use.  The tests hold it to a reference JSON
-Schema validator, which no command imports: it would load some 80 modules
-at every start-up.  Where a ``oneOf`` branches on a tag such as ``kind``,
-the errors reported are those of the branch the tag selects.
+posterior file that ``export-grid`` reads: each key's type, its range
+(``minimum``, ``exclusiveMinimum``, ...) and the value it takes when left
+out (the ``default`` annotation).  ``load_json`` and ``Scenario`` check a
+document against its schema with the small interpreter below, which
+covers exactly the keywords the schemas use and fills in the defaults in
+the same walk.  The tests hold it to a reference JSON Schema validator,
+which no command imports: it would load some 80 modules at every
+start-up.  Where a ``oneOf`` branches on a tag such as ``kind``, the
+errors reported are those of the branch the tag selects.
+
+``Scenario`` keeps the document it is given (``raw``, whose hash the run
+manifests record) and reads every setting from ``settings``, the document
+checked with its defaults filled in.  At load it checks, at the JSON
+path where there is one, what a schema cannot state: cross-references
+(node labels, routes, design parameters, node groups) and the learning
+rules that tie keys together.  The defaults a schema cannot state are
+derived in code, each once: the grid's axes and off-axis values, c2_0,
+the tau schedule from ``tau_fractions`` and a utility's label.  Signal
+timing and cell parameters take ``SignalSchedule``'s and ``CellSpec``'s.
 
 Before the schema check, ``load_json`` refuses a number that is NaN,
 infinite or an integer beyond the float range, naming its JSON path.
@@ -81,9 +94,7 @@ _NUMBER = {"type": "number"}
 _NUMBERS = {"type": "array", "items": _NUMBER}
 _NUMBER_OR_REF = {"oneOf": [_NUMBER, _DESIGN_REF]}
 _INTEGER = {"type": "integer"}
-
-#: learning budgets, whole numbers
-_BUDGETS = ("n_initial", "n_loop", "iterations", "max_trials", "n_eval")
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _UTILITY = {"type": "object", "required": ["kind"],
             "properties": {"kind": {"enum": list(UTILITY_KINDS)},
                            "label": {"type": "string"}, "c": _NUMBER, "alpha": _NUMBER}}
@@ -94,15 +105,19 @@ _COPULA_SOURCE = {"type": "object", "required": ["route", "sigma"],
                   "properties": {"route": _ROUTE, "sigma": _NUMBER_OR_REF}}
 _PAIR_SOURCE = {"type": "object", "required": ["route", "xi", "psi"],
                 "additionalProperties": False,
-                "properties": {"route": _ROUTE, "pair_route": _ROUTE, "pair_sign": _NUMBER,
+                "properties": {"route": _ROUTE, "pair_route": _ROUTE,
+                               "pair_sign": {**_NUMBER, "default": -1.0},
                                "xi": _NUMBER_OR_REF, "psi": _NUMBER_OR_REF}}
 _CONSTANT = {"type": "object", "required": ["route", "value"],
              "additionalProperties": False,
-             "properties": {"route": _ROUTE, "value": _NUMBER_OR_REF, "scale": _NUMBER}}
+             "properties": {"route": _ROUTE, "value": _NUMBER_OR_REF,
+                            "scale": {**_NUMBER, "default": 1.0}}}
 _DENSITY = {"type": "number", "minimum": 0}
 _CAP_FRACTION = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
-#: a probability strictly between 0 and 1, such as the credible level delta
-_LEVEL = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
+#: the share of rho_max an environment route may hold
+_RHO_CAP = {"type": "number", "exclusiveMinimum": 0, "maximum": 1, "default": 1.0}
+#: the credible level delta, a probability strictly between 0 and 1
+_DELTA = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": 0.05}
 #: a node's four neighbours, counter-clockwise, by node label
 _CCW = {"type": "array", "items": _INTEGER, "minItems": 4, "maxItems": 4}
 #: a node label as an object key
@@ -113,10 +128,10 @@ _SIGNAL = {
     "properties": {
         "ccw": _CCW,
         "green": {"oneOf": [{"type": "integer", "minimum": 1}, _DESIGN_REF]},
-        "shift": {"oneOf": [{"type": "integer", "minimum": 0}, _DESIGN_REF]},
+        "shift": {"oneOf": [{"type": "integer", "minimum": 0}, _DESIGN_REF], "default": 0},
         "t_safe": {"type": "integer"},
-        "a_real": {"type": "number", "exclusiveMinimum": 0},
-        "v_real_kmh": {"type": "number", "exclusiveMinimum": 0},
+        "a_real": _POSITIVE,
+        "v_real_kmh": _POSITIVE,
     },
 }
 
@@ -136,17 +151,18 @@ SCENARIO_SCHEMA = {
     "properties": {
         "version": {"const": 1},
         "name": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "default": 0},
         "design": {
             "type": "object",
             "required": ["names", "bounds"],
+            "default": {"names": [], "bounds": []},
             "properties": {
                 "names": {"type": "array", "items": {"type": "string"}},
                 "bounds": {"type": "array",
                            "items": {"type": "array",
                                      "items": {"type": "number"},
                                      "minItems": 2, "maxItems": 2}},
-                "integerized": {"type": "array", "items": {"type": "string"}},
+                "integerized": {"type": "array", "items": {"type": "string"}, "default": []},
             },
         },
         "simulator": {
@@ -154,8 +170,8 @@ SCENARIO_SCHEMA = {
             "required": ["kind"],
             "properties": {
                 "kind": {"const": "analytic"},
-                "surface": {"enum": list(_SURFACE_DIM)},
-                "noise": {"type": "number", "minimum": 0},
+                "surface": {"enum": list(_SURFACE_DIM), "default": "sincos2d"},
+                "noise": {"type": "number", "minimum": 0, "default": 0.0},
             },
         },
         "network": {
@@ -166,8 +182,8 @@ SCENARIO_SCHEMA = {
                 "edges": {"type": "array",
                           "items": {"type": "array", "items": {"type": "integer"},
                                     "minItems": 2, "maxItems": 2}},
-                "undirected": {"type": "boolean"},
-                "allow_uturn": {"type": "array", "items": {"type": "integer"}},
+                "undirected": {"type": "boolean", "default": True},
+                "allow_uturn": {"type": "array", "items": _INTEGER, "default": []},
                 "groups": {"type": "object",
                            "additionalProperties": {"type": "array",
                                                     "items": {"type": "integer"}}},
@@ -176,29 +192,30 @@ SCENARIO_SCHEMA = {
                 "cells": {"type": "object", "additionalProperties": _CELL},
                 "turning": {"enum": ["uniform_no_uturn"]},
                 "signals": {"type": "object", "propertyNames": _NODE_KEY,
-                            "additionalProperties": _SIGNAL},
+                            "additionalProperties": _SIGNAL, "default": {}},
                 "roundabout_ccw": {"type": "object", "propertyNames": _NODE_KEY,
-                                   "additionalProperties": _CCW},
+                                   "additionalProperties": _CCW, "default": {}},
             },
         },
         "environment": {
             "type": "object",
+            "default": {"kind": "none"},
             "oneOf": [
                 {"required": ["kind"], "additionalProperties": False,
                  "properties": {"kind": {"const": "none"}}},
                 {"required": ["kind", "copula_r", "sources"], "additionalProperties": False,
                  "properties": {
                      "kind": {"const": "ar_copula"},
-                     "rho_cap_fraction": _CAP_FRACTION,
+                     "rho_cap_fraction": _RHO_CAP,
                      "copula_r": _NUMBER_OR_REF,
                      "sources": {"type": "array", "items": _COPULA_SOURCE,
                                  "minItems": 2, "maxItems": 2}}},
                 {"required": ["kind", "sources"], "additionalProperties": False,
                  "properties": {
                      "kind": {"const": "gaussian_pairs"},
-                     "rho_cap_fraction": _CAP_FRACTION,
+                     "rho_cap_fraction": _RHO_CAP,
                      "sources": {"type": "array", "items": _PAIR_SOURCE},
-                     "constants": {"type": "array", "items": _CONSTANT}}},
+                     "constants": {"type": "array", "items": _CONSTANT, "default": []}}},
             ],
         },
         "run": {
@@ -206,11 +223,11 @@ SCENARIO_SCHEMA = {
             "required": ["steps", "initial_density"],
             "properties": {
                 "steps": {"type": "integer", "minimum": 1},
-                "t_real": {"type": "number", "exclusiveMinimum": 0},
-                "rule": {"enum": list(InteractionRule.VARIANTS)},
+                "t_real": _POSITIVE,
+                "rule": {"enum": list(InteractionRule.VARIANTS), "default": "dpf"},
                 "initial_density": {"type": "object", "oneOf": [
                     {"required": ["values"], "properties": {
-                        "mode": {"const": "per_route"},
+                        "mode": {"const": "per_route", "default": "per_route"},
                         "values": {"type": "object", "additionalProperties": _DENSITY}}},
                     {"required": ["mode", "fraction"], "properties": {
                         "mode": {"const": "max_density_fraction"},
@@ -220,40 +237,57 @@ SCENARIO_SCHEMA = {
         },
         "evaluation": {
             "type": "object",
+            "default": {},
             "properties": {
-                "measure": {"type": "object", "required": ["kind"], "properties": {
+                "measure": {"type": "object", "required": ["kind"],
+                            "default": {"kind": "avg_network_flow"}, "properties": {
                     "kind": {"enum": ["avg_network_flow", "throughput", "avg_velocity"]},
                     "routes": {"type": "array", "items": _ROUTE}}},
-                "utility": _UTILITY,
-                "utilities": {"type": "array", "items": _UTILITY},
-                "benchmarks": {"type": "object", "additionalProperties": {
+                "utility": {**_UTILITY, "default": {"kind": "identity"}},
+                "utilities": {"type": "array", "items": _UTILITY, "default": []},
+                "benchmarks": {"type": "object", "default": {}, "additionalProperties": {
                     "type": "object", "required": ["e", "sigma"],
                     "properties": {"e": _NUMBER, "sigma": _NUMBER}}},
-                "threshold": {"type": "object", "properties": {
+                "threshold": {"type": "object", "default": {}, "properties": {
                     "gamma": _NUMBER, "benchmark": {"type": "string"}}},
             },
         },
         "learning": {
             "type": "object",
             "additionalProperties": False,
+            "default": {},
             "properties": {
-                **dict.fromkeys(_BUDGETS, _INTEGER),
-                "n_min": {"type": "integer", "minimum": 2},
-                "n_max": {"oneOf": [_INTEGER, {"type": "array", "items": _INTEGER}]},
-                **dict.fromkeys(("c1", "c2_0", "c3", "error_stop"), _NUMBER),
-                "delta": _LEVEL,
+                # the kernel fit needs three points
+                "n_initial": {"type": "integer", "minimum": 3},
+                "n_loop": {"type": "integer", "minimum": 1},
+                "iterations": {"type": "integer", "minimum": 0},
+                "n_min": {"type": "integer", "minimum": 2, "default": 20},
+                "n_max": {"oneOf": [_INTEGER, {"type": "array", "items": _INTEGER}],
+                          "default": 3000},
+                "max_trials": {"type": "integer", "minimum": 1, "default": 10000},
+                "n_eval": {"type": "integer", "minimum": 1, "default": 100000},
+                "c1": {"type": "number", "exclusiveMinimum": 1, "default": 5.0},
+                "c2_0": _NUMBER,
                 "c2": {"oneOf": [_NUMBER, _NUMBERS]},
-                "tau_values": _NUMBERS,
-                "tau_fractions": _NUMBERS,
-                "tau_scale": {"oneOf": [_NUMBER, {"const": "benchmark_gap"}]},
-                "acquisition": {"enum": list(ACQUISITION_VARIANTS)},
-                "kernel": {"type": "object", "additionalProperties": False,
-                           "properties": {"variant": {"enum": list(KERNEL_VARIANTS)}}},
-                "grid": {"type": "object", "additionalProperties": False, "properties": {
-                    "resolution": {"type": "integer", "minimum": 1},
+                # a point whose noise is c3 * tau or more is discarded
+                "c3": {**_POSITIVE, "default": 2.0},
+                "error_stop": _NUMBER,
+                "delta": _DELTA,
+                "tau_values": {"type": "array", "items": _POSITIVE},
+                "tau_fractions": {"type": "array", "items": _POSITIVE},
+                "tau_scale": {"oneOf": [_POSITIVE, {"const": "benchmark_gap"}],
+                              "default": 1.0},
+                "acquisition": {"enum": list(ACQUISITION_VARIANTS), "default": "absolute"},
+                "kernel": {"type": "object", "additionalProperties": False, "default": {},
+                           "properties": {"variant": {"enum": list(KERNEL_VARIANTS),
+                                                      "default": "matern32"}}},
+                "grid": {"type": "object", "additionalProperties": False, "default": {},
+                         "properties": {
+                    "resolution": {"type": "integer", "minimum": 1, "default": 200},
                     "axes": {"type": "array", "items": {"type": "string"},
                              "minItems": 2, "maxItems": 2},
-                    "fixed": {"type": "object", "additionalProperties": _NUMBER}}},
+                    "fixed": {"type": "object", "additionalProperties": _NUMBER,
+                              "default": {}}}},
             },
         },
     },
@@ -266,11 +300,10 @@ HYPERPARAMETERS_SCHEMA = {
     "required": ["variant", "sigma_c", "length", "mu_bar", "s_bar", "gamma"],
     "properties": {
         "variant": {"enum": list(KERNEL_VARIANTS)},
-        **dict.fromkeys(("sigma_c", "length", "s_bar"),
-                        {"type": "number", "exclusiveMinimum": 0}),
+        **dict.fromkeys(("sigma_c", "length", "s_bar"), _POSITIVE),
         "mu_bar": _NUMBER,
         "gamma": _NUMBER,
-        "delta": _LEVEL,
+        "delta": _DELTA,
     },
 }
 
@@ -280,7 +313,7 @@ _KEYWORDS = frozenset({
     "type", "const", "enum", "oneOf", "minimum", "maximum", "exclusiveMinimum",
     "exclusiveMaximum", "items", "minItems", "maxItems", "required",
     "dependentRequired", "properties", "additionalProperties", "propertyNames",
-    "pattern"})
+    "pattern", "default"})
 
 _TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
           "boolean": bool, "null": type(None)}
@@ -330,11 +363,13 @@ def _none_valid(failed, value, path):
     return [(path, f"{tag!r} is a required property")]
 
 
-def _validate(schema, value, path, errors):
+def _validate(schema, value, path, errors, fill=False):
     """``value`` checked against ``schema``: its errors are appended to
     ``errors`` as (path, message) pairs in document order.  Returns the
     value with each whole float where an integer is asked for turned into
-    that int, so 8.0 runs as 8 does; the input is left as it is."""
+    that int, so 8.0 runs as 8 does, and with ``fill`` each property left
+    out that has a ``default`` set to it, itself checked and filled; the
+    input is left as it is."""
     kind = schema.get("type")
     if kind is not None and not _is_type(value, kind):
         errors.append((path, f"{value!r} is not of type {kind!r}"))
@@ -349,7 +384,7 @@ def _validate(schema, value, path, errors):
         valid, failed = [], []
         for branch in schema["oneOf"]:
             branch_errors = []
-            checked = _validate(branch, value, path, branch_errors)
+            checked = _validate(branch, value, path, branch_errors, fill)
             if branch_errors:
                 failed.append((branch, branch_errors))
             else:
@@ -373,7 +408,7 @@ def _validate(schema, value, path, errors):
         if len(value) > schema.get("maxItems", len(value)):
             errors.append((path, f"{value!r} has over {schema['maxItems']} items"))
         if "items" in schema:
-            value = [_validate(schema["items"], item, (*path, i), errors)
+            value = [_validate(schema["items"], item, (*path, i), errors, fill)
                      for i, item in enumerate(value)]
     if isinstance(value, dict):
         errors += [(path, f"{key!r} is a required property")
@@ -391,8 +426,12 @@ def _validate(schema, value, path, errors):
             if sub is False:
                 errors.append((path, f"additional property {key!r} is not allowed"))
             elif sub is not True:
-                item = _validate(sub, item, (*path, key), errors)
+                item = _validate(sub, item, (*path, key), errors, fill)
             checked[key] = item
+        if fill:
+            for key, sub in props.items():
+                if key not in checked and "default" in sub:
+                    checked[key] = _validate(sub, sub["default"], (*path, key), errors, fill)
         value = checked
     return value
 
@@ -401,12 +440,13 @@ def _at_path(origin, path, message):
     return ConfigError(f"{origin}: at {'/'.join(map(str, path)) or '<root>'}: {message}")
 
 
-def _validated(raw, origin, schema):
+def _validated(raw, origin, schema, fill=False):
     """``raw`` checked against ``schema``, whole floats at integer keys read
-    as integers; a violation raises a ConfigError naming the one nearest
-    the root, the first in the file on a tie."""
+    as integers, and with ``fill`` the schema's defaults filled in; a
+    violation raises a ConfigError naming the one nearest the root, the
+    first in the file on a tie."""
     errors = []
-    raw = _validate(schema, raw, (), errors)
+    raw = _validate(schema, raw, (), errors, fill)
     if errors:
         raise _at_path(origin, *min(errors, key=lambda error: len(error[0])))
     return raw
@@ -424,9 +464,10 @@ def _check_finite(node, origin, path=()):
         raise _at_path(origin, path, "the integer is beyond the float range")
 
 
-def load_json(path, schema):
+def load_json(path, schema, fill=False):
     """The JSON document in the file ``path``, its numbers finite, checked
-    against ``schema`` (see the module docstring)."""
+    against ``schema`` and with ``fill`` its defaults filled in (see the
+    module docstring)."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -435,7 +476,7 @@ def load_json(path, schema):
     except ValueError as exc:  # bad JSON (by line), not UTF-8, a 4300+ digit int
         raise ConfigError(f"{path}: {exc}") from None
     _check_finite(raw, path)
-    return _validated(raw, path, schema)
+    return _validated(raw, path, schema, fill)
 
 
 def load_scenario(path):
@@ -452,6 +493,11 @@ def _present(cfg, keys):
 _SIGNAL_KEYS = {"a_real": ("a_real", float),
                 "v_real_kmh": ("v_real", lambda kmh: float(kmh) / 3.6),
                 "t_safe": ("t_safe", int)}
+
+
+def _listed(value):
+    """A setting that is one number or a list of them, as a list."""
+    return np.atleast_1d(value).tolist()
 
 
 def _at(value, params):
@@ -476,47 +522,47 @@ def _rejected_as_config_error(context):
 
 
 class Scenario:
-    """A validated scenario: parses its settings and builds the engine once."""
+    """A validated scenario: parses its settings and builds the engine once;
+    ``raw`` is the document as given, ``settings`` the document checked
+    against ``SCENARIO_SCHEMA`` with its defaults filled in."""
 
     def __init__(self, raw, origin="<dict>"):
         self.raw = raw
+        self.settings = cfg = _validated(raw, origin, SCENARIO_SCHEMA, fill=True)
         self.origin = origin
-        self.name = raw["name"]
-        self.seed = raw.get("seed", 0)
-        design = raw.get("design", {})
-        self.design_names = list(design.get("names", []))
-        self._integerized = [name for name in design.get("integerized", [])
+        self.name = cfg["name"]
+        self.seed = cfg["seed"]
+        self.design_names = list(cfg["design"]["names"])
+        self._integerized = [name for name in cfg["design"]["integerized"]
                              if name in self.design_names]
         self.rule = self._analytic = None
-        if "simulator" in raw:
-            sim = raw["simulator"]
-            surface = sim.get("surface", "sincos2d")
-            self._analytic = (surface, float(sim.get("noise", 0.0)))
+        if "simulator" in cfg:
+            surface, noise = cfg["simulator"]["surface"], cfg["simulator"]["noise"]
+            self._analytic = (surface, float(noise))
             if len(self.design_names) < _SURFACE_DIM[surface]:
                 raise ConfigError(
                     f"{origin}: simulator.surface {surface!r} reads the first "
                     f"{_SURFACE_DIM[surface]} design parameter(s), design.names has "
                     f"{len(self.design_names)}")
-        if "network" in raw:
+        if "network" in cfg:
             self._build_network()
-            run = raw["run"]
+            run = cfg["run"]
             self.steps = run["steps"]
-            self.rule = InteractionRule(run.get("rule", "dpf"))
+            self.rule = InteractionRule(run["rule"])
             self._rho0 = self._initial_densities(run["initial_density"])
-            self._parse_environment(raw.get("environment", {"kind": "none"}))
-            self._measure = self._parse_measure(
-                raw.get("evaluation", {}).get("measure", {"kind": "avg_network_flow"}))
+            self._parse_environment(cfg["environment"])
+            self._measure = self._parse_measure(cfg["evaluation"]["measure"])
         self._parse_grid()
-        self._check_n_max()
+        self._check_learning()
 
     # -- design space --------------------------------------------------
 
     def design_space(self):
-        bounds = self.raw.get("design", {}).get("bounds")
-        if bounds is None:
+        if "design" not in self.raw:
             raise ConfigError(f"{self.origin}: scenario has no design block")
         with _rejected_as_config_error(f"{self.origin}: design"):
-            return DesignSpace(tuple((float(lo), float(hi)) for lo, hi in bounds))
+            return DesignSpace(tuple((float(lo), float(hi))
+                                     for lo, hi in self.settings["design"]["bounds"]))
 
     def design_params(self, k):
         names = self.design_names
@@ -552,12 +598,17 @@ class Scenario:
                               "network") from None
 
     def _build_network(self):
-        net_cfg = self.raw["network"]
+        net_cfg = self.settings["network"]
         nodes = net_cfg["nodes"]
         if len(set(nodes)) != len(nodes):
             raise ConfigError(f"{self.origin}: duplicate node ids")
         self._node_index = {n: i for i, n in enumerate(sorted(nodes))}
         self.node_labels = sorted(nodes)
+        for block in ("signals", "roundabout_ccw"):
+            for key in net_cfg[block]:
+                if int(key) not in self._node_index:
+                    raise _at_path(self.origin, ("network", block, key),
+                                   f"{key!r} names no node of the network")
 
         groups = net_cfg["groups"]
         self._group_of = {}
@@ -577,7 +628,7 @@ class Scenario:
         for u, v in net_cfg["edges"]:
             ui, vi = self._node_id(u), self._node_id(v)
             edges.append((ui, vi))
-            if net_cfg.get("undirected", True):
+            if net_cfg["undirected"]:
                 edges.append((vi, ui))
         lengths_cfg = net_cfg["lengths"]
         lengths = {}
@@ -586,14 +637,14 @@ class Scenario:
             if g not in lengths_cfg:
                 raise ConfigError(f"{self.origin}: no length for group {g}")
             lengths[self._node_id(n)] = float(lengths_cfg[g])
-        uturn = {self._node_id(n) for n in net_cfg.get("allow_uturn", [])}
+        uturn = {self._node_id(n) for n in net_cfg["allow_uturn"]}
         with _rejected_as_config_error(f"{self.origin}: network"):
             self.network = TrafficNetwork(len(nodes), edges, lengths,
                                           allow_uturn=uturn)
 
         cells_cfg = net_cfg["cells"]
-        signals_cfg = net_cfg.get("signals", {})
-        ccw_cfg = {**net_cfg.get("roundabout_ccw", {}),
+        signals_cfg = net_cfg["signals"]
+        ccw_cfg = {**net_cfg["roundabout_ccw"],
                    **{k: v["ccw"] for k, v in signals_cfg.items()}}
         self.node_cells = {}
         for n in nodes:
@@ -623,7 +674,7 @@ class Scenario:
     def _build_signals(self, signals_cfg):
         """One default schedule per signalized node; a design-referenced
         green or shift stands at its floor until ``_signal_programs``."""
-        timing = _present(self.raw.get("run", {}), {"t_real": ("t_real", float)})
+        timing = _present(self.settings["run"], {"t_real": ("t_real", float)})
         self.signals, self._signal_refs = {}, []
         for node_str, sig in signals_cfg.items():
             v = self._node_id(int(node_str))
@@ -633,7 +684,7 @@ class Scenario:
                                   "not a signalized_intersection")
             fields = dict(_SIGNAL_FLOOR)
             for key in fields:
-                value = sig.get(key, fields[key])
+                value = sig[key]
                 if not isinstance(value, dict):
                     fields[key] = int(value)
                 elif value["design"] in self._integerized:
@@ -652,7 +703,7 @@ class Scenario:
         """Route densities at t = 0 from the run.initial_density block; a
         node's total stays within its rho_max."""
         rho0 = np.zeros(self.network.n_routes)
-        if init_cfg.get("mode", "per_route") == "per_route":
+        if init_cfg["mode"] == "per_route":
             values = init_cfg["values"]
             with _rejected_as_config_error(f"{self.origin}: run.initial_density"):
                 for i, r in enumerate(self.network.routes):
@@ -688,27 +739,25 @@ class Scenario:
             return
         where = f"{self.origin}: environment"
         con = f"{where}.constants"
-        cap = float(env_cfg.get("rho_cap_fraction", 1.0))
+        cap = float(env_cfg["rho_cap_fraction"])
         caps = {v: cell.rho_max * cap for v, cell in self.node_cells.items()}
         sources = [self._source(s, f"{where}.sources") for s in env_cfg["sources"]]
-        constants = [(self._route(e["route"], con), float(e.get("scale", 1.0)),
-                      self._design_value(e["value"], con))
-                     for e in env_cfg.get("constants", [])]
-        self._env_routes = ([s["route"] for s in sources]
-                            + [s["pair_route"] for s in sources if "pair_route" in s]
-                            + [route for route, _, _ in constants])
+        self._env_routes = [s["route"] for s in sources]
         if kind == "ar_copula":
             self._env_values = {"sigma": [s["sigma"] for s in sources],
                                 "r": self._design_value(env_cfg["copula_r"], where)}
-            self.environment = ArCopulaEnvironment(
-                self.network, caps, [s["route"] for s in sources])
+            self.environment = ArCopulaEnvironment(self.network, caps, self._env_routes)
         else:
+            constants = [(self._route(e["route"], con), float(e["scale"]),
+                          self._design_value(e["value"], con))
+                         for e in env_cfg["constants"]]
+            self._env_routes += ([s["pair_route"] for s in sources if "pair_route" in s]
+                                 + [route for route, _, _ in constants])
             self._env_values = {key: [s[key] for s in sources] for key in ("xi", "psi")}
             self._env_values["constants"] = [value for _, _, value in constants]
             self.environment = GaussianPairsEnvironment(
                 self.network, caps, [(route, scale) for route, scale, _ in constants],
-                [(s["route"], s.get("pair_route"), s.get("pair_sign", -1.0))
-                 for s in sources])
+                [(s["route"], s.get("pair_route"), s["pair_sign"]) for s in sources])
 
     def _source(self, entry, where):
         """A source's settings: routes as route indices, numbers as floats,
@@ -830,18 +879,17 @@ class Scenario:
             return Utility(u_cfg["kind"])
 
     def utility(self):
-        return self._utility(self.raw.get("evaluation", {})
-                             .get("utility", {"kind": "identity"}))
+        return self._utility(self.settings["evaluation"]["utility"])
 
     def calibration_utilities(self):
-        """(label, Utility) pairs: the configured utility plus listed extras."""
-        extra = self.raw.get("evaluation", {}).get("utilities", [])
+        """(label, Utility) pairs: the configured utility plus listed extras,
+        each labelled by its kind unless it has a label."""
         return [("configured", self.utility())] + [
             (u_cfg.get("label", u_cfg["kind"]), self._utility(u_cfg))
-            for u_cfg in extra]
+            for u_cfg in self.settings["evaluation"]["utilities"]]
 
     def benchmarks(self):
-        bench_cfg = self.raw.get("evaluation", {}).get("benchmarks", {})
+        bench_cfg = self.settings["evaluation"]["benchmarks"]
         with _rejected_as_config_error(f"{self.origin}: benchmarks"):
             return {label: BenchmarkSpec(e=float(b["e"]),
                                          sigma_target=float(b["sigma"]))
@@ -849,8 +897,7 @@ class Scenario:
 
     def threshold(self):
         """The acceptance level gamma, explicit or benchmark-calibrated."""
-        eval_cfg = self.raw.get("evaluation", {})
-        thr = eval_cfg.get("threshold", {})
+        thr = self.settings["evaluation"]["threshold"]
         if "gamma" in thr:
             return float(thr["gamma"])
         label = thr.get("benchmark")
@@ -862,67 +909,87 @@ class Scenario:
 
     def loop_config(self):
         """The learning block as a LoopConfig; built on request, because a
-        ``benchmark_gap`` tau scale calibrates thresholds."""
-        l_cfg = self.raw.get("learning")
-        if l_cfg is None:
+        ``benchmark_gap`` tau scale calibrates thresholds.  The schedule
+        is ``tau_values``, or ``tau_fractions`` times the tau scale; with
+        neither ``c2`` nor ``c2_0`` given, c2_0 is 2 / scale."""
+        if "learning" not in self.raw:
             raise ConfigError(f"{self.origin}: scenario has no learning block")
+        l_cfg = self.settings["learning"]
         with _rejected_as_config_error(f"{self.origin}: learning"):
-            scale = l_cfg.get("tau_scale", 1.0)
+            scale = l_cfg["tau_scale"]
             if scale == "benchmark_gap":
-                benches = self.benchmarks()
                 u = self.utility()
-                gammas = [calibrate_threshold(b, u) for b in benches.values()]
-                scale = abs(max(gammas) - min(gammas))
+                gammas = [calibrate_threshold(b, u) for b in self.benchmarks().values()]
+                scale = max(gammas, default=0.0) - min(gammas, default=0.0)
+                if not scale > 0:
+                    raise _at_path(self.origin, ("learning", "tau_scale"),
+                                   "the benchmark gap is 0: the benchmarks calibrate "
+                                   "to fewer than two thresholds")
             taus = l_cfg.get("tau_values")
             if taus is None:
                 taus = [f * float(scale) for f in l_cfg["tau_fractions"]]
-            # a key named as a LoopConfig field passes as it is; LoopConfig
-            # owns the defaults of those the scenario leaves out
-            fields = {f.name: l_cfg[f.name] for f in dataclasses.fields(LoopConfig)
-                      if f.name in l_cfg}
-            for key in ("n_max", "c2"):
-                if key in fields:
-                    fields[key] = tuple(np.atleast_1d(fields[key]).tolist())
-            if "acquisition" in l_cfg:
-                fields["acquisition_variant"] = l_cfg["acquisition"]
-            if "c2" not in fields and "c2_0" not in fields:
-                # acquisition noticeably peaked across the value scale
-                fields["c2_0"] = 2.0 / float(scale)
-            if "variant" in l_cfg.get("kernel", {}):
-                fields["kernel_variant"] = l_cfg["kernel"]["variant"]
-            config = LoopConfig(tau_schedule=tuple(float(t) for t in taus), **fields)
-        # checked here, not in LoopConfig, which also serves smaller test loops
-        if config.n_initial < 3:
-            raise ConfigError(f"{self.origin}: learning.n_initial {config.n_initial} "
-                              "is below 3, the fewest points the kernel fit needs")
-        return config
+            c2, c2_0 = l_cfg.get("c2"), l_cfg.get("c2_0")
+            if c2 is None and c2_0 is None:
+                c2_0 = 2.0 / float(scale)  # acquisition noticeably peaked across the scale
+            return LoopConfig(
+                n_initial=l_cfg["n_initial"], n_loop=l_cfg["n_loop"],
+                iterations=l_cfg["iterations"], tau_schedule=tuple(float(t) for t in taus),
+                n_min=l_cfg["n_min"], n_max=tuple(_listed(l_cfg["n_max"])), c1=l_cfg["c1"],
+                c2_0=c2_0, c2=None if c2 is None else tuple(_listed(c2)), c3=l_cfg["c3"],
+                max_trials=l_cfg["max_trials"], acquisition_variant=l_cfg["acquisition"],
+                delta=l_cfg["delta"], n_eval=l_cfg["n_eval"],
+                error_stop=l_cfg.get("error_stop"), kernel_variant=l_cfg["kernel"]["variant"])
 
-    def _check_n_max(self):
-        """Every n_max entry is at least n_min, LoopConfig's default for a
-        key left out: sequential Monte Carlo draws n_min replicates first."""
-        l_cfg = self.raw.get("learning", {})
-        n_min = l_cfg.get("n_min", LoopConfig.n_min)
-        n_max = l_cfg.get("n_max", LoopConfig.n_max[0])
-        paths = ([("learning", "n_max", i) for i in range(len(n_max))]
-                 if isinstance(n_max, list)
-                 else [("learning", "n_max" if "n_max" in l_cfg else "n_min")])
-        for path, n in zip(paths, np.atleast_1d(n_max).tolist()):
+    def _check_learning(self):
+        """The learning rules that tie keys together, each refused at its
+        JSON path: every n_max entry is at least n_min, as sequential Monte
+        Carlo draws n_min replicates first; and, the iterations given, the
+        tau schedule has one entry for the initial design and one per
+        iteration, n_max is one bound or one per schedule entry, and a c2
+        list has one increasing entry per iteration."""
+        l_cfg = self.settings["learning"]
+        n_min, n_max = l_cfg["n_min"], _listed(l_cfg["n_max"])
+        if isinstance(l_cfg["n_max"], list):
+            paths = [("learning", "n_max", i) for i in range(len(n_max))]
+        else:  # against the default n_max, the n_min given is at fault
+            paths = [("learning", "n_max" if "n_max" in self.raw.get("learning", ())
+                      else "n_min")]
+        for path, n in zip(paths, n_max):
             if n < n_min:
                 raise _at_path(self.origin, path, f"n_max {n!r} is below n_min {n_min!r}")
+        if "iterations" not in l_cfg:
+            return  # loop_config refuses the block for the missing key
+        entries = l_cfg["iterations"] + 1
+
+        def refuse(key, rule):
+            raise _at_path(self.origin, ("learning", key), f"{l_cfg[key]!r} {rule}")
+
+        tau_key = "tau_values" if "tau_values" in l_cfg else "tau_fractions"
+        if tau_key in l_cfg and len(l_cfg[tau_key]) < entries:
+            refuse(tau_key, f"has under {entries} entries, one for the initial design "
+                            "and one per iteration")
+        if len(n_max) != 1 and len(n_max) < entries:
+            refuse("n_max", f"is neither one bound nor one per tau schedule entry ({entries})")
+        if "c2" in l_cfg:
+            c2 = _listed(l_cfg["c2"])
+            if len(c2) < entries - 1:
+                refuse("c2", f"has under {entries - 1} entries, one per iteration")
+            if any(b <= a for a, b in zip(c2, c2[1:])):
+                refuse("c2", "is not increasing")
 
     def _parse_grid(self):
         """``grid_axes``, ``grid_resolution`` and ``grid_fixed`` of learning.grid,
-        which must describe a 2-D slice of the design space."""
-        grid = self.raw.get("learning", {}).get("grid", {})
+        a 2-D slice of the design space: the axes, when given, are two
+        distinct design parameters (else the first two), and each fixed
+        value is one of a parameter off the axes (else its midpoint)."""
+        grid = self.settings["learning"]["grid"]
         where = f"{self.origin}: learning.grid"
         names = self.design_names
         self.grid_axes = axes = grid.get("axes", names[:2])
-        self.grid_resolution = grid.get("resolution", 200)
-        self.grid_fixed = fixed = grid.get("fixed", {})
-        if not grid:
-            return
-        bounds = dict(zip(names, self.raw["design"]["bounds"])) if names else {}
-        if len(set(axes)) != 2 or not all(a in bounds for a in axes):
+        self.grid_resolution = grid["resolution"]
+        self.grid_fixed = fixed = grid["fixed"]
+        bounds = dict(zip(names, self.settings["design"]["bounds"]))
+        if "axes" in grid and (len(set(axes)) != 2 or not all(a in bounds for a in axes)):
             raise ConfigError(f"{where}: axes {axes!r} are not two distinct "
                               f"design parameters of {names}")
         for name, value in fixed.items():

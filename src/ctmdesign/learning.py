@@ -133,48 +133,30 @@ class LoopConfig:
     for the initialization and entry i for loop iteration i; ``n_max``
     may be a single bound or one per entry of the schedule.  ``c2``
     either lists the acquisition sharpness per iteration or is derived
-    as c2_0 * i from ``c2_0``.
+    as c2_0 * i from ``c2_0``; ``error_stop``, if set, ends the loop once
+    the error bound falls to it.  Every other field is required: the
+    defaults and ranges of a scenario's learning settings are stated by
+    ``config.SCENARIO_SCHEMA``, and ``config.Scenario`` checks the rules
+    that tie them together when the scenario loads; a LoopConfig built
+    directly is taken as it is.
     """
 
     n_initial: int
     n_loop: int
     iterations: int
     tau_schedule: tuple
-    n_min: int = 20
-    n_max: tuple = (3000,)
-    c1: float = 5.0
+    n_min: int
+    n_max: tuple
+    c1: float
+    c3: float
+    max_trials: int
+    acquisition_variant: str   # see ACQUISITION_VARIANTS
+    delta: float
+    n_eval: int
+    kernel_variant: str
     c2_0: float = None
     c2: tuple = None
-    c3: float = 2.0
-    max_trials: int = 10000
-    acquisition_variant: str = "absolute"   # see ACQUISITION_VARIANTS
-    delta: float = 0.05
-    n_eval: int = 100000
     error_stop: float = None
-    kernel_variant: str = "matern32"
-
-    def __post_init__(self):
-        if self.n_initial < 1 or self.n_loop < 1 or self.iterations < 0:
-            raise ValueError("budgets must be positive")
-        if len(self.tau_schedule) < self.iterations + 1:
-            raise ValueError("tau schedule must cover init + all iterations")
-        if len(self.n_max) != 1 and len(self.n_max) < self.iterations + 1:
-            raise ValueError("n_max must be one bound or cover init + all iterations")
-        if any(t <= 0 for t in self.tau_schedule):
-            raise ValueError("target noises must be positive")
-        if self.c1 <= 1:
-            raise ValueError("c1 must exceed 1")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.n_eval < 1:
-            raise ValueError("n_eval must be at least 1")
-        if self.acquisition_variant not in ACQUISITION_VARIANTS:
-            raise ValueError("unknown acquisition variant")
-        if self.c2 is not None:
-            if len(self.c2) < self.iterations:
-                raise ValueError("c2 schedule must cover all iterations")
-            if any(b <= a for a, b in zip(self.c2, self.c2[1:])):
-                raise ValueError("c2 schedule must be increasing")
 
     def tau(self, i):
         return self.tau_schedule[i]

@@ -278,7 +278,9 @@ def test_criterion_06_rejection_sampler():
     space = DesignSpace(((0.0, 1.0),))
     config = LoopConfig(n_initial=2, n_loop=2, iterations=0,
                         tau_schedule=(1e-9,), n_min=2, n_max=(10,),
-                        c2_0=1.0, max_trials=100000)
+                        c1=5.0, c2_0=1.0, c3=2.0, max_trials=100000,
+                        acquisition_variant="absolute", delta=0.05, n_eval=100000,
+                        kernel_variant="matern32")
     gamma, c2 = 0.0, 3.0
     grid = np.linspace(0, 1, 2001).reshape(-1, 1)
     dens = np.asarray(acquisition(grid, post, gamma, c2))
@@ -308,7 +310,9 @@ def test_criterion_07_level_set_recovery():
     space = DesignSpace(((0.0, 1.0), (0.0, 1.0)))
     config = LoopConfig(n_initial=150, n_loop=50, iterations=7,
                         tau_schedule=(0.01,) * 8, n_min=20, n_max=(500,),
-                        c1=5.0, c2_0=2.0, c3=2.0, n_eval=2 ** 14, delta=0.05)
+                        c1=5.0, c2_0=2.0, c3=2.0, n_eval=2 ** 14, delta=0.05,
+                        max_trials=10000, acquisition_variant="absolute",
+                        kernel_variant="matern32")
 
     def simulator(ks, rngs):
         return [float(np.sin(2 * np.pi * k[0]) * np.cos(2 * np.pi * k[1])

@@ -82,15 +82,19 @@ def test_scenario_schema_is_valid_against_its_metaschema():
     validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
 
 
-def _schema_keywords(schema):
-    """The keywords of ``schema`` and of every subschema in it."""
-    found = set(schema)
+def _subschemas(schema):
+    """``schema`` and every subschema in it."""
+    yield schema
     subs = [schema[key] for key in ("items", "additionalProperties", "propertyNames")
             if isinstance(schema.get(key), dict)]
     subs += [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
     for sub in subs:
-        found |= _schema_keywords(sub)
-    return found
+        yield from _subschemas(sub)
+
+
+def _schema_keywords(schema):
+    """The keywords of ``schema`` and of every subschema in it."""
+    return set().union(*_subschemas(schema))
 
 
 def test_scenario_schema_uses_only_the_keywords_the_validator_implements():
@@ -99,6 +103,34 @@ def test_scenario_schema_uses_only_the_keywords_the_validator_implements():
     # than those walked here shows up at its parent and fails too
     assert _schema_keywords(SCENARIO_SCHEMA) - {"$schema"} == config._KEYWORDS
     assert _schema_keywords(config.HYPERPARAMETERS_SCHEMA) <= config._KEYWORDS | {"$schema"}
+
+
+@pytest.mark.parametrize("schema", [SCENARIO_SCHEMA, config.HYPERPARAMETERS_SCHEMA],
+                         ids=["scenario", "hyperparameters"])
+def test_every_default_is_a_valid_value(schema):
+    # a default is filled in where its key is left out, so a mistyped one
+    # (a resolution of 200.5) would be refused in a file that never had it
+    from jsonschema.validators import validator_for
+
+    defaulted = [sub for sub in _subschemas(schema) if "default" in sub]
+    assert defaulted
+    for sub in defaulted:
+        errors = []
+        config._validate(sub, sub["default"], (), errors)
+        assert not errors, (sub, errors)
+        assert validator_for(schema)(sub).is_valid(sub["default"]), sub
+
+
+@pytest.mark.parametrize("name", ["urban", "highway", "synthetic", "synthetic_small"])
+def test_filling_the_defaults_twice_equals_filling_them_once(name):
+    raw = json.loads((SYNTHETIC_SMALL if name == "synthetic_small"
+                      else bundled(name)).read_text())
+    once = config._validated(raw, name, SCENARIO_SCHEMA, fill=True)
+    twice = config._validated(once, name, SCENARIO_SCHEMA, fill=True)
+    assert json.dumps(twice, sort_keys=True) == json.dumps(once, sort_keys=True)
+    assert once != raw and _oracle(once)[0]
+    scenario = Scenario(raw)  # its raw document, hashed into manifests, stays unfilled
+    assert scenario.settings == once and scenario.raw is raw
 
 
 def test_hyperparameters_schema_is_valid_against_its_metaschema():
@@ -398,6 +430,19 @@ KEYWORD_EDITS = {
     "acquisition-scaled": ("synthetic", _set(("learning", "acquisition"), "scaled")),
     "utility-kind-unknown": ("urban", _set(("evaluation", "utility", "kind"), "foo")),
     "utilities-kind-unknown": ("urban", _set(("evaluation", "utilities", 0, "kind"), "foo")),
+    "n_initial-two": ("synthetic", _set(("learning", "n_initial"), 2)),
+    "n_loop-zero": ("synthetic", _set(("learning", "n_loop"), 0)),
+    "iterations-negative": ("synthetic", _set(("learning", "iterations"), -1)),
+    "c1-one": ("synthetic", _set(("learning", "c1"), 1)),
+    "c3-zero": ("synthetic", _set(("learning", "c3"), 0.0)),
+    "max_trials-zero": ("synthetic", _set(("learning", "max_trials"), 0)),
+    "n_eval-zero": ("synthetic", _set(("learning", "n_eval"), 0)),
+    "tau-values-zero": ("synthetic", _set(("learning", "tau_values", 3), 0)),
+    "tau-fractions-negative": ("urban", _set(("learning", "tau_fractions", 0), -0.05)),
+    "tau-scale-zero": ("highway", _set(("learning", "tau_scale"), 0)),
+    "learning-defaults": ("synthetic", lambda raw: raw.update(learning={})),
+    "evaluation-defaults": ("urban", _set(("evaluation",), ...)),
+    "shift-default": ("urban", _set(("network", "signals", "14", "shift"), ...)),
 }
 
 
@@ -719,6 +764,15 @@ def test_loop_config_from_urban_block():
     assert cfg.tau_schedule[1] == pytest.approx(0.10 * 10.0)
     assert cfg.n_max_at(0) == 500 and cfg.n_max_at(7) == 3000
     assert cfg.c2_at(1) == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("n_max", [[40, 40], [40] * 3, []])
+def test_scenario_rejects_an_n_max_list_short_of_the_iterations(n_max):
+    # iterations 3 reads n_max_at(0) to n_max_at(3)
+    raw = json.loads(SYNTHETIC_SMALL.read_text())
+    raw["learning"].update(iterations=3, n_max=n_max)
+    with pytest.raises(ConfigError, match="at learning/n_max: "):
+        Scenario(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,9 +1115,9 @@ URBAN_SOURCE = {"route": [6, 7, 11], "sigma": {"design": "sigma_a"}}
 
 @pytest.mark.parametrize("name, block, key, value, named", [
     ("synthetic", "learning", "tau_values",
-     [0.01, -0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01], "learning"),
+     [0.01, -0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01], "at learning/tau_values/1: "),
     ("synthetic", "design", "bounds", [[1.0, 0.0], [0.0, 1.0]], "design"),
-    ("synthetic", "learning", "n_eval", 0, "learning"),
+    ("synthetic", "learning", "n_eval", 0, "at learning/n_eval: "),
     ("urban", "run", "initial_density",
      {"mode": "per_route", "values": {"roads": 5, "unsignalized": 1}},
      "run.initial_density"),
@@ -1450,8 +1504,8 @@ def test_cli_invalid_grid_exit_2_at_load(tmp_path, capsys, grid, where):
 
 
 @pytest.mark.parametrize("learning, where", [
-    ({"n_initial": 2}, "learning.n_initial"),
-    ({"n_initial": 1}, "learning.n_initial"),
+    ({"n_initial": 2}, "at learning/n_initial: "),
+    ({"n_initial": 1}, "at learning/n_initial: "),
     ({"kernel": {"variant": "bogus"}}, "at learning/kernel/variant"),
     ({"kernel": "matern32"}, "at learning/kernel"),
     ({"n_initial": 8.9}, "at learning/n_initial"),
@@ -1470,20 +1524,40 @@ def test_cli_invalid_grid_exit_2_at_load(tmp_path, capsys, grid, where):
     ({"tau_scale": "gap"}, "at learning/tau_scale"),
     ({"n_intial": 10}, "at learning: additional property 'n_intial'"),
     ({"kernel": {"varaint": "matern52"}}, "at learning/kernel: additional property"),
-    ({"iterations": 3, "n_max": [40, 40]}, "learning: n_max must be one bound"),
-    ({"n_max": []}, "learning: n_max must be one bound"),
+    ({"iterations": 3, "n_max": [40, 40]}, "at learning/n_max: "),
+    ({"n_max": []}, "at learning/n_max: "),
+    ({"n_loop": 0}, "at learning/n_loop: "),
+    ({"n_initial": 0}, "at learning/n_initial: "),
+    ({"iterations": -1}, "at learning/iterations: "),
+    ({"c1": 1.0}, "at learning/c1: "),
+    ({"tau_values": [0.01]}, "at learning/tau_values: "),
+    ({"tau_values": [0] * 8}, "at learning/tau_values/0: "),
+    ({"n_eval": 0}, "at learning/n_eval: "),
+    ({"c2": [7, 6, 5, 4, 3, 2, 1]}, "at learning/c2: "),
+    ({"c2": [1, 2, 3]}, "at learning/c2: "),
+    ({"c3": -1}, "at learning/c3: "),
+    ({"c3": 0, "n_initial": 10, "n_loop": 3, "iterations": 2}, "at learning/c3: "),
+    ({"max_trials": 0}, "at learning/max_trials: "),
+    ({"tau_scale": 0}, "at learning/tau_scale: "),
+    ({"tau_values": ..., "tau_fractions": [1] * 8, "tau_scale": "benchmark_gap"},
+     "at learning/tau_scale: "),
 ], ids=["n_initial-2", "n_initial-1", "kernel-variant", "kernel-string",
         "fractional-n_initial", "fractional-n_loop", "fractional-iterations",
         "fractional-n_min", "fractional-n_max-entry", "fractional-n_max",
         "fractional-max_trials", "fractional-n_eval", "no-tau-schedule",
         "no-tau-schedule-key", "string-c2_0", "string-in-c2", "string-error_stop",
         "unknown-tau_scale", "misspelled-key", "misspelled-kernel-key",
-        "short-n_max-list", "empty-n_max-list"])
+        "short-n_max-list", "empty-n_max-list", "n_loop-0", "n_initial-0",
+        "iterations-negative", "c1-1", "one-entry-tau_values", "zero-tau_values",
+        "n_eval-0", "decreasing-c2", "short-c2", "c3-negative", "c3-0", "max_trials-0",
+        "tau_scale-0", "benchmark-gap-without-benchmarks"])
 def test_cli_unusable_learning_block_exit_2_at_load(tmp_path, capsys, learning, where):
     # the kernel fit needs three points and a kernel object with a known
     # variant, budgets are whole numbers, every key is a known one of its
-    # type, and an n_max list covers every iteration; each is checked
-    # before the initial design is simulated
+    # type and range, and the tau, n_max and c2 schedules cover every
+    # iteration; each is refused at its JSON path before the output
+    # directory is made.  A c3 of 0 or less discarded every loop point, a
+    # max_trials of 0 ran as 1, and the others exited 2 without a path.
     raw = json.loads(SYNTHETIC_SMALL.read_text())
     for key, value in learning.items():
         if value is ...:
@@ -1491,13 +1565,8 @@ def test_cli_unusable_learning_block_exit_2_at_load(tmp_path, capsys, learning, 
         else:
             raw["learning"][key] = value
     path = write_config(tmp_path, raw)
-    out = tmp_path / "run"
-    rc = exit_code(["estimate-levelset", "--config", str(path), "--seed", "1",
-                    "--out-dir", str(out)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert f"{path}: {where}" in err and "Traceback" not in err
-    assert not (out / "dataset.csv").exists()
+    _assert_rejected_at(tmp_path, capsys, [*_RUN_COMMAND["synthetic_small"], "--config",
+                                           str(path)], f"{path}: {where}")
 
 
 _URBAN_DESIGN = ["--design", "2.5,0.01,0.01,20,75", "--reps", "1"]
@@ -1671,6 +1740,10 @@ def test_cli_non_finite_number_exit_2_naming_its_path(tmp_path, capsys, name, ke
     ("highway", ("network", "roundabout_ccw", "1"), 3, "at network/roundabout_ccw/1: "),
     ("highway", ("network", "roundabout_ccw", "abc"), [2, 7, 33, 28],
      "at network/roundabout_ccw: "),
+    ("highway", ("network", "roundabout_ccw", "99"), [2, 7, 33, 28],
+     "at network/roundabout_ccw/99: "),
+    ("urban", ("network", "signals", "98"), {"ccw": [13, 20, 15, 9], "green": 20},
+     "at network/signals/98: "),
     ("synthetic_small", ("learning", "acquisition"), "foo", "at learning/acquisition: "),
     ("urban", ("evaluation", "utility", "kind"), "foo", "at evaluation/utility/kind: "),
     ("urban", ("evaluation", "utilities", 0, "kind"), "foo",
@@ -1679,7 +1752,8 @@ def test_cli_non_finite_number_exit_2_naming_its_path(tmp_path, capsys, name, ke
         "initial-density-negative", "initial-fraction-negative", "environment-kind-unknown",
         "route-two-nodes", "seed-negative", "n_min-one", "n_max-list-below-n_min",
         "n_max-below-n_min", "n_min-above-n_max", "no-initial-density",
-        "roundabout-ccw-number", "roundabout-ccw-key-letters", "acquisition-unknown",
+        "roundabout-ccw-number", "roundabout-ccw-key-letters", "roundabout-ccw-unknown-node",
+        "signals-unknown-node", "acquisition-unknown",
         "utility-kind-unknown", "utilities-kind-unknown"])
 def test_cli_environment_run_and_seed_exit_2_at_a_json_path(tmp_path, capsys, name, keys,
                                                              value, where):
@@ -1689,7 +1763,8 @@ def test_cli_environment_run_and_seed_exit_2_at_a_json_path(tmp_path, capsys, na
     # below 2 or above n_max, no initial density, a roundabout entry that is
     # no list), without a JSON path (an unknown acquisition), or ran to
     # exit 0 (a utility kind that simulate never reads, a roundabout key
-    # that is no node label)
+    # that is no node label or names no node), or without a JSON path (a
+    # signal key that names no node)
     raw = json.loads((SYNTHETIC_SMALL if name == "synthetic_small"
                       else bundled(name)).read_text())
     _set(keys, value)(raw)
