@@ -203,24 +203,12 @@ def overlap_matrix(kind, ccw, via):
 # Compiled vectorized evaluation (used by the simulation engine)
 # ---------------------------------------------------------------------------
 
-#: networks of at most this many routes keep W and E as dense arrays
-_DENSE_MAX_ROUTES = 512
-
-
-def _assemble(rows, cols, vals, n, dense):
-    """The n x n matrix of (row, col, value) entries, repeats summed.
-
-    Dense for small networks (``np.add.at`` sums a repeated entry as CSR
-    assembly does); a CSR matrix otherwise, the only use of scipy.sparse.
-    """
-    if dense:
-        m = np.zeros((n, n))
-        index = (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp))
-        np.add.at(m, index, np.asarray(vals, dtype=float))
-        return m
-    from scipy import sparse
-
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+def _assemble(rows, cols, vals, n):
+    """The n x n matrix of (row, col, value) entries, repeats summed."""
+    m = np.zeros((n, n))
+    index = (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp))
+    np.add.at(m, index, np.asarray(vals, dtype=float))
+    return m
 
 
 class CellTable:
@@ -322,12 +310,9 @@ class CellTable:
             else:
                 raise CellError(f"no engine rule for kind {cell.kind!r}")
 
-        # small networks run faster through dense BLAS than sparse dispatch
-        self._dense = n <= _DENSE_MAX_ROUTES
-        self.W = _assemble(w_rows, w_cols, w_vals, n, self._dense)
-        self.E = _assemble(e_rows, e_cols, e_vals, n, self._dense)
-        w_nnz, e_nnz = (np.count_nonzero(m, axis=1) if self._dense
-                        else np.diff(m.indptr) for m in (self.W, self.E))
+        self.W = _assemble(w_rows, w_cols, w_vals, n)
+        self.E = _assemble(e_rows, e_cols, e_vals, n)
+        w_nnz, e_nnz = (np.count_nonzero(m, axis=1) for m in (self.W, self.E))
         diagonal = self.W.diagonal()
         single = (w_nnz == 1) & (diagonal != 0)
         self._w_rows = np.flatnonzero(~single)
@@ -340,10 +325,8 @@ class CellTable:
 
     def _apply(self, m, rho):
         """m @ rho over the route axis of one replicate's (n,) or a batch's
-        (n, B) state: one gemv per replicate if m is dense."""
-        if self._dense:
-            return np.matmul(m, rho.T[..., None])[..., 0].T
-        return m @ rho
+        (n, B) state: one gemv per replicate."""
+        return np.matmul(m, rho.T[..., None])[..., 0].T
 
     def _damping(self, rho):
         """E @ rho on the rows of E with entries (``_e_rows``)."""

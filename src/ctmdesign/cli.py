@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``simulate``           replicate a scenario at one design vector and
-                         write per-replicate statistics.
+* ``simulate``           replicate a scenario at design vectors under
+                         interaction rules; design i runs on seed + i, so
+                         the rules at one design share its generators.
 * ``calibrate``          write benchmark-calibrated acceptance thresholds.
 * ``estimate-levelset``  run the full active-learning loop and persist
                          per-iteration artifacts: the dataset and fitted
@@ -11,9 +12,6 @@ Subcommands:
                          grids and ``errors.csv`` once after the loop in
                          every mode (so a run that fails inside the loop
                          leaves no grid and no ``errors.csv``).
-* ``benchmark-compare``  mean performance under the demand-proportional
-                         rule versus the cooperative benchmark for a list
-                         of designs.
 * ``export-grid``        rebuild a run's last posterior from its
                          ``dataset.csv`` and ``hyperparameters.json``,
                          replaying the loop's factor chain (one fit per
@@ -24,10 +22,10 @@ Subcommands:
 All outputs are CSV plus one manifest JSON per run; identical config and
 seed reproduce byte-identical outputs on the same platform for any worker
 count and batch size (replicates are reduced in index order).
-``--workers`` splits the replicates of ``simulate`` and
-``benchmark-compare`` over processes; ``estimate-levelset`` runs in one
-process and steps the first n_min replicates of all of an iteration's
-design points as one list, then continues each point in chunks.  Its
+``--workers`` splits the replicates of each ``simulate`` case over
+processes; ``estimate-levelset`` runs in one process and steps the
+first n_min replicates of all of an iteration's design points as one
+list, then continues each point in chunks.  Its
 manifest records the replicates used (the sum of n over the dataset),
 the replicates drawn (also those thrown away past a stop), how many
 points stopped at their noise target or at the n_max cap, and how many
@@ -150,24 +148,31 @@ def _summary(values):
 def cmd_simulate(args):
     scenario = load_scenario(args.config)
     seed = args.seed if args.seed is not None else scenario.seed
-    k = _parse_design(args.design, scenario, "--design")
+    names = scenario.design_names
+    designs = _parse_designs(args.design, names)
+    rules = args.rule or [getattr(scenario.rule, "variant", "")]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    values = replicate_values(scenario, k, args.reps, seed,
-                              rule=args.rule, workers=args.workers)
+    replicates, summary = [], []
+    for ki, k in enumerate(designs):
+        design = tuple(_fmt(x) for x in k)
+        for rule in rules:
+            values = replicate_values(scenario, k, args.reps, seed + ki,
+                                      rule=rule, workers=args.workers)
+            replicates += [(*design, rule, i, _fmt(v)) for i, v in enumerate(values)]
+            mean, se = _summary(values)
+            summary.append((*design, rule, len(values), _fmt(mean), _fmt(se)))
+            print(f"k={list(map(float, k))} {rule}: n={len(values)} mean={mean:.4f} "
+                  f"se={se:.4f}")
     rep_file = out_dir / "replicates.csv"
-    _write_csv(rep_file, ["replicate", "value"],
-               [(i, _fmt(v)) for i, v in enumerate(values)])
-    mean, se = _summary(values)
+    _write_csv(rep_file, names + ["rule", "replicate", "value"], replicates)
     sum_file = out_dir / "summary.csv"
-    _write_csv(sum_file, ["n", "mean", "std_error"],
-               [(len(values), _fmt(mean), _fmt(se))])
+    _write_csv(sum_file, names + ["rule", "n", "mean", "std_error"], summary)
     _manifest(out_dir, args.config, scenario.raw, seed,
               [rep_file.name, sum_file.name], t0,
-              extra={"design": list(map(float, k)),
-                     "rule": args.rule or getattr(scenario.rule, "variant", None)})
-    print(f"{scenario.name}: n={len(values)} mean={mean:.4f} se={se:.4f}")
+              extra={"designs": [list(map(float, k)) for k in designs],
+                     "rules": rules})
     return 0
 
 
@@ -330,32 +335,6 @@ def cmd_estimate_levelset(args):
     return 0
 
 
-def cmd_benchmark_compare(args):
-    scenario = load_scenario(args.config)
-    seed = args.seed if args.seed is not None else scenario.seed
-    designs = [_parse_design(d, scenario, "--designs")
-               for d in args.designs.split(";") if d]
-    if not designs:
-        raise ConfigError("benchmark-compare needs at least one design")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
-    names = scenario.design_names
-    rows = []
-    for ki, k in enumerate(designs):
-        for rule in ("dpf", "cooperative"):
-            values = replicate_values(scenario, k, args.reps, seed + ki,
-                                      rule=rule, workers=args.workers)
-            mean, se = _summary(values)
-            rows.append(tuple(_fmt(x) for x in k)
-                        + (rule, len(values), _fmt(mean), _fmt(se)))
-            print(f"k={list(map(float, k))} {rule}: mean={mean:.4f} se={se:.4f}")
-    table_file = out_dir / "comparison.csv"
-    _write_csv(table_file, names + ["rule", "n", "mean", "std_error"], rows)
-    _manifest(out_dir, args.config, scenario.raw, seed, [table_file.name], t0)
-    return 0
-
-
 def cmd_export_grid(args):
     scenario = load_scenario(args.config)
     space = scenario.design_space()
@@ -402,17 +381,29 @@ def cmd_export_grid(args):
     return 0
 
 
-def _parse_design(text, scenario, flag):
-    if text is None:
-        raise ConfigError(f"{flag} is required for this command")
-    try:
-        k = np.array([float(x) for x in text.replace(";", ",").split(",") if x])
-    except ValueError:
-        raise ConfigError(f"{flag}: cannot parse design vector {text!r}") from None
-    if not np.isfinite(k).all():
-        raise ConfigError(f"{flag}: design vector {text!r} has a non-finite entry")
-    scenario.design_params(k)  # validates the length
-    return k
+def _parse_designs(text, names):
+    """The design vectors of ``--design``: ``;`` between vectors and ``,``
+    between entries, one finite number per design parameter of ``names``."""
+    designs = []
+    for vector in text.split(";"):
+        try:
+            k = np.array([float(x) for x in vector.split(",")])
+        except ValueError:
+            k = None
+        if k is None or not np.isfinite(k).all() or len(k) != len(names):
+            raise ConfigError(f"--design: design vector {vector!r} is not {len(names)} "
+                              f"finite numbers, one per design parameter of {names}")
+        designs.append(k)
+    return designs
+
+
+def _rules(text):
+    """argparse type of ``--rule``: interaction rules, ``,`` between them."""
+    rules = text.split(",")
+    if not set(rules) <= set(InteractionRule.VARIANTS):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} names a rule that is not one of {InteractionRule.VARIANTS}")
+    return rules
 
 
 def _int_at_least(low):
@@ -432,7 +423,7 @@ def build_parser():
                     "acceptable-design estimation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, workers=None, design=False, reps=False):
+    def common(p, workers=None):
         """--config and --out-dir; for a command that draws replicates,
         ``workers`` is the help of --workers, which comes with --seed."""
         p.add_argument("--config", required=True, help="scenario JSON file")
@@ -442,16 +433,19 @@ def build_parser():
         p.add_argument("--out-dir", default="out", help="output directory")
         if workers:
             p.add_argument("--workers", type=_int_at_least(1), default=1, help=workers)
-        if design:
-            p.add_argument("--design", help="design vector, comma separated")
-        if reps:
-            p.add_argument("--reps", type=_int_at_least(1), default=500,
-                           help="replicates per design")
 
-    pool = "replicate worker processes"
-    p_sim = sub.add_parser("simulate", help="replicate one design")
-    common(p_sim, workers=pool, design=True, reps=True)
-    p_sim.add_argument("--rule", choices=InteractionRule.VARIANTS, default=None)
+    p_sim = sub.add_parser("simulate", help="replicate designs under rules")
+    common(p_sim, workers="processes that split the replicates of each "
+                          "(design, rule) case")
+    p_sim.add_argument("--design", required=True,
+                       help="design vectors, ';' between vectors and ',' between "
+                            "entries; design i runs on seed + i")
+    p_sim.add_argument("--rule", type=_rules, default=None,
+                       help="interaction rules, ',' between them "
+                            f"({', '.join(InteractionRule.VARIANTS)}; default: "
+                            "the scenario's)")
+    p_sim.add_argument("--reps", type=_int_at_least(1), default=500,
+                       help="replicates per (design, rule) case")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cal = sub.add_parser("calibrate", help="benchmark thresholds")
@@ -461,13 +455,6 @@ def build_parser():
     p_est = sub.add_parser("estimate-levelset", help="active-learning loop")
     common(p_est, workers="no effect yet: estimate-levelset runs in one process")
     p_est.set_defaults(func=cmd_estimate_levelset)
-
-    p_cmp = sub.add_parser("benchmark-compare",
-                           help="demand-proportional vs cooperative")
-    common(p_cmp, workers=pool, reps=True)
-    p_cmp.add_argument("--designs", required=True,
-                       help="semicolon-separated design vectors")
-    p_cmp.set_defaults(func=cmd_benchmark_compare)
 
     p_exp = sub.add_parser("export-grid", help="rasterize a saved posterior")
     common(p_exp)

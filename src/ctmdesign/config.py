@@ -23,11 +23,12 @@ errors reported are those of the branch the tag selects.
 manifests record) and reads every setting from ``settings``, the document
 checked with its defaults filled in.  At load it checks, at the JSON
 path where there is one, what a schema cannot state: cross-references
-(node labels, routes, design parameters, node groups) and the learning
-rules that tie keys together.  The defaults a schema cannot state are
-derived in code, each once: the grid's axes and off-axis values, c2_0,
-the tau schedule from ``tau_fractions`` and a utility's label.  Signal
-timing and cell parameters take ``SignalSchedule``'s and ``CellSpec``'s.
+(node labels, routes, design parameters, node groups), the design
+block's rules and the learning rules that tie keys together.  The
+defaults a schema cannot state are derived in code, each once: the
+grid's axes and off-axis values, c2_0, the tau schedule from
+``tau_fractions`` and a utility's label.  Signal timing and cell
+parameters take ``SignalSchedule``'s and ``CellSpec``'s.
 
 Before the schema check, ``load_json`` refuses a number that is NaN,
 infinite or an integer beyond the float range, naming its JSON path.
@@ -533,8 +534,8 @@ class Scenario:
         self.name = cfg["name"]
         self.seed = cfg["seed"]
         self.design_names = list(cfg["design"]["names"])
-        self._integerized = [name for name in cfg["design"]["integerized"]
-                             if name in self.design_names]
+        self._integerized = list(cfg["design"]["integerized"])
+        self._check_design()
         self.rule = self._analytic = None
         if "simulator" in cfg:
             surface, noise = cfg["simulator"]["surface"], cfg["simulator"]["noise"]
@@ -560,9 +561,30 @@ class Scenario:
     def design_space(self):
         if "design" not in self.raw:
             raise ConfigError(f"{self.origin}: scenario has no design block")
-        with _rejected_as_config_error(f"{self.origin}: design"):
-            return DesignSpace(tuple((float(lo), float(hi))
-                                     for lo, hi in self.settings["design"]["bounds"]))
+        return DesignSpace(tuple((float(lo), float(hi))
+                                 for lo, hi in self.settings["design"]["bounds"]))
+
+    def _check_design(self):
+        """The design block's rules, each refused at its JSON path: distinct
+        names, one bounds pair lo < hi per name, and integerized entries
+        that name design parameters."""
+        names, bounds = self.design_names, self.settings["design"]["bounds"]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise _at_path(self.origin, ("design", "names", i),
+                               f"{name!r} names a design parameter twice")
+        if len(bounds) != len(names):
+            raise _at_path(self.origin, ("design", "bounds"),
+                           f"has {len(bounds)} pairs for the {len(names)} design "
+                           f"parameters {names}")
+        for i, (lo, hi) in enumerate(bounds):
+            if not lo < hi:
+                raise _at_path(self.origin, ("design", "bounds", i),
+                               f"[{lo!r}, {hi!r}] has no lower bound below its upper one")
+        for i, name in enumerate(self._integerized):
+            if name not in names:
+                raise _at_path(self.origin, ("design", "integerized", i),
+                               f"{name!r} is not a design parameter of {names}")
 
     def design_params(self, k):
         names = self.design_names
@@ -582,12 +604,13 @@ class Scenario:
 
     # -- network construction -------------------------------------------
 
-    def _node_id(self, node):
+    def _node_id(self, node, path):
+        """Index of the node label ``node``, found at JSON ``path``."""
         try:
             return self._node_index[node]
         except KeyError:
-            raise ConfigError(
-                f"{self.origin}: unknown node {node} referenced") from None
+            raise _at_path(self.origin, path,
+                           f"{node!r} names no node of the network") from None
 
     def _route(self, triple, where):
         """Index of the route named by three node labels; it must exist."""
@@ -613,10 +636,8 @@ class Scenario:
         groups = net_cfg["groups"]
         self._group_of = {}
         for gname, members in groups.items():
-            for n in members:
-                if n not in self._node_index:
-                    raise ConfigError(f"{self.origin}: group {gname} names "
-                                      f"unknown node {n}")
+            for i, n in enumerate(members):
+                self._node_id(n, ("network", "groups", gname, i))
                 if n in self._group_of:
                     raise ConfigError(f"{self.origin}: node {n} in two groups")
                 self._group_of[n] = gname
@@ -625,8 +646,8 @@ class Scenario:
             raise ConfigError(f"{self.origin}: nodes without a group: {sorted(missing)}")
 
         edges = []
-        for u, v in net_cfg["edges"]:
-            ui, vi = self._node_id(u), self._node_id(v)
+        for i, edge in enumerate(net_cfg["edges"]):
+            ui, vi = (self._node_id(n, ("network", "edges", i, j)) for j, n in enumerate(edge))
             edges.append((ui, vi))
             if net_cfg["undirected"]:
                 edges.append((vi, ui))
@@ -636,16 +657,22 @@ class Scenario:
             g = self._group_of[n]
             if g not in lengths_cfg:
                 raise ConfigError(f"{self.origin}: no length for group {g}")
-            lengths[self._node_id(n)] = float(lengths_cfg[g])
-        uturn = {self._node_id(n) for n in net_cfg["allow_uturn"]}
+            lengths[self._node_index[n]] = float(lengths_cfg[g])
+        uturn = {self._node_id(n, ("network", "allow_uturn", i))
+                 for i, n in enumerate(net_cfg["allow_uturn"])}
         with _rejected_as_config_error(f"{self.origin}: network"):
             self.network = TrafficNetwork(len(nodes), edges, lengths,
                                           allow_uturn=uturn)
 
         cells_cfg = net_cfg["cells"]
         signals_cfg = net_cfg["signals"]
-        ccw_cfg = {**net_cfg["roundabout_ccw"],
-                   **{k: v["ccw"] for k, v in signals_cfg.items()}}
+        # node label -> its ccw neighbours' indices; a signal's ccw wins
+        ccw_arrays = [(("network", "roundabout_ccw", key), ccw)
+                      for key, ccw in net_cfg["roundabout_ccw"].items()]
+        ccw_arrays += [(("network", "signals", key, "ccw"), sig["ccw"])
+                       for key, sig in signals_cfg.items()]
+        ccw_ids = {path[2]: tuple(self._node_id(x, (*path, i)) for i, x in enumerate(ccw))
+                   for path, ccw in ccw_arrays}
         self.node_cells = {}
         for n in nodes:
             g = self._group_of[n]
@@ -653,20 +680,19 @@ class Scenario:
                 raise ConfigError(f"{self.origin}: no cell spec for group {g}")
             params = dict(cells_cfg[g])
             kind = params.pop("kind")
-            ccw = ccw_cfg.get(str(n))
-            if ccw is not None:
-                params["ccw"] = tuple(self._node_id(x) for x in ccw)
+            if str(n) in ccw_ids:
+                params["ccw"] = ccw_ids[str(n)]
             try:
                 cell = CellSpec(kind=kind, **params)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(
                     f"{self.origin}: cell of node {n} ({g}): {exc}") from None
             # a free-flow outflow a * rho must not exceed the l_v * rho on the node
-            l_v = lengths[self._node_id(n)]
+            l_v = lengths[self._node_index[n]]
             if l_v < cell.a:
                 raise ConfigError(f"{self.origin}: node {n} ({g}): length {l_v:g} "
                                   f"is below its free-flow factor a = {cell.a:g}")
-            self.node_cells[self._node_id(n)] = cell
+            self.node_cells[self._node_index[n]] = cell
 
         self._build_signals(signals_cfg)
         self.engine = SimulationEngine(self.network, self.node_cells, self.signals)
@@ -677,7 +703,7 @@ class Scenario:
         timing = _present(self.settings["run"], {"t_real": ("t_real", float)})
         self.signals, self._signal_refs = {}, []
         for node_str, sig in signals_cfg.items():
-            v = self._node_id(int(node_str))
+            v = self._node_index[int(node_str)]
             where = f"{self.origin}: signal of node {node_str}"
             if self.node_cells[v].kind != "signalized_intersection":
                 raise ConfigError(f"{where}: node is a {self.node_cells[v].kind}, "
@@ -694,7 +720,7 @@ class Scenario:
                         f"{where}: {key} references {value['design']!r}, which "
                         "is not a design parameter listed under design.integerized")
             self.signals[v] = SignalSchedule(
-                ccw=tuple(self._node_id(x) for x in sig["ccw"]), **fields,
+                ccw=self.node_cells[v].ccw, **fields,
                 **timing, **_present(sig, _SIGNAL_KEYS))
 
     # -- run settings, parsed at load ------------------------------------

@@ -67,9 +67,7 @@ one-replicate run in the same order, so it is bit-identical to it:
   ``np.matmul(M_rows, rho.T[..., None])``, whose rows have the bits of
   the full gemv ``np.matmul(M, rho[..., None])`` (a property of the BLAS
   build, which ``tests/test_cells.py`` pins); ``rho @ M.T`` would be a
-  gemm with another summation order; past 512 routes ``W`` and ``E``
-  are CSR, whose product ``M_rows @ rho`` sums each row's entries in
-  one order for every column;
+  gemm with another summation order;
 * observers reduce over routes through a contiguous (B, k) copy, whose
   rows sum in the order of a one-replicate (k,) sum; a sum down axis 0
   would not.

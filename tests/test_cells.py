@@ -5,7 +5,6 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from ctmdesign import cells as cells_module
 from ctmdesign.cells import CellError, CellSpec, CellTable, overlap_matrix
 from ctmdesign.config import Scenario
 from ctmdesign.network import Route, TrafficNetwork
@@ -341,7 +340,7 @@ def test_cell_table_matches_scalar_signalized():
 
 
 # ---------------------------------------------------------------------------
-# the sparse (CSR) products of networks past the dense limit
+# a large network: sparse W and E, held as dense arrays
 # ---------------------------------------------------------------------------
 
 def intersection_grid(side=12):
@@ -360,23 +359,10 @@ def intersection_grid(side=12):
     return net, {v: cell for v in range(net.n_nodes)}
 
 
-def test_sparse_cell_table_matches_the_dense_one(monkeypatch):
-    net, cells = intersection_grid()
-    sparse = CellTable(net, cells)
-    monkeypatch.setattr(cells_module, "_DENSE_MAX_ROUTES", net.n_routes)
-    dense = CellTable(net, cells)
-    assert not sparse._dense and dense._dense
-    rho = np.random.default_rng(61).uniform(0.0, 3.0, (net.n_routes, 7))
-    for state in (rho, rho[:, 0]):
-        for got, want in zip(sparse.evaluate(state), dense.evaluate(state)):
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-
-
 @pytest.mark.parametrize("rule", ["dpf", "cooperative"])
 def test_sparse_engine_conserves_mass_and_batch_rows_equal_single_runs(rule):
     net, cells = intersection_grid()
     eng = SimulationEngine(net, cells)
-    assert not eng.cells._dense
     rho0 = np.random.default_rng(67).uniform(0.0, 3.0, (7, net.n_routes))
     batch = eng.run(rho0, 20, InteractionRule(rule))
     for b in range(len(rho0)):

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import json
@@ -726,7 +727,7 @@ def test_highway_initial_fill_fraction():
     cap = sum(scen.node_cells[v].rho_max for v in range(scen.network.n_nodes))
     assert total / cap == pytest.approx(0.05)
     # per-route values follow rho_max / route count
-    v23 = scen._node_id(23)
+    v23 = scen.node_labels.index(23)
     idx = scen.network.routes_through(v23)
     assert len(idx) == 12
     assert rho0[idx] == pytest.approx(np.full(12, 30 * 0.05 / 12))
@@ -816,7 +817,7 @@ def test_cli_simulate_manifest_records_the_rule_that_ran(tmp_path, rule):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--design", "2.5,0.01,0.01,20,75",
                  "--reps", "1", "--out-dir", str(out)]) == 0
-    assert json.loads((out / "manifest.json").read_text())["rule"] == (rule or "dpf")
+    assert json.loads((out / "manifest.json").read_text())["rules"] == [rule or "dpf"]
 
 
 def test_cli_simulate_worker_pool_deterministic(tmp_path):
@@ -949,15 +950,29 @@ def test_cli_queries_each_sobol_and_grid_point_once_per_estimate(
     assert {len(q) for _, q in built if not set(q) <= sobol | grid} == {256}
 
 
-def test_cli_benchmark_compare(tmp_path):
-    path = synthetic_config(tmp_path)
-    out = tmp_path / "cmp"
-    rc = main(["benchmark-compare", "--config", str(path),
-               "--designs", "0.2,0.2;0.4,0.4", "--reps", "5",
-               "--out-dir", str(out)])
-    assert rc == 0
-    rows = list(csv.DictReader(open(out / "comparison.csv")))
-    assert len(rows) == 4  # two designs x two rules
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_simulate_designs_and_rules_equal_the_one_case_runs(tmp_path, workers):
+    # design ki runs on seed + ki, and every rule at a design on its generators
+    designs = ["2.5,0.01,0.01,20,75", "2.5,0.01,0.01,30,30"]
+    rules = ["dpf", "cooperative"]
+    common = ["--config", str(bundled("urban")), "--reps", "3", "--workers", workers]
+    out = tmp_path / "all"
+    assert main(["simulate", *common, "--design", ";".join(designs),
+                 "--rule", ",".join(rules), "--seed", "4", "--out-dir", str(out)]) == 0
+    summary, replicates = [], []
+    for ki, design in enumerate(designs):
+        for rule in rules:
+            one = tmp_path / f"{ki}-{rule}"
+            assert main(["simulate", *common, "--design", design, "--rule", rule,
+                         "--seed", str(4 + ki), "--out-dir", str(one)]) == 0
+            summary += list(csv.DictReader(open(one / "summary.csv")))
+            replicates += list(csv.DictReader(open(one / "replicates.csv")))
+    assert list(csv.DictReader(open(out / "summary.csv"))) == summary
+    assert list(csv.DictReader(open(out / "replicates.csv"))) == replicates
+    assert len(summary) == 4 and len(replicates) == 12
+    assert [row["rule"] for row in summary] == rules * 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["rules"] == rules and len(manifest["designs"]) == 2
 
 
 def test_cli_single_replicate_summaries(tmp_path, capsys):
@@ -966,10 +981,10 @@ def test_cli_single_replicate_summaries(tmp_path, capsys):
                  "--reps", "1", "--out-dir", str(tmp_path / "sim")]) == 0
     summary = list(csv.DictReader(open(tmp_path / "sim" / "summary.csv")))
     assert summary[0]["std_error"] == "0"
-    assert main(["benchmark-compare", "--config", str(path),
-                 "--designs", "0.2,0.2", "--reps", "1",
+    assert main(["simulate", "--config", str(path), "--design", "0.2,0.2",
+                 "--rule", "dpf,cooperative", "--reps", "1",
                  "--out-dir", str(tmp_path / "cmp")]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "cmp" / "comparison.csv")))
+    rows = list(csv.DictReader(open(tmp_path / "cmp" / "summary.csv")))
     assert [row["std_error"] for row in rows] == ["0", "0"]
     assert "k=[0.2, 0.2] dpf" in capsys.readouterr().out
 
@@ -982,27 +997,29 @@ def exit_code(argv):
         return exc.code
 
 
-@pytest.mark.parametrize("command", ["simulate", "benchmark-compare"])
+#: simulate of one case, and of two designs under two rules
+_SIMULATE_CASES = {"simulate": ["simulate", "--design", "0.2,0.2"],
+                   "simulate-two-designs-two-rules": [
+                       "simulate", "--design", "0.2,0.2;0.4,0.4", "--rule", "dpf,cooperative"]}
+
+
+@pytest.mark.parametrize("command", list(_SIMULATE_CASES))
 @pytest.mark.parametrize("reps", ["0", "-3"])
 def test_cli_reps_below_one_exit_2(tmp_path, capsys, command, reps):
     path = synthetic_config(tmp_path)
-    design = ["--design", "0.2,0.2"] if command == "simulate" else [
-        "--designs", "0.2,0.2"]
-    rc = exit_code([command, "--config", str(path), *design, "--reps", reps,
+    rc = exit_code([*_SIMULATE_CASES[command], "--config", str(path), "--reps", reps,
                     "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     assert "--reps" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "benchmark-compare",
-                                     "estimate-levelset"])
+@pytest.mark.parametrize("command", [*_SIMULATE_CASES, "estimate-levelset"])
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_cli_workers_below_one_exit_2(tmp_path, capsys, command, workers):
     path = synthetic_config(tmp_path)
-    extra = {"simulate": ["--design", "0.2,0.2"],
-             "benchmark-compare": ["--designs", "0.2,0.2"]}.get(command, [])
-    rc = exit_code([command, "--config", str(path), *extra, "--workers", workers,
+    argv = _SIMULATE_CASES.get(command, [command])
+    rc = exit_code([*argv, "--config", str(path), "--workers", workers,
                     "--out-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
@@ -1116,7 +1133,7 @@ URBAN_SOURCE = {"route": [6, 7, 11], "sigma": {"design": "sigma_a"}}
 @pytest.mark.parametrize("name, block, key, value, named", [
     ("synthetic", "learning", "tau_values",
      [0.01, -0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01], "at learning/tau_values/1: "),
-    ("synthetic", "design", "bounds", [[1.0, 0.0], [0.0, 1.0]], "design"),
+    ("synthetic", "design", "bounds", [[1.0, 0.0], [0.0, 1.0]], "at design/bounds/0: "),
     ("synthetic", "learning", "n_eval", 0, "at learning/n_eval: "),
     ("urban", "run", "initial_density",
      {"mode": "per_route", "values": {"roads": 5, "unsignalized": 1}},
@@ -1748,13 +1765,30 @@ def test_cli_non_finite_number_exit_2_naming_its_path(tmp_path, capsys, name, ke
     ("urban", ("evaluation", "utility", "kind"), "foo", "at evaluation/utility/kind: "),
     ("urban", ("evaluation", "utilities", 0, "kind"), "foo",
      "at evaluation/utilities/0/kind: "),
+    ("urban", ("network", "edges", 0, 1), 99, "at network/edges/0/1: "),
+    ("urban", ("network", "allow_uturn"), [99], "at network/allow_uturn/0: "),
+    ("urban", ("network", "groups", "roads", 0), 99, "at network/groups/roads/0: "),
+    ("urban", ("network", "signals", "14", "ccw", 1), 99,
+     "at network/signals/14/ccw/1: "),
+    ("highway", ("network", "roundabout_ccw", "1", 2), 99,
+     "at network/roundabout_ccw/1/2: "),
+    ("synthetic_small", ("design", "bounds"), [[0, 1]] * 3, "at design/bounds: "),
+    ("synthetic_small", ("design", "bounds"), [[0, 1]], "at design/bounds: "),
+    ("synthetic_small", ("design", "names"), ["k1", "k1"], "at design/names/1: "),
+    ("urban", ("design", "bounds", 1), [1, 0], "at design/bounds/1: "),
+    ("urban", ("design", "integerized"), ["T_g", "T_s", "T_x"],
+     "at design/integerized/2: "),
 ], ids=["sources-numbers", "constant-value-string", "initial-density-string",
         "initial-density-negative", "initial-fraction-negative", "environment-kind-unknown",
         "route-two-nodes", "seed-negative", "n_min-one", "n_max-list-below-n_min",
         "n_max-below-n_min", "n_min-above-n_max", "no-initial-density",
         "roundabout-ccw-number", "roundabout-ccw-key-letters", "roundabout-ccw-unknown-node",
         "signals-unknown-node", "acquisition-unknown",
-        "utility-kind-unknown", "utilities-kind-unknown"])
+        "utility-kind-unknown", "utilities-kind-unknown", "edge-unknown-node",
+        "uturn-unknown-node", "group-unknown-node", "signal-ccw-unknown-node",
+        "roundabout-ccw-array-unknown-node", "bounds-longer-than-names",
+        "bounds-shorter-than-names", "names-duplicate", "bounds-reversed",
+        "integerized-unknown-name"])
 def test_cli_environment_run_and_seed_exit_2_at_a_json_path(tmp_path, capsys, name, keys,
                                                              value, where):
     # each exited 2 in Python's words ("'int' object is not iterable",
@@ -1764,7 +1798,12 @@ def test_cli_environment_run_and_seed_exit_2_at_a_json_path(tmp_path, capsys, na
     # no list), without a JSON path (an unknown acquisition), or ran to
     # exit 0 (a utility kind that simulate never reads, a roundabout key
     # that is no node label or names no node), or without a JSON path (a
-    # signal key that names no node)
+    # signal key that names no node, a node label in an edge, allow_uturn,
+    # a group or a ccw array).  Of the design blocks, bounds longer than the
+    # names ran to exit 0 with mu_hat holding the extra coordinate, shorter
+    # ones were reported as a bad grid axis, and duplicate names, reversed
+    # bounds (under simulate) and an integerized entry that names no
+    # parameter ran
     raw = json.loads((SYNTHETIC_SMALL if name == "synthetic_small"
                       else bundled(name)).read_text())
     _set(keys, value)(raw)
@@ -1800,19 +1839,51 @@ def test_cli_input_the_run_would_drop_or_overfill_exit_2_at_a_json_path(
     (["simulate", "--design", "nan,0.01,0.01,20,75", "--reps", "1"], "--design"),
     (["simulate", "--design", "2.5,0.01,0.01,inf,75", "--reps", "1"], "--design"),
     (["simulate", "--design", "2.5,1e400,0.01,20,75", "--reps", "1"], "--design"),
-    (["benchmark-compare", "--designs", "2.5,0.01,0.01,20,nan", "--reps", "1"],
-     "--designs"),
+    (["simulate", "--design", "2.5,0.01,0.01,20,75;2.5,0.01,0.01,20,nan", "--reps", "1"],
+     "--design"),
     (["simulate", *_URBAN_DESIGN, "--seed", "-1"], "--seed"),
-    (["benchmark-compare", "--designs", "2.5,0.01,0.01,20,75", "--reps", "1",
-      "--seed", "-1"], "--seed"),
-], ids=["design-nan", "design-inf", "design-1e400", "designs-nan", "seed-negative",
-        "compare-seed-negative"])
+    (["simulate", "--design", "2.5,0.01,0.01,20,75;2.5,0.01,0.01,30,30",
+      "--rule", "dpf,cooperative", "--reps", "1", "--seed", "-1"], "--seed"),
+], ids=["design-nan", "design-inf", "design-1e400", "second-design-nan", "seed-negative",
+        "two-designs-seed-negative"])
 def test_cli_non_finite_design_or_negative_seed_exit_2_naming_the_flag(
         tmp_path, capsys, argv, flag):
     # a NaN design ran to exit 0 with mean=nan, an infinite one was a
     # numerical failure, and the others ended in a traceback
     _assert_rejected_at(tmp_path, capsys, [*argv, "--config", str(bundled("urban"))],
                         flag)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--rule", "dpf,bogus"], "--rule"),
+    (["--rule", "dpf,"], "--rule"),
+    (["--design", ";"], "--design"),
+    (["--design", "2.5,0.01,0.01,20,75;2.5,0.01,0.01,20"], "--design"),
+    (["--design", "2.5,0.01;0.01,20,75"], "--design"),
+], ids=["rule-unknown", "rule-empty", "design-empty", "design-short-in-a-list",
+        "design-split-vector"])
+def test_cli_simulate_bad_design_or_rule_list_exit_2_naming_the_flag(tmp_path, capsys,
+                                                                     argv, flag):
+    # "2.5,0.01;0.01,20,75" ran as the one design 2.5,0.01,0.01,20,75
+    out = tmp_path / "run"
+    rc = exit_code(["simulate", "--config", str(bundled("urban")), *_URBAN_DESIGN, *argv,
+                    "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert flag in err.splitlines()[-1] and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_readme_command_block_names_every_subcommand():
+    # a command that leaves the parser cannot stay documented, nor one
+    # that joins it stay undocumented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    documented = {line.split()[1] for line in block.splitlines() if line.strip()}
+    parser = cli.build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert documented == set(sub.choices)
 
 
 @pytest.mark.parametrize("content, message", [
@@ -1930,7 +2001,7 @@ def test_estimate_levelset_leaves_numpy_ma_unloaded(tmp_path):
 
 
 def test_engine_build_leaves_scipy_sparse_unloaded():
-    # networks of at most 512 routes assemble W and E as dense arrays
+    # W and E are dense arrays
     code = ("from importlib import resources\n"
             "from ctmdesign.config import load_scenario\n"
             "for name in ('urban', 'highway'):\n"
@@ -1953,16 +2024,16 @@ def test_hyperparameter_fit_leaves_scipy_optimize_and_sparse_unloaded():
 
 
 def test_bundled_networks_write_each_matrix_entry_once(monkeypatch):
-    # the dense assembly sums repeated entries with np.add.at, in another
-    # order than CSR assembly would for three or more; none may repeat
+    # the assembly sums repeated entries with np.add.at, in an order of its
+    # own for three or more; none may repeat
     from ctmdesign import cells
 
     assemble = cells._assemble
     seen = []
 
-    def record(rows, cols, vals, n, dense):
+    def record(rows, cols, vals, n):
         seen.append(list(zip(rows, cols)))
-        return assemble(rows, cols, vals, n, dense)
+        return assemble(rows, cols, vals, n)
 
     monkeypatch.setattr(cells, "_assemble", record)
     root = Path(__file__).resolve().parents[1]
