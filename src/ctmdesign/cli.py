@@ -22,16 +22,19 @@ Subcommands:
 All outputs are CSV plus one manifest JSON per run; identical config and
 seed reproduce byte-identical outputs on the same platform for any worker
 count and batch size (replicates are reduced in index order).
-``--workers`` splits the replicates of each ``simulate`` case over
-processes; ``estimate-levelset`` runs in one process and steps the
-first n_min replicates of all of an iteration's design points as one
-list, then continues each point in chunks.  Its
+``--workers`` splits the replicates of each ``simulate`` case over one
+process pool, opened once per command; ``estimate-levelset`` runs in one
+process and steps the first n_min replicates of all of an iteration's
+design points as one list, then continues each point in chunks.  Its
 manifest records the replicates used (the sum of n over the dataset),
 the replicates drawn (also those thrown away past a stop), how many
 points stopped at their noise target or at the n_max cap, and how many
 posterior variances were solved: at the Sobol points of each fit's error
 bound, and for the candidates of each rejection sampling; and the wall
 seconds of each phase of the run (``phase_seconds``).
+
+The GP and the learning loop are imported by the commands that use them,
+so ``simulate`` and ``calibrate`` load neither.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -54,8 +57,6 @@ from .config import (HYPERPARAMETERS_SCHEMA, ConfigError, Scenario,
                      _rejected_as_config_error, load_json, load_scenario)
 from .env import replicate_rng
 from .evaluation import calibrate_threshold
-from .gpr import GprDataset, Kernel, nested_query, posterior
-from .learning import band, run_active_learning, timed
 from .network import NetworkError
 from .normal import ndtri
 from .solvers import InteractionRule
@@ -78,24 +79,36 @@ def _worker_replicates(args):
     return _replicates(_WORKER_SCENARIO, *args)
 
 
-def replicate_values(scenario, k, reps, seed, rule=None, workers=1):
-    """Per-replicate performance statistics, in replicate order.
+def replicate_values(scenario, cases, reps, workers=1):
+    """Per-replicate performance statistics of each case (k, seed, rule):
+    one array per case, in case order, each in replicate order.
 
-    The replicate indices are split into one run of consecutive indices
-    per worker (``Scenario.run_replicate`` steps each run in batches);
-    every value is the same for any worker count and batch size.
+    With ``workers`` > 1 one process pool serves every case: each case's
+    replicate indices are split into one run of consecutive indices per
+    worker (``Scenario.run_replicate`` steps each run in batches).  Every
+    value is the same for any worker count and batch size.
     """
     if workers <= 1:
-        return np.array(_replicates(scenario, k, seed, range(reps), rule))
+        for k, seed, rule in cases:
+            yield np.array(_replicates(scenario, k, seed, range(reps), rule))
+        return
     from concurrent.futures import ProcessPoolExecutor
 
     size = -(-reps // workers)
-    jobs = [(tuple(k), seed, range(i, min(i + size, reps)), rule)
-            for i in range(0, reps, size)]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+    spans = [range(i, min(i + size, reps)) for i in range(0, reps, size)]
+    jobs = [(tuple(k), seed, span, rule) for k, seed, rule in cases for span in spans]
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), initializer=_init_worker,
                              initargs=(scenario.raw,)) as pool:
-        return np.array([v for values in pool.map(_worker_replicates, jobs)
-                         for v in values])
+        runs = pool.map(_worker_replicates, jobs)
+        for _ in cases:
+            yield np.array([v for _ in spans for v in next(runs)])
+
+
+def run_active_learning(*args, **kwargs):
+    """``learning.run_active_learning``, the loop imported at its first call."""
+    from .learning import run_active_learning
+
+    return run_active_learning(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -150,21 +163,23 @@ def cmd_simulate(args):
     seed = args.seed if args.seed is not None else scenario.seed
     names = scenario.design_names
     designs = _parse_designs(args.design, names)
+    if args.rule and scenario.rule is None:
+        raise ConfigError(f"--rule: {args.config} is an analytic scenario, which has "
+                          "no interaction rule")
     rules = args.rule or [getattr(scenario.rule, "variant", "")]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     replicates, summary = [], []
-    for ki, k in enumerate(designs):
+    cases = [(k, seed + ki, rule) for ki, k in enumerate(designs) for rule in rules]
+    for (k, _, rule), values in zip(cases, replicate_values(scenario, cases, args.reps,
+                                                            args.workers)):
         design = tuple(_fmt(x) for x in k)
-        for rule in rules:
-            values = replicate_values(scenario, k, args.reps, seed + ki,
-                                      rule=rule, workers=args.workers)
-            replicates += [(*design, rule, i, _fmt(v)) for i, v in enumerate(values)]
-            mean, se = _summary(values)
-            summary.append((*design, rule, len(values), _fmt(mean), _fmt(se)))
-            print(f"k={list(map(float, k))} {rule}: n={len(values)} mean={mean:.4f} "
-                  f"se={se:.4f}")
+        replicates += [(*design, rule, i, _fmt(v)) for i, v in enumerate(values)]
+        mean, se = _summary(values)
+        summary.append((*design, rule, len(values), _fmt(mean), _fmt(se)))
+        print(f"k={list(map(float, k))} {rule}: n={len(values)} mean={mean:.4f} "
+              f"se={se:.4f}")
     rep_file = out_dir / "replicates.csv"
     _write_csv(rep_file, names + ["rule", "replicate", "value"], replicates)
     sum_file = out_dir / "summary.csv"
@@ -242,6 +257,9 @@ def _write_grid(paths, grid, posts, gamma, delta):
     ``_grid_slice`` grid, for every j in one pass over the grid's blocks:
     the posteriors are nested (``gpr.nested_query``), and the rows of a
     posterior listed more than once are formatted once."""
+    from .gpr import nested_query
+    from .learning import band
+
     pts, axes, prefixes = grid
     distinct = list({id(post): post for post in posts}.values())
     z = ndtri(1.0 - delta / 2.0)
@@ -267,6 +285,8 @@ def _write_grid(paths, grid, posts, gamma, delta):
 
 
 def cmd_estimate_levelset(args):
+    from .learning import timed
+
     scenario = load_scenario(args.config)
     seed = args.seed if args.seed is not None else scenario.seed
     space = scenario.design_space()
@@ -336,6 +356,8 @@ def cmd_estimate_levelset(args):
 
 
 def cmd_export_grid(args):
+    from .gpr import GprDataset, Kernel, posterior
+
     scenario = load_scenario(args.config)
     space = scenario.design_space()
     if space.dim < 2:

@@ -14,9 +14,9 @@ posterior file that ``export-grid`` reads: each key's type, its range
 out (the ``default`` annotation).  ``load_json`` and ``Scenario`` check a
 document against its schema with the small interpreter below, which
 covers exactly the keywords the schemas use and fills in the defaults in
-the same walk.  The tests hold it to a reference JSON Schema validator,
-which no command imports: it would load some 80 modules at every
-start-up.  Where a ``oneOf`` branches on a tag such as ``kind``, the
+the same walk (``load_scenario`` leaves its one walk to ``Scenario``).
+The tests hold it to a reference JSON Schema validator, which no command
+imports: it would load some 80 modules at every start-up.  Where a ``oneOf`` branches on a tag such as ``kind``, the
 errors reported are those of the branch the tag selects.
 
 ``Scenario`` keeps the document it is given (``raw``, whose hash the run
@@ -30,13 +30,14 @@ grid's axes and off-axis values, c2_0, the tau schedule from
 ``tau_fractions`` and a utility's label.  Signal timing and cell
 parameters take ``SignalSchedule``'s and ``CellSpec``'s.
 
-Before the schema check, ``load_json`` refuses a number that is NaN,
-infinite or an integer beyond the float range, naming its JSON path.
-Python's json module reads the ``NaN`` and ``Infinity`` literals, and
-reads ``1e400`` as infinity; JSON Schema has no keyword that refuses them
-(NaN passes every bound, and a reference validator accepts it as a
-number), so this check stays outside the schema, and the schema check
-keeps accepting exactly what the reference validator accepts.
+Before the schema check, ``load_json`` and ``load_scenario`` refuse a
+number that is NaN, infinite or an integer beyond the float range,
+naming its JSON path.  Python's json module reads the ``NaN`` and
+``Infinity`` literals, and reads ``1e400`` as infinity; JSON Schema has
+no keyword that refuses them (NaN passes every bound, and a reference
+validator accepts it as a number), so this check stays outside the
+schema, and the schema check keeps accepting exactly what the reference
+validator accepts.
 
 Design parameters listed under ``design.integerized`` are rounded to an
 adjacent integer per replicate, with probabilities matching the real
@@ -60,14 +61,20 @@ from .cells import KINDS, CellSpec
 from .env import ArCopulaEnvironment, GaussianPairsEnvironment
 from .evaluation import (UTILITY_KINDS, AvgNetworkFlow, AvgVelocity, BenchmarkSpec,
                          Throughput, Utility, calibrate_threshold)
-from .gpr import KERNEL_VARIANTS
-from .learning import ACQUISITION_VARIANTS, DesignSpace, LoopConfig
 from .network import NetworkError, TrafficNetwork
 from .signals import SignalSchedule
 from .solvers import InteractionRule, SimulationEngine
 
 __all__ = ["ConfigError", "Scenario", "load_json", "load_scenario", "SCENARIO_SCHEMA",
-           "HYPERPARAMETERS_SCHEMA"]
+           "HYPERPARAMETERS_SCHEMA", "KERNEL_VARIANTS", "ACQUISITION_VARIANTS"]
+
+#: the GP's covariance kernels (``gpr.Kernel``); stated here, with the
+#: schema that reads them, so that a replicate command compiles no GP code
+KERNEL_VARIANTS = ("squared_exponential", "matern12", "matern32", "matern52")
+
+#: acquisition variants of the learning loop: I(k) from the gap
+#: |m(k) - gamma| as it is, or divided by sigma(k)
+ACQUISITION_VARIANTS = ("absolute", "scaled")
 
 
 #: most replicates stepped together as one (B, n_routes) batch
@@ -465,10 +472,8 @@ def _check_finite(node, origin, path=()):
         raise _at_path(origin, path, "the integer is beyond the float range")
 
 
-def load_json(path, schema, fill=False):
-    """The JSON document in the file ``path``, its numbers finite, checked
-    against ``schema`` and with ``fill`` its defaults filled in (see the
-    module docstring)."""
+def _read_json(path):
+    """The JSON document in the file ``path``, its numbers finite."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -477,12 +482,20 @@ def load_json(path, schema, fill=False):
     except ValueError as exc:  # bad JSON (by line), not UTF-8, a 4300+ digit int
         raise ConfigError(f"{path}: {exc}") from None
     _check_finite(raw, path)
-    return _validated(raw, path, schema, fill)
+    return raw
+
+
+def load_json(path, schema, fill=False):
+    """The JSON document in the file ``path``, its numbers finite, checked
+    against ``schema`` and with ``fill`` its defaults filled in (see the
+    module docstring)."""
+    return _validated(_read_json(path), path, schema, fill)
 
 
 def load_scenario(path):
-    """The scenario in the file ``path``, checked by ``load_json``."""
-    return Scenario(load_json(path, SCENARIO_SCHEMA), origin=str(path))
+    """The scenario in the file ``path``, its numbers finite; ``Scenario``
+    checks it against the schema, in the one walk that fills its defaults."""
+    return Scenario(_read_json(path), origin=str(path))
 
 
 def _present(cfg, keys):
@@ -561,6 +574,8 @@ class Scenario:
     def design_space(self):
         if "design" not in self.raw:
             raise ConfigError(f"{self.origin}: scenario has no design block")
+        from .learning import DesignSpace
+
         return DesignSpace(tuple((float(lo), float(hi))
                                  for lo, hi in self.settings["design"]["bounds"]))
 
@@ -957,6 +972,8 @@ class Scenario:
             c2, c2_0 = l_cfg.get("c2"), l_cfg.get("c2_0")
             if c2 is None and c2_0 is None:
                 c2_0 = 2.0 / float(scale)  # acquisition noticeably peaked across the scale
+            from .learning import LoopConfig
+
             return LoopConfig(
                 n_initial=l_cfg["n_initial"], n_loop=l_cfg["n_loop"],
                 iterations=l_cfg["iterations"], tau_schedule=tuple(float(t) for t in taus),

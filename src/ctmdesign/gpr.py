@@ -89,6 +89,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import KERNEL_VARIANTS
+
 __all__ = [
     "Kernel",
     "GprDataset",
@@ -98,8 +100,6 @@ __all__ = [
     "log_marginal_likelihood",
     "fit_hyperparameters",
 ]
-
-KERNEL_VARIANTS = ("squared_exponential", "matern12", "matern32", "matern52")
 
 #: jitter escalation for the SPD factorization, relative to sigma_c^2
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6)

@@ -120,11 +120,6 @@ class DesignSpace:
         return lo + (hi - lo) * u
 
 
-#: acquisition variants: I(k) from the gap |m(k) - gamma| as it is, or
-#: divided by sigma(k)
-ACQUISITION_VARIANTS = ("absolute", "scaled")
-
-
 @dataclass
 class LoopConfig:
     """Budgets and constants of the estimation loop.
@@ -150,7 +145,7 @@ class LoopConfig:
     c1: float
     c3: float
     max_trials: int
-    acquisition_variant: str   # see ACQUISITION_VARIANTS
+    acquisition_variant: str   # see config.ACQUISITION_VARIANTS
     delta: float
     n_eval: int
     kernel_variant: str

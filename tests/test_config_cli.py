@@ -122,6 +122,20 @@ def test_every_default_is_a_valid_value(schema):
         assert validator_for(schema)(sub).is_valid(sub["default"]), sub
 
 
+def test_load_scenario_walks_the_schema_once(monkeypatch):
+    # load_json checked the file, then Scenario checked it again as it
+    # filled the defaults
+    walk, paths = config._validate, []
+
+    def counted(schema, value, path, *args, **kwargs):
+        paths.append(path)
+        return walk(schema, value, path, *args, **kwargs)
+
+    monkeypatch.setattr(config, "_validate", counted)
+    load_scenario(bundled("urban"))
+    assert paths.count(()) == 1
+
+
 @pytest.mark.parametrize("name", ["urban", "highway", "synthetic", "synthetic_small"])
 def test_filling_the_defaults_twice_equals_filling_them_once(name):
     raw = json.loads((SYNTHETIC_SMALL if name == "synthetic_small"
@@ -823,9 +837,33 @@ def test_cli_simulate_manifest_records_the_rule_that_ran(tmp_path, rule):
 def test_cli_simulate_worker_pool_deterministic(tmp_path):
     path = synthetic_config(tmp_path)
     scen = load_scenario(path)
-    seq = replicate_values(scen, np.array([0.1, 0.9]), 12, 7, workers=1)
-    par = replicate_values(scen, np.array([0.1, 0.9]), 12, 7, workers=3)
+    [seq] = replicate_values(scen, [(np.array([0.1, 0.9]), 7, None)], 12, workers=1)
+    [par] = replicate_values(scen, [(np.array([0.1, 0.9]), 7, None)], 12, workers=3)
     assert np.array_equal(seq, par)
+
+
+def test_cli_simulate_opens_one_pool_for_every_case(tmp_path, monkeypatch):
+    # each (design, rule) case started a pool, and built the scenario in
+    # each of its workers
+    import concurrent.futures
+
+    pools = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    argv = ["simulate", "--config", str(bundled("urban")), "--reps", "2", "--seed", "4",
+            "--design", "2.5,0.01,0.01,20,75;2.5,0.01,0.01,30,30",
+            "--rule", "dpf,cooperative"]
+    for workers in ("1", "2"):
+        assert main([*argv, "--workers", workers, "--out-dir",
+                     str(tmp_path / workers)]) == 0
+    assert pools == [2]
+    for name in ("replicates.csv", "summary.csv"):
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
 
 def test_cli_calibrate_thresholds(tmp_path):
@@ -981,12 +1019,19 @@ def test_cli_single_replicate_summaries(tmp_path, capsys):
                  "--reps", "1", "--out-dir", str(tmp_path / "sim")]) == 0
     summary = list(csv.DictReader(open(tmp_path / "sim" / "summary.csv")))
     assert summary[0]["std_error"] == "0"
-    assert main(["simulate", "--config", str(path), "--design", "0.2,0.2",
-                 "--rule", "dpf,cooperative", "--reps", "1",
-                 "--out-dir", str(tmp_path / "cmp")]) == 0
+    assert main(["simulate", "--config", str(bundled("urban")), *_URBAN_DESIGN,
+                 "--rule", "dpf,cooperative", "--out-dir", str(tmp_path / "cmp")]) == 0
     rows = list(csv.DictReader(open(tmp_path / "cmp" / "summary.csv")))
     assert [row["std_error"] for row in rows] == ["0", "0"]
-    assert "k=[0.2, 0.2] dpf" in capsys.readouterr().out
+    assert "k=[2.5, 0.01, 0.01, 20.0, 75.0] dpf" in capsys.readouterr().out
+
+
+def test_cli_simulate_refuses_rule_on_an_analytic_scenario(tmp_path, capsys):
+    # an analytic surface has no interaction rule: two rules wrote two
+    # identical rows per design, labelled as a rule comparison
+    _assert_rejected_at(tmp_path, capsys, ["simulate", "--config", str(bundled("synthetic")),
+                                           "--design", "0.2,0.3", "--rule", "dpf,cooperative"],
+                        "--rule")
 
 
 def exit_code(argv):
@@ -1315,7 +1360,7 @@ def test_cli_export_grid_replays_a_chain_with_a_jittered_fit(tmp_path, monkeypat
         monkeypatch.setattr(module, "posterior", fit)
         return fits
 
-    loop, export = jitter_after_the_first_fit(learning), jitter_after_the_first_fit(cli)
+    loop, export = jitter_after_the_first_fit(learning), jitter_after_the_first_fit(gpr)
     path = synthetic_config(tmp_path)
     out = tmp_path / "run"
     assert main(["estimate-levelset", "--config", str(path), "--seed", "4",
@@ -1977,6 +2022,32 @@ def test_simulate_loads_no_scipy(tmp_path):
             "'--design', '2.5,0.01,0.01,20,75', '--reps', '2', "
             f"'--out-dir', {str(tmp_path / 'sim')!r}]) == 0")
     assert _fresh_modules(code, ("scipy", *_VALIDATOR_MODULES)) == []
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["simulate", "--design", "2.5,0.01,0.01,20,75", "--reps", "2"],
+     ("ctmdesign.gpr", "ctmdesign.learning", "logging")),
+    # scipy.integrate loads logging (through numpy.testing and concurrent.futures)
+    (["calibrate"], ("ctmdesign.gpr", "ctmdesign.learning")),
+], ids=["simulate", "calibrate"])
+def test_commands_without_a_fit_load_no_estimation_module(tmp_path, argv, unloaded):
+    # the package, config and cli imported the GP and the learning loop
+    argv = [*argv, "--config", str(bundled("urban")), "--out-dir", str(tmp_path / "run")]
+    code = f"from ctmdesign.cli import main\nassert main({argv!r}) == 0"
+    assert _fresh_modules(code, unloaded) == []
+
+
+def test_package_names_of_the_estimation_stack_are_the_modules_own():
+    # the package imports them on first access
+    names = {"gpr": ("Kernel", "GprDataset", "GprPosterior", "posterior",
+                     "fit_hyperparameters"),
+             "learning": ("DesignSpace", "LoopConfig", "LevelSetEstimate", "sobol_points",
+                          "run_active_learning")}
+    code = "".join(f"from ctmdesign import {name}\n"
+                   f"from ctmdesign.{module} import {name} as own\n"
+                   f"assert {name} is own\n"
+                   for module, found in names.items() for name in found)
+    assert _fresh_modules(code, ("ctmdesign.gpr",)) == ["ctmdesign.gpr"]
 
 
 def _fresh_modules(code, names):
