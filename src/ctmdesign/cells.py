@@ -29,7 +29,7 @@ Node types and their parameters:
     sending is additionally damped by the oncoming straight and oncoming
     left-turn densities.  Sendings scale with the signal adjustment LA
     (see signals module); receivings cap each approach at
-    approach_capacity_fraction * rho_max (default one quarter).
+    approach_capacity_fraction * rho_max.
 
 ``uni_roundabout`` / ``bi_roundabout``
     Four arms on Z_4.  Receivings subtract overlap-weighted densities of
@@ -69,17 +69,19 @@ KINDS = (
 
 
 class CellError(ValueError):
-    """Invalid cell parameters or a density map not covering the node."""
+    """A node that is no arm of a cell, or a density map not covering the node."""
 
 
 @dataclass(frozen=True)
 class CellSpec:
-    """Parameters of one traffic node.
+    """Parameters of one traffic node, taken as given; a parameter the
+    kind does not read is None (``config.SCENARIO_SCHEMA`` states each
+    kind's parameters, ranges and defaults).
 
-    ``ccw`` gives the adjacent nodes in counterclockwise order and is
-    required for the Z_4-structured kinds (signalized intersections and
-    roundabouts).  ``approach_capacity_fraction`` is the share of
-    rho_max available per approach of a signalized intersection.
+    ``ccw`` gives the adjacent nodes in counterclockwise order, for the
+    Z_4-structured kinds (signalized intersections and roundabouts).
+    ``approach_capacity_fraction`` is the share of rho_max available per
+    approach of a signalized intersection.
     """
 
     kind: str
@@ -87,35 +89,11 @@ class CellSpec:
     rho_max: float
     a: float
     b: float
-    c: float = 1.0
-    d: float = None
-    zeta: float = None
-    ccw: tuple = None
-    approach_capacity_fraction: float = 0.25
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise CellError(f"unknown cell kind {self.kind!r}")
-        if not self.s_max > 0:
-            raise CellError("s_max must be positive")
-        if not self.rho_max > 0:
-            raise CellError("rho_max must be positive")
-        if not 0 < self.a <= 1:
-            raise CellError("free-flow speed factor a must be in (0, 1]")
-        if not 0 < self.b <= 1:
-            raise CellError("congestion wave speed b must be in (0, 1]")
-        if not self.c > 0:
-            raise CellError("interaction parameter c must be positive")
-        if self.kind in ("bidirectional_interface", "pedestrian_square",
-                         "uni_roundabout", "bi_roundabout"):
-            if self.d is None or not self.d > 0:
-                raise CellError(f"kind {self.kind} requires d > 0")
-        if self.kind in ("simplified_intersection", "signalized_intersection"):
-            if self.zeta is None or not self.zeta > 0:
-                raise CellError(f"kind {self.kind} requires zeta > 0")
-        if self.kind in ("signalized_intersection", "uni_roundabout", "bi_roundabout"):
-            if self.ccw is None or len(self.ccw) != 4:
-                raise CellError(f"kind {self.kind} requires a ccw tuple of 4 arms")
+    c: float
+    d: float
+    zeta: float
+    ccw: tuple
+    approach_capacity_fraction: float
 
     def position(self, node):
         try:

@@ -167,8 +167,6 @@ def cmd_simulate(args):
         raise ConfigError(f"--rule: {args.config} is an analytic scenario, which has "
                           "no interaction rule")
     rules = args.rule or [getattr(scenario.rule, "variant", "")]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     replicates, summary = [], []
     cases = [(k, seed + ki, rule) for ki, k in enumerate(designs) for rule in rules]
@@ -180,6 +178,8 @@ def cmd_simulate(args):
         summary.append((*design, rule, len(values), _fmt(mean), _fmt(se)))
         print(f"k={list(map(float, k))} {rule}: n={len(values)} mean={mean:.4f} "
               f"se={se:.4f}")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rep_file = out_dir / "replicates.csv"
     _write_csv(rep_file, names + ["rule", "replicate", "value"], replicates)
     sum_file = out_dir / "summary.csv"
@@ -196,8 +196,6 @@ def cmd_calibrate(args):
     benches = scenario.benchmarks()
     if not benches:
         raise ConfigError(f"{args.config}: no benchmarks block to calibrate")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     rows = []
     for u_label, u in scenario.calibration_utilities():
@@ -207,6 +205,8 @@ def cmd_calibrate(args):
                          _fmt(bench.beta), _fmt(gamma)))
             print(f"utility={u_label} benchmark={label}: beta={bench.beta:.6g} "
                   f"gamma={gamma:.8g}")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     thr_file = out_dir / "thresholds.csv"
     _write_csv(thr_file, ["utility", "benchmark", "e", "sigma_target",
                           "beta", "gamma"], rows)

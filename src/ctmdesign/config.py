@@ -16,19 +16,21 @@ document against its schema with the small interpreter below, which
 covers exactly the keywords the schemas use and fills in the defaults in
 the same walk (``load_scenario`` leaves its one walk to ``Scenario``).
 The tests hold it to a reference JSON Schema validator, which no command
-imports: it would load some 80 modules at every start-up.  Where a ``oneOf`` branches on a tag such as ``kind``, the
-errors reported are those of the branch the tag selects.
+imports: it would load some 80 modules at every start-up.  Where a
+``oneOf`` branches on a tag such as ``kind``, the errors reported are
+those of the branch the tag selects.
 
 ``Scenario`` keeps the document it is given (``raw``, whose hash the run
 manifests record) and reads every setting from ``settings``, the document
 checked with its defaults filled in.  At load it checks, at the JSON
 path where there is one, what a schema cannot state: cross-references
-(node labels, routes, design parameters, node groups), the design
-block's rules and the learning rules that tie keys together.  The
+(node labels, ccw arrays, routes, design parameters, node groups), the
+design block's rules and the learning rules that tie keys together.  The
 defaults a schema cannot state are derived in code, each once: the
 grid's axes and off-axis values, c2_0, the tau schedule from
-``tau_fractions`` and a utility's label.  Signal timing and cell
-parameters take ``SignalSchedule``'s and ``CellSpec``'s.
+``tau_fractions`` and a utility's label.  The records it builds
+(``CellSpec``, ``SignalSchedule``, ``Utility``, ``BenchmarkSpec``,
+``DesignSpace``, ``LoopConfig``) take their values as given.
 
 Before the schema check, ``load_json`` and ``load_scenario`` refuse a
 number that is NaN, infinite or an integer beyond the float range,
@@ -59,7 +61,7 @@ import numpy as np
 
 from .cells import KINDS, CellSpec
 from .env import ArCopulaEnvironment, GaussianPairsEnvironment
-from .evaluation import (UTILITY_KINDS, AvgNetworkFlow, AvgVelocity, BenchmarkSpec,
+from .evaluation import (AvgNetworkFlow, AvgVelocity, BenchmarkSpec,
                          Throughput, Utility, calibrate_threshold)
 from .network import NetworkError, TrafficNetwork
 from .signals import SignalSchedule
@@ -79,6 +81,10 @@ ACQUISITION_VARIANTS = ("absolute", "scaled")
 
 #: most replicates stepped together as one (B, n_routes) batch
 _MAX_BATCH = 64
+
+#: the block that gives a node of each Z_4 kind its ccw array
+_CCW_BLOCK = {"signalized_intersection": "signals", "uni_roundabout": "roundabout_ccw",
+              "bi_roundabout": "roundabout_ccw"}
 
 #: smallest green and shift of a signal program; a design-referenced one
 #: stands at this value in the default schedule
@@ -103,27 +109,27 @@ _NUMBERS = {"type": "array", "items": _NUMBER}
 _NUMBER_OR_REF = {"oneOf": [_NUMBER, _DESIGN_REF]}
 _INTEGER = {"type": "integer"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-_UTILITY = {"type": "object", "required": ["kind"],
-            "properties": {"kind": {"enum": list(UTILITY_KINDS)},
-                           "label": {"type": "string"}, "c": _NUMBER, "alpha": _NUMBER}}
 #: a route (u, v, w) by node labels: from u through v to w
 _ROUTE = {"type": "array", "items": _INTEGER, "minItems": 3, "maxItems": 3}
+#: a noise scale of a source: a literal one is at least 0, and ``Scenario``
+#: refuses a design parameter whose bounds let it fall below 0
+_SCALE_OR_REF = {"oneOf": [{"type": "number", "minimum": 0}, _DESIGN_REF]}
 _COPULA_SOURCE = {"type": "object", "required": ["route", "sigma"],
                   "additionalProperties": False,
-                  "properties": {"route": _ROUTE, "sigma": _NUMBER_OR_REF}}
+                  "properties": {"route": _ROUTE, "sigma": _SCALE_OR_REF}}
 _PAIR_SOURCE = {"type": "object", "required": ["route", "xi", "psi"],
                 "additionalProperties": False,
                 "properties": {"route": _ROUTE, "pair_route": _ROUTE,
                                "pair_sign": {**_NUMBER, "default": -1.0},
-                               "xi": _NUMBER_OR_REF, "psi": _NUMBER_OR_REF}}
+                               "xi": _NUMBER_OR_REF, "psi": _SCALE_OR_REF}}
 _CONSTANT = {"type": "object", "required": ["route", "value"],
              "additionalProperties": False,
              "properties": {"route": _ROUTE, "value": _NUMBER_OR_REF,
                             "scale": {**_NUMBER, "default": 1.0}}}
 _DENSITY = {"type": "number", "minimum": 0}
-_CAP_FRACTION = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
+_FRACTION = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
 #: the share of rho_max an environment route may hold
-_RHO_CAP = {"type": "number", "exclusiveMinimum": 0, "maximum": 1, "default": 1.0}
+_RHO_CAP = {**_FRACTION, "default": 1.0}
 #: the credible level delta, a probability strictly between 0 and 1
 _DELTA = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": 0.05}
 #: a node's four neighbours, counter-clockwise, by node label
@@ -137,19 +143,51 @@ _SIGNAL = {
         "ccw": _CCW,
         "green": {"oneOf": [{"type": "integer", "minimum": 1}, _DESIGN_REF]},
         "shift": {"oneOf": [{"type": "integer", "minimum": 0}, _DESIGN_REF], "default": 0},
-        "t_safe": {"type": "integer"},
-        "a_real": _POSITIVE,
-        "v_real_kmh": _POSITIVE,
+        "t_safe": {"type": "integer", "default": 2},
+        "a_real": {**_POSITIVE, "default": 1.5},
+        "v_real_kmh": {**_POSITIVE, "default": 50},
     },
 }
 
-#: one node group's cell parameters; ``ccw`` comes from ``signals`` or
-#: ``roundabout_ccw``, and ``CellSpec`` checks the values
-_CELL = {"type": "object", "required": ["kind"], "additionalProperties": False,
-         "properties": {"kind": {"enum": list(KINDS)},
-                        **dict.fromkeys(("s_max", "rho_max", "a", "b", "c", "d", "zeta"),
-                                        _NUMBER),
-                        "approach_capacity_fraction": _CAP_FRACTION}}
+#: the cell parameters each kind reads besides s_max, rho_max, a, b and c
+_CELL_READS = {
+    "highway": {},
+    "bidirectional_interface": {"d": _POSITIVE},
+    "pedestrian_square": {"d": _POSITIVE},
+    "simplified_intersection": {"zeta": _POSITIVE},
+    "signalized_intersection": {"zeta": _POSITIVE,
+                                "approach_capacity_fraction": {**_FRACTION, "default": 0.25}},
+    "uni_roundabout": {"d": _POSITIVE},
+    "bi_roundabout": {"d": _POSITIVE},
+}
+
+
+def _tagged(kind, properties, optional=()):
+    """The oneOf branch of an object whose ``kind`` is ``kind``: it holds no
+    key but ``properties``, and requires each without a default that is
+    not ``optional``."""
+    return {"required": ["kind", *(key for key, sub in properties.items()
+                                   if "default" not in sub and key not in optional)],
+            "additionalProperties": False,
+            "properties": {"kind": {"const": kind}, **properties}}
+
+
+#: one node group's cell parameters, by kind; ``ccw`` comes from ``signals``
+#: or ``roundabout_ccw``
+_CELL = {"type": "object", "oneOf": [
+    _tagged(kind, {"s_max": _POSITIVE, "rho_max": _POSITIVE, "a": _FRACTION,
+                   "b": _FRACTION, "c": {**_POSITIVE, "default": 1.0}, **_CELL_READS[kind]})
+    for kind in KINDS]}
+#: a utility by kind, with an optional label: a polynomial one is
+#: non-decreasing for alpha >= 1, an expectile for alpha in [0, 1/2]
+_UTILITY = {"type": "object", "oneOf": [
+    _tagged(kind, {"label": {"type": "string"}, **takes}, optional=["label"])
+    for kind, takes in [
+        ("identity", {}),
+        ("polynomial", {"c": _NUMBER, "alpha": {"type": "number", "minimum": 1}}),
+        ("expectile", {"c": _NUMBER,
+                       "alpha": {"type": "number", "minimum": 0, "maximum": 0.5}}),
+        ("sqrt", {})]]}
 
 SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -231,7 +269,7 @@ SCENARIO_SCHEMA = {
             "required": ["steps", "initial_density"],
             "properties": {
                 "steps": {"type": "integer", "minimum": 1},
-                "t_real": _POSITIVE,
+                "t_real": {**_POSITIVE, "default": 1.0},
                 "rule": {"enum": list(InteractionRule.VARIANTS), "default": "dpf"},
                 "initial_density": {"type": "object", "oneOf": [
                     {"required": ["values"], "properties": {
@@ -247,15 +285,17 @@ SCENARIO_SCHEMA = {
             "type": "object",
             "default": {},
             "properties": {
-                "measure": {"type": "object", "required": ["kind"],
-                            "default": {"kind": "avg_network_flow"}, "properties": {
-                    "kind": {"enum": ["avg_network_flow", "throughput", "avg_velocity"]},
-                    "routes": {"type": "array", "items": _ROUTE}}},
+                "measure": {"type": "object", "default": {"kind": "avg_network_flow"},
+                            "oneOf": [_tagged("avg_network_flow", {}),
+                                      _tagged("throughput", {}),
+                                      _tagged("avg_velocity", {"routes": {
+                                          "type": "array", "items": _ROUTE}})]},
                 "utility": {**_UTILITY, "default": {"kind": "identity"}},
                 "utilities": {"type": "array", "items": _UTILITY, "default": []},
                 "benchmarks": {"type": "object", "default": {}, "additionalProperties": {
                     "type": "object", "required": ["e", "sigma"],
-                    "properties": {"e": _NUMBER, "sigma": _NUMBER}}},
+                    "properties": {"e": _NUMBER, "sigma": {
+                        "type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5}}}},
                 "threshold": {"type": "object", "default": {}, "properties": {
                     "gamma": _NUMBER, "benchmark": {"type": "string"}}},
             },
@@ -498,17 +538,6 @@ def load_scenario(path):
     return Scenario(_read_json(path), origin=str(path))
 
 
-def _present(cfg, keys):
-    """Keyword arguments of the ``keys`` (key -> (field, conversion)) in ``cfg``."""
-    return {field: conv(cfg[key]) for key, (field, conv) in keys.items() if key in cfg}
-
-
-#: optional signal entry keys; SignalSchedule owns their defaults
-_SIGNAL_KEYS = {"a_real": ("a_real", float),
-                "v_real_kmh": ("v_real", lambda kmh: float(kmh) / 3.6),
-                "t_safe": ("t_safe", int)}
-
-
 def _listed(value):
     """A setting that is one number or a list of them, as a list."""
     return np.atleast_1d(value).tolist()
@@ -686,22 +715,20 @@ class Scenario:
                       for key, ccw in net_cfg["roundabout_ccw"].items()]
         ccw_arrays += [(("network", "signals", key, "ccw"), sig["ccw"])
                        for key, sig in signals_cfg.items()]
-        ccw_ids = {path[2]: tuple(self._node_id(x, (*path, i)) for i, x in enumerate(ccw))
-                   for path, ccw in ccw_arrays}
+        ccw_ids = {path[2]: self._ccw(path, ccw) for path, ccw in ccw_arrays}
         self.node_cells = {}
         for n in nodes:
             g = self._group_of[n]
             if g not in cells_cfg:
                 raise ConfigError(f"{self.origin}: no cell spec for group {g}")
-            params = dict(cells_cfg[g])
-            kind = params.pop("kind")
-            if str(n) in ccw_ids:
-                params["ccw"] = ccw_ids[str(n)]
-            try:
-                cell = CellSpec(kind=kind, **params)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"{self.origin}: cell of node {n} ({g}): {exc}") from None
+            # a parameter the kind does not read is None
+            params = {**cells_cfg[g], "ccw": ccw_ids.get(str(n))}
+            cell = CellSpec(**{f.name: params.get(f.name)
+                               for f in dataclasses.fields(CellSpec)})
+            block = _CCW_BLOCK.get(cell.kind)
+            if block is not None and str(n) not in net_cfg[block]:
+                raise _at_path(self.origin, ("network", block),
+                               f"has no entry for node {n}, a {cell.kind}")
             # a free-flow outflow a * rho must not exceed the l_v * rho on the node
             l_v = lengths[self._node_index[n]]
             if l_v < cell.a:
@@ -712,10 +739,22 @@ class Scenario:
         self._build_signals(signals_cfg)
         self.engine = SimulationEngine(self.network, self.node_cells, self.signals)
 
+    def _ccw(self, path, ccw):
+        """The node indices of the ``ccw`` array at JSON ``path``, which
+        lists every node adjacent to the node ``path[2]`` names."""
+        ids = tuple(self._node_id(x, (*path, i)) for i, x in enumerate(ccw))
+        v = self._node_index[int(path[2])]
+        adjacency = self.network.adjacency
+        for u in np.flatnonzero(adjacency[:, v] | adjacency[v]):
+            if u not in ids:
+                raise _at_path(self.origin, path, f"{ccw!r} leaves out node "
+                               f"{self.node_labels[u]}, adjacent to node {path[2]}")
+        return ids
+
     def _build_signals(self, signals_cfg):
         """One default schedule per signalized node; a design-referenced
         green or shift stands at its floor until ``_signal_programs``."""
-        timing = _present(self.settings["run"], {"t_real": ("t_real", float)})
+        t_real = float(self.settings["run"]["t_real"])
         self.signals, self._signal_refs = {}, []
         for node_str, sig in signals_cfg.items():
             v = self._node_index[int(node_str)]
@@ -735,8 +774,9 @@ class Scenario:
                         f"{where}: {key} references {value['design']!r}, which "
                         "is not a design parameter listed under design.integerized")
             self.signals[v] = SignalSchedule(
-                ccw=self.node_cells[v].ccw, **fields,
-                **timing, **_present(sig, _SIGNAL_KEYS))
+                ccw=self.node_cells[v].ccw, **fields, t_real=t_real,
+                a_real=float(sig["a_real"]), v_real=float(sig["v_real_kmh"]) / 3.6,
+                t_safe=sig["t_safe"])
 
     # -- run settings, parsed at load ------------------------------------
 
@@ -746,9 +786,12 @@ class Scenario:
         rho0 = np.zeros(self.network.n_routes)
         if init_cfg["mode"] == "per_route":
             values = init_cfg["values"]
-            with _rejected_as_config_error(f"{self.origin}: run.initial_density"):
-                for i, r in enumerate(self.network.routes):
-                    rho0[i] = float(values[self._group_of[self.node_labels[r.via]]])
+            for g in self.settings["network"]["groups"]:
+                if g not in values:
+                    raise _at_path(self.origin, ("run", "initial_density", "values"),
+                                   f"has no value for the node group {g!r}")
+            for i, r in enumerate(self.network.routes):
+                rho0[i] = float(values[self._group_of[self.node_labels[r.via]]])
             for v, cell in self.node_cells.items():
                 count = len(self.network.routes_through(v))
                 g = self._group_of[self.node_labels[v]]
@@ -783,6 +826,7 @@ class Scenario:
         cap = float(env_cfg["rho_cap_fraction"])
         caps = {v: cell.rho_max * cap for v, cell in self.node_cells.items()}
         sources = [self._source(s, f"{where}.sources") for s in env_cfg["sources"]]
+        self._check_noise_scales(sources)
         self._env_routes = [s["route"] for s in sources]
         if kind == "ar_copula":
             self._env_values = {"sigma": [s["sigma"] for s in sources],
@@ -800,6 +844,19 @@ class Scenario:
                 self.network, caps, [(route, scale) for route, scale, _ in constants],
                 [(s["route"], s.get("pair_route"), s["pair_sign"]) for s in sources])
 
+    def _check_noise_scales(self, sources):
+        """A source's sigma or psi that names a design parameter: the
+        parameter's bounds keep it at 0 or above."""
+        names, bounds = self.design_names, self.settings["design"]["bounds"]
+        for j, source in enumerate(sources):
+            for key in ("sigma", "psi"):
+                if isinstance(source.get(key), str):
+                    i = names.index(source[key])
+                    if bounds[i][0] < 0:
+                        raise _at_path(self.origin, ("design", "bounds", i),
+                                       f"{bounds[i]!r} lets {names[i]!r}, the {key} of "
+                                       f"environment source {j}, fall below 0")
+
     def _source(self, entry, where):
         """A source's settings: routes as route indices, numbers as floats,
         design references as parameter names."""
@@ -815,8 +872,7 @@ class Scenario:
         if kind == "throughput":
             return lambda: Throughput(self._env_routes)
         if kind == "avg_velocity":
-            with _rejected_as_config_error(where):
-                idx = [self._route(r, where) for r in m_cfg["routes"]]
+            idx = [self._route(r, where) for r in m_cfg["routes"]]
             free = [self.node_cells[self.network.routes[i].via].a for i in idx]
             return lambda: AvgVelocity(idx, free)
 
@@ -913,11 +969,8 @@ class Scenario:
     # -- evaluation / learning blocks -------------------------------------
 
     def _utility(self, u_cfg):
-        with _rejected_as_config_error(f"{self.origin}: utility {u_cfg}"):
-            if u_cfg["kind"] in ("polynomial", "expectile"):
-                return Utility(u_cfg["kind"], c=float(u_cfg["c"]),
-                               alpha=float(u_cfg["alpha"]))
-            return Utility(u_cfg["kind"])
+        """A utility; a parameter its kind does not take is None."""
+        return Utility(u_cfg["kind"], c=u_cfg.get("c"), alpha=u_cfg.get("alpha"))
 
     def utility(self):
         return self._utility(self.settings["evaluation"]["utility"])
@@ -931,10 +984,8 @@ class Scenario:
 
     def benchmarks(self):
         bench_cfg = self.settings["evaluation"]["benchmarks"]
-        with _rejected_as_config_error(f"{self.origin}: benchmarks"):
-            return {label: BenchmarkSpec(e=float(b["e"]),
-                                         sigma_target=float(b["sigma"]))
-                    for label, b in bench_cfg.items()}
+        return {label: BenchmarkSpec(e=float(b["e"]), sigma_target=float(b["sigma"]))
+                for label, b in bench_cfg.items()}
 
     def threshold(self):
         """The acceptance level gamma, explicit or benchmark-calibrated."""

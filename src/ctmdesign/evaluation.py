@@ -45,24 +45,15 @@ __all__ = [
 # Utility functions
 # ---------------------------------------------------------------------------
 
-UTILITY_KINDS = ("identity", "polynomial", "expectile", "sqrt")
-
-
 @dataclass(frozen=True)
 class Utility:
-    """Non-decreasing scalar utility; callable on floats and arrays."""
+    """Non-decreasing scalar utility; callable on floats and arrays.  Its
+    values are taken as given (``config.SCENARIO_SCHEMA`` states each kind's
+    parameters and ranges); identity and sqrt have no c and alpha (None)."""
 
     kind: str
-    c: float = 0.0
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in UTILITY_KINDS:
-            raise ValueError(f"unknown utility kind {self.kind!r}")
-        if self.kind == "polynomial" and self.alpha < 1:
-            raise ValueError("polynomial utility requires alpha >= 1")
-        if self.kind == "expectile" and self.alpha > 0.5:
-            raise ValueError("expectile utility requires alpha <= 1/2")
+    c: float
+    alpha: float
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -175,14 +166,11 @@ class AvgVelocity:
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """Benchmark flow distribution e * 2 * X, X ~ Beta(beta, beta)."""
+    """Benchmark flow distribution e * 2 * X, X ~ Beta(beta, beta); the
+    schema keeps ``sigma_target`` in (0, 1/2)."""
 
     e: float
     sigma_target: float
-
-    def __post_init__(self):
-        if not 0 < self.sigma_target < 0.5:
-            raise ValueError("sigma target must lie in (0, 1/2)")
 
     @property
     def beta(self):

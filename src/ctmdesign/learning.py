@@ -93,14 +93,10 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class DesignSpace:
-    """Axis-aligned bounded box of design vectors."""
+    """Axis-aligned bounded box of design vectors; ``config.Scenario``
+    refuses a box whose lower bound is not below its upper one."""
 
     bounds: tuple  # ((lo, hi), ...) per dimension
-
-    def __post_init__(self):
-        for lo, hi in self.bounds:
-            if not lo < hi:
-                raise ValueError(f"invalid design bounds [{lo}, {hi}]")
 
     @property
     def dim(self):

@@ -26,27 +26,20 @@ __all__ = ["SignalSchedule"]
 
 @dataclass(frozen=True)
 class SignalSchedule:
-    """Fixed-cycle program of one signalized intersection.
+    """Fixed-cycle program of one signalized intersection, taken as given.
 
     ``ccw`` lists the four arms counterclockwise; arms at positions 0 and
     2 form axis I, positions 1 and 3 axis J.  ``green`` and ``shift`` are
     in time steps, ``a_real`` in m/s^2, ``v_real`` in m/s, ``t_real`` in
-    seconds per step, ``t_safe`` in steps.
+    seconds per step, ``t_safe`` in steps.  ``config.SCENARIO_SCHEMA``
+    states their ranges and defaults.
     """
 
     ccw: tuple
     green: int
-    shift: int = 0
-    t_real: float = 1.0
-    a_real: float = 1.5
-    v_real: float = 50.0 / 3.6
-    t_safe: int = 2
-
-    def __post_init__(self):
-        if len(self.ccw) != 4:
-            raise ValueError("signal schedule needs exactly four arms")
-        if self.green < 1:
-            raise ValueError("green duration must be at least one step")
-        if self.shift < 0:
-            raise ValueError("shift must be non-negative")
+    shift: int
+    t_real: float
+    a_real: float
+    v_real: float
+    t_safe: int
 

@@ -23,17 +23,18 @@ queried (``learning.rejection_sample``), the acquisition density and
 the credible band at a point set from one posterior query each, draws of
 a benchmark flow (``BenchmarkSpec``), and one-at-a-time sequential Monte
 Carlo.  Two helpers step an engine one step at a time, which the
-package does only inside ``SimulationEngine.run``.
+package does only inside ``SimulationEngine.run``, and ``cell_spec``
+builds a cell from the parameters its kind reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ctmdesign.cells import CellError, overlap_matrix
+from ctmdesign.cells import CellError, CellSpec, overlap_matrix
 from ctmdesign.env import _U_CLIP
 from ctmdesign.network import NetworkError, Route
 
@@ -44,6 +45,12 @@ TURNING_ROW_TOLERANCE = 1e-12
 # ---------------------------------------------------------------------------
 # cells
 # ---------------------------------------------------------------------------
+
+def cell_spec(**values):
+    """A ``CellSpec`` of ``values``; a parameter left out is None, as
+    ``config.Scenario`` builds it for a kind that does not read it."""
+    return CellSpec(**{**dict.fromkeys(f.name for f in fields(CellSpec)), **values})
+
 
 def _density(densities, route):
     try:

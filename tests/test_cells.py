@@ -5,12 +5,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from ctmdesign.cells import CellError, CellSpec, CellTable, overlap_matrix
+from ctmdesign.cells import CellError, CellTable, overlap_matrix
 from ctmdesign.config import Scenario
 from ctmdesign.network import Route, TrafficNetwork
 from ctmdesign.signals import SignalSchedule
 from ctmdesign.solvers import InteractionRule, SimulationEngine
-from reference import advance_signal, receiving, sending, signal_la
+from reference import advance_signal, cell_spec, receiving, sending, signal_la
 
 
 def z4_node(n_arms=4):
@@ -31,7 +31,7 @@ def node_densities(net, via, fill=0.0):
 # ---------------------------------------------------------------------------
 
 def test_highway_sending_linear_then_capped():
-    cell = CellSpec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
+    cell = cell_spec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
     net = z4_node(2)
     dens = node_densities(net, 0)
     route = Route(1, 0, 2)
@@ -42,8 +42,8 @@ def test_highway_sending_linear_then_capped():
 
 
 def test_simplified_intersection_damping():
-    cell = CellSpec(kind="simplified_intersection", s_max=5, rho_max=10,
-                    a=1, b=1, c=1, zeta=0.1)
+    cell = cell_spec(kind="simplified_intersection", s_max=5, rho_max=10,
+                     a=1, b=1, c=1, zeta=0.1)
     net = z4_node(3)
     dens = node_densities(net, 0)
     route = Route(1, 0, 2)
@@ -54,9 +54,10 @@ def test_simplified_intersection_damping():
 
 def test_signalized_red_blocks_and_left_turn_damps():
     ccw = (1, 2, 3, 4)
-    cell = CellSpec(kind="signalized_intersection", s_max=5, rho_max=16,
-                    a=1, b=1, c=1, zeta=0.1, ccw=ccw)
-    sched = SignalSchedule(ccw=ccw, green=10, t_real=2.88, v_real=50 / 3.6)
+    cell = cell_spec(kind="signalized_intersection", s_max=5, rho_max=16,
+                     a=1, b=1, c=1, zeta=0.1, ccw=ccw, approach_capacity_fraction=0.25)
+    sched = SignalSchedule(ccw=ccw, green=10, shift=0, t_real=2.88, a_real=1.5,
+                           v_real=50 / 3.6, t_safe=2)
     net = z4_node(4)
     dens = node_densities(net, 0)
 
@@ -84,8 +85,8 @@ def test_signalized_red_blocks_and_left_turn_damps():
 
 def test_signalized_requires_signal_state():
     ccw = (1, 2, 3, 4)
-    cell = CellSpec(kind="signalized_intersection", s_max=5, rho_max=16,
-                    a=1, b=1, c=1, zeta=0.1, ccw=ccw)
+    cell = cell_spec(kind="signalized_intersection", s_max=5, rho_max=16,
+                     a=1, b=1, c=1, zeta=0.1, ccw=ccw, approach_capacity_fraction=0.25)
     net = z4_node(4)
     with pytest.raises(CellError):
         sending(cell, Route(1, 0, 2), node_densities(net, 0))
@@ -96,7 +97,7 @@ def test_signalized_requires_signal_state():
 # ---------------------------------------------------------------------------
 
 def test_highway_receiving_congested_to_zero():
-    cell = CellSpec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
+    cell = cell_spec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
     net = z4_node(2)
     dens = node_densities(net, 0)
     dens[Route(1, 0, 2)] = 10.0
@@ -106,8 +107,8 @@ def test_highway_receiving_congested_to_zero():
 
 
 def test_bidirectional_interface_counterflow():
-    cell = CellSpec(kind="bidirectional_interface", s_max=5, rho_max=30,
-                    a=1, b=1, c=1, d=1)
+    cell = cell_spec(kind="bidirectional_interface", s_max=5, rho_max=30,
+                     a=1, b=1, c=1, d=1)
     net = z4_node(2)
     dens = node_densities(net, 0)
     dens[Route(1, 0, 2)] = 5.0
@@ -116,8 +117,8 @@ def test_bidirectional_interface_counterflow():
 
 
 def test_pedestrian_square_excludes_shared_endpoints():
-    cell = CellSpec(kind="pedestrian_square", s_max=5, rho_max=30,
-                    a=1, b=1, c=1, d=1)
+    cell = cell_spec(kind="pedestrian_square", s_max=5, rho_max=30,
+                     a=1, b=1, c=1, d=1)
     net = z4_node(3)
     dens = node_densities(net, 0, fill=1.0)
     route = Route(1, 0, 2)
@@ -130,17 +131,17 @@ def test_pedestrian_square_excludes_shared_endpoints():
 
 def test_signalized_receiving_quarter_capacity_per_approach():
     ccw = (1, 2, 3, 4)
-    cell = CellSpec(kind="signalized_intersection", s_max=5, rho_max=16,
-                    a=1, b=1, c=1, zeta=0.1, ccw=ccw)
+    cell = cell_spec(kind="signalized_intersection", s_max=5, rho_max=16,
+                     a=1, b=1, c=1, zeta=0.1, ccw=ccw, approach_capacity_fraction=0.25)
     net = z4_node(4)
     dens = node_densities(net, 0)
     dens[Route(1, 0, 2)] = 1.5
     dens[Route(1, 0, 3)] = 1.0
     dens[Route(1, 0, 4)] = 0.5
     assert receiving(cell, Route(1, 0, 2), dens) == pytest.approx(1.0)
-    full = CellSpec(kind="signalized_intersection", s_max=5, rho_max=16,
-                    a=1, b=1, c=1, zeta=0.1, ccw=ccw,
-                    approach_capacity_fraction=1.0)
+    full = cell_spec(kind="signalized_intersection", s_max=5, rho_max=16,
+                     a=1, b=1, c=1, zeta=0.1, ccw=ccw,
+                     approach_capacity_fraction=1.0)
     assert receiving(full, Route(1, 0, 2), dens) == pytest.approx(13.0)
 
 
@@ -186,8 +187,8 @@ def test_uni_roundabout_matches_segment_oracle():
 def test_uni_roundabout_receiving_value():
     # one-hop route with all six interfering densities equal to one
     ccw = (1, 2, 3, 4)
-    cell = CellSpec(kind="uni_roundabout", s_max=5, rho_max=30,
-                    a=1, b=1, c=1, d=1, ccw=ccw)
+    cell = cell_spec(kind="uni_roundabout", s_max=5, rho_max=30,
+                     a=1, b=1, c=1, d=1, ccw=ccw)
     net = z4_node(4)
     dens = node_densities(net, 0, fill=1.0)
     got = receiving(cell, Route(1, 0, 2), dens)
@@ -197,8 +198,8 @@ def test_uni_roundabout_receiving_value():
 
 def test_bi_roundabout_receiving_matches_tabulated_form():
     ccw = (1, 2, 3, 4)
-    cell = CellSpec(kind="bi_roundabout", s_max=5, rho_max=40,
-                    a=1, b=1, c=1, d=1, ccw=ccw)
+    cell = cell_spec(kind="bi_roundabout", s_max=5, rho_max=40,
+                     a=1, b=1, c=1, d=1, ccw=ccw)
     net = z4_node(4)
     rng = np.random.default_rng(3)
     dens = {net.routes[i]: float(rng.random())
@@ -224,18 +225,18 @@ def test_bi_roundabout_receiving_matches_tabulated_form():
 
 def random_cell_networks():
     specs = [
-        ("highway", CellSpec(kind="highway", s_max=5, rho_max=16,
-                             a=0.9, b=0.8, c=1.2), 2),
-        ("bidir", CellSpec(kind="bidirectional_interface", s_max=4, rho_max=30,
-                           a=1, b=1, c=1, d=0.5), 2),
-        ("square", CellSpec(kind="pedestrian_square", s_max=5, rho_max=25,
-                            a=0.7, b=1, c=1, d=1), 4),
-        ("simple", CellSpec(kind="simplified_intersection", s_max=5,
-                            rho_max=10, a=1, b=1, c=1, zeta=0.1), 3),
-        ("uni", CellSpec(kind="uni_roundabout", s_max=5, rho_max=30,
-                         a=0.4, b=1, c=1, d=1, ccw=(1, 2, 3, 4)), 4),
-        ("bi", CellSpec(kind="bi_roundabout", s_max=5, rho_max=30,
-                        a=1, b=1, c=1, d=1, ccw=(1, 2, 3, 4)), 4),
+        ("highway", cell_spec(kind="highway", s_max=5, rho_max=16,
+                              a=0.9, b=0.8, c=1.2), 2),
+        ("bidir", cell_spec(kind="bidirectional_interface", s_max=4, rho_max=30,
+                            a=1, b=1, c=1, d=0.5), 2),
+        ("square", cell_spec(kind="pedestrian_square", s_max=5, rho_max=25,
+                             a=0.7, b=1, c=1, d=1), 4),
+        ("simple", cell_spec(kind="simplified_intersection", s_max=5,
+                             rho_max=10, a=1, b=1, c=1, zeta=0.1), 3),
+        ("uni", cell_spec(kind="uni_roundabout", s_max=5, rho_max=30,
+                          a=0.4, b=1, c=1, d=1, ccw=(1, 2, 3, 4)), 4),
+        ("bi", cell_spec(kind="bi_roundabout", s_max=5, rho_max=30,
+                         a=1, b=1, c=1, d=1, ccw=(1, 2, 3, 4)), 4),
     ]
     for name, cell, n_arms in specs:
         yield name, cell, z4_node(n_arms)
@@ -298,8 +299,8 @@ def test_cell_table_matches_scalar_ops():
     for name, cell, net in random_cell_networks():
         cells = {0: cell}
         for arm in list(np.flatnonzero(net.adjacency[:, 0])):
-            cells[arm] = CellSpec(kind="highway", s_max=5, rho_max=16,
-                                  a=1, b=1, c=1)
+            cells[arm] = cell_spec(kind="highway", s_max=5, rho_max=16,
+                                   a=1, b=1, c=1)
         table = CellTable(net, cells)
         for _ in range(10):
             rho = 4 * rng.random(net.n_routes)
@@ -315,14 +316,14 @@ def test_cell_table_matches_scalar_ops():
 
 def test_cell_table_matches_scalar_signalized():
     ccw = (1, 2, 3, 4)
-    cell = CellSpec(kind="signalized_intersection", s_max=5, rho_max=16,
-                    a=1, b=1, c=1, zeta=0.1, ccw=ccw)
+    cell = cell_spec(kind="signalized_intersection", s_max=5, rho_max=16,
+                     a=1, b=1, c=1, zeta=0.1, ccw=ccw, approach_capacity_fraction=0.25)
     net = z4_node(4)
     cells = {0: cell}
     for arm in (1, 2, 3, 4):
-        cells[arm] = CellSpec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
-    sched = SignalSchedule(ccw=ccw, green=7, shift=3, t_real=2.88,
-                           v_real=50 / 3.6)
+        cells[arm] = cell_spec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
+    sched = SignalSchedule(ccw=ccw, green=7, shift=3, t_real=2.88, a_real=1.5,
+                           v_real=50 / 3.6, t_safe=2)
     eng = SimulationEngine(net, cells, {0: sched})
     rng = np.random.default_rng(13)
     for t in (0, 3, 5, 9, 12, 20):
@@ -354,8 +355,8 @@ def intersection_grid(side=12):
                 edges += [(v, w), (w, v)]
     net = TrafficNetwork(side * side, edges, {v: 1.0 for v in range(side * side)})
     # rho_max above any node total of the test states keeps R off its 0 clamp
-    cell = CellSpec(kind="simplified_intersection", s_max=2.5, rho_max=60.0, a=0.8,
-                    b=0.5, c=1.0, zeta=0.05)
+    cell = cell_spec(kind="simplified_intersection", s_max=2.5, rho_max=60.0, a=0.8,
+                     b=0.5, c=1.0, zeta=0.05)
     return net, {v: cell for v in range(net.n_nodes)}
 
 

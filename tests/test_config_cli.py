@@ -1,6 +1,7 @@
 import argparse
 import copy
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -15,12 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctmdesign import cli, config, gpr, learning, solvers
+from ctmdesign.cells import CellSpec
 from ctmdesign.cli import _grid_slice, main, replicate_values
 from ctmdesign.config import SCENARIO_SCHEMA, ConfigError, Scenario, load_scenario
 from ctmdesign.env import replicate_rng
+from ctmdesign.evaluation import BenchmarkSpec, Utility
 from ctmdesign.gpr import Kernel, QueryBlock
 from ctmdesign.network import NetworkError
 from ctmdesign.normal import ndtri
+from ctmdesign.signals import SignalSchedule
 from reference import DensityState, total_mass
 
 
@@ -122,6 +126,20 @@ def test_every_default_is_a_valid_value(schema):
         assert validator_for(schema)(sub).is_valid(sub["default"]), sub
 
 
+@pytest.mark.parametrize("record", [CellSpec, SignalSchedule, Utility, BenchmarkSpec,
+                                    learning.DesignSpace], ids=lambda record: record.__name__)
+def test_records_built_from_a_scenario_restate_none_of_its_rules(record):
+    # the schema states each range and default and Scenario each
+    # cross-reference; a record that checks or defaults a value states its
+    # rule a second time (v_real is v_real_kmh in m/s)
+    defaulted = {key.removesuffix("_kmh") for sub in _subschemas(SCENARIO_SCHEMA)
+                 for key, prop in sub.get("properties", {}).items() if "default" in prop}
+    assert "__post_init__" not in vars(record)
+    assert not {field.name for field in dataclasses.fields(record)
+                if field.default is not dataclasses.MISSING
+                or field.default_factory is not dataclasses.MISSING} & defaulted
+
+
 def test_load_scenario_walks_the_schema_once(monkeypatch):
     # load_json checked the file, then Scenario checked it again as it
     # filled the defaults
@@ -174,7 +192,9 @@ def _oracle(doc, schema=SCENARIO_SCHEMA):
 #: unknown, routes and sources, design references good and bad
 _MUTANT_VALUES = [0, 1, -1, 2, 7, 0.0, 1.0, 8.0, 0.5, -0.5, 1.5, 1e3, True, False,
                   None, "", "bogus", "dpf", "k1", "benchmark_gap", "matern52",
-                  "throughput", "highway", "none", "ar_copula", "gaussian_pairs",
+                  "throughput", "avg_velocity", "highway", "simplified_intersection",
+                  "signalized_intersection", "uni_roundabout", "pedestrian_square",
+                  "polynomial", "expectile", "sqrt", "none", "ar_copula", "gaussian_pairs",
                   "per_route", "max_density_fraction", [], [1], [1.0, 2.0], ["x"],
                   ["k1", "k2"], [1, 2, 3], [1.0, 2, 3.0], [[1, 2, 3]], {},
                   {"kind": "identity"}, {"e": 1, "sigma": 0.5},
@@ -458,6 +478,72 @@ KEYWORD_EDITS = {
     "learning-defaults": ("synthetic", lambda raw: raw.update(learning={})),
     "evaluation-defaults": ("urban", _set(("evaluation",), ...)),
     "shift-default": ("urban", _set(("network", "signals", "14", "shift"), ...)),
+    "t_safe-default": ("urban", _set(("network", "signals", "14", "t_safe"), ...)),
+    "a_real-default": ("urban", _set(("network", "signals", "14", "a_real"), ...)),
+    "v_real_kmh-default": ("urban", _set(("network", "signals", "16", "v_real_kmh"), ...)),
+    "t_real-default": ("urban", _set(("run", "t_real"), ...)),
+    # the tagged branches of a cell, a utility and a measure: a required key
+    # left out, a key the kind does not read, a range, a default
+    "cell-without-s_max": ("urban", _set(("network", "cells", "roads", "s_max"), ...)),
+    "cell-without-b": ("highway", _set(("network", "cells", "roundabout", "b"), ...)),
+    "junction-without-zeta": ("urban", _set(("network", "cells", "unsignalized", "zeta"),
+                                            ...)),
+    "signalized-without-zeta": ("urban", _set(("network", "cells", "signalized", "zeta"),
+                                              ...)),
+    "roundabout-without-d": ("highway", _set(("network", "cells", "roundabout", "d"), ...)),
+    "square-without-d": ("urban", _set(("network", "cells", "roads", "kind"),
+                                       "pedestrian_square")),
+    "bidirectional-without-d": ("urban", _set(("network", "cells", "roads", "kind"),
+                                              "bidirectional_interface")),
+    "bi-roundabout": ("highway", _set(("network", "cells", "roundabout", "kind"),
+                                      "bi_roundabout")),
+    "highway-zeta": ("urban", _set(("network", "cells", "roads", "zeta"), 0.1)),
+    "highway-d": ("highway", _set(("network", "cells", "core", "d"), 1)),
+    "junction-d": ("urban", _set(("network", "cells", "unsignalized", "d"), 1)),
+    "junction-approach-fraction": ("urban", _set(
+        ("network", "cells", "unsignalized", "approach_capacity_fraction"), 0.25)),
+    "signalized-d": ("urban", _set(("network", "cells", "signalized", "d"), 1)),
+    "roundabout-zeta": ("highway", _set(("network", "cells", "roundabout", "zeta"), 0.1)),
+    "roundabout-approach-fraction": ("highway", _set(
+        ("network", "cells", "roundabout", "approach_capacity_fraction"), 0.5)),
+    "cell-a-zero": ("urban", _set(("network", "cells", "roads", "a"), 0)),
+    "cell-a-above-one": ("urban", _set(("network", "cells", "unsignalized", "a"), 1.5)),
+    "cell-b-zero": ("highway", _set(("network", "cells", "roundabout", "b"), 0)),
+    "cell-b-above-one": ("urban", _set(("network", "cells", "signalized", "b"), 1.01)),
+    "cell-rho-max-zero": ("urban", _set(("network", "cells", "roads", "rho_max"), 0)),
+    "cell-c-negative": ("highway", _set(("network", "cells", "roundabout", "c"), -1)),
+    "cell-c-default": ("urban", _set(("network", "cells", "roads", "c"), ...)),
+    "cell-approach-fraction-default": ("urban", _set(
+        ("network", "cells", "signalized", "approach_capacity_fraction"), ...)),
+    "identity-with-c": ("urban", _set(("evaluation", "utilities", 0, "c"), 60)),
+    "sqrt-with-alpha": ("urban", _set(("evaluation", "utilities", 3, "alpha"), 0.5)),
+    "utility-without-label": ("urban", _set(("evaluation", "utilities", 3, "label"), ...)),
+    "utility-label-number": ("urban", _set(("evaluation", "utilities", 0, "label"), 3)),
+    "utility-unknown-key": ("urban", _set(("evaluation", "utilities", 4, "beta"), 2)),
+    "polynomial-without-c": ("urban", _set(("evaluation", "utilities", 4, "c"), ...)),
+    "expectile-without-alpha": ("urban", _set(("evaluation", "utilities", 1, "alpha"), ...)),
+    "polynomial-alpha-below-one": ("urban", _set(("evaluation", "utilities", 4, "alpha"),
+                                                 0.5)),
+    "expectile-alpha-negative": ("urban", _set(("evaluation", "utilities", 1, "alpha"),
+                                               -0.3)),
+    "expectile-alpha-above-half": ("urban", _set(("evaluation", "utilities", 1, "alpha"),
+                                                 0.9)),
+    "configured-utility-polynomial": ("urban", _set(("evaluation", "utility"), {
+        "kind": "polynomial", "c": 120, "alpha": 2})),
+    "velocity-without-routes": ("urban", _set(("evaluation", "measure"),
+                                              {"kind": "avg_velocity"})),
+    "throughput-with-routes": ("highway", _set(("evaluation", "measure", "routes"),
+                                               [[5, 4, 3]])),
+    "flow-unknown-key": ("urban", _set(("evaluation", "measure", "extra"), 1)),
+    "benchmark-sigma-half": ("urban", _set(("evaluation", "benchmarks", "A", "sigma"), 0.5)),
+    "benchmark-sigma-zero": ("urban", _set(("evaluation", "benchmarks", "B", "sigma"), 0)),
+    "benchmark-sigma-above-half": ("urban", _set(("evaluation", "benchmarks", "C", "sigma"),
+                                                 0.7)),
+    "copula-source-sigma-negative": ("urban", _set(("environment", "sources", 0, "sigma"),
+                                                   -0.5)),
+    "copula-source-sigma-zero": ("urban", _set(("environment", "sources", 1, "sigma"), 0)),
+    "pair-source-psi-negative": ("highway", _set(("environment", "sources", 0, "psi"), -0.1)),
+    "pair-source-psi-zero": ("highway", _set(("environment", "sources", 1, "psi"), 0.0)),
 }
 
 
@@ -1182,7 +1268,7 @@ URBAN_SOURCE = {"route": [6, 7, 11], "sigma": {"design": "sigma_a"}}
     ("synthetic", "learning", "n_eval", 0, "at learning/n_eval: "),
     ("urban", "run", "initial_density",
      {"mode": "per_route", "values": {"roads": 5, "unsignalized": 1}},
-     "run.initial_density"),
+     "at run/initial_density/values: "),
     ("urban", "run", "initial_density", {"mode": "max_density_fraction"},
      "at run/initial_density: 'fraction' is a required property"),
     ("urban", "run", "initial_density", {"mode": "uniform"},
@@ -1672,6 +1758,9 @@ def test_cli_invalid_evaluation_block_exit_2_at_load(tmp_path, capsys, name, com
 
 
 _ROAD = {"kind": "highway", "s_max": 5, "rho_max": 30, "a": 1, "b": 1}
+#: a group of the kinds that read zeta and approach_capacity_fraction
+_JUNCTION = {**_ROAD, "kind": "simplified_intersection", "zeta": 0.1}
+_SIGNALIZED = {**_JUNCTION, "kind": "signalized_intersection"}
 
 
 @pytest.mark.parametrize("cells, where", [
@@ -1682,12 +1771,12 @@ _ROAD = {"kind": "highway", "s_max": 5, "rho_max": 30, "a": 1, "b": 1}
     # a fraction of -1 or 5 ran to exit 0
     ({**_ROAD, "a": True}, "at network/cells/roads/a"),
     ({**_ROAD, "a": "0.5"}, "at network/cells/roads/a"),
-    ({**_ROAD, "zeta": None}, "at network/cells/roads/zeta"),
-    ({**_ROAD, "approach_capacity_fraction": -1},
+    ({**_JUNCTION, "zeta": None}, "at network/cells/roads/zeta"),
+    ({**_SIGNALIZED, "approach_capacity_fraction": -1},
      "at network/cells/roads/approach_capacity_fraction"),
-    ({**_ROAD, "approach_capacity_fraction": 0},
+    ({**_SIGNALIZED, "approach_capacity_fraction": 0},
      "at network/cells/roads/approach_capacity_fraction"),
-    ({**_ROAD, "approach_capacity_fraction": 5},
+    ({**_SIGNALIZED, "approach_capacity_fraction": 5},
      "at network/cells/roads/approach_capacity_fraction"),
     ({**_ROAD, "speed": 1}, "at network/cells/roads"),
     ({**_ROAD, "ccw": [1, 2, 3, 4]}, "at network/cells/roads"),
@@ -1706,21 +1795,28 @@ def test_cli_invalid_cell_group_exit_2_at_load(tmp_path, capsys, cells, where):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name, key, value, message", [
-    ("urban", "sigma", -0.01, "noise standard deviation must be non-negative"),
-    ("highway", "psi", -0.1, "coefficient of variation must be non-negative"),
+def _psi_by_design(raw):
+    """The first highway source's psi as the design parameter ``psi1``."""
+    raw["design"]["names"].append("psi1")
+    raw["design"]["bounds"].append([0, 1])
+    raw["environment"]["sources"][0]["psi"] = {"design": "psi1"}
+
+
+@pytest.mark.parametrize("name, edit, design, message", [
+    ("urban", None, "2.5,-0.01,0.01,20,75", "noise standard deviation must be non-negative"),
+    ("highway", _psi_by_design, "20,40,-0.1", "coefficient of variation must be non-negative"),
 ], ids=["urban-sigma", "highway-psi"])
 def test_cli_negative_noise_scale_exit_2_naming_the_environment(
-        tmp_path, capsys, name, key, value, message):
+        tmp_path, capsys, name, edit, design, message):
+    # a literal noise scale below 0 is refused at load, a design vector's
+    # as the replicates draw; simulate made --out-dir before the draws
     raw = json.loads(bundled(name).read_text())
-    raw["environment"]["sources"][0][key] = value
+    if edit:
+        edit(raw)
     path = write_config(tmp_path, raw)
-    design = "2.5,0.01,0.01,20,75" if name == "urban" else "20,40"
-    rc = exit_code(["simulate", "--config", str(path), "--design", design,
-                    "--reps", "2", "--out-dir", str(tmp_path / "run")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert f"{path}: environment: {message}" in err and "Traceback" not in err
+    _assert_rejected_at(tmp_path, capsys, ["simulate", "--config", str(path), "--design",
+                                           design, "--reps", "2"],
+                        f"{path}: environment: {message}")
 
 
 def _assert_rejected_at(tmp_path, capsys, argv, *named):
@@ -1741,8 +1837,10 @@ def _with_literal(raw, keys, literal):
     return json.dumps(raw).replace('"@"', literal)
 
 
-#: a command that loads each scenario, without --config and --out-dir
+#: a command that loads each scenario, without --config and --out-dir;
+#: "urban/calibrate" is urban.json under calibrate
 _RUN_COMMAND = {"urban": ["simulate", *_URBAN_DESIGN],
+                "urban/calibrate": ["calibrate"],
                 "highway": ["simulate", "--design", "20,40", "--reps", "1"],
                 "synthetic": ["simulate", "--design", "0.3,0.3", "--reps", "2"],
                 "synthetic_small": ["estimate-levelset", "--seed", "1"]}
@@ -1823,6 +1921,39 @@ def test_cli_non_finite_number_exit_2_naming_its_path(tmp_path, capsys, name, ke
     ("urban", ("design", "bounds", 1), [1, 0], "at design/bounds/1: "),
     ("urban", ("design", "integerized"), ["T_g", "T_s", "T_x"],
      "at design/integerized/2: "),
+    ("urban", ("network", "cells", "roads", "s_max"), ..., "at network/cells/roads: "),
+    ("urban", ("network", "cells", "roads", "a"), 1.5, "at network/cells/roads/a: "),
+    ("urban", ("network", "cells", "roads", "zeta"), 0.1,
+     "at network/cells/roads: additional property 'zeta'"),
+    ("highway", ("network", "roundabout_ccw", "1"), ...,
+     "at network/roundabout_ccw: has no entry for node 1, a uni_roundabout"),
+    ("urban", ("network", "signals", "14"), ...,
+     "at network/signals: has no entry for node 14, a signalized_intersection"),
+    ("highway", ("network", "roundabout_ccw", "1", 3), 5,
+     "at network/roundabout_ccw/1: [2, 7, 33, 5] leaves out node 28"),
+    ("urban", ("network", "signals", "14", "ccw", 3), 1,
+     "at network/signals/14/ccw: [13, 20, 15, 1] leaves out node 9"),
+    ("urban", ("evaluation", "measure"), {"kind": "avg_velocity"},
+     "at evaluation/measure: 'routes' is a required property"),
+    ("urban", ("run", "initial_density", "values", "signalized"), ...,
+     "at run/initial_density/values: has no value for the node group 'signalized'"),
+    ("urban", ("evaluation", "benchmarks", "A", "sigma"), 0.7,
+     "at evaluation/benchmarks/A/sigma: "),
+    ("urban", ("evaluation", "utilities", 4, "alpha"), 0.5,
+     "at evaluation/utilities/4/alpha: "),
+    ("urban/calibrate", ("evaluation", "utilities", 4, "alpha"), 0.5,
+     "at evaluation/utilities/4/alpha: "),
+    ("urban", ("evaluation", "utilities", 1, "alpha"), -0.3,
+     "at evaluation/utilities/1/alpha: "),
+    ("urban/calibrate", ("evaluation", "utilities", 1, "alpha"), -0.3,
+     "at evaluation/utilities/1/alpha: "),
+    ("urban/calibrate", ("evaluation", "utilities", 2, "alpha"), 0.9,
+     "at evaluation/utilities/2/alpha: "),
+    ("urban", ("environment", "sources", 0, "sigma"), -0.5,
+     "at environment/sources/0/sigma: "),
+    ("urban", ("design", "bounds", 1), [-0.01, 0.025],
+     "at design/bounds/1: [-0.01, 0.025] lets 'sigma_a', the sigma of environment "
+     "source 0, fall below 0"),
 ], ids=["sources-numbers", "constant-value-string", "initial-density-string",
         "initial-density-negative", "initial-fraction-negative", "environment-kind-unknown",
         "route-two-nodes", "seed-negative", "n_min-one", "n_max-list-below-n_min",
@@ -1833,7 +1964,15 @@ def test_cli_non_finite_number_exit_2_naming_its_path(tmp_path, capsys, name, ke
         "uturn-unknown-node", "group-unknown-node", "signal-ccw-unknown-node",
         "roundabout-ccw-array-unknown-node", "bounds-longer-than-names",
         "bounds-shorter-than-names", "names-duplicate", "bounds-reversed",
-        "integerized-unknown-name"])
+        "integerized-unknown-name", "cell-without-s_max", "cell-a-above-one",
+        "zeta-on-a-highway", "roundabout-without-ccw", "signalized-without-signal",
+        "roundabout-ccw-misses-an-arm", "signal-ccw-misses-an-arm",
+        "velocity-without-routes", "initial-density-without-a-group",
+        "benchmark-sigma-above-half", "polynomial-alpha-below-one",
+        "polynomial-alpha-below-one-calibrate", "expectile-alpha-negative",
+        "expectile-alpha-negative-calibrate", "expectile-alpha-above-half-calibrate",
+        "literal-sigma-negative",
+        "sigma-design-bound-negative"])
 def test_cli_environment_run_and_seed_exit_2_at_a_json_path(tmp_path, capsys, name, keys,
                                                              value, where):
     # each exited 2 in Python's words ("'int' object is not iterable",
@@ -1848,9 +1987,16 @@ def test_cli_environment_run_and_seed_exit_2_at_a_json_path(tmp_path, capsys, na
     # names ran to exit 0 with mu_hat holding the extra coordinate, shorter
     # ones were reported as a bad grid axis, and duplicate names, reversed
     # bounds (under simulate) and an integerized entry that names no
-    # parameter ran
+    # parameter ran.  Of the cell, signal, utility and benchmark rules, a
+    # utility or benchmark that simulate never reads, a cell key its kind
+    # does not read, a source sigma below 0 and a design bound that lets
+    # one fall below 0 ran to exit 0; a cell or initial density missing a
+    # key exited 2 in Python's words, a Z_4 node without a ccw array or
+    # with one that leaves out a neighbour in a traceback or with a node
+    # index, and calibrate refused an alpha without a path after making
+    # the output directory
     raw = json.loads((SYNTHETIC_SMALL if name == "synthetic_small"
-                      else bundled(name)).read_text())
+                      else bundled(name.split("/")[0])).read_text())
     _set(keys, value)(raw)
     path = write_config(tmp_path, raw)
     _assert_rejected_at(tmp_path, capsys, [*_RUN_COMMAND[name], "--config", str(path)],

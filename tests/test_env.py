@@ -6,9 +6,8 @@ from scipy import integrate, stats
 from ctmdesign.env import (ArCopulaEnvironment, FrankCopula,
                            GaussianPairsEnvironment, replicate_rng)
 from ctmdesign.network import TrafficNetwork
-from ctmdesign.cells import CellSpec
 from ctmdesign.solvers import InteractionRule, SimulationEngine
-from reference import clamp_net_flow, engine_step, frank_sample
+from reference import cell_spec, clamp_net_flow, engine_step, frank_sample
 
 
 def frank_tau_oracle(r):
@@ -99,7 +98,7 @@ def line_network():
     edges = [(0, 1), (1, 0), (1, 2), (2, 1)]
     net = TrafficNetwork(3, edges, {i: 1.0 for i in range(3)},
                          allow_uturn={0, 2})
-    cells = {v: CellSpec(kind="highway", s_max=5, rho_max=20, a=1, b=1, c=1)
+    cells = {v: cell_spec(kind="highway", s_max=5, rho_max=20, a=1, b=1, c=1)
              for v in range(3)}
     return net, cells
 

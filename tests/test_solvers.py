@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctmdesign import solvers
-from ctmdesign.cells import KINDS, CellSpec
+from ctmdesign.cells import KINDS
 from ctmdesign.config import Scenario
 from ctmdesign.evaluation import AvgNetworkFlow
 from ctmdesign.network import TrafficNetwork
 from ctmdesign.signals import SignalSchedule
 from ctmdesign.solvers import InteractionRule, SimulationEngine
 from reference import (DensityState, LocalProblem, TurningFractions,
-                       advance_signal, aggregate_inflows, edge_groups, engine_step,
+                       advance_signal, aggregate_inflows, cell_spec, edge_groups, engine_step,
                        group_sum, receiving, sending, signal_la, solve_cooperative,
                        solve_cpf, solve_dpf, solve_priority, total_mass, update_density)
 from test_cells import intersection_grid
@@ -312,7 +312,7 @@ def ring_engine(n=4):
         edges.append((i, (i + 1) % n))
         edges.append(((i + 1) % n, i))
     net = TrafficNetwork(n, edges, {i: 1.0 for i in range(n)})
-    cells = {v: CellSpec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
+    cells = {v: cell_spec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
              for v in range(n)}
     return net, SimulationEngine(net, cells)
 
@@ -333,7 +333,7 @@ def line_engine(n):
     edges = [(i, i + 1) for i in range(n - 1)] + [(i + 1, i) for i in range(n - 1)]
     net = TrafficNetwork(n, edges, {i: 1.0 for i in range(n)},
                          allow_uturn={0, n - 1})
-    cells = {v: CellSpec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
+    cells = {v: cell_spec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
              for v in range(n)}
     return net, SimulationEngine(net, cells)
 
@@ -369,7 +369,7 @@ def test_step_composes_the_phases():
     rho_next, rec = engine_step(eng, 0, rho, InteractionRule("dpf"))
 
     dens = {r: rho[i] for i, r in enumerate(net.routes)}
-    cells = {v: CellSpec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
+    cells = {v: cell_spec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
              for v in range(net.n_nodes)}
     s = {r: sending(cells[r.via], r, dens) for r in net.routes}
     r_ = {r: receiving(cells[r.via], r, dens) for r in net.routes}
@@ -457,7 +457,7 @@ def dead_end_line():
     (2, 3) and (2, 4) have upstream routes and no downstream ones."""
     edges = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (2, 4), (4, 2)]
     net = TrafficNetwork(5, edges, {i: 1.0 for i in range(5)}, allow_uturn={0, 1})
-    cells = {v: CellSpec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
+    cells = {v: cell_spec(kind="highway", s_max=5, rho_max=16, a=1, b=1, c=1)
              for v in range(5)}
     return net, SimulationEngine(net, cells)
 
@@ -514,9 +514,11 @@ def cell_of(kind, arms):
         extra["d"] = 0.5
     if kind in ("simplified_intersection", "signalized_intersection"):
         extra["zeta"] = 0.1
+    if kind == "signalized_intersection":
+        extra["approach_capacity_fraction"] = 0.25
     if kind in Z4_KINDS:
         extra["ccw"] = tuple(arms)
-    return CellSpec(kind=kind, s_max=4, rho_max=20, a=0.8, b=0.9, c=1, **extra)
+    return cell_spec(kind=kind, s_max=4, rho_max=20, a=0.8, b=0.9, c=1, **extra)
 
 
 @st.composite
@@ -544,7 +546,8 @@ def networks(draw, hub_kind):
         if kind == "signalized_intersection":
             schedules[v] = SignalSchedule(
                 ccw=tuple(arms), green=draw(st.integers(1, 6)),
-                shift=draw(st.integers(0, 5)), t_real=2.88, v_real=50 / 3.6)
+                shift=draw(st.integers(0, 5)), t_real=2.88, a_real=1.5,
+                v_real=50 / 3.6, t_safe=2)
     rho = np.array(draw(st.lists(st.floats(0.0, 6.0), min_size=net.n_routes,
                                  max_size=net.n_routes)))
     eng = SimulationEngine(net, cells, schedules)
