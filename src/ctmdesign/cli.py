@@ -176,8 +176,8 @@ def cmd_simulate(args):
         replicates += [(*design, rule, i, _fmt(v)) for i, v in enumerate(values)]
         mean, se = _summary(values)
         summary.append((*design, rule, len(values), _fmt(mean), _fmt(se)))
-        print(f"k={list(map(float, k))} {rule}: n={len(values)} mean={mean:.4f} "
-              f"se={se:.4f}")
+        case = f"k={list(map(float, k))}" + (f" {rule}" if rule else "")
+        print(f"{case}: n={len(values)} mean={mean:.4f} se={se:.4f}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rep_file = out_dir / "replicates.csv"

@@ -22,10 +22,15 @@ those of the branch the tag selects.
 
 ``Scenario`` keeps the document it is given (``raw``, whose hash the run
 manifests record) and reads every setting from ``settings``, the document
-checked with its defaults filled in.  At load it checks, at the JSON
-path where there is one, what a schema cannot state: cross-references
-(node labels, ccw arrays, routes, design parameters, node groups), the
-design block's rules and the learning rules that tie keys together.  The
+checked with its defaults filled in.  At load it refuses what a schema
+cannot state: cross-references (node labels, ccw arrays, routes, design
+parameters, a threshold's benchmark), the keyed blocks, the design
+block's rules and the learning rules that tie keys together.  A keyed
+block holds one entry per owner and no other: ``network.lengths``,
+``network.cells`` and ``run.initial_density.values`` one per node group,
+``network.signals`` one per signalized node and ``network.roundabout_ccw``
+one per roundabout node.  Each refusal, the schema's or ``Scenario``'s,
+names the file and a JSON path in it by the file's own labels.  The
 defaults a schema cannot state are derived in code, each once: the
 grid's axes and off-axis values, c2_0, the tau schedule from
 ``tau_fractions`` and a utility's label.  The records it builds
@@ -53,7 +58,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import re
 import sys
 from contextlib import contextmanager
 
@@ -82,9 +86,9 @@ ACQUISITION_VARIANTS = ("absolute", "scaled")
 #: most replicates stepped together as one (B, n_routes) batch
 _MAX_BATCH = 64
 
-#: the block that gives a node of each Z_4 kind its ccw array
-_CCW_BLOCK = {"signalized_intersection": "signals", "uni_roundabout": "roundabout_ccw",
-              "bi_roundabout": "roundabout_ccw"}
+#: each block of ccw arrays, and the Z_4 kinds of the nodes it holds one for
+_CCW_KINDS = {"signals": ["signalized_intersection"],
+              "roundabout_ccw": ["uni_roundabout", "bi_roundabout"]}
 
 #: smallest green and shift of a signal program; a design-referenced one
 #: stands at this value in the default schedule
@@ -134,8 +138,6 @@ _RHO_CAP = {**_FRACTION, "default": 1.0}
 _DELTA = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": 0.05}
 #: a node's four neighbours, counter-clockwise, by node label
 _CCW = {"type": "array", "items": _INTEGER, "minItems": 4, "maxItems": 4}
-#: a node label as an object key
-_NODE_KEY = {"pattern": "^-?(0|[1-9][0-9]*)$"}
 _SIGNAL = {
     "type": "object",
     "required": ["ccw", "green"],
@@ -203,7 +205,7 @@ SCENARIO_SCHEMA = {
             "required": ["names", "bounds"],
             "default": {"names": [], "bounds": []},
             "properties": {
-                "names": {"type": "array", "items": {"type": "string"}},
+                "names": {"type": "array", "items": {"type": "string"}, "uniqueItems": True},
                 "bounds": {"type": "array",
                            "items": {"type": "array",
                                      "items": {"type": "number"},
@@ -224,7 +226,8 @@ SCENARIO_SCHEMA = {
             "type": "object",
             "required": ["nodes", "edges", "groups", "cells", "lengths", "turning"],
             "properties": {
-                "nodes": {"type": "array", "items": {"type": "integer"}},
+                "nodes": {"type": "array", "items": _INTEGER, "minItems": 1,
+                          "uniqueItems": True},
                 "edges": {"type": "array",
                           "items": {"type": "array", "items": {"type": "integer"},
                                     "minItems": 2, "maxItems": 2}},
@@ -233,14 +236,12 @@ SCENARIO_SCHEMA = {
                 "groups": {"type": "object",
                            "additionalProperties": {"type": "array",
                                                     "items": {"type": "integer"}}},
-                "lengths": {"type": "object",
-                            "additionalProperties": {"type": "number"}},
+                "lengths": {"type": "object", "additionalProperties": _POSITIVE},
                 "cells": {"type": "object", "additionalProperties": _CELL},
                 "turning": {"enum": ["uniform_no_uturn"]},
-                "signals": {"type": "object", "propertyNames": _NODE_KEY,
-                            "additionalProperties": _SIGNAL, "default": {}},
-                "roundabout_ccw": {"type": "object", "propertyNames": _NODE_KEY,
-                                   "additionalProperties": _CCW, "default": {}},
+                "signals": {"type": "object", "additionalProperties": _SIGNAL, "default": {}},
+                "roundabout_ccw": {"type": "object", "additionalProperties": _CCW,
+                                   "default": {}},
             },
         },
         "environment": {
@@ -294,7 +295,7 @@ SCENARIO_SCHEMA = {
                 "utilities": {"type": "array", "items": _UTILITY, "default": []},
                 "benchmarks": {"type": "object", "default": {}, "additionalProperties": {
                     "type": "object", "required": ["e", "sigma"],
-                    "properties": {"e": _NUMBER, "sigma": {
+                    "properties": {"e": {"type": "number", "minimum": 0}, "sigma": {
                         "type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5}}}},
                 "threshold": {"type": "object", "default": {}, "properties": {
                     "gamma": _NUMBER, "benchmark": {"type": "string"}}},
@@ -333,7 +334,7 @@ SCENARIO_SCHEMA = {
                          "properties": {
                     "resolution": {"type": "integer", "minimum": 1, "default": 200},
                     "axes": {"type": "array", "items": {"type": "string"},
-                             "minItems": 2, "maxItems": 2},
+                             "minItems": 2, "maxItems": 2, "uniqueItems": True},
                     "fixed": {"type": "object", "additionalProperties": _NUMBER,
                               "default": {}}}},
             },
@@ -359,9 +360,8 @@ HYPERPARAMETERS_SCHEMA = {
 #: the keywords ``_validate`` implements
 _KEYWORDS = frozenset({
     "type", "const", "enum", "oneOf", "minimum", "maximum", "exclusiveMinimum",
-    "exclusiveMaximum", "items", "minItems", "maxItems", "required",
-    "dependentRequired", "properties", "additionalProperties", "propertyNames",
-    "pattern", "default"})
+    "exclusiveMaximum", "items", "minItems", "maxItems", "uniqueItems", "required",
+    "dependentRequired", "properties", "additionalProperties", "default"})
 
 _TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
           "boolean": bool, "null": type(None)}
@@ -384,9 +384,19 @@ def _is_type(value, kind):
     return isinstance(value, _TYPES[kind])
 
 
+def _json_key(value):
+    """A hashable stand-in for ``value`` under JSON equality: 1 equals 1.0,
+    but true does not equal 1."""
+    if isinstance(value, list):
+        return tuple(map(_json_key, value))
+    if isinstance(value, dict):
+        return frozenset((key, _json_key(item)) for key, item in value.items())
+    return isinstance(value, bool), value
+
+
 def _same(a, b):
-    """JSON equality: 1 equals 1.0, but true does not equal 1."""
-    return a == b and isinstance(a, bool) == isinstance(b, bool)
+    """JSON equality (see ``_json_key``)."""
+    return _json_key(a) == _json_key(b)
 
 
 def _none_valid(failed, value, path):
@@ -394,11 +404,15 @@ def _none_valid(failed, value, path):
     ``value`` is valid; ``failed`` pairs each branch with its errors.  When
     every branch fixes one key by a ``const`` (a tag such as ``kind``), they
     are the errors of the branch the value's tag selects, or of the branch
-    that does not require the tag when the value has none."""
+    that does not require the tag when the value has none; else, when the
+    ``type`` of exactly one branch admits the value, that branch's."""
     tags = set.intersection(*({key for key, sub in branch.get("properties", {}).items()
                                if "const" in sub} for branch, _ in failed))
     if not tags or not isinstance(value, dict):
-        return [(path, f"{value!r} is valid under none of the schemas")]
+        typed = [errors for branch, errors in failed
+                 if "type" in branch and _is_type(value, branch["type"])]
+        return typed[0] if len(typed) == 1 else [
+            (path, f"{value!r} is valid under none of the schemas")]
     tag = min(tags)
     consts = [branch["properties"][tag]["const"] for branch, _ in failed]
     chosen = [errors for (branch, errors), const in zip(failed, consts)
@@ -447,14 +461,17 @@ def _validate(schema, value, path, errors, fill=False):
     for key, (past, words) in _BOUNDS.items():
         if key in schema and _is_type(value, "number") and past(value, schema[key]):
             errors.append((path, f"{value!r} is {words} {schema[key]!r}"))
-    if isinstance(value, str) and "pattern" in schema \
-            and not re.search(schema["pattern"], value):
-        errors.append((path, f"{value!r} does not match {schema['pattern']!r}"))
     if isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
             errors.append((path, f"{value!r} has under {schema['minItems']} items"))
         if len(value) > schema.get("maxItems", len(value)):
             errors.append((path, f"{value!r} has over {schema['maxItems']} items"))
+        if schema.get("uniqueItems"):
+            first = {}
+            again = [item for i, item in enumerate(value)
+                     if first.setdefault(_json_key(item), i) != i]
+            if again:
+                errors.append((path, f"{value!r} has {again[0]!r} more than once"))
         if "items" in schema:
             value = [_validate(schema["items"], item, (*path, i), errors, fill)
                      for i, item in enumerate(value)]
@@ -468,8 +485,6 @@ def _validate(schema, value, path, errors, fill=False):
         extra = schema.get("additionalProperties", True)
         checked = {}
         for key, item in value.items():
-            if "propertyNames" in schema:
-                _validate(schema["propertyNames"], key, path, errors)
             sub = props.get(key, extra)
             if sub is False:
                 errors.append((path, f"additional property {key!r} is not allowed"))
@@ -485,7 +500,11 @@ def _validate(schema, value, path, errors, fill=False):
 
 
 def _at_path(origin, path, message):
-    return ConfigError(f"{origin}: at {'/'.join(map(str, path)) or '<root>'}: {message}")
+    """A ConfigError at the JSON ``path`` in ``origin``: a tuple of keys, or
+    one string such as ``"network/edges/0"``."""
+    if not isinstance(path, str):
+        path = "/".join(map(str, path))
+    return ConfigError(f"{origin}: at {path or '<root>'}: {message}")
 
 
 def _validated(raw, origin, schema, fill=False):
@@ -556,8 +575,6 @@ def _rejected_as_config_error(context):
     """Re-raise a constructor's ValueError as a ConfigError naming ``context``."""
     try:
         yield
-    except ConfigError:
-        raise
     except KeyError as exc:
         raise ConfigError(f"{context}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -583,10 +600,9 @@ class Scenario:
             surface, noise = cfg["simulator"]["surface"], cfg["simulator"]["noise"]
             self._analytic = (surface, float(noise))
             if len(self.design_names) < _SURFACE_DIM[surface]:
-                raise ConfigError(
-                    f"{origin}: simulator.surface {surface!r} reads the first "
-                    f"{_SURFACE_DIM[surface]} design parameter(s), design.names has "
-                    f"{len(self.design_names)}")
+                raise _at_path(origin, "simulator/surface",
+                               f"{surface!r} reads the first {_SURFACE_DIM[surface]} design "
+                               f"parameter(s), design.names has {len(self.design_names)}")
         if "network" in cfg:
             self._build_network()
             run = cfg["run"]
@@ -595,8 +611,23 @@ class Scenario:
             self._rho0 = self._initial_densities(run["initial_density"])
             self._parse_environment(cfg["environment"])
             self._measure = self._parse_measure(cfg["evaluation"]["measure"])
+        evaluation = cfg["evaluation"]
+        label = evaluation["threshold"].get("benchmark")
+        if label is not None and label not in evaluation["benchmarks"]:
+            raise _at_path(origin, "evaluation/threshold/benchmark", f"{label!r} names none "
+                           f"of the benchmarks {list(evaluation['benchmarks'])}")
         self._parse_grid()
         self._check_learning()
+
+    def _keyed(self, path, block, owners, noun):
+        """Refuse, at its JSON path, a key of the keyed ``block`` at ``path``
+        that names no ``noun``, and a key of ``owners``, each a ``noun``,
+        that the block lacks: the block holds one entry per owner."""
+        for key in [*block, *owners]:
+            if key not in owners:
+                raise _at_path(self.origin, f"{path}/{key}", f"{key!r} names no {noun}")
+            if key not in block:
+                raise _at_path(self.origin, path, f"has no entry for the {noun} {key!r}")
 
     # -- design space --------------------------------------------------
 
@@ -609,25 +640,21 @@ class Scenario:
                                  for lo, hi in self.settings["design"]["bounds"]))
 
     def _check_design(self):
-        """The design block's rules, each refused at its JSON path: distinct
-        names, one bounds pair lo < hi per name, and integerized entries
-        that name design parameters."""
+        """The design block's rules, each refused at its JSON path: one
+        bounds pair lo < hi per name, and integerized entries that name
+        design parameters."""
         names, bounds = self.design_names, self.settings["design"]["bounds"]
-        for i, name in enumerate(names):
-            if name in names[:i]:
-                raise _at_path(self.origin, ("design", "names", i),
-                               f"{name!r} names a design parameter twice")
         if len(bounds) != len(names):
-            raise _at_path(self.origin, ("design", "bounds"),
+            raise _at_path(self.origin, "design/bounds",
                            f"has {len(bounds)} pairs for the {len(names)} design "
                            f"parameters {names}")
         for i, (lo, hi) in enumerate(bounds):
             if not lo < hi:
-                raise _at_path(self.origin, ("design", "bounds", i),
+                raise _at_path(self.origin, f"design/bounds/{i}",
                                f"[{lo!r}, {hi!r}] has no lower bound below its upper one")
         for i, name in enumerate(self._integerized):
             if name not in names:
-                raise _at_path(self.origin, ("design", "integerized", i),
+                raise _at_path(self.origin, f"design/integerized/{i}",
                                f"{name!r} is not a design parameter of {names}")
 
     def design_params(self, k):
@@ -638,12 +665,14 @@ class Scenario:
                 f"design vector has {len(k)} entries, expected {len(names)}: {names}")
         return dict(zip(names, k))
 
-    def _design_value(self, value, where):
-        """A literal as a float; a design reference as the parameter's name."""
+    def _design_value(self, value, path):
+        """A literal as a float; a design reference at JSON ``path`` as the
+        parameter's name."""
         if not isinstance(value, dict):
             return float(value)
         if value["design"] not in self.design_names:
-            raise ConfigError(f"{where}: unknown design parameter {value['design']!r}")
+            raise _at_path(self.origin, f"{path}/design", f"{value['design']!r} is not "
+                           f"a design parameter of {self.design_names}")
         return value["design"]
 
     # -- network construction -------------------------------------------
@@ -656,99 +685,89 @@ class Scenario:
             raise _at_path(self.origin, path,
                            f"{node!r} names no node of the network") from None
 
-    def _route(self, triple, where):
-        """Index of the route named by three node labels; it must exist."""
+    def _route(self, triple, path):
+        """Index of the route named by the three node labels at JSON
+        ``path``; it must exist."""
         try:
             return self.network.index_of(*(self._node_index[n] for n in triple))
         except (KeyError, NetworkError):
-            raise ConfigError(f"{where}: {triple!r} is not a route of the "
-                              "network") from None
+            raise _at_path(self.origin, path,
+                           f"{triple!r} is not a route of the network") from None
 
     def _build_network(self):
         net_cfg = self.settings["network"]
         nodes = net_cfg["nodes"]
-        if len(set(nodes)) != len(nodes):
-            raise ConfigError(f"{self.origin}: duplicate node ids")
-        self._node_index = {n: i for i, n in enumerate(sorted(nodes))}
         self.node_labels = sorted(nodes)
-        for block in ("signals", "roundabout_ccw"):
-            for key in net_cfg[block]:
-                if int(key) not in self._node_index:
-                    raise _at_path(self.origin, ("network", block, key),
-                                   f"{key!r} names no node of the network")
-
+        self._node_index = {n: i for i, n in enumerate(self.node_labels)}
         groups = net_cfg["groups"]
         self._group_of = {}
         for gname, members in groups.items():
             for i, n in enumerate(members):
-                self._node_id(n, ("network", "groups", gname, i))
+                self._node_id(n, f"network/groups/{gname}/{i}")
                 if n in self._group_of:
-                    raise ConfigError(f"{self.origin}: node {n} in two groups")
+                    raise _at_path(self.origin, f"network/groups/{gname}/{i}",
+                                   f"node {n} is in the group {self._group_of[n]!r} too")
                 self._group_of[n] = gname
-        missing = set(nodes) - set(self._group_of)
+        missing = sorted(set(nodes) - set(self._group_of))
         if missing:
-            raise ConfigError(f"{self.origin}: nodes without a group: {sorted(missing)}")
+            raise _at_path(self.origin, "network/groups",
+                           f"has no group for the nodes {missing}")
+        lengths, cells_cfg = net_cfg["lengths"], net_cfg["cells"]
+        for block in ("lengths", "cells"):
+            self._keyed(f"network/{block}", net_cfg[block], groups, "node group")
+        for g in groups:
+            # a free-flow outflow a * rho must not exceed the l_v * rho on a node
+            if lengths[g] < cells_cfg[g]["a"]:
+                raise _at_path(self.origin, f"network/lengths/{g}",
+                               f"{lengths[g]!r} is below the free-flow factor "
+                               f"a = {cells_cfg[g]['a']!r} of the group's cells")
+        for block, takes in _CCW_KINDS.items():
+            self._keyed(f"network/{block}", net_cfg[block],
+                        [str(n) for n in self.node_labels
+                         if cells_cfg[self._group_of[n]]["kind"] in takes],
+                        f"{' or '.join(takes)} node")
 
         edges = []
         for i, edge in enumerate(net_cfg["edges"]):
-            ui, vi = (self._node_id(n, ("network", "edges", i, j)) for j, n in enumerate(edge))
+            ui, vi = (self._node_id(n, f"network/edges/{i}/{j}") for j, n in enumerate(edge))
+            if ui == vi:
+                raise _at_path(self.origin, f"network/edges/{i}",
+                               f"{edge!r} joins node {edge[0]} to itself")
             edges.append((ui, vi))
             if net_cfg["undirected"]:
                 edges.append((vi, ui))
-        lengths_cfg = net_cfg["lengths"]
-        lengths = {}
-        for n in nodes:
-            g = self._group_of[n]
-            if g not in lengths_cfg:
-                raise ConfigError(f"{self.origin}: no length for group {g}")
-            lengths[self._node_index[n]] = float(lengths_cfg[g])
-        uturn = {self._node_id(n, ("network", "allow_uturn", i))
+        uturn = {self._node_id(n, f"network/allow_uturn/{i}")
                  for i, n in enumerate(net_cfg["allow_uturn"])}
-        with _rejected_as_config_error(f"{self.origin}: network"):
-            self.network = TrafficNetwork(len(nodes), edges, lengths,
-                                          allow_uturn=uturn)
+        self.network = TrafficNetwork(
+            len(nodes), edges, {self._node_index[n]: float(lengths[self._group_of[n]])
+                                for n in nodes}, allow_uturn=uturn)
 
-        cells_cfg = net_cfg["cells"]
         signals_cfg = net_cfg["signals"]
-        # node label -> its ccw neighbours' indices; a signal's ccw wins
-        ccw_arrays = [(("network", "roundabout_ccw", key), ccw)
-                      for key, ccw in net_cfg["roundabout_ccw"].items()]
-        ccw_arrays += [(("network", "signals", key, "ccw"), sig["ccw"])
-                       for key, sig in signals_cfg.items()]
-        ccw_ids = {path[2]: self._ccw(path, ccw) for path, ccw in ccw_arrays}
+        # node label -> its ccw neighbours' indices, from the block its kind reads
+        ccw_ids = {key: self._ccw(key, f"network/roundabout_ccw/{key}", ccw)
+                   for key, ccw in net_cfg["roundabout_ccw"].items()}
+        ccw_ids.update((key, self._ccw(key, f"network/signals/{key}/ccw", sig["ccw"]))
+                       for key, sig in signals_cfg.items())
         self.node_cells = {}
         for n in nodes:
-            g = self._group_of[n]
-            if g not in cells_cfg:
-                raise ConfigError(f"{self.origin}: no cell spec for group {g}")
             # a parameter the kind does not read is None
-            params = {**cells_cfg[g], "ccw": ccw_ids.get(str(n))}
-            cell = CellSpec(**{f.name: params.get(f.name)
-                               for f in dataclasses.fields(CellSpec)})
-            block = _CCW_BLOCK.get(cell.kind)
-            if block is not None and str(n) not in net_cfg[block]:
-                raise _at_path(self.origin, ("network", block),
-                               f"has no entry for node {n}, a {cell.kind}")
-            # a free-flow outflow a * rho must not exceed the l_v * rho on the node
-            l_v = lengths[self._node_index[n]]
-            if l_v < cell.a:
-                raise ConfigError(f"{self.origin}: node {n} ({g}): length {l_v:g} "
-                                  f"is below its free-flow factor a = {cell.a:g}")
-            self.node_cells[self._node_index[n]] = cell
+            params = {**cells_cfg[self._group_of[n]], "ccw": ccw_ids.get(str(n))}
+            self.node_cells[self._node_index[n]] = CellSpec(
+                **{f.name: params.get(f.name) for f in dataclasses.fields(CellSpec)})
 
         self._build_signals(signals_cfg)
         self.engine = SimulationEngine(self.network, self.node_cells, self.signals)
 
-    def _ccw(self, path, ccw):
+    def _ccw(self, node, path, ccw):
         """The node indices of the ``ccw`` array at JSON ``path``, which
-        lists every node adjacent to the node ``path[2]`` names."""
-        ids = tuple(self._node_id(x, (*path, i)) for i, x in enumerate(ccw))
-        v = self._node_index[int(path[2])]
+        lists every node adjacent to the node labelled ``node``."""
+        ids = tuple(self._node_id(x, f"{path}/{i}") for i, x in enumerate(ccw))
+        v = self._node_index[int(node)]
         adjacency = self.network.adjacency
         for u in np.flatnonzero(adjacency[:, v] | adjacency[v]):
             if u not in ids:
                 raise _at_path(self.origin, path, f"{ccw!r} leaves out node "
-                               f"{self.node_labels[u]}, adjacent to node {path[2]}")
+                               f"{self.node_labels[u]}, adjacent to node {node}")
         return ids
 
     def _build_signals(self, signals_cfg):
@@ -758,10 +777,6 @@ class Scenario:
         self.signals, self._signal_refs = {}, []
         for node_str, sig in signals_cfg.items():
             v = self._node_index[int(node_str)]
-            where = f"{self.origin}: signal of node {node_str}"
-            if self.node_cells[v].kind != "signalized_intersection":
-                raise ConfigError(f"{where}: node is a {self.node_cells[v].kind}, "
-                                  "not a signalized_intersection")
             fields = dict(_SIGNAL_FLOOR)
             for key in fields:
                 value = sig[key]
@@ -770,9 +785,9 @@ class Scenario:
                 elif value["design"] in self._integerized:
                     self._signal_refs.append((v, key, value["design"]))
                 else:
-                    raise ConfigError(
-                        f"{where}: {key} references {value['design']!r}, which "
-                        "is not a design parameter listed under design.integerized")
+                    raise _at_path(self.origin, f"network/signals/{node_str}/{key}/design",
+                                   f"{value['design']!r} is not a design parameter listed "
+                                   "under design.integerized")
             self.signals[v] = SignalSchedule(
                 ccw=self.node_cells[v].ccw, **fields, t_real=t_real,
                 a_real=float(sig["a_real"]), v_real=float(sig["v_real_kmh"]) / 3.6,
@@ -786,17 +801,15 @@ class Scenario:
         rho0 = np.zeros(self.network.n_routes)
         if init_cfg["mode"] == "per_route":
             values = init_cfg["values"]
-            for g in self.settings["network"]["groups"]:
-                if g not in values:
-                    raise _at_path(self.origin, ("run", "initial_density", "values"),
-                                   f"has no value for the node group {g!r}")
+            self._keyed("run/initial_density/values", values,
+                        self.settings["network"]["groups"], "node group")
             for i, r in enumerate(self.network.routes):
                 rho0[i] = float(values[self._group_of[self.node_labels[r.via]]])
             for v, cell in self.node_cells.items():
                 count = len(self.network.routes_through(v))
                 g = self._group_of[self.node_labels[v]]
                 if count and values[g] * count > cell.rho_max:
-                    raise _at_path(self.origin, ("run", "initial_density", "values", g),
+                    raise _at_path(self.origin, f"run/initial_density/values/{g}",
                                    f"{values[g]!r} on each of the {count} routes through "
                                    f"node {self.node_labels[v]} exceeds its rho_max "
                                    f"{cell.rho_max!r}")
@@ -804,10 +817,8 @@ class Scenario:
             frac = float(init_cfg["fraction"])
             for v in range(self.network.n_nodes):
                 idx = self.network.routes_through(v)
-                if len(idx) == 0:
-                    continue
-                rho_max = self.node_cells[v].rho_max
-                rho0[idx] = rho_max * frac / len(idx)
+                if len(idx):
+                    rho0[idx] = self.node_cells[v].rho_max * frac / len(idx)
         return rho0
 
     def initial_densities(self):
@@ -821,27 +832,25 @@ class Scenario:
         self.environment, self._env_routes = None, []
         if kind == "none":
             return
-        where = f"{self.origin}: environment"
-        con = f"{where}.constants"
         cap = float(env_cfg["rho_cap_fraction"])
         caps = {v: cell.rho_max * cap for v, cell in self.node_cells.items()}
-        sources = [self._source(s, f"{where}.sources") for s in env_cfg["sources"]]
+        sources, constants = ([self._source(entry, f"environment/{key}/{j}")
+                               for j, entry in enumerate(env_cfg.get(key, ()))]
+                              for key in ("sources", "constants"))
         self._check_noise_scales(sources)
         self._env_routes = [s["route"] for s in sources]
         if kind == "ar_copula":
             self._env_values = {"sigma": [s["sigma"] for s in sources],
-                                "r": self._design_value(env_cfg["copula_r"], where)}
+                                "r": self._design_value(env_cfg["copula_r"],
+                                                        "environment/copula_r")}
             self.environment = ArCopulaEnvironment(self.network, caps, self._env_routes)
         else:
-            constants = [(self._route(e["route"], con), float(e["scale"]),
-                          self._design_value(e["value"], con))
-                         for e in env_cfg["constants"]]
             self._env_routes += ([s["pair_route"] for s in sources if "pair_route" in s]
-                                 + [route for route, _, _ in constants])
+                                 + [c["route"] for c in constants])
             self._env_values = {key: [s[key] for s in sources] for key in ("xi", "psi")}
-            self._env_values["constants"] = [value for _, _, value in constants]
+            self._env_values["constants"] = [c["value"] for c in constants]
             self.environment = GaussianPairsEnvironment(
-                self.network, caps, [(route, scale) for route, scale, _ in constants],
+                self.network, caps, [(c["route"], c["scale"]) for c in constants],
                 [(s["route"], s.get("pair_route"), s["pair_sign"]) for s in sources])
 
     def _check_noise_scales(self, sources):
@@ -853,28 +862,28 @@ class Scenario:
                 if isinstance(source.get(key), str):
                     i = names.index(source[key])
                     if bounds[i][0] < 0:
-                        raise _at_path(self.origin, ("design", "bounds", i),
+                        raise _at_path(self.origin, f"design/bounds/{i}",
                                        f"{bounds[i]!r} lets {names[i]!r}, the {key} of "
                                        f"environment source {j}, fall below 0")
 
-    def _source(self, entry, where):
-        """A source's settings: routes as route indices, numbers as floats,
-        design references as parameter names."""
-        return {key: self._route(value, where) if key.endswith("route")
-                else self._design_value(value, where) for key, value in entry.items()}
+    def _source(self, entry, path):
+        """A source's or constant's settings, found at JSON ``path``: routes
+        as route indices, numbers as floats, design references as
+        parameter names."""
+        return {key: self._route(value, f"{path}/{key}") if key.endswith("route")
+                else self._design_value(value, f"{path}/{key}") for key, value in entry.items()}
 
     def _parse_measure(self, m_cfg):
         """Factory of one replicate's performance observer."""
-        where = f"{self.origin}: evaluation.measure"
         kind = m_cfg["kind"]
         if kind == "avg_network_flow":
             return AvgNetworkFlow
         if kind == "throughput":
             return lambda: Throughput(self._env_routes)
-        if kind == "avg_velocity":
-            idx = [self._route(r, where) for r in m_cfg["routes"]]
-            free = [self.node_cells[self.network.routes[i].via].a for i in idx]
-            return lambda: AvgVelocity(idx, free)
+        idx = [self._route(r, f"evaluation/measure/routes/{i}")
+               for i, r in enumerate(m_cfg["routes"])]
+        free = [self.node_cells[self.network.routes[i].via].a for i in idx]
+        return lambda: AvgVelocity(idx, free)
 
     # -- per-replicate assembly ------------------------------------------
 
@@ -992,12 +1001,10 @@ class Scenario:
         thr = self.settings["evaluation"]["threshold"]
         if "gamma" in thr:
             return float(thr["gamma"])
-        label = thr.get("benchmark")
-        benches = self.benchmarks()
-        if label not in benches:
-            raise ConfigError(f"{self.origin}: threshold benchmark {label!r} "
-                              "not defined")
-        return calibrate_threshold(benches[label], self.utility())
+        if "benchmark" not in thr:
+            raise _at_path(self.origin, "evaluation/threshold",
+                           "has neither 'gamma' nor 'benchmark'")
+        return calibrate_threshold(self.benchmarks()[thr["benchmark"]], self.utility())
 
     def loop_config(self):
         """The learning block as a LoopConfig; built on request, because a
@@ -1007,32 +1014,35 @@ class Scenario:
         if "learning" not in self.raw:
             raise ConfigError(f"{self.origin}: scenario has no learning block")
         l_cfg = self.settings["learning"]
-        with _rejected_as_config_error(f"{self.origin}: learning"):
-            scale = l_cfg["tau_scale"]
-            if scale == "benchmark_gap":
-                u = self.utility()
-                gammas = [calibrate_threshold(b, u) for b in self.benchmarks().values()]
-                scale = max(gammas, default=0.0) - min(gammas, default=0.0)
-                if not scale > 0:
-                    raise _at_path(self.origin, ("learning", "tau_scale"),
-                                   "the benchmark gap is 0: the benchmarks calibrate "
-                                   "to fewer than two thresholds")
-            taus = l_cfg.get("tau_values")
-            if taus is None:
-                taus = [f * float(scale) for f in l_cfg["tau_fractions"]]
-            c2, c2_0 = l_cfg.get("c2"), l_cfg.get("c2_0")
-            if c2 is None and c2_0 is None:
-                c2_0 = 2.0 / float(scale)  # acquisition noticeably peaked across the scale
-            from .learning import LoopConfig
+        tau_key = "tau_values" if "tau_values" in l_cfg else "tau_fractions"
+        for key in ("n_initial", "n_loop", "iterations", tau_key):
+            if key not in l_cfg:
+                raise _at_path(self.origin, "learning", f"{key!r} is a required property")
+        scale = l_cfg["tau_scale"]
+        if scale == "benchmark_gap":
+            u = self.utility()
+            gammas = [calibrate_threshold(b, u) for b in self.benchmarks().values()]
+            scale = max(gammas, default=0.0) - min(gammas, default=0.0)
+            if not scale > 0:
+                raise _at_path(self.origin, "learning/tau_scale",
+                               "the benchmark gap is 0: the benchmarks calibrate "
+                               "to fewer than two thresholds")
+        taus = l_cfg[tau_key]
+        if tau_key == "tau_fractions":
+            taus = [f * float(scale) for f in taus]
+        c2, c2_0 = l_cfg.get("c2"), l_cfg.get("c2_0")
+        if c2 is None and c2_0 is None:
+            c2_0 = 2.0 / float(scale)  # acquisition noticeably peaked across the scale
+        from .learning import LoopConfig
 
-            return LoopConfig(
-                n_initial=l_cfg["n_initial"], n_loop=l_cfg["n_loop"],
-                iterations=l_cfg["iterations"], tau_schedule=tuple(float(t) for t in taus),
-                n_min=l_cfg["n_min"], n_max=tuple(_listed(l_cfg["n_max"])), c1=l_cfg["c1"],
-                c2_0=c2_0, c2=None if c2 is None else tuple(_listed(c2)), c3=l_cfg["c3"],
-                max_trials=l_cfg["max_trials"], acquisition_variant=l_cfg["acquisition"],
-                delta=l_cfg["delta"], n_eval=l_cfg["n_eval"],
-                error_stop=l_cfg.get("error_stop"), kernel_variant=l_cfg["kernel"]["variant"])
+        return LoopConfig(
+            n_initial=l_cfg["n_initial"], n_loop=l_cfg["n_loop"],
+            iterations=l_cfg["iterations"], tau_schedule=tuple(float(t) for t in taus),
+            n_min=l_cfg["n_min"], n_max=tuple(_listed(l_cfg["n_max"])), c1=l_cfg["c1"],
+            c2_0=c2_0, c2=None if c2 is None else tuple(_listed(c2)), c3=l_cfg["c3"],
+            max_trials=l_cfg["max_trials"], acquisition_variant=l_cfg["acquisition"],
+            delta=l_cfg["delta"], n_eval=l_cfg["n_eval"],
+            error_stop=l_cfg.get("error_stop"), kernel_variant=l_cfg["kernel"]["variant"])
 
     def _check_learning(self):
         """The learning rules that tie keys together, each refused at its
@@ -1044,10 +1054,10 @@ class Scenario:
         l_cfg = self.settings["learning"]
         n_min, n_max = l_cfg["n_min"], _listed(l_cfg["n_max"])
         if isinstance(l_cfg["n_max"], list):
-            paths = [("learning", "n_max", i) for i in range(len(n_max))]
+            paths = [f"learning/n_max/{i}" for i in range(len(n_max))]
         else:  # against the default n_max, the n_min given is at fault
-            paths = [("learning", "n_max" if "n_max" in self.raw.get("learning", ())
-                      else "n_min")]
+            paths = ["learning/n_max" if "n_max" in self.raw.get("learning", ())
+                     else "learning/n_min"]
         for path, n in zip(paths, n_max):
             if n < n_min:
                 raise _at_path(self.origin, path, f"n_max {n!r} is below n_min {n_min!r}")
@@ -1056,7 +1066,7 @@ class Scenario:
         entries = l_cfg["iterations"] + 1
 
         def refuse(key, rule):
-            raise _at_path(self.origin, ("learning", key), f"{l_cfg[key]!r} {rule}")
+            raise _at_path(self.origin, f"learning/{key}", f"{l_cfg[key]!r} {rule}")
 
         tau_key = "tau_values" if "tau_values" in l_cfg else "tau_fractions"
         if tau_key in l_cfg and len(l_cfg[tau_key]) < entries:
@@ -1077,20 +1087,19 @@ class Scenario:
         distinct design parameters (else the first two), and each fixed
         value is one of a parameter off the axes (else its midpoint)."""
         grid = self.settings["learning"]["grid"]
-        where = f"{self.origin}: learning.grid"
         names = self.design_names
         self.grid_axes = axes = grid.get("axes", names[:2])
         self.grid_resolution = grid["resolution"]
         self.grid_fixed = fixed = grid["fixed"]
         bounds = dict(zip(names, self.settings["design"]["bounds"]))
-        if "axes" in grid and (len(set(axes)) != 2 or not all(a in bounds for a in axes)):
-            raise ConfigError(f"{where}: axes {axes!r} are not two distinct "
-                              f"design parameters of {names}")
+        if not all(a in bounds for a in axes):
+            raise _at_path(self.origin, "learning/grid/axes",
+                           f"{axes!r} are not design parameters of {names}")
         for name, value in fixed.items():
             if name not in bounds or name in axes:
-                raise ConfigError(f"{where}: fixed {name!r} is not a design "
-                                  "parameter off the axes")
+                raise _at_path(self.origin, f"learning/grid/fixed/{name}",
+                               f"{name!r} is not a design parameter off the axes")
             lo, hi = bounds[name]
             if not lo <= value <= hi:
-                raise ConfigError(f"{where}: fixed {name} = {value!r} is not a "
-                                  f"number in [{lo}, {hi}]")
+                raise _at_path(self.origin, f"learning/grid/fixed/{name}",
+                               f"{value!r} is not in [{lo}, {hi}]")

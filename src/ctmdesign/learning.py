@@ -159,8 +159,6 @@ class LoopConfig:
         """Acquisition sharpness of iteration i >= 1."""
         if self.c2 is not None:
             return self.c2[i - 1]
-        if self.c2_0 is None:
-            raise ValueError("either c2 schedule or c2_0 must be configured")
         return self.c2_0 * i
 
 

@@ -544,6 +544,13 @@ KEYWORD_EDITS = {
     "copula-source-sigma-zero": ("urban", _set(("environment", "sources", 1, "sigma"), 0)),
     "pair-source-psi-negative": ("highway", _set(("environment", "sources", 0, "psi"), -0.1)),
     "pair-source-psi-zero": ("highway", _set(("environment", "sources", 1, "psi"), 0.0)),
+    "nodes-duplicate": ("urban", _set(("network", "nodes"), [1, 1])),
+    "nodes-duplicate-whole-float": ("urban", _set(("network", "nodes"), [1, 1.0])),
+    "nodes-distinct": ("urban", _set(("network", "nodes"), [1, 2.0])),
+    "nodes-empty": ("urban", _set(("network", "nodes"), [])),
+    "names-duplicate": ("urban", _set(("design", "names"), ["r", "r"])),
+    "length-zero": ("urban", _set(("network", "lengths", "roads"), 0)),
+    "benchmark-e-negative": ("urban", _set(("evaluation", "benchmarks", "A", "e"), -60)),
 }
 
 
@@ -592,6 +599,21 @@ def test_a_tagged_one_of_reports_the_branch_its_tag_selects(name, edit, message)
     # picks the branch, and an unknown one is named at the tag
     doc = json.loads(bundled(name).read_text())
     edit(doc)
+    assert _assert_agrees_with_jsonschema(doc) == f"f.json: {message}"
+
+
+@pytest.mark.parametrize("name, keys, value, message", [
+    ("urban", ("environment", "sources", 0, "sigma"), -0.5,
+     "at environment/sources/0/sigma: -0.5 is less than the minimum of 0"),
+    ("urban", _GREEN, 0, "at network/signals/14/green: 0 is less than the minimum of 1"),
+    ("highway", ("learning", "tau_scale"), -1,
+     "at learning/tau_scale: -1 is less than or equal to the minimum of 0"),
+], ids=["sigma-negative", "green-zero", "tau-scale-negative"])
+def test_an_untagged_one_of_reports_the_branch_its_type_admits(name, keys, value, message):
+    # not "valid under none of the schemas": the one branch whose type
+    # takes the value names the bound it is past
+    doc = json.loads(bundled(name).read_text())
+    _set(keys, value)(doc)
     assert _assert_agrees_with_jsonschema(doc) == f"f.json: {message}"
 
 
@@ -650,7 +672,7 @@ def test_unknown_node_rejected(tmp_path):
 def test_node_length_below_free_flow_factor_rejected():
     raw = json.loads(bundled("urban").read_text())
     raw["network"]["lengths"]["roads"] = 0.5
-    with pytest.raises(ConfigError, match=r"node \d+ \(roads\).*free-flow"):
+    with pytest.raises(ConfigError, match=r"at network/lengths/roads: 0\.5 .*free-flow"):
         Scenario(raw)
 
 
@@ -1112,6 +1134,14 @@ def test_cli_single_replicate_summaries(tmp_path, capsys):
     assert "k=[2.5, 0.01, 0.01, 20.0, 75.0] dpf" in capsys.readouterr().out
 
 
+def test_cli_simulate_prints_no_rule_for_an_analytic_scenario(tmp_path, capsys):
+    # an analytic scenario has no interaction rule: the line read
+    # "k=[0.2, 0.3] : n=2 ..."
+    assert main(["simulate", "--config", str(bundled("synthetic")), "--design", "0.2,0.3",
+                 "--reps", "2", "--out-dir", str(tmp_path / "sim")]) == 0
+    assert capsys.readouterr().out.startswith("k=[0.2, 0.3]: n=2 mean=")
+
+
 def test_cli_simulate_refuses_rule_on_an_analytic_scenario(tmp_path, capsys):
     # an analytic surface has no interaction rule: two rules wrote two
     # identical rows per design, labelled as a rule comparison
@@ -1275,13 +1305,13 @@ URBAN_SOURCE = {"route": [6, 7, 11], "sigma": {"design": "sigma_a"}}
      "at run/initial_density/mode: 'uniform' is not one of"),
     ("urban", "environment", "sources",
      [URBAN_SOURCE, {"route": [24, 23, 999], "sigma": {"design": "sigma_b"}}],
-     "environment.sources"),
+     "at environment/sources/1/route: [24, 23, 999] is not a route"),
     ("urban", "environment", "sources",
      [URBAN_SOURCE, {"route": [24, 23, 24], "sigma": {"design": "sigma_b"}}],
-     "environment.sources"),
+     "at environment/sources/1/route: [24, 23, 24] is not a route"),
     ("urban", "environment", "sources",
      [URBAN_SOURCE, {"route": [24, 23, 19], "sigma": {"design": "zz"}}],
-     "environment.sources"),
+     "at environment/sources/1/sigma/design: 'zz' is not a design parameter"),
     ("urban", "environment", "sources",
      [URBAN_SOURCE, {"route": [24, 23, 19], "sigmaa": {"design": "sigma_b"}}],
      "at environment/sources/1: 'sigma' is a required property"),
@@ -1301,7 +1331,8 @@ URBAN_SOURCE = {"route": [6, 7, 11], "sigma": {"design": "sigma_a"}}
        "pair_route": [14, 15, 16], "pair_sign": {"design": "xi1"}}],
      "at environment/sources/0/pair_sign: "),
     ("urban", "evaluation", "measure",
-     {"kind": "avg_velocity", "routes": [[6, 7, 999]]}, "evaluation.measure"),
+     {"kind": "avg_velocity", "routes": [[6, 7, 999]]},
+     "at evaluation/measure/routes/0: [6, 7, 999] is not a route"),
     ("urban", "evaluation", "measure", {"kind": "queue"}, "at evaluation/measure/kind"),
 ], ids=["negative-tau", "reversed-bounds", "zero-n_eval",
         "initial-density-missing-group", "initial-density-without-fraction",
@@ -1617,14 +1648,14 @@ def test_cli_export_grid_unusable_hyperparameter_exit_2(tmp_path, capsys,
     ({"resolution": "a"}, "at learning/grid/resolution"),
     ({"resolution": 2.5}, "at learning/grid/resolution"),
     ({"resolution": True}, "at learning/grid/resolution"),
-    ({"axes": ["zz", "k2"]}, "learning.grid"),
+    ({"axes": ["zz", "k2"]}, "at learning/grid/axes: "),
     ({"axes": ["k1"]}, "at learning/grid/axes"),
-    ({"axes": ["k1", "k1"]}, "learning.grid"),
+    ({"axes": ["k1", "k1"]}, "at learning/grid/axes: "),
     ({"axes": "k1"}, "at learning/grid/axes"),
-    ({"fixed": {"zz": 0.5}}, "learning.grid"),
-    ({"fixed": {"k1": 0.5}}, "learning.grid"),
+    ({"fixed": {"zz": 0.5}}, "at learning/grid/fixed/zz: "),
+    ({"fixed": {"k1": 0.5}}, "at learning/grid/fixed/k1: "),
     ({"fixed": {"k3": "a"}}, "at learning/grid/fixed/k3"),
-    ({"fixed": {"k3": 2.5}}, "learning.grid"),
+    ({"fixed": {"k3": 2.5}}, "at learning/grid/fixed/k3: "),
     ({"fixed": []}, "at learning/grid/fixed"),
     ([1], "at learning/grid"),
     ({"resolution": 10, "spacing": 2}, "at learning/grid"),
@@ -1665,7 +1696,7 @@ def test_cli_invalid_grid_exit_2_at_load(tmp_path, capsys, grid, where):
     ({"max_trials": 100.5}, "at learning/max_trials"),
     ({"n_eval": 500.5}, "at learning/n_eval"),
     ({"tau_values": None}, "at learning/tau_values"),
-    ({"tau_values": ...}, "learning: missing key 'tau_fractions'"),
+    ({"tau_values": ...}, "at learning: 'tau_fractions' is a required property"),
     ({"c2_0": "x"}, "at learning/c2_0"),
     ({"c2": [1, "a"]}, "at learning/c2"),
     ({"error_stop": "x"}, "at learning/error_stop"),
@@ -1899,7 +1930,7 @@ def test_cli_non_finite_number_exit_2_naming_its_path(tmp_path, capsys, name, ke
     ("highway", ("run", "initial_density"), ..., "at run: "),
     ("highway", ("network", "roundabout_ccw", "1"), 3, "at network/roundabout_ccw/1: "),
     ("highway", ("network", "roundabout_ccw", "abc"), [2, 7, 33, 28],
-     "at network/roundabout_ccw: "),
+     "at network/roundabout_ccw/abc: 'abc' names no uni_roundabout or bi_roundabout node"),
     ("highway", ("network", "roundabout_ccw", "99"), [2, 7, 33, 28],
      "at network/roundabout_ccw/99: "),
     ("urban", ("network", "signals", "98"), {"ccw": [13, 20, 15, 9], "green": 20},
@@ -1917,7 +1948,8 @@ def test_cli_non_finite_number_exit_2_naming_its_path(tmp_path, capsys, name, ke
      "at network/roundabout_ccw/1/2: "),
     ("synthetic_small", ("design", "bounds"), [[0, 1]] * 3, "at design/bounds: "),
     ("synthetic_small", ("design", "bounds"), [[0, 1]], "at design/bounds: "),
-    ("synthetic_small", ("design", "names"), ["k1", "k1"], "at design/names/1: "),
+    ("synthetic_small", ("design", "names"), ["k1", "k1"],
+     "at design/names: ['k1', 'k1'] has 'k1' more than once"),
     ("urban", ("design", "bounds", 1), [1, 0], "at design/bounds/1: "),
     ("urban", ("design", "integerized"), ["T_g", "T_s", "T_x"],
      "at design/integerized/2: "),
@@ -1926,9 +1958,10 @@ def test_cli_non_finite_number_exit_2_naming_its_path(tmp_path, capsys, name, ke
     ("urban", ("network", "cells", "roads", "zeta"), 0.1,
      "at network/cells/roads: additional property 'zeta'"),
     ("highway", ("network", "roundabout_ccw", "1"), ...,
-     "at network/roundabout_ccw: has no entry for node 1, a uni_roundabout"),
+     "at network/roundabout_ccw: has no entry for the uni_roundabout or bi_roundabout "
+     "node '1'"),
     ("urban", ("network", "signals", "14"), ...,
-     "at network/signals: has no entry for node 14, a signalized_intersection"),
+     "at network/signals: has no entry for the signalized_intersection node '14'"),
     ("highway", ("network", "roundabout_ccw", "1", 3), 5,
      "at network/roundabout_ccw/1: [2, 7, 33, 5] leaves out node 28"),
     ("urban", ("network", "signals", "14", "ccw", 3), 1,
@@ -1936,7 +1969,7 @@ def test_cli_non_finite_number_exit_2_naming_its_path(tmp_path, capsys, name, ke
     ("urban", ("evaluation", "measure"), {"kind": "avg_velocity"},
      "at evaluation/measure: 'routes' is a required property"),
     ("urban", ("run", "initial_density", "values", "signalized"), ...,
-     "at run/initial_density/values: has no value for the node group 'signalized'"),
+     "at run/initial_density/values: has no entry for the node group 'signalized'"),
     ("urban", ("evaluation", "benchmarks", "A", "sigma"), 0.7,
      "at evaluation/benchmarks/A/sigma: "),
     ("urban", ("evaluation", "utilities", 4, "alpha"), 0.5,
@@ -1954,6 +1987,43 @@ def test_cli_non_finite_number_exit_2_naming_its_path(tmp_path, capsys, name, ke
     ("urban", ("design", "bounds", 1), [-0.01, 0.025],
      "at design/bounds/1: [-0.01, 0.025] lets 'sigma_a', the sigma of environment "
      "source 0, fall below 0"),
+    # one rule per keyed block: an entry for each node group, signalized
+    # node or roundabout node, and no other
+    ("urban", ("network", "lengths", "parks"), 3,
+     "at network/lengths/parks: 'parks' names no node group"),
+    ("urban", ("network", "cells", "parks"), _ROAD,
+     "at network/cells/parks: 'parks' names no node group"),
+    ("urban", ("run", "initial_density", "values", "parks"), 1,
+     "at run/initial_density/values/parks: 'parks' names no node group"),
+    ("urban", ("network", "signals", "1"), {"ccw": [2, 8, 2, 8], "green": 20},
+     "at network/signals/1: '1' names no signalized_intersection node"),
+    ("highway", ("network", "roundabout_ccw", "2"), [1, 3, 1, 3],
+     "at network/roundabout_ccw/2: '2' names no uni_roundabout or bi_roundabout node"),
+    ("urban", ("network", "lengths", "signalized"), ...,
+     "at network/lengths: has no entry for the node group 'signalized'"),
+    ("urban", ("network", "cells", "signalized"), ...,
+     "at network/cells: has no entry for the node group 'signalized'"),
+    ("urban", ("network", "nodes", 28), 1,
+     f"at network/nodes: {[*range(1, 29), 1]} has 1 more than once"),
+    ("urban", ("network", "nodes"), [], "at network/nodes: [] has under 1 items"),
+    ("urban", ("network", "lengths", "roads"), 0,
+     "at network/lengths/roads: 0 is less than or equal to the minimum of 0"),
+    ("highway", ("network", "lengths", "roundabout"), 0.3,
+     "at network/lengths/roundabout: 0.3 is below the free-flow factor a = 0.4"),
+    ("urban", ("network", "edges", 0), [1, 1], "at network/edges/0: [1, 1] joins node 1 "
+                                               "to itself"),
+    ("urban", ("network", "groups", "signalized", 0), 3,
+     "at network/groups/signalized/0: node 3 is in the group 'unsignalized' too"),
+    ("urban", ("network", "groups", "signalized"), [],
+     "at network/groups: has no group for the nodes [14, 16]"),
+    ("urban", ("evaluation", "threshold", "benchmark"), "Z",
+     "at evaluation/threshold/benchmark: 'Z' names none of the benchmarks ['A', 'B', 'C']"),
+    ("synthetic_small", ("evaluation", "threshold"), {},
+     "at evaluation/threshold: has neither 'gamma' nor 'benchmark'"),
+    ("synthetic_small", ("learning", "n_initial"), ...,
+     "at learning: 'n_initial' is a required property"),
+    ("urban/calibrate", ("evaluation", "benchmarks", "A", "e"), -60,
+     "at evaluation/benchmarks/A/e: -60 is less than the minimum of 0"),
 ], ids=["sources-numbers", "constant-value-string", "initial-density-string",
         "initial-density-negative", "initial-fraction-negative", "environment-kind-unknown",
         "route-two-nodes", "seed-negative", "n_min-one", "n_max-list-below-n_min",
@@ -1972,7 +2042,13 @@ def test_cli_non_finite_number_exit_2_naming_its_path(tmp_path, capsys, name, ke
         "polynomial-alpha-below-one-calibrate", "expectile-alpha-negative",
         "expectile-alpha-negative-calibrate", "expectile-alpha-above-half-calibrate",
         "literal-sigma-negative",
-        "sigma-design-bound-negative"])
+        "sigma-design-bound-negative", "lengths-extra-group", "cells-extra-group",
+        "initial-density-extra-group", "signal-on-a-road-node",
+        "roundabout-ccw-on-a-highway-node", "lengths-without-a-group",
+        "cells-without-a-group", "nodes-duplicate", "no-nodes", "length-zero",
+        "length-below-a", "self-loop", "node-in-two-groups", "nodes-without-a-group",
+        "threshold-benchmark-unknown", "threshold-empty", "learning-without-n_initial",
+        "benchmark-e-negative-calibrate"])
 def test_cli_environment_run_and_seed_exit_2_at_a_json_path(tmp_path, capsys, name, keys,
                                                              value, where):
     # each exited 2 in Python's words ("'int' object is not iterable",
@@ -1994,7 +2070,14 @@ def test_cli_environment_run_and_seed_exit_2_at_a_json_path(tmp_path, capsys, na
     # key exited 2 in Python's words, a Z_4 node without a ccw array or
     # with one that leaves out a neighbour in a traceback or with a node
     # index, and calibrate refused an alpha without a path after making
-    # the output directory
+    # the output directory.  Of the keyed blocks, an extra group key or a
+    # roundabout_ccw entry on a highway node ran to exit 0, a signal on a
+    # road node was refused as a ccw array that leaves out a node, and the
+    # rest, with a self-loop, a node in two groups, a length of 0 and no
+    # nodes, exited 2 without a path or by a node index; so did a threshold
+    # without gamma or benchmark and learning without n_initial, while an
+    # unknown threshold benchmark ran simulate to exit 0 and a negative
+    # benchmark flow under a sqrt utility ended calibrate in a traceback
     raw = json.loads((SYNTHETIC_SMALL if name == "synthetic_small"
                       else bundled(name.split("/")[0])).read_text())
     _set(keys, value)(raw)
@@ -2134,7 +2217,7 @@ def test_cli_surface_dimension_mismatch_exit_2_at_load(tmp_path, capsys, surface
                     "--out-dir", str(tmp_path / "sim")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert f"{path}: simulator.surface" in err and "Traceback" not in err
+    assert f"{path}: at simulator/surface: " in err and "Traceback" not in err
     assert not (tmp_path / "sim" / "replicates.csv").exists()
 
 

@@ -12,6 +12,11 @@ Every line of a module is counted as exactly one of:
               pieces it is built from;
 * ``code``    any other line.
 
+A last column counts each module's parser tokens: ``tokenize``'s tokens
+less comments, NL and ENCODING.  Python 3.11's parser grows its token
+buffer as a module passes 8,192 and 16,384 tokens, so the count tells
+when a module's compile takes more memory.
+
 Usage: ``python3 tools/src_lines.py [module.py ...]``; without arguments
 it counts ``src/ctmdesign/*.py``, one row per module and a total.
 """
@@ -27,6 +32,8 @@ from pathlib import Path
 KINDS = ("code", "schema", "doc", "blank")
 SCHEMA_KEYS = {"type", "oneOf"}
 DEFAULT = Path(__file__).resolve().parent.parent / "src" / "ctmdesign"
+#: token types the parser never reads
+UNPARSED = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
 
 
 def _is_schema(node):
@@ -58,18 +65,27 @@ def count(text):
     return {k: kind.count(k) for k in KINDS}
 
 
+def tokens(text):
+    """The parser tokens of one module's source ``text``."""
+    return sum(tok.type not in UNPARSED
+               for tok in tokenize.generate_tokens(io.StringIO(text).readline))
+
+
 def main(argv):
     paths = [Path(p) for p in argv] or sorted(DEFAULT.glob("*.py"))
-    print(f"{'module':<16}{'lines':>7}" + "".join(f"{k:>8}" for k in KINDS))
+    print(f"{'module':<16}{'lines':>7}" + "".join(f"{k:>8}" for k in (*KINDS, "tokens")))
     total = dict.fromkeys(KINDS, 0)
+    total_tokens = 0
     for path in paths:
-        counts = count(path.read_text())
+        text = path.read_text()
+        counts, n = count(text), tokens(text)
         for k in KINDS:
             total[k] += counts[k]
+        total_tokens += n
         print(f"{path.name:<16}{sum(counts.values()):>7}"
-              + "".join(f"{counts[k]:>8}" for k in KINDS))
+              + "".join(f"{counts[k]:>8}" for k in KINDS) + f"{n:>8}")
     print(f"{'total':<16}{sum(total.values()):>7}"
-          + "".join(f"{total[k]:>8}" for k in KINDS))
+          + "".join(f"{total[k]:>8}" for k in KINDS) + f"{total_tokens:>8}")
 
 
 if __name__ == "__main__":
